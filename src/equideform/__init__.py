@@ -14,15 +14,15 @@ from .lie_bundle import (AlgebraBasis, AlgebraElement, CheckReport,
                          SliceElement, algebra_basis, algebra_element,
                          bracket_closure_residual, complement_and_slice_check,
                          complement_basis, deformed_bracket, eta_form,
-                         exponential, group_membership_residual,
+                         group_membership_residual,
                          invariance_residual, section, slice_element)
 from .mesh import Grid, Pairing, build_grid, diff_apply, fornberg_weights, pairing_weights
 from .ambient import (FlatTorus, ProductM2kR, ScaledSphere, SpaceForm2,
                       killing_fields, killing_fields_at, killing_residual,
                       metric_at, quadric_embed, quadric_to_chart, radial_area,
                       sn_lambda, structure_match)
-from .variational import (CmcCircle, CmcProfile, HarmonicSphere,
-                          HarmonicTorus, JacobiOperator, ProblemState, act,
+from .variational import (PROBLEMS, CmcCircle, CmcProfile, HarmonicSphere,
+                          HarmonicTorus, JacobiOperator, Problem, ProblemState, act,
                           circle_seed, cmc_circle_radius, derived_scalars,
                           geodesic_curvature, jacobi, killing_jacobi_basis,
                           orbit_generators, pairing, profile_cylinder_seed,

@@ -13,12 +13,12 @@ Commands and exit codes:
 Configuration is a key = value INI file. Keys are case-insensitive.
 
     [run]       seed (u64, default 0); out (output directory)
-    [problem]   instance = cmc_circle | cmc_profile | harmonic_torus |
-                harmonic_sphere; N (grid size, 8..4096); order (spectral or
-                an even integer for Dirichlet grids); H (mean curvature);
-                lambda_hat (where analyze/congruence work); length and
-                radius (profile); homotopy = p,q and gram_start/gram_end =
-                Q11,Q12,Q22 (torus)
+    [problem]   instance, one of
+                    {instances};
+                N (grid size, 8..4096); order (spectral or an even integer
+                for Dirichlet grids); H (mean curvature); lambda_hat (where
+                analyze/congruence work); length and radius (profile);
+                homotopy = p,q and gram_start/gram_end = Q11,Q12,Q22 (torus)
     [path]      start, end; records (count, uniform steps) or initial_step
                 with optional min_step/max_step; tol, max_newton, retries,
                 basin_guard, diagnostics_cadence, angle_tol, tol_rel
@@ -38,6 +38,7 @@ effective value is what the report's config block shows.
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 
@@ -49,16 +50,15 @@ from .equivariance import nondegeneracy_report, operator_diagnostics
 from .errors import (ConfigError, DomainError, EquideformError, IllConditioned,
                      NoConvergence, PreconditionError, ShapeError)
 from .lie_bundle import (GroupWord, ReductivePair, algebra_basis,
-                         algebra_element, bracket_closure_residual,
-                         complement_and_slice_check, deformed_bracket,
-                         group_membership_residual, invariance_residual,
-                         section)
-from .mesh import build_grid
+                         bracket_closure_residual, complement_and_slice_check,
+                         deformed_bracket, group_membership_residual,
+                         invariance_residual, section)
 from .serialize import (content_hash, write_branch_csv, write_branch_jsonl,
                         write_report)
-from .variational import (JacobiOperator, act, circle_seed, derived_scalars,
-                          jacobi, profile_cylinder_seed, sphere_equator_seed,
-                          torus_line_seed)
+from .variational import (PROBLEMS, JacobiOperator, act, derived_scalars,
+                          jacobi)
+
+__doc__ = __doc__.format(instances=", ".join(PROBLEMS))
 
 EXIT_OK = 0
 EXIT_CHECK = 2
@@ -120,8 +120,15 @@ def _get(cp, sec, key, conv, default=None, required=False):
         raise ConfigError(f"[{sec}] {key} = {text!r} is not valid")
 
 
+def _float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
+
+
 def _float_list(text):
-    return [float(tok) for tok in text.replace(",", " ").split()]
+    return [_float(tok) for tok in text.replace(",", " ").split()]
 
 
 def _int_list(text):
@@ -137,13 +144,11 @@ def _bool(text):
     raise ValueError(lowered)
 
 
-def _positive(name):
-    def conv(text):
-        value = float(text)
-        if not value > 0.0:
-            raise ValueError(f"{name} must be positive")
-        return value
-    return conv
+def _positive(text):
+    value = _float(text)
+    if not value > 0.0:
+        raise ValueError("not positive")
+    return value
 
 
 def _gram(text):
@@ -151,89 +156,58 @@ def _gram(text):
     return np.array([[q11, q12], [q12, q22]])
 
 
-def _order_value(order, default):
-    if order is None:
-        return default
-    text = order.strip().lower()
-    if text == "spectral":
-        return "spectral"
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"[problem] order = {order!r} is not valid")
+def _order(text):
+    text = text.strip().lower()
+    return "spectral" if text == "spectral" else int(text)
 
 
-_DEFAULT_LAMBDA = {"cmc_circle": 0.0, "cmc_profile": 0.0,
-                   "harmonic_torus": 0.0, "harmonic_sphere": 1.0}
+# converters a problem class's from_config asks for by name
+_PROBLEM_KINDS = {"positive": _positive, "ints": _int_list, "gram": _gram,
+                  "order": _order}
 
 
-def _build_problem(cp, lam):
-    """Construct the configured problem and its built-in analytic seed."""
+def _build_problem(cp, lam=None):
+    """Construct the configured problem and its built-in analytic seed.
+
+    Returns (problem, seed state, resolved [problem] keys, lambda_hat);
+    lam=None reads [problem] lambda_hat, defaulting to the instance's own.
+    """
     instance = _get(cp, "problem", "instance", str, required=True).strip().lower()
-    if instance not in _DEFAULT_LAMBDA:
+    if instance not in PROBLEMS:
         raise ConfigError(f"[problem] instance = {instance!r} is not one of "
-                          "cmc_circle, cmc_profile, harmonic_torus, "
-                          "harmonic_sphere")
+                          + ", ".join(PROBLEMS))
+    cls = PROBLEMS[instance]
+    if lam is None:
+        lam = _get(cp, "problem", "lambda_hat", _float,
+                   default=cls.default_lambda)
     N = _get(cp, "problem", "n", int, default=128)
     if not 8 <= N <= 4096:
         raise ConfigError(f"[problem] N = {N} outside [8, 4096]")
-    order = _get(cp, "problem", "order", str, default=None)
-    resolved = {"instance": instance, "n": N}
+    if cls.components == 2 and N % 2 == 0:
+        N += 1
+
+    def get(key, kind, default=None, required=False):
+        return _get(cp, "problem", key, _PROBLEM_KINDS[kind], default,
+                    required)
+
     try:
-        if instance == "cmc_circle":
-            H = _get(cp, "problem", "h", _positive("H"), required=True)
-            grid = build_grid("periodic", N, _order_value(order, "spectral"))
-            problem, state = circle_seed(lam, H, grid)
-            resolved["h"] = H
-        elif instance == "cmc_profile":
-            H = _get(cp, "problem", "h", _positive("H"), required=True)
-            length = _get(cp, "problem", "length", _positive("length"),
-                          default=1.0)
-            radius = _get(cp, "problem", "radius", _positive("radius"),
-                          default=None)
-            grid = build_grid("dirichlet", N, _order_value(order, 4),
-                              a=0.0, b=length)
-            problem, state = profile_cylinder_seed(H, grid, radius)
-            resolved.update(h=H, length=length,
-                            radius=radius if radius is not None else 1.0 / H)
-        elif instance == "harmonic_torus":
-            if N % 2 == 0:
-                N += 1
-                resolved["n"] = N
-            pq = _get(cp, "problem", "homotopy", _int_list, default=[1, 0])
-            if len(pq) != 2 or pq == [0, 0]:
-                raise ConfigError("[problem] homotopy must be two integers, "
-                                  "not both zero")
-            qs = _get(cp, "problem", "gram_start", _gram,
-                      default=np.eye(2))
-            qe = _get(cp, "problem", "gram_end", _gram, default=qs)
-            grid = build_grid("periodic", N, _order_value(order, "spectral"))
-            problem, state = torus_line_seed(tuple(pq), grid, qs, qe)
-            resolved.update(homotopy=list(pq),
-                            gram_start=[qs[0, 0], qs[0, 1], qs[1, 1]],
-                            gram_end=[qe[0, 0], qe[0, 1], qe[1, 1]])
-        else:
-            if N % 2 == 0:
-                N += 1
-                resolved["n"] = N
-            grid = build_grid("periodic", N, _order_value(order, "spectral"))
-            problem, state = sphere_equator_seed(grid)
-    except (ValueError, DomainError, ShapeError, EquideformError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
+        problem, state, resolved = cls.from_config(get, N, lam)
+    except ConfigError:
+        raise
+    except (ValueError, EquideformError) as exc:
         raise ConfigError(f"cannot build [problem] seed: {exc}")
-    return problem, state, resolved
+    return problem, state, dict(resolved, instance=instance, n=N), lam
 
 
 def _path_config(cp, lam=None):
     """ContinuationConfig from [path]; lam fixes start=end for polish-only use."""
     kwargs = {}
-    for key, conv in (("tol", _positive("tol")),
+    for key, conv in (("tol", _positive),
                       ("max_newton", int), ("retries", int),
-                      ("basin_guard", _positive("basin_guard")),
+                      ("basin_guard", _positive),
                       ("diagnostics_cadence", int),
-                      ("angle_tol", _positive("angle_tol")),
-                      ("tol_rel", _positive("tol_rel"))):
+                      ("angle_tol", _positive),
+                      ("tol_rel", _positive)):
         value = _get(cp, "path", key, conv)
         if value is not None:
             kwargs[key] = value
@@ -241,38 +215,26 @@ def _path_config(cp, lam=None):
         if lam is not None:
             return ContinuationConfig(start=lam, end=lam, initial_step=1.0,
                                       min_step=1e-12, max_step=1.0, **kwargs)
-        start = _get(cp, "path", "start", float, required=True)
-        end = _get(cp, "path", "end", float, required=True)
+        start = _get(cp, "path", "start", _float, required=True)
+        end = _get(cp, "path", "end", _float, required=True)
         records = _get(cp, "path", "records", int)
         if records is not None:
             if cp.has_option("path", "initial_step"):
                 raise ConfigError("[path] give either records or "
                                   "initial_step, not both")
             return ContinuationConfig.from_steps(start, end, records, **kwargs)
-        initial = _get(cp, "path", "initial_step", _positive("initial_step"),
-                       required=True)
+        initial = _get(cp, "path", "initial_step", _positive, required=True)
         retries = kwargs.get("retries", 6)
-        min_step = _get(cp, "path", "min_step", _positive("min_step"),
+        min_step = _get(cp, "path", "min_step", _positive,
                         default=initial / 2.0**(retries + 1))
-        max_step = _get(cp, "path", "max_step", _positive("max_step"),
-                        default=initial)
+        max_step = _get(cp, "path", "max_step", _positive, default=initial)
         return ContinuationConfig(start=start, end=end, initial_step=initial,
                                   min_step=min_step, max_step=max_step,
                                   **kwargs)
     except ConfigError:
         raise
-    except (ValueError, EquideformError) as exc:
+    except (ValueError, OverflowError, EquideformError) as exc:
         raise ConfigError(f"invalid [path] section: {exc}")
-
-
-def _config_payload(ccfg):
-    return {"start": ccfg.start, "end": ccfg.end,
-            "initial_step": ccfg.initial_step, "min_step": ccfg.min_step,
-            "max_step": ccfg.max_step, "tol": ccfg.tol,
-            "max_newton": ccfg.max_newton, "retries": ccfg.retries,
-            "basin_guard": ccfg.basin_guard,
-            "diagnostics_cadence": ccfg.diagnostics_cadence,
-            "angle_tol": ccfg.angle_tol, "tol_rel": ccfg.tol_rel}
 
 
 def _record_summary(rec):
@@ -400,15 +362,12 @@ def run_verify_bundle(cp, seed, chash, outdir):
 
 
 def run_analyze(cp, seed, chash, outdir):
-    instance = _get(cp, "problem", "instance", str, default="").strip().lower()
-    lam = _get(cp, "problem", "lambda_hat", float,
-               default=_DEFAULT_LAMBDA.get(instance, 0.0))
-    problem, seed_state, resolved = _build_problem(cp, lam)
+    problem, seed_state, resolved, lam = _build_problem(cp)
     ccfg = _path_config(cp, lam=lam)
-    shift = _get(cp, "test", "inject_shift", float)
+    shift = _get(cp, "test", "inject_shift", _float)
     resolved.update(lambda_hat=lam, seed=seed)
     base = {"command": "analyze", "config": resolved,
-            "path": _config_payload(ccfg), "config_hash": chash}
+            "path": dataclasses.asdict(ccfg), "config_hash": chash}
     try:
         state, iters, _ = corrector_step(problem, seed_state, lam, ccfg)
         operator = None
@@ -440,9 +399,9 @@ def run_analyze(cp, seed, chash, outdir):
 
 def run_continue(cp, seed, chash, outdir):
     ccfg = _path_config(cp)
-    problem, seed_state, resolved = _build_problem(cp, ccfg.start)
+    problem, seed_state, resolved, _ = _build_problem(cp, ccfg.start)
     resolved["seed"] = seed
-    config_block = {"problem": resolved, "path": _config_payload(ccfg)}
+    config_block = {"problem": resolved, "path": dataclasses.asdict(ccfg)}
     error = None
     try:
         records = continue_branch(problem, seed_state, ccfg)
@@ -475,18 +434,16 @@ def run_continue(cp, seed, chash, outdir):
 
 
 def run_congruence(cp, seed, chash, outdir):
-    instance = _get(cp, "problem", "instance", str, default="").strip().lower()
-    lam = _get(cp, "problem", "lambda_hat", float,
-               default=_DEFAULT_LAMBDA.get(instance, 0.0))
-    problem, seed_state, resolved = _build_problem(cp, lam)
+    problem, seed_state, resolved, lam = _build_problem(cp)
     t = np.asarray(_get(cp, "congruence", "t", _float_list, required=True))
-    tol = _get(cp, "congruence", "tol", _positive("tol"), default=1e-8)
+    tol = _get(cp, "congruence", "tol", _positive, default=1e-8)
     resolved.update(lambda_hat=lam, seed=seed)
     base = {"command": "congruence", "config": resolved,
             "applied_t": list(t), "tol": tol, "config_hash": chash}
     try:
         moved = act(problem, seed_state, lam, t)
-    except ShapeError as exc:
+    except (ShapeError, DomainError) as exc:
+        # a motion of the wrong length, or one too large for the chart
         raise ConfigError(f"[congruence] t: {exc}")
     try:
         congruent, params = congruence_check(problem, seed_state, moved, lam,

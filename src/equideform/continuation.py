@@ -64,6 +64,8 @@ class ContinuationConfig:
             raise PreconditionError("need min_step <= initial_step <= max_step")
         if self.tol <= 0.0 or self.basin_guard <= 0.0:
             raise PreconditionError("tolerances must be positive")
+        if self.max_newton < 0 or self.retries < 0:
+            raise PreconditionError("max_newton and retries must be non-negative")
 
     @classmethod
     def from_steps(cls, start, end, n_records, **kwargs):

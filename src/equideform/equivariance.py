@@ -18,9 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PreconditionError
-from .variational import (CmcProfile, ProblemState, jacobi,
-                          killing_jacobi_basis, pairing, residual,
-                          residual_norm)
+from .variational import (ProblemState, jacobi, killing_jacobi_basis,
+                          pairing, residual, residual_norm)
 
 GAP_FLOOR = 1.0e3
 
@@ -221,8 +220,8 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
     property of the continuum theory, and the check exists because that
     property can genuinely fail off this class; (iii) when (problem, state,
     lambda_hat) are supplied, the worst relative gap between J v and the
-    central difference of the residual over random probe vectors (probes for
-    Dirichlet profiles are zeroed at the boundary, where rows are pinned).
+    central difference of the residual over random probe vectors (probes are
+    zeroed at the problem's pinned nodes, whose rows carry no freedom).
     """
     W = J.pairing.weights[:, None] * J.matrix
     denom = np.linalg.norm(W)
@@ -243,9 +242,7 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
         base = state.values
         for _ in range(probes):
             v = rng.standard_normal(n)
-            if isinstance(problem, CmcProfile):
-                v[0] = 0.0
-                v[-1] = 0.0
+            v[list(problem.pinned)] = 0.0
             rp = residual(problem, ProblemState(base + step * v), lambda_hat)
             rm = residual(problem, ProblemState(base - step * v), lambda_hat)
             num = (rp - rm) / (2.0 * step)

@@ -282,12 +282,7 @@ def complement_and_slice_check(lam, n, n_samples=200, seed=0):
 
 
 # ---------------------------------------------------------------------------
-# sections and exponentials
-
-def exponential(X):
-    """Matrix exponential (scaling and squaring with Pade approximation)."""
-    return expm(np.asarray(X, dtype=float))
-
+# sections
 
 def section(word, lam):
     """Evaluate a group word at an arbitrary curvature parameter.
@@ -300,7 +295,7 @@ def section(word, lam):
     n = len(np.asarray(word.letters[0][1]))
     g = np.eye(n + 1)
     for D, u in word.letters:
-        g = g @ exponential(algebra_element(lam, D, u).mat)
+        g = g @ expm(algebra_element(lam, D, u).mat)
     return g
 
 

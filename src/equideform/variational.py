@@ -16,6 +16,11 @@ one real parameter lambda_hat:
 * HarmonicSphere: degree-1 maps S^1 -> sphere of curvature lam; critical
   points are great circles.
 
+Each instance is one class implementing the Problem protocol, and PROBLEMS
+maps registry names to the classes. The module-level functions (value,
+residual, jacobi, killing_jacobi_basis, act, ...) check the state, call the
+instance's method, and do the shared pairing work.
+
 Residual and Jacobi operators are exact first and second derivatives of the
 discrete functional against the fixed background pairing, so the weighted
 operator W J is symmetric by construction and the discrete model is smooth
@@ -39,9 +44,9 @@ from scipy.optimize import brentq
 
 from .ambient import (FlatTorus, ProductM2kR, ScaledSphere, SpaceForm2,
                       quadric_embed, quadric_to_chart, radial_area, sn_lambda)
-from .errors import DomainError, ShapeError, UnsupportedError
+from .errors import ConfigError, DomainError, ShapeError, UnsupportedError
 from .lie_bundle import algebra_element
-from .mesh import TWO_PI, Grid, Pairing
+from .mesh import TWO_PI, Grid, Pairing, build_grid
 
 RMIN = 0.05  # radial graphs stay away from the chart origin
 SIN_MIN = 0.05  # sphere charts stay away from the poles
@@ -58,80 +63,6 @@ def radial_cap(lam):
     if lam < 0.0:
         return 25.0 / np.sqrt(-lam)
     return 1.0e3
-
-
-# ---------------------------------------------------------------------------
-# problem and state containers
-
-@dataclass(frozen=True, eq=False)
-class CmcCircle:
-    H: float
-    grid: Grid
-
-    def __post_init__(self):
-        if self.grid.kind != "periodic":
-            raise DomainError("CmcCircle needs a periodic grid")
-
-    def ambient(self, lambda_hat):
-        return SpaceForm2(float(lambda_hat))
-
-
-@dataclass(frozen=True, eq=False)
-class CmcProfile:
-    H: float
-    grid: Grid
-    boundary_radii: tuple
-
-    def __post_init__(self):
-        if self.grid.kind != "dirichlet":
-            raise DomainError("CmcProfile needs a dirichlet grid")
-        if len(self.boundary_radii) != 2 or min(self.boundary_radii) <= 0:
-            raise DomainError("boundary radii must be two positive numbers")
-
-    def ambient(self, lambda_hat):
-        return ProductM2kR(float(lambda_hat))
-
-
-def _require_odd_periodic(grid, name):
-    if grid.kind != "periodic":
-        raise DomainError(f"{name} needs a periodic grid")
-    if grid.N % 2 == 0:
-        raise DomainError(
-            f"{name} needs an odd node count; the even-grid sawtooth mode "
-            "sits in ker(D1^T D1) and fakes an extra Jacobi kernel dimension")
-
-
-@dataclass(frozen=True, eq=False)
-class HarmonicTorus:
-    homotopy: tuple
-    grid: Grid
-    gram_start: np.ndarray
-    gram_end: np.ndarray
-
-    def __post_init__(self):
-        _require_odd_periodic(self.grid, "HarmonicTorus")
-        p, q = self.homotopy
-        if p == 0 and q == 0:
-            raise DomainError("homotopy class must be nonzero")
-        object.__setattr__(self, "gram_start", np.asarray(self.gram_start, dtype=float))
-        object.__setattr__(self, "gram_end", np.asarray(self.gram_end, dtype=float))
-        FlatTorus(self.gram_start)  # validates SPD
-        FlatTorus(self.gram_end)
-
-    def ambient(self, lambda_hat):
-        t = float(lambda_hat)
-        return FlatTorus((1.0 - t) * self.gram_start + t * self.gram_end)
-
-
-@dataclass(frozen=True, eq=False)
-class HarmonicSphere:
-    grid: Grid
-
-    def __post_init__(self):
-        _require_odd_periodic(self.grid, "HarmonicSphere")
-
-    def ambient(self, lambda_hat):
-        return ScaledSphere(float(lambda_hat))
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,27 +82,37 @@ class JacobiOperator:
     lambda_hat: float
 
 
-def is_harmonic(problem):
-    return isinstance(problem, (HarmonicTorus, HarmonicSphere))
+# ---------------------------------------------------------------------------
+# the problem protocol
 
+class Problem:
+    """One problem instance: a functional on node space and its symmetries.
 
-def state_size(problem):
-    n = problem.grid.N
-    return 2 * n if is_harmonic(problem) else n
-
-
-def pairing(problem):
-    """Background pairing weights for the problem's node space.
-
-    CMC instances pair against the chart quadrature weights; harmonic
-    instances use the unit-circumference domain density 1/(2 pi), tiled over
-    both chart components.
+    Class attributes: name (PROBLEMS key), components (chart values per
+    node), default_lambda, pinned (node indices without freedom; negative
+    ones count from the end). Each instance implements the classmethod
+    from_config(get, N, lam) -> (problem, seed, resolved keys), where
+    get(key, kind, default=None, required=False) reads a [problem] key
+    through the CLI converter named kind (positive, ints, gram, order), and
+    value, grad, hess, killing_fields and scalars of (v, lam) for the node
+    values v of a checked state. It overrides check, weights and generators
+    where the defaults below do not fit; with generators, it implements
+    act(state, lam, t) for t not all zero.
     """
-    w = problem.grid.quad
-    if is_harmonic(problem):
-        ws = w / TWO_PI
-        return Pairing(np.concatenate([ws, ws]))
-    return Pairing(w.copy())
+    components = 1
+    default_lambda = 0.0
+    pinned = ()
+
+    def check(self, v, lam):
+        """Raise DomainError when v leaves the chart domain at lam."""
+
+    def weights(self):
+        """Background pairing weights of node space."""
+        return self.grid.quad.copy()
+
+    def generators(self, lam):
+        """Generators of the identifiable isometry action; none by default."""
+        return []
 
 
 def _split(vals):
@@ -179,360 +120,10 @@ def _split(vals):
     return vals[:n], vals[n:]
 
 
-def _check_state(problem, state, lambda_hat):
-    v = state.values
-    if v.size != state_size(problem):
-        raise ShapeError(f"state has {v.size} values, expected {state_size(problem)}")
-    if not np.all(np.isfinite(v)):
-        raise DomainError("state contains non-finite values")
-    if isinstance(problem, CmcCircle):
-        cap = radial_cap(lambda_hat)
-        if np.min(v) < RMIN or np.max(v) > cap:
-            raise DomainError(
-                f"radial graph left [{RMIN}, {cap:.6g}] at lambda={lambda_hat}")
-    elif isinstance(problem, CmcProfile):
-        cap = radial_cap(lambda_hat)
-        if np.min(v) < RMIN or np.max(v) > cap:
-            raise DomainError(
-                f"profile left [{RMIN}, {cap:.6g}] at k={lambda_hat}")
-        ra, rb = problem.boundary_radii
-        if abs(v[0] - ra) > 1e-9 or abs(v[-1] - rb) > 1e-9:
-            raise DomainError("profile boundary values must equal the prescribed radii")
-    elif isinstance(problem, HarmonicSphere):
-        a, _ = _split(v)
-        if np.min(np.abs(np.sin(a))) < SIN_MIN:
-            raise DomainError("sphere state too close to a chart pole")
-        ScaledSphere(float(lambda_hat))  # validates lam > 0
-    return v
-
-
-# ---------------------------------------------------------------------------
-# CmcCircle assembly
-
-def _circle_terms(problem, r, lam):
-    p = problem.grid.diff1 @ r
-    sn, snp = sn_lambda(lam, r)
-    F = np.sqrt(p * p + sn * sn)
-    return p, sn, snp, F
-
-
-def _circle_value(problem, r, lam):
-    w = problem.grid.quad
-    _, sn, _, F = _circle_terms(problem, r, lam)
-    return float(w @ F - problem.H * (w @ radial_area(lam, r)))
-
-
-def _circle_grad(problem, r, lam):
-    w = problem.grid.quad
-    D1 = problem.grid.diff1
-    p, sn, snp, F = _circle_terms(problem, r, lam)
-    return w * (sn * snp / F - problem.H * sn) + D1.T @ (w * p / F)
-
-
-def _circle_hess(problem, r, lam):
-    w = problem.grid.quad
-    D1 = problem.grid.diff1
-    p, sn, snp, F = _circle_terms(problem, r, lam)
-    snpp = -lam * sn
-    a = w * sn * sn / F ** 3
-    b = -w * p * sn * snp / F ** 3
-    c = w * ((snp * snp + sn * snpp) / F - (sn * snp) ** 2 / F ** 3
-             - problem.H * snp)
-    H = D1.T @ (a[:, None] * D1)
-    H += D1.T * b[None, :]          # D1^T diag(b)
-    H += b[:, None] * D1            # diag(b) D1
-    H[np.arange(r.size), np.arange(r.size)] += c
-    return H
-
-
-def geodesic_curvature(problem, state, lambda_hat):
-    """Pointwise geodesic curvature of a CmcCircle radial graph.
-
-    kappa = (-sn r'' + 2 sn' r'^2 + sn^2 sn') / Wtilde^3 in the warped polar
-    chart; the residual satisfies residual ~= (kappa - H) sn up to
-    discretization error.
-    """
-    if not isinstance(problem, CmcCircle):
-        raise UnsupportedError("geodesic curvature is defined for CmcCircle only")
-    r = _check_state(problem, state, lambda_hat)
-    p, sn, snp, F = _circle_terms(problem, r, lambda_hat)
-    rpp = problem.grid.diff2 @ r
-    return (-sn * rpp + 2.0 * snp * p * p + sn * sn * snp) / F ** 3
-
-
-# ---------------------------------------------------------------------------
-# CmcProfile assembly
-
-def _profile_terms(problem, rho, k):
-    p = problem.grid.diff1 @ rho
-    sn, snp = sn_lambda(k, rho)
-    S = np.sqrt(1.0 + p * p)
-    return p, sn, snp, S
-
-
-def _profile_value(problem, rho, k):
-    w = problem.grid.quad
-    _, sn, _, S = _profile_terms(problem, rho, k)
-    return float(TWO_PI * (w @ (sn * S) - problem.H * (w @ radial_area(k, rho))))
-
-
-def _profile_grad(problem, rho, k):
-    w = problem.grid.quad
-    D1 = problem.grid.diff1
-    p, sn, snp, S = _profile_terms(problem, rho, k)
-    g = TWO_PI * (w * (snp * S - problem.H * sn) + D1.T @ (w * sn * p / S))
-    g[0] = 0.0
-    g[-1] = 0.0
-    return g
-
-
-def _profile_hess(problem, rho, k):
-    w = problem.grid.quad
-    D1 = problem.grid.diff1
-    p, sn, snp, S = _profile_terms(problem, rho, k)
-    snpp = -k * sn
-    fpp = TWO_PI * sn / S ** 3
-    frp = TWO_PI * snp * p / S
-    frr = TWO_PI * (snpp * S - problem.H * snp)
-    H = D1.T @ ((w * fpp)[:, None] * D1)
-    H += D1.T * (w * frp)[None, :]
-    H += (w * frp)[:, None] * D1
-    H[np.arange(rho.size), np.arange(rho.size)] += w * frr
-    # Dirichlet pinning: boundary nodes carry no degrees of freedom; scaled
-    # identity keeps the pinned modes far from the kernel threshold.
-    scale = np.max(np.abs(H))
-    for j in (0, rho.size - 1):
-        H[j, :] = 0.0
-        H[:, j] = 0.0
-        H[j, j] = scale
-    return H
-
-
-# ---------------------------------------------------------------------------
-# HarmonicTorus assembly
-
-def _torus_velocity(problem, vals):
-    # d phi / ds with s the unit-circumference parameter, theta = 2 pi s
-    u, v = _split(vals)
-    D1 = problem.grid.diff1
-    p, q = problem.homotopy
-    return p + TWO_PI * (D1 @ u), q + TWO_PI * (D1 @ v)
-
-
-def _torus_value(problem, vals, t):
-    w = problem.grid.quad / TWO_PI
-    Q = problem.ambient(t).Q
-    f1, f2 = _torus_velocity(problem, vals)
-    dens = Q[0, 0] * f1 * f1 + 2.0 * Q[0, 1] * f1 * f2 + Q[1, 1] * f2 * f2
-    return float(0.5 * (w @ dens))
-
-
-def _torus_grad(problem, vals, t):
-    w = problem.grid.quad / TWO_PI
-    D1 = problem.grid.diff1
-    Q = problem.ambient(t).Q
-    f1, f2 = _torus_velocity(problem, vals)
-    g1 = TWO_PI * (D1.T @ (w * (Q[0, 0] * f1 + Q[0, 1] * f2)))
-    g2 = TWO_PI * (D1.T @ (w * (Q[0, 1] * f1 + Q[1, 1] * f2)))
-    return np.concatenate([g1, g2])
-
-
-def _torus_hess(problem, vals, t):
-    w = problem.grid.quad / TWO_PI
-    D1 = problem.grid.diff1
-    Q = problem.ambient(t).Q
-    K = TWO_PI ** 2 * (D1.T @ (w[:, None] * D1))
-    return np.kron(Q, K)
-
-
-# ---------------------------------------------------------------------------
-# HarmonicSphere assembly
-
-def _sphere_terms(problem, vals, lam):
-    a, b = _split(vals)
-    D1 = problem.grid.diff1
-    alpha = TWO_PI * (D1 @ a)          # d vartheta / ds
-    beta = TWO_PI * (1.0 + D1 @ b)     # d varphi / ds
-    return a, b, alpha, beta
-
-
-def _sphere_value(problem, vals, lam):
-    w = problem.grid.quad / TWO_PI
-    a, _, alpha, beta = _sphere_terms(problem, vals, lam)
-    s = np.sin(a)
-    return float(0.5 / lam * (w @ (alpha * alpha + s * s * beta * beta)))
-
-
-def _sphere_grad(problem, vals, lam):
-    w = problem.grid.quad / TWO_PI
-    D1 = problem.grid.diff1
-    a, _, alpha, beta = _sphere_terms(problem, vals, lam)
-    s, co = np.sin(a), np.cos(a)
-    ga = w * (s * co * beta * beta / lam) + TWO_PI * (D1.T @ (w * alpha / lam))
-    gb = TWO_PI * (D1.T @ (w * s * s * beta / lam))
-    return np.concatenate([ga, gb])
-
-
-def _sphere_hess(problem, vals, lam):
-    w = problem.grid.quad / TWO_PI
-    D1 = problem.grid.diff1
-    n = problem.grid.N
-    a, _, alpha, beta = _sphere_terms(problem, vals, lam)
-    s, co = np.sin(a), np.cos(a)
-    e_aa = (co * co - s * s) * beta * beta / lam
-    e_ab = 2.0 * s * co * beta / lam
-    e_bb = s * s / lam
-    H = np.zeros((2 * n, 2 * n))
-    H[:n, :n] = TWO_PI ** 2 * (D1.T @ ((w / lam)[:, None] * D1))
-    H[np.arange(n), np.arange(n)] += w * e_aa
-    Hab = TWO_PI * ((w * e_ab)[:, None] * D1)
-    H[:n, n:] = Hab
-    H[n:, :n] = Hab.T
-    H[n:, n:] = TWO_PI ** 2 * (D1.T @ ((w * e_bb)[:, None] * D1))
-    return H
-
-
-# ---------------------------------------------------------------------------
-# public functional interface
-
-def value(problem, state, lambda_hat):
-    """Value of the discrete invariant functional at the state."""
-    v = _check_state(problem, state, lambda_hat)
-    if isinstance(problem, CmcCircle):
-        return _circle_value(problem, v, lambda_hat)
-    if isinstance(problem, CmcProfile):
-        return _profile_value(problem, v, lambda_hat)
-    if isinstance(problem, HarmonicTorus):
-        return _torus_value(problem, v, lambda_hat)
-    if isinstance(problem, HarmonicSphere):
-        return _sphere_value(problem, v, lambda_hat)
-    raise UnsupportedError(f"unknown problem instance {problem!r}")
-
-
-def residual(problem, state, lambda_hat):
-    """Gradient-like map: W^-1 times the exact discrete gradient.
-
-    Zero exactly at discrete critical points; for CmcCircle it approximates
-    (kappa_g - H) sn, the first-variation density against the background
-    weights. CmcProfile boundary entries are identically zero (Dirichlet).
-    """
-    v = _check_state(problem, state, lambda_hat)
-    if isinstance(problem, CmcCircle):
-        g = _circle_grad(problem, v, lambda_hat)
-    elif isinstance(problem, CmcProfile):
-        g = _profile_grad(problem, v, lambda_hat)
-    elif isinstance(problem, HarmonicTorus):
-        g = _torus_grad(problem, v, lambda_hat)
-    elif isinstance(problem, HarmonicSphere):
-        g = _sphere_grad(problem, v, lambda_hat)
-    else:
-        raise UnsupportedError(f"unknown problem instance {problem!r}")
-    return g / pairing(problem).weights
-
-
-def jacobi(problem, state, lambda_hat):
-    """Jacobi operator J = W^-1 Hess of the discrete functional.
-
-    W J equals the exact (symmetrized to kill last-bit noise) Hessian, so
-    the auxiliary symmetric structure holds by construction.
-    """
-    v = _check_state(problem, state, lambda_hat)
-    if isinstance(problem, CmcCircle):
-        H = _circle_hess(problem, v, lambda_hat)
-    elif isinstance(problem, CmcProfile):
-        H = _profile_hess(problem, v, lambda_hat)
-    elif isinstance(problem, HarmonicTorus):
-        H = _torus_hess(problem, v, lambda_hat)
-    elif isinstance(problem, HarmonicSphere):
-        H = _sphere_hess(problem, v, lambda_hat)
-    else:
-        raise UnsupportedError(f"unknown problem instance {problem!r}")
-    H = 0.5 * (H + H.T)
-    pr = pairing(problem)
-    return JacobiOperator(H / pr.weights[:, None], pr, float(lambda_hat))
-
-
-def residual_norm(problem, state, lambda_hat):
-    return pairing(problem).norm(residual(problem, state, lambda_hat))
-
-
-# ---------------------------------------------------------------------------
-# Killing-Jacobi fields
-
-def killing_jacobi_basis(problem, state, lambda_hat):
-    """Node vectors spanning the Killing-induced Jacobi fields.
-
-    CmcCircle: first variation of the graph under the three chart Killing
-    flows, delta r = K_r - r' K_theta (the theta-reparametrization term
-    matters away from centered circles; the pointwise normal component
-    g(K, n) spans the same rays only up to the non-constant factor sn/F and
-    is NOT in ker J for off-center graphs). CmcProfile: empty (no ambient
-    Killing field preserves the axisymmetric class with fixed horizontal
-    boundary circles). Harmonic: target fields K composed with the map plus
-    the domain-rotation pushforward. Entries may be linearly dependent; rank
-    is decided downstream.
-    """
-    v = _check_state(problem, state, lambda_hat)
-    if isinstance(problem, CmcCircle):
-        r = v
-        theta = problem.grid.nodes
-        p, sn, snp, F = _circle_terms(problem, r, lambda_hat)
-        ratio = snp / sn
-        fields = [
-            (np.zeros_like(r), np.ones_like(r)),
-            (np.cos(theta), -ratio * np.sin(theta)),
-            (np.sin(theta), ratio * np.cos(theta)),
-        ]
-        return [kr - p * kth for kr, kth in fields]
-    if isinstance(problem, CmcProfile):
-        return []
-    if isinstance(problem, HarmonicTorus):
-        n = problem.grid.N
-        D1 = problem.grid.diff1
-        u, w = _split(v)
-        p, q = problem.homotopy
-        one, zero = np.ones(n), np.zeros(n)
-        push = np.concatenate([p / TWO_PI + D1 @ u, q / TWO_PI + D1 @ w])
-        return [np.concatenate([one, zero]), np.concatenate([zero, one]), push]
-    if isinstance(problem, HarmonicSphere):
-        D1 = problem.grid.diff1
-        a, b = _split(v)
-        phi = problem.grid.nodes + b
-        s, co = np.sin(phi), np.cos(phi)
-        cot = np.cos(a) / np.sin(a)
-        kx = np.concatenate([-s, -cot * co])
-        ky = np.concatenate([co, -cot * s])
-        kz = np.concatenate([np.zeros_like(a), np.ones_like(a)])
-        push = np.concatenate([D1 @ a, 1.0 + D1 @ b])
-        return [kx, ky, kz, push]
-    raise UnsupportedError(f"unknown problem instance {problem!r}")
-
-
-# ---------------------------------------------------------------------------
-# group actions on states
-
-def orbit_generators(problem, lambda_hat):
-    """Generators of the identifiable isometry action used for orbit work.
-
-    CmcCircle: the two translation generators of G_lam (the rotation fixes
-    every centered radial graph's orbit and is dropped). CmcProfile: empty.
-    HarmonicTorus: the two unit translations. HarmonicSphere: the three
-    rotation generators of so(3).
-    """
-    if isinstance(problem, CmcCircle):
-        z = np.zeros((2, 2))
-        return [algebra_element(lambda_hat, z, np.array([1.0, 0.0])).mat,
-                algebra_element(lambda_hat, z, np.array([0.0, 1.0])).mat]
-    if isinstance(problem, CmcProfile):
-        return []
-    if isinstance(problem, HarmonicTorus):
-        return [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-    if isinstance(problem, HarmonicSphere):
-        jx = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        jy = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        jz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        return [jx, jy, jz]
-    raise UnsupportedError(f"unknown problem instance {problem!r}")
+def _check_radial(v, lam, what, param):
+    cap = radial_cap(lam)
+    if np.min(v) < RMIN or np.max(v) > cap:
+        raise DomainError(f"{what} left [{RMIN}, {cap:.6g}] at {param}={lam}")
 
 
 def _trig_interp(vals):
@@ -553,113 +144,561 @@ def _wrap_pi(x):
     return (x + np.pi) % TWO_PI - np.pi
 
 
-def _act_circle(problem, state, lambda_hat, t):
-    gens = orbit_generators(problem, lambda_hat)
-    g = expm(t[0] * gens[0] + t[1] * gens[1])
-    interp = _trig_interp(state.values)
-    lam = lambda_hat
+# ---------------------------------------------------------------------------
+# CmcCircle
 
-    def moved(theta):
-        r = interp(theta)
-        Y = g @ quadric_embed(lam, r, theta)
-        return quadric_to_chart(lam, Y)
+@dataclass(frozen=True, eq=False)
+class CmcCircle(Problem):
+    H: float
+    grid: Grid
 
-    # the moved curve must stay a radial graph: its chart angle is checked
-    # monotone on a dense sample before node-wise re-extraction
-    n = problem.grid.N
-    dense = np.linspace(0.0, TWO_PI, 4 * n, endpoint=False)
-    _, th_d = moved(dense)
-    thu = np.unwrap(th_d)
-    if np.any(np.diff(thu) <= 0.0):
-        raise DomainError("moved curve is not a radial graph about the origin")
-    shift = np.max(np.abs(_wrap_pi(th_d - dense)))
-    half = shift + 0.1
-    if half + shift >= np.pi:
-        raise DomainError("group motion too large for radial re-extraction")
+    name = "cmc_circle"
 
-    cap = radial_cap(lam)
-    rnew = np.empty(n)
-    for j, target in enumerate(problem.grid.nodes):
-        def fj(th):
-            _, ang = moved(th)
-            return _wrap_pi(ang - target)
+    def __post_init__(self):
+        if self.grid.kind != "periodic":
+            raise DomainError("CmcCircle needs a periodic grid")
 
-        root = brentq(fj, target - half, target + half, xtol=1e-14, rtol=8.9e-16)
-        rr, _ = moved(root)
-        rnew[j] = rr
-    if np.min(rnew) < RMIN or np.max(rnew) > cap:
-        raise DomainError("moved curve left the radial chart domain")
-    return ProblemState(rnew)
+    def ambient(self, lambda_hat):
+        return SpaceForm2(float(lambda_hat))
+
+    @classmethod
+    def from_config(cls, get, N, lam):
+        H = get("h", "positive", required=True)
+        grid = build_grid("periodic", N, get("order", "order", default="spectral"))
+        problem, state = circle_seed(lam, H, grid)
+        return problem, state, {"h": H}
+
+    def check(self, r, lam):
+        _check_radial(r, lam, "radial graph", "lambda")
+
+    def _terms(self, r, lam):
+        p = self.grid.diff1 @ r
+        sn, snp = sn_lambda(lam, r)
+        F = np.sqrt(p * p + sn * sn)
+        return p, sn, snp, F
+
+    def value(self, r, lam):
+        w = self.grid.quad
+        _, sn, _, F = self._terms(r, lam)
+        return float(w @ F - self.H * (w @ radial_area(lam, r)))
+
+    def grad(self, r, lam):
+        w = self.grid.quad
+        D1 = self.grid.diff1
+        p, sn, snp, F = self._terms(r, lam)
+        return w * (sn * snp / F - self.H * sn) + D1.T @ (w * p / F)
+
+    def hess(self, r, lam):
+        w = self.grid.quad
+        D1 = self.grid.diff1
+        p, sn, snp, F = self._terms(r, lam)
+        snpp = -lam * sn
+        a = w * sn * sn / F ** 3
+        b = -w * p * sn * snp / F ** 3
+        c = w * ((snp * snp + sn * snpp) / F - (sn * snp) ** 2 / F ** 3
+                 - self.H * snp)
+        H = D1.T @ (a[:, None] * D1)
+        H += D1.T * b[None, :]          # D1^T diag(b)
+        H += b[:, None] * D1            # diag(b) D1
+        H[np.arange(r.size), np.arange(r.size)] += c
+        return H
+
+    def killing_fields(self, r, lam):
+        """First variation of the graph under the three chart Killing flows.
+
+        delta r = K_r - r' K_theta: the theta-reparametrization term matters
+        away from centered circles; the pointwise normal component g(K, n)
+        spans the same rays only up to the non-constant factor sn/F and is
+        NOT in ker J for off-center graphs.
+        """
+        theta = self.grid.nodes
+        p, sn, snp, F = self._terms(r, lam)
+        ratio = snp / sn
+        fields = [
+            (np.zeros_like(r), np.ones_like(r)),
+            (np.cos(theta), -ratio * np.sin(theta)),
+            (np.sin(theta), ratio * np.cos(theta)),
+        ]
+        return [kr - p * kth for kr, kth in fields]
+
+    def generators(self, lam):
+        """The two translation generators of G_lam; the rotation fixes every
+        centered radial graph's orbit and is dropped."""
+        z = np.zeros((2, 2))
+        return [algebra_element(lam, z, np.array([1.0, 0.0])).mat,
+                algebra_element(lam, z, np.array([0.0, 1.0])).mat]
+
+    def act(self, state, lam, t):
+        """Move the curve in the quadric model and re-extract the radial
+        graph over the fixed node angles."""
+        gens = self.generators(lam)
+        g = expm(t[0] * gens[0] + t[1] * gens[1])
+        interp = _trig_interp(state.values)
+
+        def moved(theta):
+            r = interp(theta)
+            Y = g @ quadric_embed(lam, r, theta)
+            return quadric_to_chart(lam, Y)
+
+        # the moved curve must stay a radial graph: its chart angle is checked
+        # monotone on a dense sample before node-wise re-extraction
+        n = self.grid.N
+        dense = np.linspace(0.0, TWO_PI, 4 * n, endpoint=False)
+        _, th_d = moved(dense)
+        thu = np.unwrap(th_d)
+        if np.any(np.diff(thu) <= 0.0):
+            raise DomainError("moved curve is not a radial graph about the origin")
+        shift = np.max(np.abs(_wrap_pi(th_d - dense)))
+        half = shift + 0.1
+        if half + shift >= np.pi:
+            raise DomainError("group motion too large for radial re-extraction")
+
+        cap = radial_cap(lam)
+        rnew = np.empty(n)
+        for j, target in enumerate(self.grid.nodes):
+            def fj(th):
+                _, ang = moved(th)
+                return _wrap_pi(ang - target)
+
+            root = brentq(fj, target - half, target + half, xtol=1e-14, rtol=8.9e-16)
+            rr, _ = moved(root)
+            rnew[j] = rr
+        if np.min(rnew) < RMIN or np.max(rnew) > cap:
+            raise DomainError("moved curve left the radial chart domain")
+        return ProblemState(rnew)
+
+    def scalars(self, r, lam):
+        return {"radius": float(np.mean(r))}
 
 
-def _act_sphere(problem, state, lambda_hat, t):
-    gens = orbit_generators(problem, lambda_hat)
-    R = expm(t[0] * gens[0] + t[1] * gens[1] + t[2] * gens[2])
-    a, b = _split(state.values)
-    theta = problem.grid.nodes
-    phi = theta + b
-    P = np.stack([np.sin(a) * np.cos(phi), np.sin(a) * np.sin(phi), np.cos(a)])
-    Y = R @ P
-    a_new = np.arccos(np.clip(Y[2], -1.0, 1.0))
-    if np.min(np.abs(np.sin(a_new))) < SIN_MIN:
-        raise DomainError("rotated state too close to a chart pole")
-    phi_new = np.unwrap(np.arctan2(Y[1], Y[0]))
-    b_new = phi_new - theta
-    # keep the longitude sheet of the input state
-    b_new -= TWO_PI * np.round((np.mean(b_new) - np.mean(b)) / TWO_PI)
-    return ProblemState(np.concatenate([a_new, b_new]))
+# ---------------------------------------------------------------------------
+# CmcProfile
+
+@dataclass(frozen=True, eq=False)
+class CmcProfile(Problem):
+    """No ambient Killing field preserves the axisymmetric class with fixed
+    horizontal boundary circles, so the Killing span and the action are
+    empty."""
+    H: float
+    grid: Grid
+    boundary_radii: tuple
+
+    name = "cmc_profile"
+    pinned = (0, -1)
+
+    def __post_init__(self):
+        if self.grid.kind != "dirichlet":
+            raise DomainError("CmcProfile needs a dirichlet grid")
+        if len(self.boundary_radii) != 2 or min(self.boundary_radii) <= 0:
+            raise DomainError("boundary radii must be two positive numbers")
+
+    def ambient(self, lambda_hat):
+        return ProductM2kR(float(lambda_hat))
+
+    @classmethod
+    def from_config(cls, get, N, lam):
+        H = get("h", "positive", required=True)
+        length = get("length", "positive", default=1.0)
+        radius = get("radius", "positive")
+        grid = build_grid("dirichlet", N, get("order", "order", default=4),
+                          a=0.0, b=length)
+        problem, state = profile_cylinder_seed(H, grid, radius)
+        return problem, state, {"h": H, "length": length,
+                                "radius": problem.boundary_radii[0]}
+
+    def check(self, rho, k):
+        _check_radial(rho, k, "profile", "k")
+        if any(abs(rho[j] - r) > 1e-9
+               for j, r in zip(self.pinned, self.boundary_radii)):
+            raise DomainError("profile boundary values must equal the prescribed radii")
+
+    def _terms(self, rho, k):
+        p = self.grid.diff1 @ rho
+        sn, snp = sn_lambda(k, rho)
+        S = np.sqrt(1.0 + p * p)
+        return p, sn, snp, S
+
+    def value(self, rho, k):
+        w = self.grid.quad
+        _, sn, _, S = self._terms(rho, k)
+        return float(TWO_PI * (w @ (sn * S) - self.H * (w @ radial_area(k, rho))))
+
+    def grad(self, rho, k):
+        w = self.grid.quad
+        D1 = self.grid.diff1
+        p, sn, snp, S = self._terms(rho, k)
+        g = TWO_PI * (w * (snp * S - self.H * sn) + D1.T @ (w * sn * p / S))
+        g[list(self.pinned)] = 0.0
+        return g
+
+    def hess(self, rho, k):
+        w = self.grid.quad
+        D1 = self.grid.diff1
+        p, sn, snp, S = self._terms(rho, k)
+        snpp = -k * sn
+        fpp = TWO_PI * sn / S ** 3
+        frp = TWO_PI * snp * p / S
+        frr = TWO_PI * (snpp * S - self.H * snp)
+        H = D1.T @ ((w * fpp)[:, None] * D1)
+        H += D1.T * (w * frp)[None, :]
+        H += (w * frp)[:, None] * D1
+        H[np.arange(rho.size), np.arange(rho.size)] += w * frr
+        # Dirichlet pinning: boundary nodes carry no degrees of freedom; scaled
+        # identity keeps the pinned modes far from the kernel threshold.
+        scale = np.max(np.abs(H))
+        for j in self.pinned:
+            H[j, :] = 0.0
+            H[:, j] = 0.0
+            H[j, j] = scale
+        return H
+
+    def killing_fields(self, rho, k):
+        return []
+
+    def scalars(self, rho, k):
+        res = residual(self, ProblemState(rho), k)
+        sn, _ = sn_lambda(k, rho)
+        err = np.abs(res[1:-1]) / (TWO_PI * sn[1:-1])
+        return {"max_H_error": float(np.max(err))}
+
+
+# ---------------------------------------------------------------------------
+# harmonic maps S^1 -> target
+
+class _Harmonic(Problem):
+    """Two chart components per node on an odd periodic grid, paired
+    against the unit-circumference domain density 1/(2 pi)."""
+    components = 2
+
+    def __post_init__(self):
+        name = type(self).__name__
+        if self.grid.kind != "periodic":
+            raise DomainError(f"{name} needs a periodic grid")
+        if self.grid.N % 2 == 0:
+            raise DomainError(
+                f"{name} needs an odd node count; the even-grid sawtooth mode "
+                "sits in ker(D1^T D1) and fakes an extra Jacobi kernel dimension")
+
+    def weights(self):
+        ws = self.grid.quad / TWO_PI
+        return np.concatenate([ws, ws])
+
+
+@dataclass(frozen=True, eq=False)
+class HarmonicTorus(_Harmonic):
+    homotopy: tuple
+    grid: Grid
+    gram_start: np.ndarray
+    gram_end: np.ndarray
+
+    name = "harmonic_torus"
+
+    def __post_init__(self):
+        super().__post_init__()
+        p, q = self.homotopy
+        if p == 0 and q == 0:
+            raise DomainError("homotopy class must be nonzero")
+        object.__setattr__(self, "gram_start", np.asarray(self.gram_start, dtype=float))
+        object.__setattr__(self, "gram_end", np.asarray(self.gram_end, dtype=float))
+        FlatTorus(self.gram_start)  # validates SPD
+        FlatTorus(self.gram_end)
+
+    def ambient(self, lambda_hat):
+        t = float(lambda_hat)
+        return FlatTorus((1.0 - t) * self.gram_start + t * self.gram_end)
+
+    @classmethod
+    def from_config(cls, get, N, lam):
+        pq = get("homotopy", "ints", default=[1, 0])
+        if len(pq) != 2 or pq == [0, 0]:
+            raise ConfigError("[problem] homotopy must be two integers, "
+                              "not both zero")
+        qs = get("gram_start", "gram", default=np.eye(2))
+        qe = get("gram_end", "gram", default=qs)
+        grid = build_grid("periodic", N, get("order", "order", default="spectral"))
+        problem, state = torus_line_seed(tuple(pq), grid, qs, qe)
+        return problem, state, {"homotopy": list(pq),
+                                "gram_start": [qs[0, 0], qs[0, 1], qs[1, 1]],
+                                "gram_end": [qe[0, 0], qe[0, 1], qe[1, 1]]}
+
+    def _velocity(self, vals):
+        # d phi / ds with s the unit-circumference parameter, theta = 2 pi s
+        u, v = _split(vals)
+        D1 = self.grid.diff1
+        p, q = self.homotopy
+        return p + TWO_PI * (D1 @ u), q + TWO_PI * (D1 @ v)
+
+    def _density(self, vals, t):
+        # energy density |phi'|^2_Q at the nodes
+        Q = self.ambient(t).Q
+        f1, f2 = self._velocity(vals)
+        return Q[0, 0] * f1 * f1 + 2.0 * Q[0, 1] * f1 * f2 + Q[1, 1] * f2 * f2
+
+    def value(self, vals, t):
+        w = self.grid.quad / TWO_PI
+        return float(0.5 * (w @ self._density(vals, t)))
+
+    def grad(self, vals, t):
+        w = self.grid.quad / TWO_PI
+        D1 = self.grid.diff1
+        Q = self.ambient(t).Q
+        f1, f2 = self._velocity(vals)
+        g1 = TWO_PI * (D1.T @ (w * (Q[0, 0] * f1 + Q[0, 1] * f2)))
+        g2 = TWO_PI * (D1.T @ (w * (Q[0, 1] * f1 + Q[1, 1] * f2)))
+        return np.concatenate([g1, g2])
+
+    def hess(self, vals, t):
+        w = self.grid.quad / TWO_PI
+        D1 = self.grid.diff1
+        Q = self.ambient(t).Q
+        K = TWO_PI ** 2 * (D1.T @ (w[:, None] * D1))
+        return np.kron(Q, K)
+
+    def killing_fields(self, vals, t):
+        """The two unit translations plus the domain-rotation pushforward."""
+        n = self.grid.N
+        D1 = self.grid.diff1
+        u, w = _split(vals)
+        p, q = self.homotopy
+        one, zero = np.ones(n), np.zeros(n)
+        push = np.concatenate([p / TWO_PI + D1 @ u, q / TWO_PI + D1 @ w])
+        return [np.concatenate([one, zero]), np.concatenate([zero, one]), push]
+
+    def generators(self, t):
+        """The two unit translations."""
+        return [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+
+    def act(self, state, lam, t):
+        u, v = _split(state.values)
+        return ProblemState(np.concatenate([u + t[0], v + t[1]]))
+
+    def scalars(self, vals, t):
+        w = self.grid.quad / TWO_PI
+        return {"length": float(w @ np.sqrt(self._density(vals, t)))}
+
+
+@dataclass(frozen=True, eq=False)
+class HarmonicSphere(_Harmonic):
+    grid: Grid
+
+    name = "harmonic_sphere"
+    default_lambda = 1.0
+
+    def ambient(self, lambda_hat):
+        return ScaledSphere(float(lambda_hat))
+
+    @classmethod
+    def from_config(cls, get, N, lam):
+        grid = build_grid("periodic", N, get("order", "order", default="spectral"))
+        problem, state = sphere_equator_seed(grid)
+        return problem, state, {}
+
+    def check(self, vals, lam):
+        a, _ = _split(vals)
+        if np.min(np.abs(np.sin(a))) < SIN_MIN:
+            raise DomainError("sphere state too close to a chart pole")
+        ScaledSphere(float(lam))  # validates lam > 0
+
+    def _terms(self, vals, lam):
+        a, b = _split(vals)
+        D1 = self.grid.diff1
+        alpha = TWO_PI * (D1 @ a)          # d vartheta / ds
+        beta = TWO_PI * (1.0 + D1 @ b)     # d varphi / ds
+        return a, b, alpha, beta
+
+    def value(self, vals, lam):
+        w = self.grid.quad / TWO_PI
+        a, _, alpha, beta = self._terms(vals, lam)
+        s = np.sin(a)
+        return float(0.5 / lam * (w @ (alpha * alpha + s * s * beta * beta)))
+
+    def grad(self, vals, lam):
+        w = self.grid.quad / TWO_PI
+        D1 = self.grid.diff1
+        a, _, alpha, beta = self._terms(vals, lam)
+        s, co = np.sin(a), np.cos(a)
+        ga = w * (s * co * beta * beta / lam) + TWO_PI * (D1.T @ (w * alpha / lam))
+        gb = TWO_PI * (D1.T @ (w * s * s * beta / lam))
+        return np.concatenate([ga, gb])
+
+    def hess(self, vals, lam):
+        w = self.grid.quad / TWO_PI
+        D1 = self.grid.diff1
+        n = self.grid.N
+        a, _, alpha, beta = self._terms(vals, lam)
+        s, co = np.sin(a), np.cos(a)
+        e_aa = (co * co - s * s) * beta * beta / lam
+        e_ab = 2.0 * s * co * beta / lam
+        e_bb = s * s / lam
+        H = np.zeros((2 * n, 2 * n))
+        H[:n, :n] = TWO_PI ** 2 * (D1.T @ ((w / lam)[:, None] * D1))
+        H[np.arange(n), np.arange(n)] += w * e_aa
+        Hab = TWO_PI * ((w * e_ab)[:, None] * D1)
+        H[:n, n:] = Hab
+        H[n:, :n] = Hab.T
+        H[n:, n:] = TWO_PI ** 2 * (D1.T @ ((w * e_bb)[:, None] * D1))
+        return H
+
+    def killing_fields(self, vals, lam):
+        """The three rotation fields composed with the map plus the
+        domain-rotation pushforward."""
+        D1 = self.grid.diff1
+        a, b = _split(vals)
+        phi = self.grid.nodes + b
+        s, co = np.sin(phi), np.cos(phi)
+        cot = np.cos(a) / np.sin(a)
+        kx = np.concatenate([-s, -cot * co])
+        ky = np.concatenate([co, -cot * s])
+        kz = np.concatenate([np.zeros_like(a), np.ones_like(a)])
+        push = np.concatenate([D1 @ a, 1.0 + D1 @ b])
+        return [kx, ky, kz, push]
+
+    def generators(self, lam):
+        """The three rotation generators of so(3)."""
+        jx = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
+        jy = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
+        jz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+        return [jx, jy, jz]
+
+    def act(self, state, lam, t):
+        """Rotate pointwise through the chart."""
+        gens = self.generators(lam)
+        R = expm(t[0] * gens[0] + t[1] * gens[1] + t[2] * gens[2])
+        a, b = _split(state.values)
+        theta = self.grid.nodes
+        phi = theta + b
+        P = np.stack([np.sin(a) * np.cos(phi), np.sin(a) * np.sin(phi), np.cos(a)])
+        Y = R @ P
+        a_new = np.arccos(np.clip(Y[2], -1.0, 1.0))
+        if np.min(np.abs(np.sin(a_new))) < SIN_MIN:
+            raise DomainError("rotated state too close to a chart pole")
+        phi_new = np.unwrap(np.arctan2(Y[1], Y[0]))
+        b_new = phi_new - theta
+        # keep the longitude sheet of the input state
+        b_new -= TWO_PI * np.round((np.mean(b_new) - np.mean(b)) / TWO_PI)
+        return ProblemState(np.concatenate([a_new, b_new]))
+
+    def scalars(self, vals, lam):
+        w = self.grid.quad / TWO_PI
+        a, _, alpha, beta = self._terms(vals, lam)
+        s = np.sin(a)
+        length = float(w @ np.sqrt((alpha ** 2 + s ** 2 * beta ** 2) / lam))
+        return {"length": length,
+                "length_times_sqrt_lambda": length * float(np.sqrt(lam))}
+
+
+PROBLEMS = {cls.name: cls for cls in (CmcCircle, CmcProfile, HarmonicTorus,
+                                      HarmonicSphere)}
+
+
+# ---------------------------------------------------------------------------
+# public functional interface
+
+def state_size(problem):
+    return problem.components * problem.grid.N
+
+
+def pairing(problem):
+    """Background pairing weights for the problem's node space."""
+    return Pairing(problem.weights())
+
+
+def _check_state(problem, state, lambda_hat):
+    v = state.values
+    if v.size != state_size(problem):
+        raise ShapeError(f"state has {v.size} values, expected {state_size(problem)}")
+    if not np.all(np.isfinite(v)):
+        raise DomainError("state contains non-finite values")
+    problem.check(v, lambda_hat)
+    return v
+
+
+def value(problem, state, lambda_hat):
+    """Value of the discrete invariant functional at the state."""
+    return problem.value(_check_state(problem, state, lambda_hat), lambda_hat)
+
+
+def residual(problem, state, lambda_hat):
+    """Gradient-like map: W^-1 times the exact discrete gradient.
+
+    Zero exactly at discrete critical points; for CmcCircle it approximates
+    (kappa_g - H) sn, the first-variation density against the background
+    weights. CmcProfile boundary entries are identically zero (Dirichlet).
+    """
+    v = _check_state(problem, state, lambda_hat)
+    return problem.grad(v, lambda_hat) / pairing(problem).weights
+
+
+def jacobi(problem, state, lambda_hat):
+    """Jacobi operator J = W^-1 Hess of the discrete functional.
+
+    W J equals the exact (symmetrized to kill last-bit noise) Hessian, so
+    the auxiliary symmetric structure holds by construction.
+    """
+    v = _check_state(problem, state, lambda_hat)
+    H = problem.hess(v, lambda_hat)
+    H = 0.5 * (H + H.T)
+    pr = pairing(problem)
+    return JacobiOperator(H / pr.weights[:, None], pr, float(lambda_hat))
+
+
+def residual_norm(problem, state, lambda_hat):
+    return pairing(problem).norm(residual(problem, state, lambda_hat))
+
+
+def killing_jacobi_basis(problem, state, lambda_hat):
+    """Node vectors spanning the Killing-induced Jacobi fields.
+
+    Entries may be linearly dependent; rank is decided downstream. See each
+    instance's killing_fields for its fields.
+    """
+    v = _check_state(problem, state, lambda_hat)
+    return problem.killing_fields(v, lambda_hat)
+
+
+def orbit_generators(problem, lambda_hat):
+    """Generators of the identifiable isometry action used for orbit work."""
+    return problem.generators(lambda_hat)
 
 
 def act(problem, state, lambda_hat, t):
     """Apply the isometry exp(sum t_a X_a) to a state through the chart.
 
-    X_a are the orbit_generators; the CmcCircle action moves the curve in
-    the quadric model and re-extracts the radial graph over the fixed node
-    angles, the harmonic actions are pointwise on chart values.
+    X_a are the orbit_generators; each instance's act says how the motion
+    is carried to chart values. Zero motion returns a copy.
     """
     t = np.asarray(t, dtype=float).ravel()
     k = len(orbit_generators(problem, lambda_hat))
     if t.size != k:
         raise ShapeError(f"expected {k} group parameters, got {t.size}")
     _check_state(problem, state, lambda_hat)
-    if isinstance(problem, CmcProfile):
-        return ProblemState(state.values.copy())
     if np.max(np.abs(t), initial=0.0) == 0.0:
         return ProblemState(state.values.copy())
-    if isinstance(problem, CmcCircle):
-        return _act_circle(problem, state, lambda_hat, t)
-    if isinstance(problem, HarmonicTorus):
-        u, v = _split(state.values)
-        return ProblemState(np.concatenate([u + t[0], v + t[1]]))
-    return _act_sphere(problem, state, lambda_hat, t)
+    return problem.act(state, lambda_hat, t)
 
-
-# ---------------------------------------------------------------------------
-# derived scalars and analytic seeds
 
 def derived_scalars(problem, state, lambda_hat):
     """Instance-specific summary numbers stored with branch records."""
-    v = _check_state(problem, state, lambda_hat)
-    if isinstance(problem, CmcCircle):
-        return {"radius": float(np.mean(v))}
-    if isinstance(problem, CmcProfile):
-        res = residual(problem, ProblemState(v), lambda_hat)
-        sn, _ = sn_lambda(lambda_hat, v)
-        err = np.abs(res[1:-1]) / (TWO_PI * sn[1:-1])
-        return {"max_H_error": float(np.max(err))}
-    if isinstance(problem, HarmonicTorus):
-        w = problem.grid.quad / TWO_PI
-        Q = problem.ambient(lambda_hat).Q
-        f1, f2 = _torus_velocity(problem, v)
-        dens = Q[0, 0] * f1 * f1 + 2.0 * Q[0, 1] * f1 * f2 + Q[1, 1] * f2 * f2
-        return {"length": float(w @ np.sqrt(dens))}
-    w = problem.grid.quad / TWO_PI
-    a, _, alpha, beta = _sphere_terms(problem, v, lambda_hat)
-    s = np.sin(a)
-    length = float(w @ np.sqrt((alpha ** 2 + s ** 2 * beta ** 2) / lambda_hat))
-    return {"length": length,
-            "length_times_sqrt_lambda": length * float(np.sqrt(lambda_hat))}
+    return problem.scalars(_check_state(problem, state, lambda_hat), lambda_hat)
 
+
+def geodesic_curvature(problem, state, lambda_hat):
+    """Pointwise geodesic curvature of a CmcCircle radial graph.
+
+    kappa = (-sn r'' + 2 sn' r'^2 + sn^2 sn') / Wtilde^3 in the warped polar
+    chart; the residual satisfies residual ~= (kappa - H) sn up to
+    discretization error.
+    """
+    if not isinstance(problem, CmcCircle):
+        raise UnsupportedError("geodesic curvature is defined for CmcCircle only")
+    r = _check_state(problem, state, lambda_hat)
+    p, sn, snp, F = problem._terms(r, lambda_hat)
+    rpp = problem.grid.diff2 @ r
+    return (-sn * rpp + 2.0 * snp * p * p + sn * sn * snp) / F ** 3
+
+
+# ---------------------------------------------------------------------------
+# analytic seeds
 
 def cmc_circle_radius(lam, H):
     """Closed-form geodesic circle radius with curvature H at curvature lam.

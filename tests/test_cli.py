@@ -55,6 +55,12 @@ def test_verify_bundle_passes(tmp_path, capsys):
     assert stdout.count(": PASS") == 8
 
 
+def test_verify_bundle_non_finite_lambda_is_config_error(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "verify-bundle", "[bundle]\nlambdas = 0 nan\n")
+    assert code == 64
+    assert "config error" in capsys.readouterr().err
+
+
 def test_verify_bundle_broken_basis_fails(tmp_path, capsys):
     code, out = run_cli(tmp_path, "verify-bundle", BUNDLE_SMALL +
                         "[test]\ninject_broken_basis = true\n")
@@ -235,13 +241,20 @@ tol = 1e-16
     assert read_report(out)["congruent"] is False
 
 
-def test_congruence_wrong_t_length_is_config_error(tmp_path, capsys):
-    code, _ = run_cli(tmp_path, "congruence", CIRCLE_PROBLEM + """
-[congruence]
-t = 0.02, -0.01, 0.03
-""")
+@pytest.mark.parametrize("problem, t", [
+    (CIRCLE_PROBLEM, "0.02, -0.01, 0.03"),
+    # a motion too large for the radial chart
+    ("[problem]\ninstance = cmc_circle\nn = 32\nh = 2\nlambda_hat = 0.5\n",
+     "3.0, 0.0"),
+    (CIRCLE_PROBLEM, "nan, 0.0"),
+], ids=["wrong_length", "too_large", "non_finite"])
+def test_congruence_wrong_t_length_is_config_error(tmp_path, capsys, problem, t):
+    code, _ = run_cli(tmp_path, "congruence",
+                      problem + f"[congruence]\nt = {t}\n")
     assert code == 64
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
 
 
 # ------------------------------------------------------------ config guard
@@ -253,6 +266,13 @@ t = 0.02, -0.01, 0.03
     "[problem]\ninstance = cmc_circle\nh = -1.0\n",
     "[problem]\ninstance = cmc_circle\n",          # H required
     "[problem]\nn = 64\n",                         # instance required
+    "[problem]\ninstance = cmc_circle\nh = 2.0\nlambda_hat = nan\n",
+    "[problem]\ninstance = cmc_circle\nh = inf\n",
+    "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
+    "[test]\ninject_shift = nan\n",
+    "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
+    "[test]\ninject_shift = inf\n",
+    "[problem]\ninstance = harmonic_torus\nn = 33\ngram_start = 1, nan, 1\n",
 ])
 def test_analyze_config_errors(tmp_path, capsys, text):
     code, _ = run_cli(tmp_path, "analyze", text)
@@ -270,6 +290,18 @@ initial_step = 0.1
 """)
     assert code == 64
     assert "not both" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [
+    "start = nan\nend = 0.5\nrecords = 6\n",
+    "start = 1.0\nend = 0.5\nrecords = 6\nretries = -1\n",
+    "start = 1.0\nend = 0.5\nrecords = 6\nmax_newton = -1\n",
+    "start = 1.0\nend = 0.5\ninitial_step = 0.1\nretries = 100000\n",
+])
+def test_continue_invalid_path_is_config_error(tmp_path, capsys, path):
+    code, _ = run_cli(tmp_path, "continue", CIRCLE_PROBLEM + "[path]\n" + path)
+    assert code == 64
+    assert "config error" in capsys.readouterr().err
 
 
 def test_missing_config_file(tmp_path, capsys):

@@ -97,6 +97,12 @@ def test_config_validation():
     with pytest.raises(PreconditionError):
         ContinuationConfig(start=0.0, end=1.0, initial_step=0.1,
                            min_step=0.01, max_step=0.2, basin_guard=-1.0)
+    with pytest.raises(PreconditionError):
+        ContinuationConfig(start=0.0, end=1.0, initial_step=0.1,
+                           min_step=0.01, max_step=0.2, retries=-1)
+    with pytest.raises(PreconditionError):
+        ContinuationConfig(start=0.0, end=1.0, initial_step=0.1,
+                           min_step=0.01, max_step=0.2, max_newton=-1)
 
 
 def test_from_steps_uniform_grid():
