@@ -113,9 +113,9 @@ def run_cases(work):
     work = Path(work)
     for name, (_, text) in CASES.items():
         (work / f"{name}.ini").write_text(text)
+    path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join(
-                   [str(SRC)] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+               PYTHONPATH=os.pathsep.join(path))
     commands = {name: cmd for name, (cmd, _) in CASES.items()}
     subprocess.run([sys.executable, "-c", _DRIVER, str(work),
                     json.dumps(commands)], env=env, check=True,
