@@ -29,8 +29,8 @@ from .variational import (PROBLEMS, CmcCircle, CmcProfile, HarmonicSphere,
                           residual, residual_norm, sphere_equator_seed,
                           state_size, torus_line_seed, value)
 from .equivariance import (DiagnosticsReport, KernelBasis, NondegeneracyReport,
-                           SliceBasis, nondegeneracy_report, numerical_kernel,
-                           operator_diagnostics, rank_basis, slice_basis,
+                           nondegeneracy_report, numerical_kernel,
+                           operator_diagnostics, rank_basis,
                            transversality_margin)
 from .continuation import (BranchRecord, ContinuationConfig, GroupParameters,
                            congruence_check, continue_branch, corrector_step,

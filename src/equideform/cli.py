@@ -56,7 +56,7 @@ from .lie_bundle import (GroupWord, ReductivePair, algebra_basis,
 from .serialize import (content_hash, write_branch_csv, write_branch_jsonl,
                         write_report)
 from .variational import (PROBLEMS, JacobiOperator, act, derived_scalars,
-                          jacobi)
+                          jacobi, residual)
 
 __doc__ = __doc__.format(instances=", ".join(PROBLEMS))
 
@@ -250,6 +250,11 @@ def run_verify_bundle(cp, seed, chash, outdir):
     samples = _get(cp, "bundle", "samples", int, default=200)
     triples = _get(cp, "bundle", "triples", int, default=100)
     inject = _get(cp, "test", "inject_broken_basis", _bool, default=False)
+    # an empty grid or sample count would pass every check on no data
+    if not lambdas or not ns:
+        raise ConfigError("[bundle] lambdas and n must not be empty")
+    if samples < 1 or triples < 1:
+        raise ConfigError("[bundle] samples and triples must be >= 1")
     for n in ns:
         if n < 2:
             raise ConfigError("[bundle] n entries must be >= 2")
@@ -441,11 +446,13 @@ def run_congruence(cp, seed, chash, outdir):
     base = {"command": "congruence", "config": resolved,
             "applied_t": list(t), "tol": tol, "config_hash": chash}
     try:
-        moved = act(problem, seed_state, lam, t)
-    except (ShapeError, DomainError) as exc:
-        # a motion of the wrong length, or one too large for the chart
-        raise ConfigError(f"[congruence] t: {exc}")
-    try:
+        # a seed outside the chart is a solver failure, as in analyze
+        residual(problem, seed_state, lam)
+        try:
+            moved = act(problem, seed_state, lam, t)
+        except (ShapeError, DomainError) as exc:
+            # a motion of the wrong length, or one too large for the chart
+            raise ConfigError(f"[congruence] t: {exc}")
         congruent, params = congruence_check(problem, seed_state, moved, lam,
                                              tol=tol)
     except _SOLVER_ERRORS as exc:

@@ -15,8 +15,8 @@ bookkeeping.
 
 continue_branch marches the parameter with a secant predictor and adaptive
 steps, certifying every accepted record (kernel = Killing span, spectral
-gap, transversality margin against the previous record's slice). A
-degenerate verdict halts the branch with the offending record flagged at
+gap, transversality margin against the previous record's Killing basis).
+A degenerate verdict halts the branch with the offending record flagged at
 the end; convergence failure raises NoConvergence carrying the partial
 branch.
 
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .equivariance import (nondegeneracy_report, operator_diagnostics,
-                           rank_basis, slice_basis, transversality_margin)
+                           rank_basis, transversality_margin)
 from .errors import (DomainError, IllConditioned, NoConvergence,
                      PreconditionError)
 from .variational import (ProblemState, act, derived_scalars, jacobi,
@@ -184,14 +184,20 @@ def corrector_step(problem, state, lambda_hat, config):
     return st, iters, diagnostics
 
 
-def _certify(problem, state, lam, config, iters, ref_slice, with_diagnostics=False):
+def _certify(problem, state, lam, config, iters, reference,
+             with_diagnostics=False):
+    """Certify a converged state: return its record and Killing rank basis.
+
+    The margin is taken against reference, or the state's own basis if None.
+    """
+    J = jacobi(problem, state, lam)
     rep = nondegeneracy_report(problem, state, lam, tol_rel=config.tol_rel,
-                               angle_tol=config.angle_tol)
-    slc = ref_slice if ref_slice is not None else slice_basis(problem, state, lam)
-    margin = transversality_margin(problem, state, lam, slc)
+                               angle_tol=config.angle_tol, operator=J)
+    basis = rep.killing_basis
+    margin = transversality_margin(
+        basis, basis if reference is None else reference, J.pairing.weights)
     diag = None
     if with_diagnostics:
-        J = jacobi(problem, state, lam)
         diag = operator_diagnostics(J, problem, state, lam).to_payload()
     return BranchRecord(
         lambda_hat=float(lam), state=state, residual_norm=rep.residual_norm,
@@ -199,7 +205,7 @@ def _certify(problem, state, lam, config, iters, ref_slice, with_diagnostics=Fal
         max_principal_angle=rep.max_principal_angle, spectral_gap=rep.gap,
         transversality_margin=margin, newton_iters=int(iters),
         derived_scalars=derived_scalars(problem, state, lam),
-        verdict=rep.verdict, diagnostics=diag)
+        verdict=rep.verdict, diagnostics=diag), basis
 
 
 def continue_branch(problem, seed_state, config):
@@ -215,12 +221,11 @@ def continue_branch(problem, seed_state, config):
     lam = float(config.start)
     st, iters, _ = corrector_step(problem, seed_state, lam, config)
     cadence = int(config.diagnostics_cadence)
-    rec = _certify(problem, st, lam, config, iters, None,
-                   with_diagnostics=cadence > 0)
+    rec, ref = _certify(problem, st, lam, config, iters, None,
+                        with_diagnostics=cadence > 0)
     records = [rec]
     if rec.verdict != "nondegenerate":
         return records
-    slc = slice_basis(problem, st, lam)
     prev_lam = None
     prev_vals = None
     step = float(config.initial_step)
@@ -249,8 +254,8 @@ def continue_branch(problem, seed_state, config):
                 st_new, iters, _ = corrector_step(
                     problem, ProblemState(guess), target, config)
                 with_diag = cadence > 0 and len(records) % cadence == 0
-                rec = _certify(problem, st_new, target, config, iters, slc,
-                               with_diagnostics=with_diag)
+                rec, basis = _certify(problem, st_new, target, config,
+                                      iters, ref, with_diagnostics=with_diag)
             except (NoConvergence, IllConditioned, DomainError,
                     PreconditionError):
                 step *= 0.5
@@ -273,8 +278,7 @@ def continue_branch(problem, seed_state, config):
         if rec.verdict != "nondegenerate":
             return records
         prev_lam, prev_vals = lam, st.values
-        lam, st = target, st_new
-        slc = slice_basis(problem, st, lam)
+        lam, st, ref = target, st_new, basis
         if iters <= 3:
             fast += 1
         else:

@@ -1,4 +1,4 @@
-"""Certification of equivariant nondegeneracy and slice construction.
+"""Certification of equivariant nondegeneracy and slice transversality.
 
 The numerical Jacobi kernel is extracted by SVD of the weight-symmetrized
 operator and compared against the span of the Killing-induced Jacobi fields
@@ -6,6 +6,12 @@ through principal angles. A state is certified nondegenerate exactly when
 the kernel dimension equals the Killing rank and every principal angle is
 below tolerance; a mandatory multiplicative spectral gap guards against
 silent misclassification near threshold.
+
+The slice through a certified state is the W-complement of its Killing
+span. It stays transversal to a nearby orbit while the two k-dimensional
+Killing spans are nowhere orthogonal, so the transversality margin comes
+from the principal angles between the two Killing bases, without forming
+the n x (n - k) complement.
 
 All subspace work happens in the W inner product: node vectors u, v pair as
 sum_i w_i u_i v_i, and bases are W-orthonormal. Mapping v -> sqrt(W) v
@@ -16,8 +22,9 @@ here is implemented.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import subspace_angles
 
-from .errors import PreconditionError
+from .errors import PreconditionError, ShapeError
 from .variational import (ProblemState, jacobi, killing_jacobi_basis,
                           pairing, residual, residual_norm)
 
@@ -102,6 +109,7 @@ class NondegeneracyReport:
     gap: float
     indeterminate: bool
     residual_norm: float
+    killing_basis: np.ndarray    # (n, killing_rank), W-orthonormal columns
 
     def to_payload(self):
         return {
@@ -122,9 +130,10 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
     """Compare ker J with the Killing-Jacobi span at a critical state.
 
     Requires the state to be critical to 1e-8 in the W residual norm. The
-    operator argument substitutes a pre-assembled JacobiOperator (used by
-    fault-injection paths); by default the exact discrete Hessian is built
-    here.
+    operator argument passes a JacobiOperator the caller already assembled
+    (or a perturbed one, on fault-injection paths); by default the exact
+    discrete Hessian is built here. The report keeps the W-orthonormal
+    Killing rank basis it compared against.
     """
     rn = residual_norm(problem, state, lambda_hat)
     if not rn < 1e-8:
@@ -155,42 +164,26 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
         max_principal_angle=max_angle, verdict=verdict,
         tolerances={"tol_rel": float(used_tol_rel), "angle_tol": float(angle_tol),
                     "kernel_tolerance": float(kb.tolerance)},
-        gap=kb.gap, indeterminate=kb.indeterminate, residual_norm=float(rn))
+        gap=kb.gap, indeterminate=kb.indeterminate, residual_norm=float(rn),
+        killing_basis=B)
 
 
-@dataclass(frozen=True, eq=False)
-class SliceBasis:
-    vectors: np.ndarray  # (n, n - killing_rank), W-orthonormal columns
+def transversality_margin(basis, reference, weights):
+    """Transversality of the reference slice to the current orbit directions.
 
-
-def slice_basis(problem, state, lambda_hat):
-    """W-orthogonal complement of the Killing-Jacobi span in node space."""
-    w = pairing(problem).weights
-    vecs = killing_jacobi_basis(problem, state, lambda_hat)
-    n = w.size
-    sw = np.sqrt(w)
-    if not len(vecs):
-        return SliceBasis(vectors=np.eye(n) / sw[:, None])
-    M = sw[:, None] * np.column_stack(vecs)
-    U, s, _ = np.linalg.svd(M, full_matrices=True)
-    r = int(np.sum(s > 1e-10 * s[0])) if s.size and s[0] > 0.0 else 0
-    return SliceBasis(vectors=U[:, r:] / sw[:, None])
-
-
-def transversality_margin(problem, state, lambda_hat, slc):
-    """Smallest singular value of [Killing basis | slice basis], W-normalized.
-
-    The Killing-Jacobi rank basis is evaluated at the *current* state while
-    the slice typically comes from a nearby reference; a margin bounded away
-    from zero certifies that the frozen slice still crosses the moving orbit
-    directions transversally.
+    basis and reference are W-orthonormal Killing-Jacobi rank bases at the
+    current and the reference state; the slice is the W-complement of the
+    reference span. Returns sqrt(1 - sin theta_max) over the principal
+    angles between the spans, the smallest singular value of [basis | slice]
+    in the W geometry: 1 when the spans agree or either is empty. The angles
+    use the sine-based algorithm of Knyazev and Argentati (SIAM J. Sci.
+    Comput. 23, 2002), so small angles keep full precision.
     """
-    w = pairing(problem).weights
-    sw = np.sqrt(w)
-    B = rank_basis(killing_jacobi_basis(problem, state, lambda_hat), w)
-    M = np.concatenate([sw[:, None] * B, sw[:, None] * slc.vectors], axis=1)
-    s = np.linalg.svd(M, compute_uv=False)
-    return float(s[-1])
+    if not (basis.shape[1] and reference.shape[1]):
+        return 1.0
+    sw = np.sqrt(weights)[:, None]
+    theta = subspace_angles(sw * basis, sw * reference)
+    return float(np.sqrt(1.0 - np.sin(np.max(theta))))
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,27 +207,23 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
     """Symmetric-structure diagnostics for an assembled operator.
 
     Reports (i) the relative asymmetry of W J; (ii) the index
-    dim ker J - dim ker J^* computed from matching SVD thresholds on the
-    scaled operator and its transpose -- square W-symmetric operators must
-    come out 0, which is the finite-dimensional shadow of the index-zero
-    property of the continuum theory, and the check exists because that
-    property can genuinely fail off this class; (iii) when (problem, state,
-    lambda_hat) are supplied, the worst relative gap between J v and the
-    central difference of the residual over random probe vectors (probes are
-    zeroed at the problem's pinned nodes, whose rows carry no freedom).
+    dim ker J - dim ker J^*, which is 0 for every square operator by
+    rank-nullity (rank J = rank J^*) -- the finite-dimensional shadow of the
+    index-zero property of the continuum theory, kept as a payload field;
+    (iii) when (problem, state, lambda_hat) are supplied, the worst relative
+    gap between J v and the central difference of the residual over random
+    probe vectors (probes are zeroed at the problem's pinned nodes, whose
+    rows carry no freedom). Raises ShapeError unless J is square and matches
+    its pairing weights.
     """
+    n = J.matrix.shape[0]
+    if J.matrix.shape != (n, n) or J.pairing.weights.shape != (n,):
+        raise ShapeError(
+            f"operator of shape {J.matrix.shape} does not act on the "
+            f"{J.pairing.weights.size} weighted nodes of its pairing")
     W = J.pairing.weights[:, None] * J.matrix
     denom = np.linalg.norm(W)
     sym = float(np.linalg.norm(W - W.T) / denom) if denom > 0.0 else 0.0
-    Araw = (np.sqrt(J.pairing.weights)[:, None] * J.matrix
-            / np.sqrt(J.pairing.weights)[None, :])
-    n = J.matrix.shape[0]
-    tol_rel = _default_tol_rel(n)
-    s_fwd = np.linalg.svd(Araw, compute_uv=False)
-    s_adj = np.linalg.svd(Araw.T, compute_uv=False)
-    dk = int(np.sum(s_fwd < tol_rel * s_fwd[0]))
-    dc = int(np.sum(s_adj < tol_rel * s_adj[0]))
-    index = dk - dc
     fd = np.nan
     if problem is not None and state is not None and lambda_hat is not None:
         rng = np.random.default_rng(seed)
@@ -250,6 +239,5 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
             scale = max(np.linalg.norm(Jv), 1e-300)
             worst = max(worst, float(np.linalg.norm(num - Jv) / scale))
         fd = worst
-    flagged = bool(sym > 1e-8 or index != 0)
-    return DiagnosticsReport(symmetry_residual=sym, index=index,
-                             fd_consistency=fd, flagged=flagged)
+    return DiagnosticsReport(symmetry_residual=sym, index=0,
+                             fd_consistency=fd, flagged=bool(sym > 1e-8))

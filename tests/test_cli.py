@@ -55,10 +55,20 @@ def test_verify_bundle_passes(tmp_path, capsys):
     assert stdout.count(": PASS") == 8
 
 
-def test_verify_bundle_non_finite_lambda_is_config_error(tmp_path, capsys):
-    code, _ = run_cli(tmp_path, "verify-bundle", "[bundle]\nlambdas = 0 nan\n")
+@pytest.mark.parametrize("bundle", [
+    "lambdas = 0 nan\n",
+    # checks over an empty grid or no samples would pass on no data
+    "lambdas =\n",
+    "n =\n",
+    "lambdas = 0.5\nsamples = 0\n",
+    "lambdas = 0.5\ntriples = 0\n",
+], ids=["non_finite_lambda", "no_lambdas", "no_n", "no_samples", "no_triples"])
+def test_verify_bundle_config_errors(tmp_path, capsys, bundle):
+    code, _ = run_cli(tmp_path, "verify-bundle", "[bundle]\n" + bundle)
     assert code == 64
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert "Traceback" not in err
 
 
 def test_verify_bundle_broken_basis_fails(tmp_path, capsys):
@@ -255,6 +265,16 @@ def test_congruence_wrong_t_length_is_config_error(tmp_path, capsys, problem, t)
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+
+
+def test_congruence_seed_outside_chart_exit_three(tmp_path, capsys):
+    # the seed radius 1/H = 0.033 is below the chart, whatever the motion
+    code, out = run_cli(tmp_path, "congruence",
+                        "[problem]\ninstance = cmc_circle\nn = 32\nh = 30\n"
+                        "[congruence]\nt = 0.01, 0.0\n")
+    assert code == 3
+    assert "congruence failed: radial graph left" in capsys.readouterr().err
+    assert "radial graph left" in read_report(out)["error"]
 
 
 # ------------------------------------------------------------ config guard

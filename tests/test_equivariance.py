@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
-from equideform.errors import PreconditionError
+from equideform.continuation import ContinuationConfig, continue_branch
+from equideform.errors import PreconditionError, ShapeError
 from equideform.equivariance import (nondegeneracy_report, numerical_kernel,
                                      operator_diagnostics, rank_basis,
-                                     slice_basis, transversality_margin)
-from equideform.mesh import build_grid
-from equideform.variational import (CmcCircle, JacobiOperator, ProblemState,
-                                    circle_seed, jacobi, killing_jacobi_basis,
-                                    pairing, profile_cylinder_seed, residual_norm,
+                                     transversality_margin)
+from equideform.mesh import Pairing, build_grid
+from equideform.variational import (JacobiOperator, ProblemState, act,
+                                    circle_seed, jacobi,
+                                    killing_jacobi_basis, pairing,
+                                    profile_cylinder_seed, residual_norm,
                                     sphere_equator_seed, torus_line_seed)
 
 
@@ -137,58 +139,112 @@ def test_nondegeneracy_injected_shift_is_degenerate():
     assert rep.killing_rank == 2
 
 
-# ---------------------------------------------------------------- slice
+# ------------------------------------------------------- transversality
 
 
-def test_slice_basis_shape_and_orthogonality():
-    g = build_grid("periodic", 64)
-    prob, st = circle_seed(1.0, 2.0, g)
-    slc = slice_basis(prob, st, 1.0)
-    w = pairing(prob).weights
-    assert slc.vectors.shape == (64, 62)
-    assert _w_orthonormality_defect(slc.vectors, w) < 1e-12
-    B = rank_basis(killing_jacobi_basis(prob, st, 1.0), w)
-    cross = B.T @ (w[:, None] * slc.vectors)
-    assert np.max(np.abs(cross)) < 1e-12
+def _killing_basis(prob, st, lam):
+    return rank_basis(killing_jacobi_basis(prob, st, lam), pairing(prob).weights)
 
 
-def test_slice_basis_trivial_group_is_identity_sized():
-    g = build_grid("dirichlet", 64, order=4)
-    prob, st = profile_cylinder_seed(2.0, g)
-    slc = slice_basis(prob, st, 0.0)
-    assert slc.vectors.shape == (64, 64)
+def _full_svd_margin(basis, reference, w):
+    """Reference formula: sigma_min of [sqrt(W) basis | slice], with the slice
+    the full-SVD complement of sqrt(W) reference (all of R^n when empty)."""
+    sw = np.sqrt(w)
+    n = w.size
+    if reference.shape[1]:
+        U, s, _ = np.linalg.svd(sw[:, None] * reference, full_matrices=True)
+        slc = U[:, int(np.sum(s > 1e-10 * s[0])):]
+    else:
+        slc = np.eye(n)
+    M = np.concatenate([sw[:, None] * basis, slc], axis=1)
+    return float(np.linalg.svd(M, compute_uv=False)[-1])
+
+
+def _w_orthonormal(rng, w, k):
+    sw = np.sqrt(w)[:, None]
+    Q, _ = np.linalg.qr(sw * rng.standard_normal((w.size, k)))
+    return Q / sw
 
 
 def test_slice_excludes_torus_constant_fields():
+    # the slice is the W-complement of the Killing span, so it excludes the
+    # constant translations exactly when they lie in that span
     g = build_grid("periodic", 65)
     prob, st = torus_line_seed((1, 1), g, np.eye(2), np.eye(2))
-    slc = slice_basis(prob, st, 0.0)
+    B = _killing_basis(prob, st, 0.0)
     w = pairing(prob).weights
     N = 65
     for comp in range(2):
         c = np.zeros(2 * N)
         c[comp * N:(comp + 1) * N] = 1.0
-        assert np.max(np.abs(slc.vectors.T @ (w * c))) < 1e-10
-
-
-# ------------------------------------------------------- transversality
+        leftover = c - B @ (B.T @ (w * c))
+        assert np.sqrt(np.sum(w * leftover**2)) < 1e-10 * np.sqrt(np.sum(w * c**2))
 
 
 def test_margin_is_one_on_own_slice():
     g = build_grid("periodic", 64)
     prob, st = circle_seed(1.0, 2.0, g)
-    slc = slice_basis(prob, st, 1.0)
-    m = transversality_margin(prob, st, 1.0, slc)
+    B = _killing_basis(prob, st, 1.0)
+    m = transversality_margin(B, B, pairing(prob).weights)
     assert abs(m - 1.0) < 1e-10
 
 
 def test_margin_survives_parameter_step():
     g = build_grid("periodic", 64)
     prob, st = circle_seed(1.0, 2.0, g)
-    slc = slice_basis(prob, st, 1.0)
     prob2, st2 = circle_seed(0.9, 2.0, g)
-    m = transversality_margin(prob2, st2, 0.9, slc)
+    m = transversality_margin(_killing_basis(prob2, st2, 0.9),
+                              _killing_basis(prob, st, 1.0),
+                              pairing(prob).weights)
     assert m > 0.5
+
+
+def test_margin_matches_full_svd_on_circle_branch():
+    g = build_grid("periodic", 64)
+    prob, st = circle_seed(1.0, 2.0, g)
+    cfg = ContinuationConfig.from_steps(1.0, -1.0, 21, basin_guard=0.05)
+    records = continue_branch(prob, st, cfg)
+    assert len(records) == 21
+    w = pairing(prob).weights
+    bases = [_killing_basis(prob, r.state, r.lambda_hat) for r in records]
+    for i, rec in enumerate(records):
+        # each record is measured against the previous accepted record
+        ref = bases[max(i - 1, 0)]
+        expected = _full_svd_margin(bases[i], ref, w)
+        assert abs(rec.transversality_margin - expected) < 1e-12
+        assert abs(transversality_margin(bases[i], ref, w) - expected) < 1e-12
+
+
+@pytest.mark.parametrize("instance", ["torus", "sphere"])
+def test_margin_matches_full_svd_on_moved_pair(instance):
+    g = build_grid("periodic", 33)
+    if instance == "torus":
+        prob, st = torus_line_seed((1, 1), g, np.eye(2),
+                                   np.array([[2.0, 0.3], [0.3, 1.0]]))
+        lam, lam2, t = 0.0, 1.0, [0.1, -0.2]
+    else:
+        prob, st = sphere_equator_seed(g)
+        lam, lam2, t = 1.0, 1.0, [0.2, -0.1, 0.3]
+    st2 = act(prob, st, lam2, t)
+    B, B2 = _killing_basis(prob, st, lam), _killing_basis(prob, st2, lam2)
+    w = pairing(prob).weights
+    for basis, ref in ((B2, B), (B, B2)):
+        m = transversality_margin(basis, ref, w)
+        assert abs(m - _full_svd_margin(basis, ref, w)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [8, 20])
+def test_margin_matches_full_svd_on_mixed_ranks(n):
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.5, 2.0, n)
+    for k in range(4):
+        for k_ref in range(4):
+            basis = _w_orthonormal(rng, w, k)
+            ref = _w_orthonormal(rng, w, k_ref)
+            m = transversality_margin(basis, ref, w)
+            assert abs(m - _full_svd_margin(basis, ref, w)) < 1e-12
+            if k == 0 or k_ref == 0:
+                assert m == 1.0
 
 
 # ----------------------------------------------------------- diagnostics
@@ -230,6 +286,21 @@ def test_diagnostics_flags_asymmetry():
                                               lambda_hat=0.0))
     assert rep.symmetry_residual > 1e-8
     assert rep.flagged
+
+
+@pytest.mark.parametrize("case", ["non_square", "weights_mismatch"])
+def test_diagnostics_rejects_mismatched_shapes(case):
+    prob, st = _flat_circle()
+    J = jacobi(prob, st, 0.0)
+    if case == "non_square":
+        bad = JacobiOperator(matrix=J.matrix[:, :-1], pairing=J.pairing,
+                             lambda_hat=0.0)
+    else:
+        bad = JacobiOperator(matrix=J.matrix,
+                             pairing=Pairing(weights=J.pairing.weights[:-1]),
+                             lambda_hat=0.0)
+    with pytest.raises(ShapeError):
+        operator_diagnostics(bad)
 
 
 def test_diagnostics_payload_roundtrip():
