@@ -15,10 +15,11 @@ from .lie_bundle import (AlgebraBasis, AlgebraElement, CheckReport,
                          bracket_closure_residual, complement_and_slice_check,
                          complement_basis, deformed_bracket, eta_form,
                          group_membership_residual,
-                         invariance_residual, section, slice_element)
-from .mesh import Grid, Pairing, build_grid, diff_apply, fornberg_weights, pairing_weights
+                         invariance_residual, section, slice_element,
+                         verify_bundle)
+from .mesh import Grid, Pairing, build_grid, fornberg_weights
 from .ambient import (FlatTorus, ProductM2kR, ScaledSphere, SpaceForm2,
-                      killing_fields, killing_fields_at, killing_residual,
+                      killing_fields, killing_residual,
                       metric_at, quadric_embed, quadric_to_chart, radial_area,
                       sn_lambda, structure_match)
 from .variational import (PROBLEMS, CmcCircle, CmcProfile, HarmonicSphere,

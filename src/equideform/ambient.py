@@ -211,11 +211,6 @@ def killing_fields(model):
     raise DomainError(f"unknown ambient model {model!r}")
 
 
-def killing_fields_at(model, p):
-    p = np.asarray(p, dtype=float)
-    return [f(p) for f in killing_fields(model)]
-
-
 def killing_residual(model, fld, p, h=1e-4):
     """Finite difference norm of the Lie derivative of the metric along fld.
 

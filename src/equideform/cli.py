@@ -49,10 +49,7 @@ from .continuation import (ContinuationConfig, congruence_check,
 from .equivariance import nondegeneracy_report, operator_diagnostics
 from .errors import (ConfigError, DomainError, EquideformError, IllConditioned,
                      NoConvergence, PreconditionError, ShapeError)
-from .lie_bundle import (GroupWord, ReductivePair, algebra_basis,
-                         bracket_closure_residual, complement_and_slice_check,
-                         deformed_bracket, group_membership_residual,
-                         invariance_residual, section)
+from .lie_bundle import verify_bundle
 from .serialize import (content_hash, write_branch_csv, write_branch_jsonl,
                         write_report)
 from .variational import (PROBLEMS, JacobiOperator, act, derived_scalars,
@@ -213,8 +210,7 @@ def _path_config(cp, lam=None):
             kwargs[key] = value
     try:
         if lam is not None:
-            return ContinuationConfig(start=lam, end=lam, initial_step=1.0,
-                                      min_step=1e-12, max_step=1.0, **kwargs)
+            return ContinuationConfig.polish(lam, **kwargs)
         start = _get(cp, "path", "start", _float, required=True)
         end = _get(cp, "path", "end", _float, required=True)
         records = _get(cp, "path", "records", int)
@@ -250,108 +246,10 @@ def run_verify_bundle(cp, seed, chash, outdir):
     samples = _get(cp, "bundle", "samples", int, default=200)
     triples = _get(cp, "bundle", "triples", int, default=100)
     inject = _get(cp, "test", "inject_broken_basis", _bool, default=False)
-    # an empty grid or sample count would pass every check on no data
-    if not lambdas or not ns:
-        raise ConfigError("[bundle] lambdas and n must not be empty")
-    if samples < 1 or triples < 1:
-        raise ConfigError("[bundle] samples and triples must be >= 1")
-    for n in ns:
-        if n < 2:
-            raise ConfigError("[bundle] n entries must be >= 2")
-    rng = np.random.default_rng(seed)
-    checks = []
-
-    def add(name, worst, threshold, passed=None, extra=None):
-        entry = {"name": name, "worst": float(worst),
-                 "threshold": float(threshold),
-                 "passed": bool(worst < threshold if passed is None else passed)}
-        if extra:
-            entry.update(extra)
-        checks.append(entry)
-
-    # closure and frame invariance over the whole grid
-    worst_cl, worst_inv = 0.0, 0.0
-    for n in ns:
-        for lam in lambdas:
-            basis = algebra_basis(lam, n)
-            mats = [e.mat for e in basis.elements]
-            if inject:
-                bad = np.zeros((n + 1, n + 1))
-                bad[0, 0] = 1.0
-                bad[1, 1] = -1.0
-                mats = [mats[0] + bad] + mats[1:]
-            worst_cl = max(worst_cl, bracket_closure_residual(mats))
-            worst_inv = max(worst_inv,
-                            max(invariance_residual(e.mat, lam)
-                                for e in basis.elements))
-    add("bracket_closure", worst_cl, 1e-12)
-    add("frame_invariance", worst_inv, 1e-12)
-
-    # stacked rank and slice/group intersection margin
-    rank_ok, min_margin, worst_ident = True, np.inf, 0.0
-    for n in ns:
-        for lam in lambdas:
-            rep = complement_and_slice_check(lam, n, n_samples=samples,
-                                             seed=seed)
-            rank_ok = rank_ok and rep.full_rank
-            min_margin = min(min_margin, rep.min_off_identity_residual)
-            worst_ident = max(worst_ident, rep.identity_residual)
-    add("complement_rank", 0.0, 1.0, passed=rank_ok)
-    add("slice_margin", min_margin, 1e-3,
-        passed=(min_margin > 1e-3) and (worst_ident < 1e-12),
-        extra={"identity_residual": float(worst_ident)})
-
-    # two-letter section built at lambda0 = 1, swept over [-1, 1]
-    n0 = ns[0]
-    letters = []
-    for _ in range(2):
-        A = rng.standard_normal((n0, n0))
-        letters.append((0.3 * (A - A.T), 0.3 * rng.standard_normal(n0)))
-    word = GroupWord(letters=tuple(letters), base_lambda=1.0)
-    h0 = section(word, 1.0)
-    worst_mem = max(group_membership_residual(section(word, lam), lam)
-                    for lam in np.linspace(-1.0, 1.0, 21))
-    reproduce = float(np.max(np.abs(section(word, 1.0) - h0)))
-    add("section_membership", worst_mem, 1e-10,
-        extra={"reproduce_at_base": reproduce})
-
-    # deformed bracket: antisymmetry, Jacobi, lambda = 1 recovery
-    worst_anti, worst_jac, worst_match = 0.0, 0.0, 0.0
-    pair = ReductivePair(n0)
-
-    def rand_elem():
-        A = rng.standard_normal((n0, n0))
-        return (A - A.T, rng.standard_normal(n0))
-
-    def pair_max(u, v):
-        return max(float(np.max(np.abs(u[0] + v[0]))),
-                   float(np.max(np.abs(u[1] + v[1]))))
-
-    for lam in (-1.0, 0.0, 0.5, 1.0):
-        for _ in range(triples):
-            x, y, z = rand_elem(), rand_elem(), rand_elem()
-            bxy = deformed_bracket(lam, x, y, pair)
-            byx = deformed_bracket(lam, y, x, pair)
-            worst_anti = max(worst_anti, pair_max(bxy, byx))
-            terms = [deformed_bracket(lam, x, deformed_bracket(lam, y, z, pair), pair),
-                     deformed_bracket(lam, y, deformed_bracket(lam, z, x, pair), pair),
-                     deformed_bracket(lam, z, deformed_bracket(lam, x, y, pair), pair)]
-            cyc_k = terms[0][0] + terms[1][0] + terms[2][0]
-            cyc_m = terms[0][1] + terms[1][1] + terms[2][1]
-            worst_jac = max(worst_jac, float(np.max(np.abs(cyc_k))),
-                            float(np.max(np.abs(cyc_m))))
-            if lam == 1.0:
-                mx = pair.embed_k(x[0]) + pair.embed_m(x[1])
-                my = pair.embed_k(y[0]) + pair.embed_m(y[1])
-                dk, um, defect = pair.split(mx @ my - my @ mx)
-                worst_match = max(worst_match, defect,
-                                  float(np.max(np.abs(bxy[0] - dk))),
-                                  float(np.max(np.abs(bxy[1] - um))))
-    add("bracket_antisymmetry", worst_anti, 1e-15,
-        passed=(worst_anti == 0.0))
-    add("bracket_jacobi", worst_jac, 1e-12)
-    add("bracket_matches_undeformed", worst_match, 1e-14)
-
+    try:
+        checks = verify_bundle(lambdas, ns, samples, triples, seed, inject)
+    except PreconditionError as exc:
+        raise ConfigError(f"[bundle] {exc}")
     passed = all(c["passed"] for c in checks)
     for c in checks:
         status = "PASS" if c["passed"] else "FAIL"

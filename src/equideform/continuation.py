@@ -41,6 +41,14 @@ from .variational import (ProblemState, act, derived_scalars, jacobi,
 MARGIN_FLOOR = 0.1
 RECORD_CAP = 100000
 
+# orbit_project's Gauss-Newton: stopping tolerance on the Killing
+# components, iteration cap, finite-difference step in t, and the largest
+# motion |t| accepted as nearby
+ORBIT_TOL = 1e-11
+ORBIT_MAX_ITER = 30
+ORBIT_FD_STEP = 1e-6
+ORBIT_TRUST_RADIUS = 0.25
+
 
 @dataclass(frozen=True)
 class ContinuationConfig:
@@ -77,6 +85,12 @@ class ContinuationConfig:
         kwargs.setdefault("max_step", step)
         kwargs.setdefault("min_step", step / 2 ** (kwargs.get("retries", 6) + 1))
         return cls(start=float(start), end=float(end), **kwargs)
+
+    @classmethod
+    def polish(cls, lam, **kwargs):
+        """Corrector-only config at the fixed parameter lam (start = end)."""
+        return cls(start=lam, end=lam, initial_step=1.0, min_step=1e-12,
+                   max_step=1.0, **kwargs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -290,8 +304,7 @@ def continue_branch(problem, seed_state, config):
     return records
 
 
-def orbit_project(problem, state, lambda_hat, reference, tol=1e-11,
-                  max_iter=30, fd_step=1e-6, trust_radius=0.25):
+def orbit_project(problem, state, lambda_hat, reference):
     """Move a state onto the affine slice through a nearby reference.
 
     Gauss-Newton over the group parameters t of the Killing components
@@ -319,19 +332,19 @@ def orbit_project(problem, state, lambda_hat, reference, tol=1e-11,
 
     t = np.zeros(k)
     F, moved = components(t)
-    for _ in range(max_iter):
-        if np.linalg.norm(F) < tol:
+    for _ in range(ORBIT_MAX_ITER):
+        if np.linalg.norm(F) < ORBIT_TOL:
             break
         cols = []
         for a in range(k):
             ta = t.copy()
-            ta[a] += fd_step
+            ta[a] += ORBIT_FD_STEP
             Fa, _ = components(ta)
-            cols.append((Fa - F) / fd_step)
+            cols.append((Fa - F) / ORBIT_FD_STEP)
         Jt = np.column_stack(cols)
         dt, *_ = np.linalg.lstsq(Jt, -F, rcond=None)
         t = t + dt
-        if np.linalg.norm(t) > trust_radius:
+        if np.linalg.norm(t) > ORBIT_TRUST_RADIUS:
             raise NoConvergence("orbit projection left the trust region")
         F, moved = components(t)
     else:
@@ -340,13 +353,7 @@ def orbit_project(problem, state, lambda_hat, reference, tol=1e-11,
     return GroupParameters(-t), moved, float(np.linalg.norm(F))
 
 
-def _polish_config(lam):
-    return ContinuationConfig(start=lam, end=lam, initial_step=1.0,
-                              min_step=1e-12, max_step=1.0)
-
-
-def congruence_check(problem, state1, state2, lambda_hat, tol=1e-8,
-                     config=None):
+def congruence_check(problem, state1, state2, lambda_hat, tol=1e-8):
     """Decide whether two critical states agree modulo the group action.
 
     Projects state2 onto state1's slice, polishes with the corrector, and
@@ -355,7 +362,7 @@ def congruence_check(problem, state1, state2, lambda_hat, tol=1e-8,
     """
     pr = pairing(problem)
     gp, moved, _ = orbit_project(problem, state2, lambda_hat, state1)
-    cfg = config if config is not None else _polish_config(lambda_hat)
-    polished, _, _ = corrector_step(problem, moved, lambda_hat, cfg)
+    polished, _, _ = corrector_step(problem, moved, lambda_hat,
+                                    ContinuationConfig.polish(lambda_hat))
     dist = pr.norm(polished.values - state1.values)
     return bool(dist < tol), gp

@@ -29,6 +29,7 @@ from .variational import (ProblemState, jacobi, killing_jacobi_basis,
                           pairing, residual, residual_norm)
 
 GAP_FLOOR = 1.0e3
+RANK_RTOL = 1e-10   # rank_basis drops singular values below this * sigma_max
 
 
 def _sym_scaled(J):
@@ -86,7 +87,7 @@ def numerical_kernel(J, tol_rel=None):
                        indeterminate=indeterminate)
 
 
-def rank_basis(vectors, weights, rtol=1e-10):
+def rank_basis(vectors, weights):
     """W-orthonormal basis of the span of a (possibly dependent) list."""
     n = weights.size
     if not len(vectors):
@@ -94,7 +95,7 @@ def rank_basis(vectors, weights, rtol=1e-10):
     sw = np.sqrt(weights)
     M = sw[:, None] * np.column_stack(vectors)
     U, s, _ = np.linalg.svd(M, full_matrices=False)
-    r = int(np.sum(s > rtol * s[0])) if s.size and s[0] > 0.0 else 0
+    r = int(np.sum(s > RANK_RTOL * s[0])) if s.size and s[0] > 0.0 else 0
     return U[:, :r] / sw[:, None]
 
 

@@ -22,6 +22,11 @@ A complementary slice A of upper block-triangular matrices with positive
 corner and positive definite lower block meets G_lam only at the identity;
 complement_and_slice_check certifies the tangent splitting and probes the
 off-identity margin on seeded samples.
+
+deformed_bracket is the bracket of g_lam in closed form on (D, u)
+coordinates; ReductivePair is the matrix realization of so(n+1) it is
+checked against at lam = 1. verify_bundle runs every named check of the
+verify-bundle command.
 """
 
 from dataclasses import dataclass
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import DomainError
+from .errors import DomainError, PreconditionError
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +185,20 @@ def group_membership_residual(g, lam):
 def bracket_closure_residual(basis):
     """Max least-squares defect of projecting basis brackets back onto the span.
 
-    Accepts an AlgebraBasis or a plain list of square matrices.
+    Accepts an AlgebraBasis or a plain list of square matrices. The stacked
+    basis is factored once, with every bracket as a right-hand side.
     """
     if hasattr(basis, "elements"):
         mats = [e.mat for e in basis.elements]
     else:
         mats = [np.asarray(m, dtype=float) for m in basis]
     M = np.column_stack([m.ravel() for m in mats])
-    worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            br = mats[i] @ mats[j] - mats[j] @ mats[i]
-            coef, _, _, _ = np.linalg.lstsq(M, br.ravel(), rcond=None)
-            worst = max(worst, float(np.linalg.norm(M @ coef - br.ravel())))
-    return worst
+    brackets = np.column_stack(
+        [(mats[i] @ mats[j] - mats[j] @ mats[i]).ravel()
+         for i in range(len(mats)) for j in range(i + 1, len(mats))])
+    coef, _, _, _ = np.linalg.lstsq(M, brackets, rcond=None)
+    defects = np.ascontiguousarray((M @ coef - brackets).T)
+    return max(float(np.linalg.norm(d)) for d in defects)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +263,8 @@ def complement_and_slice_check(lam, n, n_samples=200, seed=0):
     elements away from the identity and reports the smallest membership
     residual as the margin; the identity itself must have residual zero.
     """
-    basis = algebra_basis(lam, n)
-    cols = [e.mat.ravel() for e in basis.elements]
-    cols += [m.ravel() for m in complement_basis(n)]
-    M = np.column_stack(cols)
+    M = np.column_stack([algebra_basis(lam, n).stacked()]
+                        + [m.ravel() for m in complement_basis(n)])
     sv = np.linalg.svd(M, compute_uv=False)
     expected = (n + 1) ** 2
     rank = int(np.sum(sv > 1e-10 * sv[0]))
@@ -307,7 +310,8 @@ class ReductivePair:
 
     The built-in instance is so(n) inside so(n+1) with m = R^n, embedded at
     lam = 1 through L_1(D, 0) and L_1(0, u). The closure relations
-    [k,k] in k, [k,m] in m, [m,m] in k are verified on construction.
+    [k,k] in k, [k,m] in m, [m,m] in k are verified on construction. It is
+    the matrix oracle for deformed_bracket at lam = 1.
     """
 
     def __init__(self, n):
@@ -358,27 +362,135 @@ def _comm(X, Y):
     return X @ Y - Y @ X
 
 
-def deformed_bracket(lam, x, y, pair=None):
-    """Bracket of the deformed algebra on k + m coordinates.
+def deformed_bracket(lam, x, y):
+    """Bracket of the deformed algebra on k + m coordinates (D, u).
 
-    The k x k and k x m parts are those of the undeformed algebra; the m x m
-    part is scaled by lam, so lam = 1 reproduces the round bracket and
-    lam = 0 abelianizes the translations. Inputs and output are coordinate
-    pairs (D, u).
+    [(Dx, ux), (Dy, uy)] = ([Dx, Dy] + lam (uy ux^T - ux uy^T), Dx uy - Dy ux),
+    the blocks of the matrix commutator [L_lam(x), L_lam(y)]. The k x k and
+    k x m parts are those of the undeformed algebra and the m x m part is
+    scaled by lam, so lam = 1 reproduces the round bracket of so(n+1) and
+    lam = 0 abelianizes the translations.
     """
-    xk, xm = np.asarray(x[0], dtype=float), np.asarray(x[1], dtype=float)
-    yk, ym = np.asarray(y[0], dtype=float), np.asarray(y[1], dtype=float)
-    if pair is None:
-        pair = ReductivePair(len(xm))
-    for D in (xk, yk):
+    Dx, ux = np.asarray(x[0], dtype=float), np.asarray(x[1], dtype=float)
+    Dy, uy = np.asarray(y[0], dtype=float), np.asarray(y[1], dtype=float)
+    for D in (Dx, Dy):
         if np.max(np.abs(D + D.T)) > 1e-10 * max(1.0, np.max(np.abs(D))):
             raise DomainError("k components must be antisymmetric matrices")
-    Zk = _comm(pair.embed_k(xk), pair.embed_k(yk))
-    Zm = _comm(pair.embed_k(xk), pair.embed_m(ym)) - _comm(pair.embed_k(yk), pair.embed_m(xm))
-    Zmm = _comm(pair.embed_m(xm), pair.embed_m(ym))
-    Dkk, _, d1 = pair.split(Zk)
-    _, um, d2 = pair.split(Zm)
-    Dmm, _, d3 = pair.split(Zmm)
-    if max(d1, d2, d3) > 1e-10:
-        raise DomainError("bracket left the k + m span")
-    return Dkk + lam * Dmm, um
+    return (Dx @ Dy - Dy @ Dx + lam * (np.outer(uy, ux) - np.outer(ux, uy)),
+            Dx @ uy - Dy @ ux)
+
+
+# ---------------------------------------------------------------------------
+# the verify-bundle checks
+
+_UNIT_ROUNDOFF = 2.0 ** -53
+
+
+def _gamma(k):
+    # Higham's gamma_k = k u / (1 - k u): the relative rounding bound of a
+    # k-term floating-point dot product
+    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
+
+
+def _match_threshold(n):
+    """Allowed gap between the coordinate and the matrix bracket at size n.
+
+    The matrix oracle forms (n+1)-term dot products, so its rounding grows
+    like gamma_{n+1}; the threshold is 1e-14 at n = 2 and scales with it.
+    """
+    return 1e-14 * (_gamma(n + 1) / _gamma(3))
+
+
+def verify_bundle(lambdas, ns, samples, triples, seed,
+                  inject_broken_basis=False):
+    """Named structure checks of the group bundle, as verify-bundle runs them.
+
+    Bracket closure, frame invariance, complement rank and the slice margin
+    sweep every (n, lam) of the grid, the slice sampled with
+    complement_and_slice_check(..., seed=seed). The section sweep and the
+    deformed-bracket identities run at the first n only, drawing from
+    default_rng(seed): the two section letters first, then the triples.
+    Returns one dict per check (name, worst, threshold, passed and any
+    extras) in that order. inject_broken_basis corrupts the first basis
+    matrix, so bracket_closure must fail. Raises PreconditionError on an
+    empty grid, an n below 2, or no samples or triples, which would pass
+    every check on no data.
+    """
+    if not len(lambdas) or not len(ns):
+        raise PreconditionError("lambdas and n must not be empty")
+    if samples < 1 or triples < 1:
+        raise PreconditionError("samples and triples must be >= 1")
+    if min(ns) < 2:
+        raise PreconditionError("n entries must be >= 2")
+    rng = np.random.default_rng(seed)
+    checks = []
+
+    def add(name, worst, threshold, passed=None, **extra):
+        checks.append(dict(
+            name=name, worst=float(worst), threshold=float(threshold),
+            passed=bool(worst < threshold if passed is None else passed),
+            **extra))
+
+    worst_cl = worst_inv = worst_ident = 0.0
+    rank_ok, min_margin = True, np.inf
+    for n in ns:
+        for lam in lambdas:
+            basis = algebra_basis(lam, n)
+            mats = [e.mat for e in basis.elements]
+            if inject_broken_basis:
+                mats[0] = mats[0] + np.diag([1.0, -1.0] + [0.0] * (n - 1))
+            worst_cl = max(worst_cl, bracket_closure_residual(mats))
+            worst_inv = max(worst_inv, max(invariance_residual(e.mat, lam)
+                                           for e in basis.elements))
+            rep = complement_and_slice_check(lam, n, n_samples=samples,
+                                             seed=seed)
+            rank_ok = rank_ok and rep.full_rank
+            min_margin = min(min_margin, rep.min_off_identity_residual)
+            worst_ident = max(worst_ident, rep.identity_residual)
+    add("bracket_closure", worst_cl, 1e-12)
+    add("frame_invariance", worst_inv, 1e-12)
+    add("complement_rank", 0.0, 1.0, passed=rank_ok)
+    add("slice_margin", min_margin, 1e-3,
+        passed=(min_margin > 1e-3) and (worst_ident < 1e-12),
+        identity_residual=float(worst_ident))
+
+    n0 = ns[0]
+
+    def draw(scale=1.0):
+        A = rng.standard_normal((n0, n0))
+        return scale * (A - A.T), scale * rng.standard_normal(n0)
+
+    # a two-letter section built at lambda0 = 1, swept over [-1, 1]
+    word = GroupWord(letters=(draw(0.3), draw(0.3)), base_lambda=1.0)
+    h0 = section(word, 1.0)
+    worst_mem = max(group_membership_residual(section(word, lam), lam)
+                    for lam in np.linspace(-1.0, 1.0, 21))
+    add("section_membership", worst_mem, 1e-10,
+        reproduce_at_base=float(np.max(np.abs(section(word, 1.0) - h0))))
+
+    # deformed bracket: antisymmetry, Jacobi, and the matrix bracket at lam = 1
+    pair = ReductivePair(n0)
+    worst_anti = worst_jac = worst_match = 0.0
+    for lam in (-1.0, 0.0, 0.5, 1.0):
+        for _ in range(triples):
+            x, y, z = draw(), draw(), draw()
+            bxy = deformed_bracket(lam, x, y)
+            byx = deformed_bracket(lam, y, x)
+            worst_anti = max(worst_anti, float(np.max(np.abs(bxy[0] + byx[0]))),
+                             float(np.max(np.abs(bxy[1] + byx[1]))))
+            terms = [deformed_bracket(lam, a, deformed_bracket(lam, b, c))
+                     for a, b, c in ((x, y, z), (y, z, x), (z, x, y))]
+            for part in (0, 1):
+                cyclic = terms[0][part] + terms[1][part] + terms[2][part]
+                worst_jac = max(worst_jac, float(np.max(np.abs(cyclic))))
+            if lam == 1.0:
+                mx = pair.embed_k(x[0]) + pair.embed_m(x[1])
+                my = pair.embed_k(y[0]) + pair.embed_m(y[1])
+                dk, um, defect = pair.split(mx @ my - my @ mx)
+                worst_match = max(worst_match, defect,
+                                  float(np.max(np.abs(bxy[0] - dk))),
+                                  float(np.max(np.abs(bxy[1] - um))))
+    add("bracket_antisymmetry", worst_anti, 1e-15, passed=(worst_anti == 0.0))
+    add("bracket_jacobi", worst_jac, 1e-12)
+    add("bracket_matches_undeformed", worst_match, _match_threshold(n0))
+    return checks

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, ShapeError, UnsupportedError
+from .errors import DomainError, UnsupportedError
 
 TWO_PI = 2.0 * np.pi
 
@@ -207,23 +207,3 @@ class Pairing:
     def norm(self, u):
         u = np.asarray(u)
         return float(np.sqrt(np.dot(self.weights * u, u)))
-
-
-def pairing_weights(grid, background_density=1.0):
-    """Quadrature weights times a positive background density."""
-    dens = np.broadcast_to(np.asarray(background_density, dtype=float), (grid.N,))
-    if np.any(dens <= 0.0):
-        raise DomainError("background density must be strictly positive")
-    return Pairing(grid.quad * dens)
-
-
-def diff_apply(grid, order, fld):
-    """Apply the first or second differentiation matrix to nodal values."""
-    fld = np.asarray(fld, dtype=float)
-    if fld.shape != (grid.N,):
-        raise ShapeError(f"field has shape {fld.shape}, grid holds {grid.N} nodes")
-    if order == 1:
-        return grid.diff1 @ fld
-    if order == 2:
-        return grid.diff2 @ fld
-    raise DomainError(f"derivative order must be 1 or 2, got {order!r}")

@@ -134,13 +134,13 @@ def test_criterion_03_deformed_bracket(acceptance):
     for lam in (-1.0, 0.0, 0.5, 1.0):
         for _ in range(100):
             x, y, z = rand_elem(), rand_elem(), rand_elem()
-            bxy = deformed_bracket(lam, x, y, pair)
-            byx = deformed_bracket(lam, y, x, pair)
+            bxy = deformed_bracket(lam, x, y)
+            byx = deformed_bracket(lam, y, x)
             exact_anti = exact_anti and np.array_equal(bxy[0], -byx[0]) \
                 and np.array_equal(bxy[1], -byx[1])
-            terms = [deformed_bracket(lam, x, deformed_bracket(lam, y, z, pair), pair),
-                     deformed_bracket(lam, y, deformed_bracket(lam, z, x, pair), pair),
-                     deformed_bracket(lam, z, deformed_bracket(lam, x, y, pair), pair)]
+            terms = [deformed_bracket(lam, x, deformed_bracket(lam, y, z)),
+                     deformed_bracket(lam, y, deformed_bracket(lam, z, x)),
+                     deformed_bracket(lam, z, deformed_bracket(lam, x, y))]
             worst_jac = max(worst_jac,
                             float(np.max(np.abs(sum(t[0] for t in terms)))),
                             float(np.max(np.abs(sum(t[1] for t in terms)))))

@@ -115,6 +115,15 @@ def test_from_steps_uniform_grid():
         ContinuationConfig.from_steps(0.0, 1.0, 1)
 
 
+def test_polish_config_fixes_the_parameter():
+    cfg = ContinuationConfig.polish(0.5, tol=1e-9)
+    assert cfg.start == cfg.end == 0.5
+    assert (cfg.initial_step, cfg.min_step, cfg.max_step) == (1.0, 1e-12, 1.0)
+    assert cfg.tol == 1e-9
+    with pytest.raises(PreconditionError):
+        ContinuationConfig.polish(0.5, retries=-1)
+
+
 def test_branch_records_certified():
     g, prob, st = _flat_setup()
     cfg = ContinuationConfig.from_steps(0.0, -1.0, 11, basin_guard=0.05)

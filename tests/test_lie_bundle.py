@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from equideform.errors import DomainError
+from equideform import lie_bundle
+from equideform.errors import DomainError, PreconditionError
 from equideform.lie_bundle import (GroupWord, ReductivePair, algebra_basis,
                                    algebra_element, bracket_closure_residual,
                                    complement_and_slice_check, complement_basis,
                                    deformed_bracket, eta_form,
                                    group_membership_residual,
-                                   invariance_residual, section, slice_element)
+                                   invariance_residual, section, slice_element,
+                                   verify_bundle)
 
 LAMBDAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
 
@@ -149,21 +151,19 @@ def test_translation_commutator_matrix_identity():
 
 def test_deformed_bracket_antisymmetry_is_exact():
     rng = np.random.default_rng(31)
-    pair = ReductivePair(3)
     for lam in (-1.0, 0.0, 0.5, 1.0):
         for _ in range(25):
             A, B = rng.standard_normal((2, 3, 3))
             x = (A - A.T, rng.standard_normal(3))
             y = (B - B.T, rng.standard_normal(3))
-            bxy = deformed_bracket(lam, x, y, pair)
-            byx = deformed_bracket(lam, y, x, pair)
+            bxy = deformed_bracket(lam, x, y)
+            byx = deformed_bracket(lam, y, x)
             assert np.all(bxy[0] == -byx[0])
             assert np.all(bxy[1] == -byx[1])
 
 
 def test_deformed_bracket_jacobi_identity():
     rng = np.random.default_rng(37)
-    pair = ReductivePair(2)
 
     def rand():
         A = rng.standard_normal((2, 2))
@@ -172,9 +172,9 @@ def test_deformed_bracket_jacobi_identity():
     for lam in (-1.0, 0.0, 0.5, 1.0):
         for _ in range(100):
             x, y, z = rand(), rand(), rand()
-            t1 = deformed_bracket(lam, x, deformed_bracket(lam, y, z, pair), pair)
-            t2 = deformed_bracket(lam, y, deformed_bracket(lam, z, x, pair), pair)
-            t3 = deformed_bracket(lam, z, deformed_bracket(lam, x, y, pair), pair)
+            t1 = deformed_bracket(lam, x, deformed_bracket(lam, y, z))
+            t2 = deformed_bracket(lam, y, deformed_bracket(lam, z, x))
+            t3 = deformed_bracket(lam, z, deformed_bracket(lam, x, y))
             assert np.max(np.abs(t1[0] + t2[0] + t3[0])) < 1e-12
             assert np.max(np.abs(t1[1] + t2[1] + t3[1])) < 1e-12
 
@@ -186,7 +186,7 @@ def test_deformed_bracket_at_one_is_the_round_bracket():
         A, B = rng.standard_normal((2, 3, 3))
         x = (A - A.T, rng.standard_normal(3))
         y = (B - B.T, rng.standard_normal(3))
-        bxy = deformed_bracket(1.0, x, y, pair)
+        bxy = deformed_bracket(1.0, x, y)
         mx = pair.embed_k(x[0]) + pair.embed_m(x[1])
         my = pair.embed_k(y[0]) + pair.embed_m(y[1])
         dk, um, defect = pair.split(mx @ my - my @ mx)
@@ -195,11 +195,24 @@ def test_deformed_bracket_at_one_is_the_round_bracket():
         assert np.max(np.abs(bxy[1] - um)) < 1e-14
 
 
+def test_deformed_bracket_is_the_matrix_commutator_in_every_fiber():
+    rng = np.random.default_rng(47)
+    for lam in LAMBDAS:
+        for n in (2, 3, 5):
+            A, B = rng.standard_normal((2, n, n))
+            x = (A - A.T, rng.standard_normal(n))
+            y = (B - B.T, rng.standard_normal(n))
+            X = algebra_element(lam, *x).mat
+            Y = algebra_element(lam, *y).mat
+            comm = X @ Y - Y @ X
+            bk, bm = deformed_bracket(lam, x, y)
+            assert np.max(np.abs(algebra_element(lam, bk, bm).mat - comm)) < 1e-13
+
+
 def test_deformed_bracket_flat_fiber_abelianizes_translations():
-    pair = ReductivePair(2)
     u = (np.zeros((2, 2)), np.array([1.0, 0.0]))
     v = (np.zeros((2, 2)), np.array([0.0, 1.0]))
-    bk, bm = deformed_bracket(0.0, u, v, pair)
+    bk, bm = deformed_bracket(0.0, u, v)
     assert np.max(np.abs(bk)) == 0.0
     assert np.max(np.abs(bm)) == 0.0
 
@@ -216,3 +229,40 @@ def test_reductive_pair_split_roundtrip():
         assert defect < 1e-14
         assert np.allclose(Dk, D)
         assert np.allclose(um, u)
+
+
+BUNDLE_NAMES = ["bracket_closure", "frame_invariance", "complement_rank",
+                "slice_margin", "section_membership", "bracket_antisymmetry",
+                "bracket_jacobi", "bracket_matches_undeformed"]
+
+
+def test_verify_bundle_returns_the_named_checks():
+    checks = verify_bundle([-1.0, 0.5], [2, 3], 10, 5, seed=4)
+    assert [c["name"] for c in checks] == BUNDLE_NAMES
+    assert all(c["passed"] for c in checks)
+    match = checks[-1]
+    assert match["threshold"] == 1e-14  # the n = 2 gate, ns[0] = 2
+    broken = verify_bundle([0.5], [2], 10, 5, seed=4, inject_broken_basis=True)
+    assert [c["name"] for c in broken if not c["passed"]] == ["bracket_closure"]
+
+
+@pytest.mark.parametrize("args", [
+    ([], [2], 10, 5), ([0.5], [], 10, 5), ([0.5], [2], 0, 5),
+    ([0.5], [2], 10, 0), ([0.5], [1], 10, 5),
+], ids=["no_lambdas", "no_n", "no_samples", "no_triples", "n_below_two"])
+def test_verify_bundle_refuses_empty_data(args):
+    with pytest.raises(PreconditionError):
+        verify_bundle(*args, seed=0)
+
+
+@pytest.mark.parametrize("n", [2, 16])
+def test_bracket_match_catches_a_perturbed_bracket(monkeypatch, n):
+    exact = lie_bundle.deformed_bracket
+
+    def perturbed(lam, x, y):
+        k, m = exact(lam, x, y)
+        return k, m + 1e-12
+
+    monkeypatch.setattr(lie_bundle, "deformed_bracket", perturbed)
+    checks = {c["name"]: c for c in verify_bundle([1.0], [n], 1, 3, seed=0)}
+    assert not checks["bracket_matches_undeformed"]["passed"]

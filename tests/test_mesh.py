@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from equideform.errors import DomainError, ShapeError, UnsupportedError
-from equideform.mesh import (TWO_PI, build_grid, diff_apply, fornberg_weights,
-                             pairing_weights)
+from equideform.errors import DomainError, UnsupportedError
+from equideform.mesh import TWO_PI, Pairing, build_grid, fornberg_weights
 
 
 def test_fornberg_weights_differentiate_polynomials_exactly():
@@ -76,16 +75,12 @@ def test_periodic_quadrature_is_uniform_and_exact_for_trig():
     assert abs(g.quad @ np.cos(3 * g.nodes)) < 1e-13
 
 
-def test_pairing_inner_norm_and_density():
+def test_pairing_inner_and_norm():
     g = build_grid("periodic", 16)
-    pr = pairing_weights(g)
+    pr = Pairing(g.quad)
     u = np.cos(g.nodes)
     assert pr.inner(u, u) == pytest.approx(pr.norm(u) ** 2)
     assert pr.norm(u) > 0.0
-    half = pairing_weights(g, background_density=0.5)
-    assert half.inner(u, u) == pytest.approx(0.5 * pr.inner(u, u))
-    with pytest.raises(DomainError):
-        pairing_weights(g, background_density=0.0)
 
 
 def test_grid_construction_guards():
@@ -99,14 +94,3 @@ def test_grid_construction_guards():
         build_grid("dirichlet", 16, order=4, a=1.0, b=1.0)
     with pytest.raises(DomainError):
         build_grid("hexagonal", 16)
-
-
-def test_diff_apply_checks_shape_and_order():
-    g = build_grid("periodic", 16)
-    f = np.sin(g.nodes)
-    assert np.allclose(diff_apply(g, 1, f), g.diff1 @ f)
-    assert np.allclose(diff_apply(g, 2, f), g.diff2 @ f)
-    with pytest.raises(ShapeError):
-        diff_apply(g, 1, f[:-1])
-    with pytest.raises(DomainError):
-        diff_apply(g, 3, f)
