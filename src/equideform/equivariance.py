@@ -146,12 +146,7 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
     B = rank_basis(killing_jacobi_basis(problem, state, lambda_hat), w)
     r = B.shape[1]
     d = kb.dim
-    if d and r:
-        M = kb.vectors.T @ (w[:, None] * B)
-        sig = np.linalg.svd(M, compute_uv=False)
-        angles = np.arccos(np.clip(sig, -1.0, 1.0))
-    else:
-        angles = np.zeros(0)
+    angles = _principal_angles(kb.vectors, B, w)
     max_angle = float(np.max(angles)) if angles.size else 0.0
     if kb.indeterminate:
         verdict = "indeterminate"
@@ -169,6 +164,16 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
         killing_basis=B)
 
 
+def _principal_angles(A, B, weights):
+    # ascending principal angles between the W-spans of A and B, from the
+    # sine-based algorithm of Knyazev and Argentati (SIAM J. Sci. Comput. 23,
+    # 2002), so small angles keep full precision
+    if not (A.shape[1] and B.shape[1]):
+        return np.zeros(0)
+    sw = np.sqrt(weights)[:, None]
+    return np.sort(subspace_angles(sw * A, sw * B))
+
+
 def transversality_margin(basis, reference, weights):
     """Transversality of the reference slice to the current orbit directions.
 
@@ -176,15 +181,10 @@ def transversality_margin(basis, reference, weights):
     current and the reference state; the slice is the W-complement of the
     reference span. Returns sqrt(1 - sin theta_max) over the principal
     angles between the spans, the smallest singular value of [basis | slice]
-    in the W geometry: 1 when the spans agree or either is empty. The angles
-    use the sine-based algorithm of Knyazev and Argentati (SIAM J. Sci.
-    Comput. 23, 2002), so small angles keep full precision.
+    in the W geometry: 1 when the spans agree or either is empty.
     """
-    if not (basis.shape[1] and reference.shape[1]):
-        return 1.0
-    sw = np.sqrt(weights)[:, None]
-    theta = subspace_angles(sw * basis, sw * reference)
-    return float(np.sqrt(1.0 - np.sin(np.max(theta))))
+    theta = _principal_angles(basis, reference, weights)
+    return float(np.sqrt(1.0 - np.sin(theta[-1]))) if theta.size else 1.0
 
 
 @dataclass(frozen=True, eq=False)

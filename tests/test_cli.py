@@ -109,6 +109,20 @@ def test_analyze_circle_nondegenerate(tmp_path, capsys):
     assert "verdict: nondegenerate" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("problem, angle_tol", [
+    ("[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\nlambda_hat = 0.5\n",
+     "1e-9"),
+    ("[problem]\ninstance = harmonic_sphere\nn = 33\n", "2e-8"),
+], ids=["circle", "sphere"])
+def test_analyze_tight_angle_tol(tmp_path, problem, angle_tol):
+    # the kernel matches the Killing span to about 1e-14; an arccos-based
+    # angle could not resolve anything below 1.5e-8
+    code, out = run_cli(tmp_path, "analyze",
+                        problem + f"[path]\nangle_tol = {angle_tol}\n")
+    assert code == 0
+    assert read_report(out)["nondegeneracy"]["max_principal_angle"] < 1e-12
+
+
 def test_analyze_injected_shift_degenerate(tmp_path):
     code, out = run_cli(tmp_path, "analyze", CIRCLE_PROBLEM +
                         "[test]\ninject_shift = 0.5\n")

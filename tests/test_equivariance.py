@@ -139,6 +139,30 @@ def test_nondegeneracy_injected_shift_is_degenerate():
     assert rep.killing_rank == 2
 
 
+@pytest.mark.parametrize("theta", [1e-10, 1e-6])
+def test_nondegeneracy_resolves_small_principal_angles(theta):
+    # an operator whose kernel leans theta off the Killing span; the cosine
+    # of 1e-10 rounds to 1, so an arccos-based angle would read 0
+    prob, st = _flat_circle()
+    w = pairing(prob).weights
+    sw = np.sqrt(w)
+    K = sw[:, None] * _killing_basis(prob, st, 0.0)
+    n = K.shape[0]
+    rng = np.random.default_rng(53)
+    Q, _ = np.linalg.qr(np.column_stack([K, rng.standard_normal((n, n - 2))]))
+    kernel = Q[:, :2].copy()
+    kernel[:, 0] = np.cos(theta) * Q[:, 0] + np.sin(theta) * Q[:, 2]
+    Q, _ = np.linalg.qr(np.column_stack([kernel, Q[:, 2:]]))
+    spectrum = np.concatenate([np.zeros(2), np.linspace(1.0, 2.0, n - 2)])
+    A = (Q * spectrum) @ Q.T
+    op = JacobiOperator(matrix=A * (sw[None, :] / sw[:, None]),
+                        pairing=Pairing(w), lambda_hat=0.0)
+    rep = nondegeneracy_report(prob, st, 0.0, operator=op, angle_tol=1.0)
+    assert rep.kernel_dim == rep.killing_rank == 2
+    assert rep.max_principal_angle == pytest.approx(theta, rel=1e-2)
+    assert list(rep.principal_angles) == sorted(rep.principal_angles)
+
+
 # ------------------------------------------------------- transversality
 
 
