@@ -197,6 +197,7 @@ def bracket_closure_residual(basis):
         [(mats[i] @ mats[j] - mats[j] @ mats[i]).ravel()
          for i in range(len(mats)) for j in range(i + 1, len(mats))])
     coef, _, _, _ = np.linalg.lstsq(M, brackets, rcond=None)
+    # one contiguous vector per bracket, reduced as a single-vector norm is
     defects = np.ascontiguousarray((M @ coef - brackets).T)
     return max(float(np.linalg.norm(d)) for d in defects)
 
@@ -383,22 +384,16 @@ def deformed_bracket(lam, x, y):
 # ---------------------------------------------------------------------------
 # the verify-bundle checks
 
-_UNIT_ROUNDOFF = 2.0 ** -53
-
-
-def _gamma(k):
-    # Higham's gamma_k = k u / (1 - k u): the relative rounding bound of a
-    # k-term floating-point dot product
-    return k * _UNIT_ROUNDOFF / (1.0 - k * _UNIT_ROUNDOFF)
-
-
 def _match_threshold(n):
     """Allowed gap between the coordinate and the matrix bracket at size n.
 
-    The matrix oracle forms (n+1)-term dot products, so its rounding grows
-    like gamma_{n+1}; the threshold is 1e-14 at n = 2 and scales with it.
+    The matrix oracle forms (n+1)-term dot products, whose rounding bound is
+    Higham's gamma_{n+1} = (n+1) u / (1 - (n+1) u); the threshold is 1e-14 at
+    n = 2 and grows with that bound.
     """
-    return 1e-14 * (_gamma(n + 1) / _gamma(3))
+    def gamma(k):
+        return k * 2.0**-53 / (1.0 - k * 2.0**-53)
+    return 1e-14 * (gamma(n + 1) / gamma(3))
 
 
 def verify_bundle(lambdas, ns, samples, triples, seed,

@@ -73,8 +73,8 @@ def test_verify_bundle_config_errors(tmp_path, capsys, bundle):
 
 @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
 def test_verify_bundle_large_n_passes(tmp_path, seed):
-    # the round-bracket match threshold grows with n's rounding bound; a
-    # fixed 1e-14 failed seeds 1 and 3 here on a correct bundle
+    # a correct bundle: the round-bracket match threshold must grow with the
+    # rounding bound of n, or these seeds fail at about 1.4e-14
     code, out = run_cli(tmp_path, "verify-bundle",
                         "[bundle]\nlambdas = 1\nn = 16\nsamples = 1\n"
                         "triples = 10\n", "--seed", seed)
@@ -115,8 +115,8 @@ def test_analyze_circle_nondegenerate(tmp_path, capsys):
     ("[problem]\ninstance = harmonic_sphere\nn = 33\n", "2e-8"),
 ], ids=["circle", "sphere"])
 def test_analyze_tight_angle_tol(tmp_path, problem, angle_tol):
-    # the kernel matches the Killing span to about 1e-14; an arccos-based
-    # angle could not resolve anything below 1.5e-8
+    # the kernel matches the Killing span to about 1e-14, so these
+    # tolerances must certify it
     code, out = run_cli(tmp_path, "analyze",
                         problem + f"[path]\nangle_tol = {angle_tol}\n")
     assert code == 0
