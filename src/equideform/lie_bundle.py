@@ -192,6 +192,8 @@ def bracket_closure_residual(basis):
         mats = [e.mat for e in basis.elements]
     else:
         mats = [np.asarray(m, dtype=float) for m in basis]
+    if len(mats) < 2:
+        return 0.0  # no brackets to close
     M = np.column_stack([m.ravel() for m in mats])
     brackets = np.column_stack(
         [(mats[i] @ mats[j] - mats[j] @ mats[i]).ravel()

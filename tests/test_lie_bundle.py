@@ -38,6 +38,7 @@ def test_basis_dimension_and_closure():
             basis = algebra_basis(lam, n)
             assert len(basis.elements) == dim
             assert bracket_closure_residual(basis) < 1e-12
+    assert bracket_closure_residual([np.eye(3)]) == 0.0
 
 
 def test_frame_invariance_of_basis_elements():
