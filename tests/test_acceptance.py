@@ -11,6 +11,7 @@ import math
 import time
 
 import numpy as np
+from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from equideform.cli import main
@@ -18,6 +19,7 @@ from equideform.continuation import (ContinuationConfig, congruence_check,
                                      continue_branch)
 from equideform.equivariance import nondegeneracy_report, operator_diagnostics
 from equideform.lie_bundle import (GroupWord, ReductivePair, algebra_basis,
+                                   algebra_element,
                                    bracket_closure_residual,
                                    complement_and_slice_check,
                                    deformed_bracket,
@@ -111,10 +113,12 @@ def test_criterion_02_section_sweep(acceptance):
         A = rng.standard_normal((2, 2))
         letters.append((0.3 * (A - A.T), 0.3 * rng.standard_normal(2)))
     word = GroupWord(letters=tuple(letters), base_lambda=1.0)
-    h0 = section(word, 1.0)
+    direct = np.eye(3)
+    for D, u in letters:
+        direct = direct @ expm(algebra_element(1.0, D, u).mat)
     worst = max(group_membership_residual(section(word, lam), lam)
                 for lam in np.linspace(-1.0, 1.0, 21))
-    reproduce = float(np.max(np.abs(section(word, 1.0) - h0)))
+    reproduce = float(np.max(np.abs(section(word, 1.0) - direct)))
     assert worst < 1e-10
     assert reproduce < 1e-12
     acceptance(f"membership {worst:.1e} over 21 points, "
