@@ -273,16 +273,15 @@ def run_analyze(cp, seed, chash, outdir):
             "path": dataclasses.asdict(ccfg), "config_hash": chash}
     try:
         state, iters, _ = corrector_step(problem, seed_state, lam, ccfg)
-        operator = None
+        J = jacobi(problem, state, lam)
+        operator = J
         if shift is not None:
-            J0 = jacobi(problem, state, lam)
             operator = JacobiOperator(
-                matrix=J0.matrix + shift * np.eye(J0.matrix.shape[0]),
-                pairing=J0.pairing, lambda_hat=lam)
+                matrix=J.matrix + shift * np.eye(J.matrix.shape[0]),
+                pairing=J.pairing, lambda_hat=lam)
         rep = nondegeneracy_report(problem, state, lam, tol_rel=ccfg.tol_rel,
                                    angle_tol=ccfg.angle_tol, operator=operator)
-        diag = operator_diagnostics(jacobi(problem, state, lam), problem,
-                                    state, lam, seed=seed)
+        diag = operator_diagnostics(J, problem, state, lam, seed=seed)
     except _SOLVER_ERRORS as exc:
         print(f"equideform: analyze failed: {exc}", file=sys.stderr)
         base["error"] = str(exc)

@@ -11,7 +11,8 @@ at the current iterate, so updates stay W-orthogonal to the orbit
 directions that foliate the solution set. Quadratic convergence holds near
 certified-nondegenerate solutions because the bordered matrix is exactly
 the restriction of the Hessian to a transversal slice plus the orbit
-bookkeeping.
+bookkeeping. One eigh of the bordered matrix per step gives both the
+update and its exact 2-norm condition number, which must stay below 1e12.
 
 continue_branch marches the parameter with a secant predictor and adaptive
 steps, certifying every accepted record (kernel = Killing span, spectral
@@ -172,13 +173,17 @@ def corrector_step(problem, state, lambda_hat, config):
         else:
             M = WJ
             rhs = -(w * res)
-        cond = np.linalg.cond(M)
+        # one symmetric factorization gives both the exact 2-norm condition
+        # number max|mu| / min|mu| and the solve
+        mu, Q = np.linalg.eigh(M)
+        lo = np.min(np.abs(mu))
+        cond = np.max(np.abs(mu)) / lo if lo > 0.0 else np.inf
         worst_cond = max(worst_cond, float(cond))
         if not np.isfinite(cond) or cond > 1e12:
             raise IllConditioned(
                 f"bordered matrix condition {cond:.3e} at lambda_hat={lambda_hat} "
                 "signals nondegeneracy loss")
-        delta = np.linalg.solve(M, rhs)[:n]
+        delta = (Q @ ((Q.T @ rhs) / mu))[:n]
         if k:
             # exact W-orthogonality to the orbit directions
             delta = delta - B @ (B.T @ (w * delta))

@@ -1,7 +1,7 @@
 """Certification of equivariant nondegeneracy and slice transversality.
 
-The numerical Jacobi kernel is extracted by SVD of the weight-symmetrized
-operator and compared against the span of the Killing-induced Jacobi fields
+The numerical Jacobi kernel is extracted by a symmetric eigendecomposition
+(eigh) of the weight-symmetrized operator and compared against the span of the Killing-induced Jacobi fields
 through principal angles. A state is certified nondegenerate exactly when
 the kernel dimension equals the Killing rank and every principal angle is
 below tolerance; a mandatory multiplicative spectral gap guards against
@@ -57,10 +57,11 @@ class KernelBasis:
 
 
 def numerical_kernel(J, tol_rel=None):
-    """Near-kernel of a Jacobi operator via SVD of sqrt(W) J sqrt(W)^-1.
+    """Near-kernel of a Jacobi operator via eigh of sqrt(W) J sqrt(W)^-1.
 
-    Retains right singular vectors with sigma < tol_rel * sigma_max and maps
-    them back by W^-1/2, which makes the returned columns exactly
+    That operator is symmetric, so its singular values are the moduli of its
+    eigenvalues. Retains eigenvectors with sigma < tol_rel * sigma_max and
+    maps them back by W^-1/2, which makes the returned columns exactly
     W-orthonormal. The gap field holds the ratio between the smallest
     rejected and the largest retained singular value; anything below 10^3
     flags the result indeterminate (no certified separation).
@@ -71,11 +72,13 @@ def numerical_kernel(J, tol_rel=None):
     if not 0.0 < tol_rel <= 1e-2:
         raise PreconditionError(f"tol_rel must lie in (0, 1e-2], got {tol_rel}")
     A, sw = _sym_scaled(J)
-    _, s, Vt = np.linalg.svd(A)
+    mu, V = np.linalg.eigh(A)
+    order = np.argsort(np.abs(mu))[::-1]
+    s = np.abs(mu)[order]       # the singular values of A, descending
     tol = tol_rel * (s[0] if s.size else 0.0)
     kept = s < tol              # s is descending, so this is a tail block
     d = int(np.sum(kept))
-    vectors = (Vt[n - d:].T / sw[:, None]) if d else np.zeros((n, 0))
+    vectors = (V[:, order[n - d:]] / sw[:, None]) if d else np.zeros((n, 0))
     if d == 0:
         gap = np.inf
     else:

@@ -186,7 +186,10 @@ def bracket_closure_residual(basis):
     """Max least-squares defect of projecting basis brackets back onto the span.
 
     Accepts an AlgebraBasis or a plain list of square matrices. The stacked
-    basis is factored once, with every bracket as a right-hand side.
+    basis is factored once by SVD; the defect of a bracket is its part off
+    the range of the singular vectors lstsq would keep. The brackets of one
+    element are projected at a time, so memory stays O(d (n+1)^2) for d
+    basis matrices instead of holding all d (d - 1) / 2 brackets.
     """
     if hasattr(basis, "elements"):
         mats = [e.mat for e in basis.elements]
@@ -195,13 +198,15 @@ def bracket_closure_residual(basis):
     if len(mats) < 2:
         return 0.0  # no brackets to close
     M = np.column_stack([m.ravel() for m in mats])
-    brackets = np.column_stack(
-        [(mats[i] @ mats[j] - mats[j] @ mats[i]).ravel()
-         for i in range(len(mats)) for j in range(i + 1, len(mats))])
-    coef, _, _, _ = np.linalg.lstsq(M, brackets, rcond=None)
-    # one contiguous vector per bracket, reduced as a single-vector norm is
-    defects = np.ascontiguousarray((M @ coef - brackets).T)
-    return max(float(np.linalg.norm(d)) for d in defects)
+    U, s, _ = np.linalg.svd(M, full_matrices=False)
+    U = U[:, s > np.finfo(float).eps * max(M.shape) * s[0]]
+    worst = 0.0
+    for i, x in enumerate(mats[:-1]):
+        brackets = np.column_stack([(x @ y - y @ x).ravel()
+                                    for y in mats[i + 1:]])
+        defects = brackets - U @ (U.T @ brackets)
+        worst = max(worst, float(np.max(np.linalg.norm(defects, axis=0))))
+    return worst
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,34 @@ def test_basis_dimension_and_closure():
     assert bracket_closure_residual([np.eye(3)]) == 0.0
 
 
+def _closure_by_loop(mats):
+    # reference: one lstsq per bracket against the stacked basis
+    M = np.column_stack([m.ravel() for m in mats])
+    worst = 0.0
+    for i, x in enumerate(mats):
+        for y in mats[i + 1:]:
+            b = (x @ y - y @ x).ravel()
+            coef, _, _, _ = np.linalg.lstsq(M, b, rcond=None)
+            worst = max(worst, float(np.linalg.norm(M @ coef - b)))
+    return worst
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_closure_matches_per_bracket_lstsq(n):
+    rng = np.random.default_rng(n)
+    cases = []
+    for lam in (-1.0, 0.0, 0.5):
+        mats = [e.mat for e in algebra_basis(lam, n).elements]
+        broken = [mats[0] + np.diag([1.0, -1.0] + [0.0] * (n - 1))] + mats[1:]
+        cases += [mats, broken]
+    # a repeated matrix makes the stacked basis rank deficient
+    rand = [rng.standard_normal((n + 1, n + 1)) for _ in range(3)]
+    cases += [broken + [broken[0]], rand + [rand[0]]]
+    for case in cases:
+        assert bracket_closure_residual(case) == pytest.approx(
+            _closure_by_loop(case), rel=1e-12, abs=1e-14)
+
+
 def test_frame_invariance_of_basis_elements():
     for n in (2, 3):
         for lam in LAMBDAS:
