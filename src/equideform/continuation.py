@@ -34,7 +34,7 @@ import numpy as np
 from .equivariance import (nondegeneracy_report, operator_diagnostics,
                            rank_basis, transversality_margin)
 from .errors import (DomainError, IllConditioned, NoConvergence,
-                     PreconditionError)
+                     PreconditionError, linalg_guard)
 from .variational import (ProblemState, act, derived_scalars, jacobi,
                           killing_jacobi_basis, orbit_generators, pairing,
                           residual, residual_norm)
@@ -134,6 +134,7 @@ class BranchRecord:
         }
 
 
+@linalg_guard
 def corrector_step(problem, state, lambda_hat, config):
     """Bordered Newton correction at fixed parameter.
 
@@ -309,6 +310,7 @@ def continue_branch(problem, seed_state, config):
     return records
 
 
+@linalg_guard
 def orbit_project(problem, state, lambda_hat, reference):
     """Move a state onto the affine slice through a nearby reference.
 

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+import functools
+
+import numpy as np
+
 
 class EquideformError(Exception):
     """Base class for all errors raised by this package."""
@@ -39,3 +43,15 @@ class IllConditioned(EquideformError):
 
 class ConfigError(EquideformError):
     """A configuration file could not be parsed or validated."""
+
+
+def linalg_guard(func):
+    """Re-raise a LinAlgError from func (numpy's, which scipy shares) as
+    IllConditioned, so a failed factorization is a solver failure."""
+    @functools.wraps(func)
+    def guarded(*args, **kwargs):
+        try:
+            return func(*args, **kwargs)
+        except np.linalg.LinAlgError as exc:
+            raise IllConditioned(f"{func.__name__}: {exc}") from exc
+    return guarded

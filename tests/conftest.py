@@ -1,5 +1,6 @@
 import re
 
+import numpy as np
 import pytest
 
 _attempted = {}
@@ -33,3 +34,32 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
             terminalreporter.write_line(f"ACCEPTANCE {k}: PASS - {_passed[k]}")
         else:
             terminalreporter.write_line(f"ACCEPTANCE {k}: FAIL ({_attempted[k]})")
+
+
+@pytest.fixture
+def failing_linalg(monkeypatch):
+    """Make numpy's eigh and svd raise LinAlgError after a budget of calls.
+
+    Call the result with the budget (None never fails); it returns a dict
+    counting the patched "calls" and the "failed" ones among them.
+    """
+    counts = {"calls": 0, "failed": 0, "budget": None}
+
+    def wrap(decomposition):
+        def patched(*args, **kwargs):
+            counts["calls"] += 1
+            budget = counts["budget"]
+            if budget is not None and counts["calls"] > budget:
+                counts["failed"] += 1
+                raise np.linalg.LinAlgError("injected factorization failure")
+            return decomposition(*args, **kwargs)
+        return patched
+
+    for name in ("eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, wrap(getattr(np.linalg, name)))
+
+    def arm(budget):
+        counts.update(calls=0, failed=0, budget=budget)
+        return counts
+
+    return arm

@@ -143,6 +143,19 @@ def test_analyze_solver_failure_exit_three(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, extra", [
+    ("analyze", ""),
+    ("congruence", "[congruence]\nt = 0.02, -0.01\n"),
+], ids=["analyze", "congruence"])
+def test_factorization_failure_exit_three(tmp_path, capsys, failing_linalg,
+                                          command, extra):
+    failing_linalg(0)
+    code, out = run_cli(tmp_path, command, CIRCLE_PROBLEM + extra)
+    assert code == 3
+    assert "injected factorization failure" in read_report(out)["error"]
+    assert "injected factorization failure" in capsys.readouterr().err
+
+
 def test_analyze_harmonic_even_n_rounds_up(tmp_path):
     code, out = run_cli(tmp_path, "analyze", """
 [problem]
@@ -235,6 +248,24 @@ basin_guard = 0.05
     captured = capsys.readouterr()
     assert "incomplete" in captured.err
     assert "(partial)" in captured.out
+
+
+def test_continue_factorization_failure_keeps_partial_branch(
+        tmp_path, capsys, failing_linalg):
+    # count the factorizations of the first three records, then let every
+    # later one fail: the branch must stop at three certified records
+    counts = failing_linalg(None)
+    head = CIRCLE_PATH.replace("end = 0.5", "end = 0.8").replace(
+        "records = 6", "records = 3")
+    assert run_cli(tmp_path, "continue", head, name="head.ini")[0] == 0
+    failing_linalg(counts["calls"])
+    code, out = run_cli(tmp_path, "continue", CIRCLE_PATH)
+    assert code == 3
+    pay = read_report(out)
+    assert pay["records"] == 3
+    assert pay["final"]["verdict"] == "nondegenerate"
+    assert "step underflow" in pay["error"]
+    assert "(partial)" in capsys.readouterr().out
 
 
 def test_continue_seed_changes_config_hash(tmp_path):
