@@ -1,13 +1,17 @@
 import numpy as np
 import pytest
 
+from equideform import continuation
 from equideform.continuation import (BranchRecord, ContinuationConfig,
                                      congruence_check, continue_branch,
                                      corrector_step, orbit_project)
-from equideform.errors import NoConvergence, PreconditionError
+from equideform.equivariance import rank_basis
+from equideform.errors import IllConditioned, NoConvergence, PreconditionError
 from equideform.mesh import build_grid
-from equideform.variational import (ProblemState, act, circle_seed,
-                                    cmc_circle_radius, residual_norm)
+from equideform.variational import (JacobiOperator, ProblemState, act,
+                                    circle_seed, cmc_circle_radius, jacobi,
+                                    killing_jacobi_basis, pairing,
+                                    residual_norm)
 
 
 def _polish(lam, **kw):
@@ -69,6 +73,52 @@ def test_corrector_quadratic_convergence():
         if b < 1e-11:
             break  # roundoff floor
         assert b < 1e3 * a * a
+
+
+def test_corrector_cond_is_the_exact_condition_number(monkeypatch):
+    # along a short round-chart branch, the cond the corrector gates on must
+    # be the 2-norm condition number of the bordered matrices it solved
+    bordered = []
+    eigh = np.linalg.eigh
+
+    def recording_eigh(M, *args, **kwargs):
+        bordered.append(np.array(M))
+        return eigh(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", recording_eigh)
+    g = build_grid("periodic", 64)
+    for lam in (0.9, 0.8, 0.7):
+        prob, guess = circle_seed(lam + 0.1, 2.0, g)
+        bordered.clear()
+        _, iters, diag = corrector_step(prob, guess, lam,
+                                        _polish(lam, basin_guard=0.05))
+        assert iters >= 1 and len(bordered) == iters
+        assert all(M.shape == (66, 66) for M in bordered)  # n + k, k = 2
+        exact = max(np.linalg.cond(M) for M in bordered)
+        assert diag["cond"] == pytest.approx(exact, rel=1e-8)
+
+
+def test_corrector_gate_trips_on_a_kernel_outside_the_killing_span(
+        monkeypatch):
+    # remove one W-normalized non-Killing mode v from the Jacobi,
+    # J -> P J P with P = I - v v^T W, so v joins the kernel; the bordered
+    # matrix is then singular and the step must be refused, not solved
+    g, prob, st = _flat_setup()
+    bumped = ProblemState(st.values + 1e-3 * np.cos(3 * g.nodes))
+    w = pairing(prob).weights
+    B = rank_basis(killing_jacobi_basis(prob, bumped, 0.0), w)
+    v = np.cos(2 * g.nodes)
+    v = v - B @ (B.T @ (w * v))
+    v = v / np.sqrt(v @ (w * v))
+    P = np.eye(v.size) - np.outer(v, w * v)
+
+    def jacobi_without_mode(problem, state, lambda_hat):
+        J = jacobi(problem, state, lambda_hat)
+        return JacobiOperator(P @ J.matrix @ P, J.pairing, J.lambda_hat)
+
+    monkeypatch.setattr(continuation, "jacobi", jacobi_without_mode)
+    with pytest.raises(IllConditioned, match="condition"):
+        corrector_step(prob, bumped, 0.0, _polish(0.0, basin_guard=0.05))
 
 
 def test_corrector_basin_guard_rejects_far_state():
@@ -174,6 +224,23 @@ def test_branch_stall_raises_with_partial_branch():
     assert last.lambda_hat > -4.0
     assert last.verdict == "nondegenerate"
     assert last.residual_norm < cfg.tol
+
+
+def test_branch_factorization_failure_halves_step(failing_linalg):
+    # a LinAlgError is a failed attempt like IllConditioned: the step halves
+    # retries times, then the certified records come back with the stall
+    g, prob, st = _flat_setup()
+    counts = failing_linalg(None)
+    head = continue_branch(prob, st,
+                           ContinuationConfig.from_steps(0.0, -0.2, 3,
+                                                         basin_guard=0.05))
+    failing_linalg(counts["calls"])
+    cfg = ContinuationConfig.from_steps(0.0, -0.5, 6, basin_guard=0.05)
+    with pytest.raises(NoConvergence, match="step underflow") as exc:
+        continue_branch(prob, st, cfg)
+    partial = exc.value.partial_branch
+    assert [r.lambda_hat for r in partial] == [r.lambda_hat for r in head]
+    assert counts["failed"] == cfg.retries + 1
 
 
 def test_diagnostics_cadence_attaches_reports():
