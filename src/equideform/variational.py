@@ -42,8 +42,8 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from .ambient import (FlatTorus, ProductM2kR, ScaledSphere, SpaceForm2,
-                      quadric_embed, quadric_to_chart, radial_area, sn_lambda)
+from .ambient import (FlatTorus, ScaledSphere, quadric_embed,
+                      quadric_to_chart, radial_area, sn_lambda)
 from .errors import ConfigError, DomainError, ShapeError, UnsupportedError
 from .lie_bundle import algebra_element
 from .mesh import TWO_PI, Grid, Pairing, build_grid
@@ -157,9 +157,6 @@ class CmcCircle(Problem):
     def __post_init__(self):
         if self.grid.kind != "periodic":
             raise DomainError("CmcCircle needs a periodic grid")
-
-    def ambient(self, lambda_hat):
-        return SpaceForm2(float(lambda_hat))
 
     @classmethod
     def from_config(cls, get, N, lam):
@@ -291,9 +288,6 @@ class CmcProfile(Problem):
             raise DomainError("CmcProfile needs a dirichlet grid")
         if len(self.boundary_radii) != 2 or min(self.boundary_radii) <= 0:
             raise DomainError("boundary radii must be two positive numbers")
-
-    def ambient(self, lambda_hat):
-        return ProductM2kR(float(lambda_hat))
 
     @classmethod
     def from_config(cls, get, N, lam):
@@ -483,9 +477,6 @@ class HarmonicSphere(_Harmonic):
 
     name = "harmonic_sphere"
     default_lambda = 1.0
-
-    def ambient(self, lambda_hat):
-        return ScaledSphere(float(lambda_hat))
 
     @classmethod
     def from_config(cls, get, N, lam):
