@@ -260,17 +260,6 @@ def _fd_bracket(f1, f2, p, h):
     return jac(f2) @ v1 - jac(f1) @ v2
 
 
-def _structure_constants_from_mats(mats):
-    M = np.column_stack([m.ravel() for m in mats])
-    k = len(mats)
-    C = np.zeros((k, k, k))
-    for i in range(k):
-        for j in range(k):
-            br = mats[i] @ mats[j] - mats[j] @ mats[i]
-            C[i, j], _, _, _ = np.linalg.lstsq(M, br.ravel(), rcond=None)
-    return C
-
-
 def structure_match(lam, p, h=1e-4):
     """Deviation between chart and matrix structure constants of g_lam.
 
@@ -287,15 +276,17 @@ def structure_match(lam, p, h=1e-4):
     flds = killing_fields(model)
     probes = [p, p + np.array([0.041, 0.067]), p + np.array([-0.053, 0.029])]
 
+    # C[i, j] holds the basis coordinates of the bracket of fields i and j,
+    # with all nine brackets as right-hand sides of one lstsq
     A = np.vstack([np.column_stack([f(q) for f in flds]) for q in probes])
-    C_chart = np.zeros((3, 3, 3))
-    for i in range(3):
-        for j in range(3):
-            b = np.concatenate([_fd_bracket(flds[i], flds[j], q, h) for q in probes])
-            C_chart[i, j], _, _, _ = np.linalg.lstsq(A, b, rcond=None)
+    b = np.column_stack([np.concatenate([_fd_bracket(fi, fj, q, h) for q in probes])
+                         for fi in flds for fj in flds])
+    C_chart = np.linalg.lstsq(A, b, rcond=None)[0].T.reshape(3, 3, 3)
 
     mats = [e.mat for e in algebra_basis(lam, 2).elements]
-    C_mat = _structure_constants_from_mats(mats)
+    M = np.column_stack([m.ravel() for m in mats])
+    b = np.column_stack([(x @ y - y @ x).ravel() for x in mats for y in mats])
+    C_mat = np.linalg.lstsq(M, b, rcond=None)[0].T.reshape(3, 3, 3)
 
     perm = (0, 2, 1)  # chart (rot, K2, K3) -> matrix (rot, T2, T1)
     dev = 0.0

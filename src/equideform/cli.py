@@ -52,8 +52,7 @@ from .errors import (ConfigError, DomainError, EquideformError, IllConditioned,
 from .lie_bundle import verify_bundle
 from .serialize import (content_hash, write_branch_csv, write_branch_jsonl,
                         write_report)
-from .variational import (PROBLEMS, JacobiOperator, act, derived_scalars,
-                          jacobi, residual)
+from .variational import PROBLEMS, act, derived_scalars, jacobi, residual
 
 __doc__ = __doc__.format(instances=", ".join(PROBLEMS))
 
@@ -274,11 +273,8 @@ def run_analyze(cp, seed, chash, outdir):
     try:
         state, iters, _ = corrector_step(problem, seed_state, lam, ccfg)
         J = jacobi(problem, state, lam)
-        operator = J
-        if shift is not None:
-            operator = JacobiOperator(
-                matrix=J.matrix + shift * np.eye(J.matrix.shape[0]),
-                pairing=J.pairing, lambda_hat=lam)
+        operator = J if shift is None else dataclasses.replace(
+            J, matrix=J.matrix + shift * np.eye(J.matrix.shape[0]))
         rep = nondegeneracy_report(problem, state, lam, tol_rel=ccfg.tol_rel,
                                    angle_tol=ccfg.angle_tol, operator=operator)
         diag = operator_diagnostics(J, problem, state, lam, seed=seed)

@@ -327,10 +327,7 @@ def orbit_project(problem, state, lambda_hat, reference):
     k = len(orbit_generators(problem, lambda_hat))
     if k == 0 or B.shape[1] == 0:
         moved = ProblemState(state.values.copy())
-        if B.shape[1]:
-            dist = float(np.linalg.norm(B.T @ (w * (moved.values - reference.values))))
-        else:
-            dist = 0.0
+        dist = float(np.linalg.norm(B.T @ (w * (moved.values - reference.values))))
         return GroupParameters(np.zeros(k)), moved, dist
 
     def components(t):

@@ -77,14 +77,9 @@ def numerical_kernel(J, tol_rel=None):
     order = np.argsort(np.abs(mu))[::-1]
     s = np.abs(mu)[order]       # the singular values of A, descending
     tol = tol_rel * (s[0] if s.size else 0.0)
-    kept = s < tol              # s is descending, so this is a tail block
-    d = int(np.sum(kept))
+    d = int(np.sum(s < tol))    # s is descending, so the kept s are a tail
     vectors = (V[:, order[n - d:]] / sw[:, None]) if d else np.zeros((n, 0))
-    if d == 0:
-        gap = np.inf
-    else:
-        largest_kept = s[n - d]
-        gap = np.inf if largest_kept == 0.0 else float(s[n - d - 1] / largest_kept)
+    gap = float(s[n - d - 1] / s[n - d]) if d and s[n - d] > 0.0 else np.inf
     indeterminate = bool(d > 0 and gap < GAP_FLOOR)
     return KernelBasis(vectors=vectors, singular_values=s[n - d:].copy(),
                        tolerance=float(tol), gap=float(gap),

@@ -46,8 +46,7 @@ class ConfigError(EquideformError):
 
 
 def linalg_guard(func):
-    """Re-raise a LinAlgError from func (numpy's, which scipy shares) as
-    IllConditioned, so a failed factorization is a solver failure."""
+    """Re-raise numpy's LinAlgError (scipy's is the same class) as IllConditioned."""
     @functools.wraps(func)
     def guarded(*args, **kwargs):
         try:

@@ -185,11 +185,10 @@ def group_membership_residual(g, lam):
 def bracket_closure_residual(basis):
     """Max least-squares defect of projecting basis brackets back onto the span.
 
-    Accepts an AlgebraBasis or a plain list of square matrices. The stacked
-    basis is factored once by SVD; the defect of a bracket is its part off
-    the range of the singular vectors lstsq would keep. The brackets of one
-    element are projected at a time, so memory stays O(d (n+1)^2) for d
-    basis matrices instead of holding all d (d - 1) / 2 brackets.
+    Accepts an AlgebraBasis or a plain list of d square matrices. The
+    stacked basis is factored once by SVD (keeping the singular vectors
+    lstsq would), and one element's brackets are projected at a time, so
+    memory stays O(d (n+1)^2).
     """
     if hasattr(basis, "elements"):
         mats = [e.mat for e in basis.elements]
