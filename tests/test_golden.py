@@ -7,6 +7,9 @@ payloads are byte-stable only at a fixed BLAS thread count). The
 branch.csv bytes of the continue run must equal the files in tests/golden/.
 A refactor that keeps every floating-point expression keeps these bytes.
 
+The same cases run at one and at two BLAS threads must reach the same
+verdicts, kernel and Killing dimensions, Newton counts and exit codes.
+
 Regenerate the files (only after a deliberate change of results) with
 
     PYTHONPATH=src python tests/test_golden.py
@@ -108,13 +111,14 @@ with open(f"{work}/codes.json", "w") as fh:
 """
 
 
-def run_cases(work):
-    """Run every case in one pinned interpreter; return {name: outputs}."""
+def run_cases(work, threads="1"):
+    """Run every case in one interpreter pinned to the given BLAS thread
+    count; return {name: outputs}."""
     work = Path(work)
     for name, (_, text) in CASES.items():
         (work / f"{name}.ini").write_text(text)
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(path))
     commands = {name: cmd for name, (cmd, _) in CASES.items()}
     subprocess.run([sys.executable, "-c", _DRIVER, str(work),
@@ -137,6 +141,34 @@ def test_golden_payloads(tmp_path):
     assert sorted(outputs) == sorted(p.name for p in GOLDEN.iterdir())
     for fname, text in outputs.items():
         assert text == (GOLDEN / fname).read_text(), fname
+
+
+def _decisions(outputs):
+    # what a run decides, as opposed to the roundoff in its payload bytes
+    out = {"exit_codes": json.loads(outputs["exit_codes.json"])}
+    for name, (command, _) in CASES.items():
+        if command == "analyze":
+            pay = json.loads(outputs[f"{name}.payload.json"])
+            rep = pay["nondegeneracy"]
+            out[name] = (rep["verdict"], rep["kernel_dim"],
+                         rep["killing_rank"], pay["newton_iters"])
+    rows = [json.loads(line) for line in
+            outputs["continue_circle.branch.jsonl"].splitlines()]
+    out["continue_circle"] = [
+        (r["lambda_hat"], r["verdict"], r["kernel_dim"], r["killing_rank"],
+         r["newton_iters"]) for r in rows]
+    return out
+
+
+def test_decisions_do_not_depend_on_blas_threads(tmp_path):
+    # payload bytes are promised at one thread count only; verdicts, kernel
+    # and Killing dimensions, Newton counts and exit codes at every count
+    decisions = []
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        decisions.append(_decisions(run_cases(tmp_path / threads, threads)))
+    assert len(decisions[0]["continue_circle"]) == 4
+    assert decisions[0] == decisions[1]
 
 
 if __name__ == "__main__":
