@@ -31,10 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import errors
 from .equivariance import (nondegeneracy_report, operator_diagnostics,
                            rank_basis, transversality_margin)
 from .errors import (DomainError, IllConditioned, NoConvergence,
-                     PreconditionError, linalg_guard)
+                     PreconditionError)
 from .variational import (ProblemState, act, derived_scalars, jacobi,
                           killing_jacobi_basis, orbit_generators, pairing,
                           residual, residual_norm)
@@ -134,7 +135,7 @@ class BranchRecord:
         }
 
 
-@linalg_guard
+@errors.linalg_guard
 def corrector_step(problem, state, lambda_hat, config):
     """Bordered Newton correction at fixed parameter.
 
@@ -163,17 +164,10 @@ def corrector_step(problem, state, lambda_hat, config):
                 f"after {iters} iterations (lambda_hat={lambda_hat})")
         B = rank_basis(killing_jacobi_basis(problem, st, lambda_hat), w)
         k = B.shape[1]
-        WJ = w[:, None] * jacobi(problem, st, lambda_hat).matrix
-        if k:
-            WB = w[:, None] * B
-            M = np.zeros((n + k, n + k))
-            M[:n, :n] = WJ
-            M[:n, n:] = WB
-            M[n:, :n] = WB.T
-            rhs = np.concatenate([-(w * res), np.zeros(k)])
-        else:
-            M = WJ
-            rhs = -(w * res)
+        WB = w[:, None] * B
+        M = np.block([[w[:, None] * jacobi(problem, st, lambda_hat).matrix, WB],
+                      [WB.T, np.zeros((k, k))]])
+        rhs = np.concatenate([-(w * res), np.zeros(k)])
         # one symmetric factorization gives both the exact 2-norm condition
         # number max|mu| / min|mu| and the solve
         mu, Q = np.linalg.eigh(M)
@@ -310,7 +304,7 @@ def continue_branch(problem, seed_state, config):
     return records
 
 
-@linalg_guard
+@errors.linalg_guard
 def orbit_project(problem, state, lambda_hat, reference):
     """Move a state onto the affine slice through a nearby reference.
 

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import subspace_angles
 
-from .errors import PreconditionError, ShapeError, linalg_guard
+from . import errors
+from .errors import PreconditionError, ShapeError
 from .variational import (ProblemState, jacobi, killing_jacobi_basis,
                           pairing, residual, residual_norm)
 
@@ -56,7 +57,7 @@ class KernelBasis:
         return self.vectors.shape[1]
 
 
-@linalg_guard
+@errors.linalg_guard
 def numerical_kernel(J, tol_rel=None):
     """Near-kernel of a Jacobi operator via eigh of sqrt(W) J sqrt(W)^-1.
 
@@ -86,7 +87,7 @@ def numerical_kernel(J, tol_rel=None):
                        indeterminate=indeterminate)
 
 
-@linalg_guard
+@errors.linalg_guard
 def rank_basis(vectors, weights):
     """W-orthonormal basis of the span of a (possibly dependent) list."""
     n = weights.size
@@ -164,7 +165,7 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
         killing_basis=B)
 
 
-@linalg_guard
+@errors.linalg_guard
 def _principal_angles(A, B, weights):
     # ascending principal angles between the W-spans of A and B, from the
     # sine-based algorithm of Knyazev and Argentati (SIAM J. Sci. Comput. 23,
