@@ -1,11 +1,12 @@
 """Certification of equivariant nondegeneracy and slice transversality.
 
 The numerical Jacobi kernel is extracted by a symmetric eigendecomposition
-(eigh) of the weight-symmetrized operator and compared against the span of the Killing-induced Jacobi fields
-through principal angles. A state is certified nondegenerate exactly when
-the kernel dimension equals the Killing rank and every principal angle is
-below tolerance; a mandatory multiplicative spectral gap guards against
-silent misclassification near threshold.
+(eigh) of the weight-symmetrized operator and compared against the span of
+the Killing-induced Jacobi fields through principal angles. A state is
+certified nondegenerate exactly when the kernel dimension equals the
+Killing rank and every principal angle is below tolerance; a mandatory
+multiplicative spectral gap guards against silent misclassification near
+threshold.
 
 The slice through a certified state is the W-complement of its Killing
 span. It stays transversal to a nearby orbit while the two k-dimensional
