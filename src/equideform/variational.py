@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize import brentq
+from scipy.optimize.elementwise import find_root
 
 from .ambient import (FlatTorus, ScaledSphere, quadric_embed,
                       quadric_to_chart, radial_area, sn_lambda)
@@ -50,6 +50,9 @@ from .mesh import TWO_PI, Grid, Pairing, build_grid
 
 RMIN = 0.05  # radial graphs stay away from the chart origin
 SIN_MIN = 0.05  # sphere charts stay away from the poles
+# rows of the exp(1j theta k) matrix built at once by _trig_interp: bounds one
+# evaluation's memory at about 40 * INTERP_ROWS * N bytes
+INTERP_ROWS = 256
 
 
 def radial_cap(lam):
@@ -133,9 +136,13 @@ def _trig_interp(vals):
     wave = np.fft.fftfreq(n, d=1.0 / n)
 
     def ev(theta):
-        th = np.atleast_1d(np.asarray(theta, dtype=float))
-        out = (np.exp(1j * np.outer(th, wave)) @ coef).real
-        return float(out[0]) if np.isscalar(theta) else out
+        th = np.asarray(theta, dtype=float)
+        flat = th.ravel()
+        out = np.empty(flat.size)
+        for i in range(0, flat.size, INTERP_ROWS):
+            rows = flat[i:i + INTERP_ROWS]
+            out[i:i + INTERP_ROWS] = (np.exp(1j * np.outer(rows, wave)) @ coef).real
+        return out.reshape(th.shape)
 
     return ev
 
@@ -227,7 +234,14 @@ class CmcCircle(Problem):
 
     def act(self, state, lam, t):
         """Move the curve in the quadric model and re-extract the radial
-        graph over the fixed node angles."""
+        graph over the fixed node angles.
+
+        Each node's parameter is the root of the moved chart angle minus the
+        node angle inside the bracket target +- half; one bracketed
+        (Chandrupatla) solve finds all N roots together, evaluating the moved
+        curve once per iteration at every node still active. A node the
+        solve does not report as converged raises DomainError.
+        """
         gens = self.generators(lam)
         g = expm(t[0] * gens[0] + t[1] * gens[1])
         interp = _trig_interp(state.values)
@@ -250,17 +264,18 @@ class CmcCircle(Problem):
         if half + shift >= np.pi:
             raise DomainError("group motion too large for radial re-extraction")
 
-        cap = radial_cap(lam)
-        rnew = np.empty(n)
-        for j, target in enumerate(self.grid.nodes):
-            def fj(th):
-                _, ang = moved(th)
-                return _wrap_pi(ang - target)
+        def angle_defect(th, target):
+            return _wrap_pi(moved(th)[1] - target)
 
-            root = brentq(fj, target - half, target + half, xtol=1e-14, rtol=8.9e-16)
-            rr, _ = moved(root)
-            rnew[j] = rr
-        if np.min(rnew) < RMIN or np.max(rnew) > cap:
+        nodes = self.grid.nodes
+        res = find_root(angle_defect, (nodes - half, nodes + half), args=(nodes,),
+                        tolerances={"xatol": 1e-14, "xrtol": 8.9e-16})
+        if not np.all(res.success):
+            bad = int(np.count_nonzero(~res.success))
+            raise DomainError(
+                f"radial re-extraction did not converge at {bad} of {n} nodes")
+        rnew, _ = moved(res.x)
+        if np.min(rnew) < RMIN or np.max(rnew) > radial_cap(lam):
             raise DomainError("moved curve left the radial chart domain")
         return ProblemState(rnew)
 

@@ -1,8 +1,14 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
+from scipy.optimize import brentq
 
+from equideform import variational
+from equideform.ambient import quadric_embed, quadric_to_chart
 from equideform.errors import DomainError, ShapeError, UnsupportedError
-from equideform.mesh import build_grid
+from equideform.mesh import TWO_PI, build_grid
 from equideform.variational import (CmcCircle, HarmonicSphere, HarmonicTorus,
                                     ProblemState, act, circle_seed,
                                     cmc_circle_radius, derived_scalars,
@@ -292,6 +298,74 @@ def test_flat_translation_moves_the_center():
     moved = act(prob, st, 0.0, np.array([0.07, 0.0]))
     ref = off_center_circle(g, 0.5, 0.07)
     assert np.max(np.abs(moved.values - ref.values)) < 1e-10
+
+
+def _act_by_brentq(prob, state, lam, t):
+    # reference: the full-matrix interpolant and one scalar brentq per node
+    gens = prob.generators(lam)
+    g = expm(t[0] * gens[0] + t[1] * gens[1])
+    n = state.values.size
+    coef = np.fft.fft(state.values) / n
+    wave = np.fft.fftfreq(n, d=1.0 / n)
+
+    def moved(theta):
+        th = np.atleast_1d(theta)
+        r = (np.exp(1j * np.outer(th, wave)) @ coef).real
+        return quadric_to_chart(lam, g @ quadric_embed(lam, r, th))
+
+    dense = np.linspace(0.0, TWO_PI, 4 * n, endpoint=False)
+    shift = np.max(np.abs(variational._wrap_pi(moved(dense)[1] - dense)))
+    half = shift + 0.1
+    out = np.empty(n)
+    for j, target in enumerate(prob.grid.nodes):
+        def fj(th):
+            return variational._wrap_pi(moved(th)[1][0] - target)
+
+        root = brentq(fj, target - half, target + half, xtol=1e-14, rtol=8.9e-16)
+        out[j] = moved(root)[0][0]
+    return out
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [64, 65, 256])
+def test_circle_act_matches_per_node_brentq(n, lam):
+    g = build_grid("periodic", n)
+    prob, st = circle_seed(lam, 2.0, g)
+    rng = np.random.default_rng(n)
+    for _ in range(2):
+        t = rng.uniform(-0.05, 0.05, 2)
+        moved = act(prob, st, lam, t)
+        assert np.max(np.abs(moved.values - _act_by_brentq(prob, st, lam, t))) < 1e-14
+
+
+def test_circle_act_rejects_an_unconverged_node(monkeypatch):
+    real = variational.find_root
+
+    def one_node_fails(*args, **kwargs):
+        res = real(*args, **kwargs)
+        success = res.success.copy()
+        success[5] = False
+        res.success = success
+        return res
+
+    monkeypatch.setattr(variational, "find_root", one_node_fails)
+    g = build_grid("periodic", 64)
+    prob, st = circle_seed(0.5, 2.0, g)
+    with pytest.raises(DomainError, match="1 of 64 nodes"):
+        act(prob, st, 0.5, np.array([0.02, -0.01]))
+
+
+def test_circle_act_memory_is_bounded():
+    # the dense 4N-angle check must not build a 4N x N complex matrix
+    g = build_grid("periodic", 1024)
+    prob, st = circle_seed(0.5, 2.0, g)
+    tracemalloc.start()
+    try:
+        act(prob, st, 0.5, np.array([0.02, -0.01]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 # ----------------------------------------------------- killing machinery
