@@ -8,7 +8,9 @@ branch.csv bytes of the continue run must equal the files in tests/golden/.
 A refactor that keeps every floating-point expression keeps these bytes.
 
 The same cases run at one and at two BLAS threads must reach the same
-verdicts, kernel and Killing dimensions, Newton counts and exit codes.
+verdicts, kernel and Killing dimensions, Newton counts, congruence results
+and exit codes; so must an analyze and a congruence case at N = 256, a size
+where OpenBLAS splits work between the two threads (no golden files).
 
 Regenerate the files (only after a deliberate change of results) with
 
@@ -96,6 +98,16 @@ t = 0.05, -0.03, 0.02
 """),
 }
 
+# decisions only, never bytes: at this size the payloads differ by thread count
+CIRCLE_256 = CIRCLE.replace("n = 32", "n = 256") + "lambda_hat = 0.5\n"
+LARGE_CASES = {
+    "analyze_circle_256": ("analyze", CIRCLE_256),
+    "congruence_circle_256": ("congruence", CIRCLE_256 + """
+[congruence]
+t = 0.02, -0.01
+"""),
+}
+
 BRANCH_FILES = {"continue_circle": ("branch.jsonl", "branch.csv")}
 
 _DRIVER = """
@@ -111,22 +123,22 @@ with open(f"{work}/codes.json", "w") as fh:
 """
 
 
-def run_cases(work, threads="1"):
+def run_cases(work, threads="1", cases=CASES):
     """Run every case in one interpreter pinned to the given BLAS thread
     count; return {name: outputs}."""
     work = Path(work)
-    for name, (_, text) in CASES.items():
+    for name, (_, text) in cases.items():
         (work / f"{name}.ini").write_text(text)
     path = filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
                PYTHONPATH=os.pathsep.join(path))
-    commands = {name: cmd for name, (cmd, _) in CASES.items()}
+    commands = {name: cmd for name, (cmd, _) in cases.items()}
     subprocess.run([sys.executable, "-c", _DRIVER, str(work),
                     json.dumps(commands)], env=env, check=True,
                    capture_output=True)
     codes = json.loads((work / "codes.json").read_text())
     outputs = {}
-    for name in CASES:
+    for name in cases:
         text = (work / name / "report.json").read_text()
         payload = text[text.index(',"payload":') + len(',"payload":'):-2]
         outputs[f"{name}.payload.json"] = payload + "\n"
@@ -143,32 +155,48 @@ def test_golden_payloads(tmp_path):
         assert text == (GOLDEN / fname).read_text(), fname
 
 
-def _decisions(outputs):
+def _decisions(outputs, cases):
     # what a run decides, as opposed to the roundoff in its payload bytes
     out = {"exit_codes": json.loads(outputs["exit_codes.json"])}
-    for name, (command, _) in CASES.items():
+    for name, (command, _) in cases.items():
+        pay = json.loads(outputs[f"{name}.payload.json"])
         if command == "analyze":
-            pay = json.loads(outputs[f"{name}.payload.json"])
             rep = pay["nondegeneracy"]
             out[name] = (rep["verdict"], rep["kernel_dim"],
                          rep["killing_rank"], pay["newton_iters"])
-    rows = [json.loads(line) for line in
-            outputs["continue_circle.branch.jsonl"].splitlines()]
-    out["continue_circle"] = [
-        (r["lambda_hat"], r["verdict"], r["kernel_dim"], r["killing_rank"],
-         r["newton_iters"]) for r in rows]
+        elif command == "congruence":
+            out[name] = pay.get("congruent")
+    for name in BRANCH_FILES.keys() & cases.keys():
+        rows = [json.loads(line) for line in
+                outputs[f"{name}.branch.jsonl"].splitlines()]
+        out[name] = [(r["lambda_hat"], r["verdict"], r["kernel_dim"],
+                      r["killing_rank"], r["newton_iters"]) for r in rows]
     return out
 
 
-def test_decisions_do_not_depend_on_blas_threads(tmp_path):
+def _decisions_at_one_and_two_threads(tmp_path, cases):
     # payload bytes are promised at one thread count only; verdicts, kernel
-    # and Killing dimensions, Newton counts and exit codes at every count
+    # and Killing dimensions, Newton counts, congruence results and exit
+    # codes at every count
     decisions = []
     for threads in ("1", "2"):
         (tmp_path / threads).mkdir()
-        decisions.append(_decisions(run_cases(tmp_path / threads, threads)))
-    assert len(decisions[0]["continue_circle"]) == 4
+        decisions.append(_decisions(run_cases(tmp_path / threads, threads, cases),
+                                    cases))
     assert decisions[0] == decisions[1]
+    return decisions[0]
+
+
+def test_decisions_do_not_depend_on_blas_threads(tmp_path):
+    decisions = _decisions_at_one_and_two_threads(tmp_path, CASES)
+    assert len(decisions["continue_circle"]) == 4
+
+
+def test_decisions_at_n256_do_not_depend_on_blas_threads(tmp_path):
+    decisions = _decisions_at_one_and_two_threads(tmp_path, LARGE_CASES)
+    assert decisions["analyze_circle_256"][:3] == ("nondegenerate", 2, 2)
+    assert decisions["congruence_circle_256"] is True
+    assert set(decisions["exit_codes"].values()) == {0}
 
 
 if __name__ == "__main__":
