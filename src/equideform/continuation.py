@@ -11,8 +11,9 @@ at the current iterate, so updates stay W-orthogonal to the orbit
 directions that foliate the solution set. Quadratic convergence holds near
 certified-nondegenerate solutions because the bordered matrix is exactly
 the restriction of the Hessian to a transversal slice plus the orbit
-bookkeeping. One eigh of the bordered matrix per step gives both the
-update and its exact 2-norm condition number, which must stay below 1e12.
+bookkeeping. One tridiagonal reduction of the bordered matrix per step
+gives both its exact 2-norm condition number, which must stay below 1e12,
+and the update.
 
 continue_branch marches the parameter with a secant predictor and adaptive
 steps, certifying every accepted record (kernel = Killing span, spectral
@@ -32,8 +33,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .equivariance import (nondegeneracy_report, operator_diagnostics,
-                           rank_basis, transversality_margin)
+from .equivariance import (_Tridiagonal, nondegeneracy_report,
+                           operator_diagnostics, rank_basis,
+                           transversality_margin)
 from .errors import (DomainError, IllConditioned, NoConvergence,
                      PreconditionError)
 from .variational import (ProblemState, act, derived_scalars, jacobi,
@@ -168,17 +170,19 @@ def corrector_step(problem, state, lambda_hat, config):
         M = np.block([[w[:, None] * jacobi(problem, st, lambda_hat).matrix, WB],
                       [WB.T, np.zeros((k, k))]])
         rhs = np.concatenate([-(w * res), np.zeros(k)])
-        # one symmetric factorization gives both the exact 2-norm condition
-        # number max|mu| / min|mu| and the solve
-        mu, Q = np.linalg.eigh(M)
-        lo = np.min(np.abs(mu))
-        cond = np.max(np.abs(mu)) / lo if lo > 0.0 else np.inf
+        # one symmetric reduction M = Q T Q^T gives both the exact 2-norm
+        # condition number max|mu| / min|mu| over T's eigenvalues, which are
+        # M's, and the solve
+        reduced = _Tridiagonal(M)
+        mu = np.abs(reduced.eigenvalues)
+        lo = np.min(mu)
+        cond = np.max(mu) / lo if lo > 0.0 else np.inf
         worst_cond = max(worst_cond, float(cond))
         if not np.isfinite(cond) or cond > 1e12:
             raise IllConditioned(
                 f"bordered matrix condition {cond:.3e} at lambda_hat={lambda_hat} "
                 "signals nondegeneracy loss")
-        delta = (Q @ ((Q.T @ rhs) / mu))[:n]
+        delta = reduced.solve(rhs)[:n]
         if k:
             # exact W-orthogonality to the orbit directions
             delta = delta - B @ (B.T @ (w * delta))

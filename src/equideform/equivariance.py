@@ -1,8 +1,9 @@
 """Certification of equivariant nondegeneracy and slice transversality.
 
-The numerical Jacobi kernel is extracted by a symmetric eigendecomposition
-(eigh) of the weight-symmetrized operator and compared against the span of
-the Killing-induced Jacobi fields through principal angles. A state is
+The numerical Jacobi kernel is extracted from one tridiagonal reduction of
+the weight-symmetrized operator (its whole spectrum, and eigenvectors only
+for the kernel) and compared against the span of the Killing-induced Jacobi
+fields through principal angles. A state is
 certified nondegenerate exactly when the kernel dimension equals the
 Killing rank and every principal angle is below tolerance; a mandatory
 multiplicative spectral gap guards against silent misclassification near
@@ -23,7 +24,7 @@ here is implemented.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import subspace_angles
+from scipy.linalg import eigh_tridiagonal, lapack, subspace_angles
 
 from . import errors
 from .errors import PreconditionError, ShapeError
@@ -39,6 +40,61 @@ def _sym_scaled(J):
     sw = np.sqrt(J.pairing.weights)
     A = (sw[:, None] * J.matrix) / sw[None, :]
     return 0.5 * (A + A.T), sw
+
+
+def _lapack_check(info, routine):
+    if info:
+        raise np.linalg.LinAlgError(f"{routine} failed with info = {info}")
+
+
+class _Tridiagonal:
+    """One Householder reduction A = Q T Q^T of a symmetric matrix A.
+
+    LAPACK dsytrd reduces the lower triangle to T, and Q is the product of the n - 1 reflectors stored below
+    the subdiagonal, applied by dormqr and never formed. The eigenvalues of A
+    are T's, ascending, from dsterf in O(n^2). Any nonzero LAPACK info
+    raises LinAlgError.
+    """
+
+    def __init__(self, A):
+        n = A.shape[0]
+        lwork, info = lapack.dsytrd_lwork(n, lower=1)
+        _lapack_check(info, "dsytrd_lwork")
+        c, self._d, e, self._tau, info = lapack.dsytrd(
+            A, lower=1, lwork=int(lwork))
+        _lapack_check(info, "dsytrd")
+        self._reflectors = c[1:, :-1]
+        # T's off-diagonal, padded to the length max(n - 1, 1) that the
+        # f2py wrappers of dsterf and dgtsv expect
+        self._e = e if n > 1 else np.zeros(1)
+        self.eigenvalues, info = lapack.dsterf(self._d, self._e)
+        _lapack_check(info, "dsterf")
+
+    def apply_q(self, x, trans="N"):
+        """Q x, or Q^T x with trans="T", for a vector or a block of columns."""
+        y = np.array(x, dtype=float).reshape(len(x), -1)
+        if len(y) > 1:
+            # Q = diag(1, Q'), Q' a QR-style product of the stored reflectors
+            a, tau = self._reflectors, self._tau
+            _, work, info = lapack.dormqr("L", trans, a, tau, y[1:], -1)
+            _lapack_check(info, "dormqr")
+            y[1:], _, info = lapack.dormqr("L", trans, a, tau, y[1:],
+                                           int(work[0]))
+            _lapack_check(info, "dormqr")
+        return y.reshape(np.shape(x))
+
+    def solve(self, b):
+        """A^-1 b = Q T^-1 Q^T b; T by dgtsv, LU with partial pivoting."""
+        y = self.apply_q(b, "T").reshape(len(b), -1)
+        *_, z, info = lapack.dgtsv(self._e, self._d, self._e, y)
+        _lapack_check(info, "dgtsv")
+        return self.apply_q(z).reshape(np.shape(b))
+
+    def eigenvectors(self, lo, hi):
+        """Orthonormal eigenvectors of A for ascending indices lo..hi."""
+        _, z = eigh_tridiagonal(self._d, self._e[:len(self._d) - 1],
+                                select="i", select_range=(lo, hi))
+        return self.apply_q(z)
 
 
 def _default_tol_rel(n):
@@ -60,11 +116,13 @@ class KernelBasis:
 
 @errors.linalg_guard
 def numerical_kernel(J, tol_rel=None):
-    """Near-kernel of a Jacobi operator via eigh of sqrt(W) J sqrt(W)^-1.
+    """Near-kernel of a Jacobi operator via a tridiagonal reduction of
+    sqrt(W) J sqrt(W)^-1.
 
     That operator is symmetric, so its singular values are the moduli of its
-    eigenvalues. Retains eigenvectors with sigma < tol_rel * sigma_max and
-    maps them back by W^-1/2, which makes the returned columns exactly
+    eigenvalues, all of which come from the reduction. Retains eigenvectors
+    with sigma < tol_rel * sigma_max, computed for that index range only,
+    and maps them back by W^-1/2, which makes the returned columns exactly
     W-orthonormal. The gap field holds the ratio between the smallest
     rejected and the largest retained singular value; anything below 10^3
     flags the result indeterminate (no certified separation).
@@ -75,12 +133,18 @@ def numerical_kernel(J, tol_rel=None):
     if not 0.0 < tol_rel <= 1e-2:
         raise PreconditionError(f"tol_rel must lie in (0, 1e-2], got {tol_rel}")
     A, sw = _sym_scaled(J)
-    mu, V = np.linalg.eigh(A)
+    reduced = _Tridiagonal(A)
+    mu = reduced.eigenvalues    # ascending
     order = np.argsort(np.abs(mu))[::-1]
     s = np.abs(mu)[order]       # the singular values of A, descending
     tol = tol_rel * (s[0] if s.size else 0.0)
     d = int(np.sum(s < tol))    # s is descending, so the kept s are a tail
-    vectors = (V[:, order[n - d:]] / sw[:, None]) if d else np.zeros((n, 0))
+    vectors = np.zeros((n, 0))
+    if d:
+        # |mu| < tol is one contiguous run of the ascending spectrum
+        lo = int(np.min(order[n - d:]))
+        V = reduced.eigenvectors(lo, lo + d - 1)
+        vectors = V[:, order[n - d:] - lo] / sw[:, None]
     gap = float(s[n - d - 1] / s[n - d]) if d and s[n - d] > 0.0 else np.inf
     indeterminate = bool(d > 0 and gap < GAP_FLOOR)
     return KernelBasis(vectors=vectors, singular_values=s[n - d:].copy(),

@@ -2,6 +2,7 @@ import re
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 
 _attempted = {}
 _passed = {}
@@ -38,10 +39,13 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 
 @pytest.fixture
 def failing_linalg(monkeypatch):
-    """Make numpy's eigh and svd raise LinAlgError after a budget of calls.
+    """Make the symmetric reduction and numpy's svd raise LinAlgError after
+    a budget of calls.
 
-    Call the result with the budget (None never fails); it returns a dict
-    counting the patched "calls" and the "failed" ones among them.
+    The reduction behind the corrector and the kernel is LAPACK dsytrd,
+    looked up in scipy.linalg.lapack at each call, so that is where it is
+    armed. Call the result with the budget (None never fails); it returns a
+    dict counting the patched "calls" and the "failed" ones among them.
     """
     counts = {"calls": 0, "failed": 0, "budget": None}
 
@@ -55,8 +59,8 @@ def failing_linalg(monkeypatch):
             return decomposition(*args, **kwargs)
         return patched
 
-    for name in ("eigh", "svd"):
-        monkeypatch.setattr(np.linalg, name, wrap(getattr(np.linalg, name)))
+    monkeypatch.setattr(np.linalg, "svd", wrap(np.linalg.svd))
+    monkeypatch.setattr(lapack, "dsytrd", wrap(lapack.dsytrd))
 
     def arm(budget):
         counts.update(calls=0, failed=0, budget=budget)
