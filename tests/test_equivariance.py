@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from scipy.linalg import lapack, subspace_angles
+
 from equideform.continuation import ContinuationConfig, continue_branch
-from equideform.errors import PreconditionError, ShapeError
-from equideform.equivariance import (nondegeneracy_report, numerical_kernel,
+from equideform.errors import IllConditioned, PreconditionError, ShapeError
+from equideform.equivariance import (_sym_scaled, _Tridiagonal,
+                                     nondegeneracy_report, numerical_kernel,
                                      operator_diagnostics, rank_basis,
                                      transversality_margin)
 from equideform.mesh import Pairing, build_grid
@@ -25,6 +28,119 @@ def _w_orthonormality_defect(vectors, w):
         return 0.0
     G = vectors.T @ (w[:, None] * vectors)
     return float(np.max(np.abs(G - np.eye(vectors.shape[1]))))
+
+
+# --------------------------------------------- tridiagonal reduction
+
+
+def _random_symmetric(n, seed):
+    A = np.random.default_rng(seed).standard_normal((n, n))
+    return A + A.T
+
+
+def _bordered(prob, st, lam):
+    # the symmetric matrix corrector_step reduces: [[W J, W B], [B^T W, 0]]
+    w = pairing(prob).weights
+    B = rank_basis(killing_jacobi_basis(prob, st, lam), w)
+    k = B.shape[1]
+    WB = w[:, None] * B
+    M = np.block([[w[:, None] * jacobi(prob, st, lam).matrix, WB],
+                  [WB.T, np.zeros((k, k))]])
+    return M, k
+
+
+def _bordered_cases():
+    # k = 0: Dirichlet profile; k = 2: round circle; k = 3: sphere equator
+    yield _bordered(*profile_cylinder_seed(2.0, build_grid("dirichlet", 64,
+                                                           order=4)), 0.0)
+    yield _bordered(*circle_seed(1.0, 2.0, build_grid("periodic", 64)), 1.0)
+    yield _bordered(*sphere_equator_seed(build_grid("periodic", 33)), 1.0)
+
+
+def _oracle_matrices():
+    for n in (1, 2, 65):
+        yield f"random n={n}", _random_symmetric(n, seed=n)
+    for M, k in _bordered_cases():
+        yield f"bordered k={k}", 0.5 * (M + M.T)
+
+
+def test_reduction_eigenvalues_match_eigh():
+    for name, A in _oracle_matrices():
+        mu = np.linalg.eigh(A)[0]
+        got = _Tridiagonal(A).eigenvalues
+        assert np.max(np.abs(got - mu)) <= 1e-13 * np.max(np.abs(mu)), name
+
+
+def test_reduction_eigenvalues_of_real_operators_match_eigh():
+    for prob, st, lam in [(*_flat_circle(), 0.0),
+                          (*sphere_equator_seed(build_grid("periodic", 65)),
+                           1.0)]:
+        A, _ = _sym_scaled(jacobi(prob, st, lam))
+        mu = np.linalg.eigh(A)[0]
+        got = _Tridiagonal(A).eigenvalues
+        assert np.max(np.abs(got - mu)) <= 1e-13 * np.max(np.abs(mu))
+
+
+def test_reduction_solve_matches_spectral_inverse():
+    rng = np.random.default_rng(11)
+    for name, A in _oracle_matrices():
+        mu, Q = np.linalg.eigh(A)
+        assert np.max(np.abs(mu)) / np.min(np.abs(mu)) <= 1e8, name
+        b = rng.standard_normal(A.shape[0])
+        want = Q @ ((Q.T @ b) / mu)
+        got = _Tridiagonal(A).solve(b)
+        assert got.shape == b.shape
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), name
+
+
+def test_reduction_eigenvectors_rebuild_the_matrix():
+    for name, A in _oracle_matrices():
+        red = _Tridiagonal(A)
+        n = A.shape[0]
+        V = red.eigenvectors(0, n - 1)
+        assert np.max(np.abs(V.T @ V - np.eye(n))) < 1e-13, name
+        rebuilt = (V * red.eigenvalues) @ V.T
+        assert np.max(np.abs(rebuilt - A)) < 1e-13 * np.max(np.abs(A)), name
+
+
+def _eigh_kernel(J, tol):
+    # the kernel the full eigendecomposition gives, in the W geometry
+    A, sw = _sym_scaled(J)
+    mu, V = np.linalg.eigh(A)
+    return V[:, np.abs(mu) < tol] / sw[:, None]
+
+
+@pytest.mark.parametrize("case, dim", [("shifted circle", 0), ("circle", 2),
+                                       ("sphere", 3)])
+def test_kernel_vectors_match_eigh_kernel(case, dim):
+    if case == "sphere":
+        prob, st = sphere_equator_seed(build_grid("periodic", 65))
+        J = jacobi(prob, st, 1.0)
+    else:
+        prob, st = _flat_circle()
+        J = jacobi(prob, st, 0.0)
+        if case == "shifted circle":
+            J = JacobiOperator(matrix=J.matrix + 0.5 * np.eye(J.matrix.shape[0]),
+                               pairing=J.pairing, lambda_hat=0.0)
+    kb = numerical_kernel(J)
+    want = _eigh_kernel(J, kb.tolerance)
+    assert kb.dim == want.shape[1] == dim
+    if dim:
+        sw = np.sqrt(J.pairing.weights)[:, None]
+        angles = subspace_angles(sw * kb.vectors, sw * want)
+        assert np.max(angles) <= 1e-12
+
+
+def test_kernel_reduction_failure_is_ill_conditioned(monkeypatch):
+    def failing_dsterf(d, e, *args, **kwargs):
+        vals, _ = sterf(d, e, *args, **kwargs)
+        return vals, 1
+
+    sterf = lapack.dsterf
+    monkeypatch.setattr(lapack, "dsterf", failing_dsterf)
+    prob, st = _flat_circle()
+    with pytest.raises(IllConditioned, match="dsterf failed with info = 1"):
+        numerical_kernel(jacobi(prob, st, 0.0))
 
 
 # ---------------------------------------------------------------- kernel
