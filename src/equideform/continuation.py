@@ -20,7 +20,7 @@ steps, certifying every accepted record (kernel = Killing span, spectral
 gap, transversality margin against the previous record's Killing basis).
 A degenerate verdict halts the branch with the offending record flagged at
 the end; convergence failure raises NoConvergence carrying the partial
-branch.
+branch and naming the cause of the last failed attempt.
 
 orbit_project recovers the group motion between nearby solutions by
 Gauss-Newton on the Killing components of the difference, and
@@ -231,8 +231,10 @@ def continue_branch(problem, seed_state, config):
 
     The polished seed is the first record. Secant predictor after the first
     step; on corrector failure (no convergence, conditioning, chart exit, or
-    basin miss on the predicted state) the step halves up to config.retries
-    times before the partial branch is raised inside NoConvergence. A
+    basin miss on the predicted state) or a transversality margin at or
+    below MARGIN_FLOOR the step halves up to config.retries times before the
+    partial branch is raised inside NoConvergence, whose message ends with
+    the last attempt's cause. A
     record whose nondegeneracy verdict is not clean is appended flagged and
     the branch halts there.
     """
@@ -275,12 +277,15 @@ def continue_branch(problem, seed_state, config):
                 rec, basis = _certify(problem, st_new, target, config,
                                       iters, ref, with_diagnostics=with_diag)
             except (NoConvergence, IllConditioned, DomainError,
-                    PreconditionError):
+                    PreconditionError) as exc:
+                cause = f"{type(exc).__name__}: {exc}"
                 step *= 0.5
                 fast = 0
                 continue
             if rec.transversality_margin <= MARGIN_FLOOR:
                 # stale slice: shrink toward the reference instead of accepting
+                cause = (f"transversality margin "
+                         f"{rec.transversality_margin:.3g} <= {MARGIN_FLOOR}")
                 rec = None
                 step *= 0.5
                 fast = 0
@@ -288,9 +293,11 @@ def continue_branch(problem, seed_state, config):
             advanced = True
             break
         if not advanced:
+            # the first attempt always runs (step >= min_step), so cause is set
             raise NoConvergence(
                 f"continuation stalled at lambda_hat={lam:.12g} "
-                f"(step underflow below {config.min_step:.3e})",
+                f"(step underflow below {config.min_step:.3e}); "
+                f"last failure: {cause}",
                 partial_branch=records)
         records.append(rec)
         if rec.verdict != "nondegenerate":

@@ -265,6 +265,8 @@ def test_continue_factorization_failure_keeps_partial_branch(
     assert pay["records"] == 3
     assert pay["final"]["verdict"] == "nondegenerate"
     assert "step underflow" in pay["error"]
+    assert "last failure: IllConditioned" in pay["error"]
+    assert "injected factorization failure" in pay["error"]
     assert "(partial)" in capsys.readouterr().out
 
 

@@ -241,6 +241,20 @@ def test_branch_factorization_failure_halves_step(failing_linalg):
     partial = exc.value.partial_branch
     assert [r.lambda_hat for r in partial] == [r.lambda_hat for r in head]
     assert counts["failed"] == cfg.retries + 1
+    # the stall names the last attempt's cause
+    assert "last failure: IllConditioned" in str(exc.value)
+    assert "injected factorization failure" in str(exc.value)
+
+
+def test_branch_margin_rejection_names_the_margin(monkeypatch):
+    # a floor no margin can clear rejects every attempt on the margin alone
+    g, prob, st = _flat_setup()
+    monkeypatch.setattr(continuation, "MARGIN_FLOOR", 1.0)
+    cfg = ContinuationConfig.from_steps(0.0, -0.2, 3, basin_guard=0.05)
+    with pytest.raises(NoConvergence, match="step underflow") as exc:
+        continue_branch(prob, st, cfg)
+    assert len(exc.value.partial_branch) == 1
+    assert "last failure: transversality margin 1 <= 1.0" in str(exc.value)
 
 
 def test_diagnostics_cadence_attaches_reports():
