@@ -234,9 +234,8 @@ def continue_branch(problem, seed_state, config):
     basin miss on the predicted state) or a transversality margin at or
     below MARGIN_FLOOR the step halves up to config.retries times before the
     partial branch is raised inside NoConvergence, whose message ends with
-    the last attempt's cause. A
-    record whose nondegeneracy verdict is not clean is appended flagged and
-    the branch halts there.
+    the last attempt's cause. A record whose nondegeneracy verdict is not
+    clean is appended flagged and the branch halts there.
     """
     lam = float(config.start)
     st, iters, _ = corrector_step(problem, seed_state, lam, config)

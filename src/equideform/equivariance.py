@@ -3,11 +3,10 @@
 The numerical Jacobi kernel is extracted from one tridiagonal reduction of
 the weight-symmetrized operator (its whole spectrum, and eigenvectors only
 for the kernel) and compared against the span of the Killing-induced Jacobi
-fields through principal angles. A state is
-certified nondegenerate exactly when the kernel dimension equals the
-Killing rank and every principal angle is below tolerance; a mandatory
-multiplicative spectral gap guards against silent misclassification near
-threshold.
+fields through principal angles. A state is certified nondegenerate exactly
+when the kernel dimension equals the Killing rank and every principal angle
+is below tolerance; a mandatory multiplicative spectral gap guards against
+silent misclassification near threshold.
 
 The slice through a certified state is the W-complement of its Killing
 span. It stays transversal to a nearby orbit while the two k-dimensional
@@ -50,10 +49,10 @@ def _lapack_check(info, routine):
 class _Tridiagonal:
     """One Householder reduction A = Q T Q^T of a symmetric matrix A.
 
-    LAPACK dsytrd reduces the lower triangle to T, and Q is the product of the n - 1 reflectors stored below
-    the subdiagonal, applied by dormqr and never formed. The eigenvalues of A
-    are T's, ascending, from dsterf in O(n^2). Any nonzero LAPACK info
-    raises LinAlgError.
+    LAPACK dsytrd reduces the lower triangle to the tridiagonal T; Q is the
+    product of the n - 1 reflectors stored below the subdiagonal, applied by
+    dormqr and never formed. The eigenvalues of A are T's, ascending, from
+    dsterf in O(n^2). Any nonzero LAPACK info raises LinAlgError.
     """
 
     def __init__(self, A):
