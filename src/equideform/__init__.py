@@ -19,16 +19,15 @@ from .lie_bundle import (AlgebraBasis, AlgebraElement, CheckReport,
                          verify_bundle)
 from .mesh import Grid, Pairing, build_grid, fornberg_weights
 from .ambient import (FlatTorus, ProductM2kR, ScaledSphere, SpaceForm2,
-                      killing_fields, killing_residual,
-                      metric_at, quadric_embed, quadric_to_chart, radial_area,
-                      sn_lambda, structure_match)
+                      killing_residual, quadric_embed, quadric_to_chart,
+                      radial_area, sn_lambda, structure_match)
 from .variational import (PROBLEMS, CmcCircle, CmcProfile, HarmonicSphere,
                           HarmonicTorus, JacobiOperator, Problem, ProblemState, act,
                           circle_seed, cmc_circle_radius, derived_scalars,
                           geodesic_curvature, jacobi, killing_jacobi_basis,
-                          orbit_generators, pairing, profile_cylinder_seed,
-                          residual, residual_norm, sphere_equator_seed,
-                          state_size, torus_line_seed, value)
+                          pairing, profile_cylinder_seed, residual,
+                          residual_norm, sphere_equator_seed, state_size,
+                          torus_line_seed, value)
 from .equivariance import (DiagnosticsReport, KernelBasis, NondegeneracyReport,
                            nondegeneracy_report, numerical_kernel,
                            operator_diagnostics, rank_basis,

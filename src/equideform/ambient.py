@@ -1,4 +1,4 @@
-"""Concrete ambient geometries with metrics and Killing fields.
+"""Concrete ambient geometries; each model owns its metric and Killing fields.
 
 Four models, each given in one fixed chart:
 
@@ -13,10 +13,15 @@ Four models, each given in one fixed chart:
   and longitude (vartheta, varphi), metric (1/lam) (dvartheta^2 +
   sin(vartheta)^2 dvarphi^2).
 
-Killing fields are written in closed form in the chart; killing_residual
-provides the finite difference oracle that certifies them, and
-structure_match verifies that their bracket table agrees with the matrix
-model of the same algebra in lie_bundle.
+Each model's metric(p) is the chart metric matrix at a point and its
+killing_fields(p) the closed-form Killing fields, one array per field, of
+the shape of p: the chart coordinates run along the first axis, and a
+trailing node axis evaluates a block of points at once. The problem
+instances in variational take their Killing-induced Jacobi fields from
+these methods, so killing_residual, the finite difference oracle, certifies
+the fields the solver runs, and structure_match verifies that the bracket
+table of the SpaceForm2 fields agrees with the matrix model of the same
+algebra in lie_bundle.
 """
 
 from dataclasses import dataclass, field
@@ -87,16 +92,51 @@ def radial_area(lam, r):
 # ---------------------------------------------------------------------------
 # models
 
+def _polar_sn(lam, p):
+    r = p[0]
+    if r <= 0.0:
+        raise DomainError(f"polar chart needs r > 0, got {r}")
+    sn, _ = sn_lambda(lam, r)
+    return sn
+
+
 @dataclass(frozen=True)
 class SpaceForm2:
+    """The curvature-lam plane in the geodesic polar chart (r, theta)."""
     lam: float
-    coord_names = ("r", "theta")
+
+    def metric(self, p):
+        sn = _polar_sn(self.lam, p)
+        return np.diag([1.0, sn * sn])
+
+    def killing_fields(self, p):
+        """The rotation and the two translations through the chart origin."""
+        r, theta = np.asarray(p, dtype=float)
+        sn, snp = sn_lambda(self.lam, r)
+        ratio = snp / sn
+        return [np.stack([np.zeros_like(r), np.ones_like(r)]),
+                np.stack([np.cos(theta), -ratio * np.sin(theta)]),
+                np.stack([np.sin(theta), ratio * np.cos(theta)])]
 
 
 @dataclass(frozen=True)
 class ProductM2kR:
+    """M^2(k) x R in the chart (r, theta, z)."""
     k: float
-    coord_names = ("r", "theta", "z")
+
+    def metric(self, p):
+        sn = _polar_sn(self.k, p)
+        return np.diag([1.0, sn * sn, 1.0])
+
+    def killing_fields(self, p):
+        """Only the 4 splitting-preserving fields, a constant count along the
+        whole family; at k = 0 the full isometry group of the product is
+        larger but the extra fields do not persist for k != 0."""
+        r, theta, z = np.asarray(p, dtype=float)
+        zero = np.zeros_like(z)
+        planar = SpaceForm2(self.k).killing_fields((r, theta))
+        return ([np.stack([kr, kth, zero]) for kr, kth in planar]
+                + [np.stack([zero, zero, np.ones_like(z)])])
 
 
 def _check_spd(Q):
@@ -110,162 +150,87 @@ def _check_spd(Q):
 
 @dataclass(frozen=True)
 class FlatTorus:
+    """R^2 / Z^2 in the chart (x, y) with constant Gram matrix Q."""
     Q: np.ndarray = field(repr=False)
-    coord_names = ("x", "y")
 
     def __post_init__(self):
         object.__setattr__(self, "Q", _check_spd(self.Q))
 
+    def metric(self, p):
+        return self.Q.copy()
+
+    def killing_fields(self, p):
+        """The two unit translations."""
+        x, _ = np.asarray(p, dtype=float)
+        one, zero = np.ones_like(x), np.zeros_like(x)
+        return [np.stack([one, zero]), np.stack([zero, one])]
+
 
 @dataclass(frozen=True)
 class ScaledSphere:
+    """The round sphere of curvature lam > 0 in the chart (vartheta, varphi)
+    of colatitude and longitude."""
     lam: float
-    coord_names = ("vartheta", "varphi")
 
     def __post_init__(self):
         if self.lam <= 0.0:
             raise DomainError("sphere curvature must be positive")
 
-
-def metric_at(model, p):
-    """Chart metric matrix at a point; symmetric positive definite."""
-    p = np.asarray(p, dtype=float)
-    if isinstance(model, SpaceForm2):
-        r = p[0]
-        if r <= 0.0:
-            raise DomainError(f"polar chart needs r > 0, got {r}")
-        sn, _ = sn_lambda(model.lam, r)
-        return np.diag([1.0, sn * sn])
-    if isinstance(model, ProductM2kR):
-        r = p[0]
-        if r <= 0.0:
-            raise DomainError(f"polar chart needs r > 0, got {r}")
-        sn, _ = sn_lambda(model.k, r)
-        return np.diag([1.0, sn * sn, 1.0])
-    if isinstance(model, FlatTorus):
-        return model.Q.copy()
-    if isinstance(model, ScaledSphere):
+    def metric(self, p):
         th = p[0]
         if not 0.0 < th < np.pi:
             raise DomainError(f"sphere chart needs 0 < vartheta < pi, got {th}")
-        return (1.0 / model.lam) * np.diag([1.0, np.sin(th) ** 2])
-    raise DomainError(f"unknown ambient model {model!r}")
+        return (1.0 / self.lam) * np.diag([1.0, np.sin(th) ** 2])
+
+    def killing_fields(self, p):
+        """Rotations about the x, y and z axes."""
+        th, ph = np.asarray(p, dtype=float)
+        s, co = np.sin(ph), np.cos(ph)
+        cot = np.cos(th) / np.sin(th)
+        return [np.stack([-s, -cot * co]),
+                np.stack([co, -cot * s]),
+                np.stack([np.zeros_like(th), np.ones_like(th)])]
 
 
 # ---------------------------------------------------------------------------
-# Killing fields
+# finite difference oracles
 
-def _space_form_fields(lam):
-    def rot(p):
-        return np.array([0.0, 1.0])
-
-    def trans1(p):
-        sn, snp = sn_lambda(lam, p[0])
-        return np.array([np.cos(p[1]), -(snp / sn) * np.sin(p[1])])
-
-    def trans2(p):
-        sn, snp = sn_lambda(lam, p[0])
-        return np.array([np.sin(p[1]), (snp / sn) * np.cos(p[1])])
-
-    return [rot, trans1, trans2]
+def _fields_and_jacobians(model, p, h):
+    # K[f, a] = K_f^a(p) and, by central differences of step h,
+    # dK[f, a, i] = d K_f^a / d x^i, from one evaluation at the 2d stencil points
+    d = len(p)
+    shifts = h * np.hstack([np.eye(d), -np.eye(d)])
+    K = np.array(model.killing_fields(p))
+    ev = np.array(model.killing_fields(p[:, None] + shifts))
+    return K, (ev[..., :d] - ev[..., d:]) / (2 * h)
 
 
-def _sphere_fields():
-    # rotations about the x, y, z axes, in (vartheta, varphi) components
-    def kx(p):
-        th, ph = p
-        return np.array([-np.sin(ph), -np.cos(ph) / np.tan(th)])
-
-    def ky(p):
-        th, ph = p
-        return np.array([np.cos(ph), -np.sin(ph) / np.tan(th)])
-
-    def kz(p):
-        return np.array([0.0, 1.0])
-
-    return [kx, ky, kz]
-
-
-def killing_fields(model):
-    """Closed-form Killing field basis as chart-component callables.
-
-    The product model returns only the 4 splitting-preserving fields, a
-    constant count along the whole family; at k = 0 the full isometry group
-    of the product is larger but the extra fields do not persist for k != 0.
-    """
-    if isinstance(model, SpaceForm2):
-        return _space_form_fields(model.lam)
-    if isinstance(model, FlatTorus):
-        return [lambda p: np.array([1.0, 0.0]), lambda p: np.array([0.0, 1.0])]
-    if isinstance(model, ProductM2kR):
-        planar = _space_form_fields(model.k)
-
-        def lift(f):
-            return lambda p: np.concatenate([f(p[:2]), [0.0]])
-
-        fields = [lift(f) for f in planar]
-        fields.append(lambda p: np.array([0.0, 0.0, 1.0]))
-        return fields
-    if isinstance(model, ScaledSphere):
-        return _sphere_fields()
-    raise DomainError(f"unknown ambient model {model!r}")
-
-
-def killing_residual(model, fld, p, h=1e-4):
-    """Finite difference norm of the Lie derivative of the metric along fld.
+def killing_residual(model, p, h=1e-4):
+    """Worst norm over the model's Killing fields of the Lie derivative of the
+    metric along the field at p.
 
     Central differences of step h for both the metric and the field
     components; an exact Killing field comes out O(h^2).
     """
     p = np.asarray(p, dtype=float)
-    d = len(p)
-
-    def dg(i):
-        dp = np.zeros(d)
-        dp[i] = h
-        return (metric_at(model, p + dp) - metric_at(model, p - dp)) / (2 * h)
-
-    def dK(i):
-        dp = np.zeros(d)
-        dp[i] = h
-        return (np.asarray(fld(p + dp)) - np.asarray(fld(p - dp))) / (2 * h)
-
-    g = metric_at(model, p)
-    K = np.asarray(fld(p), dtype=float)
-    dgs = [dg(i) for i in range(d)]
-    dKs = np.column_stack([dK(i) for i in range(d)])  # dKs[a, i] = d K^a / d x^i
-    L = sum(K[k] * dgs[k] for k in range(d))
-    L = L + g @ dKs + dKs.T @ g
-    return float(np.linalg.norm(L))
-
-
-# ---------------------------------------------------------------------------
-# consistency with the matrix model
-
-def _fd_bracket(f1, f2, p, h):
-    # [F1, F2]^a = F1^i d_i F2^a - F2^i d_i F1^a with central differences
-    p = np.asarray(p, dtype=float)
-    d = len(p)
-
-    def jac(f):
-        cols = []
-        for i in range(d):
-            dp = np.zeros(d)
-            dp[i] = h
-            cols.append((np.asarray(f(p + dp)) - np.asarray(f(p - dp))) / (2 * h))
-        return np.column_stack(cols)
-
-    v1 = np.asarray(f1(p), dtype=float)
-    v2 = np.asarray(f2(p), dtype=float)
-    return jac(f2) @ v1 - jac(f1) @ v2
+    steps = h * np.eye(len(p))
+    g = model.metric(p)
+    dg = [(model.metric(p + e) - model.metric(p - e)) / (2 * h) for e in steps]
+    K, dK = _fields_and_jacobians(model, p, h)
+    worst = 0.0
+    for Kf, J in zip(K, dK):
+        L = sum(k * dgk for k, dgk in zip(Kf, dg)) + g @ J + J.T @ g
+        worst = max(worst, float(np.linalg.norm(L)))
+    return worst
 
 
 def structure_match(lam, p, h=1e-4):
     """Deviation between chart and matrix structure constants of g_lam.
 
-    Brackets of the three chart Killing fields are computed by finite
-    differences and expressed back in the field basis by least squares over
-    a cluster of probe points; they are compared with the exact constants of
+    Brackets [K_i, K_j]^a = K_i^c d_c K_j^a - K_j^c d_c K_i^a of the three
+    SpaceForm2 Killing fields are computed by finite differences and
+    expressed back in the field basis by least squares over a cluster of
+    probe points; they are compared with the exact constants of
     algebra_basis(lam, 2) under the correspondence rotation <-> rotation and
     translation swap (the chart fields push forward from the other side of
     the group, which flips the bracket sign; composing with the swap of the
@@ -273,15 +238,18 @@ def structure_match(lam, p, h=1e-4):
     """
     p = np.asarray(p, dtype=float)
     model = SpaceForm2(lam)
-    flds = killing_fields(model)
     probes = [p, p + np.array([0.041, 0.067]), p + np.array([-0.053, 0.029])]
 
     # C[i, j] holds the basis coordinates of the bracket of fields i and j,
     # with all nine brackets as right-hand sides of one lstsq
-    A = np.vstack([np.column_stack([f(q) for f in flds]) for q in probes])
-    b = np.column_stack([np.concatenate([_fd_bracket(fi, fj, q, h) for q in probes])
-                         for fi in flds for fj in flds])
-    C_chart = np.linalg.lstsq(A, b, rcond=None)[0].T.reshape(3, 3, 3)
+    A, b = [], []
+    for q in probes:
+        K, dK = _fields_and_jacobians(model, q, h)
+        A.append(K.T)
+        b.append(np.column_stack([dK[j] @ K[i] - dK[i] @ K[j]
+                                  for i in range(3) for j in range(3)]))
+    C_chart = np.linalg.lstsq(np.vstack(A), np.vstack(b),
+                              rcond=None)[0].T.reshape(3, 3, 3)
 
     mats = [e.mat for e in algebra_basis(lam, 2).elements]
     M = np.column_stack([m.ravel() for m in mats])

@@ -39,8 +39,8 @@ from .equivariance import (_Tridiagonal, nondegeneracy_report,
 from .errors import (DomainError, IllConditioned, NoConvergence,
                      PreconditionError)
 from .variational import (ProblemState, act, derived_scalars, jacobi,
-                          killing_jacobi_basis, orbit_generators, pairing,
-                          residual, residual_norm)
+                          killing_jacobi_basis, pairing, residual,
+                          residual_norm)
 
 MARGIN_FLOOR = 0.1
 RECORD_CAP = 100000
@@ -78,6 +78,8 @@ class ContinuationConfig:
             raise PreconditionError("tolerances must be positive")
         if self.max_newton < 0 or self.retries < 0:
             raise PreconditionError("max_newton and retries must be non-negative")
+        if self.tol_rel is not None and not 0.0 < self.tol_rel <= 1e-2:
+            raise PreconditionError(f"tol_rel must lie in (0, 1e-2], got {self.tol_rel}")
 
     @classmethod
     def from_steps(cls, start, end, n_records, **kwargs):
@@ -328,7 +330,7 @@ def orbit_project(problem, state, lambda_hat, reference):
     pr = pairing(problem)
     w = pr.weights
     B = rank_basis(killing_jacobi_basis(problem, reference, lambda_hat), w)
-    k = len(orbit_generators(problem, lambda_hat))
+    k = len(problem.generators(lambda_hat))
     if k == 0 or B.shape[1] == 0:
         moved = ProblemState(state.values.copy())
         dist = float(np.linalg.norm(B.T @ (w * (moved.values - reference.values))))

@@ -185,15 +185,11 @@ def group_membership_residual(g, lam):
 def bracket_closure_residual(basis):
     """Max least-squares defect of projecting basis brackets back onto the span.
 
-    Accepts an AlgebraBasis or a plain list of d square matrices. The
-    stacked basis is factored once by SVD (keeping the singular vectors
-    lstsq would), and one element's brackets are projected at a time, so
-    memory stays O(d (n+1)^2).
+    basis is a list of d square matrices. The stacked basis is factored once
+    by SVD (keeping the singular vectors lstsq would), and one element's
+    brackets are projected at a time, so memory stays O(d (n+1)^2).
     """
-    if hasattr(basis, "elements"):
-        mats = [e.mat for e in basis.elements]
-    else:
-        mats = [np.asarray(m, dtype=float) for m in basis]
+    mats = [np.asarray(m, dtype=float) for m in basis]
     if len(mats) < 2:
         return 0.0  # no brackets to close
     M = np.column_stack([m.ravel() for m in mats])

@@ -42,7 +42,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.optimize.elementwise import find_root
 
-from .ambient import (FlatTorus, ScaledSphere, quadric_embed,
+from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_embed,
                       quadric_to_chart, radial_area, sn_lambda)
 from .errors import ConfigError, DomainError, ShapeError, UnsupportedError
 from .lie_bundle import algebra_element
@@ -215,15 +215,9 @@ class CmcCircle(Problem):
         spans the same rays only up to the non-constant factor sn/F and is
         NOT in ker J for off-center graphs.
         """
-        theta = self.grid.nodes
-        p, sn, snp, F = self._terms(r, lam)
-        ratio = snp / sn
-        fields = [
-            (np.zeros_like(r), np.ones_like(r)),
-            (np.cos(theta), -ratio * np.sin(theta)),
-            (np.sin(theta), ratio * np.cos(theta)),
-        ]
-        return [kr - p * kth for kr, kth in fields]
+        p = self.grid.diff1 @ r
+        return [kr - p * kth for kr, kth in
+                SpaceForm2(lam).killing_fields((r, self.grid.nodes))]
 
     def generators(self, lam):
         """The two translation generators of G_lam; the rotation fixes every
@@ -464,14 +458,15 @@ class HarmonicTorus(_Harmonic):
         return np.kron(Q, K)
 
     def killing_fields(self, vals, t):
-        """The two unit translations plus the domain-rotation pushforward."""
-        n = self.grid.N
+        """The two unit translations of the torus at t plus the
+        domain-rotation pushforward."""
         D1 = self.grid.diff1
         u, w = _split(vals)
         p, q = self.homotopy
-        one, zero = np.ones(n), np.zeros(n)
+        s = self.grid.nodes / TWO_PI
+        fields = self.ambient(t).killing_fields((p * s + u, q * s + w))
         push = np.concatenate([p / TWO_PI + D1 @ u, q / TWO_PI + D1 @ w])
-        return [np.concatenate([one, zero]), np.concatenate([zero, one]), push]
+        return [f.ravel() for f in fields] + [push]
 
     def generators(self, t):
         """The two unit translations."""
@@ -550,14 +545,9 @@ class HarmonicSphere(_Harmonic):
         domain-rotation pushforward."""
         D1 = self.grid.diff1
         a, b = _split(vals)
-        phi = self.grid.nodes + b
-        s, co = np.sin(phi), np.cos(phi)
-        cot = np.cos(a) / np.sin(a)
-        kx = np.concatenate([-s, -cot * co])
-        ky = np.concatenate([co, -cot * s])
-        kz = np.concatenate([np.zeros_like(a), np.ones_like(a)])
+        fields = ScaledSphere(lam).killing_fields((a, self.grid.nodes + b))
         push = np.concatenate([D1 @ a, 1.0 + D1 @ b])
-        return [kx, ky, kz, push]
+        return [f.ravel() for f in fields] + [push]
 
     def generators(self, lam):
         """The three rotation generators of so(3)."""
@@ -662,19 +652,14 @@ def killing_jacobi_basis(problem, state, lambda_hat):
     return problem.killing_fields(v, lambda_hat)
 
 
-def orbit_generators(problem, lambda_hat):
-    """Generators of the identifiable isometry action used for orbit work."""
-    return problem.generators(lambda_hat)
-
-
 def act(problem, state, lambda_hat, t):
     """Apply the isometry exp(sum t_a X_a) to a state through the chart.
 
-    X_a are the orbit_generators; each instance's act says how the motion
-    is carried to chart values. Zero motion returns a copy.
+    X_a are problem.generators(lambda_hat); each instance's act says how the
+    motion is carried to chart values. Zero motion returns a copy.
     """
     t = np.asarray(t, dtype=float).ravel()
-    k = len(orbit_generators(problem, lambda_hat))
+    k = len(problem.generators(lambda_hat))
     if t.size != k:
         raise ShapeError(f"expected {k} group parameters, got {t.size}")
     _check_state(problem, state, lambda_hat)

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from equideform.ambient import (FlatTorus, ProductM2kR, ScaledSphere,
-                                SpaceForm2, killing_fields, killing_residual,
-                                metric_at, quadric_embed, quadric_to_chart,
-                                radial_area, sn_lambda, structure_match)
+                                SpaceForm2, killing_residual, quadric_embed,
+                                quadric_to_chart, radial_area, sn_lambda,
+                                structure_match)
 from equideform.errors import DomainError
 
 
@@ -84,14 +84,14 @@ def test_radial_area_series_agrees_with_closed_form_below_the_cut():
 
 
 def test_metric_shapes_and_domain_guards():
-    assert np.allclose(metric_at(SpaceForm2(0.0), [0.7, 1.0]),
+    assert np.allclose(SpaceForm2(0.0).metric([0.7, 1.0]),
                        np.diag([1.0, 0.49]))
     with pytest.raises(DomainError):
-        metric_at(SpaceForm2(1.0), [0.0, 0.3])
-    m = metric_at(ProductM2kR(-1.0), [0.5, 0.1, 2.0])
+        SpaceForm2(1.0).metric([0.0, 0.3])
+    m = ProductM2kR(-1.0).metric([0.5, 0.1, 2.0])
     assert m.shape == (3, 3) and m[2, 2] == 1.0
     with pytest.raises(DomainError):
-        metric_at(ScaledSphere(1.0), [np.pi, 0.0])
+        ScaledSphere(1.0).metric([np.pi, 0.0])
     with pytest.raises(DomainError):
         FlatTorus(np.array([[1.0, 2.0], [2.0, 1.0]]))  # not positive definite
     with pytest.raises(DomainError):
@@ -99,10 +99,34 @@ def test_metric_shapes_and_domain_guards():
 
 
 def test_killing_field_counts():
-    assert len(killing_fields(SpaceForm2(1.0))) == 3
-    assert len(killing_fields(FlatTorus(np.eye(2)))) == 2
-    assert len(killing_fields(ProductM2kR(0.5))) == 4
-    assert len(killing_fields(ScaledSphere(2.0))) == 3
+    assert len(SpaceForm2(1.0).killing_fields([0.7, 0.3])) == 3
+    assert len(FlatTorus(np.eye(2)).killing_fields([0.2, 0.8])) == 2
+    assert len(ProductM2kR(0.5).killing_fields([0.7, 0.3, 1.0])) == 4
+    assert len(ScaledSphere(2.0).killing_fields([1.2, 0.5])) == 3
+
+
+def test_block_fields_equal_pointwise_fields_bitwise():
+    # the node axis must not change a single bit of any field component
+    rng = np.random.default_rng(14)
+    boxes = [
+        (SpaceForm2(1.0), [(0.05, 2.5), (0.0, 2 * np.pi)]),
+        (SpaceForm2(0.0), [(0.05, 2.5), (0.0, 2 * np.pi)]),
+        # radii on both sides of sn_lambda's series cut at |lam| r^2 = 1e-4
+        (SpaceForm2(-1.0), [(1e-3, 0.02), (0.0, 2 * np.pi)]),
+        (ProductM2kR(-0.5), [(0.05, 2.5), (0.0, 2 * np.pi), (-2.0, 2.0)]),
+        (FlatTorus(np.array([[4.0, 1.0], [1.0, 1.0]])), [(-1.0, 1.0), (-1.0, 1.0)]),
+        (ScaledSphere(1.5), [(0.1, 3.0), (0.0, 2 * np.pi)]),
+    ]
+    for model, box in boxes:
+        P = np.array([rng.uniform(lo, hi, 5) for lo, hi in box])
+        block = model.killing_fields(P)
+        assert all(f.shape == P.shape for f in block)
+        for j in range(P.shape[1]):
+            point = model.killing_fields(P[:, j])
+            assert len(point) == len(block)
+            for fb, fp in zip(block, point):
+                assert fp.shape == (P.shape[0],)
+                assert np.ascontiguousarray(fb[:, j]).tobytes() == fp.tobytes()
 
 
 def test_killing_residuals_vanish_to_fd_accuracy():
@@ -117,17 +141,14 @@ def test_killing_residuals_vanish_to_fd_accuracy():
     ]
     for model, pts in probes:
         for p in pts:
-            for fld in killing_fields(model):
-                assert killing_residual(model, fld, np.array(p)) < 5e-7
+            assert killing_residual(model, np.array(p)) < 5e-7
 
 
 def test_rotated_probe_sees_same_residual_scale():
-    model = SpaceForm2(0.5)
-    flds = killing_fields(model)
-    vals = [f([0.8, 0.45]) for f in flds]
+    vals = SpaceForm2(0.5).killing_fields([0.8, 0.45])
     assert len(vals) == 3 and all(v.shape == (2,) for v in vals)
     # rotation field is the angular coordinate field everywhere
-    assert np.allclose(flds[0]([0.8, 0.45]), [0.0, 1.0]) or any(
+    assert np.allclose(vals[0], [0.0, 1.0]) or any(
         np.allclose(v, [0.0, 1.0]) for v in vals)
 
 

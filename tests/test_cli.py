@@ -351,6 +351,8 @@ def test_congruence_seed_outside_chart_exit_three(tmp_path, capsys):
     "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
     "[test]\ninject_shift = inf\n",
     "[problem]\ninstance = harmonic_torus\nn = 33\ngram_start = 1, nan, 1\n",
+    "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
+    "[path]\ntol_rel = 0.5\n",
 ])
 def test_analyze_config_errors(tmp_path, capsys, text):
     code, _ = run_cli(tmp_path, "analyze", text)
@@ -375,6 +377,7 @@ initial_step = 0.1
     "start = 1.0\nend = 0.5\nrecords = 6\nretries = -1\n",
     "start = 1.0\nend = 0.5\nrecords = 6\nmax_newton = -1\n",
     "start = 1.0\nend = 0.5\ninitial_step = 0.1\nretries = 100000\n",
+    "start = 1.0\nend = 0.5\nrecords = 6\ntol_rel = 0.5\n",
 ])
 def test_continue_invalid_path_is_config_error(tmp_path, capsys, path):
     code, _ = run_cli(tmp_path, "continue", CIRCLE_PROBLEM + "[path]\n" + path)

@@ -37,7 +37,7 @@ def test_basis_dimension_and_closure():
         for lam in LAMBDAS:
             basis = algebra_basis(lam, n)
             assert len(basis.elements) == dim
-            assert bracket_closure_residual(basis) < 1e-12
+            assert bracket_closure_residual([e.mat for e in basis.elements]) < 1e-12
     assert bracket_closure_residual([np.eye(3)]) == 0.0
 
 
@@ -85,10 +85,9 @@ def test_invariance_residual_of_identity_matrix():
 
 def test_eta_form_signature_and_domain():
     eta = eta_form(1.0, 2)
-    assert np.allclose(eta.matrix if hasattr(eta, "matrix") else eta.mat,
-                       np.eye(3))
+    assert np.allclose(eta.matrix, np.eye(3))
     neg = eta_form(-4.0, 2)
-    m = neg.matrix if hasattr(neg, "matrix") else neg.mat
+    m = neg.matrix
     assert m[0, 0] < 0.0 and m[1, 1] > 0.0
     with pytest.raises(DomainError):
         eta_form(0.0, 2)

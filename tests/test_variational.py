@@ -13,8 +13,8 @@ from equideform.variational import (CmcCircle, HarmonicSphere, HarmonicTorus,
                                     ProblemState, act, circle_seed,
                                     cmc_circle_radius, derived_scalars,
                                     geodesic_curvature, jacobi,
-                                    killing_jacobi_basis, orbit_generators,
-                                    pairing, profile_cylinder_seed, residual,
+                                    killing_jacobi_basis, pairing,
+                                    profile_cylinder_seed, residual,
                                     residual_norm, sphere_equator_seed,
                                     torus_line_seed, value)
 
@@ -266,7 +266,7 @@ def test_value_invariant_under_killing_motions():
     cases.append(sphere_equator_seed(godd) + (1.0,))
     for prob, st, lam in cases:
         f0 = value(prob, st, lam)
-        k = len(orbit_generators(prob, lam))
+        k = len(prob.generators(lam))
         for _ in range(5):
             t = rng.uniform(-0.1, 0.1, k)
             moved = act(prob, st, lam, t)
@@ -287,7 +287,7 @@ def test_act_zero_is_identity_and_shapes_are_checked():
 def test_profile_action_is_trivial():
     g = build_grid("dirichlet", 48, order=4, a=0.0, b=1.0)
     prob, st = profile_cylinder_seed(2.0, g)
-    assert len(orbit_generators(prob, 0.0)) == 0
+    assert len(prob.generators(0.0)) == 0
     moved = act(prob, st, 0.0, np.zeros(0))
     assert np.array_equal(moved.values, st.values)
 
@@ -415,13 +415,13 @@ def test_orbit_generator_counts():
     godd = build_grid("periodic", 65)
     gd = build_grid("dirichlet", 32, order=4, a=0.0, b=1.0)
     prob, _ = circle_seed(0.0, 2.0, g)
-    assert len(orbit_generators(prob, 0.0)) == 2
+    assert len(prob.generators(0.0)) == 2
     probt, _ = torus_line_seed((1, 0), godd, np.eye(2), np.eye(2))
-    assert len(orbit_generators(probt, 0.0)) == 2
+    assert len(probt.generators(0.0)) == 2
     probs, _ = sphere_equator_seed(godd)
-    assert len(orbit_generators(probs, 1.0)) == 3
+    assert len(probs.generators(1.0)) == 3
     probp, _ = profile_cylinder_seed(2.0, gd)
-    assert len(orbit_generators(probp, 0.0)) == 0
+    assert len(probp.generators(0.0)) == 0
 
 
 # ------------------------------------------------------------ curvature
