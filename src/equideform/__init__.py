@@ -9,9 +9,7 @@ in the family parameter.
 from .errors import (ConfigError, DomainError, EquideformError,
                      IllConditioned, NoConvergence, PreconditionError,
                      ShapeError, UnsupportedError)
-from .lie_bundle import (AlgebraBasis, AlgebraElement, CheckReport,
-                         GroupWord, QuadraticForm, ReductivePair,
-                         SliceElement, algebra_basis, algebra_element,
+from .lie_bundle import (CheckReport, algebra_basis, algebra_element,
                          bracket_closure_residual, complement_and_slice_check,
                          complement_basis, deformed_bracket, eta_form,
                          group_membership_residual,
@@ -32,7 +30,7 @@ from .equivariance import (DiagnosticsReport, KernelBasis, NondegeneracyReport,
                            nondegeneracy_report, numerical_kernel,
                            operator_diagnostics, rank_basis,
                            transversality_margin)
-from .continuation import (BranchRecord, ContinuationConfig, GroupParameters,
+from .continuation import (BranchRecord, ContinuationConfig,
                            congruence_check, continue_branch, corrector_step,
                            orbit_project)
 

@@ -251,7 +251,7 @@ def structure_match(lam, p, h=1e-4):
     C_chart = np.linalg.lstsq(np.vstack(A), np.vstack(b),
                               rcond=None)[0].T.reshape(3, 3, 3)
 
-    mats = [e.mat for e in algebra_basis(lam, 2).elements]
+    mats = algebra_basis(lam, 2)
     M = np.column_stack([m.ravel() for m in mats])
     b = np.column_stack([(x @ y - y @ x).ravel() for x in mats for y in mats])
     C_mat = np.linalg.lstsq(M, b, rcond=None)[0].T.reshape(3, 3, 3)

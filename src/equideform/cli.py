@@ -214,18 +214,17 @@ def _path_config(cp, lam=None):
         end = _get(cp, "path", "end", _float, required=True)
         records = _get(cp, "path", "records", int)
         if records is not None:
-            if cp.has_option("path", "initial_step"):
-                raise ConfigError("[path] give either records or "
-                                  "initial_step, not both")
+            given = [key for key in ("initial_step", "min_step", "max_step")
+                     if cp.has_option("path", key)]
+            if given:
+                raise ConfigError(f"[path] give either records or "
+                                  f"{', '.join(given)}, not both")
             return ContinuationConfig.from_steps(start, end, records, **kwargs)
         initial = _get(cp, "path", "initial_step", _positive, required=True)
-        retries = kwargs.get("retries", 6)
-        min_step = _get(cp, "path", "min_step", _positive,
-                        default=initial / 2.0**(retries + 1))
-        max_step = _get(cp, "path", "max_step", _positive, default=initial)
-        return ContinuationConfig(start=start, end=end, initial_step=initial,
-                                  min_step=min_step, max_step=max_step,
-                                  **kwargs)
+        return ContinuationConfig(
+            start=start, end=end, initial_step=initial,
+            min_step=_get(cp, "path", "min_step", _positive),
+            max_step=_get(cp, "path", "max_step", _positive), **kwargs)
     except ConfigError:
         raise
     except (ValueError, OverflowError, EquideformError) as exc:
@@ -346,15 +345,15 @@ def run_congruence(cp, seed, chash, outdir):
         except (ShapeError, DomainError) as exc:
             # a motion of the wrong length, or one too large for the chart
             raise ConfigError(f"[congruence] t: {exc}")
-        congruent, params = congruence_check(problem, seed_state, moved, lam,
-                                             tol=tol)
+        congruent, recovered = congruence_check(problem, seed_state, moved,
+                                                lam, tol=tol)
     except _SOLVER_ERRORS as exc:
         print(f"equideform: congruence failed: {exc}", file=sys.stderr)
         base["error"] = str(exc)
         write_report(os.path.join(outdir, "report.json"), base)
         return EXIT_SOLVER
     payload = dict(base, congruent=bool(congruent),
-                   recovered_t=list(params.t))
+                   recovered_t=list(recovered))
     write_report(os.path.join(outdir, "report.json"), payload)
     print(f"congruent: {congruent}")
     return EXIT_OK if congruent else EXIT_CHECK

@@ -56,11 +56,18 @@ ORBIT_TRUST_RADIUS = 0.25
 
 @dataclass(frozen=True)
 class ContinuationConfig:
+    """Path and corrector settings of a branch.
+
+    min_step defaults to initial_step / 2**(retries + 1), the step left once
+    all retries + 1 attempts at the first step have failed and halved it,
+    and max_step to initial_step.
+    """
+
     start: float
     end: float
     initial_step: float
-    min_step: float
-    max_step: float
+    min_step: float = None
+    max_step: float = None
     tol: float = 1e-10
     max_newton: int = 12
     retries: int = 6
@@ -70,14 +77,25 @@ class ContinuationConfig:
     tol_rel: float = None
 
     def __post_init__(self):
+        if self.max_step is None:
+            object.__setattr__(self, "max_step", self.initial_step)
+        if self.min_step is None:
+            object.__setattr__(self, "min_step",
+                               self.initial_step / 2.0 ** (self.retries + 1))
         if self.min_step <= 0.0 or self.initial_step <= 0.0 or self.max_step <= 0.0:
             raise PreconditionError("continuation steps must be positive")
         if self.min_step > self.initial_step or self.initial_step > self.max_step:
             raise PreconditionError("need min_step <= initial_step <= max_step")
         if self.tol <= 0.0 or self.basin_guard <= 0.0:
             raise PreconditionError("tolerances must be positive")
-        if self.max_newton < 0 or self.retries < 0:
-            raise PreconditionError("max_newton and retries must be non-negative")
+        if self.max_newton < 0 or self.retries < 0 or self.diagnostics_cadence < 0:
+            raise PreconditionError(
+                "max_newton, retries and diagnostics_cadence must be non-negative")
+        if not 0.0 < self.angle_tol < np.pi / 2:
+            # principal angles lie in [0, pi/2], so a tolerance of pi/2 or
+            # more would switch the angle gate off
+            raise PreconditionError(
+                f"angle_tol must lie in (0, pi/2), got {self.angle_tol}")
         if self.tol_rel is not None and not 0.0 < self.tol_rel <= 1e-2:
             raise PreconditionError(f"tol_rel must lie in (0, 1e-2], got {self.tol_rel}")
 
@@ -87,24 +105,14 @@ class ContinuationConfig:
         if n_records < 2 or end == start:
             raise PreconditionError("need at least two records and a nontrivial path")
         step = abs(end - start) / (n_records - 1)
-        kwargs.setdefault("initial_step", step)
-        kwargs.setdefault("max_step", step)
-        kwargs.setdefault("min_step", step / 2 ** (kwargs.get("retries", 6) + 1))
-        return cls(start=float(start), end=float(end), **kwargs)
+        return cls(start=float(start), end=float(end), initial_step=step,
+                   **kwargs)
 
     @classmethod
     def polish(cls, lam, **kwargs):
         """Corrector-only config at the fixed parameter lam (start = end)."""
         return cls(start=lam, end=lam, initial_step=1.0, min_step=1e-12,
                    max_step=1.0, **kwargs)
-
-
-@dataclass(frozen=True, eq=False)
-class GroupParameters:
-    t: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", np.asarray(self.t, dtype=float).ravel())
 
 
 @dataclass(frozen=True, eq=False)
@@ -322,10 +330,10 @@ def orbit_project(problem, state, lambda_hat, reference):
 
     Gauss-Newton over the group parameters t of the Killing components
     F(t) = K^T W (act(state, t) - reference), with K the W-orthonormal
-    Killing-Jacobi rank basis at the reference. Returns the parameters of
-    the motion carrying the reference's representative onto the input state
-    (minus the solve direction), the moved state, and the remaining
-    W-distance to the slice.
+    Killing-Jacobi rank basis at the reference. Returns the parameters t
+    (a float array) of the motion carrying the reference's representative
+    onto the input state (minus the solve direction), the moved state, and
+    the remaining W-distance to the slice.
     """
     pr = pairing(problem)
     w = pr.weights
@@ -334,7 +342,7 @@ def orbit_project(problem, state, lambda_hat, reference):
     if k == 0 or B.shape[1] == 0:
         moved = ProblemState(state.values.copy())
         dist = float(np.linalg.norm(B.T @ (w * (moved.values - reference.values))))
-        return GroupParameters(np.zeros(k)), moved, dist
+        return np.zeros(k), moved, dist
 
     def components(t):
         moved = act(problem, state, lambda_hat, t)
@@ -360,7 +368,7 @@ def orbit_project(problem, state, lambda_hat, reference):
     else:
         raise NoConvergence(
             f"orbit projection stalled with |F| = {np.linalg.norm(F):.3e}")
-    return GroupParameters(-t), moved, float(np.linalg.norm(F))
+    return -t, moved, float(np.linalg.norm(F))
 
 
 def congruence_check(problem, state1, state2, lambda_hat, tol=1e-8):
@@ -371,8 +379,8 @@ def congruence_check(problem, state1, state2, lambda_hat, tol=1e-8):
     propagate; a clean finish returns (within tol?, recovered parameters).
     """
     pr = pairing(problem)
-    gp, moved, _ = orbit_project(problem, state2, lambda_hat, state1)
+    t, moved, _ = orbit_project(problem, state2, lambda_hat, state1)
     polished, _, _ = corrector_step(problem, moved, lambda_hat,
                                     ContinuationConfig.polish(lambda_hat))
     dist = pr.norm(polished.values - state1.values)
-    return bool(dist < tol), gp
+    return bool(dist < tol), t

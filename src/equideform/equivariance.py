@@ -96,15 +96,12 @@ class _Tridiagonal:
         return self.apply_q(z)
 
 
-def _default_tol_rel(n):
-    return 1e-8 * n
-
-
 @dataclass(frozen=True, eq=False)
 class KernelBasis:
     vectors: np.ndarray          # (n, dim), W-orthonormal columns
     singular_values: np.ndarray  # the retained small singular values
-    tolerance: float
+    tol_rel: float               # relative cut used, default 1e-8 * n
+    tolerance: float             # absolute cut, tol_rel * sigma_max
     gap: float
     indeterminate: bool
 
@@ -120,7 +117,8 @@ def numerical_kernel(J, tol_rel=None):
 
     That operator is symmetric, so its singular values are the moduli of its
     eigenvalues, all of which come from the reduction. Retains eigenvectors
-    with sigma < tol_rel * sigma_max, computed for that index range only,
+    with sigma < tol_rel * sigma_max (tol_rel defaults to 1e-8 * n, and the
+    basis records the value used), computed for that index range only,
     and maps them back by W^-1/2, which makes the returned columns exactly
     W-orthonormal. The gap field holds the ratio between the smallest
     rejected and the largest retained singular value; anything below 10^3
@@ -128,7 +126,7 @@ def numerical_kernel(J, tol_rel=None):
     """
     n = J.matrix.shape[0]
     if tol_rel is None:
-        tol_rel = _default_tol_rel(n)
+        tol_rel = 1e-8 * n
     if not 0.0 < tol_rel <= 1e-2:
         raise PreconditionError(f"tol_rel must lie in (0, 1e-2], got {tol_rel}")
     A, sw = _sym_scaled(J)
@@ -147,7 +145,8 @@ def numerical_kernel(J, tol_rel=None):
     gap = float(s[n - d - 1] / s[n - d]) if d and s[n - d] > 0.0 else np.inf
     indeterminate = bool(d > 0 and gap < GAP_FLOOR)
     return KernelBasis(vectors=vectors, singular_values=s[n - d:].copy(),
-                       tolerance=float(tol), gap=float(gap),
+                       tol_rel=float(tol_rel), tolerance=float(tol),
+                       gap=float(gap),
                        indeterminate=indeterminate)
 
 
@@ -219,11 +218,10 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
         verdict = "nondegenerate"
     else:
         verdict = "degenerate"
-    used_tol_rel = tol_rel if tol_rel is not None else _default_tol_rel(J.matrix.shape[0])
     return NondegeneracyReport(
         kernel_dim=d, killing_rank=r, principal_angles=angles,
         max_principal_angle=max_angle, verdict=verdict,
-        tolerances={"tol_rel": float(used_tol_rel), "angle_tol": float(angle_tol),
+        tolerances={"tol_rel": kb.tol_rel, "angle_tol": float(angle_tol),
                     "kernel_tolerance": float(kb.tolerance)},
         gap=kb.gap, indeterminate=kb.indeterminate, residual_norm=float(rn),
         killing_basis=B)

@@ -23,10 +23,14 @@ corner and positive definite lower block meets G_lam only at the identity;
 complement_and_slice_check certifies the tangent splitting and probes the
 off-identity margin on seeded samples.
 
+Every constructor here returns plain matrices: algebra_element the
+(n+1) x (n+1) matrix L_lam(D, u), algebra_basis a list of them, eta_form
+the diagonal form and slice_element the slice matrix.
+
 deformed_bracket is the bracket of g_lam in closed form on (D, u)
-coordinates; ReductivePair is the matrix realization of so(n+1) it is
-checked against at lam = 1. verify_bundle runs every named check of the
-verify-bundle command.
+coordinates; at lam = 1 it is checked against the commutator of the
+algebra_element matrices, which realize so(n+1). verify_bundle runs every
+named check of the verify-bundle command.
 """
 
 from dataclasses import dataclass
@@ -35,48 +39,6 @@ import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError, PreconditionError
-
-
-# ---------------------------------------------------------------------------
-# types
-
-@dataclass(frozen=True)
-class QuadraticForm:
-    lam: float
-    matrix: np.ndarray
-
-
-@dataclass(frozen=True)
-class AlgebraElement:
-    lam: float
-    D: np.ndarray
-    u: np.ndarray
-    mat: np.ndarray
-
-
-@dataclass(frozen=True)
-class AlgebraBasis:
-    lam: float
-    elements: tuple
-
-    def stacked(self):
-        return np.column_stack([e.mat.ravel() for e in self.elements])
-
-
-@dataclass(frozen=True)
-class SliceElement:
-    a: float
-    v: np.ndarray
-    B: np.ndarray
-    mat: np.ndarray
-
-
-@dataclass(frozen=True)
-class GroupWord:
-    """Letters (D_i, u_i) spelling h = prod_i exp(L_{base_lambda}(D_i, u_i))."""
-
-    letters: tuple
-    base_lambda: float
 
 
 @dataclass(frozen=True)
@@ -101,6 +63,7 @@ class CheckReport:
 # basic constructors
 
 def algebra_element(lam, D, u):
+    """The matrix L_lam(D, u); D must be an antisymmetric n x n matrix."""
     D = np.asarray(D, dtype=float)
     u = np.asarray(u, dtype=float)
     n = len(u)
@@ -112,7 +75,7 @@ def algebra_element(lam, D, u):
     mat[0, 1:] = -lam * u
     mat[1:, 0] = u
     mat[1:, 1:] = D
-    return AlgebraElement(float(lam), D, u, mat)
+    return mat
 
 
 def eta_form(lam, n):
@@ -122,7 +85,7 @@ def eta_form(lam, n):
     s = np.sqrt(abs(lam))
     d = np.ones(n + 1) * s
     d[0] = (1.0 / s) if lam > 0 else (-1.0 / s)
-    return QuadraticForm(float(lam), np.diag(d))
+    return np.diag(d)
 
 
 def _antisym_pairs(n):
@@ -130,7 +93,8 @@ def _antisym_pairs(n):
 
 
 def algebra_basis(lam, n):
-    """Ordered basis: rotations L(E_ab, 0) for a < b, then translations L(0, e_k)."""
+    """List of basis matrices: rotations L(E_ab, 0) for a < b, then
+    translations L(0, e_k)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     els = []
@@ -143,7 +107,7 @@ def algebra_basis(lam, n):
         e = np.zeros(n)
         e[k] = 1.0
         els.append(algebra_element(lam, np.zeros((n, n)), e))
-    return AlgebraBasis(float(lam), tuple(els))
+    return els
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +122,7 @@ def invariance_residual(X, lam):
     X = np.asarray(X, dtype=float)
     n = X.shape[0] - 1
     if lam != 0.0:
-        eta = eta_form(lam, n).matrix
+        eta = eta_form(lam, n)
         return float(np.linalg.norm(X.T @ eta + eta @ X))
     D = X[1:, 1:]
     return float(np.linalg.norm(X[0, :]) + np.linalg.norm(D + D.T))
@@ -227,6 +191,8 @@ def complement_basis(n):
 
 
 def slice_element(a, v, B):
+    """The slice matrix [[a, v^T], [0, B]]; a > 0 and B symmetric positive
+    definite."""
     a = float(a)
     v = np.asarray(v, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -241,7 +207,7 @@ def slice_element(a, v, B):
     mat[0, 0] = a
     mat[0, 1:] = v
     mat[1:, 1:] = B
-    return SliceElement(a, v, B, mat)
+    return mat
 
 
 def _sample_slice_element(rng, n):
@@ -253,7 +219,7 @@ def _sample_slice_element(rng, n):
         S = 0.4 * rng.standard_normal((n, n))
         B = expm(0.5 * (S + S.T))
         g = slice_element(a, v, B)
-        if np.linalg.norm(g.mat - np.eye(n + 1)) >= 0.05:
+        if np.linalg.norm(g - np.eye(n + 1)) >= 0.05:
             return g
     raise RuntimeError("slice sampling failed to leave the identity")
 
@@ -266,8 +232,8 @@ def complement_and_slice_check(lam, n, n_samples=200, seed=0):
     elements away from the identity and reports the smallest membership
     residual as the margin; the identity itself must have residual zero.
     """
-    M = np.column_stack([algebra_basis(lam, n).stacked()]
-                        + [m.ravel() for m in complement_basis(n)])
+    M = np.column_stack([m.ravel() for m in
+                         algebra_basis(lam, n) + complement_basis(n)])
     sv = np.linalg.svd(M, compute_uv=False)
     expected = (n + 1) ** 2
     rank = int(np.sum(sv > 1e-10 * sv[0]))
@@ -276,7 +242,7 @@ def complement_and_slice_check(lam, n, n_samples=200, seed=0):
     margin = np.inf
     for _ in range(int(n_samples)):
         g = _sample_slice_element(rng, n)
-        margin = min(margin, group_membership_residual(g.mat, lam))
+        margin = min(margin, group_membership_residual(g, lam))
     ident = group_membership_residual(np.eye(n + 1), lam)
     return CheckReport(
         lam=float(lam), n=int(n), n_samples=int(n_samples), seed=int(seed),
@@ -290,80 +256,25 @@ def complement_and_slice_check(lam, n, n_samples=200, seed=0):
 # ---------------------------------------------------------------------------
 # sections
 
-def section(word, lam):
-    """Evaluate a group word at an arbitrary curvature parameter.
+def section(letters, lam):
+    """Evaluate the group word spelled by letters at the parameter lam.
 
-    The letters are coordinate pairs, so the same word defines an element of
-    every fiber; at word.base_lambda it reproduces the original element.
+    letters is a sequence of coordinate pairs (D_i, u_i), and the word is
+    h(lam) = prod_i exp(L_lam(D_i, u_i)). The letters do not depend on lam,
+    so one word defines an element of every fiber, and a word built from an
+    element of G_lam0 reproduces it at lam0.
     """
-    if not word.letters:
+    if not len(letters):
         raise DomainError("group word must have at least one letter")
-    n = len(np.asarray(word.letters[0][1]))
+    n = len(np.asarray(letters[0][1]))
     g = np.eye(n + 1)
-    for D, u in word.letters:
-        g = g @ expm(algebra_element(lam, D, u).mat)
+    for D, u in letters:
+        g = g @ expm(algebra_element(lam, D, u))
     return g
 
 
 # ---------------------------------------------------------------------------
 # deformed bracket on the reductive pair k + m
-
-class ReductivePair:
-    """Matrix realization of a reductive splitting k + m inside a Lie algebra.
-
-    The built-in instance is so(n) inside so(n+1) with m = R^n, embedded at
-    lam = 1 through L_1(D, 0) and L_1(0, u). The closure relations
-    [k,k] in k, [k,m] in m, [m,m] in k are verified on construction. It is
-    the matrix oracle for deformed_bracket at lam = 1.
-    """
-
-    def __init__(self, n):
-        self.n = int(n)
-        if self.n < 2:
-            raise DomainError(f"need n >= 2, got {n}")
-        self._verify()
-
-    def embed_k(self, D):
-        D = np.asarray(D, dtype=float)
-        if np.max(np.abs(D + D.T)) > 1e-10 * max(1.0, np.max(np.abs(D))):
-            raise DomainError("k component must be antisymmetric")
-        return algebra_element(1.0, D, np.zeros(self.n)).mat
-
-    def embed_m(self, u):
-        u = np.asarray(u, dtype=float)
-        return algebra_element(1.0, np.zeros((self.n, self.n)), u).mat
-
-    def split(self, X):
-        """Exact block split of an so(n+1) matrix into (k, m, defect)."""
-        X = np.asarray(X, dtype=float)
-        D = X[1:, 1:]
-        u = X[1:, 0]
-        rebuilt = self.embed_k(0.5 * (D - D.T)) + self.embed_m(u)
-        return 0.5 * (D - D.T), u, float(np.max(np.abs(X - rebuilt)))
-
-    def _verify(self, seed=12345):
-        rng = np.random.default_rng(seed)
-        n = self.n
-        for _ in range(5):
-            A = rng.standard_normal((n, n))
-            B = rng.standard_normal((n, n))
-            Dk1, Dk2 = A - A.T, B - B.T
-            u1, u2 = rng.standard_normal(n), rng.standard_normal(n)
-            kk = _comm(self.embed_k(Dk1), self.embed_k(Dk2))
-            km = _comm(self.embed_k(Dk1), self.embed_m(u2))
-            mm = _comm(self.embed_m(u1), self.embed_m(u2))
-            if np.max(np.abs(kk[1:, 0])) > 1e-12:
-                raise DomainError("[k, k] leaves k")
-            if np.max(np.abs(km[1:, 1:])) > 1e-12:
-                raise DomainError("[k, m] leaves m")
-            _, mu, _ = self.split(mm)
-            if np.max(np.abs(mu)) > 1e-12:
-                raise DomainError("[m, m] leaves k")
-
-
-def _comm(X, Y):
-    return X @ Y - Y @ X
-
 
 def deformed_bracket(lam, x, y):
     """Bracket of the deformed algebra on k + m coordinates (D, u).
@@ -433,12 +344,11 @@ def verify_bundle(lambdas, ns, samples, triples, seed,
     for n in ns:
         for lam in lambdas:
             basis = algebra_basis(lam, n)
-            mats = [e.mat for e in basis.elements]
+            worst_inv = max(worst_inv, max(invariance_residual(m, lam)
+                                           for m in basis))
             if inject_broken_basis:
-                mats[0] = mats[0] + np.diag([1.0, -1.0] + [0.0] * (n - 1))
-            worst_cl = max(worst_cl, bracket_closure_residual(mats))
-            worst_inv = max(worst_inv, max(invariance_residual(e.mat, lam)
-                                           for e in basis.elements))
+                basis[0] = basis[0] + np.diag([1.0, -1.0] + [0.0] * (n - 1))
+            worst_cl = max(worst_cl, bracket_closure_residual(basis))
             rep = complement_and_slice_check(lam, n, n_samples=samples,
                                              seed=seed)
             rank_ok = rank_ok and rep.full_rank
@@ -457,14 +367,13 @@ def verify_bundle(lambdas, ns, samples, triples, seed,
         A = rng.standard_normal((n0, n0))
         return scale * (A - A.T), scale * rng.standard_normal(n0)
 
-    # a two-letter section built at lambda0 = 1, swept over [-1, 1]
-    word = GroupWord(letters=(draw(0.3), draw(0.3)), base_lambda=1.0)
+    # a two-letter section swept over [-1, 1]
+    word = (draw(0.3), draw(0.3))
     worst_mem = max(group_membership_residual(section(word, lam), lam)
                     for lam in np.linspace(-1.0, 1.0, 21))
     add("section_membership", worst_mem, 1e-10)
 
     # deformed bracket: antisymmetry, Jacobi, and the matrix bracket at lam = 1
-    pair = ReductivePair(n0)
     worst_anti = worst_jac = worst_match = 0.0
     for lam in (-1.0, 0.0, 0.5, 1.0):
         for _ in range(triples):
@@ -479,12 +388,16 @@ def verify_bundle(lambdas, ns, samples, triples, seed,
                 cyclic = terms[0][part] + terms[1][part] + terms[2][part]
                 worst_jac = max(worst_jac, float(np.max(np.abs(cyclic))))
             if lam == 1.0:
-                mx = pair.embed_k(x[0]) + pair.embed_m(x[1])
-                my = pair.embed_k(y[0]) + pair.embed_m(y[1])
-                dk, um, defect = pair.split(mx @ my - my @ mx)
-                worst_match = max(worst_match, defect,
-                                  float(np.max(np.abs(bxy[0] - dk))),
-                                  float(np.max(np.abs(bxy[1] - um))))
+                # split the so(n+1) commutator C into its blocks D and u,
+                # then check C = L_1(skew D, u) and (D, u) = bxy
+                X, Y = algebra_element(1.0, *x), algebra_element(1.0, *y)
+                C = X @ Y - Y @ X
+                D, u = 0.5 * (C[1:, 1:] - C[1:, 1:].T), C[1:, 0]
+                worst_match = max(
+                    worst_match,
+                    float(np.max(np.abs(C - algebra_element(1.0, D, u)))),
+                    float(np.max(np.abs(bxy[0] - D))),
+                    float(np.max(np.abs(bxy[1] - u))))
     add("bracket_antisymmetry", worst_anti, 1e-15, passed=(worst_anti == 0.0))
     add("bracket_jacobi", worst_jac, 1e-12)
     add("bracket_matches_undeformed", worst_match, _match_threshold(n0))

@@ -223,8 +223,8 @@ class CmcCircle(Problem):
         """The two translation generators of G_lam; the rotation fixes every
         centered radial graph's orbit and is dropped."""
         z = np.zeros((2, 2))
-        return [algebra_element(lam, z, np.array([1.0, 0.0])).mat,
-                algebra_element(lam, z, np.array([0.0, 1.0])).mat]
+        return [algebra_element(lam, z, np.array([1.0, 0.0])),
+                algebra_element(lam, z, np.array([0.0, 1.0]))]
 
     def act(self, state, lam, t):
         """Move the curve in the quadric model and re-extract the radial

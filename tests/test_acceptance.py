@@ -18,8 +18,7 @@ from equideform.cli import main
 from equideform.continuation import (ContinuationConfig, congruence_check,
                                      continue_branch)
 from equideform.equivariance import nondegeneracy_report, operator_diagnostics
-from equideform.lie_bundle import (GroupWord, ReductivePair, algebra_basis,
-                                   algebra_element,
+from equideform.lie_bundle import (algebra_basis, algebra_element,
                                    bracket_closure_residual,
                                    complement_and_slice_check,
                                    deformed_bracket,
@@ -86,8 +85,7 @@ def test_criterion_01_bundle_verification(acceptance):
     rank_ok = True
     for n in (2, 3):
         for lam in lambdas:
-            basis = algebra_basis(lam, n)
-            mats = [e.mat for e in basis.elements]
+            mats = algebra_basis(lam, n)
             worst_cl = max(worst_cl, bracket_closure_residual(mats))
             worst_inv = max(worst_inv,
                             max(invariance_residual(m, lam) for m in mats))
@@ -112,13 +110,12 @@ def test_criterion_02_section_sweep(acceptance):
     for _ in range(2):
         A = rng.standard_normal((2, 2))
         letters.append((0.3 * (A - A.T), 0.3 * rng.standard_normal(2)))
-    word = GroupWord(letters=tuple(letters), base_lambda=1.0)
     direct = np.eye(3)
     for D, u in letters:
-        direct = direct @ expm(algebra_element(1.0, D, u).mat)
-    worst = max(group_membership_residual(section(word, lam), lam)
+        direct = direct @ expm(algebra_element(1.0, D, u))
+    worst = max(group_membership_residual(section(letters, lam), lam)
                 for lam in np.linspace(-1.0, 1.0, 21))
-    reproduce = float(np.max(np.abs(section(word, 1.0) - direct)))
+    reproduce = float(np.max(np.abs(section(letters, 1.0) - direct)))
     assert worst < 1e-10
     assert reproduce < 1e-12
     acceptance(f"membership {worst:.1e} over 21 points, "
@@ -127,7 +124,6 @@ def test_criterion_02_section_sweep(acceptance):
 
 def test_criterion_03_deformed_bracket(acceptance):
     rng = np.random.default_rng(3)
-    pair = ReductivePair(2)
 
     def rand_elem():
         A = rng.standard_normal((2, 2))
@@ -149,9 +145,11 @@ def test_criterion_03_deformed_bracket(acceptance):
                             float(np.max(np.abs(sum(t[0] for t in terms)))),
                             float(np.max(np.abs(sum(t[1] for t in terms)))))
             if lam == 1.0:
-                mx = pair.embed_k(x[0]) + pair.embed_m(x[1])
-                my = pair.embed_k(y[0]) + pair.embed_m(y[1])
-                dk, um, defect = pair.split(mx @ my - my @ mx)
+                mx = algebra_element(1.0, *x)
+                my = algebra_element(1.0, *y)
+                C = mx @ my - my @ mx
+                dk, um = 0.5 * (C[1:, 1:] - C[1:, 1:].T), C[1:, 0]
+                defect = float(np.max(np.abs(C - algebra_element(1.0, dk, um))))
                 worst_match = max(worst_match, defect,
                                   float(np.max(np.abs(bxy[0] - dk))),
                                   float(np.max(np.abs(bxy[1] - um))))
@@ -229,10 +227,10 @@ def test_criterion_07_orbit_congruence(acceptance):
         v = rng.standard_normal(2)
         t = v / np.linalg.norm(v) * 0.05 * rng.uniform(0.3, 1.0)
         moved = act(prob, rec.state, rec.lambda_hat, t)
-        same, gp = congruence_check(prob, rec.state, moved, rec.lambda_hat,
-                                    tol=1e-8)
+        same, recovered = congruence_check(prob, rec.state, moved,
+                                           rec.lambda_hat, tol=1e-8)
         assert same  # final W-distance below 1e-8 by the tol argument
-        err = float(np.max(np.abs(gp.t - t)))
+        err = float(np.max(np.abs(recovered - t)))
         assert err < 1e-6
         worst_param = max(worst_param, err)
     acceptance(f"{len(sampled)} states re-solved congruent at tol 1e-8, "

@@ -353,6 +353,10 @@ def test_congruence_seed_outside_chart_exit_three(tmp_path, capsys):
     "[problem]\ninstance = harmonic_torus\nn = 33\ngram_start = 1, nan, 1\n",
     "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
     "[path]\ntol_rel = 0.5\n",
+    "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
+    "[path]\ndiagnostics_cadence = -3\n",
+    "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
+    "[path]\nangle_tol = 5\n",
 ])
 def test_analyze_config_errors(tmp_path, capsys, text):
     code, _ = run_cli(tmp_path, "analyze", text)
@@ -360,13 +364,16 @@ def test_analyze_config_errors(tmp_path, capsys, text):
     assert "config error" in capsys.readouterr().err
 
 
-def test_continue_conflicting_step_spec(tmp_path, capsys):
-    code, _ = run_cli(tmp_path, "continue", CIRCLE_PROBLEM + """
+@pytest.mark.parametrize("step", ["initial_step = 0.1", "min_step = 0.001",
+                                  "max_step = 0.01"],
+                         ids=["initial_step", "min_step", "max_step"])
+def test_continue_conflicting_step_spec(tmp_path, capsys, step):
+    code, _ = run_cli(tmp_path, "continue", CIRCLE_PROBLEM + f"""
 [path]
 start = 1.0
 end = 0.5
 records = 6
-initial_step = 0.1
+{step}
 """)
     assert code == 64
     assert "not both" in capsys.readouterr().err
@@ -378,6 +385,9 @@ initial_step = 0.1
     "start = 1.0\nend = 0.5\nrecords = 6\nmax_newton = -1\n",
     "start = 1.0\nend = 0.5\ninitial_step = 0.1\nretries = 100000\n",
     "start = 1.0\nend = 0.5\nrecords = 6\ntol_rel = 0.5\n",
+    "start = 1.0\nend = 0.5\nrecords = 6\ndiagnostics_cadence = -3\n",
+    "start = 1.0\nend = 0.5\nrecords = 6\nangle_tol = 5\n",
+    "start = 1.0\nend = 0.5\nrecords = 6\nangle_tol = 1.5708\n",
 ])
 def test_continue_invalid_path_is_config_error(tmp_path, capsys, path):
     code, _ = run_cli(tmp_path, "continue", CIRCLE_PROBLEM + "[path]\n" + path)

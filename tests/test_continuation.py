@@ -287,8 +287,8 @@ def test_record_payload_shape():
 
 def test_orbit_project_identity():
     g, prob, st = _flat_setup()
-    gp, moved, dist = orbit_project(prob, st, 0.0, st)
-    assert np.max(np.abs(gp.t)) < 1e-10
+    t, moved, dist = orbit_project(prob, st, 0.0, st)
+    assert np.max(np.abs(t)) < 1e-10
     assert dist < 1e-10
     assert np.max(np.abs(moved.values - st.values)) < 1e-10
 
@@ -297,8 +297,8 @@ def test_orbit_project_recovers_flat_translation():
     g, prob, st = _flat_setup()
     applied = np.array([0.01, 0.02])
     shifted = act(prob, st, 0.0, applied)
-    gp, moved, dist = orbit_project(prob, shifted, 0.0, st)
-    assert np.max(np.abs(gp.t - applied)) < 1e-8
+    t, moved, dist = orbit_project(prob, shifted, 0.0, st)
+    assert np.max(np.abs(t - applied)) < 1e-8
     assert dist < 1e-10
     # the moved state sits back on the reference slice
     assert np.max(np.abs(moved.values - st.values)) < 1e-7
@@ -309,8 +309,8 @@ def test_orbit_project_round_chart():
     prob, st = circle_seed(1.0, 2.0, g)
     applied = np.array([0.02, -0.015])
     shifted = act(prob, st, 1.0, applied)
-    gp, moved, dist = orbit_project(prob, shifted, 1.0, st)
-    assert np.max(np.abs(gp.t - applied)) < 1e-7
+    t, moved, dist = orbit_project(prob, shifted, 1.0, st)
+    assert np.max(np.abs(t - applied)) < 1e-7
     assert dist < 1e-9
 
 
@@ -328,16 +328,16 @@ def test_congruence_translated_circle():
     g, prob, st = _flat_setup()
     applied = np.array([0.02, -0.01])
     shifted = act(prob, st, 0.0, applied)
-    same, gp = congruence_check(prob, st, shifted, 0.0)
+    same, t = congruence_check(prob, st, shifted, 0.0)
     assert same
-    assert np.max(np.abs(gp.t - applied)) < 1e-7
+    assert np.max(np.abs(t - applied)) < 1e-7
 
 
 def test_congruence_self():
     g, prob, st = _flat_setup()
-    same, gp = congruence_check(prob, st, st, 0.0)
+    same, t = congruence_check(prob, st, st, 0.0)
     assert same
-    assert np.max(np.abs(gp.t)) < 1e-10
+    assert np.max(np.abs(t)) < 1e-10
 
 
 def test_congruence_tolerance_decides():
@@ -369,6 +369,6 @@ def test_branch_unique_modulo_group():
     assert len(base) == len(other) == 6
     for ra, rb in zip(base, other):
         assert ra.lambda_hat == rb.lambda_hat
-        same, gp = congruence_check(prob, ra.state, rb.state, ra.lambda_hat)
+        same, t = congruence_check(prob, ra.state, rb.state, ra.lambda_hat)
         assert same
-        assert np.linalg.norm(gp.t) > 1e-3  # genuinely translated, not equal
+        assert np.linalg.norm(t) > 1e-3  # genuinely translated, not equal

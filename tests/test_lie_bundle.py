@@ -4,8 +4,8 @@ from scipy.linalg import expm
 
 from equideform import lie_bundle
 from equideform.errors import DomainError, PreconditionError
-from equideform.lie_bundle import (GroupWord, ReductivePair, algebra_basis,
-                                   algebra_element, bracket_closure_residual,
+from equideform.lie_bundle import (algebra_basis, algebra_element,
+                                   bracket_closure_residual,
                                    complement_and_slice_check, complement_basis,
                                    deformed_bracket, eta_form,
                                    group_membership_residual,
@@ -19,7 +19,7 @@ def test_algebra_element_block_layout():
     lam = 0.7
     D = np.array([[0.0, 1.0], [-1.0, 0.0]])
     u = np.array([0.3, -0.2])
-    X = algebra_element(lam, D, u).mat
+    X = algebra_element(lam, D, u)
     assert X.shape == (3, 3)
     assert X[0, 0] == 0.0
     assert np.allclose(X[0, 1:], -lam * u)
@@ -36,8 +36,8 @@ def test_basis_dimension_and_closure():
         dim = n * (n - 1) // 2 + n
         for lam in LAMBDAS:
             basis = algebra_basis(lam, n)
-            assert len(basis.elements) == dim
-            assert bracket_closure_residual([e.mat for e in basis.elements]) < 1e-12
+            assert len(basis) == dim
+            assert bracket_closure_residual(basis) < 1e-12
     assert bracket_closure_residual([np.eye(3)]) == 0.0
 
 
@@ -58,7 +58,7 @@ def test_closure_matches_per_bracket_lstsq(n):
     rng = np.random.default_rng(n)
     cases = []
     for lam in (-1.0, 0.0, 0.5):
-        mats = [e.mat for e in algebra_basis(lam, n).elements]
+        mats = algebra_basis(lam, n)
         broken = [mats[0] + np.diag([1.0, -1.0] + [0.0] * (n - 1))] + mats[1:]
         cases += [mats, broken]
     # a repeated matrix makes the stacked basis rank deficient
@@ -73,7 +73,7 @@ def test_frame_invariance_of_basis_elements():
     for n in (2, 3):
         for lam in LAMBDAS:
             basis = algebra_basis(lam, n)
-            worst = max(invariance_residual(e.mat, lam) for e in basis.elements)
+            worst = max(invariance_residual(m, lam) for m in basis)
             assert worst < 1e-12
 
 
@@ -84,10 +84,8 @@ def test_invariance_residual_of_identity_matrix():
 
 
 def test_eta_form_signature_and_domain():
-    eta = eta_form(1.0, 2)
-    assert np.allclose(eta.matrix, np.eye(3))
-    neg = eta_form(-4.0, 2)
-    m = neg.matrix
+    assert np.allclose(eta_form(1.0, 2), np.eye(3))
+    m = eta_form(-4.0, 2)
     assert m[0, 0] < 0.0 and m[1, 1] > 0.0
     with pytest.raises(DomainError):
         eta_form(0.0, 2)
@@ -99,8 +97,8 @@ def test_membership_of_exponentials_across_fibers():
         for n in (2, 3):
             basis = algebra_basis(lam, n)
             for _ in range(5):
-                coef = rng.standard_normal(len(basis.elements))
-                X = sum(c * e.mat for c, e in zip(coef, basis.elements))
+                coef = rng.standard_normal(len(basis))
+                X = sum(c * m for c, m in zip(coef, basis))
                 g = expm(0.4 * X)
                 assert group_membership_residual(g, lam) < 1e-10
 
@@ -116,7 +114,7 @@ def test_complement_spans_the_missing_directions():
     for n, full in ((2, 9), (3, 16)):
         comp = complement_basis(n)
         basis = algebra_basis(1.0, n)
-        cols = [e.mat.ravel() for e in basis.elements]
+        cols = [m.ravel() for m in basis]
         cols += [m.ravel() for m in comp]
         M = np.column_stack(cols)
         assert M.shape[1] == full
@@ -138,7 +136,7 @@ def test_slice_element_needs_spd_block():
     with pytest.raises(DomainError):
         slice_element(-1.0, np.zeros(2), np.eye(2))  # a must stay positive
     s = slice_element(1.0, np.array([0.1, 0.0]), np.eye(2) * 2.0)
-    assert s.mat[0, 0] == 1.0
+    assert s[0, 0] == 1.0
 
 
 def test_section_reproduces_base_point_and_stays_in_group():
@@ -148,19 +146,18 @@ def test_section_reproduces_base_point_and_stays_in_group():
         for _ in range(2):
             A = rng.standard_normal((2, 2))
             letters.append((0.3 * (A - A.T), 0.3 * rng.standard_normal(2)))
-        word = GroupWord(letters=tuple(letters), base_lambda=1.0)
-        h = section(word, 1.0)
+        h = section(letters, 1.0)
         direct = np.eye(3)
         for D, u in letters:
-            direct = direct @ expm(algebra_element(1.0, D, u).mat)
+            direct = direct @ expm(algebra_element(1.0, D, u))
         assert np.max(np.abs(h - direct)) < 1e-12
         for lam in np.linspace(-1.0, 1.0, 21):
-            assert group_membership_residual(section(word, lam), lam) < 1e-10
+            assert group_membership_residual(section(letters, lam), lam) < 1e-10
 
 
 def test_section_requires_letters():
     with pytest.raises(DomainError):
-        section(GroupWord(letters=(), base_lambda=1.0), 0.5)
+        section([], 0.5)
 
 
 def test_translation_commutator_matrix_identity():
@@ -169,11 +166,11 @@ def test_translation_commutator_matrix_identity():
     for lam in LAMBDAS:
         for _ in range(10):
             u, v = rng.standard_normal((2, 3))
-            A = algebra_element(lam, np.zeros((3, 3)), u).mat
-            B = algebra_element(lam, np.zeros((3, 3)), v).mat
+            A = algebra_element(lam, np.zeros((3, 3)), u)
+            B = algebra_element(lam, np.zeros((3, 3)), v)
             comm = A @ B - B @ A
             expect = algebra_element(lam, lam * (np.outer(v, u) - np.outer(u, v)),
-                                     np.zeros(3)).mat
+                                     np.zeros(3))
             assert np.max(np.abs(comm - expect)) < 1e-13
 
 
@@ -209,16 +206,16 @@ def test_deformed_bracket_jacobi_identity():
 
 def test_deformed_bracket_at_one_is_the_round_bracket():
     rng = np.random.default_rng(41)
-    pair = ReductivePair(3)
     for _ in range(30):
         A, B = rng.standard_normal((2, 3, 3))
         x = (A - A.T, rng.standard_normal(3))
         y = (B - B.T, rng.standard_normal(3))
         bxy = deformed_bracket(1.0, x, y)
-        mx = pair.embed_k(x[0]) + pair.embed_m(x[1])
-        my = pair.embed_k(y[0]) + pair.embed_m(y[1])
-        dk, um, defect = pair.split(mx @ my - my @ mx)
-        assert defect < 1e-14
+        mx = algebra_element(1.0, *x)
+        my = algebra_element(1.0, *y)
+        C = mx @ my - my @ mx
+        dk, um = 0.5 * (C[1:, 1:] - C[1:, 1:].T), C[1:, 0]
+        assert np.max(np.abs(C - algebra_element(1.0, dk, um))) < 1e-14
         assert np.max(np.abs(bxy[0] - dk)) < 1e-14
         assert np.max(np.abs(bxy[1] - um)) < 1e-14
 
@@ -230,11 +227,11 @@ def test_deformed_bracket_is_the_matrix_commutator_in_every_fiber():
             A, B = rng.standard_normal((2, n, n))
             x = (A - A.T, rng.standard_normal(n))
             y = (B - B.T, rng.standard_normal(n))
-            X = algebra_element(lam, *x).mat
-            Y = algebra_element(lam, *y).mat
+            X = algebra_element(lam, *x)
+            Y = algebra_element(lam, *y)
             comm = X @ Y - Y @ X
             bk, bm = deformed_bracket(lam, x, y)
-            assert np.max(np.abs(algebra_element(lam, bk, bm).mat - comm)) < 1e-13
+            assert np.max(np.abs(algebra_element(lam, bk, bm) - comm)) < 1e-13
 
 
 def test_deformed_bracket_flat_fiber_abelianizes_translations():
@@ -243,20 +240,6 @@ def test_deformed_bracket_flat_fiber_abelianizes_translations():
     bk, bm = deformed_bracket(0.0, u, v)
     assert np.max(np.abs(bk)) == 0.0
     assert np.max(np.abs(bm)) == 0.0
-
-
-def test_reductive_pair_split_roundtrip():
-    rng = np.random.default_rng(43)
-    pair = ReductivePair(2)
-    for _ in range(10):
-        A = rng.standard_normal((2, 2))
-        D = A - A.T
-        u = rng.standard_normal(2)
-        X = pair.embed_k(D) + pair.embed_m(u)
-        Dk, um, defect = pair.split(X)
-        assert defect < 1e-14
-        assert np.allclose(Dk, D)
-        assert np.allclose(um, u)
 
 
 BUNDLE_NAMES = ["bracket_closure", "frame_invariance", "complement_rank",
