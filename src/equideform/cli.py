@@ -15,9 +15,9 @@ Configuration is a key = value INI file. Keys are case-insensitive.
     [run]       seed (u64, default 0); out (output directory)
     [problem]   instance, one of
                     {instances};
-                N (grid size, 8..4096); order (spectral or an even integer
-                for Dirichlet grids); H (mean curvature); lambda_hat (where
-                analyze/congruence work); length and radius (profile);
+                N (grid size, 8..4096); order (2 or 4 on every grid, or
+                spectral on periodic ones); H (mean curvature); lambda_hat
+                (where analyze/congruence work); length and radius (profile);
                 homotopy = p,q and gram_start/gram_end = Q11,Q12,Q22 (torus)
     [path]      start, end; records (count, uniform steps) or initial_step
                 with optional min_step/max_step; tol, max_newton, retries,
@@ -272,8 +272,11 @@ def run_analyze(cp, seed, chash, outdir):
     try:
         state, iters, _ = corrector_step(problem, seed_state, lam, ccfg)
         J = jacobi(problem, state, lam)
-        operator = J if shift is None else dataclasses.replace(
-            J, matrix=J.matrix + shift * np.eye(J.matrix.shape[0]))
+        operator = J
+        if shift is not None:
+            shifted = J.matrix.copy()
+            shifted[np.diag_indices_from(shifted)] += shift
+            operator = dataclasses.replace(J, matrix=shifted)
         rep = nondegeneracy_report(problem, state, lam, tol_rel=ccfg.tol_rel,
                                    angle_tol=ccfg.angle_tol, operator=operator)
         diag = operator_diagnostics(J, problem, state, lam, seed=seed)

@@ -147,6 +147,35 @@ class BranchRecord:
         }
 
 
+def _bordered_update(J, w, B, res, lambda_hat):
+    """Newton update and condition number of the bordered system.
+
+    The bordered matrix [[W J, W B], [B^T W, 0]] is written straight into
+    the Fortran-ordered buffer its reduction overwrites, and the buffer is
+    gone on return, before the next step assembles its Jacobi. One symmetric
+    reduction M = Q T Q^T gives both the exact 2-norm condition number
+    max|mu| / min|mu| over T's eigenvalues, which are M's, and the solve.
+    Raises IllConditioned when the condition number exceeds 1e12.
+    """
+    n, k = B.shape
+    WB = w[:, None] * B
+    M = np.empty((n + k, n + k), order="F")
+    np.multiply(w[:, None], J, out=M[:n, :n])
+    M[:n, n:] = WB
+    M[n:, :n] = WB.T
+    M[n:, n:] = 0.0
+    reduced = _Tridiagonal(M)
+    mu = np.abs(reduced.eigenvalues)
+    lo = np.min(mu)
+    cond = np.max(mu) / lo if lo > 0.0 else np.inf
+    if not np.isfinite(cond) or cond > 1e12:
+        raise IllConditioned(
+            f"bordered matrix condition {cond:.3e} at lambda_hat={lambda_hat} "
+            "signals nondegeneracy loss")
+    rhs = np.concatenate([-(w * res), np.zeros(k)])
+    return reduced.solve(rhs)[:n], float(cond)
+
+
 @errors.linalg_guard
 def corrector_step(problem, state, lambda_hat, config):
     """Bordered Newton correction at fixed parameter.
@@ -168,7 +197,6 @@ def corrector_step(problem, state, lambda_hat, config):
     worst_cond = 0.0
     orbit_inner = 0.0
     iters = 0
-    n = st.values.size
     while rn > config.tol:
         if iters >= config.max_newton:
             raise NoConvergence(
@@ -176,23 +204,9 @@ def corrector_step(problem, state, lambda_hat, config):
                 f"after {iters} iterations (lambda_hat={lambda_hat})")
         B = rank_basis(killing_jacobi_basis(problem, st, lambda_hat), w)
         k = B.shape[1]
-        WB = w[:, None] * B
-        M = np.block([[w[:, None] * jacobi(problem, st, lambda_hat).matrix, WB],
-                      [WB.T, np.zeros((k, k))]])
-        rhs = np.concatenate([-(w * res), np.zeros(k)])
-        # one symmetric reduction M = Q T Q^T gives both the exact 2-norm
-        # condition number max|mu| / min|mu| over T's eigenvalues, which are
-        # M's, and the solve
-        reduced = _Tridiagonal(M)
-        mu = np.abs(reduced.eigenvalues)
-        lo = np.min(mu)
-        cond = np.max(mu) / lo if lo > 0.0 else np.inf
-        worst_cond = max(worst_cond, float(cond))
-        if not np.isfinite(cond) or cond > 1e12:
-            raise IllConditioned(
-                f"bordered matrix condition {cond:.3e} at lambda_hat={lambda_hat} "
-                "signals nondegeneracy loss")
-        delta = reduced.solve(rhs)[:n]
+        delta, cond = _bordered_update(
+            jacobi(problem, st, lambda_hat).matrix, w, B, res, lambda_hat)
+        worst_cond = max(worst_cond, cond)
         if k:
             # exact W-orthogonality to the orbit directions
             delta = delta - B @ (B.T @ (w * delta))

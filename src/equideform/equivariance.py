@@ -18,6 +18,12 @@ All subspace work happens in the W inner product: node vectors u, v pair as
 sum_i w_i u_i v_i, and bases are W-orthonormal. Mapping v -> sqrt(W) v
 turns that into the ordinary Euclidean geometry, which is how every routine
 here is implemented.
+
+Beside the grid's diff1 and the Jacobi, each routine holds at most one more
+n x n matrix: the scaled symmetric operator is written into the buffer that
+LAPACK dsytrd then overwrites with its reflectors, which dormqr reads in
+place, and the symmetry residual turns its one copy of W J into the
+antisymmetric part block by block.
 """
 
 from dataclasses import dataclass
@@ -27,18 +33,21 @@ from scipy.linalg import eigh_tridiagonal, lapack, subspace_angles
 
 from . import errors
 from .errors import PreconditionError, ShapeError
-from .variational import (ProblemState, jacobi, killing_jacobi_basis,
-                          pairing, residual, residual_norm)
+from .variational import (ProblemState, _block_pairs, _symmetrize, jacobi,
+                          killing_jacobi_basis, pairing, residual,
+                          residual_norm)
 
 GAP_FLOOR = 1.0e3
 RANK_RTOL = 1e-10   # rank_basis drops singular values below this * sigma_max
 
 
 def _sym_scaled(J):
-    # sqrt(W) J / sqrt(W): symmetric because W J is
+    # sqrt(W) J / sqrt(W): symmetric because W J is; one new matrix, scaled
+    # and symmetrized in place
     sw = np.sqrt(J.pairing.weights)
-    A = (sw[:, None] * J.matrix) / sw[None, :]
-    return 0.5 * (A + A.T), sw
+    A = sw[:, None] * J.matrix
+    A /= sw[None, :]
+    return _symmetrize(A), sw
 
 
 def _lapack_check(info, routine):
@@ -53,6 +62,10 @@ class _Tridiagonal:
     product of the n - 1 reflectors stored below the subdiagonal, applied by
     dormqr and never formed. The eigenvalues of A are T's, ascending, from
     dsterf in O(n^2). Any nonzero LAPACK info raises LinAlgError.
+
+    A Fortran-contiguous float64 A is the caller's reduction buffer: it is
+    reduced in place and afterwards holds the reflectors, so the reduction
+    makes no n x n copy. Any other A is copied first and left as it was.
     """
 
     def __init__(self, A):
@@ -60,9 +73,14 @@ class _Tridiagonal:
         lwork, info = lapack.dsytrd_lwork(n, lower=1)
         _lapack_check(info, "dsytrd_lwork")
         c, self._d, e, self._tau, info = lapack.dsytrd(
-            A, lower=1, lwork=int(lwork))
+            A, lower=1, lwork=int(lwork), overwrite_a=1)
         _lapack_check(info, "dsytrd")
-        self._reflectors = c[1:, :-1]
+        # the reflectors fill c[1:, :-1]; the Fortran-ordered (n, n - 1) view
+        # of c's storage from c[1, 0] on holds them in its columns with
+        # leading dimension n, which dormqr reads in place, where the
+        # non-contiguous slice would be copied on every call
+        self._reflectors = np.ravel(c, order="F")[1:1 + n * (n - 1)].reshape(
+            n, n - 1, order="F")
         # T's off-diagonal, padded to the length max(n - 1, 1) that the
         # f2py wrappers of dsterf and dgtsv expect
         self._e = e if n > 1 else np.zeros(1)
@@ -130,7 +148,8 @@ def numerical_kernel(J, tol_rel=None):
     if not 0.0 < tol_rel <= 1e-2:
         raise PreconditionError(f"tol_rel must lie in (0, 1e-2], got {tol_rel}")
     A, sw = _sym_scaled(J)
-    reduced = _Tridiagonal(A)
+    # A is exactly symmetric, so its transpose, Fortran-contiguous, is A
+    reduced = _Tridiagonal(A.T)
     mu = reduced.eigenvalues    # ascending
     order = np.argsort(np.abs(mu))[::-1]
     s = np.abs(mu)[order]       # the singular values of A, descending
@@ -251,6 +270,24 @@ def transversality_margin(basis, reference, weights):
     return float(np.sqrt(1.0 - np.sin(theta[-1]))) if theta.size else 1.0
 
 
+def _symmetry_residual(J):
+    """|W J - (W J)^T|_F / |W J|_F, 0 when W J vanishes.
+
+    W J is formed once and turned into W J - (W J)^T in place, block pair
+    by block pair, so both norms are those of the full matrices.
+    """
+    W = J.pairing.weights[:, None] * J.matrix
+    denom = np.linalg.norm(W)
+    if not denom > 0.0:
+        return 0.0
+    for I, K in _block_pairs(W.shape[0]):
+        X = W[I, K] - W[K, I].T
+        W[I, K] = X
+        if I != K:
+            np.negative(X.T, out=W[K, I])
+    return float(np.linalg.norm(W) / denom)
+
+
 @dataclass(frozen=True, eq=False)
 class DiagnosticsReport:
     symmetry_residual: float
@@ -286,9 +323,7 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
         raise ShapeError(
             f"operator of shape {J.matrix.shape} does not act on the "
             f"{J.pairing.weights.size} weighted nodes of its pairing")
-    W = J.pairing.weights[:, None] * J.matrix
-    denom = np.linalg.norm(W)
-    sym = float(np.linalg.norm(W - W.T) / denom) if denom > 0.0 else 0.0
+    sym = _symmetry_residual(J)
     fd = np.nan
     if problem is not None and state is not None and lambda_hat is not None:
         rng = np.random.default_rng(seed)

@@ -9,9 +9,16 @@ the problem, not by the grid.
 The spectral differentiation matrices are circulant and trigonometrically
 exact; diff1 is exactly antisymmetric, which makes the assembled weighted
 Hessians symmetric to machine precision without any fixups.
+
+A periodic (spectral or finite-difference) matrix is a circulant, fixed by
+one generator row: it is symmetrized or antisymmetrized as a generator and
+copied once out of a strided view of that row. Dirichlet rows get their
+Fornberg weights in one batched call. A grid holds one n x n matrix, diff1;
+diff2, which only geodesic curvature reads, is built on first use.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -23,50 +30,62 @@ TWO_PI = 2.0 * np.pi
 def fornberg_weights(z, x, m):
     """Finite difference weights on arbitrary nodes.
 
-    Returns an array c of shape (len(x), m+1); column k holds the weights
-    that approximate the k-th derivative at z from samples at the nodes x.
-    Classical recursion, exact for polynomials up to degree len(x)-1.
+    For one centre z and nodes x of shape (n,), returns an array c of shape
+    (n, m+1); column k holds the weights that approximate the k-th
+    derivative at z from samples at the nodes x. Many centres go at once: z
+    of shape (K,) with one row of nodes each, x of shape (K, n), gives c of
+    shape (K, n, m+1), bitwise equal to the K single-centre calls.
+    Classical recursion, exact for polynomials up to degree n-1.
     """
     x = np.asarray(x, dtype=float)
-    n = len(x)
-    c = np.zeros((n, m + 1))
+    z = np.asarray(z, dtype=float)
+    n = x.shape[-1]
+    c = np.zeros(x.shape + (m + 1,))
     c1 = 1.0
-    c4 = x[0] - z
-    c[0, 0] = 1.0
+    c4 = x[..., 0] - z
+    c[..., 0, 0] = 1.0
     for i in range(1, n):
         mn = min(i, m)
         c2 = 1.0
         c5 = c4
-        c4 = x[i] - z
+        c4 = x[..., i] - z
         for j in range(i):
-            c3 = x[i] - x[j]
-            c2 *= c3
+            c3 = x[..., i] - x[..., j]
+            c2 = c2 * c3
             if j == i - 1:
                 for k in range(mn, 0, -1):
-                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
-                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+                    c[..., i, k] = c1 * (k * c[..., i - 1, k - 1]
+                                         - c5 * c[..., i - 1, k]) / c2
+                c[..., i, 0] = -c1 * c5 * c[..., i - 1, 0] / c2
             for k in range(mn, 0, -1):
-                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
-            c[j, 0] = c4 * c[j, 0] / c3
+                c[..., j, k] = (c4 * c[..., j, k] - k * c[..., j, k - 1]) / c3
+            c[..., j, 0] = c4 * c[..., j, 0] / c3
         c1 = c2
     return c
 
 
-def _circulant_from_generator(gen):
-    # D[i, j] = gen[(j - i) mod N], so row i applies the stencil around node i
+def _circulant(gen):
+    # D[i, j] = gen[(j - i) mod N], so row i applies the stencil around node
+    # i; row i is the window starting at N - i of gen repeated twice, read
+    # through a strided view and copied once
     N = len(gen)
-    idx = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
-    return np.asarray(gen)[idx]
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(gen, 2)[1:], N)
+    return windows[::-1].copy()
 
 
-def _spectral_pair(N):
-    """Spectral first and second derivative matrices on N uniform nodes.
+def _reversed(gen):
+    # circ(gen)^T = circ(gen[(-m) mod N])
+    return np.roll(gen[::-1], 1)
+
+
+def _spectral_generators(N):
+    """Stencil generators of the spectral first and second derivatives.
 
     Built from the Fourier symbols ik and -k^2 applied to a delta column.
     For even N the sawtooth (Nyquist) wavenumber is dropped from diff1 and
     kept in diff2, the standard real-valued convention; odd N has no such
-    mode. diff1 is antisymmetrized and diff2 symmetrized so the circulant
-    structure is exact.
+    mode. The first generator is antisymmetrized and the second symmetrized,
+    so diff1 is exactly antisymmetric and diff2 exactly symmetric.
     """
     k = np.fft.fftfreq(N, d=1.0 / N)
     k1 = k.copy()
@@ -75,19 +94,14 @@ def _spectral_pair(N):
     delta = np.zeros(N)
     delta[0] = 1.0
     f = np.fft.fft(delta)
-    g1 = np.real(np.fft.ifft(1j * k1 * f))
-    g2 = np.real(np.fft.ifft(-(k ** 2) * f))
-    # ifft gives the kernel D[i, j] = g[(i - j) mod N]; the circulant helper
-    # wants the stencil reading gen[(j - i) mod N], so reverse the index
-    rev = (-np.arange(N)) % N
-    D1 = _circulant_from_generator(g1[rev])
-    D2 = _circulant_from_generator(g2[rev])
-    D1 = 0.5 * (D1 - D1.T)
-    D2 = 0.5 * (D2 + D2.T)
-    return D1, D2
+    # ifft gives the kernel D[i, j] = g[(i - j) mod N], the reverse of the
+    # stencil reading gen[(j - i) mod N]
+    g1 = _reversed(np.real(np.fft.ifft(1j * k1 * f)))
+    g2 = _reversed(np.real(np.fft.ifft(-(k ** 2) * f)))
+    return 0.5 * (g1 - _reversed(g1)), 0.5 * (g2 + _reversed(g2))
 
 
-def _periodic_fd_pair(N, order):
+def _periodic_fd_generators(N, order):
     h = TWO_PI / N
     g1 = np.zeros(N)
     g2 = np.zeros(N)
@@ -102,32 +116,45 @@ def _periodic_fd_pair(N, order):
         g2[2] = g2[-2] = -1.0 / (12 * h ** 2)
     else:
         raise DomainError(f"unsupported periodic order {order!r}")
-    return _circulant_from_generator(g1), _circulant_from_generator(g2)
+    return g1, g2
 
 
-def _dirichlet_pair(N, x, order):
-    D1 = np.zeros((N, N))
-    D2 = np.zeros((N, N))
+def _periodic_generators(N, order):
+    if order == "spectral":
+        return _spectral_generators(N)
+    return _periodic_fd_generators(N, order)
+
+
+def _fill_stencils(D, x, rows, width, deriv):
+    # row i of D gets the weights of the width-node window nearest x[i]
+    N = len(x)
+    lo = np.minimum(np.maximum(rows - width // 2, 0), N - width)
+    cols = lo[:, None] + np.arange(width)
+    c = fornberg_weights(x[rows], x[cols], deriv)
+    D[rows[:, None], cols] = c[..., deriv]
+
+
+def _dirichlet_matrix(x, order, deriv):
+    """diff1 (deriv=1) or diff2 (deriv=2) on the interval nodes x."""
+    N = len(x)
+    # stencil widths: w1 for diff1 and the interior rows of diff2, the
+    # wider w2b for diff2's edge rows
     if order == 4:
         w1, w2b = min(5, N), min(6, N)
     elif order == 2:
         w1, w2b = min(3, N), min(4, N)
     else:
         raise DomainError(f"unsupported dirichlet order {order!r}")
-    half = w1 // 2
-    for i in range(N):
-        lo = min(max(i - half, 0), N - w1)
-        c = fornberg_weights(x[i], x[lo:lo + w1], 2)
-        D1[i, lo:lo + w1] = c[:, 1]
-        D2[i, lo:lo + w1] = c[:, 2]
-    # centered second-derivative stencils lose one order at the edges;
-    # widen the window there to keep the nominal order
-    for i in list(range(half)) + list(range(N - half, N)):
-        lo = min(max(i - half, 0), N - w2b)
-        c = fornberg_weights(x[i], x[lo:lo + w2b], 2)
-        D2[i, :] = 0.0
-        D2[i, lo:lo + w2b] = c[:, 2]
-    return D1, D2
+    D = np.zeros((N, N))
+    _fill_stencils(D, x, np.arange(N), w1, deriv)
+    if deriv == 2:
+        # centered second-derivative stencils lose one order at the edges;
+        # widen the window there to keep the nominal order
+        half = w1 // 2
+        edges = np.r_[0:half, N - half:N]
+        D[edges, :] = 0.0
+        _fill_stencils(D, x, edges, w2b, deriv)
+    return D
 
 
 def _gregory_weights(N, h):
@@ -150,7 +177,7 @@ class Grid:
 
     kind is 'periodic' (nodes uniform on [0, 2*pi)) or 'dirichlet' (nodes
     include both endpoints of [a, b]). quad weights are positive and sum to
-    the domain length.
+    the domain length. diff2 is built on first use and then kept.
     """
 
     kind: str
@@ -158,10 +185,15 @@ class Grid:
     order: object
     nodes: np.ndarray = field(repr=False)
     diff1: np.ndarray = field(repr=False)
-    diff2: np.ndarray = field(repr=False)
     quad: np.ndarray = field(repr=False)
     a: float = 0.0
     b: float = TWO_PI
+
+    @cached_property
+    def diff2(self):
+        if self.kind == "periodic":
+            return _circulant(_periodic_generators(self.N, self.order)[1])
+        return _dirichlet_matrix(self.nodes, self.order, 2)
 
 
 def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
@@ -175,12 +207,9 @@ def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
         if N < 8:
             raise DomainError(f"periodic grid needs N >= 8, got {N}")
         nodes = TWO_PI * np.arange(N) / N
-        if order == "spectral":
-            D1, D2 = _spectral_pair(N)
-        else:
-            D1, D2 = _periodic_fd_pair(N, order)
+        D1 = _circulant(_periodic_generators(N, order)[0])
         quad = np.full(N, TWO_PI / N)
-        return Grid("periodic", N, order, nodes, D1, D2, quad, 0.0, TWO_PI)
+        return Grid("periodic", N, order, nodes, D1, quad, 0.0, TWO_PI)
     if kind == "dirichlet":
         if N < 4:
             raise DomainError(f"dirichlet grid needs N >= 4, got {N}")
@@ -189,9 +218,9 @@ def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
         if not b > a:
             raise DomainError(f"empty interval [{a}, {b}]")
         nodes = np.linspace(a, b, N)
-        D1, D2 = _dirichlet_pair(N, nodes, order)
+        D1 = _dirichlet_matrix(nodes, order, 1)
         quad = _gregory_weights(N, (b - a) / (N - 1))
-        return Grid("dirichlet", N, order, nodes, D1, D2, quad, float(a), float(b))
+        return Grid("dirichlet", N, order, nodes, D1, quad, float(a), float(b))
     raise DomainError(f"unknown grid kind {kind!r}")
 
 

@@ -11,6 +11,7 @@ empty-kernel operators are the one place these actually occur.
 
 import hashlib
 import json
+import math
 import time
 
 import numpy as np
@@ -18,11 +19,18 @@ import numpy as np
 
 def fmt_float(x):
     x = float(x)
-    if np.isnan(x):
+    if math.isnan(x):
         return '"nan"'
-    if np.isinf(x):
+    if math.isinf(x):
         return '"inf"' if x > 0 else '"-inf"'
     return format(x, ".17g")
+
+
+def _finite_floats(seq):
+    # two passes in C: every item is a Python float, and the sum is finite,
+    # which no inf or nan item allows (an overflowing sum of finite items
+    # just takes the item-by-item path)
+    return set(map(type, seq)) <= {float} and math.isfinite(sum(seq))
 
 
 def _emit(obj, parts):
@@ -49,6 +57,9 @@ def _emit(obj, parts):
             parts.append(":")
             _emit(obj[key], parts)
         parts.append("}")
+    elif isinstance(obj, (list, tuple)) and _finite_floats(obj):
+        # states and residual histories: one join, the bytes fmt_float gives
+        parts.append("[" + ",".join([format(x, ".17g") for x in obj]) + "]")
     elif isinstance(obj, (list, tuple)):
         parts.append("[")
         for i, item in enumerate(obj):

@@ -53,6 +53,9 @@ SIN_MIN = 0.05  # sphere charts stay away from the poles
 # rows of the exp(1j theta k) matrix built at once by _trig_interp: bounds one
 # evaluation's memory at about 40 * INTERP_ROWS * N bytes
 INTERP_ROWS = 256
+# side of the square blocks in which _symmetrize and the symmetry residual
+# pair a matrix with its transpose, in place of a transposed n x n copy
+BLOCK = 128
 
 
 def radial_cap(lam):
@@ -98,9 +101,10 @@ class Problem:
     get(key, kind, default=None, required=False) reads a [problem] key
     through the CLI converter named kind (positive, ints, gram, order), and
     value, grad, hess, killing_fields and scalars of (v, lam) for the node
-    values v of a checked state. It overrides check, weights and generators
-    where the defaults below do not fit; with generators, it implements
-    act(state, lam, t) for t not all zero.
+    values v of a checked state; hess returns a new matrix, which jacobi
+    then symmetrizes and scales in place. It overrides check, weights and
+    generators where the defaults below do not fit; with generators, it
+    implements act(state, lam, t) for t not all zero.
     """
     components = 1
     default_lambda = 0.0
@@ -201,9 +205,14 @@ class CmcCircle(Problem):
         b = -w * p * sn * snp / F ** 3
         c = w * ((snp * snp + sn * snpp) / F - (sn * snp) ** 2 / F ** 3
                  - self.H * snp)
-        H = D1.T @ (a[:, None] * D1)
-        H += D1.T * b[None, :]          # D1^T diag(b)
-        H += b[:, None] * D1            # diag(b) D1
+        # the result is allocated before its temporary S, which is freed on
+        # return from the top of the heap, ready for the next n x n array
+        H = np.empty_like(D1)
+        S = a[:, None] * D1
+        np.matmul(D1.T, S, out=H)
+        np.multiply(b[:, None], D1, out=S)
+        H += S.T                        # D1^T diag(b)
+        H += S                          # diag(b) D1
         H[np.arange(r.size), np.arange(r.size)] += c
         return H
 
@@ -342,13 +351,16 @@ class CmcProfile(Problem):
         fpp = TWO_PI * sn / S ** 3
         frp = TWO_PI * snp * p / S
         frr = TWO_PI * (snpp * S - self.H * snp)
-        H = D1.T @ ((w * fpp)[:, None] * D1)
-        H += D1.T * (w * frp)[None, :]
-        H += (w * frp)[:, None] * D1
+        H = np.empty_like(D1)
+        S = (w * fpp)[:, None] * D1
+        np.matmul(D1.T, S, out=H)
+        np.multiply((w * frp)[:, None], D1, out=S)
+        H += S.T
+        H += S
         H[np.arange(rho.size), np.arange(rho.size)] += w * frr
         # Dirichlet pinning: boundary nodes carry no degrees of freedom; scaled
         # identity keeps the pinned modes far from the kernel threshold.
-        scale = np.max(np.abs(H))
+        scale = max(H.max(), -H.min())  # max |H|
         for j in self.pinned:
             H[j, :] = 0.0
             H[:, j] = 0.0
@@ -454,8 +466,16 @@ class HarmonicTorus(_Harmonic):
         w = self.grid.quad / TWO_PI
         D1 = self.grid.diff1
         Q = self.ambient(t).Q
-        K = TWO_PI ** 2 * (D1.T @ (w[:, None] * D1))
-        return np.kron(Q, K)
+        K = D1.T @ (w[:, None] * D1)
+        K *= TWO_PI ** 2
+        # np.kron(Q, K), one block at a time
+        n = self.grid.N
+        H = np.empty((2 * n, 2 * n))
+        for i in range(2):
+            for j in range(2):
+                np.multiply(Q[i, j], K, out=H[i * n:(i + 1) * n,
+                                              j * n:(j + 1) * n])
+        return H
 
     def killing_fields(self, vals, t):
         """The two unit translations of the torus at t plus the
@@ -625,17 +645,39 @@ def residual(problem, state, lambda_hat):
     return problem.grad(v, lambda_hat) / pairing(problem).weights
 
 
+def _block_pairs(n):
+    """(rows, columns) slices of the BLOCK-sized blocks on and above the
+    diagonal of an n x n matrix."""
+    starts = range(0, n, BLOCK)
+    return [(slice(i, i + BLOCK), slice(j, j + BLOCK))
+            for i in starts for j in starts if j >= i]
+
+
+def _symmetrize(A):
+    """A <- (A + A^T) / 2 in place, bitwise equal to 0.5 * (A + A.T).
+
+    A block and its mirror are combined one pair at a time, so no second
+    n x n matrix is made.
+    """
+    for I, J in _block_pairs(A.shape[0]):
+        np.multiply(A[I, J] + A[J, I].T, 0.5, out=A[I, J])
+        if I != J:
+            A[J, I] = A[I, J].T
+    return A
+
+
 def jacobi(problem, state, lambda_hat):
     """Jacobi operator J = W^-1 Hess of the discrete functional.
 
     W J equals the exact (symmetrized to kill last-bit noise) Hessian, so
-    the auxiliary symmetric structure holds by construction.
+    the auxiliary symmetric structure holds by construction. The Hessian's
+    own matrix is symmetrized and scaled in place and becomes J.
     """
     v = _check_state(problem, state, lambda_hat)
-    H = problem.hess(v, lambda_hat)
-    H = 0.5 * (H + H.T)
+    H = _symmetrize(problem.hess(v, lambda_hat))
     pr = pairing(problem)
-    return JacobiOperator(H / pr.weights[:, None], pr, float(lambda_hat))
+    H /= pr.weights[:, None]
+    return JacobiOperator(H, pr, float(lambda_hat))
 
 
 def residual_norm(problem, state, lambda_hat):

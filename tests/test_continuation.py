@@ -82,6 +82,7 @@ def test_corrector_cond_is_the_exact_condition_number(monkeypatch):
     reduce = continuation._Tridiagonal
 
     def recording_reduction(M):
+        # a copy: the reduction overwrites the corrector's buffer M
         bordered.append(np.array(M))
         return reduce(M)
 

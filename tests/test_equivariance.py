@@ -428,6 +428,21 @@ def test_diagnostics_flags_asymmetry():
     assert rep.flagged
 
 
+def test_symmetry_residual_is_bitwise_the_full_matrix_formula():
+    # the residual is taken in place, block pair by block pair; its bits
+    # must be those of |W J - (W J)^T| / |W J| on the full matrices
+    rng = np.random.default_rng(6)
+    for n in (3, 128, 129, 300):
+        w = rng.uniform(0.5, 2.0, n)
+        M = rng.standard_normal((n, n))
+        M = M + M.T + 1e-9 * rng.standard_normal((n, n))
+        W = w[:, None] * M
+        want = float(np.linalg.norm(W - W.T) / np.linalg.norm(W))
+        rep = operator_diagnostics(JacobiOperator(matrix=M, pairing=Pairing(w),
+                                                  lambda_hat=0.0))
+        assert rep.symmetry_residual == want
+
+
 @pytest.mark.parametrize("case", ["non_square", "weights_mismatch"])
 def test_diagnostics_rejects_mismatched_shapes(case):
     prob, st = _flat_circle()

@@ -1,0 +1,82 @@
+"""Memory budget of the dense operator paths.
+
+Every path that touches an n x n operator holds at most three such matrices
+at once: the grid's diff1, the Jacobi, and the one buffer the tridiagonal
+reduction overwrites. The traced peak (tracemalloc sees every numpy
+allocation) is allowed four, which leaves room for the vectors, the grid's
+other arrays and LAPACK workspace, and no room for a fourth full copy.
+"""
+
+import json
+import tracemalloc
+
+import pytest
+
+from equideform.cli import main
+from equideform.continuation import ContinuationConfig, corrector_step
+from equideform.errors import NoConvergence
+from equideform.mesh import build_grid
+from equideform.variational import circle_seed
+
+N = 513
+BUDGET = 4 * N * N * 8   # bytes of four N x N float64 matrices
+
+ANALYZE = {
+    "cmc_circle": "[problem]\ninstance = cmc_circle\nn = %d\nh = 2.0\n"
+                  "lambda_hat = 0.5\n" % N,
+    "cmc_profile": "[problem]\ninstance = cmc_profile\nn = %d\nh = 2.0\n"
+                   "length = 1.0\n" % N,
+}
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+@pytest.mark.parametrize("instance", sorted(ANALYZE))
+def test_analyze_holds_at_most_three_operator_matrices(tmp_path, instance):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(ANALYZE[instance])
+    out = tmp_path / "out"
+    peak, code = _traced_peak(
+        lambda: main(["analyze", "--config", str(cfg), "--out", str(out)]))
+    payload = json.loads((out / "report.json").read_text())["payload"]
+    assert code in (0, 2) and "nondegeneracy" in payload
+    assert peak <= BUDGET, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def _newton_peak(max_newton):
+    lam = 0.8
+
+    def polish():
+        # the grid is built inside the traced region, like analyze's
+        prob, guess = circle_seed(lam + 0.1, 2.0, build_grid("periodic", N))
+        config = ContinuationConfig.polish(lam, basin_guard=0.05,
+                                           max_newton=max_newton)
+        try:
+            return corrector_step(prob, guess, lam, config)[1]
+        except NoConvergence as exc:
+            assert f"after {max_newton} iterations" in str(exc)
+            return max_newton
+
+    return _traced_peak(polish)
+
+
+def test_one_newton_step_holds_at_most_three_operator_matrices():
+    peak, iters = _newton_peak(max_newton=1)
+    assert iters == 1
+    assert peak <= BUDGET, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_later_newton_steps_do_not_keep_the_last_reduction():
+    # the previous step's reduction buffer must be gone before the next
+    # step assembles its Jacobi
+    peak, iters = _newton_peak(max_newton=12)
+    assert iters >= 2
+    assert peak <= BUDGET, f"traced peak {peak / 2**20:.1f} MiB"

@@ -5,6 +5,137 @@ from equideform.errors import DomainError, UnsupportedError
 from equideform.mesh import TWO_PI, Pairing, build_grid, fornberg_weights
 
 
+# --------------------------------------------- reference constructions
+# the index-gather circulant and the per-node Fornberg loop the grids were
+# first built with; the grids must stay bitwise equal to them
+
+
+def _reference_fornberg(z, x, m):
+    n = len(x)
+    c = np.zeros((n, m + 1))
+    c1 = 1.0
+    c4 = x[0] - z
+    c[0, 0] = 1.0
+    for i in range(1, n):
+        mn = min(i, m)
+        c2 = 1.0
+        c5 = c4
+        c4 = x[i] - z
+        for j in range(i):
+            c3 = x[i] - x[j]
+            c2 *= c3
+            if j == i - 1:
+                for k in range(mn, 0, -1):
+                    c[i, k] = c1 * (k * c[i - 1, k - 1] - c5 * c[i - 1, k]) / c2
+                c[i, 0] = -c1 * c5 * c[i - 1, 0] / c2
+            for k in range(mn, 0, -1):
+                c[j, k] = (c4 * c[j, k] - k * c[j, k - 1]) / c3
+            c[j, 0] = c4 * c[j, 0] / c3
+        c1 = c2
+    return c
+
+
+def _reference_circulant(gen):
+    N = len(gen)
+    idx = (np.arange(N)[None, :] - np.arange(N)[:, None]) % N
+    return np.asarray(gen)[idx]
+
+
+def _reference_spectral(N):
+    k = np.fft.fftfreq(N, d=1.0 / N)
+    k1 = k.copy()
+    if N % 2 == 0:
+        k1[N // 2] = 0.0
+    delta = np.zeros(N)
+    delta[0] = 1.0
+    f = np.fft.fft(delta)
+    g1 = np.real(np.fft.ifft(1j * k1 * f))
+    g2 = np.real(np.fft.ifft(-(k ** 2) * f))
+    rev = (-np.arange(N)) % N
+    D1 = _reference_circulant(g1[rev])
+    D2 = _reference_circulant(g2[rev])
+    return 0.5 * (D1 - D1.T), 0.5 * (D2 + D2.T), np.full(N, TWO_PI / N)
+
+
+def _reference_periodic_fd(N, order):
+    h = TWO_PI / N
+    g1 = np.zeros(N)
+    g2 = np.zeros(N)
+    if order == 2:
+        g1[1], g1[-1] = 1.0 / (2 * h), -1.0 / (2 * h)
+        g2[0], g2[1], g2[-1] = -2.0 / h ** 2, 1.0 / h ** 2, 1.0 / h ** 2
+    else:
+        g1[1], g1[2] = 8.0 / (12 * h), -1.0 / (12 * h)
+        g1[-1], g1[-2] = -8.0 / (12 * h), 1.0 / (12 * h)
+        g2[0] = -30.0 / (12 * h ** 2)
+        g2[1] = g2[-1] = 16.0 / (12 * h ** 2)
+        g2[2] = g2[-2] = -1.0 / (12 * h ** 2)
+    return (_reference_circulant(g1), _reference_circulant(g2),
+            np.full(N, TWO_PI / N))
+
+
+def _reference_dirichlet(N, order):
+    x = np.linspace(0.0, 1.0, N)
+    D1 = np.zeros((N, N))
+    D2 = np.zeros((N, N))
+    w1, w2b = (min(5, N), min(6, N)) if order == 4 else (min(3, N), min(4, N))
+    half = w1 // 2
+    for i in range(N):
+        lo = min(max(i - half, 0), N - w1)
+        c = _reference_fornberg(x[i], x[lo:lo + w1], 2)
+        D1[i, lo:lo + w1] = c[:, 1]
+        D2[i, lo:lo + w1] = c[:, 2]
+    for i in list(range(half)) + list(range(N - half, N)):
+        lo = min(max(i - half, 0), N - w2b)
+        c = _reference_fornberg(x[i], x[lo:lo + w2b], 2)
+        D2[i, :] = 0.0
+        D2[i, lo:lo + w2b] = c[:, 2]
+    h = 1.0 / (N - 1)
+    quad = np.full(N, h)
+    if N >= 7:
+        edge = np.array([3.0 / 8.0, 7.0 / 6.0, 23.0 / 24.0])
+        quad[:3] = edge * h
+        quad[-3:] = edge[::-1] * h
+    else:
+        quad[0] = quad[-1] = 0.5 * h
+    return D1, D2, quad
+
+
+_REFERENCE_GRIDS = (
+    [(("periodic", N, "spectral"), _reference_spectral, (N,))
+     for N in (8, 9, 64, 65, 1024)]
+    + [(("periodic", 64, order), _reference_periodic_fd, (64, order))
+       for order in (2, 4)]
+    + [(("dirichlet", N, order), _reference_dirichlet, (N, order))
+       for order in (2, 4) for N in (4, 5, 17, 33, 1024)])
+
+
+@pytest.mark.parametrize("args, reference, ref_args", _REFERENCE_GRIDS,
+                         ids=[f"{k}-{N}-{o}" for (k, N, o), _, _ in
+                              _REFERENCE_GRIDS])
+def test_grids_are_bitwise_equal_to_the_reference_construction(
+        args, reference, ref_args):
+    g = build_grid(*args)
+    D1, D2, quad = reference(*ref_args)
+    for got, want in ((g.diff1, D1), (g.diff2, D2), (g.quad, quad)):
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+    assert g.diff1.flags["C_CONTIGUOUS"] and g.diff2.flags["C_CONTIGUOUS"]
+
+
+def test_fornberg_batch_equals_single_centre_calls():
+    rng = np.random.default_rng(5)
+    for n, m in ((1, 0), (3, 2), (5, 2), (6, 4)):
+        x = np.sort(rng.uniform(-1.0, 1.0, (7, n)), axis=1)
+        z = rng.uniform(-1.0, 1.0, 7)
+        batch = fornberg_weights(z, x, m)
+        assert batch.shape == (7, n, m + 1)
+        for zi, xi, ci in zip(z, x, batch):
+            single = fornberg_weights(zi, xi, m)
+            assert single.tobytes() == _reference_fornberg(zi, xi, m).tobytes()
+            assert ci.tobytes() == single.tobytes()
+
+
 def test_fornberg_weights_differentiate_polynomials_exactly():
     # weights on m+1 scattered nodes are exact for degree <= m
     rng = np.random.default_rng(11)

@@ -61,3 +61,18 @@ def test_write_report_separates_meta(tmp_path):
     seg1 = p1.read_text().split(',"payload":', 1)[1]
     seg2 = p2.read_text().split(',"payload":', 1)[1]
     assert seg1 == seg2
+
+
+def test_float_lists_print_as_their_items_do():
+    # lists of finite Python floats take a one-join path; any other list,
+    # including one whose sum overflows, goes item by item: same bytes
+    rng = np.random.default_rng(3)
+    scales = 10.0 ** rng.integers(-300, 300, 300)
+    cases = [list(rng.standard_normal(300) * scales),
+             [0.0, -0.0, 5e-324, -1.7976931348623157e308, 0.1],
+             [1e308, 1e308], [1.0, float("nan")], [float("-inf"), 2.0],
+             [1.0, 2], [True, 1.0], [np.float64(0.5), 0.25], []]
+    for items in cases:
+        want = "[" + ",".join(dumps_stable(x) for x in items) + "]"
+        assert dumps_stable(items) == want
+        assert dumps_stable(tuple(items)) == want

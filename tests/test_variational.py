@@ -178,6 +178,31 @@ def test_w_symmetry_of_jacobi_for_all_instances():
         assert np.linalg.norm(WJ - WJ.T) / np.linalg.norm(WJ) < 1e-10
 
 
+def test_symmetrize_is_bitwise_the_full_transpose_sum():
+    # block pairs in place must give exactly 0.5 * (A + A.T), across block
+    # edges and partial last blocks
+    rng = np.random.default_rng(4)
+    for n in (1, 5, variational.BLOCK, variational.BLOCK + 1, 300):
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 8, (n, n))
+        want = 0.5 * (A + A.T)
+        got = variational._symmetrize(A.copy())
+        assert got.tobytes() == want.tobytes()
+
+
+def test_jacobi_is_the_symmetrized_hessian_over_the_weights():
+    # jacobi symmetrizes and scales the Hessian in place; the bits must be
+    # those of the expression it replaced, at sizes with several blocks
+    for prob, st, lam in [(*circle_seed(0.5, 2.0, build_grid("periodic", 300)),
+                           0.5),
+                          (*profile_cylinder_seed(
+                              2.0, build_grid("dirichlet", 300, order=4)), 0.0),
+                          (*torus_line_seed((1, 1), build_grid("periodic", 151),
+                                            np.eye(2), np.eye(2)), 0.0)]:
+        H = prob.hess(st.values, lam)
+        want = 0.5 * (H + H.T) / pairing(prob).weights[:, None]
+        assert jacobi(prob, st, lam).matrix.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------- derivative consistency
 
 def _all_instances(rng, perturb=0.0):
