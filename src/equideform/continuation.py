@@ -147,20 +147,20 @@ class BranchRecord:
         }
 
 
-def _bordered_update(J, w, B, res, lambda_hat):
+def _bordered_update(H, w, B, res, lambda_hat):
     """Newton update and condition number of the bordered system.
 
-    The bordered matrix [[W J, W B], [B^T W, 0]] is written straight into
-    the Fortran-ordered buffer its reduction overwrites, and the buffer is
-    gone on return, before the next step assembles its Jacobi. One symmetric
-    reduction M = Q T Q^T gives both the exact 2-norm condition number
-    max|mu| / min|mu| over T's eigenvalues, which are M's, and the solve.
-    Raises IllConditioned when the condition number exceeds 1e12.
+    The bordered matrix [[H, W B], [B^T W, 0]], H = W J, is written straight
+    into the Fortran-ordered buffer its reduction overwrites, and the buffer
+    is gone on return, before the next step assembles its Jacobi. One
+    reduction M = Q T Q^T of M's lower triangle gives both the exact 2-norm
+    condition number max|mu| / min|mu| over T's eigenvalues, which are M's,
+    and the solve. Raises IllConditioned when the condition exceeds 1e12.
     """
     n, k = B.shape
     WB = w[:, None] * B
     M = np.empty((n + k, n + k), order="F")
-    np.multiply(w[:, None], J, out=M[:n, :n])
+    M[:n, :n] = H
     M[:n, n:] = WB
     M[n:, :n] = WB.T
     M[n:, n:] = 0.0
@@ -205,7 +205,7 @@ def corrector_step(problem, state, lambda_hat, config):
         B = rank_basis(killing_jacobi_basis(problem, st, lambda_hat), w)
         k = B.shape[1]
         delta, cond = _bordered_update(
-            jacobi(problem, st, lambda_hat).matrix, w, B, res, lambda_hat)
+            jacobi(problem, st, lambda_hat).hessian, w, B, res, lambda_hat)
         worst_cond = max(worst_cond, cond)
         if k:
             # exact W-orthogonality to the orbit directions

@@ -1,12 +1,12 @@
 """Certification of equivariant nondegeneracy and slice transversality.
 
 The numerical Jacobi kernel is extracted from one tridiagonal reduction of
-the weight-symmetrized operator (its whole spectrum, and eigenvectors only
-for the kernel) and compared against the span of the Killing-induced Jacobi
-fields through principal angles. A state is certified nondegenerate exactly
-when the kernel dimension equals the Killing rank and every principal angle
-is below tolerance; a mandatory multiplicative spectral gap guards against
-silent misclassification near threshold.
+one triangle of W^-1/2 (W J) W^-1/2 (its whole spectrum, and eigenvectors
+only for the kernel) and compared against the span of the Killing-induced
+Jacobi fields through principal angles. A state is certified nondegenerate
+exactly when the kernel dimension equals the Killing rank and every
+principal angle is below tolerance; a mandatory multiplicative spectral gap
+guards against silent misclassification near threshold.
 
 The slice through a certified state is the W-complement of its Killing
 span. It stays transversal to a nearby orbit while the two k-dimensional
@@ -22,8 +22,7 @@ here is implemented.
 Beside the grid's diff1 and the Jacobi, each routine holds at most one more
 n x n matrix: the scaled symmetric operator is written into the buffer that
 LAPACK dsytrd then overwrites with its reflectors, which dormqr reads in
-place, and the symmetry residual turns its one copy of W J into the
-antisymmetric part block by block.
+place; the symmetry residual reads the Hessian block pair by block pair.
 """
 
 from dataclasses import dataclass
@@ -33,21 +32,22 @@ from scipy.linalg import eigh_tridiagonal, lapack, subspace_angles
 
 from . import errors
 from .errors import PreconditionError, ShapeError
-from .variational import (ProblemState, _block_pairs, _symmetrize, jacobi,
-                          killing_jacobi_basis, pairing, residual,
-                          residual_norm)
+from .variational import (ProblemState, jacobi, killing_jacobi_basis,
+                          pairing, residual, residual_norm)
 
 GAP_FLOOR = 1.0e3
 RANK_RTOL = 1e-10   # rank_basis drops singular values below this * sigma_max
+BLOCK = 128  # side of the blocks the symmetry residual pairs with mirrors
 
 
 def _sym_scaled(J):
-    # sqrt(W) J / sqrt(W): symmetric because W J is; one new matrix, scaled
-    # and symmetrized in place
+    # W^-1/2 (W J) W^-1/2, symmetric because W J is: one new matrix, in the
+    # Fortran order of the reduction buffer, whose lower triangle is reduced
     sw = np.sqrt(J.pairing.weights)
-    A = sw[:, None] * J.matrix
+    A = np.empty_like(J.hessian, order="F")
+    np.divide(J.hessian, sw[:, None], out=A)
     A /= sw[None, :]
-    return _symmetrize(A), sw
+    return A, sw
 
 
 def _lapack_check(info, routine):
@@ -118,7 +118,7 @@ class _Tridiagonal:
 class KernelBasis:
     vectors: np.ndarray          # (n, dim), W-orthonormal columns
     singular_values: np.ndarray  # the retained small singular values
-    tol_rel: float               # relative cut used, default 1e-8 * n
+    tol_rel: float               # relative cut, default 1e-8 * (unknowns)
     tolerance: float             # absolute cut, tol_rel * sigma_max
     gap: float
     indeterminate: bool
@@ -131,25 +131,24 @@ class KernelBasis:
 @errors.linalg_guard
 def numerical_kernel(J, tol_rel=None):
     """Near-kernel of a Jacobi operator via a tridiagonal reduction of
-    sqrt(W) J sqrt(W)^-1.
+    W^-1/2 (W J) W^-1/2 = sqrt(W) J sqrt(W)^-1.
 
     That operator is symmetric, so its singular values are the moduli of its
     eigenvalues, all of which come from the reduction. Retains eigenvectors
-    with sigma < tol_rel * sigma_max (tol_rel defaults to 1e-8 * n, and the
-    basis records the value used), computed for that index range only,
-    and maps them back by W^-1/2, which makes the returned columns exactly
-    W-orthonormal. The gap field holds the ratio between the smallest
-    rejected and the largest retained singular value; anything below 10^3
-    flags the result indeterminate (no certified separation).
+    with sigma < tol_rel * sigma_max (tol_rel defaults to 1e-8 * n for n
+    unknowns; the basis records the value used), computed for that index
+    range only, and maps them back by W^-1/2, which makes the returned
+    columns exactly W-orthonormal. The gap field holds the ratio between the
+    smallest rejected and the largest retained singular value; anything
+    below 10^3 flags the result indeterminate (no certified separation).
     """
-    n = J.matrix.shape[0]
+    n = J.hessian.shape[0]
     if tol_rel is None:
         tol_rel = 1e-8 * n
     if not 0.0 < tol_rel <= 1e-2:
         raise PreconditionError(f"tol_rel must lie in (0, 1e-2], got {tol_rel}")
     A, sw = _sym_scaled(J)
-    # A is exactly symmetric, so its transpose, Fortran-contiguous, is A
-    reduced = _Tridiagonal(A.T)
+    reduced = _Tridiagonal(A)
     mu = reduced.eigenvalues    # ascending
     order = np.argsort(np.abs(mu))[::-1]
     s = np.abs(mu)[order]       # the singular values of A, descending
@@ -273,19 +272,20 @@ def transversality_margin(basis, reference, weights):
 def _symmetry_residual(J):
     """|W J - (W J)^T|_F / |W J|_F, 0 when W J vanishes.
 
-    W J is formed once and turned into W J - (W J)^T in place, block pair
-    by block pair, so both norms are those of the full matrices.
+    Summed over the block pairs on and above the diagonal, an off-diagonal
+    pair counting for both mirrors, so no n x n copy is made.
     """
-    W = J.pairing.weights[:, None] * J.matrix
-    denom = np.linalg.norm(W)
+    H = J.hessian
+    n = H.shape[0]
+    denom = np.linalg.norm(H)
     if not denom > 0.0:
         return 0.0
-    for I, K in _block_pairs(W.shape[0]):
-        X = W[I, K] - W[K, I].T
-        W[I, K] = X
-        if I != K:
-            np.negative(X.T, out=W[K, I])
-    return float(np.linalg.norm(W) / denom)
+    sq = 0.0
+    for i in range(0, n, BLOCK):
+        for j in range(i, n, BLOCK):
+            X = H[i:i + BLOCK, j:j + BLOCK] - H[j:j + BLOCK, i:i + BLOCK].T
+            sq += (1.0 if i == j else 2.0) * np.vdot(X, X)
+    return float(np.sqrt(sq) / denom)
 
 
 @dataclass(frozen=True, eq=False)
@@ -308,20 +308,19 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
                          probes=10, step=1e-5, seed=0):
     """Symmetric-structure diagnostics for an assembled operator.
 
-    Reports (i) the relative asymmetry of W J; (ii) the index
+    Reports (i) the relative asymmetry of W J as assembled; (ii) the index
     dim ker J - dim ker J^*, which is 0 for every square operator by
     rank-nullity (rank J = rank J^*) -- the finite-dimensional shadow of the
     index-zero property of the continuum theory, kept as a payload field;
     (iii) when (problem, state, lambda_hat) are supplied, the worst relative
-    gap between J v and the central difference of the residual over random
-    probe vectors (probes are zeroed at the problem's pinned nodes, whose
-    rows carry no freedom). Raises ShapeError unless J is square and matches
-    its pairing weights.
+    gap between J v = W^-1 (W J) v and the central difference of the
+    residual over random probe vectors. Raises ShapeError unless J is
+    square and matches its pairing weights.
     """
-    n = J.matrix.shape[0]
-    if J.matrix.shape != (n, n) or J.pairing.weights.shape != (n,):
+    n = J.hessian.shape[0]
+    if J.hessian.shape != (n, n) or J.pairing.weights.shape != (n,):
         raise ShapeError(
-            f"operator of shape {J.matrix.shape} does not act on the "
+            f"operator of shape {J.hessian.shape} does not act on the "
             f"{J.pairing.weights.size} weighted nodes of its pairing")
     sym = _symmetry_residual(J)
     fd = np.nan
@@ -331,11 +330,10 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
         base = state.values
         for _ in range(probes):
             v = rng.standard_normal(n)
-            v[list(problem.pinned)] = 0.0
             rp = residual(problem, ProblemState(base + step * v), lambda_hat)
             rm = residual(problem, ProblemState(base - step * v), lambda_hat)
             num = (rp - rm) / (2.0 * step)
-            Jv = J.matrix @ v
+            Jv = (J.hessian @ v) / J.pairing.weights
             scale = max(np.linalg.norm(Jv), 1e-300)
             worst = max(worst, float(np.linalg.norm(num - Jv) / scale))
         fd = worst

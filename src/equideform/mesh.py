@@ -3,8 +3,9 @@
 Unknowns in this package are nodal samples of closed curves or maps, so all
 calculus reduces to dense matrix algebra against the operators built here.
 Periodic grids live on [0, 2*pi) with uniform nodes; interval (dirichlet)
-grids include both endpoints, and boundary values are pinned downstream by
-the problem, not by the grid.
+grids include both endpoints. A problem on an interval grid holds its
+boundary values as data and takes the interior nodes as its unknowns; the
+grid itself imposes no boundary condition.
 
 The spectral differentiation matrices are circulant and trigonometrically
 exact; diff1 is exactly antisymmetric, which makes the assembled weighted

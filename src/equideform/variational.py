@@ -9,7 +9,8 @@ one real parameter lambda_hat:
   asserted by the flat rho = 1/H test).
 * CmcProfile: axisymmetric surfaces of revolution in M^2(k) x R written as
   profiles rho(z) with Dirichlet boundary radii; f = LateralArea -
-  H * EnclosedVolume, critical points have principal curvature sum H.
+  H * EnclosedVolume, critical points have principal curvature sum H. The
+  boundary radii are problem data, so the unknowns are the interior radii.
 * HarmonicTorus: maps S^1 -> R^2/Z^2 in homotopy class (p, q) with a flat
   Gram matrix path; f = Dirichlet energy; critical points are closed
   geodesics (straight lines).
@@ -22,9 +23,9 @@ residual, jacobi, killing_jacobi_basis, act, ...) check the state, call the
 instance's method, and do the shared pairing work.
 
 Residual and Jacobi operators are exact first and second derivatives of the
-discrete functional against the fixed background pairing, so the weighted
-operator W J is symmetric by construction and the discrete model is smooth
-in the literal finite-dimensional sense.
+discrete functional against the fixed background pairing W: the Jacobi J is
+carried as its Hessian W J, symmetric by construction, and the discrete
+model is smooth in the literal finite-dimensional sense.
 
 States of the harmonic instances store periodic chart data with the winding
 handled analytically: the torus state is the periodic remainder on top of
@@ -53,9 +54,6 @@ SIN_MIN = 0.05  # sphere charts stay away from the poles
 # rows of the exp(1j theta k) matrix built at once by _trig_interp: bounds one
 # evaluation's memory at about 40 * INTERP_ROWS * N bytes
 INTERP_ROWS = 256
-# side of the square blocks in which _symmetrize and the symmetry residual
-# pair a matrix with its transpose, in place of a transposed n x n copy
-BLOCK = 128
 
 
 def radial_cap(lam):
@@ -83,7 +81,9 @@ class ProblemState:
 
 @dataclass(frozen=True, eq=False)
 class JacobiOperator:
-    matrix: np.ndarray
+    """The Jacobi J at a state, carried as the Hessian W J on the unknowns
+    exactly as hess assembled it; W is diag(pairing.weights)."""
+    hessian: np.ndarray
     pairing: Pairing
     lambda_hat: float
 
@@ -95,26 +95,24 @@ class Problem:
     """One problem instance: a functional on node space and its symmetries.
 
     Class attributes: name (PROBLEMS key), components (chart values per
-    node), default_lambda, pinned (node indices without freedom; negative
-    ones count from the end). Each instance implements the classmethod
+    node), default_lambda. Each instance implements the classmethod
     from_config(get, N, lam) -> (problem, seed, resolved keys), where
     get(key, kind, default=None, required=False) reads a [problem] key
     through the CLI converter named kind (positive, ints, gram, order), and
-    value, grad, hess, killing_fields and scalars of (v, lam) for the node
-    values v of a checked state; hess returns a new matrix, which jacobi
-    then symmetrizes and scales in place. It overrides check, weights and
-    generators where the defaults below do not fit; with generators, it
-    implements act(state, lam, t) for t not all zero.
+    value, grad, hess, killing_fields and scalars of (v, lam) for the
+    unknowns v of a checked state, one per pairing weight; hess returns a
+    new matrix, the Hessian that jacobi carries as it is. It overrides
+    check, weights and generators where the defaults below do not fit; with
+    generators, it implements act(state, lam, t) for t not all zero.
     """
     components = 1
     default_lambda = 0.0
-    pinned = ()
 
     def check(self, v, lam):
         """Raise DomainError when v leaves the chart domain at lam."""
 
     def weights(self):
-        """Background pairing weights of node space."""
+        """Background pairing weights of the unknowns."""
         return self.grid.quad.copy()
 
     def generators(self, lam):
@@ -291,7 +289,10 @@ class CmcCircle(Problem):
 
 @dataclass(frozen=True, eq=False)
 class CmcProfile(Problem):
-    """No ambient Killing field preserves the axisymmetric class with fixed
+    """The unknowns are the N - 2 interior radii; the two boundary radii are
+    data, put back at the ends of the profile by _full.
+
+    No ambient Killing field preserves the axisymmetric class with fixed
     horizontal boundary circles, so the Killing span and the action are
     empty."""
     H: float
@@ -299,7 +300,6 @@ class CmcProfile(Problem):
     boundary_radii: tuple
 
     name = "cmc_profile"
-    pinned = (0, -1)
 
     def __post_init__(self):
         if self.grid.kind != "dirichlet":
@@ -318,53 +318,53 @@ class CmcProfile(Problem):
         return problem, state, {"h": H, "length": length,
                                 "radius": problem.boundary_radii[0]}
 
+    def weights(self):
+        return self.grid.quad[1:-1].copy()
+
+    def _full(self, rho):
+        # the interior unknowns between the two boundary radii
+        return np.concatenate([self.boundary_radii[:1], rho,
+                               self.boundary_radii[1:]])
+
     def check(self, rho, k):
-        _check_radial(rho, k, "profile", "k")
-        if any(abs(rho[j] - r) > 1e-9
-               for j, r in zip(self.pinned, self.boundary_radii)):
-            raise DomainError("profile boundary values must equal the prescribed radii")
+        _check_radial(self._full(rho), k, "profile", "k")
 
     def _terms(self, rho, k):
-        p = self.grid.diff1 @ rho
-        sn, snp = sn_lambda(k, rho)
+        full = self._full(rho)
+        p = self.grid.diff1 @ full
+        sn, snp = sn_lambda(k, full)
         S = np.sqrt(1.0 + p * p)
-        return p, sn, snp, S
+        return full, p, sn, snp, S
 
     def value(self, rho, k):
         w = self.grid.quad
-        _, sn, _, S = self._terms(rho, k)
-        return float(TWO_PI * (w @ (sn * S) - self.H * (w @ radial_area(k, rho))))
+        full, _, sn, _, S = self._terms(rho, k)
+        return float(TWO_PI * (w @ (sn * S) - self.H * (w @ radial_area(k, full))))
 
     def grad(self, rho, k):
         w = self.grid.quad
         D1 = self.grid.diff1
-        p, sn, snp, S = self._terms(rho, k)
+        _, p, sn, snp, S = self._terms(rho, k)
         g = TWO_PI * (w * (snp * S - self.H * sn) + D1.T @ (w * sn * p / S))
-        g[list(self.pinned)] = 0.0
-        return g
+        return g[1:-1]
 
     def hess(self, rho, k):
         w = self.grid.quad
-        D1 = self.grid.diff1
-        p, sn, snp, S = self._terms(rho, k)
+        # the interior columns, a strided view that BLAS reads in place
+        D1 = self.grid.diff1[:, 1:-1]
+        _, p, sn, snp, S = self._terms(rho, k)
         snpp = -k * sn
         fpp = TWO_PI * sn / S ** 3
         frp = TWO_PI * snp * p / S
         frr = TWO_PI * (snpp * S - self.H * snp)
-        H = np.empty_like(D1)
+        H = np.empty((rho.size, rho.size))
         S = (w * fpp)[:, None] * D1
         np.matmul(D1.T, S, out=H)
-        np.multiply((w * frp)[:, None], D1, out=S)
+        S = S[1:-1]                     # the interior rows
+        np.multiply((w * frp)[1:-1, None], D1[1:-1], out=S)
         H += S.T
         H += S
-        H[np.arange(rho.size), np.arange(rho.size)] += w * frr
-        # Dirichlet pinning: boundary nodes carry no degrees of freedom; scaled
-        # identity keeps the pinned modes far from the kernel threshold.
-        scale = max(H.max(), -H.min())  # max |H|
-        for j in self.pinned:
-            H[j, :] = 0.0
-            H[:, j] = 0.0
-            H[j, j] = scale
+        H[np.arange(rho.size), np.arange(rho.size)] += (w * frr)[1:-1]
         return H
 
     def killing_fields(self, rho, k):
@@ -373,7 +373,7 @@ class CmcProfile(Problem):
     def scalars(self, rho, k):
         res = residual(self, ProblemState(rho), k)
         sn, _ = sn_lambda(k, rho)
-        err = np.abs(res[1:-1]) / (TWO_PI * sn[1:-1])
+        err = np.abs(res) / (TWO_PI * sn)
         return {"max_H_error": float(np.max(err))}
 
 
@@ -611,7 +611,8 @@ PROBLEMS = {cls.name: cls for cls in (CmcCircle, CmcProfile, HarmonicTorus,
 # public functional interface
 
 def state_size(problem):
-    return problem.components * problem.grid.N
+    """Number of unknowns: one per pairing weight."""
+    return problem.weights().size
 
 
 def pairing(problem):
@@ -639,45 +640,23 @@ def residual(problem, state, lambda_hat):
 
     Zero exactly at discrete critical points; for CmcCircle it approximates
     (kappa_g - H) sn, the first-variation density against the background
-    weights. CmcProfile boundary entries are identically zero (Dirichlet).
+    weights. It has one entry per unknown, so a CmcProfile residual covers
+    the interior nodes only.
     """
     v = _check_state(problem, state, lambda_hat)
     return problem.grad(v, lambda_hat) / pairing(problem).weights
 
 
-def _block_pairs(n):
-    """(rows, columns) slices of the BLOCK-sized blocks on and above the
-    diagonal of an n x n matrix."""
-    starts = range(0, n, BLOCK)
-    return [(slice(i, i + BLOCK), slice(j, j + BLOCK))
-            for i in starts for j in starts if j >= i]
-
-
-def _symmetrize(A):
-    """A <- (A + A^T) / 2 in place, bitwise equal to 0.5 * (A + A.T).
-
-    A block and its mirror are combined one pair at a time, so no second
-    n x n matrix is made.
-    """
-    for I, J in _block_pairs(A.shape[0]):
-        np.multiply(A[I, J] + A[J, I].T, 0.5, out=A[I, J])
-        if I != J:
-            A[J, I] = A[I, J].T
-    return A
-
-
 def jacobi(problem, state, lambda_hat):
-    """Jacobi operator J = W^-1 Hess of the discrete functional.
+    """Jacobi operator J = W^-1 Hess of the discrete functional, carried as
+    the Hessian W J on the unknowns.
 
-    W J equals the exact (symmetrized to kill last-bit noise) Hessian, so
-    the auxiliary symmetric structure holds by construction. The Hessian's
-    own matrix is symmetrized and scaled in place and becomes J.
+    The Hessian is the instance's hess, returned as it was assembled: it is
+    symmetric by construction, up to roundoff, and no consumer forms J.
     """
     v = _check_state(problem, state, lambda_hat)
-    H = _symmetrize(problem.hess(v, lambda_hat))
-    pr = pairing(problem)
-    H /= pr.weights[:, None]
-    return JacobiOperator(H, pr, float(lambda_hat))
+    return JacobiOperator(problem.hess(v, lambda_hat), pairing(problem),
+                          float(lambda_hat))
 
 
 def residual_norm(problem, state, lambda_hat):
@@ -761,10 +740,11 @@ def circle_seed(lam, H, grid):
 
 
 def profile_cylinder_seed(H, grid, radius=None):
-    """Cylinder profile state; exactly critical at k = 0 when radius = 1/H."""
+    """Cylinder profile state, the N - 2 interior radii; exactly critical at
+    k = 0 when radius = 1/H."""
     rho = 1.0 / H if radius is None else float(radius)
     problem = CmcProfile(H=float(H), grid=grid, boundary_radii=(rho, rho))
-    return problem, ProblemState(np.full(grid.N, rho))
+    return problem, ProblemState(np.full(grid.N - 2, rho))
 
 
 def torus_line_seed(homotopy, grid, gram_start, gram_end):

@@ -115,7 +115,8 @@ def test_corrector_gate_trips_on_a_kernel_outside_the_killing_span(
 
     def jacobi_without_mode(problem, state, lambda_hat):
         J = jacobi(problem, state, lambda_hat)
-        return JacobiOperator(P @ J.matrix @ P, J.pairing, J.lambda_hat)
+        # W P J P = P^T (W J) P
+        return JacobiOperator(P.T @ J.hessian @ P, J.pairing, J.lambda_hat)
 
     monkeypatch.setattr(continuation, "jacobi", jacobi_without_mode)
     with pytest.raises(IllConditioned, match="condition"):

@@ -10,8 +10,8 @@ from equideform.equivariance import (_sym_scaled, _Tridiagonal,
                                      operator_diagnostics, rank_basis,
                                      transversality_margin)
 from equideform.mesh import Pairing, build_grid
-from equideform.variational import (JacobiOperator, ProblemState, act,
-                                    circle_seed, jacobi,
+from equideform.variational import (CmcCircle, JacobiOperator, ProblemState,
+                                    act, circle_seed, jacobi,
                                     killing_jacobi_basis, pairing,
                                     profile_cylinder_seed, residual_norm,
                                     sphere_equator_seed, torus_line_seed)
@@ -44,7 +44,7 @@ def _bordered(prob, st, lam):
     B = rank_basis(killing_jacobi_basis(prob, st, lam), w)
     k = B.shape[1]
     WB = w[:, None] * B
-    M = np.block([[w[:, None] * jacobi(prob, st, lam).matrix, WB],
+    M = np.block([[jacobi(prob, st, lam).hessian, WB],
                   [WB.T, np.zeros((k, k))]])
     return M, k
 
@@ -103,6 +103,12 @@ def test_reduction_eigenvectors_rebuild_the_matrix():
         assert np.max(np.abs(rebuilt - A)) < 1e-13 * np.max(np.abs(A)), name
 
 
+def _shifted(J, shift):
+    # J + shift I, carried as W J + shift W
+    return JacobiOperator(hessian=J.hessian + shift * np.diag(J.pairing.weights),
+                          pairing=J.pairing, lambda_hat=J.lambda_hat)
+
+
 def _eigh_kernel(J, tol):
     # the kernel the full eigendecomposition gives, in the W geometry
     A, sw = _sym_scaled(J)
@@ -120,8 +126,7 @@ def test_kernel_vectors_match_eigh_kernel(case, dim):
         prob, st = _flat_circle()
         J = jacobi(prob, st, 0.0)
         if case == "shifted circle":
-            J = JacobiOperator(matrix=J.matrix + 0.5 * np.eye(J.matrix.shape[0]),
-                               pairing=J.pairing, lambda_hat=0.0)
+            J = _shifted(J, 0.5)
     kb = numerical_kernel(J)
     want = _eigh_kernel(J, kb.tolerance)
     assert kb.dim == want.shape[1] == dim
@@ -159,8 +164,7 @@ def test_kernel_flat_circle_dim_two():
 def test_kernel_vanishes_after_shift():
     prob, st = _flat_circle()
     J = jacobi(prob, st, 0.0)
-    shifted = JacobiOperator(matrix=J.matrix + 0.5 * np.eye(J.matrix.shape[0]),
-                             pairing=J.pairing, lambda_hat=0.0)
+    shifted = _shifted(J, 0.5)
     kb = numerical_kernel(shifted)
     assert kb.dim == 0
     assert kb.singular_values.size == 0
@@ -227,6 +231,23 @@ def test_nondegeneracy_profile_trivial_kernel():
     assert rep.principal_angles.size == 0
 
 
+def test_profile_kernel_cut_is_relative_to_the_interior_spectrum():
+    # the cut scales with the top of the Jacobi spectrum on the interior
+    # unknowns, the generalized eigenvalues of (W J, W)
+    from scipy.linalg import eigh
+
+    g = build_grid("dirichlet", 64, order=4)
+    prob, st = profile_cylinder_seed(2.0, g)
+    J = jacobi(prob, st, 0.0)
+    w = J.pairing.weights
+    assert w.size == 62
+    mu = eigh(0.5 * (J.hessian + J.hessian.T), np.diag(w), eigvals_only=True)
+    kb = numerical_kernel(J)
+    assert kb.tol_rel == 1e-8 * 62
+    assert kb.tolerance == pytest.approx(kb.tol_rel * np.max(np.abs(mu)),
+                                         rel=1e-12)
+
+
 def test_nondegeneracy_torus_line():
     g = build_grid("periodic", 65)
     prob, st = torus_line_seed((1, 1), g, np.eye(2), np.eye(2))
@@ -247,8 +268,7 @@ def test_nondegeneracy_rejects_noncritical_state():
 def test_nondegeneracy_injected_shift_is_degenerate():
     prob, st = _flat_circle()
     J = jacobi(prob, st, 0.0)
-    shifted = JacobiOperator(matrix=J.matrix + 0.5 * np.eye(J.matrix.shape[0]),
-                             pairing=J.pairing, lambda_hat=0.0)
+    shifted = _shifted(J, 0.5)
     rep = nondegeneracy_report(prob, st, 0.0, operator=shifted)
     assert rep.verdict == "degenerate"
     assert rep.kernel_dim == 0
@@ -271,7 +291,7 @@ def test_nondegeneracy_resolves_small_principal_angles(theta):
     Q, _ = np.linalg.qr(np.column_stack([kernel, Q[:, 2:]]))
     spectrum = np.concatenate([np.zeros(2), np.linspace(1.0, 2.0, n - 2)])
     A = (Q * spectrum) @ Q.T
-    op = JacobiOperator(matrix=A * (sw[None, :] / sw[:, None]),
+    op = JacobiOperator(hessian=sw[:, None] * A * sw[None, :],
                         pairing=Pairing(w), lambda_hat=0.0)
     rep = nondegeneracy_report(prob, st, 0.0, operator=op, angle_tol=1.0)
     assert rep.kernel_dim == rep.killing_rank == 2
@@ -420,17 +440,35 @@ def test_diagnostics_profile_needs_smaller_step():
 def test_diagnostics_flags_asymmetry():
     prob, st = _flat_circle()
     J = jacobi(prob, st, 0.0)
-    M = J.matrix.copy()
+    M = J.hessian.copy()
     M[0, 1] += 1.0
-    rep = operator_diagnostics(JacobiOperator(matrix=M, pairing=J.pairing,
+    rep = operator_diagnostics(JacobiOperator(hessian=M, pairing=J.pairing,
                                               lambda_hat=0.0))
     assert rep.symmetry_residual > 1e-8
     assert rep.flagged
 
 
-def test_symmetry_residual_is_bitwise_the_full_matrix_formula():
-    # the residual is taken in place, block pair by block pair; its bits
-    # must be those of |W J - (W J)^T| / |W J| on the full matrices
+class _SkewedCircle(CmcCircle):
+    # a CmcCircle whose assembled Hessian is off by 1e-6 in one entry
+    def hess(self, r, lam):
+        H = super().hess(r, lam)
+        H[0, 1] += 1e-6
+        return H
+
+
+def test_diagnostics_flag_an_asymmetric_hessian():
+    prob, st = _flat_circle(N=16)
+    prob = _SkewedCircle(H=prob.H, grid=prob.grid)
+    rep = operator_diagnostics(jacobi(prob, st, 0.0), problem=prob, state=st,
+                               lambda_hat=0.0)
+    assert rep.symmetry_residual > 1e-8
+    assert rep.flagged
+
+
+def test_symmetry_residual_matches_the_full_matrix_formula():
+    # the residual is summed block pair by block pair, without a copy; up to
+    # the order of summation it is |W J - (W J)^T| / |W J| on the full
+    # matrices, across block edges and partial last blocks
     rng = np.random.default_rng(6)
     for n in (3, 128, 129, 300):
         w = rng.uniform(0.5, 2.0, n)
@@ -438,9 +476,9 @@ def test_symmetry_residual_is_bitwise_the_full_matrix_formula():
         M = M + M.T + 1e-9 * rng.standard_normal((n, n))
         W = w[:, None] * M
         want = float(np.linalg.norm(W - W.T) / np.linalg.norm(W))
-        rep = operator_diagnostics(JacobiOperator(matrix=M, pairing=Pairing(w),
+        rep = operator_diagnostics(JacobiOperator(hessian=W, pairing=Pairing(w),
                                                   lambda_hat=0.0))
-        assert rep.symmetry_residual == want
+        assert rep.symmetry_residual == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("case", ["non_square", "weights_mismatch"])
@@ -448,10 +486,10 @@ def test_diagnostics_rejects_mismatched_shapes(case):
     prob, st = _flat_circle()
     J = jacobi(prob, st, 0.0)
     if case == "non_square":
-        bad = JacobiOperator(matrix=J.matrix[:, :-1], pairing=J.pairing,
+        bad = JacobiOperator(hessian=J.hessian[:, :-1], pairing=J.pairing,
                              lambda_hat=0.0)
     else:
-        bad = JacobiOperator(matrix=J.matrix,
+        bad = JacobiOperator(hessian=J.hessian,
                              pairing=Pairing(weights=J.pairing.weights[:-1]),
                              lambda_hat=0.0)
     with pytest.raises(ShapeError):

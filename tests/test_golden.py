@@ -15,6 +15,10 @@ where OpenBLAS splits work between the two threads (no golden files).
 Regenerate the files (only after a deliberate change of results) with
 
     PYTHONPATH=src python tests/test_golden.py
+
+which prints every payload key that moved (old -> new; a list of numbers
+as one line with its count of moved entries) and whether any decision
+moved.
 """
 
 import json
@@ -199,9 +203,71 @@ def test_decisions_at_n256_do_not_depend_on_blas_threads(tmp_path):
     assert set(decisions["exit_codes"].values()) == {0}
 
 
+def _leaves(fname, text):
+    # {key: value} of a golden file's scalar leaves, and of its lists of
+    # numbers taken whole
+    if fname.endswith(".csv"):
+        return {f"{fname}:{i}": line for i, line in enumerate(text.splitlines())}
+    docs = ([json.loads(text)] if fname.endswith(".json") else
+            [json.loads(line) for line in text.splitlines()])
+    out = {}
+
+    def walk(key, x):
+        if isinstance(x, dict):
+            for k, v in x.items():
+                walk(f"{key}.{k}", v)
+        elif isinstance(x, list) and not all(
+                isinstance(v, (int, float)) for v in x):
+            for i, v in enumerate(x):
+                walk(f"{key}[{i}]", v)
+        else:
+            out[key] = x
+
+    for i, doc in enumerate(docs):
+        walk(fname if len(docs) == 1 else f"{fname}:{i}", doc)
+    return out
+
+
+def _moves(old, new):
+    """Lines naming every moved key of the golden files, old -> new."""
+    lines = []
+    for fname in sorted(old.keys() | new.keys()):
+        a = _leaves(fname, old[fname]) if fname in old else {}
+        b = _leaves(fname, new[fname]) if fname in new else {}
+        for key in sorted(a.keys() | b.keys()):
+            x, y = a.get(key), b.get(key)
+            if x == y:
+                continue
+            if isinstance(x, list) and isinstance(y, list) and len(x) == len(y):
+                moved = sum(u != v for u, v in zip(x, y))
+                dev = max(abs(u - v) for u, v in zip(x, y))
+                lines.append(f"{key}: {moved} of {len(x)} entries moved, "
+                             f"largest by {dev:.3g}")
+            else:
+                lines.append(f"{key}: {x!r} -> {y!r}")
+    return lines
+
+
+def _report_moves(old, new):
+    for line in _moves(old, new):
+        print(line)
+    try:
+        before, after = _decisions(old, CASES), _decisions(new, CASES)
+    except (KeyError, ValueError):
+        print("decisions: no complete earlier goldens to compare")
+        return
+    moved = [k for k in after if before.get(k) != after[k]]
+    for k in moved:
+        print(f"decision {k}: {before.get(k)!r} -> {after[k]!r}")
+    print("decisions moved: " + (", ".join(moved) if moved else "none"))
+
+
 if __name__ == "__main__":
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         GOLDEN.mkdir(exist_ok=True)
-        for fname, text in run_cases(tmp).items():
+        old = {p.name: p.read_text() for p in GOLDEN.iterdir()}
+        new = run_cases(tmp)
+        _report_moves(old, new)
+        for fname, text in new.items():
             (GOLDEN / fname).write_text(text)

@@ -6,17 +6,22 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from equideform import variational
-from equideform.ambient import quadric_embed, quadric_to_chart
+from equideform.ambient import quadric_embed, quadric_to_chart, sn_lambda
 from equideform.errors import DomainError, ShapeError, UnsupportedError
 from equideform.mesh import TWO_PI, build_grid
-from equideform.variational import (CmcCircle, HarmonicSphere, HarmonicTorus,
-                                    ProblemState, act, circle_seed,
-                                    cmc_circle_radius, derived_scalars,
-                                    geodesic_curvature, jacobi,
+from equideform.variational import (CmcCircle, CmcProfile, HarmonicSphere,
+                                    HarmonicTorus, ProblemState, act,
+                                    circle_seed, cmc_circle_radius,
+                                    derived_scalars, geodesic_curvature, jacobi,
                                     killing_jacobi_basis, pairing,
                                     profile_cylinder_seed, residual,
                                     residual_norm, sphere_equator_seed,
                                     torus_line_seed, value)
+
+
+def _jacobi_matrix(J):
+    # J = W^-1 (W J), the Jacobi itself, from the Hessian the operator carries
+    return J.hessian / J.pairing.weights[:, None]
 
 
 def off_center_circle(grid, rho, c):
@@ -104,8 +109,10 @@ def test_profile_cylinder_residual_and_boundary():
     g = build_grid("dirichlet", 96, order=4, a=0.0, b=1.0)
     prob, st = profile_cylinder_seed(2.0, g)
     res = residual(prob, st, 0.0)
-    assert res[0] == 0.0 and res[-1] == 0.0  # pinned rows carry no residual
+    assert res.size == 94  # the interior radii are the unknowns
     assert np.max(np.abs(res)) < 1e-10
+    with pytest.raises(ShapeError):
+        residual(prob, ProblemState(np.full(96, 0.5)), 0.0)
 
 
 # ---------------------------------------------------------------- jacobi
@@ -114,7 +121,8 @@ def test_flat_circle_spectrum_and_kernel_count():
     g = build_grid("periodic", 64)
     prob, st = circle_seed(0.0, 2.0, g)
     J = jacobi(prob, st, 0.0)
-    eig = np.linalg.eigvalsh(0.5 * (J.matrix + J.matrix.T))
+    M = _jacobi_matrix(J)
+    eig = np.linalg.eigvalsh(0.5 * (M + M.T))
     assert np.sum(np.abs(eig) < 1e-8) == 2
     # discrete pattern (k^2 - 1)/sn, with the dropped Nyquist mode at k_eff=0
     rho = 0.5
@@ -128,7 +136,8 @@ def test_torus_jacobi_kernel_is_constants():
     g = build_grid("periodic", 65)
     prob, st = torus_line_seed((1, 0), g, np.eye(2), np.diag([4.0, 1.0]))
     J = jacobi(prob, st, 0.3)
-    eig, vecs = np.linalg.eigh(0.5 * (J.matrix + J.matrix.T))
+    M = _jacobi_matrix(J)
+    eig, vecs = np.linalg.eigh(0.5 * (M + M.T))
     near = np.abs(eig) < 1e-8
     assert np.sum(near) == 2
     for v in vecs[:, near].T:
@@ -140,12 +149,14 @@ def test_sphere_equator_kernel_dimension_three():
     g = build_grid("periodic", 65)
     prob, st = sphere_equator_seed(g)
     J = jacobi(prob, st, 1.0)
-    eig = np.linalg.eigvalsh(0.5 * (J.matrix + J.matrix.T))
+    M = _jacobi_matrix(J)
+    eig = np.linalg.eigvalsh(0.5 * (M + M.T))
     assert np.sum(np.abs(eig) < 1e-7) == 3
 
 
 def test_profile_interior_eigenvalues_follow_dirichlet_modes():
-    # interior modes of the pinned operator: 2*pi*(rho0*(m*pi/L)^2 - H).
+    # modes of the Dirichlet operator on the interior unknowns:
+    # 2*pi*(rho0*(m*pi/L)^2 - H).
     # The D1^T w D1 stack on a Dirichlet grid interleaves sawtooth ghost
     # branches between the physical modes (centered stencils annihilate the
     # sawtooth), so each oracle is matched to its nearest eigenvalue.
@@ -156,10 +167,8 @@ def test_profile_interior_eigenvalues_follow_dirichlet_modes():
     prob, st = profile_cylinder_seed(H, g)
     J = jacobi(prob, st, 0.0)
     w = pairing(prob).weights
-    WJ = w[:, None] * J.matrix
-    interior = slice(1, -1)
-    mu = np.sort(eigh(0.5 * (WJ + WJ.T)[interior, interior],
-                      np.diag(w[interior]), eigvals_only=True))
+    WJ = J.hessian
+    mu = np.sort(eigh(0.5 * (WJ + WJ.T), np.diag(w), eigvals_only=True))
     rho0 = 1.0 / H
     assert np.all(mu > 0.0)  # short cylinder is stable: trivial kernel
     for m in (1, 2, 3):
@@ -173,34 +182,53 @@ def test_w_symmetry_of_jacobi_for_all_instances():
     rng = np.random.default_rng(2)
     for prob, st, lam in _all_instances(rng):
         J = jacobi(prob, st, lam)
-        W = pairing(prob).weights
-        WJ = W[:, None] * J.matrix
+        WJ = J.hessian
         assert np.linalg.norm(WJ - WJ.T) / np.linalg.norm(WJ) < 1e-10
 
 
-def test_symmetrize_is_bitwise_the_full_transpose_sum():
-    # block pairs in place must give exactly 0.5 * (A + A.T), across block
-    # edges and partial last blocks
-    rng = np.random.default_rng(4)
-    for n in (1, 5, variational.BLOCK, variational.BLOCK + 1, 300):
-        A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 8, (n, n))
-        want = 0.5 * (A + A.T)
-        got = variational._symmetrize(A.copy())
-        assert got.tobytes() == want.tobytes()
-
-
-def test_jacobi_is_the_symmetrized_hessian_over_the_weights():
-    # jacobi symmetrizes and scales the Hessian in place; the bits must be
-    # those of the expression it replaced, at sizes with several blocks
+def test_jacobi_carries_the_hessian_bits():
+    # jacobi hands on the Hessian as hess assembled it, unscaled and not
+    # symmetrized
     for prob, st, lam in [(*circle_seed(0.5, 2.0, build_grid("periodic", 300)),
                            0.5),
                           (*profile_cylinder_seed(
                               2.0, build_grid("dirichlet", 300, order=4)), 0.0),
                           (*torus_line_seed((1, 1), build_grid("periodic", 151),
                                             np.eye(2), np.eye(2)), 0.0)]:
-        H = prob.hess(st.values, lam)
-        want = 0.5 * (H + H.T) / pairing(prob).weights[:, None]
-        assert jacobi(prob, st, lam).matrix.tobytes() == want.tobytes()
+        want = prob.hess(st.values, lam)
+        assert jacobi(prob, st, lam).hessian.tobytes() == want.tobytes()
+
+
+def _full_grid_profile(prob, rho, k):
+    # residual and Hessian of the profile functional on the full grid, with
+    # the boundary nodes counted among the unknowns
+    w, D1 = prob.grid.quad, prob.grid.diff1
+    p = D1 @ rho
+    sn, snp = sn_lambda(k, rho)
+    S = np.sqrt(1.0 + p * p)
+    grad = TWO_PI * (w * (snp * S - prob.H * sn) + D1.T @ (w * sn * p / S))
+    a = w * TWO_PI * sn / S ** 3
+    b = w * TWO_PI * snp * p / S
+    c = w * TWO_PI * (-k * sn * S - prob.H * snp)
+    B = b[:, None] * D1
+    hess = D1.T @ (a[:, None] * D1) + B + B.T + np.diag(c)
+    return grad / w, hess
+
+
+@pytest.mark.parametrize("N", [32, 513, 1024])
+def test_profile_jacobi_is_the_interior_block_of_the_full_grid_hessian(N):
+    grid = build_grid("dirichlet", N, order=4, a=0.0, b=1.0)
+    rho = 0.6 + 0.05 * np.sin(np.pi * grid.nodes) + 0.02 * grid.nodes
+    prob = CmcProfile(H=2.0, grid=grid, boundary_radii=(rho[0], rho[-1]))
+    st = ProblemState(rho[1:-1])
+    for k in (0.0, 0.7, -0.5):
+        res, hess = _full_grid_profile(prob, rho, k)
+        want = hess[1:-1, 1:-1]
+        got = jacobi(prob, st, k).hessian
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+        got = residual(prob, st, k)
+        want = res[1:-1]
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
 # ------------------------------------------------- derivative consistency
@@ -222,8 +250,7 @@ def _all_instances(rng, perturb=0.0):
         [_smooth(rng, godd.nodes), _smooth(rng, godd.nodes)])
     out.append((prob, ProblemState(vals), 1.2))
     prob, st = profile_cylinder_seed(2.0, gd)
-    bump = _smooth(rng, 2 * np.pi * gd.nodes)
-    bump[0] = bump[-1] = 0.0  # Dirichlet states keep their boundary radii
+    bump = _smooth(rng, 2 * np.pi * gd.nodes[1:-1])
     out.append((prob, ProblemState(st.values + perturb * bump), 0.0))
     return out
 
@@ -244,14 +271,12 @@ def test_gradient_matches_value_differences():
             v = np.zeros(st.values.size)
             n = v.size // 2 if v.size % 2 == 0 else v.size
             # perturb every component family with smooth profiles
-            if st.values.size in (64, 65):
+            if prob.components == 1:
                 v = _smooth(rng, np.linspace(0, 2 * np.pi, v.size, endpoint=False))
             else:
                 half = st.values.size // 2
                 v[:half] = _smooth(rng, np.linspace(0, 2 * np.pi, half, endpoint=False))
                 v[half:] = _smooth(rng, np.linspace(0, 2 * np.pi, v.size - half, endpoint=False))
-            if isinstance(prob, type(_all_instances(rng)[3][0])):
-                v[0] = v[-1] = 0.0
             fp = value(prob, ProblemState(st.values + h * v), lam)
             fm = value(prob, ProblemState(st.values - h * v), lam)
             fd = (fp - fm) / (2 * h)
@@ -263,18 +288,14 @@ def test_hessian_matches_residual_differences():
     rng = np.random.default_rng(15)
     for prob, st, lam in _all_instances(rng, perturb=3e-2):
         J = jacobi(prob, st, lam)
-        is_profile = st.values.size == 64 and J.matrix.shape[0] == 64 and \
-            not isinstance(prob, CmcCircle)
-        h = 1e-6 if is_profile else 1e-5
+        h = 1e-6 if isinstance(prob, CmcProfile) else 1e-5
         for _ in range(3):
             v = rng.standard_normal(st.values.size)
             v = np.fft.irfft(np.fft.rfft(v)[:4], st.values.size)  # smooth it
-            if is_profile:
-                v[0] = v[-1] = 0.0
             rp = residual(prob, ProblemState(st.values + h * v), lam)
             rm = residual(prob, ProblemState(st.values - h * v), lam)
             fd = (rp - rm) / (2 * h)
-            Jv = J.matrix @ v
+            Jv = _jacobi_matrix(J) @ v
             denom = max(np.linalg.norm(Jv), 1e-10)
             assert np.linalg.norm(fd - Jv) / denom < 1e-5
 
@@ -418,7 +439,8 @@ def test_killing_jacobi_annihilation_at_critical_states():
             hn = np.sqrt(np.dot(w * hk, hk))
             if hn < 1e-12:
                 continue
-            Jh = np.sqrt(np.dot(w * (J.matrix @ hk), J.matrix @ hk))
+            Jhk = _jacobi_matrix(J) @ hk
+            Jh = np.sqrt(np.dot(w * Jhk, Jhk))
             assert Jh < 1e-6 * hn
 
 
