@@ -15,10 +15,11 @@ Configuration is a key = value INI file. Keys are case-insensitive.
     [run]       seed (u64, default 0); out (output directory)
     [problem]   instance, one of
                     {instances};
-                N (grid size, 8..4096); order (2 or 4 on every grid, or
-                spectral on periodic ones); H (mean curvature); lambda_hat
-                (where analyze/congruence work); length and radius (profile);
-                homotopy = p,q and gram_start/gram_end = Q11,Q12,Q22 (torus)
+                N (grid size, 8..4096); order (2 or 4 on interval grids;
+                periodic ones are spectral only); H (mean curvature);
+                lambda_hat (where analyze/congruence work); length and
+                radius (profile); homotopy = p,q and gram_start/gram_end =
+                Q11,Q12,Q22 (torus)
     [path]      start, end; records (count, uniform steps) or initial_step
                 with optional min_step/max_step; tol, max_newton, retries,
                 basin_guard, diagnostics_cadence, angle_tol, tol_rel
@@ -31,9 +32,9 @@ Every command writes report.json into the output directory; continue also
 writes branch.jsonl (one record per line, with the resolved config and a
 git-style content hash of the config bytes + effective seed) and branch.csv.
 Report payloads are byte-stable across re-runs with the same config and
-seed; timestamps live in a separate meta object. Harmonic instances need an
-odd spectral N, so an even configured N is rounded up by one and the
-effective value is what the report's config block shows.
+seed; timestamps live in a separate meta object. Every periodic instance
+runs on an odd spectral grid, so an even configured N is rounded up by one
+and the effective value is what the report's config block shows.
 """
 
 import argparse
@@ -179,8 +180,6 @@ def _build_problem(cp, lam=None):
     N = _get(cp, "problem", "n", int, default=128)
     if not 8 <= N <= 4096:
         raise ConfigError(f"[problem] N = {N} outside [8, 4096]")
-    if cls.components == 2 and N % 2 == 0:
-        N += 1
 
     def get(key, kind, default=None, required=False):
         return _get(cp, "problem", key, _PROBLEM_KINDS[kind], default,
@@ -192,7 +191,8 @@ def _build_problem(cp, lam=None):
         raise
     except (ValueError, EquideformError) as exc:
         raise ConfigError(f"cannot build [problem] seed: {exc}")
-    return problem, state, dict(resolved, instance=instance, n=N), lam
+    return (problem, state,
+            dict(resolved, instance=instance, n=problem.grid.N), lam)
 
 
 def _path_config(cp, lam=None):

@@ -11,11 +11,13 @@ The spectral differentiation matrices are circulant and trigonometrically
 exact; diff1 is exactly antisymmetric, which makes the assembled weighted
 Hessians symmetric to machine precision without any fixups.
 
-A periodic (spectral or finite-difference) matrix is a circulant, fixed by
-one generator row: it is symmetrized or antisymmetrized as a generator and
-copied once out of a strided view of that row. Dirichlet rows get their
-Fornberg weights in one batched call. A grid holds one n x n matrix, diff1;
-diff2, which only geodesic curvature reads, is built on first use.
+Periodic grids are spectral only: a periodic finite-difference diff1 nearly
+annihilates the near-Nyquist modes, which then fake low Jacobi modes. A
+periodic matrix is a circulant, fixed by one generator row: it is
+symmetrized or antisymmetrized as a generator and copied once out of a
+strided view of that row. Dirichlet rows get their Fornberg weights in one
+batched call. A grid holds one n x n matrix, diff1; diff2, which only
+geodesic curvature reads, is built on first use.
 """
 
 from dataclasses import dataclass, field
@@ -102,30 +104,6 @@ def _spectral_generators(N):
     return 0.5 * (g1 - _reversed(g1)), 0.5 * (g2 + _reversed(g2))
 
 
-def _periodic_fd_generators(N, order):
-    h = TWO_PI / N
-    g1 = np.zeros(N)
-    g2 = np.zeros(N)
-    if order == 2:
-        g1[1], g1[-1] = 1.0 / (2 * h), -1.0 / (2 * h)
-        g2[0], g2[1], g2[-1] = -2.0 / h ** 2, 1.0 / h ** 2, 1.0 / h ** 2
-    elif order == 4:
-        g1[1], g1[2] = 8.0 / (12 * h), -1.0 / (12 * h)
-        g1[-1], g1[-2] = -8.0 / (12 * h), 1.0 / (12 * h)
-        g2[0] = -30.0 / (12 * h ** 2)
-        g2[1] = g2[-1] = 16.0 / (12 * h ** 2)
-        g2[2] = g2[-2] = -1.0 / (12 * h ** 2)
-    else:
-        raise DomainError(f"unsupported periodic order {order!r}")
-    return g1, g2
-
-
-def _periodic_generators(N, order):
-    if order == "spectral":
-        return _spectral_generators(N)
-    return _periodic_fd_generators(N, order)
-
-
 def _fill_stencils(D, x, rows, width, deriv):
     # row i of D gets the weights of the width-node window nearest x[i]
     N = len(x)
@@ -193,22 +171,26 @@ class Grid:
     @cached_property
     def diff2(self):
         if self.kind == "periodic":
-            return _circulant(_periodic_generators(self.N, self.order)[1])
+            return _circulant(_spectral_generators(self.N)[1])
         return _dirichlet_matrix(self.nodes, self.order, 2)
 
 
 def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
     """Construct a Grid.
 
-    kind='periodic' supports order in {2, 4, 'spectral'}; kind='dirichlet'
-    supports {2, 4} and raises UnsupportedError for 'spectral'.
+    kind='periodic' supports order 'spectral' only and kind='dirichlet'
+    supports {2, 4}; any other order raises UnsupportedError on a periodic
+    grid, and 'spectral' raises it on a dirichlet grid.
     """
     N = int(N)
     if kind == "periodic":
         if N < 8:
             raise DomainError(f"periodic grid needs N >= 8, got {N}")
+        if order != "spectral":
+            raise UnsupportedError(f"order {order!r} needs an interval grid; "
+                                   "periodic grids are spectral")
         nodes = TWO_PI * np.arange(N) / N
-        D1 = _circulant(_periodic_generators(N, order)[0])
+        D1 = _circulant(_spectral_generators(N)[0])
         quad = np.full(N, TWO_PI / N)
         return Grid("periodic", N, order, nodes, D1, quad, 0.0, TWO_PI)
     if kind == "dirichlet":

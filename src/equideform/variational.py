@@ -32,16 +32,17 @@ handled analytically: the torus state is the periodic remainder on top of
 the (p, q) line, the sphere state is (colatitude, longitude - theta). A
 spectral derivative never sees the non-periodic winding part.
 
-Harmonic instances require an odd node count: on even spectral grids the
-sawtooth mode lies in the kernel of D1^T D1 and would inflate every Jacobi
-kernel by one spurious dimension per component.
+Periodic instances run on an odd spectral grid, and from_config rounds an
+even N up by one: on an even grid the sawtooth mode lies in the kernel of
+D1, so the Jacobi sees only its zeroth-order term there. That fakes a
+negative mode for CmcCircle and a kernel dimension per component for the
+harmonic instances, which therefore reject an even grid outright.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.optimize.elementwise import find_root
 
 from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_embed,
                       quadric_to_chart, radial_area, sn_lambda)
@@ -94,18 +95,18 @@ class JacobiOperator:
 class Problem:
     """One problem instance: a functional on node space and its symmetries.
 
-    Class attributes: name (PROBLEMS key), components (chart values per
-    node), default_lambda. Each instance implements the classmethod
-    from_config(get, N, lam) -> (problem, seed, resolved keys), where
-    get(key, kind, default=None, required=False) reads a [problem] key
-    through the CLI converter named kind (positive, ints, gram, order), and
-    value, grad, hess, killing_fields and scalars of (v, lam) for the
-    unknowns v of a checked state, one per pairing weight; hess returns a
-    new matrix, the Hessian that jacobi carries as it is. It overrides
-    check, weights and generators where the defaults below do not fit; with
-    generators, it implements act(state, lam, t) for t not all zero.
+    Class attributes: name (PROBLEMS key) and default_lambda. Each instance
+    implements the classmethod from_config(get, N, lam) -> (problem, seed,
+    resolved keys), where get(key, kind, default=None, required=False)
+    reads a [problem] key through the CLI converter named kind (positive,
+    ints, gram, order), and value, grad, hess, killing_fields and scalars
+    of (v, lam) for the unknowns v of a checked state, one per pairing
+    weight; hess returns a new matrix, the Hessian that jacobi carries as
+    it is. It overrides check, weights and generators where the defaults
+    below do not fit; with generators, it implements act(state, lam, t) for
+    t not all zero. from_config raises DomainError when the ambient does
+    not exist at lam.
     """
-    components = 1
     default_lambda = 0.0
 
     def check(self, v, lam):
@@ -149,6 +150,12 @@ def _trig_interp(vals):
     return ev
 
 
+def _periodic_grid(get, N):
+    # an odd N: an even grid's sawtooth is invisible to diff1
+    return build_grid("periodic", N | 1,
+                      get("order", "order", default="spectral"))
+
+
 def _wrap_pi(x):
     return (x + np.pi) % TWO_PI - np.pi
 
@@ -170,7 +177,7 @@ class CmcCircle(Problem):
     @classmethod
     def from_config(cls, get, N, lam):
         H = get("h", "positive", required=True)
-        grid = build_grid("periodic", N, get("order", "order", default="spectral"))
+        grid = _periodic_grid(get, N)
         problem, state = circle_seed(lam, H, grid)
         return problem, state, {"h": H}
 
@@ -267,6 +274,10 @@ class CmcCircle(Problem):
 
         def angle_defect(th, target):
             return _wrap_pi(moved(th)[1] - target)
+
+        # imported here: only the circle's action needs scipy.optimize, which
+        # would otherwise dominate the package's import time
+        from scipy.optimize.elementwise import find_root
 
         nodes = self.grid.nodes
         res = find_root(angle_defect, (nodes - half, nodes + half), args=(nodes,),
@@ -383,7 +394,6 @@ class CmcProfile(Problem):
 class _Harmonic(Problem):
     """Two chart components per node on an odd periodic grid, paired
     against the unit-circumference domain density 1/(2 pi)."""
-    components = 2
 
     def __post_init__(self):
         name = type(self).__name__
@@ -430,8 +440,9 @@ class HarmonicTorus(_Harmonic):
                               "not both zero")
         qs = get("gram_start", "gram", default=np.eye(2))
         qe = get("gram_end", "gram", default=qs)
-        grid = build_grid("periodic", N, get("order", "order", default="spectral"))
+        grid = _periodic_grid(get, N)
         problem, state = torus_line_seed(tuple(pq), grid, qs, qe)
+        problem.ambient(lam)  # the Gram matrix at lam must be positive definite
         return problem, state, {"homotopy": list(pq),
                                 "gram_start": [qs[0, 0], qs[0, 1], qs[1, 1]],
                                 "gram_end": [qe[0, 0], qe[0, 1], qe[1, 1]]}
@@ -510,7 +521,8 @@ class HarmonicSphere(_Harmonic):
 
     @classmethod
     def from_config(cls, get, N, lam):
-        grid = build_grid("periodic", N, get("order", "order", default="spectral"))
+        grid = _periodic_grid(get, N)
+        ScaledSphere(lam)  # the sphere exists for lam > 0 only
         problem, state = sphere_equator_seed(grid)
         return problem, state, {}
 

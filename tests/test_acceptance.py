@@ -351,7 +351,7 @@ basin_guard = 0.05
     assert last["max_principal_angle"] < 1e-6
     assert last["spectral_gap"] > 1e3
     # and the operator diagnostics criterion
-    g = build_grid("periodic", 64)
+    g = build_grid("periodic", 65)
     prob = CmcCircle(2.0, g)
     st = ProblemState(np.array(last["state"]))
     rep = operator_diagnostics(jacobi(prob, st, last["lambda_hat"]), prob, st,

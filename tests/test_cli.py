@@ -1,9 +1,11 @@
+import configparser
 import json
 
 import numpy as np
 import pytest
 
-from equideform.cli import main
+from equideform.cli import _build_problem, main
+from equideform.variational import jacobi
 
 
 def run_cli(tmp_path, command, text, *extra, name="cfg.ini"):
@@ -156,17 +158,65 @@ def test_factorization_failure_exit_three(tmp_path, capsys, failing_linalg,
     assert "injected factorization failure" in capsys.readouterr().err
 
 
-def test_analyze_harmonic_even_n_rounds_up(tmp_path):
-    code, out = run_cli(tmp_path, "analyze", """
-[problem]
-instance = harmonic_torus
-n = 64
-homotopy = 1, 1
-""")
+# [problem] keys and Killing rank of each instance's analyze seed
+INSTANCE_KEYS = {
+    "cmc_circle": ("h = 2.0\n", 2),
+    "cmc_profile": ("h = 2.0\nlength = 1.0\n", 0),
+    "harmonic_sphere": ("", 3),
+    "harmonic_torus": ("homotopy = 1, 1\n", 2),
+}
+PERIODIC = ("cmc_circle", "harmonic_sphere", "harmonic_torus")
+
+
+def _analyze_instance(tmp_path, instance, n, extra=""):
+    keys, _ = INSTANCE_KEYS[instance]
+    return run_cli(tmp_path, "analyze", f"[problem]\ninstance = {instance}\n"
+                                        f"n = {n}\n" + keys + extra)
+
+
+@pytest.mark.parametrize("instance", PERIODIC)
+def test_analyze_periodic_even_n_rounds_up(tmp_path, instance):
+    code, out = _analyze_instance(tmp_path, instance, 64)
     assert code == 0
     pay = read_report(out)
     assert pay["config"]["n"] == 65
-    assert pay["nondegeneracy"]["kernel_dim"] == 2
+    assert pay["nondegeneracy"]["kernel_dim"] == INSTANCE_KEYS[instance][1]
+
+
+@pytest.mark.parametrize("order", ["2", "4"])
+@pytest.mark.parametrize("instance", PERIODIC)
+def test_periodic_finite_difference_order_is_config_error(tmp_path, capsys,
+                                                          instance, order):
+    code, _ = _analyze_instance(tmp_path, instance, 33, f"order = {order}\n")
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert f"order {order}" in err
+
+
+@pytest.mark.parametrize("instance, order",
+                         [(name, "spectral") for name in PERIODIC]
+                         + [("cmc_profile", "2")])
+def test_supported_order_runs(tmp_path, instance, order):
+    code, out = _analyze_instance(tmp_path, instance, 33, f"order = {order}\n")
+    assert code == 0
+    assert (read_report(out)["nondegeneracy"]["kernel_dim"]
+            == INSTANCE_KEYS[instance][1])
+
+
+@pytest.mark.parametrize("n", [64, 65, 128])
+@pytest.mark.parametrize("lam", [1.0, 0.0, -2.0])
+def test_circle_seed_jacobi_has_index_one(n, lam):
+    # the geodesic circle's second variation has one negative direction,
+    # the dilation; an even grid's sawtooth would add a second one
+    cp = configparser.ConfigParser()
+    cp.read_string(f"[problem]\ninstance = cmc_circle\nn = {n}\nh = 2.0\n")
+    problem, state, resolved, _ = _build_problem(cp, lam)
+    assert resolved["n"] % 2 == 1
+    J = jacobi(problem, state, lam)
+    s = 1.0 / np.sqrt(J.pairing.weights)
+    mu = np.linalg.eigvalsh(s[:, None] * J.hessian * s[None, :])
+    assert np.count_nonzero(mu < -1e-8 * np.max(np.abs(mu))) == 1
 
 
 # ---------------------------------------------------------------- continue
@@ -197,7 +247,7 @@ def test_continue_writes_branch_files(tmp_path, capsys):
         assert row["config_hash"] == pay["config_hash"]
         assert row["config"]["problem"]["instance"] == "cmc_circle"
         assert row["residual_norm"] < 1e-10
-        assert len(row["state"]) == 64
+        assert len(row["state"]) == 65
 
     csv_lines = (out / "branch.csv").read_text().splitlines()
     assert csv_lines[0] == "lambda_hat,residual_norm,kernel_dim,radius"
@@ -393,6 +443,36 @@ def test_continue_invalid_path_is_config_error(tmp_path, capsys, path):
     code, _ = run_cli(tmp_path, "continue", CIRCLE_PROBLEM + "[path]\n" + path)
     assert code == 64
     assert "config error" in capsys.readouterr().err
+
+
+SPHERE_PROBLEM = "[problem]\ninstance = harmonic_sphere\nn = 17\n"
+# Q at lambda_hat = 3 is 7 (+) -0.5, not a metric
+TORUS_PROBLEM = ("[problem]\ninstance = harmonic_torus\nn = 17\n"
+                 "gram_start = 1, 0, 1\ngram_end = 3, 0, 0.5\n")
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("analyze", SPHERE_PROBLEM + "lambda_hat = -1\n", "curvature"),
+    ("analyze", SPHERE_PROBLEM + "lambda_hat = 0\n", "curvature"),
+    ("congruence", SPHERE_PROBLEM + "lambda_hat = -1\n"
+     "[congruence]\nt = 0.01, 0, 0\n", "curvature"),
+    ("continue", SPHERE_PROBLEM + "[path]\nstart = 0\nend = 1\n"
+     "records = 3\n", "curvature"),
+    ("analyze", TORUS_PROBLEM + "lambda_hat = 3\n", "positive definite"),
+    ("congruence", TORUS_PROBLEM + "lambda_hat = 3\n"
+     "[congruence]\nt = 0.01, 0\n", "positive definite"),
+    ("continue", TORUS_PROBLEM + "[path]\nstart = 3\nend = 0\n"
+     "records = 3\n", "positive definite"),
+], ids=["sphere_analyze_negative", "sphere_analyze_zero", "sphere_congruence",
+        "sphere_continue", "torus_analyze", "torus_congruence",
+        "torus_continue"])
+def test_lambda_without_an_ambient_is_config_error(tmp_path, capsys, command,
+                                                   text, message):
+    code, _ = run_cli(tmp_path, command, text)
+    assert code == 64
+    err = capsys.readouterr().err
+    assert "config error" in err
+    assert message in err
 
 
 def test_missing_config_file(tmp_path, capsys):
