@@ -21,8 +21,9 @@ Configuration is a key = value INI file. Keys are case-insensitive.
                 radius (profile); homotopy = p,q and gram_start/gram_end =
                 Q11,Q12,Q22 (torus)
     [path]      start, end; records (count, uniform steps) or initial_step
-                with optional min_step/max_step; tol, max_newton, retries,
-                basin_guard, diagnostics_cadence, angle_tol, tol_rel
+                with optional min_step/max_step; tol (below 1e-8),
+                max_newton, retries, basin_guard, diagnostics_cadence,
+                angle_tol, tol_rel
     [bundle]    lambdas (list), n (list), samples, triples
     [congruence] t = t1,t2,... (group parameters); tol
     [test]      inject_broken_basis (bool); inject_shift (float) -- fault

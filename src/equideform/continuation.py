@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .equivariance import (_Tridiagonal, nondegeneracy_report,
+from .equivariance import (CRITICAL_TOL, _Tridiagonal, nondegeneracy_report,
                            operator_diagnostics, rank_basis,
                            transversality_margin)
 from .errors import (DomainError, IllConditioned, NoConvergence,
@@ -88,6 +88,12 @@ class ContinuationConfig:
             raise PreconditionError("need min_step <= initial_step <= max_step")
         if self.tol <= 0.0 or self.basin_guard <= 0.0:
             raise PreconditionError("tolerances must be positive")
+        if self.tol >= CRITICAL_TOL:
+            # a corrected state the certificate refuses as not critical
+            # would only halve the step
+            raise PreconditionError(
+                f"tol must lie below the certificate's {CRITICAL_TOL:g}, "
+                f"got {self.tol}")
         if self.max_newton < 0 or self.retries < 0 or self.diagnostics_cadence < 0:
             raise PreconditionError(
                 "max_newton, retries and diagnostics_cadence must be non-negative")

@@ -36,6 +36,7 @@ from .variational import (ProblemState, jacobi, killing_jacobi_basis,
                           pairing, residual, residual_norm)
 
 GAP_FLOOR = 1.0e3
+CRITICAL_TOL = 1e-8  # nondegeneracy_report needs |residual|_W below this
 RANK_RTOL = 1e-10   # rank_basis drops singular values below this * sigma_max
 BLOCK = 128  # side of the blocks the symmetry residual pairs with mirrors
 
@@ -212,16 +213,16 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
                          angle_tol=1e-6, operator=None):
     """Compare ker J with the Killing-Jacobi span at a critical state.
 
-    Requires the state to be critical to 1e-8 in the W residual norm. The
-    operator argument passes a JacobiOperator the caller already assembled
-    (or a perturbed one, on fault-injection paths); by default the exact
-    discrete Hessian is built here. The report keeps the W-orthonormal
+    Requires the state to be critical to CRITICAL_TOL in the W residual
+    norm. The operator argument passes a JacobiOperator the caller already
+    assembled (or a perturbed one, on fault-injection paths); by default the
+    exact discrete Hessian is built here. The report keeps the W-orthonormal
     Killing rank basis it compared against.
     """
     rn = residual_norm(problem, state, lambda_hat)
-    if not rn < 1e-8:
+    if not rn < CRITICAL_TOL:
         raise PreconditionError(
-            f"state is not critical: |residual|_W = {rn:.3e} >= 1e-8")
+            f"state is not critical: |residual|_W = {rn:.3e} >= {CRITICAL_TOL:g}")
     J = operator if operator is not None else jacobi(problem, state, lambda_hat)
     kb = numerical_kernel(J, tol_rel=tol_rel)
     w = pairing(problem).weights

@@ -22,10 +22,13 @@ maps registry names to the classes. The module-level functions (value,
 residual, jacobi, killing_jacobi_basis, act, ...) check the state, call the
 instance's method, and do the shared pairing work.
 
-Residual and Jacobi operators are exact first and second derivatives of the
-discrete functional against the fixed background pairing W: the Jacobi J is
-carried as its Hessian W J, symmetric by construction, and the discrete
-model is smooth in the literal finite-dimensional sense.
+Every functional is sum_i w_i F(u_i, (D1 u)_i) for the chart components u
+at the nodes, w the grid's quadrature and D1 its diff1. An instance gives
+only the pointwise density F and its partials; Problem.value, grad and hess,
+the one discretization, derive the value and its exact first and second
+derivatives against the fixed background pairing W. The Jacobi J is carried
+as its Hessian W J, symmetric by construction, and the discrete model is
+smooth in the literal finite-dimensional sense.
 
 States of the harmonic instances store periodic chart data with the winding
 handled analytically: the torus state is the periodic remainder on top of
@@ -39,6 +42,7 @@ negative mode for CmcCircle and a kernel dimension per component for the
 harmonic instances, which therefore reject an even grid outright.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,6 +96,13 @@ class JacobiOperator:
 # ---------------------------------------------------------------------------
 # the problem protocol
 
+# A density F(u, p) at the grid nodes and its partials, for m chart
+# components u and their derivatives p = D1 u: Fu and Fp hold m entries,
+# Fuu, Fup and Fpp m x m (Fup[i][j] in u_i and p_j). An entry is a node
+# array, a number constant over the nodes, or None for zero (not in Fp).
+Density = namedtuple("Density", "F Fu Fp Fuu Fup Fpp")
+
+
 class Problem:
     """One problem instance: a functional on node space and its symmetries.
 
@@ -99,22 +110,91 @@ class Problem:
     implements the classmethod from_config(get, N, lam) -> (problem, seed,
     resolved keys), where get(key, kind, default=None, required=False)
     reads a [problem] key through the CLI converter named kind (positive,
-    ints, gram, order), and value, grad, hess, killing_fields and scalars
+    ints, gram, order); density(u, p, lam), its Density at the nodes, from
+    which value, grad and hess below derive; and killing_fields and scalars
     of (v, lam) for the unknowns v of a checked state, one per pairing
-    weight; hess returns a new matrix, the Hessian that jacobi carries as
-    it is. It overrides check, weights and generators where the defaults
-    below do not fit; with generators, it implements act(state, lam, t) for
-    t not all zero. from_config raises DomainError when the ambient does
-    not exist at lam.
+    weight. It overrides check, generators, weights and full (with free)
+    where the defaults below do not fit; with generators, it implements
+    act(state, lam, t) for t not all zero. from_config raises DomainError
+    when the ambient does not exist at lam.
     """
     default_lambda = 0.0
+    free = slice(None)  # the grid nodes whose values are unknowns
+
+    def full(self, v):
+        """The chart components at every grid node, from the unknowns v:
+        one row per component."""
+        return v.reshape(-1, self.grid.N)
+
+    def _density_at(self, v, lam):
+        u = self.full(v)
+        return self.density(u, [self.grid.diff1 @ c for c in u], lam)
+
+    def value(self, v, lam):
+        """w . F"""
+        return float(self.grid.quad @ self._density_at(v, lam).F)
+
+    def grad(self, v, lam):
+        """(w Fu) + D1^T (w Fp) per component, on the free nodes."""
+        d = self._density_at(v, lam)
+        w = self.grid.quad
+        D1 = self.grid.diff1[:, self.free]
+        parts = []
+        for fu, fp in zip(d.Fu, d.Fp):
+            g = D1.T @ (w * fp)
+            parts.append(g if fu is None else (w * fu)[self.free] + g)
+        return np.concatenate(parts)
+
+    def hess(self, v, lam):
+        """A new matrix, the Hessian of value: block (i, j) is D1^T diag(w
+        Fpp_ij) D1 + diag(w Fup_ij) D1 + (diag(w Fup_ji) D1)^T + diag(w
+        Fuu_ij) on the free nodes (all rows of the first D1). Constant Fpp
+        blocks scale one shared D1^T diag(w) D1."""
+        d = self._density_at(v, lam)
+        w = self.grid.quad
+        fr = self.free
+        # the free columns, a strided view that BLAS reads in place
+        D1 = self.grid.diff1[:, fr]
+        n = D1.shape[1]
+        m = len(d.Fp)
+        # the result is allocated before its temporary S, which is freed on
+        # return from the top of the heap, ready for the next n x n array
+        H = np.empty((m * n, m * n))
+        blocks = [[H[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(m)]
+                  for i in range(m)]
+        pairs = [(i, j) for i in range(m) for j in range(m)]
+        S = np.empty(D1.shape)
+        K = None
+        for i, j in pairs:
+            a = d.Fpp[i][j]
+            if a is None:
+                blocks[i][j].fill(0.0)
+            elif np.ndim(a) == 0:
+                if K is None:
+                    np.multiply(w[:, None], D1, out=S)
+                    K = D1.T @ S
+                np.multiply(a, K, out=blocks[i][j])
+            else:
+                np.multiply((w * a)[:, None], D1, out=S)
+                np.matmul(D1.T, S, out=blocks[i][j])
+        S = S[fr]                       # the free rows
+        diag = np.arange(n)
+        for i, j in pairs:
+            b, c = d.Fup[i][j], d.Fuu[i][j]
+            if b is not None:
+                np.multiply((w * b)[fr, None], D1[fr], out=S)
+                blocks[j][i] += S.T
+                blocks[i][j] += S
+            if c is not None:
+                blocks[i][j][diag, diag] += (w * c)[fr]
+        return H
 
     def check(self, v, lam):
         """Raise DomainError when v leaves the chart domain at lam."""
 
     def weights(self):
         """Background pairing weights of the unknowns."""
-        return self.grid.quad.copy()
+        return self.grid.quad[self.free].copy()
 
     def generators(self, lam):
         """Generators of the identifiable isometry action; none by default."""
@@ -184,42 +264,19 @@ class CmcCircle(Problem):
     def check(self, r, lam):
         _check_radial(r, lam, "radial graph", "lambda")
 
-    def _terms(self, r, lam):
-        p = self.grid.diff1 @ r
+    def density(self, u, p, lam):
+        """Length element minus H times area element of the graph r(theta):
+        F = sqrt(r'^2 + sn(r)^2) - H A(r), where A' = sn."""
+        r, p = u[0], p[0]
         sn, snp = sn_lambda(lam, r)
-        F = np.sqrt(p * p + sn * sn)
-        return p, sn, snp, F
-
-    def value(self, r, lam):
-        w = self.grid.quad
-        _, sn, _, F = self._terms(r, lam)
-        return float(w @ F - self.H * (w @ radial_area(lam, r)))
-
-    def grad(self, r, lam):
-        w = self.grid.quad
-        D1 = self.grid.diff1
-        p, sn, snp, F = self._terms(r, lam)
-        return w * (sn * snp / F - self.H * sn) + D1.T @ (w * p / F)
-
-    def hess(self, r, lam):
-        w = self.grid.quad
-        D1 = self.grid.diff1
-        p, sn, snp, F = self._terms(r, lam)
         snpp = -lam * sn
-        a = w * sn * sn / F ** 3
-        b = -w * p * sn * snp / F ** 3
-        c = w * ((snp * snp + sn * snpp) / F - (sn * snp) ** 2 / F ** 3
-                 - self.H * snp)
-        # the result is allocated before its temporary S, which is freed on
-        # return from the top of the heap, ready for the next n x n array
-        H = np.empty_like(D1)
-        S = a[:, None] * D1
-        np.matmul(D1.T, S, out=H)
-        np.multiply(b[:, None], D1, out=S)
-        H += S.T                        # D1^T diag(b)
-        H += S                          # diag(b) D1
-        H[np.arange(r.size), np.arange(r.size)] += c
-        return H
+        L = np.sqrt(p * p + sn * sn)
+        L3 = L ** 3
+        return Density(
+            L - self.H * radial_area(lam, r),
+            [sn * snp / L - self.H * sn], [p / L],
+            [[(snp * snp + sn * snpp) / L - (sn * snp) ** 2 / L3 - self.H * snp]],
+            [[-p * sn * snp / L3]], [[sn * sn / L3]])
 
     def killing_fields(self, r, lam):
         """First variation of the graph under the three chart Killing flows.
@@ -301,7 +358,7 @@ class CmcCircle(Problem):
 @dataclass(frozen=True, eq=False)
 class CmcProfile(Problem):
     """The unknowns are the N - 2 interior radii; the two boundary radii are
-    data, put back at the ends of the profile by _full.
+    data, put back at the ends of the profile by full.
 
     No ambient Killing field preserves the axisymmetric class with fixed
     horizontal boundary circles, so the Killing span and the action are
@@ -311,6 +368,7 @@ class CmcProfile(Problem):
     boundary_radii: tuple
 
     name = "cmc_profile"
+    free = slice(1, -1)
 
     def __post_init__(self):
         if self.grid.kind != "dirichlet":
@@ -329,54 +387,26 @@ class CmcProfile(Problem):
         return problem, state, {"h": H, "length": length,
                                 "radius": problem.boundary_radii[0]}
 
-    def weights(self):
-        return self.grid.quad[1:-1].copy()
-
-    def _full(self, rho):
+    def full(self, rho):
         # the interior unknowns between the two boundary radii
-        return np.concatenate([self.boundary_radii[:1], rho,
-                               self.boundary_radii[1:]])
+        return [np.concatenate([self.boundary_radii[:1], rho,
+                                self.boundary_radii[1:]])]
 
     def check(self, rho, k):
-        _check_radial(self._full(rho), k, "profile", "k")
+        _check_radial(self.full(rho)[0], k, "profile", "k")
 
-    def _terms(self, rho, k):
-        full = self._full(rho)
-        p = self.grid.diff1 @ full
-        sn, snp = sn_lambda(k, full)
-        S = np.sqrt(1.0 + p * p)
-        return full, p, sn, snp, S
-
-    def value(self, rho, k):
-        w = self.grid.quad
-        full, _, sn, _, S = self._terms(rho, k)
-        return float(TWO_PI * (w @ (sn * S) - self.H * (w @ radial_area(k, full))))
-
-    def grad(self, rho, k):
-        w = self.grid.quad
-        D1 = self.grid.diff1
-        _, p, sn, snp, S = self._terms(rho, k)
-        g = TWO_PI * (w * (snp * S - self.H * sn) + D1.T @ (w * sn * p / S))
-        return g[1:-1]
-
-    def hess(self, rho, k):
-        w = self.grid.quad
-        # the interior columns, a strided view that BLAS reads in place
-        D1 = self.grid.diff1[:, 1:-1]
-        _, p, sn, snp, S = self._terms(rho, k)
+    def density(self, u, p, k):
+        """2 pi (sn(rho) S - H A(rho)), S = sqrt(1 + rho'^2): the lateral
+        area element minus H times the enclosed volume element."""
+        rho, p = u[0], p[0]
+        sn, snp = sn_lambda(k, rho)
         snpp = -k * sn
-        fpp = TWO_PI * sn / S ** 3
-        frp = TWO_PI * snp * p / S
-        frr = TWO_PI * (snpp * S - self.H * snp)
-        H = np.empty((rho.size, rho.size))
-        S = (w * fpp)[:, None] * D1
-        np.matmul(D1.T, S, out=H)
-        S = S[1:-1]                     # the interior rows
-        np.multiply((w * frp)[1:-1, None], D1[1:-1], out=S)
-        H += S.T
-        H += S
-        H[np.arange(rho.size), np.arange(rho.size)] += (w * frr)[1:-1]
-        return H
+        S = np.sqrt(1.0 + p * p)
+        return Density(
+            TWO_PI * (sn * S - self.H * radial_area(k, rho)),
+            [TWO_PI * (snp * S - self.H * sn)], [TWO_PI * sn * p / S],
+            [[TWO_PI * (snpp * S - self.H * snp)]],
+            [[TWO_PI * snp * p / S]], [[TWO_PI * sn / S ** 3]])
 
     def killing_fields(self, rho, k):
         return []
@@ -393,7 +423,8 @@ class CmcProfile(Problem):
 
 class _Harmonic(Problem):
     """Two chart components per node on an odd periodic grid, paired
-    against the unit-circumference domain density 1/(2 pi)."""
+    against the unit-circumference domain density 1/(2 pi). The density is
+    |phi'|^2 / (4 pi), phi' = d phi / ds for ds = d theta / (2 pi)."""
 
     def __post_init__(self):
         name = type(self).__name__
@@ -407,6 +438,12 @@ class _Harmonic(Problem):
     def weights(self):
         ws = self.grid.quad / TWO_PI
         return np.concatenate([ws, ws])
+
+    def scalars(self, vals, lam):
+        # the length sum_i w_i |phi'_i| / (2 pi), where |phi'| / (2 pi)
+        # is sqrt(F / pi)
+        F = self._density_at(vals, lam).F
+        return {"length": float(self.grid.quad @ np.sqrt(F / np.pi))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -447,46 +484,17 @@ class HarmonicTorus(_Harmonic):
                                 "gram_start": [qs[0, 0], qs[0, 1], qs[1, 1]],
                                 "gram_end": [qe[0, 0], qe[0, 1], qe[1, 1]]}
 
-    def _velocity(self, vals):
-        # d phi / ds with s the unit-circumference parameter, theta = 2 pi s
-        u, v = _split(vals)
-        D1 = self.grid.diff1
-        p, q = self.homotopy
-        return p + TWO_PI * (D1 @ u), q + TWO_PI * (D1 @ v)
-
-    def _density(self, vals, t):
-        # energy density |phi'|^2_Q at the nodes
+    def density(self, u, p, t):
+        # phi' = (p, q) + 2 pi D1 (u, v); Fpp = 2 pi Q is constant, so the
+        # Hessian is kron(2 pi Q, D1^T W D1)
         Q = self.ambient(t).Q
-        f1, f2 = self._velocity(vals)
-        return Q[0, 0] * f1 * f1 + 2.0 * Q[0, 1] * f1 * f2 + Q[1, 1] * f2 * f2
-
-    def value(self, vals, t):
-        w = self.grid.quad / TWO_PI
-        return float(0.5 * (w @ self._density(vals, t)))
-
-    def grad(self, vals, t):
-        w = self.grid.quad / TWO_PI
-        D1 = self.grid.diff1
-        Q = self.ambient(t).Q
-        f1, f2 = self._velocity(vals)
-        g1 = TWO_PI * (D1.T @ (w * (Q[0, 0] * f1 + Q[0, 1] * f2)))
-        g2 = TWO_PI * (D1.T @ (w * (Q[0, 1] * f1 + Q[1, 1] * f2)))
-        return np.concatenate([g1, g2])
-
-    def hess(self, vals, t):
-        w = self.grid.quad / TWO_PI
-        D1 = self.grid.diff1
-        Q = self.ambient(t).Q
-        K = D1.T @ (w[:, None] * D1)
-        K *= TWO_PI ** 2
-        # np.kron(Q, K), one block at a time
-        n = self.grid.N
-        H = np.empty((2 * n, 2 * n))
-        for i in range(2):
-            for j in range(2):
-                np.multiply(Q[i, j], K, out=H[i * n:(i + 1) * n,
-                                              j * n:(j + 1) * n])
-        return H
+        hp, hq = self.homotopy
+        f1, f2 = hp + TWO_PI * p[0], hq + TWO_PI * p[1]
+        g1 = Q[0, 0] * f1 + Q[0, 1] * f2
+        g2 = Q[0, 1] * f1 + Q[1, 1] * f2
+        none = [[None, None], [None, None]]
+        return Density((f1 * g1 + f2 * g2) / (2.0 * TWO_PI), [None, None],
+                       [g1, g2], none, none, TWO_PI * Q)
 
     def killing_fields(self, vals, t):
         """The two unit translations of the torus at t plus the
@@ -506,10 +514,6 @@ class HarmonicTorus(_Harmonic):
     def act(self, state, lam, t):
         u, v = _split(state.values)
         return ProblemState(np.concatenate([u + t[0], v + t[1]]))
-
-    def scalars(self, vals, t):
-        w = self.grid.quad / TWO_PI
-        return {"length": float(w @ np.sqrt(self._density(vals, t)))}
 
 
 @dataclass(frozen=True, eq=False)
@@ -532,45 +536,19 @@ class HarmonicSphere(_Harmonic):
             raise DomainError("sphere state too close to a chart pole")
         ScaledSphere(float(lam))  # validates lam > 0
 
-    def _terms(self, vals, lam):
-        a, b = _split(vals)
-        D1 = self.grid.diff1
-        alpha = TWO_PI * (D1 @ a)          # d vartheta / ds
-        beta = TWO_PI * (1.0 + D1 @ b)     # d varphi / ds
-        return a, b, alpha, beta
-
-    def value(self, vals, lam):
-        w = self.grid.quad / TWO_PI
-        a, _, alpha, beta = self._terms(vals, lam)
-        s = np.sin(a)
-        return float(0.5 / lam * (w @ (alpha * alpha + s * s * beta * beta)))
-
-    def grad(self, vals, lam):
-        w = self.grid.quad / TWO_PI
-        D1 = self.grid.diff1
-        a, _, alpha, beta = self._terms(vals, lam)
-        s, co = np.sin(a), np.cos(a)
-        ga = w * (s * co * beta * beta / lam) + TWO_PI * (D1.T @ (w * alpha / lam))
-        gb = TWO_PI * (D1.T @ (w * s * s * beta / lam))
-        return np.concatenate([ga, gb])
-
-    def hess(self, vals, lam):
-        w = self.grid.quad / TWO_PI
-        D1 = self.grid.diff1
-        n = self.grid.N
-        a, _, alpha, beta = self._terms(vals, lam)
-        s, co = np.sin(a), np.cos(a)
-        e_aa = (co * co - s * s) * beta * beta / lam
-        e_ab = 2.0 * s * co * beta / lam
-        e_bb = s * s / lam
-        H = np.zeros((2 * n, 2 * n))
-        H[:n, :n] = TWO_PI ** 2 * (D1.T @ ((w / lam)[:, None] * D1))
-        H[np.arange(n), np.arange(n)] += w * e_aa
-        Hab = TWO_PI * ((w * e_ab)[:, None] * D1)
-        H[:n, n:] = Hab
-        H[n:, :n] = Hab.T
-        H[n:, n:] = TWO_PI ** 2 * (D1.T @ ((w * e_bb)[:, None] * D1))
-        return H
+    def density(self, u, p, lam):
+        # the round metric over lam, colatitude vartheta = a and longitude
+        # varphi = theta + b: |phi'|^2 = 4 pi^2 (a'^2 + sin^2 a (1 + b')^2) / lam
+        s, co = np.sin(u[0]), np.cos(u[0])
+        pa, beta = p[0], 1.0 + p[1]
+        c = TWO_PI / lam
+        return Density(0.5 * c * (pa * pa + s * s * beta * beta),
+                       [c * s * co * beta * beta, None],
+                       [c * pa, c * s * s * beta],
+                       [[c * (co * co - s * s) * beta * beta, None],
+                        [None, None]],
+                       [[None, 2.0 * c * s * co * beta], [None, None]],
+                       [[c, None], [None, c * s * s]])
 
     def killing_fields(self, vals, lam):
         """The three rotation fields composed with the map plus the
@@ -607,12 +585,9 @@ class HarmonicSphere(_Harmonic):
         return ProblemState(np.concatenate([a_new, b_new]))
 
     def scalars(self, vals, lam):
-        w = self.grid.quad / TWO_PI
-        a, _, alpha, beta = self._terms(vals, lam)
-        s = np.sin(a)
-        length = float(w @ np.sqrt((alpha ** 2 + s ** 2 * beta ** 2) / lam))
-        return {"length": length,
-                "length_times_sqrt_lambda": length * float(np.sqrt(lam))}
+        out = super().scalars(vals, lam)
+        out["length_times_sqrt_lambda"] = out["length"] * float(np.sqrt(lam))
+        return out
 
 
 PROBLEMS = {cls.name: cls for cls in (CmcCircle, CmcProfile, HarmonicTorus,
@@ -716,7 +691,9 @@ def geodesic_curvature(problem, state, lambda_hat):
     if not isinstance(problem, CmcCircle):
         raise UnsupportedError("geodesic curvature is defined for CmcCircle only")
     r = _check_state(problem, state, lambda_hat)
-    p, sn, snp, F = problem._terms(r, lambda_hat)
+    p = problem.grid.diff1 @ r
+    sn, snp = sn_lambda(lambda_hat, r)
+    F = np.sqrt(p * p + sn * sn)
     rpp = problem.grid.diff2 @ r
     return (-sn * rpp + 2.0 * snp * p * p + sn * sn * snp) / F ** 3
 

@@ -407,6 +407,8 @@ def test_congruence_seed_outside_chart_exit_three(tmp_path, capsys):
     "[path]\ndiagnostics_cadence = -3\n",
     "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
     "[path]\nangle_tol = 5\n",
+    "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
+    "[path]\ntol = 1e-8\n",
 ])
 def test_analyze_config_errors(tmp_path, capsys, text):
     code, _ = run_cli(tmp_path, "analyze", text)
@@ -438,6 +440,7 @@ records = 6
     "start = 1.0\nend = 0.5\nrecords = 6\ndiagnostics_cadence = -3\n",
     "start = 1.0\nend = 0.5\nrecords = 6\nangle_tol = 5\n",
     "start = 1.0\nend = 0.5\nrecords = 6\nangle_tol = 1.5708\n",
+    "start = 1.0\nend = 0.5\nrecords = 6\ntol = 5e-8\n",
 ])
 def test_continue_invalid_path_is_config_error(tmp_path, capsys, path):
     code, _ = run_cli(tmp_path, "continue", CIRCLE_PROBLEM + "[path]\n" + path)

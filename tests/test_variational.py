@@ -9,8 +9,9 @@ from equideform import variational
 from equideform.ambient import quadric_embed, quadric_to_chart, sn_lambda
 from equideform.errors import DomainError, ShapeError, UnsupportedError
 from equideform.mesh import TWO_PI, build_grid
-from equideform.variational import (CmcCircle, CmcProfile, HarmonicSphere,
-                                    HarmonicTorus, ProblemState, act,
+from equideform.variational import (PROBLEMS, CmcCircle, CmcProfile,
+                                    HarmonicSphere, HarmonicTorus, Problem,
+                                    ProblemState, act,
                                     circle_seed, cmc_circle_radius,
                                     derived_scalars, geodesic_curvature, jacobi,
                                     killing_jacobi_basis, pairing,
@@ -215,20 +216,121 @@ def _full_grid_profile(prob, rho, k):
     return grad / w, hess
 
 
-@pytest.mark.parametrize("N", [32, 513, 1024])
-def test_profile_jacobi_is_the_interior_block_of_the_full_grid_hessian(N):
-    grid = build_grid("dirichlet", N, order=4, a=0.0, b=1.0)
-    rho = 0.6 + 0.05 * np.sin(np.pi * grid.nodes) + 0.02 * grid.nodes
-    prob = CmcProfile(H=2.0, grid=grid, boundary_radii=(rho[0], rho[-1]))
-    st = ProblemState(rho[1:-1])
-    for k in (0.0, 0.7, -0.5):
-        res, hess = _full_grid_profile(prob, rho, k)
-        want = hess[1:-1, 1:-1]
-        got = jacobi(prob, st, k).hessian
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
-        got = residual(prob, st, k)
-        want = res[1:-1]
-        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+def _profile_oracle(prob, rho, k):
+    # the interior block of the full-grid functional
+    full = np.concatenate([prob.boundary_radii[:1], rho, prob.boundary_radii[1:]])
+    res, hess = _full_grid_profile(prob, full, k)
+    return res[1:-1], hess[1:-1, 1:-1]
+
+
+# The three oracles below are the hand-written gradients and Hessians each
+# periodic instance carried before all four were assembled from their
+# pointwise densities; they return the residual and the Hessian.
+
+def _circle_oracle(prob, r, lam):
+    w, D1 = prob.grid.quad, prob.grid.diff1
+    p = D1 @ r
+    sn, snp = sn_lambda(lam, r)
+    F = np.sqrt(p * p + sn * sn)
+    grad = w * (sn * snp / F - prob.H * sn) + D1.T @ (w * p / F)
+    a = w * sn * sn / F ** 3
+    b = -w * p * sn * snp / F ** 3
+    c = w * ((snp * snp - lam * sn * sn) / F - (sn * snp) ** 2 / F ** 3
+             - prob.H * snp)
+    B = b[:, None] * D1
+    return grad / w, D1.T @ (a[:, None] * D1) + B + B.T + np.diag(c)
+
+
+def _torus_oracle(prob, vals, t):
+    w, D1 = prob.grid.quad / TWO_PI, prob.grid.diff1
+    Q = prob.ambient(t).Q
+    u, v = np.split(vals, 2)
+    p, q = prob.homotopy
+    f1, f2 = p + TWO_PI * (D1 @ u), q + TWO_PI * (D1 @ v)
+    g1 = TWO_PI * (D1.T @ (w * (Q[0, 0] * f1 + Q[0, 1] * f2)))
+    g2 = TWO_PI * (D1.T @ (w * (Q[0, 1] * f1 + Q[1, 1] * f2)))
+    K = TWO_PI ** 2 * (D1.T @ (w[:, None] * D1))
+    return np.concatenate([g1, g2]) / np.tile(w, 2), np.kron(Q, K)
+
+
+def _sphere_oracle(prob, vals, lam):
+    w, D1 = prob.grid.quad / TWO_PI, prob.grid.diff1
+    a, b = np.split(vals, 2)
+    alpha, beta = TWO_PI * (D1 @ a), TWO_PI * (1.0 + D1 @ b)
+    s, co = np.sin(a), np.cos(a)
+    ga = w * (s * co * beta * beta / lam) + TWO_PI * (D1.T @ (w * alpha / lam))
+    gb = TWO_PI * (D1.T @ (w * s * s * beta / lam))
+    Hab = TWO_PI * ((w * 2.0 * s * co * beta / lam)[:, None] * D1)
+    hess = np.block([
+        [TWO_PI ** 2 * (D1.T @ ((w / lam)[:, None] * D1))
+         + np.diag(w * (co * co - s * s) * beta * beta / lam), Hab],
+        [Hab.T, TWO_PI ** 2 * (D1.T @ ((w * s * s / lam)[:, None] * D1))]])
+    return np.concatenate([ga, gb]) / np.tile(w, 2), hess
+
+
+def _oracle_case(name, N):
+    # a non-critical state, so that every partial of the density is nonzero
+    # somewhere, the three parameter values, and the oracle
+    if name == "cmc_profile":
+        grid = build_grid("dirichlet", N, order=4, a=0.0, b=1.0)
+        rho = 0.6 + 0.05 * np.sin(np.pi * grid.nodes) + 0.02 * grid.nodes
+        prob = CmcProfile(H=2.0, grid=grid, boundary_radii=(rho[0], rho[-1]))
+        return prob, rho[1:-1], (0.0, 0.7, -0.5), _profile_oracle
+    grid = build_grid("periodic", N | 1)
+    bump = 0.05 * np.cos(grid.nodes) + 0.03 * np.sin(2.0 * grid.nodes)
+    if name == "cmc_circle":
+        prob, _ = circle_seed(0.0, 2.0, grid)
+        return (prob, off_center_circle(grid, 0.5, 0.1).values + bump,
+                (0.5, 0.0, -1.0), _circle_oracle)
+    if name == "harmonic_torus":
+        prob, st = torus_line_seed((1, 2), grid, np.eye(2),
+                                   np.array([[2.0, 0.3], [0.3, 1.0]]))
+        return (prob, st.values + np.concatenate([bump, -0.5 * bump]),
+                (0.0, 0.4, 1.0), _torus_oracle)
+    prob, st = sphere_equator_seed(grid)
+    return (prob, st.values + np.concatenate([bump, 2.0 * bump]),
+            (0.5, 1.0, 2.0), _sphere_oracle)
+
+
+# Largest |assembled - oracle| allowed, over the largest oracle entry.
+# Hessians: the profile oracle groups its products as the assembly does, up
+# to (w 2 pi) a against w (2 pi a), which stays below 1e-15. The circle's
+# coefficients are grouped differently ((w sn) sn / F^3 against
+# w (sn sn / F^3)), a few ulps each, which D1^T diag(a) D1 carries through
+# unamplified: 3e-16 measured, 2e-15 allowed. The harmonic oracles scale by
+# (2 pi)^2 and 1 / (2 pi) on either side of the N-term sums where the
+# assembly scales once before them, and kron(Q, K) rounds once more: 2.4e-15
+# measured at N = 513, 2e-14 allowed.
+HESS_TOL = {"cmc_circle": 2e-15, "cmc_profile": 1e-15,
+            "harmonic_torus": 2e-14, "harmonic_sphere": 2e-14}
+# Residuals: the oracles group w Fp as (w p) / F or 2 pi (w a) where the
+# assembly forms w (p / F) and w (2 pi a), a few ulps per summand, and
+# D1^T of a smooth field returns about 1 / N of its summands' size. So the
+# difference reads about N eps of the residual (at most 2.2 N eps measured,
+# harmonic_sphere at N = 513); 8 N eps is allowed.
+RES_ULPS = 8
+
+
+@pytest.mark.parametrize("name, N", [(name, N) for name in sorted(PROBLEMS)
+                                     for N in (32, 513)]
+                         + [("cmc_profile", 1024)])
+def test_jacobi_and_residual_match_the_hand_written_oracles(name, N):
+    prob, v, lams, oracle = _oracle_case(name, N)
+    st = ProblemState(v)
+    res_tol = RES_ULPS * N * np.finfo(float).eps
+    for lam in lams:
+        res, hess = oracle(prob, v, lam)
+        got = jacobi(prob, st, lam).hessian
+        assert np.max(np.abs(got - hess)) <= HESS_TOL[name] * np.max(np.abs(hess))
+        got = residual(prob, st, lam)
+        assert np.max(np.abs(got - res)) <= res_tol * np.max(np.abs(res))
+
+
+def test_no_instance_defines_its_own_value_grad_or_hess():
+    # every instance goes through the one discretization of its density
+    for cls in PROBLEMS.values():
+        for method in ("value", "grad", "hess"):
+            assert getattr(cls, method) is getattr(Problem, method), (cls, method)
 
 
 # ------------------------------------------------- derivative consistency
