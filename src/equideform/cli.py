@@ -275,10 +275,7 @@ def run_analyze(cp, seed, chash, outdir):
         J = jacobi(problem, state, lam)
         operator = J
         if shift is not None:
-            # J + shift I, carried as W J + shift W
-            shifted = J.hessian.copy()
-            shifted[np.diag_indices_from(shifted)] += shift * J.pairing.weights
-            operator = dataclasses.replace(J, hessian=shifted)
+            operator = J.shifted(shift)
         rep = nondegeneracy_report(problem, state, lam, tol_rel=ccfg.tol_rel,
                                    angle_tol=ccfg.angle_tol, operator=operator)
         diag = operator_diagnostics(J, problem, state, lam, seed=seed)

@@ -11,9 +11,16 @@ at the current iterate, so updates stay W-orthogonal to the orbit
 directions that foliate the solution set. Quadratic convergence holds near
 certified-nondegenerate solutions because the bordered matrix is exactly
 the restriction of the Hessian to a transversal slice plus the orbit
-bookkeeping. One tridiagonal reduction of the bordered matrix per step
-gives both its exact 2-norm condition number, which must stay below 1e12,
-and the update.
+bookkeeping. One reduction of the bordered matrix per step gives both its
+exact 2-norm condition number, which must stay below 1e12, and the update:
+a tridiagonal one of a dense Jacobi, or a band one of a banded Jacobi,
+which has no Killing columns to border (the profile's k = 0), so its
+bordered matrix is the band itself.
+
+Once the residual is below the certificate's CRITICAL_TOL, a full Newton
+step that does not halve it shows the roundoff floor of the residual, and
+the corrector stops there with NoConvergence naming the floor rather than
+iterating on to max_newton.
 
 continue_branch marches the parameter with a secant predictor and adaptive
 steps, certifying every accepted record (kernel = Killing span, spectral
@@ -33,11 +40,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import errors
-from .equivariance import (CRITICAL_TOL, _Tridiagonal, nondegeneracy_report,
-                           operator_diagnostics, rank_basis,
-                           transversality_margin)
+from .equivariance import (CRITICAL_TOL, _Banded, _Tridiagonal,
+                           nondegeneracy_report, operator_diagnostics,
+                           rank_basis, transversality_margin)
 from .errors import (DomainError, IllConditioned, NoConvergence,
-                     PreconditionError)
+                     PreconditionError, UnsupportedError)
 from .variational import (ProblemState, act, derived_scalars, jacobi,
                           killing_jacobi_basis, pairing, residual,
                           residual_norm)
@@ -153,24 +160,34 @@ class BranchRecord:
         }
 
 
-def _bordered_update(H, w, B, res, lambda_hat):
+def _bordered_update(J, B, res, lambda_hat):
     """Newton update and condition number of the bordered system.
 
-    The bordered matrix [[H, W B], [B^T W, 0]], H = W J, is written straight
-    into the Fortran-ordered buffer its reduction overwrites, and the buffer
-    is gone on return, before the next step assembles its Jacobi. One
-    reduction M = Q T Q^T of M's lower triangle gives both the exact 2-norm
-    condition number max|mu| / min|mu| over T's eigenvalues, which are M's,
-    and the solve. Raises IllConditioned when the condition exceeds 1e12.
+    For a dense J the bordered matrix [[H, W B], [B^T W, 0]], H = W J, is
+    written straight into the Fortran-ordered buffer its reduction
+    overwrites, and the buffer is gone on return, before the next step
+    assembles its Jacobi. One reduction M = Q T Q^T of M's lower triangle
+    gives both the exact 2-norm condition number max|mu| / min|mu| over T's
+    eigenvalues, which are M's, and the solve. A banded J with no Killing
+    columns is its own bordered matrix, reduced as a band; with Killing
+    columns it raises UnsupportedError. Raises IllConditioned when the
+    condition exceeds 1e12.
     """
+    w = J.pairing.weights
     n, k = B.shape
-    WB = w[:, None] * B
-    M = np.empty((n + k, n + k), order="F")
-    M[:n, :n] = H
-    M[:n, n:] = WB
-    M[n:, :n] = WB.T
-    M[n:, n:] = 0.0
-    reduced = _Tridiagonal(M)
+    if J.banded:
+        if k:
+            raise UnsupportedError(
+                "a banded Jacobi cannot be bordered by Killing columns")
+        reduced = _Banded(J.hessian)
+    else:
+        WB = w[:, None] * B
+        M = np.empty((n + k, n + k), order="F")
+        M[:n, :n] = J.hessian
+        M[:n, n:] = WB
+        M[n:, :n] = WB.T
+        M[n:, n:] = 0.0
+        reduced = _Tridiagonal(M)
     mu = np.abs(reduced.eigenvalues)
     lo = np.min(mu)
     cond = np.max(mu) / lo if lo > 0.0 else np.inf
@@ -210,8 +227,8 @@ def corrector_step(problem, state, lambda_hat, config):
                 f"after {iters} iterations (lambda_hat={lambda_hat})")
         B = rank_basis(killing_jacobi_basis(problem, st, lambda_hat), w)
         k = B.shape[1]
-        delta, cond = _bordered_update(
-            jacobi(problem, st, lambda_hat).hessian, w, B, res, lambda_hat)
+        delta, cond = _bordered_update(jacobi(problem, st, lambda_hat), B,
+                                       res, lambda_hat)
         worst_cond = max(worst_cond, cond)
         if k:
             # exact W-orthogonality to the orbit directions
@@ -222,11 +239,17 @@ def corrector_step(problem, state, lambda_hat, config):
                 orbit_inner = max(orbit_inner, float(leak))
         st = ProblemState(st.values + delta)
         res = residual(problem, st, lambda_hat)
-        rn = pr.norm(res)
+        prev, rn = rn, pr.norm(res)
         if not np.isfinite(rn):
             raise NoConvergence("corrector residual became non-finite")
         norms.append(float(rn))
         iters += 1
+        if prev < CRITICAL_TOL and rn > config.tol and not rn <= 0.5 * prev:
+            raise NoConvergence(
+                f"corrector stalled at its roundoff floor |residual|_W = "
+                f"{rn:.3e}: a full Newton step from {prev:.3e} did not halve "
+                f"it after {iters} iterations (lambda_hat={lambda_hat}); "
+                f"[path] tol = {config.tol:g} must lie above this floor")
     diagnostics = {"residual_norms": norms, "cond": worst_cond,
                    "orbit_inner": orbit_inner}
     return st, iters, diagnostics

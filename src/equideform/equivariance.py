@@ -1,12 +1,16 @@
 """Certification of equivariant nondegeneracy and slice transversality.
 
-The numerical Jacobi kernel is extracted from one tridiagonal reduction of
-one triangle of W^-1/2 (W J) W^-1/2 (its whole spectrum, and eigenvectors
-only for the kernel) and compared against the span of the Killing-induced
-Jacobi fields through principal angles. A state is certified nondegenerate
-exactly when the kernel dimension equals the Killing rank and every
-principal angle is below tolerance; a mandatory multiplicative spectral gap
-guards against silent misclassification near threshold.
+The numerical Jacobi kernel is extracted from one reduction of one triangle
+of W^-1/2 (W J) W^-1/2 (its whole spectrum, and eigenvectors only for the
+kernel) and compared against the span of the Killing-induced Jacobi fields
+through principal angles. The operator's storage picks the reduction: a
+dense W J gets the tridiagonal _Tridiagonal, a banded one (dirichlet grids)
+the band _Banded, which works in O(n b) memory and O(n^2 b) time; the cut,
+the gap and the verdict that follow are the same code for both. A state is
+certified nondegenerate exactly when the kernel dimension equals the
+Killing rank and every principal angle is below tolerance; a mandatory
+multiplicative spectral gap guards against silent misclassification near
+threshold.
 
 The slice through a certified state is the W-complement of its Killing
 span. It stays transversal to a nearby orbit while the two k-dimensional
@@ -19,19 +23,23 @@ sum_i w_i u_i v_i, and bases are W-orthonormal. Mapping v -> sqrt(W) v
 turns that into the ordinary Euclidean geometry, which is how every routine
 here is implemented.
 
-Beside the grid's diff1 and the Jacobi, each routine holds at most one more
-n x n matrix: the scaled symmetric operator is written into the buffer that
-LAPACK dsytrd then overwrites with its reflectors, which dormqr reads in
-place; the symmetry residual reads the Hessian block pair by block pair.
+Beside the grid's diff1 and a dense Jacobi, each routine holds at most one
+more n x n matrix: the scaled symmetric operator is written into the buffer
+that LAPACK dsytrd then overwrites with its reflectors, which dormqr reads
+in place; the symmetry residual reads the Hessian block pair by block pair.
+A banded Jacobi is symmetric by construction, as only its lower band is
+stored, and no routine forms an n x n matrix from it.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, lapack, subspace_angles
+from scipy.linalg import (eigh_tridiagonal, eigvals_banded, lapack,
+                          solve_banded, subspace_angles)
 
 from . import errors
 from .errors import PreconditionError, ShapeError
+from .mesh import symmetric_band
 from .variational import (ProblemState, jacobi, killing_jacobi_basis,
                           pairing, residual, residual_norm)
 
@@ -48,6 +56,16 @@ def _sym_scaled(J):
     A = np.empty_like(J.hessian, order="F")
     np.divide(J.hessian, sw[:, None], out=A)
     A /= sw[None, :]
+    return A, sw
+
+
+def _band_scaled(J):
+    # the lower band of W^-1/2 (W J) W^-1/2, a new array
+    sw = np.sqrt(J.pairing.weights)
+    A = J.hessian / sw
+    n = len(sw)
+    for k in range(len(A)):
+        A[k, :n - k] /= sw[k:]
     return A, sw
 
 
@@ -115,6 +133,90 @@ class _Tridiagonal:
         return self.apply_q(z)
 
 
+class _Banded:
+    """A symmetric band matrix A, held as its lower band ab (mesh's
+    symmetric lower band storage) and never formed densely.
+
+    Every eigenvalue, ascending, comes from scipy's eigvals_banded (LAPACK
+    dsbevd), the solve from solve_banded (dgbsv, LU with partial pivoting),
+    both in O(n b) memory. Eigenvectors come by inverse iteration.
+    """
+
+    MAX_ITERS = 5  # inverse iterations per eigenvector, dstein's MAXITS
+    EXTRA = 2      # iterations kept on after convergence, dstein's EXTRA
+
+    def __init__(self, ab):
+        self._ab = ab
+        # no finiteness scan, as _Tridiagonal's raw LAPACK calls make none
+        self.eigenvalues = eigvals_banded(ab, lower=True, check_finite=False)
+
+    def solve(self, rhs):
+        """A^-1 rhs."""
+        b = len(self._ab) - 1
+        return solve_banded((b, b), symmetric_band(self._ab), rhs,
+                            check_finite=False)
+
+    def eigenvectors(self, lo, hi):
+        """Orthonormal eigenvectors of A for ascending indices lo..hi.
+
+        Inverse iteration as LAPACK dstein runs it: A - mu I is factored
+        once per eigenvalue mu (dgbtrf, an exactly zero pivot replaced by
+        eps |A|), a fixed pseudo-random start is solved against it until
+        the residual bound 1 / |y| falls to n eps |A|, and EXTRA more times.
+        Eigenvalues closer than 1e-3 |A| to their predecessor join its
+        cluster, and every iterate is reorthogonalized against the vectors
+        already found in the cluster. Raises LinAlgError when an eigenvector
+        does not converge in MAX_ITERS iterations.
+        """
+        mu = self.eigenvalues
+        n, b = len(mu), len(self._ab) - 1
+        norm = max(float(np.max(np.abs(mu))), np.finfo(float).tiny)
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(0)
+        Z = np.empty((n, hi - lo + 1))
+        first = 0
+        for col, j in enumerate(range(lo, hi + 1)):
+            if col and mu[j] - mu[j - 1] > 1e-3 * norm:
+                first = col
+            G = symmetric_band(self._ab, top=b)
+            G[2 * b] -= mu[j]
+            lu, piv, info = lapack.dgbtrf(G, b, b, overwrite_ab=1)
+            if info < 0:
+                _lapack_check(info, "dgbtrf")
+            # U's diagonal is row kl + ku of the factored band
+            pivots = lu[2 * b]
+            pivots[pivots == 0.0] = eps * norm
+            C = Z[:, first:col]
+            x = rng.uniform(-1.0, 1.0, n)
+            x /= np.linalg.norm(x)
+            converged = None
+            for it in range(self.MAX_ITERS):
+                y, info = lapack.dgbtrs(lu, b, b, x, piv)
+                _lapack_check(info, "dgbtrs")
+                y -= C @ (C.T @ y)
+                grow = np.linalg.norm(y)
+                x = y / grow
+                if converged is None and grow * n * eps * norm >= 1.0:
+                    converged = it
+                if converged is not None and it - converged == self.EXTRA:
+                    break
+            if converged is None:
+                raise np.linalg.LinAlgError(
+                    f"inverse iteration for eigenvalue {j} did not converge "
+                    f"in {self.MAX_ITERS} iterations")
+            Z[:, col] = x
+        return Z
+
+
+def _scaled_reduction(J):
+    # the reduction of W^-1/2 (W J) W^-1/2 that J's storage calls for
+    if J.banded:
+        A, sw = _band_scaled(J)
+        return _Banded(A), sw
+    A, sw = _sym_scaled(J)
+    return _Tridiagonal(A), sw
+
+
 @dataclass(frozen=True, eq=False)
 class KernelBasis:
     vectors: np.ndarray          # (n, dim), W-orthonormal columns
@@ -131,8 +233,8 @@ class KernelBasis:
 
 @errors.linalg_guard
 def numerical_kernel(J, tol_rel=None):
-    """Near-kernel of a Jacobi operator via a tridiagonal reduction of
-    W^-1/2 (W J) W^-1/2 = sqrt(W) J sqrt(W)^-1.
+    """Near-kernel of a Jacobi operator via a tridiagonal or band reduction
+    of W^-1/2 (W J) W^-1/2 = sqrt(W) J sqrt(W)^-1.
 
     That operator is symmetric, so its singular values are the moduli of its
     eigenvalues, all of which come from the reduction. Retains eigenvectors
@@ -143,13 +245,12 @@ def numerical_kernel(J, tol_rel=None):
     smallest rejected and the largest retained singular value; anything
     below 10^3 flags the result indeterminate (no certified separation).
     """
-    n = J.hessian.shape[0]
+    n = J.pairing.weights.size
     if tol_rel is None:
         tol_rel = 1e-8 * n
     if not 0.0 < tol_rel <= 1e-2:
         raise PreconditionError(f"tol_rel must lie in (0, 1e-2], got {tol_rel}")
-    A, sw = _sym_scaled(J)
-    reduced = _Tridiagonal(A)
+    reduced, sw = _scaled_reduction(J)
     mu = reduced.eigenvalues    # ascending
     order = np.argsort(np.abs(mu))[::-1]
     s = np.abs(mu)[order]       # the singular values of A, descending
@@ -160,7 +261,8 @@ def numerical_kernel(J, tol_rel=None):
         # |mu| < tol is one contiguous run of the ascending spectrum
         lo = int(np.min(order[n - d:]))
         V = reduced.eigenvectors(lo, lo + d - 1)
-        vectors = V[:, order[n - d:] - lo] / sw[:, None]
+        V /= sw[:, None]
+        vectors = V[:, order[n - d:] - lo]
     gap = float(s[n - d - 1] / s[n - d]) if d and s[n - d] > 0.0 else np.inf
     indeterminate = bool(d > 0 and gap < GAP_FLOOR)
     return KernelBasis(vectors=vectors, singular_values=s[n - d:].copy(),
@@ -271,11 +373,14 @@ def transversality_margin(basis, reference, weights):
 
 
 def _symmetry_residual(J):
-    """|W J - (W J)^T|_F / |W J|_F, 0 when W J vanishes.
+    """|W J - (W J)^T|_F / |W J|_F, 0 when W J vanishes or is banded (only
+    one triangle stored, so symmetric by construction).
 
     Summed over the block pairs on and above the diagonal, an off-diagonal
     pair counting for both mirrors, so no n x n copy is made.
     """
+    if J.banded:
+        return 0.0
     H = J.hessian
     n = H.shape[0]
     denom = np.linalg.norm(H)
@@ -316,10 +421,12 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
     (iii) when (problem, state, lambda_hat) are supplied, the worst relative
     gap between J v = W^-1 (W J) v and the central difference of the
     residual over random probe vectors. Raises ShapeError unless J is
-    square and matches its pairing weights.
+    square (or a band of at most n rows) and matches its pairing weights.
     """
-    n = J.hessian.shape[0]
-    if J.hessian.shape != (n, n) or J.pairing.weights.shape != (n,):
+    H = J.hessian
+    n = H.shape[-1]
+    rows_ok = 0 < H.shape[0] <= n if J.banded else H.shape[0] == n
+    if H.ndim != 2 or not rows_ok or J.pairing.weights.shape != (n,):
         raise ShapeError(
             f"operator of shape {J.hessian.shape} does not act on the "
             f"{J.pairing.weights.size} weighted nodes of its pairing")
@@ -334,7 +441,7 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
             rp = residual(problem, ProblemState(base + step * v), lambda_hat)
             rm = residual(problem, ProblemState(base - step * v), lambda_hat)
             num = (rp - rm) / (2.0 * step)
-            Jv = (J.hessian @ v) / J.pairing.weights
+            Jv = J.matvec(v) / J.pairing.weights
             scale = max(np.linalg.norm(Jv), 1e-300)
             worst = max(worst, float(np.linalg.norm(num - Jv) / scale))
         fd = worst

@@ -1,7 +1,7 @@
 """Grids, differentiation matrices, quadrature and the background pairing.
 
 Unknowns in this package are nodal samples of closed curves or maps, so all
-calculus reduces to dense matrix algebra against the operators built here.
+calculus reduces to matrix algebra against the operators built here.
 Periodic grids live on [0, 2*pi) with uniform nodes; interval (dirichlet)
 grids include both endpoints. A problem on an interval grid holds its
 boundary values as data and takes the interior nodes as its unknowns; the
@@ -16,8 +16,24 @@ annihilates the near-Nyquist modes, which then fake low Jacobi modes. A
 periodic matrix is a circulant, fixed by one generator row: it is
 symmetrized or antisymmetrized as a generator and copied once out of a
 strided view of that row. Dirichlet rows get their Fornberg weights in one
-batched call. A grid holds one n x n matrix, diff1; diff2, which only
-geodesic curvature reads, is built on first use.
+batched call.
+
+A dirichlet grid keeps diff1 as its band, the diagonals at offsets -b..b,
+b = min(order, N - 1), that its Fornberg stencils fill. d1 and d1t apply D1
+and D1^T in O(N b), and the Hessians assembled from the band are banded
+too. A periodic grid applies its dense circulant. The dense diff1 (of
+either kind) and diff2, which only geodesic curvature and the tests read,
+are built on first use.
+
+Band storage is defined here once, for the grid's D1 and the banded Jacobi
+alike: a matrix A of half-bandwidth b is the (2b + 1, n) array band[b + k,
+i] = A[i, i + k], zero where i + k leaves 0..n-1. For a symmetric A this is
+LAPACK's general band storage, and its rows b..2b alone are LAPACK's
+symmetric lower band storage, lower[k, j] = A[j + k, j]. band_dense,
+band_matvec, band_rmatvec and symmetric_band convert and apply bands for
+every module; only the code that fills or rescales a band (the stencils
+here, the Hessian assembly, the certificate's W^-1/2 scaling) indexes one
+itself.
 """
 
 from dataclasses import dataclass, field
@@ -113,27 +129,87 @@ def _fill_stencils(D, x, rows, width, deriv):
     D[rows[:, None], cols] = c[..., deriv]
 
 
-def _dirichlet_matrix(x, order, deriv):
-    """diff1 (deriv=1) or diff2 (deriv=2) on the interval nodes x."""
-    N = len(x)
-    # stencil widths: w1 for diff1 and the interior rows of diff2, the
-    # wider w2b for diff2's edge rows
+def _stencil_widths(N, order):
+    # w1 for diff1 and the interior rows of diff2, the wider w2b for diff2's
+    # edge rows
     if order == 4:
-        w1, w2b = min(5, N), min(6, N)
-    elif order == 2:
-        w1, w2b = min(3, N), min(4, N)
-    else:
-        raise DomainError(f"unsupported dirichlet order {order!r}")
+        return min(5, N), min(6, N)
+    if order == 2:
+        return min(3, N), min(4, N)
+    raise DomainError(f"unsupported dirichlet order {order!r}")
+
+
+def _dirichlet_band(x, order):
+    """diff1's band on the interval nodes x."""
+    N = len(x)
+    w1, _ = _stencil_widths(N, order)
+    b = w1 - 1
+    rows = np.arange(N)
+    lo = np.minimum(np.maximum(rows - w1 // 2, 0), N - w1)
+    cols = lo[:, None] + np.arange(w1)
+    band = np.zeros((2 * b + 1, N))
+    band[b + cols - rows[:, None], rows[:, None]] = fornberg_weights(
+        x, x[cols], 1)[..., 1]
+    return band
+
+
+def _dirichlet_diff2(x, order):
+    """diff2 on the interval nodes x."""
+    N = len(x)
+    w1, w2b = _stencil_widths(N, order)
     D = np.zeros((N, N))
-    _fill_stencils(D, x, np.arange(N), w1, deriv)
-    if deriv == 2:
-        # centered second-derivative stencils lose one order at the edges;
-        # widen the window there to keep the nominal order
-        half = w1 // 2
-        edges = np.r_[0:half, N - half:N]
-        D[edges, :] = 0.0
-        _fill_stencils(D, x, edges, w2b, deriv)
+    _fill_stencils(D, x, np.arange(N), w1, 2)
+    # centered second-derivative stencils lose one order at the edges; widen
+    # the window there to keep the nominal order
+    half = w1 // 2
+    edges = np.r_[0:half, N - half:N]
+    D[edges, :] = 0.0
+    _fill_stencils(D, x, edges, w2b, 2)
     return D
+
+
+def band_dense(band):
+    """The n x n matrix A of a band, a new array."""
+    b = len(band) // 2
+    n = band.shape[1]
+    A = np.zeros((n, n))
+    for k in range(-b, b + 1):
+        i = np.arange(max(0, -k), min(n, n - k))
+        A[i, i + k] = band[b + k, i]
+    return A
+
+
+def band_matvec(band, u):
+    """A u, in O(n b)."""
+    b = len(band) // 2
+    out = band[b] * u
+    for k in range(1, b + 1):
+        out[:-k] += band[b + k, :-k] * u[k:]
+        out[k:] += band[b - k, k:] * u[:-k]
+    return out
+
+
+def band_rmatvec(band, v):
+    """A^T v, in O(n b)."""
+    b = len(band) // 2
+    out = band[b] * v
+    for k in range(1, b + 1):
+        out[k:] += band[b + k, :-k] * v[:-k]
+        out[:-k] += band[b - k, k:] * v[k:]
+    return out
+
+
+def symmetric_band(lower, top=0):
+    """The band of the symmetric A held as its lower band storage lower, a
+    new Fortran-ordered array with top zero rows above it, the room LAPACK
+    dgbtrf needs for its fill-in."""
+    b = len(lower) - 1
+    n = lower.shape[1]
+    band = np.zeros((top + 2 * b + 1, n), order="F")
+    band[top + b:] = lower
+    for k in range(1, b + 1):
+        band[top + b - k, k:] = lower[k, :n - k]
+    return band
 
 
 def _gregory_weights(N, h):
@@ -156,23 +232,42 @@ class Grid:
 
     kind is 'periodic' (nodes uniform on [0, 2*pi)) or 'dirichlet' (nodes
     include both endpoints of [a, b]). quad weights are positive and sum to
-    the domain length. diff2 is built on first use and then kept.
+    the domain length. band is diff1's band on a dirichlet grid and None on
+    a periodic one. diff1 and diff2 are built on first use and then kept.
     """
 
     kind: str
     N: int
     order: object
     nodes: np.ndarray = field(repr=False)
-    diff1: np.ndarray = field(repr=False)
     quad: np.ndarray = field(repr=False)
     a: float = 0.0
     b: float = TWO_PI
+    band: np.ndarray = field(default=None, repr=False)
+
+    @cached_property
+    def diff1(self):
+        if self.band is None:
+            return _circulant(_spectral_generators(self.N)[0])
+        return band_dense(self.band)
 
     @cached_property
     def diff2(self):
         if self.kind == "periodic":
             return _circulant(_spectral_generators(self.N)[1])
-        return _dirichlet_matrix(self.nodes, self.order, 2)
+        return _dirichlet_diff2(self.nodes, self.order)
+
+    def d1(self, u):
+        """D1 u."""
+        if self.band is None:
+            return self.diff1 @ u
+        return band_matvec(self.band, u)
+
+    def d1t(self, v):
+        """D1^T v."""
+        if self.band is None:
+            return self.diff1.T @ v
+        return band_rmatvec(self.band, v)
 
 
 def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
@@ -190,9 +285,8 @@ def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
             raise UnsupportedError(f"order {order!r} needs an interval grid; "
                                    "periodic grids are spectral")
         nodes = TWO_PI * np.arange(N) / N
-        D1 = _circulant(_spectral_generators(N)[0])
         quad = np.full(N, TWO_PI / N)
-        return Grid("periodic", N, order, nodes, D1, quad, 0.0, TWO_PI)
+        return Grid("periodic", N, order, nodes, quad, 0.0, TWO_PI)
     if kind == "dirichlet":
         if N < 4:
             raise DomainError(f"dirichlet grid needs N >= 4, got {N}")
@@ -201,9 +295,9 @@ def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
         if not b > a:
             raise DomainError(f"empty interval [{a}, {b}]")
         nodes = np.linspace(a, b, N)
-        D1 = _dirichlet_matrix(nodes, order, 1)
         quad = _gregory_weights(N, (b - a) / (N - 1))
-        return Grid("dirichlet", N, order, nodes, D1, quad, float(a), float(b))
+        return Grid("dirichlet", N, order, nodes, quad, float(a), float(b),
+                    _dirichlet_band(nodes, order))
     raise DomainError(f"unknown grid kind {kind!r}")
 
 

@@ -28,7 +28,10 @@ only the pointwise density F and its partials; Problem.value, grad and hess,
 the one discretization, derive the value and its exact first and second
 derivatives against the fixed background pairing W. The Jacobi J is carried
 as its Hessian W J, symmetric by construction, and the discrete model is
-smooth in the literal finite-dimensional sense.
+smooth in the literal finite-dimensional sense. On a periodic grid W J is a
+dense matrix. On a dirichlet grid D1 is banded, so W J is too: hess
+assembles its lower band straight from the density's coefficients in
+O(n b^2), and no n x n array is formed unless JacobiOperator.dense asks.
 
 States of the harmonic instances store periodic chart data with the winding
 handled analytically: the torus state is the periodic remainder on top of
@@ -43,7 +46,7 @@ harmonic instances, which therefore reject an even grid outright.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -52,7 +55,8 @@ from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_embed,
                       quadric_to_chart, radial_area, sn_lambda)
 from .errors import ConfigError, DomainError, ShapeError, UnsupportedError
 from .lie_bundle import algebra_element
-from .mesh import TWO_PI, Grid, Pairing, build_grid
+from .mesh import (TWO_PI, Grid, Pairing, band_dense, band_matvec,
+                   build_grid, symmetric_band)
 
 RMIN = 0.05  # radial graphs stay away from the chart origin
 SIN_MIN = 0.05  # sphere charts stay away from the poles
@@ -87,10 +91,37 @@ class ProblemState:
 @dataclass(frozen=True, eq=False)
 class JacobiOperator:
     """The Jacobi J at a state, carried as the Hessian W J on the unknowns
-    exactly as hess assembled it; W is diag(pairing.weights)."""
+    exactly as hess assembled it; W is diag(pairing.weights).
+
+    Unless banded, hessian is the n x n matrix W J. A banded operator holds
+    the lower band of W J, shape (b + 1, n), in the symmetric lower band
+    storage that mesh defines.
+    """
     hessian: np.ndarray
     pairing: Pairing
     lambda_hat: float
+    banded: bool = False
+
+    def dense(self):
+        """W J as an n x n matrix; a banded operator expands a new one."""
+        if not self.banded:
+            return self.hessian
+        return band_dense(symmetric_band(self.hessian))
+
+    def matvec(self, v):
+        """(W J) v."""
+        if not self.banded:
+            return self.hessian @ v
+        return band_matvec(symmetric_band(self.hessian), v)
+
+    def shifted(self, shift):
+        """J + shift I, carried as W J + shift W."""
+        H = self.hessian.copy()
+        if self.banded:
+            H[0] += shift * self.pairing.weights
+        else:
+            H[np.diag_indices_from(H)] += shift * self.pairing.weights
+        return replace(self, hessian=H)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +159,7 @@ class Problem:
 
     def _density_at(self, v, lam):
         u = self.full(v)
-        return self.density(u, [self.grid.diff1 @ c for c in u], lam)
+        return self.density(u, [self.grid.d1(c) for c in u], lam)
 
     def value(self, v, lam):
         """w . F"""
@@ -138,24 +169,25 @@ class Problem:
         """(w Fu) + D1^T (w Fp) per component, on the free nodes."""
         d = self._density_at(v, lam)
         w = self.grid.quad
-        D1 = self.grid.diff1[:, self.free]
         parts = []
         for fu, fp in zip(d.Fu, d.Fp):
-            g = D1.T @ (w * fp)
+            g = self.grid.d1t(w * fp)[self.free]
             parts.append(g if fu is None else (w * fu)[self.free] + g)
         return np.concatenate(parts)
 
     def hess(self, v, lam):
-        """A new matrix, the Hessian of value: block (i, j) is D1^T diag(w
-        Fpp_ij) D1 + diag(w Fup_ij) D1 + (diag(w Fup_ji) D1)^T + diag(w
-        Fuu_ij) on the free nodes (all rows of the first D1). Constant Fpp
-        blocks scale one shared D1^T diag(w) D1."""
+        """A new array, the Hessian of value. On a dirichlet grid it is the
+        lower band that _band_hess assembles. On a periodic grid, where every
+        node is free, it is the dense matrix whose block (i, j) is D1^T
+        diag(w Fpp_ij) D1 + diag(w Fup_ij) D1 + (diag(w Fup_ji) D1)^T +
+        diag(w Fuu_ij); constant Fpp blocks scale one shared D1^T diag(w)
+        D1."""
         d = self._density_at(v, lam)
+        if self.grid.band is not None:
+            return self._band_hess(d)
         w = self.grid.quad
-        fr = self.free
-        # the free columns, a strided view that BLAS reads in place
-        D1 = self.grid.diff1[:, fr]
-        n = D1.shape[1]
+        D1 = self.grid.diff1
+        n = self.grid.N
         m = len(d.Fp)
         # the result is allocated before its temporary S, which is freed on
         # return from the top of the heap, ready for the next n x n array
@@ -177,17 +209,52 @@ class Problem:
             else:
                 np.multiply((w * a)[:, None], D1, out=S)
                 np.matmul(D1.T, S, out=blocks[i][j])
-        S = S[fr]                       # the free rows
         diag = np.arange(n)
         for i, j in pairs:
             b, c = d.Fup[i][j], d.Fuu[i][j]
             if b is not None:
-                np.multiply((w * b)[fr, None], D1[fr], out=S)
+                np.multiply((w * b)[:, None], D1, out=S)
                 blocks[j][i] += S.T
                 blocks[i][j] += S
             if c is not None:
-                blocks[i][j][diag, diag] += (w * c)[fr]
+                blocks[i][j][diag, diag] += w * c
         return H
+
+    def _band_hess(self, d):
+        """The Hessian of a one-component density on a dirichlet grid (the
+        profile's), in O(N b^2), as its lower band in JacobiOperator's band
+        storage; its half-bandwidth is D1's, b. Node i, with D1 row R_i,
+        adds w_i Fpp_i R_i^T R_i + w_i Fup_i (e_i R_i + R_i^T e_i^T) + w_i
+        Fuu_i e_i e_i^T. The band of the full grid is then cut to the free
+        nodes, a slice."""
+        band = self.grid.band
+        b = len(band) // 2
+        N = self.grid.N
+        w = self.grid.quad
+        L = np.zeros((b + 1, N))
+        a, c, e = d.Fpp[0][0], d.Fup[0][0], d.Fuu[0][0]
+        if a is not None:
+            wa = w * a
+            # node i adds wa_i D1[i, i + k] D1[i, i + m] at (i + k, i + m);
+            # a row's stencil spans b + 1 columns, so 0 <= k - m <= b
+            for k in range(-b, b + 1):
+                rk = wa * band[b + k]
+                for m in range(max(-b, k - b), k + 1):
+                    lo, hi = max(0, -m), min(N, N - k)
+                    L[k - m, lo + m:hi + m] += (rk * band[b + m])[lo:hi]
+        if c is not None:
+            wc = w * c
+            L[0] += 2.0 * wc * band[b]
+            for k in range(1, b + 1):
+                L[k, :-k] += (wc * band[b + k])[:-k]
+                L[k, :-k] += (wc * band[b - k])[k:]
+        if e is not None:
+            L[0] += w * e
+        n = len(range(N)[self.free])
+        out = np.ascontiguousarray(L[:min(b, n - 1) + 1, self.free])
+        for k in range(1, len(out)):
+            out[k, n - k:] = 0.0
+        return out
 
     def check(self, v, lam):
         """Raise DomainError when v leaves the chart domain at lam."""
@@ -639,11 +706,13 @@ def jacobi(problem, state, lambda_hat):
     the Hessian W J on the unknowns.
 
     The Hessian is the instance's hess, returned as it was assembled: it is
-    symmetric by construction, up to roundoff, and no consumer forms J.
+    symmetric by construction, up to roundoff, and no consumer forms J. On
+    a dirichlet grid the operator is banded.
     """
     v = _check_state(problem, state, lambda_hat)
     return JacobiOperator(problem.hess(v, lambda_hat), pairing(problem),
-                          float(lambda_hat))
+                          float(lambda_hat),
+                          banded=problem.grid.band is not None)
 
 
 def residual_norm(problem, state, lambda_hat):

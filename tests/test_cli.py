@@ -145,6 +145,31 @@ def test_analyze_solver_failure_exit_three(tmp_path, capsys):
     assert "failed" in capsys.readouterr().err
 
 
+PROFILE_FLOOR = """
+[problem]
+instance = cmc_profile
+n = 512
+h = 1.0
+"""
+
+
+def test_corrector_fails_fast_at_the_residual_floor(tmp_path, capsys):
+    # the seed is the exact cylinder, critical but for roundoff, whose
+    # residual floor at this N (about 2e-10) lies above the default tol
+    code, out = run_cli(tmp_path, "analyze", PROFILE_FLOOR)
+    assert code == 3
+    error = read_report(out)["error"]
+    assert "roundoff floor" in error
+    assert "[path] tol = 1e-10 must lie above" in error
+    iters = int(error.split(" iterations")[0].rsplit(" ", 1)[1])
+    assert iters <= 2
+    assert "roundoff floor" in capsys.readouterr().err
+    code, out = run_cli(tmp_path, "analyze",
+                        PROFILE_FLOOR + "[path]\ntol = 1e-9\n")
+    assert code in (0, 2)
+    assert "verdict" in read_report(out)["nondegeneracy"]
+
+
 @pytest.mark.parametrize("command, extra", [
     ("analyze", ""),
     ("congruence", "[congruence]\nt = 0.02, -0.01\n"),

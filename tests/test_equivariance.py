@@ -3,9 +3,12 @@ import pytest
 
 from scipy.linalg import lapack, subspace_angles
 
-from equideform.continuation import ContinuationConfig, continue_branch
-from equideform.errors import IllConditioned, PreconditionError, ShapeError
-from equideform.equivariance import (_sym_scaled, _Tridiagonal,
+from equideform.continuation import (ContinuationConfig, _bordered_update,
+                                     continue_branch)
+from equideform.errors import (IllConditioned, PreconditionError, ShapeError,
+                               UnsupportedError)
+from equideform.equivariance import (_band_scaled, _Banded, _sym_scaled,
+                                     _Tridiagonal,
                                      nondegeneracy_report, numerical_kernel,
                                      operator_diagnostics, rank_basis,
                                      transversality_margin)
@@ -44,7 +47,7 @@ def _bordered(prob, st, lam):
     B = rank_basis(killing_jacobi_basis(prob, st, lam), w)
     k = B.shape[1]
     WB = w[:, None] * B
-    M = np.block([[jacobi(prob, st, lam).hessian, WB],
+    M = np.block([[jacobi(prob, st, lam).dense(), WB],
                   [WB.T, np.zeros((k, k))]])
     return M, k
 
@@ -148,6 +151,143 @@ def test_kernel_reduction_failure_is_ill_conditioned(monkeypatch):
         numerical_kernel(jacobi(prob, st, 0.0))
 
 
+# ------------------------------------------------------ band reduction
+
+RP_LENGTH = np.pi / 2.0  # the Rayleigh-Plateau length pi R, R = 1 / H = 0.5
+
+
+def _profile_band_case(N, order, length, bump):
+    # the cylinder of radius 1 / H = 0.5 between equal boundary circles,
+    # bumped so that every partial of the density is nonzero somewhere
+    g = build_grid("dirichlet", N, order=order, a=0.0, b=length)
+    prob, st = profile_cylinder_seed(2.0, g)
+    x = g.nodes[1:-1] / length
+    v = st.values + bump * np.sin(np.pi * x) * (1.0 + x)
+    return prob, ProblemState(v)
+
+
+def _dense_hess(prob, v, lam):
+    # D1^T diag(w Fpp) D1 + diag(w Fup) D1 + its transpose + diag(w Fuu) on
+    # the interior nodes, from the density coefficients hess assembles from
+    d = prob._density_at(v, lam)
+    w = prob.grid.quad
+    D1 = prob.grid.diff1[:, 1:-1]
+    B = (w * d.Fup[0][0])[1:-1, None] * D1[1:-1]
+    return (D1.T @ ((w * d.Fpp[0][0])[:, None] * D1) + B + B.T
+            + np.diag((w * d.Fuu[0][0])[1:-1]))
+
+
+# eigenvalues of the band and the tridiagonal reduction agree to this
+# fraction of the largest; a ratio of moduli such as the gap or the
+# condition number inherits it over the smaller modulus
+EIG_TOL = 1e-13
+BAND_CASES = [(N, order, length, bump)
+              for order in (2, 4) for N in (8, 17, 33, 513, 1024)
+              for length, bump in ((1.0, 0.02), (RP_LENGTH, 0.0))]
+
+
+@pytest.mark.parametrize("N, order, length, bump", BAND_CASES)
+def test_band_reduction_matches_the_dense_reduction(N, order, length, bump):
+    prob, st = _profile_band_case(N, order, length, bump)
+    J = jacobi(prob, st, 0.0)
+    n = N - 2
+    assert J.banded and J.hessian.shape == (min(order, n - 1) + 1, n)
+    # the band Hessian against the dense assembly from the same density
+    H = _dense_hess(prob, st.values, 0.0)
+    assert np.max(np.abs(J.dense() - H)) <= 1e-15 * np.max(np.abs(H))
+    dense = JacobiOperator(J.dense(), J.pairing, J.lambda_hat)
+    # every eigenvalue, against the tridiagonal reduction of the dense form
+    A, sw = _band_scaled(J)
+    mu = _Banded(A).eigenvalues
+    want = _Tridiagonal(_sym_scaled(dense)[0]).eigenvalues
+    top = np.max(np.abs(want))
+    assert np.max(np.abs(mu - want)) <= EIG_TOL * top
+    # kernel count, cut and gap, and the kernel vectors by principal angles;
+    # a ratio of two moduli each known to EIG_TOL * top is known to EIG_TOL
+    # * top over each
+    kb, kd = numerical_kernel(J), numerical_kernel(dense)
+    assert kb.dim == kd.dim
+    assert kb.tolerance == pytest.approx(kd.tolerance, rel=EIG_TOL)
+    if kd.dim:
+        kept = kd.singular_values[0]
+        rel = EIG_TOL * top * (1.0 / kept + 1.0 / (kd.gap * kept))
+        assert kb.gap == pytest.approx(kd.gap, rel=rel)
+    assert kb.indeterminate == kd.indeterminate
+    w = J.pairing.weights
+    assert _w_orthonormality_defect(kb.vectors, w) < 1e-12
+    if kb.dim:
+        angles = subspace_angles(sw[:, None] * kb.vectors,
+                                 sw[:, None] * kd.vectors)
+        assert np.max(angles) <= 1e-10
+    # the corrector's solve and exact condition number
+    rhs = np.random.default_rng(N).standard_normal(n)
+    delta, cond = _bordered_update(J, np.zeros((n, 0)), rhs, 0.0)
+    want = np.linalg.solve(H, -(w * rhs))
+    kappa = np.linalg.cond(H)
+    assert cond == pytest.approx(kappa, rel=EIG_TOL * (1.0 + kappa))
+    assert (np.linalg.norm(delta - want)
+            <= 1e-15 * kappa * np.linalg.norm(want))
+    # the diagnostics read the band: symmetric by construction, J v from it
+    rep = operator_diagnostics(J, prob, st, 0.0)
+    assert rep.symmetry_residual == 0.0
+    assert rep.fd_consistency == pytest.approx(
+        operator_diagnostics(dense, prob, st, 0.0).fd_consistency, rel=1e-6)
+
+
+def _two_neumann_chains(m, b):
+    # diag(T, T) for the Neumann path Laplacian T = tridiag(-1, 2, -1) with
+    # corners 1, as a band of half-bandwidth b: every eigenvalue of T,
+    # 2 - 2 cos(pi j / m), j = 0..m-1, is a double eigenvalue
+    n = 2 * m
+    ab = np.zeros((b + 1, n))
+    ab[0] = 2.0
+    ab[0, [0, m - 1, m, n - 1]] = 1.0
+    ab[1, :n - 1] = -1.0
+    ab[1, m - 1] = 0.0
+    return ab
+
+
+def test_band_eigenvectors_of_a_repeated_eigenvalue_are_orthonormal():
+    m = 20
+    ab = _two_neumann_chains(m, b=3)
+    red = _Banded(ab)
+    A = JacobiOperator(ab, Pairing(np.ones(2 * m)), 0.0, banded=True).dense()
+    exact = np.repeat(2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m), 2)
+    assert np.max(np.abs(red.eigenvalues - exact)) < 1e-14
+    V = red.eigenvectors(0, 5)  # three double eigenvalues
+    assert np.max(np.abs(V.T @ V - np.eye(6))) < 1e-13
+    assert np.max(np.abs(A @ V - V * exact[:6])) < 1e-13
+
+
+def test_band_kernel_of_a_repeated_eigenvalue_is_w_orthonormal():
+    # W^1/2 diag(T, T) W^1/2 has the double kernel W^-1/2 (1, 0), W^-1/2 (0,
+    # 1); the kernel basis must come back W-orthonormal and span it
+    m = 20
+    ab = _two_neumann_chains(m, b=2)
+    w = np.random.default_rng(3).uniform(0.5, 2.0, 2 * m)
+    sw = np.sqrt(w)
+    L = ab * sw
+    for k in range(len(L)):
+        L[k, :2 * m - k] *= sw[k:]
+    J = JacobiOperator(L, Pairing(w), 0.0, banded=True)
+    kb = numerical_kernel(J)
+    assert kb.dim == 2 and not kb.indeterminate
+    assert _w_orthonormality_defect(kb.vectors, w) < 1e-13
+    want = np.zeros((2 * m, 2))
+    want[:m, 0] = want[m:, 1] = 1.0
+    angles = subspace_angles(sw[:, None] * kb.vectors, want)
+    assert np.max(angles) < 1e-12
+
+
+def test_banded_operator_refuses_killing_columns():
+    prob, st = _profile_band_case(17, 4, 1.0, 0.0)
+    J = jacobi(prob, st, 0.0)
+    B = np.zeros((15, 1))
+    B[0, 0] = 1.0
+    with pytest.raises(UnsupportedError, match="Killing"):
+        _bordered_update(J, B, np.zeros(15), 0.0)
+
+
 # ---------------------------------------------------------------- kernel
 
 
@@ -241,7 +381,8 @@ def test_profile_kernel_cut_is_relative_to_the_interior_spectrum():
     J = jacobi(prob, st, 0.0)
     w = J.pairing.weights
     assert w.size == 62
-    mu = eigh(0.5 * (J.hessian + J.hessian.T), np.diag(w), eigvals_only=True)
+    H = J.dense()
+    mu = eigh(0.5 * (H + H.T), np.diag(w), eigvals_only=True)
     kb = numerical_kernel(J)
     assert kb.tol_rel == 1e-8 * 62
     assert kb.tolerance == pytest.approx(kb.tol_rel * np.max(np.abs(mu)),

@@ -1,10 +1,12 @@
-"""Memory budget of the dense operator paths.
+"""Memory budget of the operator paths.
 
-Every path that touches an n x n operator holds at most three such matrices
-at once: the grid's diff1, the Jacobi, and the one buffer the tridiagonal
-reduction overwrites. The traced peak (tracemalloc sees every numpy
-allocation) is allowed four, which leaves room for the vectors, the grid's
-other arrays and LAPACK workspace, and no room for a fourth full copy.
+Every path that touches a dense n x n operator holds at most three such
+matrices at once: the grid's diff1, the Jacobi, and the one buffer the
+tridiagonal reduction overwrites. The traced peak (tracemalloc sees every
+numpy allocation) is allowed four, which leaves room for the vectors, the
+grid's other arrays and LAPACK workspace, and no room for a fourth full
+copy. A banded operator (the profile's, on a dirichlet grid) holds no n x n
+matrix at all, so its certificate gets a budget linear in n.
 """
 
 import json
@@ -14,9 +16,10 @@ import pytest
 
 from equideform.cli import main
 from equideform.continuation import ContinuationConfig, corrector_step
+from equideform.equivariance import nondegeneracy_report, operator_diagnostics
 from equideform.errors import NoConvergence
 from equideform.mesh import build_grid
-from equideform.variational import circle_seed
+from equideform.variational import circle_seed, jacobi, profile_cylinder_seed
 
 N = 513
 BUDGET = 4 * N * N * 8   # bytes of four N x N float64 matrices
@@ -90,3 +93,28 @@ def test_later_newton_steps_do_not_keep_the_last_reduction():
     peak, iters = _newton_peak(max_newton=12)
     assert iters >= 2
     assert peak <= BUDGET, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+# The profile certificate at the top of the CLI's range. Its n = 4094
+# unknowns would take 134 MB as one n x n matrix; the budget is 128 float64
+# values per unknown, 4.2 MB. The kernel cut grows like N^3 (the N-dependent
+# verdict), so this operator keeps d = 48 kernel vectors, held once as
+# computed and once reordered by singular value: 96 n of the peak.
+N_BAND = 4096
+BUDGET_BAND = 128 * (N_BAND - 2) * 8
+
+
+def test_banded_profile_certificate_holds_no_operator_matrix():
+    prob, seed = profile_cylinder_seed(
+        2.0, build_grid("dirichlet", N_BAND, 4, a=0.0, b=1.0))
+
+    def certify():
+        J = jacobi(prob, seed, 0.0)
+        rep = nondegeneracy_report(prob, seed, 0.0, operator=J)
+        return rep, operator_diagnostics(J, prob, seed, 0.0)
+
+    peak, (rep, diag) = _traced_peak(certify)
+    assert rep.killing_rank == 0 and rep.verdict in ("nondegenerate",
+                                                      "indeterminate")
+    assert diag.symmetry_residual == 0.0
+    assert peak <= BUDGET_BAND, f"traced peak {peak / 2**20:.2f} MiB"

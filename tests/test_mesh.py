@@ -104,6 +104,23 @@ def test_grids_are_bitwise_equal_to_the_reference_construction(
     assert g.diff1.flags["C_CONTIGUOUS"] and g.diff2.flags["C_CONTIGUOUS"]
 
 
+@pytest.mark.parametrize("order", [2, 4])
+@pytest.mark.parametrize("N", [4, 5, 17, 1024])
+def test_band_apply_matches_the_reference_matrix(N, order):
+    # d1 and d1t against the per-node reference D1 and its transpose, on
+    # every row, the one-sided edge rows included, within the rounding of
+    # the two sums over a stencil
+    g = build_grid("dirichlet", N, order)
+    D1 = _reference_dirichlet(N, order)[0]
+    assert g.band.shape == (2 * min(order, N - 1) + 1, N)
+    rng = np.random.default_rng(N + order)
+    u, v = rng.standard_normal((2, N))
+    scale = len(g.band) * np.finfo(float).eps
+    for got, M, x in ((g.d1(u), D1, u), (g.d1t(v), D1.T, v)):
+        assert got.shape == (N,)
+        assert np.all(np.abs(got - M @ x) <= scale * (np.abs(M) @ np.abs(x)))
+
+
 def test_fornberg_batch_equals_single_centre_calls():
     rng = np.random.default_rng(5)
     for n, m in ((1, 0), (3, 2), (5, 2), (6, 4)):

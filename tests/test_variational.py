@@ -22,7 +22,7 @@ from equideform.variational import (PROBLEMS, CmcCircle, CmcProfile,
 
 def _jacobi_matrix(J):
     # J = W^-1 (W J), the Jacobi itself, from the Hessian the operator carries
-    return J.hessian / J.pairing.weights[:, None]
+    return J.dense() / J.pairing.weights[:, None]
 
 
 def off_center_circle(grid, rho, c):
@@ -168,7 +168,7 @@ def test_profile_interior_eigenvalues_follow_dirichlet_modes():
     prob, st = profile_cylinder_seed(H, g)
     J = jacobi(prob, st, 0.0)
     w = pairing(prob).weights
-    WJ = J.hessian
+    WJ = J.dense()
     mu = np.sort(eigh(0.5 * (WJ + WJ.T), np.diag(w), eigvals_only=True))
     rho0 = 1.0 / H
     assert np.all(mu > 0.0)  # short cylinder is stable: trivial kernel
@@ -183,7 +183,7 @@ def test_w_symmetry_of_jacobi_for_all_instances():
     rng = np.random.default_rng(2)
     for prob, st, lam in _all_instances(rng):
         J = jacobi(prob, st, lam)
-        WJ = J.hessian
+        WJ = J.dense()
         assert np.linalg.norm(WJ - WJ.T) / np.linalg.norm(WJ) < 1e-10
 
 
@@ -202,9 +202,13 @@ def test_jacobi_carries_the_hessian_bits():
 
 def _full_grid_profile(prob, rho, k):
     # residual and Hessian of the profile functional on the full grid, with
-    # the boundary nodes counted among the unknowns
+    # the boundary nodes counted among the unknowns. p is formed as the
+    # discretization forms it, by grid.d1, which test_mesh checks row by row
+    # against the dense reference D1: the stencils cancel about 1e3-fold in
+    # D1 rho, so a dense product's different rounding of p would move the
+    # Hessian by about 1e-13 of its largest entry
     w, D1 = prob.grid.quad, prob.grid.diff1
-    p = D1 @ rho
+    p = prob.grid.d1(rho)
     sn, snp = sn_lambda(k, rho)
     S = np.sqrt(1.0 + p * p)
     grad = TWO_PI * (w * (snp * S - prob.H * sn) + D1.T @ (w * sn * p / S))
@@ -320,7 +324,7 @@ def test_jacobi_and_residual_match_the_hand_written_oracles(name, N):
     res_tol = RES_ULPS * N * np.finfo(float).eps
     for lam in lams:
         res, hess = oracle(prob, v, lam)
-        got = jacobi(prob, st, lam).hessian
+        got = jacobi(prob, st, lam).dense()
         assert np.max(np.abs(got - hess)) <= HESS_TOL[name] * np.max(np.abs(hess))
         got = residual(prob, st, lam)
         assert np.max(np.abs(got - res)) <= res_tol * np.max(np.abs(res))
