@@ -23,7 +23,8 @@ Configuration is a key = value INI file. Keys are case-insensitive.
     [path]      start, end; records (count, uniform steps) or initial_step
                 with optional min_step/max_step; tol (below 1e-8),
                 max_newton, retries, basin_guard, diagnostics_cadence,
-                angle_tol, tol_rel
+                angle_tol, tol_rel; analyze and congruence read only the
+                corrector keys (start = end = lambda_hat)
     [bundle]    lambdas (list), n (list), samples, triples
     [congruence] t = t1,t2,... (group parameters); tol
     [test]      inject_broken_basis (bool); inject_shift (float) -- fault
@@ -334,6 +335,7 @@ def run_continue(cp, seed, chash, outdir):
 
 def run_congruence(cp, seed, chash, outdir):
     problem, seed_state, resolved, lam = _build_problem(cp)
+    ccfg = _path_config(cp, lam=lam)
     t = np.asarray(_get(cp, "congruence", "t", _float_list, required=True))
     tol = _get(cp, "congruence", "tol", _positive, default=1e-8)
     resolved.update(lambda_hat=lam, seed=seed)
@@ -348,7 +350,7 @@ def run_congruence(cp, seed, chash, outdir):
             # a motion of the wrong length, or one too large for the chart
             raise ConfigError(f"[congruence] t: {exc}")
         congruent, recovered = congruence_check(problem, seed_state, moved,
-                                                lam, tol=tol)
+                                                lam, tol=tol, config=ccfg)
     except _SOLVER_ERRORS as exc:
         print(f"equideform: congruence failed: {exc}", file=sys.stderr)
         base["error"] = str(exc)

@@ -414,16 +414,19 @@ def orbit_project(problem, state, lambda_hat, reference):
     return -t, moved, float(np.linalg.norm(F))
 
 
-def congruence_check(problem, state1, state2, lambda_hat, tol=1e-8):
+def congruence_check(problem, state1, state2, lambda_hat, tol=1e-8,
+                     config=None):
     """Decide whether two critical states agree modulo the group action.
 
-    Projects state2 onto state1's slice, polishes with the corrector, and
-    compares in the W norm. Solver failures from the projection or polish
-    propagate; a clean finish returns (within tol?, recovered parameters).
+    Projects state2 onto state1's slice, polishes with the corrector under
+    config (default ContinuationConfig.polish(lambda_hat)), and compares in
+    the W norm. Solver failures from the projection or polish propagate; a
+    clean finish returns (within tol?, recovered parameters).
     """
+    if config is None:
+        config = ContinuationConfig.polish(lambda_hat)
     pr = pairing(problem)
     t, moved, _ = orbit_project(problem, state2, lambda_hat, state1)
-    polished, _, _ = corrector_step(problem, moved, lambda_hat,
-                                    ContinuationConfig.polish(lambda_hat))
+    polished, _, _ = corrector_step(problem, moved, lambda_hat, config)
     dist = pr.norm(polished.values - state1.values)
     return bool(dist < tol), t

@@ -224,6 +224,11 @@ def _sample_slice_element(rng, n):
     raise RuntimeError("slice sampling failed to leave the identity")
 
 
+def _slice_samples(n, n_samples, seed):
+    rng = np.random.default_rng(seed)
+    return [_sample_slice_element(rng, n) for _ in range(int(n_samples))]
+
+
 def complement_and_slice_check(lam, n, n_samples=200, seed=0):
     """Certify T_1 A + g_lam = gl(n+1) and that the slice meets G_lam only at 1.
 
@@ -232,20 +237,24 @@ def complement_and_slice_check(lam, n, n_samples=200, seed=0):
     elements away from the identity and reports the smallest membership
     residual as the margin; the identity itself must have residual zero.
     """
+    return _scored_slice_check(lam, n, seed, _slice_samples(n, n_samples, seed))
+
+
+def _scored_slice_check(lam, n, seed, samples):
+    # complement_and_slice_check on slice samples already drawn, so that one
+    # draw per (n, seed) serves every lam
     M = np.column_stack([m.ravel() for m in
                          algebra_basis(lam, n) + complement_basis(n)])
     sv = np.linalg.svd(M, compute_uv=False)
     expected = (n + 1) ** 2
     rank = int(np.sum(sv > 1e-10 * sv[0]))
 
-    rng = np.random.default_rng(seed)
     margin = np.inf
-    for _ in range(int(n_samples)):
-        g = _sample_slice_element(rng, n)
+    for g in samples:
         margin = min(margin, group_membership_residual(g, lam))
     ident = group_membership_residual(np.eye(n + 1), lam)
     return CheckReport(
-        lam=float(lam), n=int(n), n_samples=int(n_samples), seed=int(seed),
+        lam=float(lam), n=int(n), n_samples=len(samples), seed=int(seed),
         rank=rank, expected_rank=expected, full_rank=(rank == expected),
         stacked_min_singular_value=float(sv[-1]),
         identity_residual=float(ident),
@@ -314,9 +323,10 @@ def verify_bundle(lambdas, ns, samples, triples, seed,
     """Named structure checks of the group bundle, as verify-bundle runs them.
 
     Bracket closure, frame invariance, complement rank and the slice margin
-    sweep every (n, lam) of the grid, the slice sampled with
-    complement_and_slice_check(..., seed=seed). The section sweep and the
-    deformed-bracket identities run at the first n only, drawing from
+    sweep every (n, lam) of the grid, each lam scored as
+    complement_and_slice_check(lam, n, samples, seed) scores it; the slice
+    samples are drawn once per n and shared by all lam. The section sweep
+    and the deformed-bracket identities run at the first n only, drawing from
     default_rng(seed): the two section letters first, then the triples.
     Returns one dict per check (name, worst, threshold, passed and any
     extras) in that order. inject_broken_basis corrupts the first basis
@@ -342,6 +352,7 @@ def verify_bundle(lambdas, ns, samples, triples, seed,
     worst_cl = worst_inv = worst_ident = 0.0
     rank_ok, min_margin = True, np.inf
     for n in ns:
+        slice_samples = _slice_samples(n, samples, seed)
         for lam in lambdas:
             basis = algebra_basis(lam, n)
             worst_inv = max(worst_inv, max(invariance_residual(m, lam)
@@ -349,8 +360,7 @@ def verify_bundle(lambdas, ns, samples, triples, seed,
             if inject_broken_basis:
                 basis[0] = basis[0] + np.diag([1.0, -1.0] + [0.0] * (n - 1))
             worst_cl = max(worst_cl, bracket_closure_residual(basis))
-            rep = complement_and_slice_check(lam, n, n_samples=samples,
-                                             seed=seed)
+            rep = _scored_slice_check(lam, n, seed, slice_samples)
             rank_ok = rank_ok and rep.full_rank
             min_margin = min(min_margin, rep.min_off_identity_residual)
             worst_ident = max(worst_ident, rep.identity_residual)

@@ -60,8 +60,9 @@ from .mesh import (TWO_PI, Grid, Pairing, band_dense, band_matvec,
 
 RMIN = 0.05  # radial graphs stay away from the chart origin
 SIN_MIN = 0.05  # sphere charts stay away from the poles
-# rows of the exp(1j theta k) matrix built at once by _trig_interp: bounds one
-# evaluation's memory at about 40 * INTERP_ROWS * N bytes
+# points evaluated at once by _trig_interp: a block holds INTERP_ROWS x K
+# complex powers z^k, K = (N - 1) // 2, so one evaluation's memory stays at
+# about 16 * INTERP_ROWS * K bytes
 INTERP_ROWS = 256
 
 
@@ -280,10 +281,16 @@ def _check_radial(v, lam, what, param):
 
 
 def _trig_interp(vals):
-    # trigonometric interpolant of node values on the uniform [0, 2pi) grid
+    # trigonometric interpolant of real node values on the uniform [0, 2pi)
+    # grid, c_0 + 2 Re sum_{k=1..K} c_k z^k (+ c_{N/2} cos(N theta / 2) on an
+    # even grid) with z = exp(i theta): one exponential per point, and the
+    # powers z^1..z^K by one cumulative product, which rounds like k * u
+    # where exp(i k theta) loses u * |k theta| of phase
     n = vals.size
     coef = np.fft.fft(vals) / n
-    wave = np.fft.fftfreq(n, d=1.0 / n)
+    K = (n - 1) // 2
+    c0, ck = coef[0].real, coef[1:K + 1]
+    nyquist = coef[n // 2].real if n % 2 == 0 else 0.0
 
     def ev(theta):
         th = np.asarray(theta, dtype=float)
@@ -291,7 +298,13 @@ def _trig_interp(vals):
         out = np.empty(flat.size)
         for i in range(0, flat.size, INTERP_ROWS):
             rows = flat[i:i + INTERP_ROWS]
-            out[i:i + INTERP_ROWS] = (np.exp(1j * np.outer(rows, wave)) @ coef).real
+            z = np.exp(1j * rows)
+            powers = np.cumprod(np.broadcast_to(z[:, None], (z.size, K)),
+                                axis=1)
+            block = c0 + 2.0 * (powers @ ck).real
+            if nyquist:
+                block += nyquist * np.cos(0.5 * n * rows)
+            out[i:i + INTERP_ROWS] = block
         return out.reshape(th.shape)
 
     return ev

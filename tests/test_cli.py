@@ -170,6 +170,25 @@ def test_corrector_fails_fast_at_the_residual_floor(tmp_path, capsys):
     assert "verdict" in read_report(out)["nondegeneracy"]
 
 
+def test_congruence_polishes_at_the_path_tol(tmp_path, capsys):
+    # the profile has no group parameters; its polish at n = 4096 stalls
+    # near 7e-10, above the default tol, until [path] tol is raised
+    text = "[problem]\ninstance = cmc_profile\nn = 4096\nh = 2.0\n" \
+           "[congruence]\nt =\n"
+    code, out = run_cli(tmp_path, "congruence", text)
+    assert code == 3
+    assert "[path] tol = 1e-10 must lie above" in read_report(out)["error"]
+    assert "roundoff floor" in capsys.readouterr().err
+    code, out = run_cli(tmp_path, "congruence", text + "[path]\ntol = 1e-9\n")
+    assert code == 0
+    pay = read_report(out)
+    assert pay["congruent"] and pay["recovered_t"] == []
+    assert "error" not in pay and "path" not in pay
+    # a tol at or above the certificate's is a config error, as in analyze
+    code, _ = run_cli(tmp_path, "congruence", text + "[path]\ntol = 5e-8\n")
+    assert code == 64
+
+
 @pytest.mark.parametrize("command, extra", [
     ("analyze", ""),
     ("congruence", "[congruence]\nt = 0.02, -0.01\n"),

@@ -257,6 +257,33 @@ def test_verify_bundle_returns_the_named_checks():
     assert [c["name"] for c in broken if not c["passed"]] == ["bracket_closure"]
 
 
+def test_verify_bundle_draws_slice_samples_once_per_n(monkeypatch):
+    lambdas, ns, samples, seed = [-2.0, -0.5, 0.0, 1.0], [2, 3], 12, 7
+    draws = []
+    reports = []
+    sample, scored = (lie_bundle._sample_slice_element,
+                      lie_bundle._scored_slice_check)
+
+    def counted(rng, n):
+        draws.append(n)
+        return sample(rng, n)
+
+    def recorded(*args):
+        reports.append(scored(*args))
+        return reports[-1]
+
+    monkeypatch.setattr(lie_bundle, "_sample_slice_element", counted)
+    monkeypatch.setattr(lie_bundle, "_scored_slice_check", recorded)
+    verify_bundle(lambdas, ns, samples, 3, seed)
+    monkeypatch.undo()
+    assert draws == [n for n in ns for _ in range(samples)]
+    # each lam's report is the one the standalone check gives, bit for bit
+    assert len(reports) == len(ns) * len(lambdas)
+    for rep in reports:
+        assert rep == complement_and_slice_check(rep.lam, rep.n,
+                                                 n_samples=samples, seed=seed)
+
+
 @pytest.mark.parametrize("args", [
     ([], [2], 10, 5), ([0.5], [], 10, 5), ([0.5], [2], 0, 5),
     ([0.5], [2], 10, 0), ([0.5], [1], 10, 5),

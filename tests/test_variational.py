@@ -490,6 +490,54 @@ def test_circle_act_matches_per_node_brentq(n, lam):
         assert np.max(np.abs(moved.values - _act_by_brentq(prob, st, lam, t))) < 1e-14
 
 
+def _interp_error_bound(coef, theta):
+    # first-order rounding bound of _trig_interp, u = 2^-53:
+    # - z = exp(i theta): cos and sin within one ulp each, |dz| <= 2u
+    # - z^k by k - 1 complex products, each within sqrt(5) u (Brent,
+    #   Percival & Zimmermann, Math. Comp. 76, 2007): |dz^k| <= (2k +
+    #   sqrt(5) (k - 1)) u
+    # - the K-term complex dot product with c_1..c_K: sqrt(2) gamma_{K+2}
+    #   sum |c_k| (Higham, Accuracy and Stability, 2002, sec. 3.6)
+    # - adding c_0 and the Nyquist term: u per add on |result| <= sum |c|
+    # - Nyquist cos(N theta / 2): the rounded argument moves the phase by
+    #   u N |theta| / 2, the cos and the product add 3u
+    u = 2.0**-53
+    n = coef.size
+    K = (n - 1) // 2
+    k = np.arange(1, K + 1)
+    ck = np.abs(coef[1:K + 1])
+    nyq = abs(coef[n // 2]) if n % 2 == 0 else 0.0
+    powers = 2.0 * np.sum(ck * (2.0 * k + np.sqrt(5.0) * (k - 1))) * u
+    dot = 2.0 * np.sqrt(2.0) * (K + 2) * u / (1 - (K + 2) * u) * np.sum(ck)
+    adds = 2 * u * (abs(coef[0]) + 2.0 * np.sum(ck) + nyq)
+    return powers + dot + adds + nyq * u * (0.5 * n * np.abs(theta) + 3.0)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
+                    reason="needs an extended-precision long double")
+@pytest.mark.parametrize("n", [9, 64, 65, 129, 1024, 1025])
+def test_trig_interp_matches_a_long_double_cosine_sum(n):
+    rng = np.random.default_rng(n)
+    vals = 1.0 + 0.1 * rng.standard_normal(n)
+    theta = np.concatenate([build_grid("periodic", n).nodes,
+                            rng.uniform(-np.pi, 3 * np.pi, 3 * n)])
+    got = variational._trig_interp(vals)(theta)
+    # the reference sums the same coefficients in long double, with
+    # a_k cos(k theta) - b_k sin(k theta); k theta is exact there for
+    # k < 2^11, and the sum's own rounding is about 2^-11 of the bound below
+    coef = np.fft.fft(vals) / n
+    K = (n - 1) // 2
+    c = coef.astype(np.clongdouble)
+    th = theta.astype(np.longdouble)
+    ref = np.full(th.shape, c[0].real)
+    for k in range(1, K + 1):
+        ref += 2 * (c[k].real * np.cos(k * th) - c[k].imag * np.sin(k * th))
+    if n % 2 == 0:
+        ref += c[n // 2].real * np.cos((n // 2) * th)
+    err = np.abs(got.astype(np.longdouble) - ref)
+    assert np.all(err <= _interp_error_bound(coef, theta))
+
+
 def test_circle_act_rejects_an_unconverged_node(monkeypatch):
     # act imports find_root when it runs, so the patch goes on scipy's module
     real = elementwise.find_root
