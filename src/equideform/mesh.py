@@ -7,23 +7,25 @@ grids include both endpoints. A problem on an interval grid holds its
 boundary values as data and takes the interior nodes as its unknowns; the
 grid itself imposes no boundary condition.
 
-The spectral differentiation matrices are circulant and trigonometrically
+The spectral differentiation matrix is circulant and trigonometrically
 exact; diff1 is exactly antisymmetric, which makes the assembled weighted
 Hessians symmetric to machine precision without any fixups.
 
-Periodic grids are spectral only: a periodic finite-difference diff1 nearly
-annihilates the near-Nyquist modes, which then fake low Jacobi modes. A
-periodic matrix is a circulant, fixed by one generator row: it is
-symmetrized or antisymmetrized as a generator and copied once out of a
-strided view of that row. Dirichlet rows get their Fornberg weights in one
-batched call.
+Periodic grids are spectral and odd only: a periodic finite-difference
+diff1 nearly annihilates the near-Nyquist modes, and on an even grid the
+sawtooth mode lies in the kernel of the spectral diff1; either way those
+modes fake low Jacobi modes. build_grid rounds an even periodic N up by one,
+and Grid rejects an even periodic N, so every periodic instance gets the
+same odd grid. On it D1 applied twice is the spectral second derivative.
+A periodic matrix is a circulant, fixed by one generator row: it is
+antisymmetrized as a generator and copied once out of a strided view of
+that row. Dirichlet rows get their Fornberg weights in one batched call.
 
 A dirichlet grid keeps diff1 as its band, the diagonals at offsets -b..b,
 b = min(order, N - 1), that its Fornberg stencils fill. d1 and d1t apply D1
 and D1^T in O(N b), and the Hessians assembled from the band are banded
-too. A periodic grid applies its dense circulant. The dense diff1 (of
-either kind) and diff2, which only geodesic curvature and the tests read,
-are built on first use.
+too. A periodic grid applies its dense circulant. The dense diff1 of
+either kind is built on first use.
 
 Band storage is defined here once, for the grid's D1 and the banded Jacobi
 alike: a matrix A of half-bandwidth b is the (2b + 1, n) array band[b + k,
@@ -97,75 +99,42 @@ def _reversed(gen):
     return np.roll(gen[::-1], 1)
 
 
-def _spectral_generators(N):
-    """Stencil generators of the spectral first and second derivatives.
+def _spectral_generator(N):
+    """Stencil generator of the spectral first derivative on an odd grid.
 
-    Built from the Fourier symbols ik and -k^2 applied to a delta column.
-    For even N the sawtooth (Nyquist) wavenumber is dropped from diff1 and
-    kept in diff2, the standard real-valued convention; odd N has no such
-    mode. The first generator is antisymmetrized and the second symmetrized,
-    so diff1 is exactly antisymmetric and diff2 exactly symmetric.
+    Built from the Fourier symbol ik applied to a delta column; an odd N
+    has no sawtooth (Nyquist) mode. The generator is antisymmetrized, so
+    diff1 is exactly antisymmetric.
     """
     k = np.fft.fftfreq(N, d=1.0 / N)
-    k1 = k.copy()
-    if N % 2 == 0:
-        k1[N // 2] = 0.0
     delta = np.zeros(N)
     delta[0] = 1.0
-    f = np.fft.fft(delta)
     # ifft gives the kernel D[i, j] = g[(i - j) mod N], the reverse of the
     # stencil reading gen[(j - i) mod N]
-    g1 = _reversed(np.real(np.fft.ifft(1j * k1 * f)))
-    g2 = _reversed(np.real(np.fft.ifft(-(k ** 2) * f)))
-    return 0.5 * (g1 - _reversed(g1)), 0.5 * (g2 + _reversed(g2))
+    g = _reversed(np.real(np.fft.ifft(1j * k * np.fft.fft(delta))))
+    return 0.5 * (g - _reversed(g))
 
 
-def _fill_stencils(D, x, rows, width, deriv):
-    # row i of D gets the weights of the width-node window nearest x[i]
-    N = len(x)
-    lo = np.minimum(np.maximum(rows - width // 2, 0), N - width)
-    cols = lo[:, None] + np.arange(width)
-    c = fornberg_weights(x[rows], x[cols], deriv)
-    D[rows[:, None], cols] = c[..., deriv]
-
-
-def _stencil_widths(N, order):
-    # w1 for diff1 and the interior rows of diff2, the wider w2b for diff2's
-    # edge rows
+def _stencil_width(N, order):
     if order == 4:
-        return min(5, N), min(6, N)
+        return min(5, N)
     if order == 2:
-        return min(3, N), min(4, N)
+        return min(3, N)
     raise DomainError(f"unsupported dirichlet order {order!r}")
 
 
 def _dirichlet_band(x, order):
     """diff1's band on the interval nodes x."""
     N = len(x)
-    w1, _ = _stencil_widths(N, order)
-    b = w1 - 1
+    w = _stencil_width(N, order)
+    b = w - 1
     rows = np.arange(N)
-    lo = np.minimum(np.maximum(rows - w1 // 2, 0), N - w1)
-    cols = lo[:, None] + np.arange(w1)
+    lo = np.minimum(np.maximum(rows - w // 2, 0), N - w)
+    cols = lo[:, None] + np.arange(w)
     band = np.zeros((2 * b + 1, N))
     band[b + cols - rows[:, None], rows[:, None]] = fornberg_weights(
         x, x[cols], 1)[..., 1]
     return band
-
-
-def _dirichlet_diff2(x, order):
-    """diff2 on the interval nodes x."""
-    N = len(x)
-    w1, w2b = _stencil_widths(N, order)
-    D = np.zeros((N, N))
-    _fill_stencils(D, x, np.arange(N), w1, 2)
-    # centered second-derivative stencils lose one order at the edges; widen
-    # the window there to keep the nominal order
-    half = w1 // 2
-    edges = np.r_[0:half, N - half:N]
-    D[edges, :] = 0.0
-    _fill_stencils(D, x, edges, w2b, 2)
-    return D
 
 
 def band_dense(band):
@@ -233,7 +202,8 @@ class Grid:
     kind is 'periodic' (nodes uniform on [0, 2*pi)) or 'dirichlet' (nodes
     include both endpoints of [a, b]). quad weights are positive and sum to
     the domain length. band is diff1's band on a dirichlet grid and None on
-    a periodic one. diff1 and diff2 are built on first use and then kept.
+    a periodic one. diff1 is built on first use and then kept. A periodic
+    grid must have an odd N.
     """
 
     kind: str
@@ -245,17 +215,17 @@ class Grid:
     b: float = TWO_PI
     band: np.ndarray = field(default=None, repr=False)
 
+    def __post_init__(self):
+        if self.kind == "periodic" and self.N % 2 == 0:
+            raise DomainError(
+                f"periodic grid needs an odd N, got {self.N}; the even-grid "
+                "sawtooth mode lies in the kernel of diff1")
+
     @cached_property
     def diff1(self):
         if self.band is None:
-            return _circulant(_spectral_generators(self.N)[0])
+            return _circulant(_spectral_generator(self.N))
         return band_dense(self.band)
-
-    @cached_property
-    def diff2(self):
-        if self.kind == "periodic":
-            return _circulant(_spectral_generators(self.N)[1])
-        return _dirichlet_diff2(self.nodes, self.order)
 
     def d1(self, u):
         """D1 u."""
@@ -275,10 +245,12 @@ def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
 
     kind='periodic' supports order 'spectral' only and kind='dirichlet'
     supports {2, 4}; any other order raises UnsupportedError on a periodic
-    grid, and 'spectral' raises it on a dirichlet grid.
+    grid, and 'spectral' raises it on a dirichlet grid. A periodic N is
+    rounded up to odd, so an even N gets N + 1 nodes.
     """
     N = int(N)
     if kind == "periodic":
+        N |= 1
         if N < 8:
             raise DomainError(f"periodic grid needs N >= 8, got {N}")
         if order != "spectral":

@@ -38,11 +38,11 @@ handled analytically: the torus state is the periodic remainder on top of
 the (p, q) line, the sphere state is (colatitude, longitude - theta). A
 spectral derivative never sees the non-periodic winding part.
 
-Periodic instances run on an odd spectral grid, and from_config rounds an
-even N up by one: on an even grid the sawtooth mode lies in the kernel of
-D1, so the Jacobi sees only its zeroth-order term there. That fakes a
-negative mode for CmcCircle and a kernel dimension per component for the
-harmonic instances, which therefore reject an even grid outright.
+Periodic instances run on an odd spectral grid, which mesh.build_grid
+makes by rounding an even N up by one: on an even grid the sawtooth mode
+lies in the kernel of D1, so the Jacobi sees only its zeroth-order term
+there. That would fake a negative mode for CmcCircle and a kernel dimension
+per component for the harmonic instances.
 """
 
 from collections import namedtuple
@@ -281,16 +281,15 @@ def _check_radial(v, lam, what, param):
 
 
 def _trig_interp(vals):
-    # trigonometric interpolant of real node values on the uniform [0, 2pi)
-    # grid, c_0 + 2 Re sum_{k=1..K} c_k z^k (+ c_{N/2} cos(N theta / 2) on an
-    # even grid) with z = exp(i theta): one exponential per point, and the
-    # powers z^1..z^K by one cumulative product, which rounds like k * u
-    # where exp(i k theta) loses u * |k theta| of phase
+    # trigonometric interpolant of real node values on the uniform, odd
+    # [0, 2pi) grid, c_0 + 2 Re sum_{k=1..K} c_k z^k with z = exp(i theta)
+    # and K = (N - 1) / 2: one exponential per point, and the powers
+    # z^1..z^K by one cumulative product, which rounds like k * u where
+    # exp(i k theta) loses u * |k theta| of phase
     n = vals.size
     coef = np.fft.fft(vals) / n
     K = (n - 1) // 2
     c0, ck = coef[0].real, coef[1:K + 1]
-    nyquist = coef[n // 2].real if n % 2 == 0 else 0.0
 
     def ev(theta):
         th = np.asarray(theta, dtype=float)
@@ -301,18 +300,14 @@ def _trig_interp(vals):
             z = np.exp(1j * rows)
             powers = np.cumprod(np.broadcast_to(z[:, None], (z.size, K)),
                                 axis=1)
-            block = c0 + 2.0 * (powers @ ck).real
-            if nyquist:
-                block += nyquist * np.cos(0.5 * n * rows)
-            out[i:i + INTERP_ROWS] = block
+            out[i:i + INTERP_ROWS] = c0 + 2.0 * (powers @ ck).real
         return out.reshape(th.shape)
 
     return ev
 
 
 def _periodic_grid(get, N):
-    # an odd N: an even grid's sawtooth is invisible to diff1
-    return build_grid("periodic", N | 1,
+    return build_grid("periodic", N,
                       get("order", "order", default="spectral"))
 
 
@@ -510,10 +505,6 @@ class _Harmonic(Problem):
         name = type(self).__name__
         if self.grid.kind != "periodic":
             raise DomainError(f"{name} needs a periodic grid")
-        if self.grid.N % 2 == 0:
-            raise DomainError(
-                f"{name} needs an odd node count; the even-grid sawtooth mode "
-                "sits in ker(D1^T D1) and fakes an extra Jacobi kernel dimension")
 
     def weights(self):
         ws = self.grid.quad / TWO_PI
@@ -768,15 +759,16 @@ def geodesic_curvature(problem, state, lambda_hat):
 
     kappa = (-sn r'' + 2 sn' r'^2 + sn^2 sn') / Wtilde^3 in the warped polar
     chart; the residual satisfies residual ~= (kappa - H) sn up to
-    discretization error.
+    discretization error. r'' is D1 applied to r' = D1 r, the spectral
+    second derivative on the circle's odd grid.
     """
     if not isinstance(problem, CmcCircle):
         raise UnsupportedError("geodesic curvature is defined for CmcCircle only")
     r = _check_state(problem, state, lambda_hat)
-    p = problem.grid.diff1 @ r
+    p = problem.grid.d1(r)
     sn, snp = sn_lambda(lambda_hat, r)
     F = np.sqrt(p * p + sn * sn)
-    rpp = problem.grid.diff2 @ r
+    rpp = problem.grid.d1(p)
     return (-sn * rpp + 2.0 * snp * p * p + sn * sn * snp) / F ** 3
 
 

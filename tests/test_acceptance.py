@@ -1,7 +1,7 @@
 """End-to-end checks against closed-form oracles, one per shipped guarantee.
 
 Each test registers with the acceptance fixture so the terminal summary
-prints a PASS/FAIL line per criterion. The circle branch (H = 2, N = 128,
+prints a PASS/FAIL line per criterion. The circle branch (H = 2, N = 129,
 61 uniform parameter values from 1 to -3) is built once and shared by the
 criteria that inspect it.
 """
@@ -34,7 +34,7 @@ _cache = {}
 
 def circle_branch():
     if "records" not in _cache:
-        g = build_grid("periodic", 128)
+        g = build_grid("periodic", 129)
         prob, st = circle_seed(1.0, 2.0, g)
         cfg = ContinuationConfig.from_steps(1.0, -3.0, 61, basin_guard=0.05)
         t0 = time.perf_counter()

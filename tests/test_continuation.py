@@ -20,7 +20,7 @@ def _polish(lam, **kw):
                               min_step=1e-12, max_step=1.0, **kw)
 
 
-def _flat_setup(N=64, H=2.0):
+def _flat_setup(N=65, H=2.0):
     g = build_grid("periodic", N)
     prob, st = circle_seed(0.0, H, g)
     return g, prob, st
@@ -87,14 +87,14 @@ def test_corrector_cond_is_the_exact_condition_number(monkeypatch):
         return reduce(M)
 
     monkeypatch.setattr(continuation, "_Tridiagonal", recording_reduction)
-    g = build_grid("periodic", 64)
+    g = build_grid("periodic", 65)
     for lam in (0.9, 0.8, 0.7):
         prob, guess = circle_seed(lam + 0.1, 2.0, g)
         bordered.clear()
         _, iters, diag = corrector_step(prob, guess, lam,
                                         _polish(lam, basin_guard=0.05))
         assert iters >= 1 and len(bordered) == iters
-        assert all(M.shape == (66, 66) for M in bordered)  # n + k, k = 2
+        assert all(M.shape == (67, 67) for M in bordered)  # n + k, k = 2
         exact = max(np.linalg.cond(M) for M in bordered)
         assert diag["cond"] == pytest.approx(exact, rel=1e-8)
 
@@ -213,7 +213,7 @@ def test_branch_step_growth_up_to_cap():
 def test_branch_stall_raises_with_partial_branch():
     # toward lambda = -H^2 the circle blows up; the march must fail partway
     # and hand back everything it certified
-    g = build_grid("periodic", 64)
+    g = build_grid("periodic", 65)
     lam0 = -3.0
     prob, st = circle_seed(lam0, 2.0, g)
     cfg = ContinuationConfig(start=lam0, end=-5.0, initial_step=0.05,
@@ -279,7 +279,7 @@ def test_record_payload_shape():
     rec = continue_branch(prob, st, cfg)[-1]
     pay = rec.to_payload()
     assert pay["lambda_hat"] == -0.2
-    assert len(pay["state"]) == 64
+    assert len(pay["state"]) == 65
     assert "radius" in pay["derived_scalars"]
     assert pay["verdict"] == "nondegenerate"
 
@@ -307,7 +307,7 @@ def test_orbit_project_recovers_flat_translation():
 
 
 def test_orbit_project_round_chart():
-    g = build_grid("periodic", 64)
+    g = build_grid("periodic", 65)
     prob, st = circle_seed(1.0, 2.0, g)
     applied = np.array([0.02, -0.015])
     shifted = act(prob, st, 1.0, applied)

@@ -20,7 +20,7 @@ from equideform.variational import (CmcCircle, JacobiOperator, ProblemState,
                                     sphere_equator_seed, torus_line_seed)
 
 
-def _flat_circle(N=64, H=2.0):
+def _flat_circle(N=65, H=2.0):
     g = build_grid("periodic", N)
     prob, st = circle_seed(0.0, H, g)
     return prob, st
@@ -56,7 +56,7 @@ def _bordered_cases():
     # k = 0: Dirichlet profile; k = 2: round circle; k = 3: sphere equator
     yield _bordered(*profile_cylinder_seed(2.0, build_grid("dirichlet", 64,
                                                            order=4)), 0.0)
-    yield _bordered(*circle_seed(1.0, 2.0, build_grid("periodic", 64)), 1.0)
+    yield _bordered(*circle_seed(1.0, 2.0, build_grid("periodic", 65)), 1.0)
     yield _bordered(*sphere_equator_seed(build_grid("periodic", 33)), 1.0)
 
 
@@ -347,7 +347,7 @@ def test_rank_basis_drops_dependent_vectors():
 
 
 def test_nondegeneracy_round_circle():
-    g = build_grid("periodic", 64)
+    g = build_grid("periodic", 65)
     prob, st = circle_seed(1.0, 2.0, g)
     rep = nondegeneracy_report(prob, st, 1.0)
     assert rep.verdict == "nondegenerate"
@@ -483,7 +483,7 @@ def test_slice_excludes_torus_constant_fields():
 
 
 def test_margin_is_one_on_own_slice():
-    g = build_grid("periodic", 64)
+    g = build_grid("periodic", 65)
     prob, st = circle_seed(1.0, 2.0, g)
     B = _killing_basis(prob, st, 1.0)
     m = transversality_margin(B, B, pairing(prob).weights)
@@ -491,7 +491,7 @@ def test_margin_is_one_on_own_slice():
 
 
 def test_margin_survives_parameter_step():
-    g = build_grid("periodic", 64)
+    g = build_grid("periodic", 65)
     prob, st = circle_seed(1.0, 2.0, g)
     prob2, st2 = circle_seed(0.9, 2.0, g)
     m = transversality_margin(_killing_basis(prob2, st2, 0.9),
@@ -501,7 +501,7 @@ def test_margin_survives_parameter_step():
 
 
 def test_margin_matches_full_svd_on_circle_branch():
-    g = build_grid("periodic", 64)
+    g = build_grid("periodic", 65)
     prob, st = circle_seed(1.0, 2.0, g)
     cfg = ContinuationConfig.from_steps(1.0, -1.0, 21, basin_guard=0.05)
     records = continue_branch(prob, st, cfg)
@@ -598,7 +598,7 @@ class _SkewedCircle(CmcCircle):
 
 
 def test_diagnostics_flag_an_asymmetric_hessian():
-    prob, st = _flat_circle(N=16)
+    prob, st = _flat_circle(N=17)
     prob = _SkewedCircle(H=prob.H, grid=prob.grid)
     rep = operator_diagnostics(jacobi(prob, st, 0.0), problem=prob, state=st,
                                lambda_hat=0.0)
