@@ -71,8 +71,9 @@ def _reference_dirichlet(N, order):
 
 
 _REFERENCE_GRIDS = (
-    [(("periodic", N, "spectral"), _reference_spectral, (N,))
-     for N in (9, 65, 1025)]
+    # an even N builds the odd grid N + 1, bitwise
+    [(("periodic", N, "spectral"), _reference_spectral, (N | 1,))
+     for N in (8, 9, 64, 65, 1024, 1025)]
     + [(("dirichlet", N, order), _reference_dirichlet, (N, order))
        for order in (2, 4) for N in (4, 5, 17, 33, 1024)])
 

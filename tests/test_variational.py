@@ -522,12 +522,14 @@ def _interp_error_bound(coef, theta):
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps > 2.0**-60,
                     reason="needs an extended-precision long double")
-@pytest.mark.parametrize("n", [9, 65, 129, 1025])
+@pytest.mark.parametrize("n", [9, 64, 65, 129, 1024, 1025])
 def test_trig_interp_matches_a_long_double_cosine_sum(n):
+    # n is the size asked of build_grid; an even n gives the odd grid n + 1
+    nodes = build_grid("periodic", n).nodes
     rng = np.random.default_rng(n)
+    n = nodes.size
     vals = 1.0 + 0.1 * rng.standard_normal(n)
-    theta = np.concatenate([build_grid("periodic", n).nodes,
-                            rng.uniform(-np.pi, 3 * np.pi, 3 * n)])
+    theta = np.concatenate([nodes, rng.uniform(-np.pi, 3 * np.pi, 3 * n)])
     got = variational._trig_interp(vals)(theta)
     # the reference sums the same coefficients in long double, with
     # a_k cos(k theta) - b_k sin(k theta); k theta is exact there for
