@@ -118,6 +118,12 @@ class SpaceForm2:
                 np.stack([np.cos(theta), -ratio * np.sin(theta)]),
                 np.stack([np.sin(theta), ratio * np.cos(theta)])]
 
+    def algebra(self):
+        """The matrices of g_lam whose fields killing_fields returns, in its
+        order: algebra_basis(lam, 2), the rotation and the translations
+        L_lam(0, e_1), L_lam(0, e_2) acting on quadric_embed's points."""
+        return algebra_basis(self.lam, 2)
+
 
 @dataclass(frozen=True)
 class ProductM2kR:
@@ -190,6 +196,14 @@ class ScaledSphere:
         return [np.stack([-s, -cot * co]),
                 np.stack([co, -cot * s]),
                 np.stack([np.zeros_like(th), np.ones_like(th)])]
+
+    def algebra(self):
+        """The matrices of so(3) whose fields killing_fields returns, in its
+        order: the rotations about the x, y and z axes of the unit sphere
+        (sin vartheta cos varphi, sin vartheta sin varphi, cos vartheta)."""
+        return [np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
+                np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+                np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])]
 
 
 # ---------------------------------------------------------------------------

@@ -30,9 +30,13 @@ the end; convergence failure raises NoConvergence carrying the partial
 branch and naming the cause of the last failed attempt.
 
 orbit_project recovers the group motion between nearby solutions by
-Gauss-Newton on the Killing components of the difference, and
-congruence_check composes it with one corrector polish to decide whether
-two states are the same solution modulo the group.
+Gauss-Newton on the Killing components of the difference. It acts once per
+iteration: the Jacobian in the group parameters is analytic, the
+Killing-Jacobi fields at the moved state of psi(ad_X) xi_a
+(variational.act_jacobian), which is Gauss-Newton on the group (Absil,
+Mahony & Sepulchre, Optimization Algorithms on Matrix Manifolds, 2008,
+ch. 8). congruence_check composes it with one corrector polish to decide
+whether two states are the same solution modulo the group.
 """
 
 from dataclasses import dataclass
@@ -45,19 +49,17 @@ from .equivariance import (CRITICAL_TOL, _Banded, _Tridiagonal,
                            rank_basis, transversality_margin)
 from .errors import (DomainError, IllConditioned, NoConvergence,
                      PreconditionError, UnsupportedError)
-from .variational import (ProblemState, act, derived_scalars, jacobi,
-                          killing_jacobi_basis, pairing, residual,
+from .variational import (ProblemState, act, act_jacobian, derived_scalars,
+                          jacobi, killing_jacobi_basis, pairing, residual,
                           residual_norm)
 
 MARGIN_FLOOR = 0.1
 RECORD_CAP = 100000
 
 # orbit_project's Gauss-Newton: stopping tolerance on the Killing
-# components, iteration cap, finite-difference step in t, and the largest
-# motion |t| accepted as nearby
+# components, iteration cap, and the largest motion |t| accepted as nearby
 ORBIT_TOL = 1e-11
 ORBIT_MAX_ITER = 30
-ORBIT_FD_STEP = 1e-6
 ORBIT_TRUST_RADIUS = 0.25
 
 
@@ -373,10 +375,12 @@ def orbit_project(problem, state, lambda_hat, reference):
 
     Gauss-Newton over the group parameters t of the Killing components
     F(t) = K^T W (act(state, t) - reference), with K the W-orthonormal
-    Killing-Jacobi rank basis at the reference. Returns the parameters t
-    (a float array) of the motion carrying the reference's representative
-    onto the input state (minus the solve direction), the moved state, and
-    the remaining W-distance to the slice.
+    Killing-Jacobi rank basis at the reference. Each iteration acts once
+    and takes dF/dt = K^T W act_jacobian at the moved state, whose column
+    a is the Killing-Jacobi field of psi(ad_X) xi_a for X = sum t_a xi_a.
+    Returns the parameters t (a float array) of the motion carrying the
+    reference's representative onto the input state (minus the solve
+    direction), the moved state, and the remaining W-distance to the slice.
     """
     pr = pairing(problem)
     w = pr.weights
@@ -387,27 +391,19 @@ def orbit_project(problem, state, lambda_hat, reference):
         dist = float(np.linalg.norm(B.T @ (w * (moved.values - reference.values))))
         return np.zeros(k), moved, dist
 
-    def components(t):
-        moved = act(problem, state, lambda_hat, t)
-        return B.T @ (w * (moved.values - reference.values)), moved
-
     t = np.zeros(k)
-    F, moved = components(t)
+    moved = act(problem, state, lambda_hat, t)
+    F = B.T @ (w * (moved.values - reference.values))
     for _ in range(ORBIT_MAX_ITER):
         if np.linalg.norm(F) < ORBIT_TOL:
             break
-        cols = []
-        for a in range(k):
-            ta = t.copy()
-            ta[a] += ORBIT_FD_STEP
-            Fa, _ = components(ta)
-            cols.append((Fa - F) / ORBIT_FD_STEP)
-        Jt = np.column_stack(cols)
+        Jt = B.T @ (w[:, None] * act_jacobian(problem, moved, lambda_hat, t))
         dt, *_ = np.linalg.lstsq(Jt, -F, rcond=None)
         t = t + dt
         if np.linalg.norm(t) > ORBIT_TRUST_RADIUS:
             raise NoConvergence("orbit projection left the trust region")
-        F, moved = components(t)
+        moved = act(problem, state, lambda_hat, t)
+        F = B.T @ (w * (moved.values - reference.values))
     else:
         raise NoConvergence(
             f"orbit projection stalled with |F| = {np.linalg.norm(F):.3e}")

@@ -30,7 +30,11 @@ the diagonal form and slice_element the slice matrix.
 deformed_bracket is the bracket of g_lam in closed form on (D, u)
 coordinates; at lam = 1 it is checked against the commutator of the
 algebra_element matrices, which realize so(n+1). verify_bundle runs every
-named check of the verify-bundle command.
+named check of the verify-bundle command. algebra_element,
+deformed_bracket and group_membership_residual also take stacks along
+leading axes, so verify_bundle scores all triples, and all slice samples,
+of one lam in a few array calls. dexp is the derivative of the exponential
+map that the orbit projection's Jacobian is built from.
 """
 
 from dataclasses import dataclass
@@ -62,19 +66,31 @@ class CheckReport:
 # ---------------------------------------------------------------------------
 # basic constructors
 
+def _antisymmetric(D, rtol):
+    # whether every n x n matrix of the stack D has |D + D^T| within rtol
+    # max(1, |D|), in the max norm
+    defect = np.max(np.abs(D + np.swapaxes(D, -1, -2)), axis=(-2, -1))
+    scale = np.maximum(1.0, np.max(np.abs(D), axis=(-2, -1)))
+    return bool(np.all(defect <= rtol * scale))
+
+
 def algebra_element(lam, D, u):
-    """The matrix L_lam(D, u); D must be an antisymmetric n x n matrix."""
+    """The matrix L_lam(D, u); D must be an antisymmetric n x n matrix.
+
+    D and u may carry the same leading stack axes, which the result keeps.
+    """
     D = np.asarray(D, dtype=float)
     u = np.asarray(u, dtype=float)
-    n = len(u)
-    if D.shape != (n, n):
-        raise DomainError(f"D has shape {D.shape}, expected ({n}, {n})")
-    if np.max(np.abs(D + D.T)) > 1e-12 * max(1.0, np.max(np.abs(D))):
+    n = u.shape[-1]
+    if D.shape != u.shape[:-1] + (n, n):
+        raise DomainError(
+            f"D has shape {D.shape}, expected {u.shape[:-1] + (n, n)}")
+    if not _antisymmetric(D, 1e-12):
         raise DomainError("D must be antisymmetric")
-    mat = np.zeros((n + 1, n + 1))
-    mat[0, 1:] = -lam * u
-    mat[1:, 0] = u
-    mat[1:, 1:] = D
+    mat = np.zeros(u.shape[:-1] + (n + 1, n + 1))
+    mat[..., 0, 1:] = -lam * u
+    mat[..., 1:, 0] = u
+    mat[..., 1:, 1:] = D
     return mat
 
 
@@ -129,21 +145,31 @@ def invariance_residual(X, lam):
 
 
 def group_membership_residual(g, lam):
-    """Violation of the G_lam defining equations by a candidate matrix."""
+    """Violation of the G_lam defining equations by a candidate matrix.
+
+    g may be a stack of matrices along leading axes; the result is then an
+    array of one residual per matrix, and a float for one matrix.
+    """
     g = np.asarray(g, dtype=float)
-    n = g.shape[0] - 1
-    a = g[0, 0]
-    v = g[0, 1:]
-    w = g[1:, 0]
-    B = g[1:, 1:]
+    n = g.shape[-1] - 1
+    a = g[..., 0, 0]
+    v = g[..., 0, 1:]
+    w = g[..., 1:, 0]
+    B = g[..., 1:, 1:]
+    Bt = np.swapaxes(B, -1, -2)
     if lam != 0.0:
-        r1 = a * v + lam * (B.T @ w)
-        r2 = a * a + lam * np.dot(w, w) - 1.0
-        r3 = np.outer(v, v) + lam * (B.T @ B) - lam * np.eye(n)
-        return float(np.sqrt(np.dot(r1, r1) + r2 * r2 + np.sum(r3 * r3)))
-    e0 = np.zeros(n + 1)
-    e0[0] = 1.0
-    return float(np.sqrt(np.sum((g[0, :] - e0) ** 2) + np.sum((B.T @ B - np.eye(n)) ** 2)))
+        r1 = a[..., None] * v + lam * (Bt @ w[..., None])[..., 0]
+        r2 = a * a + lam * np.sum(w * w, axis=-1) - 1.0
+        r3 = (v[..., :, None] * v[..., None, :] + lam * (Bt @ B)
+              - lam * np.eye(n))
+        res = np.sqrt(np.sum(r1 * r1, axis=-1) + r2 * r2
+                      + np.sum(r3 * r3, axis=(-2, -1)))
+    else:
+        e0 = np.zeros(n + 1)
+        e0[0] = 1.0
+        res = np.sqrt(np.sum((g[..., 0, :] - e0) ** 2, axis=-1)
+                      + np.sum((Bt @ B - np.eye(n)) ** 2, axis=(-2, -1)))
+    return float(res) if res.ndim == 0 else res
 
 
 def bracket_closure_residual(basis):
@@ -225,8 +251,10 @@ def _sample_slice_element(rng, n):
 
 
 def _slice_samples(n, n_samples, seed):
+    # one stack of n_samples slice matrices
     rng = np.random.default_rng(seed)
-    return [_sample_slice_element(rng, n) for _ in range(int(n_samples))]
+    return np.array([_sample_slice_element(rng, n)
+                     for _ in range(int(n_samples))])
 
 
 def complement_and_slice_check(lam, n, n_samples=200, seed=0):
@@ -249,9 +277,7 @@ def _scored_slice_check(lam, n, seed, samples):
     expected = (n + 1) ** 2
     rank = int(np.sum(sv > 1e-10 * sv[0]))
 
-    margin = np.inf
-    for g in samples:
-        margin = min(margin, group_membership_residual(g, lam))
+    margin = np.min(group_membership_residual(samples, lam))
     ident = group_membership_residual(np.eye(n + 1), lam)
     return CheckReport(
         lam=float(lam), n=int(n), n_samples=len(samples), seed=int(seed),
@@ -283,6 +309,30 @@ def section(letters, lam):
 
 
 # ---------------------------------------------------------------------------
+# the derivative of the exponential
+
+def dexp(X, xi):
+    """psi(ad_X) xi = sum_k ad_X^k xi / (k + 1)!, with psi(z) = (e^z - 1) / z.
+
+    This is the right-trivialized derivative of the exponential map (Hall,
+    Lie Groups, Lie Algebras, and Representations, 2015, ch. 5):
+    d/ds exp(X + s xi) at s = 0 equals [psi(ad_X) xi] exp(X). xi may be a
+    stack of matrices along leading axes. The series is summed until a term
+    no longer changes the sum.
+    """
+    X = np.asarray(X, dtype=float)
+    term = np.array(xi, dtype=float)
+    out = term
+    for k in range(2, 100):
+        term = (X @ term - term @ X) / k
+        new = out + term
+        if np.array_equal(new, out):
+            break
+        out = new
+    return out
+
+
+# ---------------------------------------------------------------------------
 # deformed bracket on the reductive pair k + m
 
 def deformed_bracket(lam, x, y):
@@ -292,15 +342,18 @@ def deformed_bracket(lam, x, y):
     the blocks of the matrix commutator [L_lam(x), L_lam(y)]. The k x k and
     k x m parts are those of the undeformed algebra and the m x m part is
     scaled by lam, so lam = 1 reproduces the round bracket of so(n+1) and
-    lam = 0 abelianizes the translations.
+    lam = 0 abelianizes the translations. The four arrays may carry the
+    same leading stack axes, and the bracket is then taken pairwise.
     """
     Dx, ux = np.asarray(x[0], dtype=float), np.asarray(x[1], dtype=float)
     Dy, uy = np.asarray(y[0], dtype=float), np.asarray(y[1], dtype=float)
     for D in (Dx, Dy):
-        if np.max(np.abs(D + D.T)) > 1e-10 * max(1.0, np.max(np.abs(D))):
+        if not _antisymmetric(D, 1e-10):
             raise DomainError("k components must be antisymmetric matrices")
-    return (Dx @ Dy - Dy @ Dx + lam * (np.outer(uy, ux) - np.outer(ux, uy)),
-            Dx @ uy - Dy @ ux)
+    outer = (uy[..., :, None] * ux[..., None, :]
+             - ux[..., :, None] * uy[..., None, :])
+    return (Dx @ Dy - Dy @ Dx + lam * outer,
+            (Dx @ uy[..., None] - Dy @ ux[..., None])[..., 0])
 
 
 # ---------------------------------------------------------------------------
@@ -383,31 +436,40 @@ def verify_bundle(lambdas, ns, samples, triples, seed,
                     for lam in np.linspace(-1.0, 1.0, 21))
     add("section_membership", worst_mem, 1e-10)
 
-    # deformed bracket: antisymmetry, Jacobi, and the matrix bracket at lam = 1
+    # deformed bracket: antisymmetry, Jacobi, and the matrix bracket at
+    # lam = 1. Each lam draws its triples as draw() would, x, y, z per
+    # triple, in one call on the same stream, and scores them as stacks with
+    # axes (which of x, y, z; triple).
     worst_anti = worst_jac = worst_match = 0.0
     for lam in (-1.0, 0.0, 0.5, 1.0):
-        for _ in range(triples):
-            x, y, z = draw(), draw(), draw()
-            bxy = deformed_bracket(lam, x, y)
-            byx = deformed_bracket(lam, y, x)
-            worst_anti = max(worst_anti, float(np.max(np.abs(bxy[0] + byx[0]))),
-                             float(np.max(np.abs(bxy[1] + byx[1]))))
-            terms = [deformed_bracket(lam, a, deformed_bracket(lam, b, c))
-                     for a, b, c in ((x, y, z), (y, z, x), (z, x, y))]
-            for part in (0, 1):
-                cyclic = terms[0][part] + terms[1][part] + terms[2][part]
-                worst_jac = max(worst_jac, float(np.max(np.abs(cyclic))))
-            if lam == 1.0:
-                # split the so(n+1) commutator C into its blocks D and u,
-                # then check C = L_1(skew D, u) and (D, u) = bxy
-                X, Y = algebra_element(1.0, *x), algebra_element(1.0, *y)
-                C = X @ Y - Y @ X
-                D, u = 0.5 * (C[1:, 1:] - C[1:, 1:].T), C[1:, 0]
-                worst_match = max(
-                    worst_match,
-                    float(np.max(np.abs(C - algebra_element(1.0, D, u)))),
-                    float(np.max(np.abs(bxy[0] - D))),
-                    float(np.max(np.abs(bxy[1] - u))))
+        flat = np.swapaxes(rng.standard_normal((triples, 3, n0 * n0 + n0)),
+                           0, 1)
+        A = flat[..., :n0 * n0].reshape(3, triples, n0, n0)
+        D, u = A - np.swapaxes(A, -1, -2), flat[..., n0 * n0:]
+        # (x, y) against (y, x) in one stacked call: byx holds the same
+        # products as bxy, in the other order
+        bk, bm = deformed_bracket(lam, (D[:2], u[:2]), (D[1::-1], u[1::-1]))
+        worst_anti = max(worst_anti, float(np.max(np.abs(bk[0] + bk[1]))),
+                         float(np.max(np.abs(bm[0] + bm[1]))))
+        # [a, [b, c]] for (a, b, c) = (x, y, z), (y, z, x), (z, x, y)
+        inner = deformed_bracket(lam, (np.roll(D, -1, 0), np.roll(u, -1, 0)),
+                                 (np.roll(D, -2, 0), np.roll(u, -2, 0)))
+        terms = deformed_bracket(lam, (D, u), inner)
+        for part in terms:
+            cyclic = part[0] + part[1] + part[2]
+            worst_jac = max(worst_jac, float(np.max(np.abs(cyclic))))
+        if lam == 1.0:
+            # split the so(n+1) commutator C into its blocks D and u,
+            # then check C = L_1(skew D, u) and (D, u) = bxy
+            X, Y = algebra_element(1.0, D[:2], u[:2])
+            C = X @ Y - Y @ X
+            Cd = C[..., 1:, 1:]
+            Dc, uc = 0.5 * (Cd - np.swapaxes(Cd, -1, -2)), C[..., 1:, 0]
+            worst_match = max(
+                worst_match,
+                float(np.max(np.abs(C - algebra_element(1.0, Dc, uc)))),
+                float(np.max(np.abs(bk[0] - Dc))),
+                float(np.max(np.abs(bm[0] - uc))))
     add("bracket_antisymmetry", worst_anti, 1e-15, passed=(worst_anti == 0.0))
     add("bracket_jacobi", worst_jac, 1e-12)
     add("bracket_matches_undeformed", worst_match, _match_threshold(n0))

@@ -45,8 +45,8 @@ there. That would fake a negative mode for CmcCircle and a kernel dimension
 per component for the harmonic instances.
 """
 
-from collections import namedtuple
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -54,15 +54,15 @@ from scipy.linalg import expm
 from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_embed,
                       quadric_to_chart, radial_area, sn_lambda)
 from .errors import ConfigError, DomainError, ShapeError, UnsupportedError
-from .lie_bundle import algebra_element
+from .lie_bundle import dexp
 from .mesh import (TWO_PI, Grid, Pairing, band_dense, band_matvec,
                    build_grid, symmetric_band)
 
 RMIN = 0.05  # radial graphs stay away from the chart origin
 SIN_MIN = 0.05  # sphere charts stay away from the poles
-# points evaluated at once by _trig_interp: a block holds INTERP_ROWS x K
-# complex powers z^k, K = (N - 1) // 2, so one evaluation's memory stays at
-# about 16 * INTERP_ROWS * K bytes
+# points evaluated at once by _trig_interp: an interpolant holds one block
+# of K x INTERP_ROWS complex powers z^k, K = (N - 1) // 2, so its memory
+# stays at about 16 * INTERP_ROWS * K bytes
 INTERP_ROWS = 256
 
 
@@ -128,11 +128,32 @@ class JacobiOperator:
 # ---------------------------------------------------------------------------
 # the problem protocol
 
-# A density F(u, p) at the grid nodes and its partials, for m chart
-# components u and their derivatives p = D1 u: Fu and Fp hold m entries,
-# Fuu, Fup and Fpp m x m (Fup[i][j] in u_i and p_j). An entry is a node
-# array, a number constant over the nodes, or None for zero (not in Fp).
-Density = namedtuple("Density", "F Fu Fp Fuu Fup Fpp")
+class Density:
+    """A density F(u, p) at the grid nodes and its partials, for m chart
+    components u and their derivatives p = D1 u: Fu and Fp hold m entries,
+    Fuu, Fup and Fpp m x m (Fup[i][j] in u_i and p_j). An entry is a node
+    array, a number constant over the nodes, or None for zero (not in Fp).
+
+    An instance gives F as a function of no arguments and the second
+    partials as one such function returning (Fuu, Fup, Fpp). Each runs on
+    first use, so grad, which reads Fu and Fp only, evaluates neither.
+    """
+
+    def __init__(self, F, Fu, Fp, second):
+        self._F, self._second = F, second
+        self.Fu, self.Fp = Fu, Fp
+
+    @cached_property
+    def F(self):
+        return self._F()
+
+    @cached_property
+    def _partials2(self):
+        return self._second()
+
+    Fuu = property(lambda self: self._partials2[0])
+    Fup = property(lambda self: self._partials2[1])
+    Fpp = property(lambda self: self._partials2[2])
 
 
 class Problem:
@@ -147,8 +168,9 @@ class Problem:
     of (v, lam) for the unknowns v of a checked state, one per pairing
     weight. It overrides check, generators, weights and full (with free)
     where the defaults below do not fit; with generators, it implements
-    act(state, lam, t) for t not all zero. from_config raises DomainError
-    when the ambient does not exist at lam.
+    act(state, lam, t) for t not all zero and ambient(lam), the model whose
+    algebra() the default act_jacobian reads. from_config raises
+    DomainError when the ambient does not exist at lam.
     """
     default_lambda = 0.0
     free = slice(None)  # the grid nodes whose values are unknowns
@@ -268,6 +290,25 @@ class Problem:
         """Generators of the identifiable isometry action; none by default."""
         return []
 
+    def act_jacobian(self, v, lam, t):
+        """d act / d t at t, one column per generator, from the moved
+        unknowns v = act(state, lam, t).
+
+        With X = sum t_a xi_a for the generators xi_a, d/dt_a exp(X) =
+        [psi(ad_X) xi_a] exp(X) (lie_bundle.dexp), so column a is the
+        Killing-Jacobi field at v of the algebra element psi(ad_X) xi_a.
+        The ambient's algebra() lists the matrices whose fields open
+        killing_fields, in the same order, and the element is written in
+        that basis.
+        """
+        gens = np.array(self.generators(lam))
+        basis = self.ambient(lam).algebra()
+        eta = dexp(np.tensordot(t, gens, axes=1), gens)
+        coef = np.linalg.lstsq(np.column_stack([b.ravel() for b in basis]),
+                               eta.reshape(len(gens), -1).T, rcond=None)[0]
+        fields = self.killing_fields(v, lam)[:len(basis)]
+        return np.column_stack(fields) @ coef
+
 
 def _split(vals):
     n = vals.size // 2
@@ -283,27 +324,76 @@ def _check_radial(v, lam, what, param):
 def _trig_interp(vals):
     # trigonometric interpolant of real node values on the uniform, odd
     # [0, 2pi) grid, c_0 + 2 Re sum_{k=1..K} c_k z^k with z = exp(i theta)
-    # and K = (N - 1) / 2: one exponential per point, and the powers
-    # z^1..z^K by one cumulative product, which rounds like k * u where
-    # exp(i k theta) loses u * |k theta| of phase
+    # and K = (N - 1) / 2, and on request its slope 2 Re sum i k c_k z^k:
+    # one exponential per point, and the powers z^1..z^K by doubling,
+    # z^{k+1..2k} = z^{1..k} z^k in about log2(K) products; z^k rounds like
+    # k * u either way, where exp(i k theta) loses u * |k theta| of phase
     n = vals.size
     coef = np.fft.fft(vals) / n
     K = (n - 1) // 2
     c0, ck = coef[0].real, coef[1:K + 1]
+    with_slope = np.stack([ck, 1j * np.arange(1, K + 1) * ck])
+    # one block of powers, z^k in row k - 1, reused by every evaluation
+    powers = np.empty((K, INTERP_ROWS), dtype=complex)
 
-    def ev(theta):
+    def ev(theta, slope=False):
+        """Values at theta, or (values, slopes) when slope is set."""
         th = np.asarray(theta, dtype=float)
         flat = th.ravel()
-        out = np.empty(flat.size)
+        c = with_slope if slope else with_slope[:1]
+        out = np.empty((len(c), flat.size))
         for i in range(0, flat.size, INTERP_ROWS):
             rows = flat[i:i + INTERP_ROWS]
-            z = np.exp(1j * rows)
-            powers = np.cumprod(np.broadcast_to(z[:, None], (z.size, K)),
-                                axis=1)
-            out[i:i + INTERP_ROWS] = c0 + 2.0 * (powers @ ck).real
-        return out.reshape(th.shape)
+            P = powers[:, :rows.size]
+            np.exp(1j * rows, out=P[0])
+            k = 1
+            while k < K:
+                m = min(k, K - k)
+                np.multiply(P[:m], P[k - 1], out=P[k:k + m])
+                k += m
+            out[:, i:i + INTERP_ROWS] = (c @ P).real
+        out *= 2.0
+        out[0] += c0
+        if slope:
+            return out[0].reshape(th.shape), out[1].reshape(th.shape)
+        return out[0].reshape(th.shape)
 
     return ev
+
+
+def _bracketed_newton(fun, lo, hi, x, xatol=1e-14, xrtol=8.9e-16,
+                      maxiter=100):
+    """Roots of an increasing componentwise function, all components at once.
+
+    fun(x) returns (f, f') at x; f is negative at lo and positive at hi,
+    and x starts inside (lo, hi). Each step is the Newton step where it
+    lands strictly inside the current bracket and the bisection midpoint
+    where it does not; the bracket then shrinks to the iterate on the side
+    of f's sign. A component has converged, and stays where it is, after a
+    step of at most xatol + xrtol |x|: a Newton step, or a bisection once f
+    has taken both signs, so that the bracket is no longer only assumed.
+    Returns (x, converged).
+    """
+    lo, hi, x = (np.array(a, dtype=float) for a in (lo, hi, x))
+    converged = np.zeros(x.shape, dtype=bool)
+    below = np.zeros(x.shape, dtype=bool)
+    above = np.zeros(x.shape, dtype=bool)
+    for _ in range(maxiter):
+        f, fp = fun(x)
+        below |= f < 0.0
+        above |= f > 0.0
+        lo = np.where(f < 0.0, x, lo)
+        hi = np.where(f > 0.0, x, hi)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            new = np.where(f == 0.0, x, x - f / fp)
+        newton = (new > lo) & (new < hi) | (f == 0.0)
+        new = np.where(newton, new, 0.5 * (lo + hi))
+        small = np.abs(new - x) <= xatol + xrtol * np.abs(new)
+        x = np.where(converged, x, new)
+        converged |= small & (newton | below & above)
+        if np.all(converged):
+            break
+    return x, converged
 
 
 def _periodic_grid(get, N):
@@ -339,19 +429,25 @@ class CmcCircle(Problem):
     def check(self, r, lam):
         _check_radial(r, lam, "radial graph", "lambda")
 
+    def ambient(self, lam):
+        return SpaceForm2(lam)
+
     def density(self, u, p, lam):
         """Length element minus H times area element of the graph r(theta):
         F = sqrt(r'^2 + sn(r)^2) - H A(r), where A' = sn."""
         r, p = u[0], p[0]
         sn, snp = sn_lambda(lam, r)
-        snpp = -lam * sn
         L = np.sqrt(p * p + sn * sn)
-        L3 = L ** 3
-        return Density(
-            L - self.H * radial_area(lam, r),
-            [sn * snp / L - self.H * sn], [p / L],
-            [[(snp * snp + sn * snpp) / L - (sn * snp) ** 2 / L3 - self.H * snp]],
-            [[-p * sn * snp / L3]], [[sn * sn / L3]])
+
+        def second():
+            snpp = -lam * sn
+            L3 = L ** 3
+            return ([[(snp * snp + sn * snpp) / L - (sn * snp) ** 2 / L3
+                      - self.H * snp]],
+                    [[-p * sn * snp / L3]], [[sn * sn / L3]])
+
+        return Density(lambda: L - self.H * radial_area(lam, r),
+                       [sn * snp / L - self.H * sn], [p / L], second)
 
     def killing_fields(self, r, lam):
         """First variation of the graph under the three chart Killing flows.
@@ -363,28 +459,27 @@ class CmcCircle(Problem):
         """
         p = self.grid.diff1 @ r
         return [kr - p * kth for kr, kth in
-                SpaceForm2(lam).killing_fields((r, self.grid.nodes))]
+                self.ambient(lam).killing_fields((r, self.grid.nodes))]
 
     def generators(self, lam):
-        """The two translation generators of G_lam; the rotation fixes every
-        centered radial graph's orbit and is dropped."""
-        z = np.zeros((2, 2))
-        return [algebra_element(lam, z, np.array([1.0, 0.0])),
-                algebra_element(lam, z, np.array([0.0, 1.0]))]
+        """The two translation generators L_lam(0, e_k) of G_lam; the
+        rotation fixes every centered radial graph's orbit and is dropped."""
+        return self.ambient(lam).algebra()[1:]
 
     def act(self, state, lam, t):
         """Move the curve in the quadric model and re-extract the radial
         graph over the fixed node angles.
 
         Each node's parameter is the root of the moved chart angle minus the
-        node angle inside the bracket target +- half; one bracketed
-        (Chandrupatla) solve finds all N roots together, evaluating the moved
-        curve once per iteration at every node still active. A node the
-        solve does not report as converged raises DomainError.
+        node angle inside the bracket target +- half; one bracketed Newton
+        iteration (_bracketed_newton) finds all N roots together, evaluating
+        the moved curve and the slope of its chart angle once per step at
+        every node. A node that has not converged raises DomainError.
         """
         gens = self.generators(lam)
         g = expm(t[0] * gens[0] + t[1] * gens[1])
         interp = _trig_interp(state.values)
+        nodes = self.grid.nodes
 
         def moved(theta):
             r = interp(theta)
@@ -404,21 +499,27 @@ class CmcCircle(Problem):
         if half + shift >= np.pi:
             raise DomainError("group motion too large for radial re-extraction")
 
-        def angle_defect(th, target):
-            return _wrap_pi(moved(th)[1] - target)
+        def angle_defect(th):
+            # the moved chart angle minus the node angle, and its slope
+            # (Y1 Y2' - Y2 Y1') / (Y1^2 + Y2^2) with Y' = g dE/dth for the
+            # quadric point E(r(th), th) of quadric_embed
+            r, dr = interp(th, slope=True)
+            sn, snp = sn_lambda(lam, r)
+            co, si = np.cos(th), np.sin(th)
+            Y1, Y2 = g[1:] @ np.stack([snp, sn * co, sn * si])
+            dY1, dY2 = g[1:] @ np.stack([-lam * sn * dr,
+                                         snp * dr * co - sn * si,
+                                         snp * dr * si + sn * co])
+            return (_wrap_pi(np.arctan2(Y2, Y1) - nodes),
+                    (Y1 * dY2 - Y2 * dY1) / (Y1 * Y1 + Y2 * Y2))
 
-        # imported here: only the circle's action needs scipy.optimize, which
-        # would otherwise dominate the package's import time
-        from scipy.optimize.elementwise import find_root
-
-        nodes = self.grid.nodes
-        res = find_root(angle_defect, (nodes - half, nodes + half), args=(nodes,),
-                        tolerances={"xatol": 1e-14, "xrtol": 8.9e-16})
-        if not np.all(res.success):
-            bad = int(np.count_nonzero(~res.success))
+        x, converged = _bracketed_newton(angle_defect, nodes - half,
+                                         nodes + half, nodes)
+        if not np.all(converged):
+            bad = int(np.count_nonzero(~converged))
             raise DomainError(
                 f"radial re-extraction did not converge at {bad} of {n} nodes")
-        rnew, _ = moved(res.x)
+        rnew, _ = moved(x)
         if np.min(rnew) < RMIN or np.max(rnew) > radial_cap(lam):
             raise DomainError("moved curve left the radial chart domain")
         return ProblemState(rnew)
@@ -475,13 +576,16 @@ class CmcProfile(Problem):
         area element minus H times the enclosed volume element."""
         rho, p = u[0], p[0]
         sn, snp = sn_lambda(k, rho)
-        snpp = -k * sn
         S = np.sqrt(1.0 + p * p)
-        return Density(
-            TWO_PI * (sn * S - self.H * radial_area(k, rho)),
-            [TWO_PI * (snp * S - self.H * sn)], [TWO_PI * sn * p / S],
-            [[TWO_PI * (snpp * S - self.H * snp)]],
-            [[TWO_PI * snp * p / S]], [[TWO_PI * sn / S ** 3]])
+
+        def second():
+            snpp = -k * sn
+            return ([[TWO_PI * (snpp * S - self.H * snp)]],
+                    [[TWO_PI * snp * p / S]], [[TWO_PI * sn / S ** 3]])
+
+        return Density(lambda: TWO_PI * (sn * S - self.H * radial_area(k, rho)),
+                       [TWO_PI * (snp * S - self.H * sn)],
+                       [TWO_PI * sn * p / S], second)
 
     def killing_fields(self, rho, k):
         return []
@@ -564,8 +668,9 @@ class HarmonicTorus(_Harmonic):
         g1 = Q[0, 0] * f1 + Q[0, 1] * f2
         g2 = Q[0, 1] * f1 + Q[1, 1] * f2
         none = [[None, None], [None, None]]
-        return Density((f1 * g1 + f2 * g2) / (2.0 * TWO_PI), [None, None],
-                       [g1, g2], none, none, TWO_PI * Q)
+        return Density(lambda: (f1 * g1 + f2 * g2) / (2.0 * TWO_PI),
+                       [None, None], [g1, g2],
+                       lambda: (none, none, TWO_PI * Q))
 
     def killing_fields(self, vals, t):
         """The two unit translations of the torus at t plus the
@@ -581,6 +686,11 @@ class HarmonicTorus(_Harmonic):
     def generators(self, t):
         """The two unit translations."""
         return [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
+
+    def act_jacobian(self, v, lam, t):
+        """The two unit translation fields: the group is abelian, so
+        psi(ad_X) = 1 and moving t_a moves the state along the a-th one."""
+        return np.column_stack(self.killing_fields(v, lam)[:2])
 
     def act(self, state, lam, t):
         u, v = _split(state.values)
@@ -607,35 +717,36 @@ class HarmonicSphere(_Harmonic):
             raise DomainError("sphere state too close to a chart pole")
         ScaledSphere(float(lam))  # validates lam > 0
 
+    def ambient(self, lam):
+        return ScaledSphere(lam)
+
     def density(self, u, p, lam):
         # the round metric over lam, colatitude vartheta = a and longitude
         # varphi = theta + b: |phi'|^2 = 4 pi^2 (a'^2 + sin^2 a (1 + b')^2) / lam
         s, co = np.sin(u[0]), np.cos(u[0])
         pa, beta = p[0], 1.0 + p[1]
         c = TWO_PI / lam
-        return Density(0.5 * c * (pa * pa + s * s * beta * beta),
+        return Density(lambda: 0.5 * c * (pa * pa + s * s * beta * beta),
                        [c * s * co * beta * beta, None],
                        [c * pa, c * s * s * beta],
-                       [[c * (co * co - s * s) * beta * beta, None],
-                        [None, None]],
-                       [[None, 2.0 * c * s * co * beta], [None, None]],
-                       [[c, None], [None, c * s * s]])
+                       lambda: ([[c * (co * co - s * s) * beta * beta, None],
+                                 [None, None]],
+                                [[None, 2.0 * c * s * co * beta],
+                                 [None, None]],
+                                [[c, None], [None, c * s * s]]))
 
     def killing_fields(self, vals, lam):
         """The three rotation fields composed with the map plus the
         domain-rotation pushforward."""
         D1 = self.grid.diff1
         a, b = _split(vals)
-        fields = ScaledSphere(lam).killing_fields((a, self.grid.nodes + b))
+        fields = self.ambient(lam).killing_fields((a, self.grid.nodes + b))
         push = np.concatenate([D1 @ a, 1.0 + D1 @ b])
         return [f.ravel() for f in fields] + [push]
 
     def generators(self, lam):
         """The three rotation generators of so(3)."""
-        jx = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]])
-        jy = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
-        jz = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-        return [jx, jy, jz]
+        return self.ambient(lam).algebra()
 
     def act(self, state, lam, t):
         """Rotate pointwise through the chart."""
@@ -747,6 +858,14 @@ def act(problem, state, lambda_hat, t):
     if np.max(np.abs(t), initial=0.0) == 0.0:
         return ProblemState(state.values.copy())
     return problem.act(state, lambda_hat, t)
+
+
+def act_jacobian(problem, moved, lambda_hat, t):
+    """d act(state, lambda_hat, t) / d t at t, one column per generator,
+    evaluated at the moved state that act returned; see
+    Problem.act_jacobian."""
+    v = _check_state(problem, moved, lambda_hat)
+    return problem.act_jacobian(v, lambda_hat, np.asarray(t, dtype=float))
 
 
 def derived_scalars(problem, state, lambda_hat):

@@ -1,5 +1,9 @@
 import configparser
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -536,3 +540,35 @@ def test_congruence_requires_t(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "congruence", CIRCLE_PROBLEM)
     assert code == 64
     assert "is required" in capsys.readouterr().err
+
+
+# ------------------------------------------------------------ imports
+
+_GROUP_COMMANDS = """
+import sys
+from equideform.cli import main
+work = sys.argv[1]
+for name, command in (("circle", "congruence"), ("sphere", "congruence"),
+                      ("bundle", "verify-bundle")):
+    code = main([command, "--config", f"{work}/{name}.ini",
+                 "--out", f"{work}/{name}"])
+    assert code == 0, (name, code)
+print("scipy.optimize" in sys.modules)
+"""
+
+
+def test_group_commands_never_import_scipy_optimize(tmp_path):
+    # the orbit projection, the circle's re-extraction and the bundle
+    # checks run on numpy and scipy.linalg alone
+    (tmp_path / "circle.ini").write_text(
+        CIRCLE_PROBLEM + "[congruence]\nt = 0.02, -0.01\n")
+    (tmp_path / "sphere.ini").write_text(
+        "[problem]\ninstance = harmonic_sphere\nn = 33\nlambda_hat = 2.0\n"
+        "[congruence]\nt = 0.05, -0.03, 0.02\n")
+    (tmp_path / "bundle.ini").write_text(BUNDLE_SMALL)
+    src = Path(__file__).resolve().parent.parent / "src"
+    path = filter(None, [str(src), os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    res = subprocess.run([sys.executable, "-c", _GROUP_COMMANDS, str(tmp_path)],
+                         env=env, capture_output=True, text=True, check=True)
+    assert res.stdout.splitlines()[-1] == "False"

@@ -9,9 +9,11 @@ from equideform.equivariance import rank_basis
 from equideform.errors import IllConditioned, NoConvergence, PreconditionError
 from equideform.mesh import build_grid
 from equideform.variational import (JacobiOperator, ProblemState, act,
-                                    circle_seed, cmc_circle_radius, jacobi,
+                                    act_jacobian, circle_seed,
+                                    cmc_circle_radius, jacobi,
                                     killing_jacobi_basis, pairing,
-                                    residual_norm)
+                                    residual_norm, sphere_equator_seed,
+                                    torus_line_seed)
 
 
 def _polish(lam, **kw):
@@ -314,6 +316,74 @@ def test_orbit_project_round_chart():
     t, moved, dist = orbit_project(prob, shifted, 1.0, st)
     assert np.max(np.abs(t - applied)) < 1e-7
     assert dist < 1e-9
+
+
+def _fd_act_jacobian(prob, state, lam, t):
+    # the oracle: forward differences of act in t at the step sqrt(eps),
+    # which balances truncation against the rounding of act
+    h = np.sqrt(np.finfo(float).eps)
+    base = act(prob, state, lam, t).values
+    cols = []
+    for a in range(t.size):
+        ta = t.copy()
+        ta[a] += h
+        cols.append((act(prob, state, lam, ta).values - base) / h)
+    return np.column_stack(cols)
+
+
+ORBIT_CASES = [("circle", lam) for lam in (-1.0, 0.0, 0.5, 1.0)] + [
+    ("torus", 0.5), ("sphere", 2.0)]
+
+
+def _orbit_case(name, lam):
+    # a problem with a group and a state off its seed's orbit point
+    g = build_grid("periodic", 65)
+    if name == "circle":
+        prob, st = circle_seed(lam, 2.0, g)
+        return prob, act(prob, st, lam, np.array([0.03, 0.01]))
+    if name == "torus":
+        prob, st = torus_line_seed((2, 1), g, np.eye(2), np.diag([2.0, 1.0]))
+        bump = 0.01 * np.sin(np.concatenate([g.nodes, 2 * g.nodes]))
+        return prob, ProblemState(st.values + bump)
+    prob, st = sphere_equator_seed(g)
+    return prob, act(prob, st, lam, np.array([0.05, 0.02, 0.1]))
+
+
+@pytest.mark.parametrize("scale", [0.0, 0.4, 0.97])
+@pytest.mark.parametrize("name, lam", ORBIT_CASES)
+def test_act_jacobian_matches_forward_differences(name, lam, scale):
+    # column a is the Killing-Jacobi field of psi(ad_X) xi_a at the moved
+    # state; |t| runs up to the trust radius, where ad_X is largest
+    prob, state = _orbit_case(name, lam)
+    k = len(prob.generators(lam))
+    direction = np.array([0.6, -0.8, 0.5][:k])
+    t = (scale * continuation.ORBIT_TRUST_RADIUS
+         * direction / np.linalg.norm(direction))
+    moved = act(prob, state, lam, t)
+    J = act_jacobian(prob, moved, lam, t)
+    fd = _fd_act_jacobian(prob, state, lam, t)
+    assert J.shape == fd.shape == (state.values.size, k)
+    bound = 10.0 * np.sqrt(np.finfo(float).eps) * np.max(np.abs(J))
+    assert np.max(np.abs(J - fd)) < bound
+
+
+def test_orbit_project_acts_once_per_iteration(monkeypatch):
+    g = build_grid("periodic", 65)
+    prob, st = circle_seed(0.5, 2.0, g)
+    shifted = act(prob, st, 0.5, np.array([0.03, -0.02]))
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return act(*args)
+
+    monkeypatch.setattr(continuation, "act", counted)
+    t, _, dist = orbit_project(prob, shifted, 0.5, st)
+    assert dist < continuation.ORBIT_TOL
+    assert np.max(np.abs(t - np.array([0.03, -0.02]))) < 1e-9
+    # one act at t = 0 and one per Gauss-Newton step, and Newton on the
+    # exact Jacobian needs only a few
+    assert 2 <= len(calls) <= 5
 
 
 def test_orbit_project_trust_radius():

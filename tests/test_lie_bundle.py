@@ -4,10 +4,11 @@ from scipy.linalg import expm
 
 from equideform import lie_bundle
 from equideform.errors import DomainError, PreconditionError
-from equideform.lie_bundle import (algebra_basis, algebra_element,
+from equideform.lie_bundle import (_match_threshold, _slice_samples,
+                                   algebra_basis, algebra_element,
                                    bracket_closure_residual,
                                    complement_and_slice_check, complement_basis,
-                                   deformed_bracket, eta_form,
+                                   deformed_bracket, dexp, eta_form,
                                    group_membership_residual,
                                    invariance_residual, section, slice_element,
                                    verify_bundle)
@@ -304,3 +305,176 @@ def test_bracket_match_catches_a_perturbed_bracket(monkeypatch, n):
     monkeypatch.setattr(lie_bundle, "deformed_bracket", perturbed)
     checks = {c["name"]: c for c in verify_bundle([1.0], [n], 1, 3, seed=0)}
     assert not checks["bracket_matches_undeformed"]["passed"]
+
+
+# ------------------------------------------------- stacked group functions
+
+def _random_pair(rng, n):
+    A = rng.standard_normal((n, n))
+    return A - A.T, rng.standard_normal(n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_stacked_bracket_and_membership_match_one_at_a_time(n):
+    rng = np.random.default_rng(59 + n)
+    xs = [_random_pair(rng, n) for _ in range(6)]
+    ys = [_random_pair(rng, n) for _ in range(6)]
+    # six pairs as stacks with the leading axes (2, 3)
+    X, Y = (tuple(np.array([p[i] for p in pairs]).reshape(
+        (2, 3) + pairs[0][i].shape) for i in (0, 1)) for pairs in (xs, ys))
+    bk, bm = deformed_bracket(0.7, X, Y)
+    assert bk.shape == (2, 3, n, n) and bm.shape == (2, 3, n)
+    for j, (x, y) in enumerate(zip(xs, ys)):
+        k, m = deformed_bracket(0.7, x, y)
+        assert np.max(np.abs(bk.reshape(6, n, n)[j] - k)) <= 1e-15 * np.max(np.abs(k))
+        assert np.max(np.abs(bm.reshape(6, n)[j] - m)) <= 1e-15 * np.max(np.abs(m))
+    mats = algebra_element(0.7, *X)
+    assert mats.shape == (2, 3, n + 1, n + 1)
+    assert np.array_equal(mats.reshape(6, n + 1, n + 1)[4],
+                          algebra_element(0.7, *xs[4]))
+    for lam in (-1.0, 0.0, 0.5):
+        gs = expm(mats.reshape(6, n + 1, n + 1) * 0.1)
+        stacked = group_membership_residual(gs, lam)
+        assert stacked.shape == (6,)
+        one = [group_membership_residual(g, lam) for g in gs]
+        assert isinstance(one[0], float)
+        assert np.max(np.abs(stacked - one)) <= 1e-15 * max(1.0, max(one))
+
+
+def test_stacked_bracket_rejects_one_bad_k_component():
+    rng = np.random.default_rng(61)
+    D = np.array([_random_pair(rng, 3)[0] for _ in range(4)])
+    u = rng.standard_normal((4, 3))
+    D[2, 0, 1] += 1.0
+    with pytest.raises(DomainError):
+        deformed_bracket(0.5, (D, u), (D[::-1], u[::-1]))
+    with pytest.raises(DomainError):
+        algebra_element(0.5, D, u)
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, 0.5, 2.0])
+def test_dexp_is_the_right_trivialized_derivative_of_expm(lam):
+    # d/ds exp(X + s xi) = [psi(ad_X) xi] exp(X), by central differences
+    rng = np.random.default_rng(67)
+    basis = np.array(algebra_basis(lam, 3))
+    X = np.tensordot(0.3 * rng.standard_normal(len(basis)), basis, axes=1)
+    h = 1e-5
+    eta = dexp(X, basis)
+    assert eta.shape == basis.shape
+    for xi, e in zip(basis, eta):
+        fd = (expm(X + h * xi) - expm(X - h * xi)) / (2 * h)
+        assert np.max(np.abs(fd @ expm(-X) - e)) < 1e-8
+        # psi(ad_X) maps the algebra to itself
+        assert invariance_residual(e, lam) < 1e-13
+    assert np.array_equal(dexp(np.zeros_like(X), basis), basis)
+
+
+def _verify_bundle_oracle(lambdas, ns, samples, triples, seed,
+                          inject_broken_basis=False):
+    # verify_bundle as it was written one matrix and one triple at a time:
+    # the oracle of the stacked checks, and of the draws they score
+    rng = np.random.default_rng(seed)
+    worst = {}
+    drawn = []
+    cl = inv = ident = 0.0
+    margin = np.inf
+    for n in ns:
+        slice_samples = _slice_samples(n, samples, seed)
+        drawn.append(np.array(slice_samples))
+        for lam in lambdas:
+            basis = algebra_basis(lam, n)
+            inv = max(inv, max(invariance_residual(m, lam) for m in basis))
+            if inject_broken_basis:
+                basis[0] = basis[0] + np.diag([1.0, -1.0] + [0.0] * (n - 1))
+            cl = max(cl, bracket_closure_residual(basis))
+            margin = min([margin] + [group_membership_residual(g, lam)
+                                     for g in slice_samples])
+            ident = max(ident, group_membership_residual(np.eye(n + 1), lam))
+    worst.update(bracket_closure=cl, frame_invariance=inv, slice_margin=margin)
+    n0 = ns[0]
+
+    def draw(scale=1.0):
+        A = rng.standard_normal((n0, n0))
+        return scale * (A - A.T), scale * rng.standard_normal(n0)
+
+    word = (draw(0.3), draw(0.3))
+    worst["section_membership"] = max(
+        group_membership_residual(section(word, lam), lam)
+        for lam in np.linspace(-1.0, 1.0, 21))
+    anti = jac = match = 0.0
+    for lam in (-1.0, 0.0, 0.5, 1.0):
+        for _ in range(triples):
+            x, y, z = draw(), draw(), draw()
+            drawn.append((x, y, z))
+            bxy = deformed_bracket(lam, x, y)
+            byx = deformed_bracket(lam, y, x)
+            anti = max(anti, np.max(np.abs(bxy[0] + byx[0])),
+                       np.max(np.abs(bxy[1] + byx[1])))
+            terms = [deformed_bracket(lam, a, deformed_bracket(lam, b, c))
+                     for a, b, c in ((x, y, z), (y, z, x), (z, x, y))]
+            for part in (0, 1):
+                cyclic = terms[0][part] + terms[1][part] + terms[2][part]
+                jac = max(jac, np.max(np.abs(cyclic)))
+            if lam == 1.0:
+                X, Y = algebra_element(1.0, *x), algebra_element(1.0, *y)
+                C = X @ Y - Y @ X
+                D, u = 0.5 * (C[1:, 1:] - C[1:, 1:].T), C[1:, 0]
+                match = max(match, np.max(np.abs(C - algebra_element(1.0, D, u))),
+                            np.max(np.abs(bxy[0] - D)), np.max(np.abs(bxy[1] - u)))
+    worst.update(bracket_antisymmetry=anti, bracket_jacobi=jac,
+                 bracket_matches_undeformed=match)
+    passed = {
+        "bracket_closure": cl < 1e-12, "frame_invariance": inv < 1e-12,
+        "slice_margin": margin > 1e-3 and ident < 1e-12,
+        "section_membership": worst["section_membership"] < 1e-10,
+        "bracket_antisymmetry": anti == 0.0, "bracket_jacobi": jac < 1e-12,
+        "bracket_matches_undeformed": match < _match_threshold(n0)}
+    return worst, passed, drawn
+
+
+@pytest.mark.parametrize("inject", [False, True])
+@pytest.mark.parametrize("ns", [[2], [3], [3, 2]])
+def test_stacked_verify_bundle_matches_the_scalar_oracle(monkeypatch, ns,
+                                                         inject):
+    lambdas, samples, triples, seed = [-2.0, -0.5, 0.0, 0.5, 1.0], 15, 7, 3
+    worst, passed, drawn = _verify_bundle_oracle(lambdas, ns, samples,
+                                                 triples, seed, inject)
+    seen = []
+    scored, bracket = lie_bundle._scored_slice_check, lie_bundle.deformed_bracket
+
+    def record_samples(lam, n, s, slice_samples):
+        seen.append(np.asarray(slice_samples))
+        return scored(lam, n, s, slice_samples)
+
+    def record_triples(lam, x, y):
+        seen.append((x, y))
+        return bracket(lam, x, y)
+
+    monkeypatch.setattr(lie_bundle, "_scored_slice_check", record_samples)
+    monkeypatch.setattr(lie_bundle, "deformed_bracket", record_triples)
+    checks = verify_bundle(lambdas, ns, samples, triples, seed, inject)
+    monkeypatch.undo()
+    # the same slice samples, once per lam, and the same triples: the first
+    # bracket call of each lam takes (x, y) against (y, x), the second
+    # (y, z) against (z, x)
+    grid = len(ns) * len(lambdas)
+    for i, got in enumerate(seen[:grid]):
+        assert np.array_equal(got, drawn[i // len(lambdas)])
+    triple_calls = seen[grid:]
+    for j in range(4):
+        (D, u), (Dr, ur) = triple_calls[3 * j][0], triple_calls[3 * j + 1][1]
+        for i in range(triples):
+            x, y, z = drawn[len(ns) + j * triples + i]
+            assert np.array_equal(D[0, i], x[0]) and np.array_equal(u[0, i], x[1])
+            assert np.array_equal(D[1, i], y[0]) and np.array_equal(u[1, i], y[1])
+            assert np.array_equal(Dr[0, i], z[0]) and np.array_equal(ur[0, i], z[1])
+    for c in checks:
+        if c["name"] == "complement_rank":
+            assert c["passed"]
+            continue
+        assert c["passed"] == passed[c["name"]], c["name"]
+        assert abs(c["worst"] - worst[c["name"]]) <= 1e-15 * max(1.0, worst[c["name"]])
+    anti = next(c for c in checks if c["name"] == "bracket_antisymmetry")
+    assert anti["worst"] == 0.0
+    failed = [c["name"] for c in checks if not c["passed"]]
+    assert failed == (["bracket_closure"] if inject else [])

@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from scipy.linalg import expm
-from scipy.optimize import brentq, elementwise
+from scipy.optimize import brentq
 
 from equideform import variational
 from equideform.ambient import quadric_embed, quadric_to_chart, sn_lambda
@@ -546,21 +546,42 @@ def test_trig_interp_matches_a_long_double_cosine_sum(n):
 
 
 def test_circle_act_rejects_an_unconverged_node(monkeypatch):
-    # act imports find_root when it runs, so the patch goes on scipy's module
-    real = elementwise.find_root
+    real = variational._bracketed_newton
 
     def one_node_fails(*args, **kwargs):
-        res = real(*args, **kwargs)
-        success = res.success.copy()
-        success[5] = False
-        res.success = success
-        return res
+        x, converged = real(*args, **kwargs)
+        converged = converged.copy()
+        converged[5] = False
+        return x, converged
 
-    monkeypatch.setattr(elementwise, "find_root", one_node_fails)
+    monkeypatch.setattr(variational, "_bracketed_newton", one_node_fails)
     g = build_grid("periodic", 65)
     prob, st = circle_seed(0.5, 2.0, g)
     with pytest.raises(DomainError, match="1 of 65 nodes"):
         act(prob, st, 0.5, np.array([0.02, -0.01]))
+
+
+def test_bracketed_newton_bisects_and_flags_a_missing_root():
+    # component 0: Newton from 0 overshoots the steep arctan, so bisection
+    # steps in; 1: a root at the start; 2: the root 2 lies outside the
+    # bracket that is assumed, and no step may call it converged
+    def fun(x):
+        f = np.array([np.arctan(40.0 * (x[0] - 0.61)), x[1] - 0.25, x[2] - 2.0])
+        fp = np.array([40.0 / (1.0 + (40.0 * (x[0] - 0.61)) ** 2), 1.0, 1.0])
+        return f, fp
+
+    calls = []
+
+    def counted(x):
+        calls.append(x.copy())
+        return fun(x)
+
+    x, converged = variational._bracketed_newton(
+        counted, [-1.0, -1.0, -1.0], [1.0, 1.0, 1.0], [0.0, 0.25, 0.0])
+    assert converged.tolist() == [True, True, False]
+    assert abs(x[0] - 0.61) <= 2e-16 and x[1] == 0.25
+    assert np.all(np.abs(x) <= 1.0)  # never left the bracket
+    assert len(calls) == 100  # the missing root runs to maxiter
 
 
 def test_circle_act_memory_is_bounded():
