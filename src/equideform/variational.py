@@ -361,8 +361,7 @@ def _trig_interp(vals):
     return ev
 
 
-def _bracketed_newton(fun, lo, hi, x, xatol=1e-14, xrtol=8.9e-16,
-                      maxiter=100):
+def _bracketed_newton(fun, lo, hi, x):
     """Roots of an increasing componentwise function, all components at once.
 
     fun(x) returns (f, f') at x; f is negative at lo and positive at hi,
@@ -370,15 +369,15 @@ def _bracketed_newton(fun, lo, hi, x, xatol=1e-14, xrtol=8.9e-16,
     lands strictly inside the current bracket and the bisection midpoint
     where it does not; the bracket then shrinks to the iterate on the side
     of f's sign. A component has converged, and stays where it is, after a
-    step of at most xatol + xrtol |x|: a Newton step, or a bisection once f
-    has taken both signs, so that the bracket is no longer only assumed.
-    Returns (x, converged).
+    step of at most 1e-14 + 8.9e-16 |x|: a Newton step, or a bisection once
+    f has taken both signs, so that the bracket is no longer only assumed.
+    Returns (x, converged) after at most 100 steps.
     """
     lo, hi, x = (np.array(a, dtype=float) for a in (lo, hi, x))
     converged = np.zeros(x.shape, dtype=bool)
     below = np.zeros(x.shape, dtype=bool)
     above = np.zeros(x.shape, dtype=bool)
-    for _ in range(maxiter):
+    for _ in range(100):
         f, fp = fun(x)
         below |= f < 0.0
         above |= f > 0.0
@@ -388,7 +387,7 @@ def _bracketed_newton(fun, lo, hi, x, xatol=1e-14, xrtol=8.9e-16,
             new = np.where(f == 0.0, x, x - f / fp)
         newton = (new > lo) & (new < hi) | (f == 0.0)
         new = np.where(newton, new, 0.5 * (lo + hi))
-        small = np.abs(new - x) <= xatol + xrtol * np.abs(new)
+        small = np.abs(new - x) <= 1e-14 + 8.9e-16 * np.abs(new)
         x = np.where(converged, x, new)
         converged |= small & (newton | below & above)
         if np.all(converged):

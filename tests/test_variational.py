@@ -581,7 +581,7 @@ def test_bracketed_newton_bisects_and_flags_a_missing_root():
     assert converged.tolist() == [True, True, False]
     assert abs(x[0] - 0.61) <= 2e-16 and x[1] == 0.25
     assert np.all(np.abs(x) <= 1.0)  # never left the bracket
-    assert len(calls) == 100  # the missing root runs to maxiter
+    assert len(calls) == 100  # the missing root runs all 100 steps
 
 
 def test_circle_act_memory_is_bounded():
