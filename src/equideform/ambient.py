@@ -37,6 +37,40 @@ _SERIES_CUT = 1e-4
 # ---------------------------------------------------------------------------
 # the warped profile
 
+def _by_cut(lam, r, series, closed):
+    # the node arrays of series(t, r) at t = lam r^2 below the series cut and
+    # of closed(lam, r) above it; when every node lies on one side, that
+    # side is evaluated on the whole array, with no mask indexing
+    r = np.asarray(r, dtype=float)
+    t = lam * r * r
+    small = np.abs(t) < _SERIES_CUT
+    if small.all():
+        return series(t, r)
+    big = ~small
+    if big.all():
+        return closed(lam, r)
+    parts = []
+    for lo, hi in zip(series(t[small], r[small]), closed(lam, r[big])):
+        out = np.empty_like(r)
+        out[small] = lo
+        out[big] = hi
+        parts.append(out)
+    return parts
+
+
+def _sn_series(t, r):
+    return (r * (1.0 - t / 6.0 + t * t / 120.0 - t ** 3 / 5040.0),
+            1.0 - t / 2.0 + t * t / 24.0 - t ** 3 / 720.0)
+
+
+def _sn_closed(lam, r):
+    if lam > 0:
+        s = np.sqrt(lam)
+        return np.sin(s * r) / s, np.cos(s * r)
+    s = np.sqrt(-lam)
+    return np.sinh(s * r) / s, np.cosh(s * r)
+
+
 def sn_lambda(lam, r):
     """Warped radius sn_lam(r) and its derivative.
 
@@ -45,46 +79,27 @@ def sn_lambda(lam, r):
     come from one series in t = lam r^2, so the family is smooth across
     lam = 0 with no cancellation.
     """
-    r = np.asarray(r, dtype=float)
-    t = lam * r * r
-    small = np.abs(t) < _SERIES_CUT
-    sn = np.empty_like(r)
-    snp = np.empty_like(r)
-    ts = t[small]
-    sn[small] = r[small] * (1.0 - ts / 6.0 + ts * ts / 120.0 - ts ** 3 / 5040.0)
-    snp[small] = 1.0 - ts / 2.0 + ts * ts / 24.0 - ts ** 3 / 720.0
-    big = ~small
-    if np.any(big):
-        rb = r[big]
-        if lam > 0:
-            s = np.sqrt(lam)
-            sn[big] = np.sin(s * rb) / s
-            snp[big] = np.cos(s * rb)
-        else:
-            s = np.sqrt(-lam)
-            sn[big] = np.sinh(s * rb) / s
-            snp[big] = np.cosh(s * rb)
-    if np.isscalar(lam) and sn.ndim == 0:
+    sn, snp = _by_cut(lam, r, _sn_series, _sn_closed)
+    if np.isscalar(lam) and np.ndim(sn) == 0:
         return float(sn), float(snp)
     return sn, snp
 
 
+def _area_series(t, r):
+    return (0.5 * r ** 2 * (1.0 - t / 12.0 + t * t / 360.0
+                            - t ** 3 / 20160.0),)
+
+
+def _area_closed(lam, r):
+    if lam > 0:
+        return ((1.0 - np.cos(np.sqrt(lam) * r)) / lam,)
+    return ((np.cosh(np.sqrt(-lam) * r) - 1.0) / (-lam),)
+
+
 def radial_area(lam, r):
     """Integral of sn_lam from 0 to r (area of the geodesic disk / (2 pi))."""
-    r = np.asarray(r, dtype=float)
-    t = lam * r * r
-    small = np.abs(t) < _SERIES_CUT
-    out = np.empty_like(r)
-    ts = t[small]
-    out[small] = 0.5 * r[small] ** 2 * (1.0 - ts / 12.0 + ts * ts / 360.0 - ts ** 3 / 20160.0)
-    big = ~small
-    if np.any(big):
-        rb = r[big]
-        if lam > 0:
-            out[big] = (1.0 - np.cos(np.sqrt(lam) * rb)) / lam
-        else:
-            out[big] = (np.cosh(np.sqrt(-lam) * rb) - 1.0) / (-lam)
-    if out.ndim == 0:
+    out, = _by_cut(lam, r, _area_series, _area_closed)
+    if np.ndim(out) == 0:
         return float(out)
     return out
 

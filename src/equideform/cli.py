@@ -34,7 +34,12 @@ Every command writes report.json into the output directory; continue also
 writes branch.jsonl (one record per line, with the resolved config and a
 git-style content hash of the config bytes + effective seed) and branch.csv.
 Report payloads are byte-stable across re-runs with the same config and
-seed; timestamps live in a separate meta object. Every periodic instance
+seed; timestamps live in a separate meta object, and so does continue's
+account of each record: its Newton residual history, worst bordered
+condition and slice leak, the causes of the attempts rejected before it, and
+the corrections run ahead of it and used or dropped ("records"), with the
+same for the attempts after the last record of a stalled branch ("stalled").
+Every periodic instance
 runs on an odd spectral grid, so an even configured N is rounded up by one
 and the effective value is what the report's config block shows.
 """
@@ -302,12 +307,13 @@ def run_continue(cp, seed, chash, outdir):
     problem, seed_state, resolved, _ = _build_problem(cp, ccfg.start)
     resolved["seed"] = seed
     config_block = {"problem": resolved, "path": dataclasses.asdict(ccfg)}
-    error = None
+    error = stalled = None
     try:
         records = continue_branch(problem, seed_state, ccfg)
     except NoConvergence as exc:
         records = exc.partial_branch or []
         error = str(exc)
+        stalled = exc.log
     except (IllConditioned, PreconditionError, DomainError) as exc:
         records = []
         error = str(exc)
@@ -321,7 +327,8 @@ def run_continue(cp, seed, chash, outdir):
                "config": config_block, "config_hash": chash,
                "error": error,
                "final": _record_summary(records[-1]) if records else None}
-    write_report(os.path.join(outdir, "report.json"), payload)
+    meta = {"records": [rec.log for rec in records], "stalled": stalled}
+    write_report(os.path.join(outdir, "report.json"), payload, meta)
     if error is not None:
         print(f"equideform: continuation incomplete: {error}", file=sys.stderr)
         print(f"records: {len(records)} (partial)")

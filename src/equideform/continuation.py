@@ -27,7 +27,15 @@ steps, certifying every accepted record (kernel = Killing span, spectral
 gap, transversality margin against the previous record's Killing basis).
 A degenerate verdict halts the branch with the offending record flagged at
 the end; convergence failure raises NoConvergence carrying the partial
-branch and naming the cause of the last failed attempt.
+branch and naming the cause of the last failed attempt. Given a record's
+state, its certificate and the next record's correction are independent
+(Allgower & Georg, Numerical Continuation Methods, 1990), so the
+certificate runs on one worker thread while this thread corrects the
+attempt that follows if the record is accepted. The two overlap because the
+symmetric reduction releases the interpreter lock. That correction is used
+only once the record is accepted, so records, errors and payloads stay
+bitwise those of a one-at-a-time march; the march holds five n x n matrices
+at once, diff1 and two for each thread, where one path alone holds three.
 
 orbit_project recovers the group motion between nearby solutions by
 Gauss-Newton on the Killing components of the difference. It acts once per
@@ -39,7 +47,8 @@ ch. 8). congruence_check composes it with one corrector polish to decide
 whether two states are the same solution modulo the group.
 """
 
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -144,6 +153,7 @@ class BranchRecord:
     derived_scalars: dict
     verdict: str
     diagnostics: dict
+    log: dict = None  # continue_branch's account of the record, not payload
 
     def to_payload(self):
         return {
@@ -281,6 +291,67 @@ def _certify(problem, state, lam, config, iters, reference,
         verdict=rep.verdict, diagnostics=diag), basis
 
 
+# the failures of one attempt that halve the step instead of ending the branch
+_ATTEMPT_ERRORS = (NoConvergence, IllConditioned, DomainError,
+                   PreconditionError)
+
+
+@dataclass(frozen=True, eq=False)
+class _Path:
+    """The step rule's state at the last accepted record."""
+
+    lam: float
+    state: ProblemState
+    step: float
+    fast: int = 0
+    prev_lam: float = None
+    prev_vals: np.ndarray = None
+
+    def attempt(self, config):
+        """Target and secant guess of the next attempt."""
+        direction = 1.0 if config.end >= config.start else -1.0
+        target = self.lam + direction * self.step
+        # snap to the endpoint through accumulated roundoff, or the last
+        # step leaves an ulp-sized gap and the endpoint gets recorded twice
+        snap = 1e-9 * (abs(config.end) + self.step)
+        if direction * (target - config.end) >= -snap:
+            target = float(config.end)
+        vals = self.state.values
+        if self.prev_lam is not None and self.lam != self.prev_lam:
+            scale = (target - self.lam) / (self.lam - self.prev_lam)
+            return target, vals + scale * (vals - self.prev_vals)
+        return target, vals
+
+    def accepted(self, target, state, iters, config):
+        """The path once the record (target, state) corrected in iters
+        Newton steps is accepted: two fast records in a row grow the step."""
+        fast = self.fast + 1 if iters <= 3 else 0
+        step = self.step
+        if fast >= 2:
+            step = min(step * 1.3, config.max_step)
+        return _Path(target, state, step, fast, self.lam, self.state.values)
+
+    def halved(self):
+        return replace(self, step=self.step * 0.5, fast=0)
+
+
+def _correct(problem, path, config):
+    """The corrector at path's next attempt: (target, outcome), the outcome
+    being corrector_step's (state, iters, diagnostics) or whatever it raised.
+    """
+    target, guess = path.attempt(config)
+    try:
+        return target, corrector_step(problem, ProblemState(guess), target,
+                                      config)
+    except Exception as exc:  # kept, and raised again only if it is used
+        return target, exc
+
+
+def _attempt_log(rejected, used, discarded):
+    return {"rejected": rejected,
+            "speculative": {"used": used, "discarded": discarded}}
+
+
 def continue_branch(problem, seed_state, config):
     """March the branch from config.start to config.end.
 
@@ -291,79 +362,104 @@ def continue_branch(problem, seed_state, config):
     partial branch is raised inside NoConvergence, whose message ends with
     the last attempt's cause. A record whose nondegeneracy verdict is not
     clean is appended flagged and the branch halts there.
+
+    Each converged record is certified on one worker thread while this
+    thread runs the corrector for the attempt that follows if the record is
+    accepted; that correction is used only then, and dropped, with whatever
+    it raised, when the record is rejected or halts the branch. Every
+    computation sees the inputs of a one-at-a-time march, so the records and
+    errors are bitwise those of one. The worker is gone on return.
+
+    Each record's log (outside its payload) holds the corrector's residual
+    history, worst bordered condition and slice leak, the causes of the
+    attempts rejected before it, and the speculative corrections used and
+    dropped since the previous record; a stall's NoConvergence carries the
+    same for the attempts after the last record.
     """
-    lam = float(config.start)
-    st, iters, _ = corrector_step(problem, seed_state, lam, config)
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="certify") as pool:
+        return _march(problem, seed_state, config, pool)
+
+
+def _march(problem, seed_state, config, pool):
     cadence = int(config.diagnostics_cadence)
-    rec, ref = _certify(problem, st, lam, config, iters, None,
-                        with_diagnostics=cadence > 0)
-    records = [rec]
-    if rec.verdict != "nondegenerate":
+    records = []
+
+    def certify(target, state, iters, ref, after):
+        # the record's certificate on the worker, overlapped with the
+        # correction that follows it if accepted, when one would run
+        with_diag = cadence > 0 and len(records) % cadence == 0
+        future = pool.submit(_certify, problem, state, target, config,
+                             iters, ref, with_diag)
+        ahead = None
+        if (after.lam != config.end and after.step >= config.min_step
+                and len(records) + 1 < RECORD_CAP):
+            ahead = (after, _correct(problem, after, config))
+        return future, ahead
+
+    lam = float(config.start)
+    st, iters, diag = corrector_step(problem, seed_state, lam, config)
+    path = _Path(lam, st, float(config.initial_step))
+    future, ahead = certify(lam, st, iters, None, path)
+    rec, ref = future.result()
+    halts = rec.verdict != "nondegenerate"
+    records.append(replace(rec, log=dict(
+        diag, **_attempt_log([], 0, int(halts and ahead is not None)))))
+    if halts:
         return records
-    prev_lam = None
-    prev_vals = None
-    step = float(config.initial_step)
-    direction = 1.0 if config.end >= config.start else -1.0
-    fast = 0
-    while lam != config.end:
+    while path.lam != config.end:
+        rejected = []
+        used = discarded = 0
         advanced = False
-        target = lam
-        st_new = st
-        rec = None
         for _ in range(config.retries + 1):
-            if step < config.min_step:
+            if path.step < config.min_step:
                 break
-            target = lam + direction * step
-            # snap to the endpoint through accumulated roundoff, or the last
-            # step leaves an ulp-sized gap and the endpoint gets recorded twice
-            snap = 1e-9 * (abs(config.end) + step)
-            if direction * (target - config.end) >= -snap:
-                target = float(config.end)
-            if prev_lam is not None and lam != prev_lam:
-                scale = (target - lam) / (lam - prev_lam)
-                guess = st.values + scale * (st.values - prev_vals)
+            if ahead is not None and ahead[0] is path:
+                target, outcome = ahead[1]
+                used += 1
             else:
-                guess = st.values
-            try:
-                st_new, iters, _ = corrector_step(
-                    problem, ProblemState(guess), target, config)
-                with_diag = cadence > 0 and len(records) % cadence == 0
-                rec, basis = _certify(problem, st_new, target, config,
-                                      iters, ref, with_diagnostics=with_diag)
-            except (NoConvergence, IllConditioned, DomainError,
-                    PreconditionError) as exc:
-                cause = f"{type(exc).__name__}: {exc}"
-                step *= 0.5
-                fast = 0
-                continue
-            if rec.transversality_margin <= MARGIN_FLOOR:
-                # stale slice: shrink toward the reference instead of accepting
-                cause = (f"transversality margin "
-                         f"{rec.transversality_margin:.3g} <= {MARGIN_FLOOR}")
-                rec = None
-                step *= 0.5
-                fast = 0
-                continue
-            advanced = True
-            break
+                target, outcome = _correct(problem, path, config)
+            ahead = None
+            if isinstance(outcome, Exception):
+                if not isinstance(outcome, _ATTEMPT_ERRORS):
+                    raise outcome
+                cause = f"{type(outcome).__name__}: {outcome}"
+            else:
+                st_new, iters, diag = outcome
+                after = path.accepted(target, st_new, iters, config)
+                future, ahead = certify(target, st_new, iters, ref, after)
+                try:
+                    rec, basis = future.result()
+                except _ATTEMPT_ERRORS as exc:
+                    cause = f"{type(exc).__name__}: {exc}"
+                else:
+                    if rec.transversality_margin > MARGIN_FLOOR:
+                        advanced = True
+                        break
+                    # stale slice: shrink toward the reference instead of
+                    # accepting
+                    cause = (f"transversality margin "
+                             f"{rec.transversality_margin:.3g} <= "
+                             f"{MARGIN_FLOOR}")
+                discarded += ahead is not None
+                ahead = None
+            rejected.append(cause)
+            path = path.halved()
         if not advanced:
             # the first attempt always runs (step >= min_step), so cause is set
             raise NoConvergence(
-                f"continuation stalled at lambda_hat={lam:.12g} "
+                f"continuation stalled at lambda_hat={path.lam:.12g} "
                 f"(step underflow below {config.min_step:.3e}); "
                 f"last failure: {cause}",
-                partial_branch=records)
-        records.append(rec)
-        if rec.verdict != "nondegenerate":
+                partial_branch=records,
+                log=_attempt_log(rejected, used, discarded))
+        halts = rec.verdict != "nondegenerate"
+        discarded += halts and ahead is not None
+        records.append(replace(rec, log=dict(
+            diag, **_attempt_log(rejected, used, discarded))))
+        if halts:
             return records
-        prev_lam, prev_vals = lam, st.values
-        lam, st, ref = target, st_new, basis
-        if iters <= 3:
-            fast += 1
-        else:
-            fast = 0
-        if fast >= 2:
-            step = min(step * 1.3, config.max_step)
+        path, ref = after, basis
         if len(records) >= RECORD_CAP:
             raise NoConvergence("record cap reached", partial_branch=records)
     return records

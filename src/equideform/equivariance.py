@@ -28,14 +28,23 @@ more n x n matrix: the scaled symmetric operator is written into the buffer
 that LAPACK dsytrd then overwrites with its reflectors, which dormqr reads
 in place; the symmetry residual reads the Hessian block pair by block pair.
 A banded Jacobi is symmetric by construction, as only its lower band is
-stored, and no routine forms an n x n matrix from it.
+stored, and no routine forms an n x n matrix from it. continue_branch runs
+the certificate on a worker thread beside the next correction, so a branch
+holds five such matrices: diff1, and the Jacobi and reduction buffer of
+each thread.
+
+dsytrd is called through scipy's cython_lapack export of the routine, by
+ctypes, which releases the interpreter lock for the call; scipy.linalg's
+f2py wrapper of the same routine holds it, so the certificate could not
+overlap the corrector. The results are bitwise the wrapper's.
 """
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import (eigh_tridiagonal, eigvals_banded, lapack,
-                          solve_banded, subspace_angles)
+from scipy.linalg import (cython_lapack, eigh_tridiagonal, eigvals_banded,
+                          lapack, solve_banded, subspace_angles)
 
 from . import errors
 from .errors import PreconditionError, ShapeError
@@ -74,6 +83,58 @@ def _lapack_check(info, routine):
         raise np.linalg.LinAlgError(f"{routine} failed with info = {info}")
 
 
+def _capsule_address(capsule):
+    # the function address in one of scipy.linalg.cython_lapack's capsules
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get_pointer(capsule, get_name(capsule))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_PTR = ctypes.c_void_p
+# dsytrd(uplo, n, a, lda, d, e, tau, work, lwork, info), the routine
+# scipy.linalg.lapack wraps, from the same library: the one entry point of
+# every dense symmetric reduction here. A CFUNCTYPE call releases the
+# interpreter lock, which the f2py wrapper holds.
+_DSYTRD = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _INT, _PTR, _INT, _PTR,
+                           _PTR, _PTR, _PTR, _INT, _INT)(
+    _capsule_address(cython_lapack.__pyx_capi__["dsytrd"]))
+
+
+def _dsytrd(a):
+    """LAPACK dsytrd of the lower triangle of a, in place: returns d, e, tau.
+
+    a must be a writeable Fortran-contiguous float64 square array; it is
+    overwritten with the reflectors. e and tau hold n - 1 values, padded to
+    max(n - 1, 1). The workspace is the size LAPACK's query asks for, as
+    scipy.linalg.lapack.dsytrd_lwork reports it, so the results are bitwise
+    those of scipy.linalg.lapack.dsytrd.
+    """
+    if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype != np.float64
+            or not (a.flags.f_contiguous and a.flags.writeable)):
+        raise ValueError("dsytrd needs a writeable Fortran-ordered float64 "
+                         "square array")
+    n = a.shape[0]
+    d = np.empty(n)
+    e = np.zeros(max(n - 1, 1))
+    tau = np.zeros(max(n - 1, 1))
+    args = (b"L", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(n, 1)),
+            d.ctypes.data, e.ctypes.data, tau.ctypes.data)
+    query = np.empty(1)
+    lwork = ctypes.c_int(-1)
+    info = ctypes.c_int(0)
+    _DSYTRD(*args, query.ctypes.data, lwork, info)
+    _lapack_check(info.value, "dsytrd")
+    lwork.value = int(query[0])
+    work = np.empty(lwork.value)
+    _DSYTRD(*args, work.ctypes.data, lwork, info)
+    _lapack_check(info.value, "dsytrd")
+    return d, e, tau
+
+
 class _Tridiagonal:
     """One Householder reduction A = Q T Q^T of a symmetric matrix A.
 
@@ -89,20 +150,16 @@ class _Tridiagonal:
 
     def __init__(self, A):
         n = A.shape[0]
-        lwork, info = lapack.dsytrd_lwork(n, lower=1)
-        _lapack_check(info, "dsytrd_lwork")
-        c, self._d, e, self._tau, info = lapack.dsytrd(
-            A, lower=1, lwork=int(lwork), overwrite_a=1)
-        _lapack_check(info, "dsytrd")
+        c = np.require(A, dtype=np.float64, requirements=("F", "W"))
+        self._d, self._e, self._tau = _dsytrd(c)
         # the reflectors fill c[1:, :-1]; the Fortran-ordered (n, n - 1) view
         # of c's storage from c[1, 0] on holds them in its columns with
         # leading dimension n, which dormqr reads in place, where the
         # non-contiguous slice would be copied on every call
         self._reflectors = np.ravel(c, order="F")[1:1 + n * (n - 1)].reshape(
             n, n - 1, order="F")
-        # T's off-diagonal, padded to the length max(n - 1, 1) that the
+        # T's off-diagonal comes padded to the length max(n - 1, 1) that the
         # f2py wrappers of dsterf and dgtsv expect
-        self._e = e if n > 1 else np.zeros(1)
         self.eigenvalues, info = lapack.dsterf(self._d, self._e)
         _lapack_check(info, "dsterf")
 

@@ -29,12 +29,14 @@ class NoConvergence(EquideformError):
     """An iteration failed to meet its tolerance within the allowed budget.
 
     When raised by branch continuation, ``partial_branch`` holds the records
-    accepted before the failure.
+    accepted before the failure, and ``log`` the causes of the attempts made
+    after the last of them.
     """
 
-    def __init__(self, message, partial_branch=None):
+    def __init__(self, message, partial_branch=None, log=None):
         super().__init__(message)
         self.partial_branch = partial_branch
+        self.log = log
 
 
 class IllConditioned(EquideformError):

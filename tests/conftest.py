@@ -1,8 +1,10 @@
 import re
+import threading
 
 import numpy as np
 import pytest
-from scipy.linalg import lapack
+
+from equideform import equivariance
 
 _attempted = {}
 _passed = {}
@@ -43,27 +45,39 @@ def failing_linalg(monkeypatch):
     a budget of calls.
 
     The reduction behind the corrector and the kernel is LAPACK dsytrd,
-    looked up in scipy.linalg.lapack at each call, so that is where it is
-    armed. Call the result with the budget (None never fails); it returns a
-    dict counting the patched "calls" and the "failed" ones among them.
+    called through equivariance's one entry point, so that is where it is
+    armed. continue_branch certifies on a worker thread while the main
+    thread corrects, so calls are counted per thread, "main" and "worker",
+    each against its own budget: within one thread the order of the calls
+    is fixed, across the two it is not. Call the result with the budget (an
+    int for both threads, a dict by thread such as an earlier run's
+    "calls", or None, which never fails); it returns a dict counting the
+    patched "calls" by thread and the "failed" ones among them.
     """
-    counts = {"calls": 0, "failed": 0, "budget": None}
+    counts = {"calls": {"main": 0, "worker": 0}, "failed": 0, "budget": None}
+    lock = threading.Lock()
 
     def wrap(decomposition):
         def patched(*args, **kwargs):
-            counts["calls"] += 1
-            budget = counts["budget"]
-            if budget is not None and counts["calls"] > budget:
-                counts["failed"] += 1
+            thread = ("main" if threading.current_thread()
+                      is threading.main_thread() else "worker")
+            with lock:
+                counts["calls"][thread] += 1
+                budget = counts["budget"]
+                if isinstance(budget, dict):
+                    budget = budget[thread]
+                fail = budget is not None and counts["calls"][thread] > budget
+                counts["failed"] += fail
+            if fail:
                 raise np.linalg.LinAlgError("injected factorization failure")
             return decomposition(*args, **kwargs)
         return patched
 
     monkeypatch.setattr(np.linalg, "svd", wrap(np.linalg.svd))
-    monkeypatch.setattr(lapack, "dsytrd", wrap(lapack.dsytrd))
+    monkeypatch.setattr(equivariance, "_DSYTRD", wrap(equivariance._DSYTRD))
 
     def arm(budget):
-        counts.update(calls=0, failed=0, budget=budget)
+        counts.update(calls={"main": 0, "worker": 0}, failed=0, budget=budget)
         return counts
 
     return arm

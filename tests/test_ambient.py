@@ -181,3 +181,52 @@ def test_quadric_flat_fiber_is_the_plane():
     X = quadric_embed(0.0, 0.8, 0.3)
     assert X[0] == 1.0
     assert np.hypot(X[1], X[2]) == pytest.approx(0.8, rel=1e-15)
+
+
+def _masked_reference(lam, r):
+    # sn_lambda and radial_area as one mask over the nodes, series below the
+    # cut and closed form above it: the evaluation the whole-array sides of
+    # the cut must reproduce bit for bit
+    r = np.asarray(r, dtype=float)
+    t = lam * r * r
+    small = np.abs(t) < 1e-4
+    sn, snp, area = np.empty_like(r), np.empty_like(r), np.empty_like(r)
+    ts = t[small]
+    sn[small] = r[small] * (1.0 - ts / 6.0 + ts * ts / 120.0 - ts ** 3 / 5040.0)
+    snp[small] = 1.0 - ts / 2.0 + ts * ts / 24.0 - ts ** 3 / 720.0
+    area[small] = 0.5 * r[small] ** 2 * (1.0 - ts / 12.0 + ts * ts / 360.0
+                                         - ts ** 3 / 20160.0)
+    big = ~small
+    if np.any(big):
+        rb = r[big]
+        s = np.sqrt(abs(lam))
+        if lam > 0:
+            sn[big], snp[big] = np.sin(s * rb) / s, np.cos(s * rb)
+            area[big] = (1.0 - np.cos(s * rb)) / lam
+        else:
+            sn[big], snp[big] = np.sinh(s * rb) / s, np.cosh(s * rb)
+            area[big] = (np.cosh(s * rb) - 1.0) / (-lam)
+    return sn, snp, area
+
+
+# radii in units of the cut, |lam| r^2 = 1e-4 at r = 1; at lam = 0 they are
+# taken as they are, and every node takes the series
+RADII = {"mixed": np.linspace(0.2, 5.0, 257),
+         "all_small": np.linspace(0.01, 0.9, 257),
+         "all_large": np.linspace(1.1, 40.0, 257),
+         "scalar_small": 0.5, "scalar_large": 2.0}
+
+
+@pytest.mark.parametrize("lam, radii", [
+    (lam, radii) for lam in (-1.3, 0.7) for radii in RADII]
+    + [(0.0, "mixed"), (0.0, "scalar_large")])
+def test_sn_and_area_equal_masked_evaluation_bitwise(lam, radii):
+    r = RADII[radii] * (np.sqrt(1e-4 / abs(lam)) if lam else 1.0)
+    sn, snp = sn_lambda(lam, r)
+    area = radial_area(lam, r)
+    want = _masked_reference(lam, r)
+    if np.ndim(r) == 0:
+        assert all(type(v) is float for v in (sn, snp, area))
+        want = [float(w) for w in want]
+    for got, ref in zip((sn, snp, area), want):
+        assert np.array(got).tobytes() == np.array(ref).tobytes()

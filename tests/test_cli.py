@@ -322,6 +322,32 @@ def test_continue_reports_are_byte_stable(tmp_path):
     assert da["payload"] == db["payload"]
 
 
+def test_continue_meta_logs_each_record_and_payload_bytes_repeat(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(CIRCLE_PATH)
+    texts = []
+    for sub in ("a", "b"):
+        out = tmp_path / sub
+        assert main(["continue", "--config", str(cfg), "--out", str(out)]) == 0
+        texts.append((out / "report.json").read_text())
+    payloads = [t[t.index(',"payload":'):] for t in texts]
+    assert payloads[0] == payloads[1]
+    assert "residual_norms" not in payloads[0]
+    meta = json.loads(texts[0])["meta"]
+    assert meta["stalled"] is None
+    logs = meta["records"]
+    assert len(logs) == 6
+    for log in logs:
+        assert set(log) == {"residual_norms", "cond", "orbit_inner",
+                            "rejected", "speculative"}
+        assert log["residual_norms"][-1] <= 1e-10
+        assert log["rejected"] == []
+    # every record after the seed was corrected while its predecessor was
+    # being certified
+    assert [log["speculative"]["used"] for log in logs] == [0] + [1] * 5
+    assert all(log["speculative"]["discarded"] == 0 for log in logs)
+
+
 def test_continue_partial_branch_exit_three(tmp_path, capsys):
     # the circle family ends at lambda = -H^2; pushing past it must fail
     # after certifying what exists
@@ -346,6 +372,11 @@ basin_guard = 0.05
     captured = capsys.readouterr()
     assert "incomplete" in captured.err
     assert "(partial)" in captured.out
+    # meta names every failed attempt after the last record, the last of
+    # them the payload's cause
+    stalled = json.loads((out / "report.json").read_text())["meta"]["stalled"]
+    assert stalled["rejected"]
+    assert pay["error"].endswith("last failure: " + stalled["rejected"][-1])
 
 
 def test_continue_factorization_failure_keeps_partial_branch(

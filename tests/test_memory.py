@@ -3,10 +3,16 @@
 Every path that touches a dense n x n operator holds at most three such
 matrices at once: the grid's diff1, the Jacobi, and the one buffer the
 tridiagonal reduction overwrites. The traced peak (tracemalloc sees every
-numpy allocation) is allowed four, which leaves room for the vectors, the
-grid's other arrays and LAPACK workspace, and no room for a fourth full
-copy. A banded operator (the profile's, on a dirichlet grid) holds no n x n
-matrix at all, so its certificate gets a budget linear in n.
+numpy allocation, on every thread) is allowed four, which leaves room for
+the vectors, the grid's other arrays and LAPACK workspace, and no room for a
+fourth full copy. A banded operator (the profile's, on a dirichlet grid)
+holds no n x n matrix at all, so its certificate gets a budget linear in n.
+
+continue is the one path that holds five. It certifies each record on a
+worker thread while the main thread corrects the next, so two of the paths
+above run at once and share only diff1: the corrector's Jacobi and bordered
+buffer, and the certificate's Jacobi and scaled buffer. By the same rule it
+is allowed six.
 """
 
 import json
@@ -23,6 +29,7 @@ from equideform.variational import circle_seed, jacobi, profile_cylinder_seed
 
 N = 513
 BUDGET = 4 * N * N * 8   # bytes of four N x N float64 matrices
+BUDGET_CONTINUE = 6 * N * N * 8
 
 ANALYZE = {
     "cmc_circle": "[problem]\ninstance = cmc_circle\nn = %d\nh = 2.0\n"
@@ -62,6 +69,20 @@ def test_analyze_holds_at_most_three_operator_matrices(tmp_path, instance):
     payload = json.loads((out / "report.json").read_text())["payload"]
     assert code in (0, 2) and "nondegeneracy" in payload
     assert peak <= budget, f"traced peak {peak / 2**20:.1f} MiB"
+
+
+def test_continue_holds_at_most_five_operator_matrices(tmp_path):
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text(ANALYZE["cmc_circle"]
+                   + "[path]\nstart = 1.0\nend = 0.8\nrecords = 3\n"
+                     "basin_guard = 0.05\n")
+    out = tmp_path / "out"
+    peak, code = _traced_peak(
+        lambda: main(["continue", "--config", str(cfg), "--out", str(out)]))
+    assert code == 0
+    assert json.loads((out / "report.json").read_text())["payload"][
+        "records"] == 3
+    assert peak <= BUDGET_CONTINUE, f"traced peak {peak / 2**20:.1f} MiB"
 
 
 def _newton_peak(max_newton):
