@@ -39,9 +39,9 @@ account of each record: its Newton residual history, worst bordered
 condition and slice leak, the causes of the attempts rejected before it, and
 the corrections run ahead of it and used or dropped ("records"), with the
 same for the attempts after the last record of a stalled branch ("stalled").
-Every periodic instance
-runs on an odd spectral grid, so an even configured N is rounded up by one
-and the effective value is what the report's config block shows.
+Every periodic instance runs on an odd spectral grid, so an even configured
+N is rounded up by one and the effective value is what the report's config
+block shows.
 """
 
 import argparse
