@@ -26,9 +26,9 @@ Configuration is a key = value INI file. Keys are case-insensitive.
                 angle_tol, tol_rel; analyze and congruence read only the
                 corrector keys (start = end = lambda_hat)
     [bundle]    lambdas (list), n (list), samples, triples
-    [congruence] t = t1,t2,... (group parameters); tol
-    [test]      inject_broken_basis (bool); inject_shift (float) -- fault
-                injection hooks for exercising the failure exits
+    [congruence] t = t1,t2,... (group parameters, |t| < 0.25); tol
+    [test]      fault injection hooks: inject_broken_basis (bool) for
+                verify-bundle only, inject_shift (float) for analyze only
 
 Every command writes report.json into the output directory; continue also
 writes branch.jsonl (one record per line, with the resolved config and a
@@ -52,8 +52,8 @@ import sys
 
 import numpy as np
 
-from .continuation import (ContinuationConfig, congruence_check,
-                           continue_branch, corrector_step)
+from .continuation import (ORBIT_TRUST_RADIUS, ContinuationConfig,
+                           congruence_check, continue_branch, corrector_step)
 from .equivariance import nondegeneracy_report, operator_diagnostics
 from .errors import (ConfigError, DomainError, EquideformError, IllConditioned,
                      NoConvergence, PreconditionError, ShapeError)
@@ -70,6 +70,8 @@ EXIT_SOLVER = 3
 EXIT_CONFIG = 64
 
 _SOLVER_ERRORS = (NoConvergence, IllConditioned, PreconditionError, DomainError)
+# each [test] hook and the one command that reads it
+_TEST_HOOKS = {"inject_shift": "analyze", "inject_broken_basis": "verify-bundle"}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -356,6 +358,11 @@ def run_congruence(cp, seed, chash, outdir):
         except (ShapeError, DomainError) as exc:
             # a motion of the wrong length, or one too large for the chart
             raise ConfigError(f"[congruence] t: {exc}")
+        if np.linalg.norm(t) >= ORBIT_TRUST_RADIUS:
+            # orbit_project could never recover it
+            raise ConfigError(
+                f"[congruence] t: |t| = {np.linalg.norm(t):.6g} is not below "
+                f"the orbit projection's trust radius {ORBIT_TRUST_RADIUS:g}")
         congruent, recovered = congruence_check(problem, seed_state, moved,
                                                 lam, tol=tol, config=ccfg)
     except _SOLVER_ERRORS as exc:
@@ -386,6 +393,10 @@ def main(argv=None):
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}")
+        for key, reader in _TEST_HOOKS.items():
+            if cp.has_option("test", key) and args.command != reader:
+                raise ConfigError(f"[test] {key} is read by {reader} only, "
+                                  f"not by {args.command}")
         chash = content_hash(raw + b"\nseed=%d\n" % seed)
         runner = {"verify-bundle": run_verify_bundle,
                   "analyze": run_analyze,

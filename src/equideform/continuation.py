@@ -11,11 +11,11 @@ at the current iterate, so updates stay W-orthogonal to the orbit
 directions that foliate the solution set. Quadratic convergence holds near
 certified-nondegenerate solutions because the bordered matrix is exactly
 the restriction of the Hessian to a transversal slice plus the orbit
-bookkeeping. One reduction of the bordered matrix per step gives both its
-exact 2-norm condition number, which must stay below 1e12, and the update:
-a tridiagonal one of a dense Jacobi, or a band one of a banded Jacobi,
-which has no Killing columns to border (the profile's k = 0), so its
-bordered matrix is the band itself.
+bookkeeping. One reduction of the bordered matrix per step, which the
+Jacobi's class makes (JacobiOperator.bordered_reduction), gives both its
+exact 2-norm condition number, which must stay below 1e12, and the update.
+A band Jacobi has no Killing columns to border (the profile's k = 0), so
+its bordered matrix is the band itself.
 
 Once the residual is below the certificate's CRITICAL_TOL, a full Newton
 step that does not halve it shows the roundoff floor of the residual, and
@@ -53,11 +53,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import errors
-from .equivariance import (CRITICAL_TOL, _Banded, _Tridiagonal,
-                           nondegeneracy_report, operator_diagnostics,
-                           rank_basis, transversality_margin)
+from .equivariance import (CRITICAL_TOL, nondegeneracy_report,
+                           operator_diagnostics, rank_basis,
+                           transversality_margin)
 from .errors import (DomainError, IllConditioned, NoConvergence,
-                     PreconditionError, UnsupportedError)
+                     PreconditionError)
 from .variational import (ProblemState, act, act_jacobian, derived_scalars,
                           jacobi, killing_jacobi_basis, pairing, residual,
                           residual_norm)
@@ -173,33 +173,13 @@ class BranchRecord:
 
 
 def _bordered_update(J, B, res, lambda_hat):
-    """Newton update and condition number of the bordered system.
-
-    For a dense J the bordered matrix [[H, W B], [B^T W, 0]], H = W J, is
-    written straight into the Fortran-ordered buffer its reduction
-    overwrites, and the buffer is gone on return, before the next step
-    assembles its Jacobi. One reduction M = Q T Q^T of M's lower triangle
-    gives both the exact 2-norm condition number max|mu| / min|mu| over T's
-    eigenvalues, which are M's, and the solve. A banded J with no Killing
-    columns is its own bordered matrix, reduced as a band; with Killing
-    columns it raises UnsupportedError. Raises IllConditioned when the
-    condition exceeds 1e12.
-    """
+    """Newton update and condition number of the bordered system: J's one
+    reduction of M = [[W J, W B], [B^T W, 0]], gone on return, gives both
+    the exact 2-norm condition number max|mu| / min|mu| over M's eigenvalues
+    and the solve. Raises IllConditioned when the condition exceeds 1e12."""
     w = J.pairing.weights
     n, k = B.shape
-    if J.banded:
-        if k:
-            raise UnsupportedError(
-                "a banded Jacobi cannot be bordered by Killing columns")
-        reduced = _Banded(J.hessian)
-    else:
-        WB = w[:, None] * B
-        M = np.empty((n + k, n + k), order="F")
-        M[:n, :n] = J.hessian
-        M[:n, n:] = WB
-        M[n:, :n] = WB.T
-        M[n:, n:] = 0.0
-        reduced = _Tridiagonal(M)
+    reduced = J.bordered_reduction(B)
     mu = np.abs(reduced.eigenvalues)
     lo = np.min(mu)
     cond = np.max(mu) / lo if lo > 0.0 else np.inf

@@ -34,14 +34,26 @@ LAPACK's general band storage, and its rows b..2b alone are LAPACK's
 symmetric lower band storage, lower[k, j] = A[j + k, j]. band_dense,
 band_matvec, band_rmatvec and symmetric_band convert and apply bands for
 every module; only the code that fills or rescales a band (the stencils
-here, the Hessian assembly, the certificate's W^-1/2 scaling) indexes one
+here, the Hessian assembly, the band Jacobi's W^-1/2 scaling) indexes one
 itself.
+
+The Jacobi classes' reductions live here too: _Banded of a lower band, in
+O(n b) memory, and _Tridiagonal of a dense matrix in the buffer that LAPACK
+dsytrd overwrites with the reflectors dormqr reads in place, the one n x n
+matrix a routine holds beside diff1 and a dense Jacobi (a branch, which
+certifies on a worker thread, holds five). dsytrd is called through
+scipy's cython_lapack export by ctypes, which releases the interpreter
+lock that scipy.linalg's f2py wrapper holds, so the certificate overlaps
+the corrector; the results are bitwise the wrapper's.
 """
 
+import ctypes
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg import (cython_lapack, eigh_tridiagonal, eigvals_banded,
+                          lapack, solve_banded)
 
 from .errors import DomainError, UnsupportedError
 
@@ -179,6 +191,193 @@ def symmetric_band(lower, top=0):
     for k in range(1, b + 1):
         band[top + b - k, k:] = lower[k, :n - k]
     return band
+
+
+def _lapack_check(info, routine):
+    if info:
+        raise np.linalg.LinAlgError(f"{routine} failed with info = {info}")
+
+
+def _capsule_address(capsule):
+    # the function address in one of scipy.linalg.cython_lapack's capsules
+    get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
+        ("PyCapsule_GetName", ctypes.pythonapi))
+    get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
+                                    ctypes.c_char_p)(
+        ("PyCapsule_GetPointer", ctypes.pythonapi))
+    return get_pointer(capsule, get_name(capsule))
+
+
+_INT = ctypes.POINTER(ctypes.c_int)
+_PTR = ctypes.c_void_p
+# dsytrd(uplo, n, a, lda, d, e, tau, work, lwork, info), the routine
+# scipy.linalg.lapack wraps, from the same library: the one entry point of
+# every dense symmetric reduction here. A CFUNCTYPE call releases the
+# interpreter lock, which the f2py wrapper holds.
+_DSYTRD = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _INT, _PTR, _INT, _PTR,
+                           _PTR, _PTR, _PTR, _INT, _INT)(
+    _capsule_address(cython_lapack.__pyx_capi__["dsytrd"]))
+
+
+def _dsytrd(a):
+    """LAPACK dsytrd of the lower triangle of a, in place: returns d, e, tau.
+
+    a must be a writeable Fortran-contiguous float64 square array; it is
+    overwritten with the reflectors. e and tau hold n - 1 values, padded to
+    max(n - 1, 1). The workspace is the size LAPACK's query asks for, as
+    scipy.linalg.lapack.dsytrd_lwork reports it, so the results are bitwise
+    those of scipy.linalg.lapack.dsytrd.
+    """
+    if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype != np.float64
+            or not (a.flags.f_contiguous and a.flags.writeable)):
+        raise ValueError("dsytrd needs a writeable Fortran-ordered float64 "
+                         "square array")
+    n = a.shape[0]
+    d = np.empty(n)
+    e = np.zeros(max(n - 1, 1))
+    tau = np.zeros(max(n - 1, 1))
+    args = (b"L", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(n, 1)),
+            d.ctypes.data, e.ctypes.data, tau.ctypes.data)
+    query = np.empty(1)
+    lwork = ctypes.c_int(-1)
+    info = ctypes.c_int(0)
+    _DSYTRD(*args, query.ctypes.data, lwork, info)
+    _lapack_check(info.value, "dsytrd")
+    lwork.value = int(query[0])
+    work = np.empty(lwork.value)
+    _DSYTRD(*args, work.ctypes.data, lwork, info)
+    _lapack_check(info.value, "dsytrd")
+    return d, e, tau
+
+
+class _Tridiagonal:
+    """One Householder reduction A = Q T Q^T of a symmetric matrix A.
+
+    LAPACK dsytrd reduces the lower triangle to the tridiagonal T; Q is the
+    product of the n - 1 reflectors stored below the subdiagonal, applied by
+    dormqr and never formed. The eigenvalues of A are T's, ascending, from
+    dsterf in O(n^2). Any nonzero LAPACK info raises LinAlgError.
+
+    A Fortran-contiguous float64 A is the caller's reduction buffer: it is
+    reduced in place and afterwards holds the reflectors, so the reduction
+    makes no n x n copy. Any other A is copied first and left as it was.
+    """
+
+    def __init__(self, A):
+        n = A.shape[0]
+        c = np.require(A, dtype=np.float64, requirements=("F", "W"))
+        self._d, self._e, self._tau = _dsytrd(c)
+        # the reflectors fill c[1:, :-1]; the Fortran-ordered (n, n - 1) view
+        # of c's storage from c[1, 0] on holds them in its columns with
+        # leading dimension n, which dormqr reads in place, where the
+        # non-contiguous slice would be copied on every call
+        self._reflectors = np.ravel(c, order="F")[1:1 + n * (n - 1)].reshape(
+            n, n - 1, order="F")
+        # T's off-diagonal comes padded to the length max(n - 1, 1) that the
+        # f2py wrappers of dsterf and dgtsv expect
+        self.eigenvalues, info = lapack.dsterf(self._d, self._e)
+        _lapack_check(info, "dsterf")
+
+    def apply_q(self, x, trans="N"):
+        """Q x, or Q^T x with trans="T", for a vector or a block of columns."""
+        y = np.array(x, dtype=float).reshape(len(x), -1)
+        if len(y) > 1:
+            # Q = diag(1, Q'), Q' a QR-style product of the stored reflectors
+            a, tau = self._reflectors, self._tau
+            _, work, info = lapack.dormqr("L", trans, a, tau, y[1:], -1)
+            _lapack_check(info, "dormqr")
+            y[1:], _, info = lapack.dormqr("L", trans, a, tau, y[1:],
+                                           int(work[0]))
+            _lapack_check(info, "dormqr")
+        return y.reshape(np.shape(x))
+
+    def solve(self, b):
+        """A^-1 b = Q T^-1 Q^T b; T by dgtsv, LU with partial pivoting."""
+        y = self.apply_q(b, "T").reshape(len(b), -1)
+        *_, z, info = lapack.dgtsv(self._e, self._d, self._e, y)
+        _lapack_check(info, "dgtsv")
+        return self.apply_q(z).reshape(np.shape(b))
+
+    def eigenvectors(self, lo, hi):
+        """Orthonormal eigenvectors of A for ascending indices lo..hi."""
+        _, z = eigh_tridiagonal(self._d, self._e[:len(self._d) - 1],
+                                select="i", select_range=(lo, hi))
+        return self.apply_q(z)
+
+
+class _Banded:
+    """A symmetric band matrix A, held as its lower band ab (the symmetric
+    lower band storage above) and never formed densely.
+
+    Every eigenvalue, ascending, comes from scipy's eigvals_banded (LAPACK
+    dsbevd), the solve from solve_banded (dgbsv, LU with partial pivoting),
+    both in O(n b) memory. Eigenvectors come by inverse iteration.
+    """
+
+    MAX_ITERS = 5  # inverse iterations per eigenvector, dstein's MAXITS
+    EXTRA = 2      # iterations kept on after convergence, dstein's EXTRA
+
+    def __init__(self, ab):
+        self._ab = ab
+        # no finiteness scan, as _Tridiagonal's raw LAPACK calls make none
+        self.eigenvalues = eigvals_banded(ab, lower=True, check_finite=False)
+
+    def solve(self, rhs):
+        """A^-1 rhs."""
+        b = len(self._ab) - 1
+        return solve_banded((b, b), symmetric_band(self._ab), rhs,
+                            check_finite=False)
+
+    def eigenvectors(self, lo, hi):
+        """Orthonormal eigenvectors of A for ascending indices lo..hi.
+
+        Inverse iteration as LAPACK dstein runs it: A - mu I is factored
+        once per eigenvalue mu (dgbtrf, an exactly zero pivot replaced by
+        eps |A|), a fixed pseudo-random start is solved against it until
+        the residual bound 1 / |y| falls to n eps |A|, and EXTRA more times.
+        Eigenvalues closer than 1e-3 |A| to their predecessor join its
+        cluster, and every iterate is reorthogonalized against the vectors
+        already found in the cluster. Raises LinAlgError when an eigenvector
+        does not converge in MAX_ITERS iterations.
+        """
+        mu = self.eigenvalues
+        n, b = len(mu), len(self._ab) - 1
+        norm = max(float(np.max(np.abs(mu))), np.finfo(float).tiny)
+        eps = np.finfo(float).eps
+        rng = np.random.default_rng(0)
+        Z = np.empty((n, hi - lo + 1))
+        first = 0
+        for col, j in enumerate(range(lo, hi + 1)):
+            if col and mu[j] - mu[j - 1] > 1e-3 * norm:
+                first = col
+            G = symmetric_band(self._ab, top=b)
+            G[2 * b] -= mu[j]
+            lu, piv, info = lapack.dgbtrf(G, b, b, overwrite_ab=1)
+            if info < 0:
+                _lapack_check(info, "dgbtrf")
+            # U's diagonal is row kl + ku of the factored band
+            pivots = lu[2 * b]
+            pivots[pivots == 0.0] = eps * norm
+            C = Z[:, first:col]
+            x = rng.uniform(-1.0, 1.0, n)
+            x /= np.linalg.norm(x)
+            converged = None
+            for it in range(self.MAX_ITERS):
+                y, info = lapack.dgbtrs(lu, b, b, x, piv)
+                _lapack_check(info, "dgbtrs")
+                y -= C @ (C.T @ y)
+                grow = np.linalg.norm(y)
+                x = y / grow
+                if converged is None and grow * n * eps * norm >= 1.0:
+                    converged = it
+                if converged is not None and it - converged == self.EXTRA:
+                    break
+            if converged is None:
+                raise np.linalg.LinAlgError(
+                    f"inverse iteration for eigenvalue {j} did not converge "
+                    f"in {self.MAX_ITERS} iterations")
+            Z[:, col] = x
+        return Z
 
 
 def _gregory_weights(N, h):

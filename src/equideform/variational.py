@@ -29,9 +29,12 @@ the one discretization, derive the value and its exact first and second
 derivatives against the fixed background pairing W. The Jacobi J is carried
 as its Hessian W J, symmetric by construction, and the discrete model is
 smooth in the literal finite-dimensional sense. On a periodic grid W J is a
-dense matrix. On a dirichlet grid D1 is banded, so W J is too: hess
-assembles its lower band straight from the density's coefficients in
-O(n b^2), and no n x n array is formed unless JacobiOperator.dense asks.
+dense matrix, which jacobi carries as a JacobiOperator. On a dirichlet grid
+D1 is banded, so W J is too: hess assembles its lower band straight from
+the density's coefficients in O(n b^2), and jacobi carries it as a
+BandJacobiOperator, which forms no n x n array unless its dense asks. Each
+class owns the arithmetic its storage changes, reductions included, so the
+certificate and the corrector run one code for both.
 
 States of the harmonic instances store periodic chart data with the winding
 handled analytically: the torus state is the periodic remainder on top of
@@ -55,8 +58,8 @@ from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_embed,
                       quadric_to_chart, radial_area, sn_lambda)
 from .errors import ConfigError, DomainError, ShapeError, UnsupportedError
 from .lie_bundle import dexp
-from .mesh import (TWO_PI, Grid, Pairing, band_dense, band_matvec,
-                   build_grid, symmetric_band)
+from .mesh import (TWO_PI, Grid, Pairing, _Banded, _Tridiagonal, band_dense,
+                   band_matvec, build_grid, symmetric_band)
 
 RMIN = 0.05  # radial graphs stay away from the chart origin
 SIN_MIN = 0.05  # sphere charts stay away from the poles
@@ -64,6 +67,7 @@ SIN_MIN = 0.05  # sphere charts stay away from the poles
 # of K x INTERP_ROWS complex powers z^k, K = (N - 1) // 2, so its memory
 # stays at about 16 * INTERP_ROWS * K bytes
 INTERP_ROWS = 256
+BLOCK = 128  # side of the blocks the symmetry residual pairs with mirrors
 
 
 def radial_cap(lam):
@@ -91,38 +95,114 @@ class ProblemState:
 
 @dataclass(frozen=True, eq=False)
 class JacobiOperator:
-    """The Jacobi J at a state, carried as the Hessian W J on the unknowns
-    exactly as hess assembled it; W is diag(pairing.weights).
-
-    Unless banded, hessian is the n x n matrix W J. A banded operator holds
-    the lower band of W J, shape (b + 1, n), in the symmetric lower band
-    storage that mesh defines.
-    """
+    """The Jacobi J at a state, carried as the n x n Hessian W J on the
+    unknowns exactly as hess assembled it; W is diag(pairing.weights). The
+    subclass BandJacobiOperator carries a band W J; each class owns what
+    its storage changes, and jacobi picks the class from the grid."""
     hessian: np.ndarray
     pairing: Pairing
     lambda_hat: float
-    banded: bool = False
 
     def dense(self):
-        """W J as an n x n matrix; a banded operator expands a new one."""
-        if not self.banded:
-            return self.hessian
-        return band_dense(symmetric_band(self.hessian))
+        """W J as an n x n matrix."""
+        return self.hessian
 
     def matvec(self, v):
         """(W J) v."""
-        if not self.banded:
-            return self.hessian @ v
-        return band_matvec(symmetric_band(self.hessian), v)
+        return self.hessian @ v
 
     def shifted(self, shift):
         """J + shift I, carried as W J + shift W."""
         H = self.hessian.copy()
-        if self.banded:
-            H[0] += shift * self.pairing.weights
-        else:
-            H[np.diag_indices_from(H)] += shift * self.pairing.weights
+        H[np.diag_indices_from(H)] += shift * self.pairing.weights
         return replace(self, hessian=H)
+
+    def rows_fit(self, n):
+        """Whether hessian has the rows of this storage for n columns."""
+        return len(self.hessian) == n
+
+    def symmetry_residual(self):
+        """|W J - (W J)^T|_F / |W J|_F, 0 when W J vanishes, summed over
+        the block pairs on and above the diagonal (an off-diagonal pair
+        counts for both mirrors), so no n x n copy is made."""
+        H = self.hessian
+        denom = np.linalg.norm(H)
+        if not denom > 0.0:
+            return 0.0
+        sq = 0.0
+        for i in range(0, len(H), BLOCK):
+            for j in range(i, len(H), BLOCK):
+                X = H[i:i + BLOCK, j:j + BLOCK] - H[j:j + BLOCK, i:i + BLOCK].T
+                sq += (1.0 if i == j else 2.0) * np.vdot(X, X)
+        return float(np.sqrt(sq) / denom)
+
+    def _scaled(self):
+        # W^-1/2 (W J) W^-1/2, symmetric as W J is: one new matrix, the
+        # Fortran-ordered reduction buffer, whose lower triangle is reduced
+        sw = np.sqrt(self.pairing.weights)
+        A = np.empty_like(self.hessian, order="F")
+        np.divide(self.hessian, sw[:, None], out=A)
+        A /= sw[None, :]
+        return A, sw
+
+    def scaled_reduction(self):
+        """(the reduction of W^-1/2 (W J) W^-1/2, the square roots of W)."""
+        A, sw = self._scaled()
+        return _Tridiagonal(A), sw
+
+    def bordered_reduction(self, B):
+        """The reduction of [[W J, W B], [B^T W, 0]] for the columns B,
+        written straight into the Fortran buffer it overwrites and keeps."""
+        n, k = B.shape
+        WB = self.pairing.weights[:, None] * B
+        M = np.empty((n + k, n + k), order="F")
+        M[:n, :n] = self.hessian
+        M[:n, n:] = WB
+        M[n:, :n] = WB.T
+        M[n:, n:] = 0.0
+        return _Tridiagonal(M)
+
+
+@dataclass(frozen=True, eq=False)
+class BandJacobiOperator(JacobiOperator):
+    """J on a dirichlet grid: hessian is the lower band of W J, shape (b +
+    1, n), in mesh's symmetric lower band storage; only dense forms an n x n
+    array. With one triangle stored, W J is symmetric by construction."""
+
+    def dense(self):
+        return band_dense(symmetric_band(self.hessian))
+
+    def matvec(self, v):
+        return band_matvec(symmetric_band(self.hessian), v)
+
+    def shifted(self, shift):
+        H = self.hessian.copy()
+        H[0] += shift * self.pairing.weights
+        return replace(self, hessian=H)
+
+    def rows_fit(self, n):
+        return 0 < len(self.hessian) <= n
+
+    def symmetry_residual(self):
+        return 0.0
+
+    def _scaled(self):
+        # the lower band of W^-1/2 (W J) W^-1/2, a new array
+        sw = np.sqrt(self.pairing.weights)
+        A = self.hessian / sw
+        for k in range(len(A)):
+            A[k, :len(sw) - k] /= sw[k:]
+        return A, sw
+
+    def scaled_reduction(self):
+        A, sw = self._scaled()
+        return _Banded(A), sw
+
+    def bordered_reduction(self, B):
+        if B.shape[1]:
+            raise UnsupportedError(
+                "a banded Jacobi cannot be bordered by Killing columns")
+        return _Banded(self.hessian)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +325,7 @@ class Problem:
 
     def _band_hess(self, d):
         """The Hessian of a one-component density on a dirichlet grid (the
-        profile's), in O(N b^2), as its lower band in JacobiOperator's band
+        profile's), in O(N b^2), as its lower band in BandJacobiOperator's band
         storage; its half-bandwidth is D1's, b. Node i, with D1 row R_i,
         adds w_i Fpp_i R_i^T R_i + w_i Fup_i (e_i R_i + R_i^T e_i^T) + w_i
         Fuu_i e_i e_i^T. The band of the full grid is then cut to the free
@@ -821,12 +901,12 @@ def jacobi(problem, state, lambda_hat):
 
     The Hessian is the instance's hess, returned as it was assembled: it is
     symmetric by construction, up to roundoff, and no consumer forms J. On
-    a dirichlet grid the operator is banded.
+    a dirichlet grid the operator is a BandJacobiOperator.
     """
     v = _check_state(problem, state, lambda_hat)
-    return JacobiOperator(problem.hess(v, lambda_hat), pairing(problem),
-                          float(lambda_hat),
-                          banded=problem.grid.band is not None)
+    cls = JacobiOperator if problem.grid.band is None else BandJacobiOperator
+    return cls(problem.hess(v, lambda_hat), pairing(problem),
+               float(lambda_hat))
 
 
 def residual_norm(problem, state, lambda_hat):

@@ -4,7 +4,7 @@ import threading
 import numpy as np
 import pytest
 
-from equideform import equivariance
+from equideform import mesh
 
 _attempted = {}
 _passed = {}
@@ -45,8 +45,8 @@ def failing_linalg(monkeypatch):
     a budget of calls.
 
     The reduction behind the corrector and the kernel is LAPACK dsytrd,
-    called through equivariance's one entry point, so that is where it is
-    armed. continue_branch certifies on a worker thread while the main
+    called through mesh's one entry point, so that is where it is armed.
+    continue_branch certifies on a worker thread while the main
     thread corrects, so calls are counted per thread, "main" and "worker",
     each against its own budget: within one thread the order of the calls
     is fixed, across the two it is not. Call the result with the budget (an
@@ -74,7 +74,7 @@ def failing_linalg(monkeypatch):
         return patched
 
     monkeypatch.setattr(np.linalg, "svd", wrap(np.linalg.svd))
-    monkeypatch.setattr(equivariance, "_DSYTRD", wrap(equivariance._DSYTRD))
+    monkeypatch.setattr(mesh, "_DSYTRD", wrap(mesh._DSYTRD))
 
     def arm(budget):
         counts.update(calls={"main": 0, "worker": 0}, failed=0, budget=budget)

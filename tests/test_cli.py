@@ -68,7 +68,10 @@ def test_verify_bundle_passes(tmp_path, capsys):
     "n =\n",
     "lambdas = 0.5\nsamples = 0\n",
     "lambdas = 0.5\ntriples = 0\n",
-], ids=["non_finite_lambda", "no_lambdas", "no_n", "no_samples", "no_triples"])
+    # a hook that only analyze reads
+    "lambdas = 0.5\n[test]\ninject_shift = 0.5\n",
+], ids=["non_finite_lambda", "no_lambdas", "no_n", "no_samples", "no_triples",
+        "inject_shift"])
 def test_verify_bundle_config_errors(tmp_path, capsys, bundle):
     code, _ = run_cli(tmp_path, "verify-bundle", "[bundle]\n" + bundle)
     assert code == 64
@@ -444,7 +447,18 @@ tol = 1e-16
     ("[problem]\ninstance = cmc_circle\nn = 32\nh = 2\nlambda_hat = 0.5\n",
      "3.0, 0.0"),
     (CIRCLE_PROBLEM, "nan, 0.0"),
-], ids=["wrong_length", "too_large", "non_finite"])
+    # motions at or past the orbit projection's trust radius 0.25, which
+    # would solve and then always fail to be recovered
+    ("[problem]\ninstance = cmc_circle\nn = 33\nh = 2\n", "0.2, 0.2"),
+    ("[problem]\ninstance = harmonic_sphere\nn = 33\n", "0.3, 0, 0"),
+    ("[problem]\ninstance = harmonic_torus\nn = 33\n", "0.26, 0"),
+    ("[problem]\ninstance = harmonic_torus\nn = 33\n", "0.25, 0"),
+    # hooks that congruence does not read
+    (CIRCLE_PROBLEM + "[test]\ninject_shift = 0.5\n", "0.02, -0.01"),
+    (CIRCLE_PROBLEM + "[test]\ninject_broken_basis = true\n", "0.02, -0.01"),
+], ids=["wrong_length", "too_large", "non_finite", "circle_past_radius",
+        "sphere_past_radius", "torus_past_radius", "torus_at_radius",
+        "inject_shift", "inject_broken_basis"])
 def test_congruence_wrong_t_length_is_config_error(tmp_path, capsys, problem, t):
     code, _ = run_cli(tmp_path, "congruence",
                       problem + f"[congruence]\nt = {t}\n")
@@ -452,6 +466,38 @@ def test_congruence_wrong_t_length_is_config_error(tmp_path, capsys, problem, t)
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("problem, t", [
+    ("[problem]\ninstance = cmc_circle\nn = 33\nh = 2\n", "0.17, 0.17"),
+    ("[problem]\ninstance = harmonic_sphere\nn = 33\n", "0.24, 0, 0"),
+])
+def test_congruence_inside_the_trust_radius_recovers(tmp_path, problem, t):
+    code, out = run_cli(tmp_path, "congruence",
+                        problem + f"[congruence]\nt = {t}\n")
+    assert code == 0
+    assert read_report(out)["congruent"] is True
+
+
+@pytest.mark.parametrize("command, text, message", [
+    ("congruence", "[problem]\ninstance = cmc_circle\nn = 33\nh = 2\n"
+     "[congruence]\nt = 0.2, 0.2\n", "trust radius 0.25"),
+    ("congruence", "[problem]\ninstance = harmonic_torus\nn = 33\n"
+     "[congruence]\nt = 0.25, 0\n", "trust radius 0.25"),
+    ("continue", CIRCLE_PROBLEM + "[path]\nstart = 1.0\nend = 0.5\n"
+     "records = 3\n[test]\ninject_shift = 0.5\n",
+     "read by analyze only, not by continue"),
+    ("verify-bundle", BUNDLE_SMALL + "[test]\ninject_shift = 0.5\n",
+     "read by analyze only, not by verify-bundle"),
+    ("analyze", CIRCLE_PROBLEM + "[test]\ninject_broken_basis = true\n",
+     "read by verify-bundle only, not by analyze"),
+], ids=["circle_past_radius", "torus_at_radius", "continue_shift",
+        "bundle_shift", "analyze_broken_basis"])
+def test_config_error_names_the_rule(tmp_path, capsys, command, text,
+                                     message):
+    code, _ = run_cli(tmp_path, command, text)
+    assert code == 64
+    assert message in capsys.readouterr().err
 
 
 def test_congruence_seed_outside_chart_exit_three(tmp_path, capsys):
@@ -488,6 +534,9 @@ def test_congruence_seed_outside_chart_exit_three(tmp_path, capsys):
     "[path]\nangle_tol = 5\n",
     "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
     "[path]\ntol = 1e-8\n",
+    # a hook that only verify-bundle reads
+    "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
+    "[test]\ninject_broken_basis = true\n",
 ])
 def test_analyze_config_errors(tmp_path, capsys, text):
     code, _ = run_cli(tmp_path, "analyze", text)
@@ -520,6 +569,9 @@ records = 6
     "start = 1.0\nend = 0.5\nrecords = 6\nangle_tol = 5\n",
     "start = 1.0\nend = 0.5\nrecords = 6\nangle_tol = 1.5708\n",
     "start = 1.0\nend = 0.5\nrecords = 6\ntol = 5e-8\n",
+    # hooks that continue does not read
+    "start = 1.0\nend = 0.5\nrecords = 6\n[test]\ninject_shift = 0.5\n",
+    "start = 1.0\nend = 0.5\nrecords = 6\n[test]\ninject_broken_basis = 1\n",
 ])
 def test_continue_invalid_path_is_config_error(tmp_path, capsys, path):
     code, _ = run_cli(tmp_path, "continue", CIRCLE_PROBLEM + "[path]\n" + path)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equideform import continuation
+from equideform import continuation, variational
 from equideform.continuation import (BranchRecord, ContinuationConfig,
                                      congruence_check, continue_branch,
                                      corrector_step, orbit_project)
@@ -81,14 +81,14 @@ def test_corrector_cond_is_the_exact_condition_number(monkeypatch):
     # along a short round-chart branch, the cond the corrector gates on must
     # be the 2-norm condition number of the bordered matrices it reduced
     bordered = []
-    reduce = continuation._Tridiagonal
+    reduce = variational._Tridiagonal
 
     def recording_reduction(M):
         # a copy: the reduction overwrites the corrector's buffer M
         bordered.append(np.array(M))
         return reduce(M)
 
-    monkeypatch.setattr(continuation, "_Tridiagonal", recording_reduction)
+    monkeypatch.setattr(variational, "_Tridiagonal", recording_reduction)
     g = build_grid("periodic", 65)
     for lam in (0.9, 0.8, 0.7):
         prob, guess = circle_seed(lam + 0.1, 2.0, g)

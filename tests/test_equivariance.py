@@ -7,13 +7,12 @@ from equideform.continuation import (ContinuationConfig, _bordered_update,
                                      continue_branch)
 from equideform.errors import (IllConditioned, PreconditionError, ShapeError,
                                UnsupportedError)
-from equideform.equivariance import (_band_scaled, _Banded, _sym_scaled,
-                                     _Tridiagonal,
-                                     nondegeneracy_report, numerical_kernel,
+from equideform.equivariance import (nondegeneracy_report, numerical_kernel,
                                      operator_diagnostics, rank_basis,
                                      transversality_margin)
-from equideform.mesh import Pairing, build_grid
-from equideform.variational import (CmcCircle, JacobiOperator, ProblemState,
+from equideform.mesh import Pairing, _Banded, _Tridiagonal, build_grid
+from equideform.variational import (BandJacobiOperator, CmcCircle,
+                                    JacobiOperator, ProblemState,
                                     act, circle_seed, jacobi,
                                     killing_jacobi_basis, pairing,
                                     profile_cylinder_seed, residual_norm,
@@ -78,7 +77,7 @@ def test_reduction_eigenvalues_of_real_operators_match_eigh():
     for prob, st, lam in [(*_flat_circle(), 0.0),
                           (*sphere_equator_seed(build_grid("periodic", 65)),
                            1.0)]:
-        A, _ = _sym_scaled(jacobi(prob, st, lam))
+        A, _ = jacobi(prob, st, lam)._scaled()
         mu = np.linalg.eigh(A)[0]
         got = _Tridiagonal(A).eigenvalues
         assert np.max(np.abs(got - mu)) <= 1e-13 * np.max(np.abs(mu))
@@ -114,7 +113,7 @@ def _shifted(J, shift):
 
 def _eigh_kernel(J, tol):
     # the kernel the full eigendecomposition gives, in the W geometry
-    A, sw = _sym_scaled(J)
+    A, sw = J._scaled()
     mu, V = np.linalg.eigh(A)
     return V[:, np.abs(mu) < tol] / sw[:, None]
 
@@ -191,15 +190,16 @@ def test_band_reduction_matches_the_dense_reduction(N, order, length, bump):
     prob, st = _profile_band_case(N, order, length, bump)
     J = jacobi(prob, st, 0.0)
     n = N - 2
-    assert J.banded and J.hessian.shape == (min(order, n - 1) + 1, n)
+    assert isinstance(J, BandJacobiOperator)
+    assert J.hessian.shape == (min(order, n - 1) + 1, n)
     # the band Hessian against the dense assembly from the same density
     H = _dense_hess(prob, st.values, 0.0)
     assert np.max(np.abs(J.dense() - H)) <= 1e-15 * np.max(np.abs(H))
     dense = JacobiOperator(J.dense(), J.pairing, J.lambda_hat)
     # every eigenvalue, against the tridiagonal reduction of the dense form
-    A, sw = _band_scaled(J)
+    A, sw = J._scaled()
     mu = _Banded(A).eigenvalues
-    want = _Tridiagonal(_sym_scaled(dense)[0]).eigenvalues
+    want = _Tridiagonal(dense._scaled()[0]).eigenvalues
     top = np.max(np.abs(want))
     assert np.max(np.abs(mu - want)) <= EIG_TOL * top
     # kernel count, cut and gap, and the kernel vectors by principal angles;
@@ -251,7 +251,7 @@ def test_band_eigenvectors_of_a_repeated_eigenvalue_are_orthonormal():
     m = 20
     ab = _two_neumann_chains(m, b=3)
     red = _Banded(ab)
-    A = JacobiOperator(ab, Pairing(np.ones(2 * m)), 0.0, banded=True).dense()
+    A = BandJacobiOperator(ab, Pairing(np.ones(2 * m)), 0.0).dense()
     exact = np.repeat(2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m), 2)
     assert np.max(np.abs(red.eigenvalues - exact)) < 1e-14
     V = red.eigenvectors(0, 5)  # three double eigenvalues
@@ -269,7 +269,7 @@ def test_band_kernel_of_a_repeated_eigenvalue_is_w_orthonormal():
     L = ab * sw
     for k in range(len(L)):
         L[k, :2 * m - k] *= sw[k:]
-    J = JacobiOperator(L, Pairing(w), 0.0, banded=True)
+    J = BandJacobiOperator(L, Pairing(w), 0.0)
     kb = numerical_kernel(J)
     assert kb.dim == 2 and not kb.indeterminate
     assert _w_orthonormality_defect(kb.vectors, w) < 1e-13

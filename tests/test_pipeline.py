@@ -16,10 +16,9 @@ from scipy.linalg import lapack
 
 from equideform import continuation
 from equideform.continuation import ContinuationConfig, continue_branch
-from equideform.equivariance import _dsytrd, _Tridiagonal
 from equideform.errors import (DomainError, IllConditioned, NoConvergence,
                                PreconditionError)
-from equideform.mesh import build_grid
+from equideform.mesh import _dsytrd, _Tridiagonal, build_grid
 from equideform.serialize import dumps_stable
 from equideform.variational import ProblemState, circle_seed
 

@@ -7,9 +7,11 @@ from scipy.optimize import brentq
 
 from equideform import variational
 from equideform.ambient import quadric_embed, quadric_to_chart, sn_lambda
+from equideform.equivariance import rank_basis
 from equideform.errors import DomainError, ShapeError, UnsupportedError
 from equideform.mesh import TWO_PI, build_grid
-from equideform.variational import (PROBLEMS, CmcCircle, CmcProfile,
+from equideform.variational import (PROBLEMS, BandJacobiOperator, CmcCircle,
+                                    CmcProfile,
                                     HarmonicSphere, HarmonicTorus, Problem,
                                     ProblemState, act,
                                     circle_seed, cmc_circle_radius,
@@ -731,3 +733,57 @@ def test_sphere_rejects_nonpositive_curvature_parameter():
         value(prob, st, 0.0)
     with pytest.raises(DomainError):
         value(prob, st, -1.0)
+
+
+# ------------------------------------------------- Jacobi storage contract
+
+
+def _jacobi_cases():
+    # a dense circle, a dense torus, and a band profile bumped off the
+    # cylinder so that its band varies along the nodes
+    prob, st = circle_seed(0.5, 2.0, build_grid("periodic", 17))
+    yield "circle", prob, st, 0.5
+    prob, st = torus_line_seed((1, 1), build_grid("periodic", 17), np.eye(2),
+                               np.array([[2.0, 0.3], [0.3, 1.0]]))
+    yield "torus", prob, st, 0.5
+    prob, st = profile_cylinder_seed(2.0, build_grid("dirichlet", 17,
+                                                     order=4))
+    z = prob.grid.nodes[1:-1]
+    bumped = ProblemState(st.values + 0.02 * np.sin(np.pi * z))
+    yield "profile", prob, bumped, 0.0
+
+
+@pytest.mark.parametrize("case", list(_jacobi_cases()), ids=lambda c: c[0])
+def test_jacobi_storage_classes_keep_one_contract(case):
+    name, prob, st, lam = case
+    J = jacobi(prob, st, lam)
+    assert isinstance(J, BandJacobiOperator) == (name == "profile")
+    w = J.pairing.weights
+    D = J.dense()
+    n = len(w)
+    before = J.hessian.copy()
+    shifted = J.shifted(0.37)
+    assert type(shifted) is type(J)
+    assert np.array_equal(shifted.dense(), D + 0.37 * np.diag(w))
+    assert np.array_equal(J.hessian, before)
+    rng = np.random.default_rng(7)
+    v = rng.standard_normal(n)
+    assert (np.linalg.norm(J.matvec(v) - D @ v)
+            <= 1e-14 * np.linalg.norm(D) * np.linalg.norm(v))
+    reduced, sw = J.scaled_reduction()
+    assert np.array_equal(sw, np.sqrt(w))
+    want = np.linalg.eigvalsh(D / np.outer(sw, sw))
+    assert (np.max(np.abs(reduced.eigenvalues - want))
+            <= 1e-13 * np.max(np.abs(want)))
+    # the band has no Killing columns to border; the dense cases border
+    # with their W-orthonormal Killing rank basis
+    B = rank_basis(killing_jacobi_basis(prob, st, lam), w)
+    assert B.shape[1] == {"circle": 2, "torus": 2, "profile": 0}[name]
+    k = B.shape[1]
+    WB = w[:, None] * B
+    M = np.block([[D, WB], [WB.T, np.zeros((k, k))]])
+    rhs = rng.standard_normal(n + k)
+    want = np.linalg.solve(M, rhs)
+    got = J.bordered_reduction(B).solve(rhs)
+    assert (np.linalg.norm(got - want)
+            <= 1e-14 * np.linalg.cond(M) * np.linalg.norm(want))
