@@ -16,9 +16,9 @@ from .lie_bundle import (CheckReport, algebra_basis, algebra_element,
                          invariance_residual, section, slice_element,
                          verify_bundle)
 from .mesh import Grid, Pairing, build_grid, fornberg_weights
-from .ambient import (FlatTorus, ProductM2kR, ScaledSphere, SpaceForm2,
-                      killing_residual, quadric_embed, quadric_to_chart,
-                      radial_area, sn_lambda, structure_match)
+from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, killing_residual,
+                      quadric_embed, quadric_to_chart, radial_area, sn_lambda,
+                      structure_match)
 from .variational import (PROBLEMS, CmcCircle, CmcProfile, HarmonicSphere,
                           HarmonicTorus, JacobiOperator, Problem, ProblemState, act,
                           circle_seed, cmc_circle_radius, derived_scalars,

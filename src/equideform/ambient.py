@@ -1,13 +1,11 @@
 """Concrete ambient geometries; each model owns its metric and Killing fields.
 
-Four models, each given in one fixed chart:
+Three models, each given in one fixed chart:
 
 * SpaceForm2(lam): the curvature-lam plane in geodesic polar coordinates
   (r, theta), metric dr^2 + sn_lam(r)^2 dtheta^2. One chart covers every
   lam, including the sign change at 0, which is exactly what branch
   continuation across geometry families needs.
-* ProductM2kR(k): the product of the curvature-k plane with a line, chart
-  (r, theta, z), metric dr^2 + sn_k(r)^2 dtheta^2 + dz^2.
 * FlatTorus(Q): R^2 / Z^2 with constant Gram matrix Q.
 * ScaledSphere(lam): the round 2-sphere of curvature lam > 0 in colatitude
   and longitude (vartheta, varphi), metric (1/lam) (dvartheta^2 +
@@ -107,21 +105,16 @@ def radial_area(lam, r):
 # ---------------------------------------------------------------------------
 # models
 
-def _polar_sn(lam, p):
-    r = p[0]
-    if r <= 0.0:
-        raise DomainError(f"polar chart needs r > 0, got {r}")
-    sn, _ = sn_lambda(lam, r)
-    return sn
-
-
 @dataclass(frozen=True)
 class SpaceForm2:
     """The curvature-lam plane in the geodesic polar chart (r, theta)."""
     lam: float
 
     def metric(self, p):
-        sn = _polar_sn(self.lam, p)
+        r = p[0]
+        if r <= 0.0:
+            raise DomainError(f"polar chart needs r > 0, got {r}")
+        sn, _ = sn_lambda(self.lam, r)
         return np.diag([1.0, sn * sn])
 
     def killing_fields(self, p):
@@ -138,26 +131,6 @@ class SpaceForm2:
         order: algebra_basis(lam, 2), the rotation and the translations
         L_lam(0, e_1), L_lam(0, e_2) acting on quadric_embed's points."""
         return algebra_basis(self.lam, 2)
-
-
-@dataclass(frozen=True)
-class ProductM2kR:
-    """M^2(k) x R in the chart (r, theta, z)."""
-    k: float
-
-    def metric(self, p):
-        sn = _polar_sn(self.k, p)
-        return np.diag([1.0, sn * sn, 1.0])
-
-    def killing_fields(self, p):
-        """Only the 4 splitting-preserving fields, a constant count along the
-        whole family; at k = 0 the full isometry group of the product is
-        larger but the extra fields do not persist for k != 0."""
-        r, theta, z = np.asarray(p, dtype=float)
-        zero = np.zeros_like(z)
-        planar = SpaceForm2(self.k).killing_fields((r, theta))
-        return ([np.stack([kr, kth, zero]) for kr, kth in planar]
-                + [np.stack([zero, zero, np.ones_like(z)])])
 
 
 def _check_spd(Q):

@@ -28,7 +28,8 @@ Configuration is a key = value INI file. Keys are case-insensitive.
     [bundle]    lambdas (list), n (list), samples, triples
     [congruence] t = t1,t2,... (group parameters, |t| < 0.25); tol
     [test]      fault injection hooks: inject_broken_basis (bool) for
-                verify-bundle only, inject_shift (float) for analyze only
+                verify-bundle only, inject_shift (float) for analyze only;
+                any other [test] key is a config error
 
 Every command writes report.json into the output directory; continue also
 writes branch.jsonl (one record per line, with the resolved config and a
@@ -55,7 +56,7 @@ import numpy as np
 from .continuation import (ORBIT_TRUST_RADIUS, ContinuationConfig,
                            congruence_check, continue_branch, corrector_step)
 from .equivariance import nondegeneracy_report, operator_diagnostics
-from .errors import (ConfigError, DomainError, EquideformError, IllConditioned,
+from .errors import (SOLVER_ERRORS, ConfigError, DomainError, EquideformError,
                      NoConvergence, PreconditionError, ShapeError)
 from .lie_bundle import verify_bundle
 from .serialize import (content_hash, write_branch_csv, write_branch_jsonl,
@@ -69,7 +70,6 @@ EXIT_CHECK = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 64
 
-_SOLVER_ERRORS = (NoConvergence, IllConditioned, PreconditionError, DomainError)
 # each [test] hook and the one command that reads it
 _TEST_HOOKS = {"inject_shift": "analyze", "inject_broken_basis": "verify-bundle"}
 
@@ -287,7 +287,7 @@ def run_analyze(cp, seed, chash, outdir):
         rep = nondegeneracy_report(problem, state, lam, tol_rel=ccfg.tol_rel,
                                    angle_tol=ccfg.angle_tol, operator=operator)
         diag = operator_diagnostics(J, problem, state, lam, seed=seed)
-    except _SOLVER_ERRORS as exc:
+    except SOLVER_ERRORS as exc:
         print(f"equideform: analyze failed: {exc}", file=sys.stderr)
         base["error"] = str(exc)
         write_report(os.path.join(outdir, "report.json"), base)
@@ -316,7 +316,7 @@ def run_continue(cp, seed, chash, outdir):
         records = exc.partial_branch or []
         error = str(exc)
         stalled = exc.log
-    except (IllConditioned, PreconditionError, DomainError) as exc:
+    except SOLVER_ERRORS as exc:
         records = []
         error = str(exc)
     rows = [dict(rec.to_payload(), config=config_block, config_hash=chash)
@@ -365,7 +365,7 @@ def run_congruence(cp, seed, chash, outdir):
                 f"the orbit projection's trust radius {ORBIT_TRUST_RADIUS:g}")
         congruent, recovered = congruence_check(problem, seed_state, moved,
                                                 lam, tol=tol, config=ccfg)
-    except _SOLVER_ERRORS as exc:
+    except SOLVER_ERRORS as exc:
         print(f"equideform: congruence failed: {exc}", file=sys.stderr)
         base["error"] = str(exc)
         write_report(os.path.join(outdir, "report.json"), base)
@@ -393,8 +393,12 @@ def main(argv=None):
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}")
-        for key, reader in _TEST_HOOKS.items():
-            if cp.has_option("test", key) and args.command != reader:
+        for key in cp.options("test") if cp.has_section("test") else ():
+            reader = _TEST_HOOKS.get(key)
+            if reader is None:
+                raise ConfigError(f"[test] {key} is not a hook; the hooks "
+                                  f"are {', '.join(_TEST_HOOKS)}")
+            if args.command != reader:
                 raise ConfigError(f"[test] {key} is read by {reader} only, "
                                   f"not by {args.command}")
         chash = content_hash(raw + b"\nseed=%d\n" % seed)

@@ -56,7 +56,7 @@ from . import errors
 from .equivariance import (CRITICAL_TOL, nondegeneracy_report,
                            operator_diagnostics, rank_basis,
                            transversality_margin)
-from .errors import (DomainError, IllConditioned, NoConvergence,
+from .errors import (SOLVER_ERRORS, IllConditioned, NoConvergence,
                      PreconditionError)
 from .variational import (ProblemState, act, act_jacobian, derived_scalars,
                           jacobi, killing_jacobi_basis, pairing, residual,
@@ -271,11 +271,6 @@ def _certify(problem, state, lam, config, iters, reference,
         verdict=rep.verdict, diagnostics=diag), basis
 
 
-# the failures of one attempt that halve the step instead of ending the branch
-_ATTEMPT_ERRORS = (NoConvergence, IllConditioned, DomainError,
-                   PreconditionError)
-
-
 @dataclass(frozen=True, eq=False)
 class _Path:
     """The step rule's state at the last accepted record."""
@@ -401,7 +396,7 @@ def _march(problem, seed_state, config, pool):
                 target, outcome = _correct(problem, path, config)
             ahead = None
             if isinstance(outcome, Exception):
-                if not isinstance(outcome, _ATTEMPT_ERRORS):
+                if not isinstance(outcome, SOLVER_ERRORS):
                     raise outcome
                 cause = f"{type(outcome).__name__}: {outcome}"
             else:
@@ -410,7 +405,7 @@ def _march(problem, seed_state, config, pool):
                 future, ahead = certify(target, st_new, iters, ref, after)
                 try:
                     rec, basis = future.result()
-                except _ATTEMPT_ERRORS as exc:
+                except SOLVER_ERRORS as exc:
                     cause = f"{type(exc).__name__}: {exc}"
                 else:
                     if rec.transversality_margin > MARGIN_FLOOR:

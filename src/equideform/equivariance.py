@@ -1,12 +1,14 @@
 """Certification of equivariant nondegeneracy and slice transversality.
 
 The numerical Jacobi kernel is extracted from one reduction of one triangle
-of W^-1/2 (W J) W^-1/2 (its whole spectrum, and eigenvectors only for the
-kernel) and compared against the span of the Killing-induced Jacobi fields
-through principal angles. The operator's class makes the reduction
+of W^-1/2 (W J) W^-1/2: its whole spectrum gives the kernel dimension and
+the gap. The kernel's eigenvectors are formed only to be compared against
+the span of the Killing-induced Jacobi fields through principal angles, so
+only when that span is nonempty. The operator's class makes the reduction
 (JacobiOperator.scaled_reduction): a tridiagonal one of a dense W J, a band
 one of a band W J (dirichlet grids), which works in O(n b) memory and
-O(n^2 b) time; the cut, the gap and the verdict that follow are the same
+O(n^2 b) time and forms no eigenvectors, since the band's instance has no
+Killing fields; the cut, the gap and the verdict that follow are the same
 code for both. A state is certified nondegenerate exactly when the kernel
 dimension equals the Killing rank and every principal angle is below
 tolerance; a mandatory multiplicative spectral gap guards against silent
@@ -24,7 +26,8 @@ turns that into the ordinary Euclidean geometry, which is how every routine
 here is implemented.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import subspace_angles
@@ -41,16 +44,18 @@ RANK_RTOL = 1e-10   # rank_basis drops singular values below this * sigma_max
 
 @dataclass(frozen=True, eq=False)
 class KernelBasis:
-    vectors: np.ndarray          # (n, dim), W-orthonormal columns
+    dim: int
     singular_values: np.ndarray  # the retained small singular values
     tol_rel: float               # relative cut, default 1e-8 * (unknowns)
     tolerance: float             # absolute cut, tol_rel * sigma_max
     gap: float
     indeterminate: bool
+    _form: object = field(repr=False)  # forms vectors from the reduction
 
-    @property
-    def dim(self):
-        return self.vectors.shape[1]
+    @cached_property
+    def vectors(self):
+        """(n, dim), W-orthonormal columns, formed on first use."""
+        return self._form()
 
 
 @errors.linalg_guard
@@ -59,13 +64,16 @@ def numerical_kernel(J, tol_rel=None):
     of W^-1/2 (W J) W^-1/2 = sqrt(W) J sqrt(W)^-1.
 
     That operator is symmetric, so its singular values are the moduli of its
-    eigenvalues, all of which come from the reduction. Retains eigenvectors
-    with sigma < tol_rel * sigma_max (tol_rel defaults to 1e-8 * n for n
-    unknowns; the basis records the value used), computed for that index
-    range only, and maps them back by W^-1/2, which makes the returned
-    columns exactly W-orthonormal. The gap field holds the ratio between the
-    smallest rejected and the largest retained singular value; anything
-    below 10^3 flags the result indeterminate (no certified separation).
+    eigenvalues, all of which come from the reduction. Retains the dim
+    eigenvalues with sigma < tol_rel * sigma_max (tol_rel defaults to 1e-8 *
+    n for n unknowns; the basis records the value used). The gap field
+    holds the ratio between the smallest rejected and the largest retained
+    singular value; anything below 10^3 flags the result indeterminate (no
+    certified separation). The eigenvectors of the retained indices are
+    formed from the kept reduction only when the basis's vectors are first
+    read, and mapped back by W^-1/2, which makes them exactly W-orthonormal;
+    a band operator refuses them (UnsupportedError), as it refuses Killing
+    columns, since its instance has no Killing span to compare them with.
     """
     n = J.pairing.weights.size
     if tol_rel is None:
@@ -78,18 +86,24 @@ def numerical_kernel(J, tol_rel=None):
     s = np.abs(mu)[order]       # the singular values of A, descending
     tol = tol_rel * (s[0] if s.size else 0.0)
     d = int(np.sum(s < tol))    # s is descending, so the kept s are a tail
-    vectors = np.zeros((n, 0))
-    if d:
+    kept = order[n - d:]
+
+    @errors.linalg_guard
+    def kernel_vectors():
+        if not d:
+            return np.zeros((n, 0))
         # |mu| < tol is one contiguous run of the ascending spectrum
-        lo = int(np.min(order[n - d:]))
-        V = reduced.eigenvectors(lo, lo + d - 1)
+        lo = int(np.min(kept))
+        V = J.kernel_vectors(reduced, lo, lo + d - 1)
         V /= sw[:, None]
-        vectors = V[:, order[n - d:] - lo]
+        return V[:, kept - lo]
+
     gap = float(s[n - d - 1] / s[n - d]) if d and s[n - d] > 0.0 else np.inf
     indeterminate = bool(d > 0 and gap < GAP_FLOOR)
-    return KernelBasis(vectors=vectors, singular_values=s[n - d:].copy(),
+    return KernelBasis(dim=d, singular_values=s[n - d:].copy(),
                        tol_rel=float(tol_rel), tolerance=float(tol),
-                       gap=float(gap), indeterminate=indeterminate)
+                       gap=float(gap), indeterminate=indeterminate,
+                       _form=kernel_vectors)
 
 
 @errors.linalg_guard
@@ -147,12 +161,13 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
         raise PreconditionError(
             f"state is not critical: |residual|_W = {rn:.3e} >= {CRITICAL_TOL:g}")
     J = operator if operator is not None else jacobi(problem, state, lambda_hat)
-    kb = numerical_kernel(J, tol_rel=tol_rel)
     w = pairing(problem).weights
     B = rank_basis(killing_jacobi_basis(problem, state, lambda_hat), w)
     r = B.shape[1]
+    kb = numerical_kernel(J, tol_rel=tol_rel)
     d = kb.dim
-    angles = _principal_angles(kb.vectors, B, w)
+    # the kernel vectors are formed only to be compared with a Killing span
+    angles = _principal_angles(kb.vectors, B, w) if r else np.zeros(0)
     max_angle = float(np.max(angles)) if angles.size else 0.0
     if kb.indeterminate:
         verdict = "indeterminate"

@@ -47,6 +47,11 @@ class ConfigError(EquideformError):
     """A configuration file could not be parsed or validated."""
 
 
+# the failures of a solve: exit 3 in the CLI, and in a branch the failures
+# of one attempt, which halve the step instead of ending the branch
+SOLVER_ERRORS = (NoConvergence, IllConditioned, PreconditionError, DomainError)
+
+
 def linalg_guard(func):
     """Re-raise numpy's LinAlgError (scipy's is the same class) as IllConditioned."""
     @functools.wraps(func)

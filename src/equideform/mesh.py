@@ -38,13 +38,14 @@ here, the Hessian assembly, the band Jacobi's W^-1/2 scaling) indexes one
 itself.
 
 The Jacobi classes' reductions live here too: _Banded of a lower band, in
-O(n b) memory, and _Tridiagonal of a dense matrix in the buffer that LAPACK
-dsytrd overwrites with the reflectors dormqr reads in place, the one n x n
-matrix a routine holds beside diff1 and a dense Jacobi (a branch, which
-certifies on a worker thread, holds five). dsytrd is called through
-scipy's cython_lapack export by ctypes, which releases the interpreter
-lock that scipy.linalg's f2py wrapper holds, so the certificate overlaps
-the corrector; the results are bitwise the wrapper's.
+O(n b) memory, which gives eigenvalues and solves but no eigenvectors, and
+_Tridiagonal of a dense matrix in the buffer that LAPACK dsytrd overwrites
+with the reflectors dormqr reads in place, the one n x n matrix a routine
+holds beside diff1 and a dense Jacobi (a branch, which certifies on a
+worker thread, holds five). dsytrd is called through scipy's cython_lapack
+export by ctypes, which releases the interpreter lock that scipy.linalg's
+f2py wrapper holds, so the certificate overlaps the corrector; the results
+are bitwise the wrapper's.
 """
 
 import ctypes
@@ -180,16 +181,15 @@ def band_rmatvec(band, v):
     return out
 
 
-def symmetric_band(lower, top=0):
+def symmetric_band(lower):
     """The band of the symmetric A held as its lower band storage lower, a
-    new Fortran-ordered array with top zero rows above it, the room LAPACK
-    dgbtrf needs for its fill-in."""
+    new array."""
     b = len(lower) - 1
     n = lower.shape[1]
-    band = np.zeros((top + 2 * b + 1, n), order="F")
-    band[top + b:] = lower
+    band = np.zeros((2 * b + 1, n))
+    band[b:] = lower
     for k in range(1, b + 1):
-        band[top + b - k, k:] = lower[k, :n - k]
+        band[b - k, k:] = lower[k, :n - k]
     return band
 
 
@@ -311,11 +311,10 @@ class _Banded:
 
     Every eigenvalue, ascending, comes from scipy's eigvals_banded (LAPACK
     dsbevd), the solve from solve_banded (dgbsv, LU with partial pivoting),
-    both in O(n b) memory. Eigenvectors come by inverse iteration.
+    both in O(n b) memory. It forms no eigenvectors: the band Jacobi has no
+    Killing span to compare kernel vectors with, so the certificate reads
+    only the eigenvalues.
     """
-
-    MAX_ITERS = 5  # inverse iterations per eigenvector, dstein's MAXITS
-    EXTRA = 2      # iterations kept on after convergence, dstein's EXTRA
 
     def __init__(self, ab):
         self._ab = ab
@@ -327,57 +326,6 @@ class _Banded:
         b = len(self._ab) - 1
         return solve_banded((b, b), symmetric_band(self._ab), rhs,
                             check_finite=False)
-
-    def eigenvectors(self, lo, hi):
-        """Orthonormal eigenvectors of A for ascending indices lo..hi.
-
-        Inverse iteration as LAPACK dstein runs it: A - mu I is factored
-        once per eigenvalue mu (dgbtrf, an exactly zero pivot replaced by
-        eps |A|), a fixed pseudo-random start is solved against it until
-        the residual bound 1 / |y| falls to n eps |A|, and EXTRA more times.
-        Eigenvalues closer than 1e-3 |A| to their predecessor join its
-        cluster, and every iterate is reorthogonalized against the vectors
-        already found in the cluster. Raises LinAlgError when an eigenvector
-        does not converge in MAX_ITERS iterations.
-        """
-        mu = self.eigenvalues
-        n, b = len(mu), len(self._ab) - 1
-        norm = max(float(np.max(np.abs(mu))), np.finfo(float).tiny)
-        eps = np.finfo(float).eps
-        rng = np.random.default_rng(0)
-        Z = np.empty((n, hi - lo + 1))
-        first = 0
-        for col, j in enumerate(range(lo, hi + 1)):
-            if col and mu[j] - mu[j - 1] > 1e-3 * norm:
-                first = col
-            G = symmetric_band(self._ab, top=b)
-            G[2 * b] -= mu[j]
-            lu, piv, info = lapack.dgbtrf(G, b, b, overwrite_ab=1)
-            if info < 0:
-                _lapack_check(info, "dgbtrf")
-            # U's diagonal is row kl + ku of the factored band
-            pivots = lu[2 * b]
-            pivots[pivots == 0.0] = eps * norm
-            C = Z[:, first:col]
-            x = rng.uniform(-1.0, 1.0, n)
-            x /= np.linalg.norm(x)
-            converged = None
-            for it in range(self.MAX_ITERS):
-                y, info = lapack.dgbtrs(lu, b, b, x, piv)
-                _lapack_check(info, "dgbtrs")
-                y -= C @ (C.T @ y)
-                grow = np.linalg.norm(y)
-                x = y / grow
-                if converged is None and grow * n * eps * norm >= 1.0:
-                    converged = it
-                if converged is not None and it - converged == self.EXTRA:
-                    break
-            if converged is None:
-                raise np.linalg.LinAlgError(
-                    f"inverse iteration for eigenvalue {j} did not converge "
-                    f"in {self.MAX_ITERS} iterations")
-            Z[:, col] = x
-        return Z
 
 
 def _gregory_weights(N, h):
@@ -399,19 +347,16 @@ class Grid:
     """A discretized domain with differentiation matrices and quadrature.
 
     kind is 'periodic' (nodes uniform on [0, 2*pi)) or 'dirichlet' (nodes
-    include both endpoints of [a, b]). quad weights are positive and sum to
-    the domain length. band is diff1's band on a dirichlet grid and None on
-    a periodic one. diff1 is built on first use and then kept. A periodic
-    grid must have an odd N.
+    include both endpoints of an interval). quad weights are positive and
+    sum to the domain length. band is diff1's band on a dirichlet grid and
+    None on a periodic one. diff1 is built on first use and then kept. A
+    periodic grid must have an odd N.
     """
 
     kind: str
     N: int
-    order: object
     nodes: np.ndarray = field(repr=False)
     quad: np.ndarray = field(repr=False)
-    a: float = 0.0
-    b: float = TWO_PI
     band: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
@@ -457,7 +402,7 @@ def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
                                    "periodic grids are spectral")
         nodes = TWO_PI * np.arange(N) / N
         quad = np.full(N, TWO_PI / N)
-        return Grid("periodic", N, order, nodes, quad, 0.0, TWO_PI)
+        return Grid("periodic", N, nodes, quad)
     if kind == "dirichlet":
         if N < 4:
             raise DomainError(f"dirichlet grid needs N >= 4, got {N}")
@@ -467,8 +412,7 @@ def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
             raise DomainError(f"empty interval [{a}, {b}]")
         nodes = np.linspace(a, b, N)
         quad = _gregory_weights(N, (b - a) / (N - 1))
-        return Grid("dirichlet", N, order, nodes, quad, float(a), float(b),
-                    _dirichlet_band(nodes, order))
+        return Grid("dirichlet", N, nodes, quad, _dirichlet_band(nodes, order))
     raise DomainError(f"unknown grid kind {kind!r}")
 
 

@@ -34,7 +34,9 @@ D1 is banded, so W J is too: hess assembles its lower band straight from
 the density's coefficients in O(n b^2), and jacobi carries it as a
 BandJacobiOperator, which forms no n x n array unless its dense asks. Each
 class owns the arithmetic its storage changes, reductions included, so the
-certificate and the corrector run one code for both.
+certificate and the corrector run one code for both. The band class serves
+CmcProfile alone, which has no Killing fields, so it refuses a Killing
+border and kernel vectors alike.
 
 States of the harmonic instances store periodic chart data with the winding
 handled analytically: the torus state is the periodic remainder on top of
@@ -150,6 +152,11 @@ class JacobiOperator:
         A, sw = self._scaled()
         return _Tridiagonal(A), sw
 
+    def kernel_vectors(self, reduced, lo, hi):
+        """The orthonormal eigenvectors lo..hi (ascending) of reduced, the
+        reduction scaled_reduction made."""
+        return reduced.eigenvectors(lo, hi)
+
     def bordered_reduction(self, B):
         """The reduction of [[W J, W B], [B^T W, 0]] for the columns B,
         written straight into the Fortran buffer it overwrites and keeps."""
@@ -197,6 +204,11 @@ class BandJacobiOperator(JacobiOperator):
     def scaled_reduction(self):
         A, sw = self._scaled()
         return _Banded(A), sw
+
+    def kernel_vectors(self, reduced, lo, hi):
+        raise UnsupportedError(
+            "a banded Jacobi forms no kernel vectors: it has no Killing "
+            "span to compare them with")
 
     def bordered_reduction(self, B):
         if B.shape[1]:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from equideform.ambient import (FlatTorus, ProductM2kR, ScaledSphere,
-                                SpaceForm2, killing_residual, quadric_embed,
+from equideform.ambient import (FlatTorus, ScaledSphere, SpaceForm2,
+                                killing_residual, quadric_embed,
                                 quadric_to_chart, radial_area, sn_lambda,
                                 structure_match)
 from equideform.errors import DomainError
@@ -88,8 +88,6 @@ def test_metric_shapes_and_domain_guards():
                        np.diag([1.0, 0.49]))
     with pytest.raises(DomainError):
         SpaceForm2(1.0).metric([0.0, 0.3])
-    m = ProductM2kR(-1.0).metric([0.5, 0.1, 2.0])
-    assert m.shape == (3, 3) and m[2, 2] == 1.0
     with pytest.raises(DomainError):
         ScaledSphere(1.0).metric([np.pi, 0.0])
     with pytest.raises(DomainError):
@@ -101,7 +99,6 @@ def test_metric_shapes_and_domain_guards():
 def test_killing_field_counts():
     assert len(SpaceForm2(1.0).killing_fields([0.7, 0.3])) == 3
     assert len(FlatTorus(np.eye(2)).killing_fields([0.2, 0.8])) == 2
-    assert len(ProductM2kR(0.5).killing_fields([0.7, 0.3, 1.0])) == 4
     assert len(ScaledSphere(2.0).killing_fields([1.2, 0.5])) == 3
 
 
@@ -113,7 +110,6 @@ def test_block_fields_equal_pointwise_fields_bitwise():
         (SpaceForm2(0.0), [(0.05, 2.5), (0.0, 2 * np.pi)]),
         # radii on both sides of sn_lambda's series cut at |lam| r^2 = 1e-4
         (SpaceForm2(-1.0), [(1e-3, 0.02), (0.0, 2 * np.pi)]),
-        (ProductM2kR(-0.5), [(0.05, 2.5), (0.0, 2 * np.pi), (-2.0, 2.0)]),
         (FlatTorus(np.array([[4.0, 1.0], [1.0, 1.0]])), [(-1.0, 1.0), (-1.0, 1.0)]),
         (ScaledSphere(1.5), [(0.1, 3.0), (0.0, 2 * np.pi)]),
     ]
@@ -136,7 +132,6 @@ def test_killing_residuals_vanish_to_fd_accuracy():
         (SpaceForm2(-1.0), [(0.6, 0.3), (1.4, 5.0)]),
         (SpaceForm2(0.0), [(0.5, 1.0)]),
         (FlatTorus(np.array([[4.0, 1.0], [1.0, 1.0]])), [(0.2, 0.8)]),
-        (ProductM2kR(-0.5), [(0.7, 0.4, 1.3)]),
         (ScaledSphere(1.5), [(1.2, 0.5), (2.0, 3.0)]),
     ]
     for model, pts in probes:

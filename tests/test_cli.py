@@ -537,11 +537,17 @@ def test_congruence_seed_outside_chart_exit_three(tmp_path, capsys):
     # a hook that only verify-bundle reads
     "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
     "[test]\ninject_broken_basis = true\n",
+    # a misspelled hook, which would inject nothing
+    "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
+    "[test]\ninject_shfit = 0.5\n",
 ])
 def test_analyze_config_errors(tmp_path, capsys, text):
     code, _ = run_cli(tmp_path, "analyze", text)
     assert code == 64
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
+    if "inject_shfit" in text:
+        assert "the hooks are inject_shift, inject_broken_basis" in err
 
 
 @pytest.mark.parametrize("step", ["initial_step = 0.1", "min_step = 0.001",

@@ -197,14 +197,13 @@ def test_band_reduction_matches_the_dense_reduction(N, order, length, bump):
     assert np.max(np.abs(J.dense() - H)) <= 1e-15 * np.max(np.abs(H))
     dense = JacobiOperator(J.dense(), J.pairing, J.lambda_hat)
     # every eigenvalue, against the tridiagonal reduction of the dense form
-    A, sw = J._scaled()
+    A = J._scaled()[0]
     mu = _Banded(A).eigenvalues
     want = _Tridiagonal(dense._scaled()[0]).eigenvalues
     top = np.max(np.abs(want))
     assert np.max(np.abs(mu - want)) <= EIG_TOL * top
-    # kernel count, cut and gap, and the kernel vectors by principal angles;
-    # a ratio of two moduli each known to EIG_TOL * top is known to EIG_TOL
-    # * top over each
+    # kernel count, cut and gap; a ratio of two moduli each known to EIG_TOL
+    # * top is known to EIG_TOL * top over each
     kb, kd = numerical_kernel(J), numerical_kernel(dense)
     assert kb.dim == kd.dim
     assert kb.tolerance == pytest.approx(kd.tolerance, rel=EIG_TOL)
@@ -213,13 +212,8 @@ def test_band_reduction_matches_the_dense_reduction(N, order, length, bump):
         rel = EIG_TOL * top * (1.0 / kept + 1.0 / (kd.gap * kept))
         assert kb.gap == pytest.approx(kd.gap, rel=rel)
     assert kb.indeterminate == kd.indeterminate
-    w = J.pairing.weights
-    assert _w_orthonormality_defect(kb.vectors, w) < 1e-12
-    if kb.dim:
-        angles = subspace_angles(sw[:, None] * kb.vectors,
-                                 sw[:, None] * kd.vectors)
-        assert np.max(angles) <= 1e-10
     # the corrector's solve and exact condition number
+    w = J.pairing.weights
     rhs = np.random.default_rng(N).standard_normal(n)
     delta, cond = _bordered_update(J, np.zeros((n, 0)), rhs, 0.0)
     want = np.linalg.solve(H, -(w * rhs))
@@ -247,21 +241,9 @@ def _two_neumann_chains(m, b):
     return ab
 
 
-def test_band_eigenvectors_of_a_repeated_eigenvalue_are_orthonormal():
-    m = 20
-    ab = _two_neumann_chains(m, b=3)
-    red = _Banded(ab)
-    A = BandJacobiOperator(ab, Pairing(np.ones(2 * m)), 0.0).dense()
-    exact = np.repeat(2.0 - 2.0 * np.cos(np.pi * np.arange(m) / m), 2)
-    assert np.max(np.abs(red.eigenvalues - exact)) < 1e-14
-    V = red.eigenvectors(0, 5)  # three double eigenvalues
-    assert np.max(np.abs(V.T @ V - np.eye(6))) < 1e-13
-    assert np.max(np.abs(A @ V - V * exact[:6])) < 1e-13
-
-
-def test_band_kernel_of_a_repeated_eigenvalue_is_w_orthonormal():
-    # W^1/2 diag(T, T) W^1/2 has the double kernel W^-1/2 (1, 0), W^-1/2 (0,
-    # 1); the kernel basis must come back W-orthonormal and span it
+def test_banded_operator_refuses_kernel_vectors():
+    # W^1/2 diag(T, T) W^1/2 has a double kernel; the band operator counts
+    # it and, like a Killing border, refuses to form its vectors
     m = 20
     ab = _two_neumann_chains(m, b=2)
     w = np.random.default_rng(3).uniform(0.5, 2.0, 2 * m)
@@ -269,14 +251,10 @@ def test_band_kernel_of_a_repeated_eigenvalue_is_w_orthonormal():
     L = ab * sw
     for k in range(len(L)):
         L[k, :2 * m - k] *= sw[k:]
-    J = BandJacobiOperator(L, Pairing(w), 0.0)
-    kb = numerical_kernel(J)
+    kb = numerical_kernel(BandJacobiOperator(L, Pairing(w), 0.0))
     assert kb.dim == 2 and not kb.indeterminate
-    assert _w_orthonormality_defect(kb.vectors, w) < 1e-13
-    want = np.zeros((2 * m, 2))
-    want[:m, 0] = want[m:, 1] = 1.0
-    angles = subspace_angles(sw[:, None] * kb.vectors, want)
-    assert np.max(angles) < 1e-12
+    with pytest.raises(UnsupportedError, match="kernel vectors"):
+        kb.vectors
 
 
 def test_banded_operator_refuses_killing_columns():

@@ -6,7 +6,8 @@ tridiagonal reduction overwrites. The traced peak (tracemalloc sees every
 numpy allocation, on every thread) is allowed four, which leaves room for
 the vectors, the grid's other arrays and LAPACK workspace, and no room for a
 fourth full copy. A banded operator (the profile's, on a dirichlet grid)
-holds no n x n matrix at all, so its certificate gets a budget linear in n.
+holds no n x n matrix and forms no kernel vectors, so its certificate gets
+a budget linear in n.
 
 continue is the one path that holds five. It certifies each record on a
 worker thread while the main thread corrects the next, so two of the paths
@@ -117,12 +118,15 @@ def test_later_newton_steps_do_not_keep_the_last_reduction():
 
 
 # The profile certificate at the top of the CLI's range. Its n = 4094
-# unknowns would take 134 MB as one n x n matrix; the budget is 128 float64
-# values per unknown, 4.2 MB. The kernel cut grows like N^3 (the N-dependent
-# verdict), so this operator keeps d = 48 kernel vectors, held once as
-# computed and once reordered by singular value: 96 n of the peak.
+# unknowns would take 134 MB as one n x n matrix; the budget is 32 float64
+# values per unknown, 1.0 MB. The kernel cut grows like N^3 (the
+# N-dependent verdict), so this operator counts d = 48 kernel eigenvalues,
+# but a band operator forms no kernel vectors: the peak (23 n measured) is
+# the band assembly of W J from the density's node arrays, and the
+# certificate, which holds the band, its scaled copy and the spectrum,
+# stays below it. Forming the 48 vectors would add 96 n.
 N_BAND = 4096
-BUDGET_BAND = 128 * (N_BAND - 2) * 8
+BUDGET_BAND = 32 * (N_BAND - 2) * 8
 
 
 def test_banded_profile_certificate_holds_no_operator_matrix():

@@ -208,7 +208,7 @@ def test_periodic_grids_are_odd():
     g = build_grid("periodic", 64)
     assert g.N == 65 and g.nodes.shape == g.quad.shape == (65,)
     with pytest.raises(DomainError, match="odd"):
-        Grid("periodic", 64, "spectral", TWO_PI * np.arange(64) / 64,
+        Grid("periodic", 64, TWO_PI * np.arange(64) / 64,
              np.full(64, TWO_PI / 64))
     with pytest.raises(DomainError, match="N >= 8"):
         build_grid("periodic", 7)

@@ -1,0 +1,76 @@
+"""Static checks over the package source, so deletions leave nothing behind.
+
+Every name a module imports is used in that module, and every private
+module-level name (_x) is referenced somewhere in the package. The package
+__init__ is left out: its imports are the public exports.
+"""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import equideform
+
+PACKAGE = Path(equideform.__file__).parent
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def _tree(path):
+    return ast.parse(path.read_text(), filename=str(path))
+
+
+def _references(tree):
+    """The names a module reads: loaded names, attribute names and the
+    names it imports from a package module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.level:
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def _imported(tree):
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                yield alias.asname or alias.name
+
+
+def _private_definitions(tree):
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            targets = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            nodes = node.targets if isinstance(node, ast.Assign) else [node.target]
+            targets = [n.id for t in nodes for n in ast.walk(t)
+                       if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in targets:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_every_import_is_used(path):
+    tree = _tree(path)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert sorted(set(_imported(tree)) - used) == []
+
+
+def test_every_private_module_name_is_referenced():
+    everywhere = set()
+    for path in PACKAGE.glob("*.py"):
+        everywhere |= _references(_tree(path))
+    unused = [f"{path.name}: {name}" for path in MODULES
+              for name in _private_definitions(_tree(path))
+              if name not in everywhere]
+    assert unused == []
