@@ -19,7 +19,8 @@ Configuration is a key = value INI file. Keys are case-insensitive.
                 periodic ones are spectral only); H (mean curvature);
                 lambda_hat (where analyze/congruence work); length and
                 radius (profile); homotopy = p,q and gram_start/gram_end =
-                Q11,Q12,Q22 (torus)
+                Q11,Q12,Q22 (torus); a key the instance does not read is
+                a config error
     [path]      start, end; records (count, uniform steps) or initial_step
                 with optional min_step/max_step; tol (below 1e-8),
                 max_newton, retries, basin_guard, diagnostics_cadence,
@@ -190,7 +191,10 @@ def _build_problem(cp, lam=None):
     if not 8 <= N <= 4096:
         raise ConfigError(f"[problem] N = {N} outside [8, 4096]")
 
+    read = ["instance", "n", "lambda_hat"]
+
     def get(key, kind, default=None, required=False):
+        read.append(key)
         return _get(cp, "problem", key, _PROBLEM_KINDS[kind], default,
                     required)
 
@@ -200,6 +204,10 @@ def _build_problem(cp, lam=None):
         raise
     except (ValueError, EquideformError) as exc:
         raise ConfigError(f"cannot build [problem] seed: {exc}")
+    unread = sorted(set(cp.options("problem")).difference(read))
+    if unread:
+        raise ConfigError(f"[problem] {', '.join(unread)}: not read by "
+                          f"{instance}, which reads {', '.join(read)}")
     return (problem, state,
             dict(resolved, instance=instance, n=problem.grid.N), lam)
 

@@ -7,7 +7,7 @@ the span of the Killing-induced Jacobi fields through principal angles, so
 only when that span is nonempty. The operator's class makes the reduction
 (JacobiOperator.scaled_reduction): a tridiagonal one of a dense W J, a band
 one of a band W J (dirichlet grids), which works in O(n b) memory and
-O(n^2 b) time and forms no eigenvectors, since the band's instance has no
+O(n^2 b) time and refuses eigenvectors, since the band's instance has no
 Killing fields; the cut, the gap and the verdict that follow are the same
 code for both. A state is certified nondegenerate exactly when the kernel
 dimension equals the Killing rank and every principal angle is below
@@ -33,7 +33,7 @@ import numpy as np
 from scipy.linalg import subspace_angles
 
 from . import errors
-from .errors import PreconditionError, ShapeError
+from .errors import PreconditionError
 from .variational import (ProblemState, jacobi, killing_jacobi_basis,
                           pairing, residual, residual_norm)
 
@@ -72,8 +72,8 @@ def numerical_kernel(J, tol_rel=None):
     certified separation). The eigenvectors of the retained indices are
     formed from the kept reduction only when the basis's vectors are first
     read, and mapped back by W^-1/2, which makes them exactly W-orthonormal;
-    a band operator refuses them (UnsupportedError), as it refuses Killing
-    columns, since its instance has no Killing span to compare them with.
+    a band reduction refuses them (UnsupportedError), as a band operator
+    refuses Killing columns: its instance has no Killing span.
     """
     n = J.pairing.weights.size
     if tol_rel is None:
@@ -94,7 +94,7 @@ def numerical_kernel(J, tol_rel=None):
             return np.zeros((n, 0))
         # |mu| < tol is one contiguous run of the ascending spectrum
         lo = int(np.min(kept))
-        V = J.kernel_vectors(reduced, lo, lo + d - 1)
+        V = reduced.eigenvectors(lo, lo + d - 1)
         V /= sw[:, None]
         return V[:, kept - lo]
 
@@ -234,15 +234,9 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
     index-zero property of the continuum theory, kept as a payload field;
     (iii) when (problem, state, lambda_hat) are supplied, the worst relative
     gap between J v = W^-1 (W J) v and the central difference of the
-    residual over random probe vectors. Raises ShapeError unless J is
-    square (or a band of at most n rows) and matches its pairing weights.
+    residual over random probe vectors.
     """
-    H = J.hessian
-    n = H.shape[-1]
-    if H.ndim != 2 or not J.rows_fit(n) or J.pairing.weights.shape != (n,):
-        raise ShapeError(
-            f"operator of shape {J.hessian.shape} does not act on the "
-            f"{J.pairing.weights.size} weighted nodes of its pairing")
+    n = J.pairing.weights.size
     sym = J.symmetry_residual()
     fd = np.nan
     if problem is not None and state is not None and lambda_hat is not None:

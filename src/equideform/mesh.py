@@ -34,8 +34,9 @@ LAPACK's general band storage, and its rows b..2b alone are LAPACK's
 symmetric lower band storage, lower[k, j] = A[j + k, j]. band_dense,
 band_matvec, band_rmatvec and symmetric_band convert and apply bands for
 every module; only the code that fills or rescales a band (the stencils
-here, the Hessian assembly, the band Jacobi's W^-1/2 scaling) indexes one
-itself.
+here, the band Jacobi's assembly and its W^-1/2 scaling) indexes one
+itself. Outside this module, only the Jacobi storage classes and jacobi's
+choice between them read band or diff1; all else applies D1 by d1 and d1t.
 
 The Jacobi classes' reductions live here too: _Banded of a lower band, in
 O(n b) memory, which gives eigenvalues and solves but no eigenvectors, and
@@ -311,15 +312,19 @@ class _Banded:
 
     Every eigenvalue, ascending, comes from scipy's eigvals_banded (LAPACK
     dsbevd), the solve from solve_banded (dgbsv, LU with partial pivoting),
-    both in O(n b) memory. It forms no eigenvectors: the band Jacobi has no
-    Killing span to compare kernel vectors with, so the certificate reads
-    only the eigenvalues.
+    both in O(n b) memory. Asked for eigenvectors, it raises
+    UnsupportedError: the band Jacobi has no Killing span to compare kernel
+    vectors with, so the certificate reads only the eigenvalues.
     """
 
     def __init__(self, ab):
         self._ab = ab
         # no finiteness scan, as _Tridiagonal's raw LAPACK calls make none
         self.eigenvalues = eigvals_banded(ab, lower=True, check_finite=False)
+
+    def eigenvectors(self, lo, hi):
+        raise UnsupportedError("a banded Jacobi forms no kernel vectors: it "
+                               "has no Killing span to compare them with")
 
     def solve(self, rhs):
         """A^-1 rhs."""

@@ -24,19 +24,20 @@ instance's method, and do the shared pairing work.
 
 Every functional is sum_i w_i F(u_i, (D1 u)_i) for the chart components u
 at the nodes, w the grid's quadrature and D1 its diff1. An instance gives
-only the pointwise density F and its partials; Problem.value, grad and hess,
-the one discretization, derive the value and its exact first and second
-derivatives against the fixed background pairing W. The Jacobi J is carried
-as its Hessian W J, symmetric by construction, and the discrete model is
-smooth in the literal finite-dimensional sense. On a periodic grid W J is a
-dense matrix, which jacobi carries as a JacobiOperator. On a dirichlet grid
-D1 is banded, so W J is too: hess assembles its lower band straight from
-the density's coefficients in O(n b^2), and jacobi carries it as a
-BandJacobiOperator, which forms no n x n array unless its dense asks. Each
-class owns the arithmetic its storage changes, reductions included, so the
-certificate and the corrector run one code for both. The band class serves
-CmcProfile alone, which has no Killing fields, so it refuses a Killing
-border and kernel vectors alike.
+only the pointwise density F and its partials. Problem.value and grad
+derive the value and its exact gradient against the fixed background
+pairing W; Problem.hess returns the second variation as a JacobiForm, the
+second partials at the nodes, and knows nothing of storage. The Jacobi J is
+carried as its Hessian W J, symmetric by construction, and the discrete
+model is smooth in the literal finite-dimensional sense. Each storage class
+assembles W J from the form and owns the arithmetic its storage changes,
+reductions included, so the certificate and the corrector run one code for
+all. jacobi reads the grid once: a periodic grid gets a dense
+JacobiOperator, and a dirichlet grid, whose D1 and so W J are banded, a
+BandJacobiOperator, which assembles the lower band in O(n b^2) and forms no
+n x n array unless its dense asks. The band class serves CmcProfile alone,
+which has no Killing fields: it refuses a Killing border, and its reduction
+refuses kernel vectors.
 
 States of the harmonic instances store periodic chart data with the winding
 handled analytically: the torus state is the periodic remainder on top of
@@ -51,7 +52,6 @@ per component for the harmonic instances.
 """
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -96,14 +96,79 @@ class ProblemState:
 
 
 @dataclass(frozen=True, eq=False)
+class JacobiForm:
+    """The second variation at a state: the density's second partials at
+    the grid nodes, in Density's entry convention, and the free nodes. W J
+    is the free part of D1^T diag(w Fpp) D1 + diag(w Fup) D1 + its
+    transpose + diag(w Fuu), one block per pair of components."""
+    grid: Grid
+    free: slice
+    Fpp: list
+    Fup: list
+    Fuu: list
+
+
+@dataclass(frozen=True, eq=False)
 class JacobiOperator:
     """The Jacobi J at a state, carried as the n x n Hessian W J on the
-    unknowns exactly as hess assembled it; W is diag(pairing.weights). The
-    subclass BandJacobiOperator carries a band W J; each class owns what
-    its storage changes, and jacobi picks the class from the grid."""
+    unknowns; W is diag(pairing.weights). The subclass BandJacobiOperator
+    carries a band W J. Each class assembles its storage from a JacobiForm
+    and owns what its storage changes; jacobi picks the class."""
     hessian: np.ndarray
     pairing: Pairing
     lambda_hat: float
+
+    def __post_init__(self):
+        # a dense store is square and matches the weights
+        if self.hessian.shape != 2 * self.pairing.weights.shape:
+            raise self._misfit()
+
+    def _misfit(self):
+        return ShapeError(f"operator of shape {self.hessian.shape} does not "
+                          f"act on the weights {self.pairing.weights.shape}")
+
+    @staticmethod
+    def assemble(form):
+        """W J as a new dense array, for a form whose every node is free (a
+        periodic grid's); constant Fpp blocks scale one shared D1^T diag(w)
+        D1."""
+        w = form.grid.quad
+        D1 = form.grid.diff1
+        n = form.grid.N
+        m = len(form.Fpp)
+        # the result is allocated before its temporary S, which is freed on
+        # return from the top of the heap, ready for the next n x n array
+        H = np.empty((m * n, m * n))
+        blocks = [[H[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(m)]
+                  for i in range(m)]
+        pairs = [(i, j) for i in range(m) for j in range(m)]
+        S = np.empty(D1.shape)
+        K = None
+        for i, j in pairs:
+            a = form.Fpp[i][j]
+            if a is None:
+                blocks[i][j].fill(0.0)
+            elif np.ndim(a) == 0:
+                if K is None:
+                    np.multiply(w[:, None], D1, out=S)
+                    K = D1.T @ S
+                np.multiply(a, K, out=blocks[i][j])
+            else:
+                np.multiply((w * a)[:, None], D1, out=S)
+                np.matmul(D1.T, S, out=blocks[i][j])
+        diag = np.arange(n)
+        for i, j in pairs:
+            b, c = form.Fup[i][j], form.Fuu[i][j]
+            if b is not None:
+                np.multiply((w * b)[:, None], D1, out=S)
+                blocks[j][i] += S.T
+                blocks[i][j] += S
+            if c is not None:
+                blocks[i][j][diag, diag] += w * c
+        return H
+
+    # the view of the storage H that holds W J's diagonal
+    _diagonal = staticmethod(lambda H: np.einsum("ii->i", H))
 
     def dense(self):
         """W J as an n x n matrix."""
@@ -114,14 +179,11 @@ class JacobiOperator:
         return self.hessian @ v
 
     def shifted(self, shift):
-        """J + shift I, carried as W J + shift W."""
+        """J + shift I, carried as W J + shift W: a copy of the storage
+        with shift W added on its diagonal."""
         H = self.hessian.copy()
-        H[np.diag_indices_from(H)] += shift * self.pairing.weights
+        self._diagonal(H)[...] += shift * self.pairing.weights
         return replace(self, hessian=H)
-
-    def rows_fit(self, n):
-        """Whether hessian has the rows of this storage for n columns."""
-        return len(self.hessian) == n
 
     def symmetry_residual(self):
         """|W J - (W J)^T|_F / |W J|_F, 0 when W J vanishes, summed over
@@ -138,24 +200,16 @@ class JacobiOperator:
                 sq += (1.0 if i == j else 2.0) * np.vdot(X, X)
         return float(np.sqrt(sq) / denom)
 
-    def _scaled(self):
-        # W^-1/2 (W J) W^-1/2, symmetric as W J is: one new matrix, the
-        # Fortran-ordered reduction buffer, whose lower triangle is reduced
-        sw = np.sqrt(self.pairing.weights)
-        A = np.empty_like(self.hessian, order="F")
-        np.divide(self.hessian, sw[:, None], out=A)
-        A /= sw[None, :]
-        return A, sw
-
     def scaled_reduction(self):
-        """(the reduction of W^-1/2 (W J) W^-1/2, the square roots of W)."""
-        A, sw = self._scaled()
+        """(the reduction of W^-1/2 (W J) W^-1/2, the square roots of W).
+        The scaled matrix is one new array, the Fortran-ordered reduction
+        buffer, whose lower triangle is reduced."""
+        D = self.dense()
+        sw = np.sqrt(self.pairing.weights)
+        A = np.empty_like(D, order="F")
+        np.divide(D, sw[:, None], out=A)
+        A /= sw[None, :]
         return _Tridiagonal(A), sw
-
-    def kernel_vectors(self, reduced, lo, hi):
-        """The orthonormal eigenvectors lo..hi (ascending) of reduced, the
-        reduction scaled_reduction made."""
-        return reduced.eigenvectors(lo, hi)
 
     def bordered_reduction(self, B):
         """The reduction of [[W J, W B], [B^T W, 0]] for the columns B,
@@ -163,7 +217,7 @@ class JacobiOperator:
         n, k = B.shape
         WB = self.pairing.weights[:, None] * B
         M = np.empty((n + k, n + k), order="F")
-        M[:n, :n] = self.hessian
+        M[:n, :n] = self.dense()
         M[:n, n:] = WB
         M[n:, :n] = WB.T
         M[n:, n:] = 0.0
@@ -176,39 +230,66 @@ class BandJacobiOperator(JacobiOperator):
     1, n), in mesh's symmetric lower band storage; only dense forms an n x n
     array. With one triangle stored, W J is symmetric by construction."""
 
+    def __post_init__(self):
+        # a band store has at most n rows and n columns
+        H, w = self.hessian, self.pairing.weights
+        if H.shape[1:] != w.shape or not 0 < len(H) <= w.size:
+            raise self._misfit()
+
+    @staticmethod
+    def assemble(form):
+        """The lower band of W J for a one-component form (the profile's),
+        in O(N b^2); its half-bandwidth is D1's, b. Node i, with D1 row R_i,
+        adds w_i Fpp_i R_i^T R_i + w_i Fup_i (e_i R_i + R_i^T e_i^T) + w_i
+        Fuu_i e_i e_i^T. The band of the full grid is then cut to the free
+        nodes, a slice."""
+        band = form.grid.band
+        b = len(band) // 2
+        N = form.grid.N
+        w = form.grid.quad
+        L = np.zeros((b + 1, N))
+        a, c, e = form.Fpp[0][0], form.Fup[0][0], form.Fuu[0][0]
+        if a is not None:
+            wa = w * a
+            # node i adds wa_i D1[i, i + k] D1[i, i + m] at (i + k, i + m);
+            # a row's stencil spans b + 1 columns, so 0 <= k - m <= b
+            for k in range(-b, b + 1):
+                rk = wa * band[b + k]
+                for m in range(max(-b, k - b), k + 1):
+                    lo, hi = max(0, -m), min(N, N - k)
+                    L[k - m, lo + m:hi + m] += (rk * band[b + m])[lo:hi]
+        if c is not None:
+            wc = w * c
+            L[0] += 2.0 * wc * band[b]
+            for k in range(1, b + 1):
+                L[k, :-k] += (wc * band[b + k])[:-k]
+                L[k, :-k] += (wc * band[b - k])[k:]
+        if e is not None:
+            L[0] += w * e
+        n = len(range(N)[form.free])
+        out = np.ascontiguousarray(L[:min(b, n - 1) + 1, form.free])
+        for k in range(1, len(out)):
+            out[k, n - k:] = 0.0
+        return out
+
+    _diagonal = staticmethod(lambda H: H[0])
+
     def dense(self):
         return band_dense(symmetric_band(self.hessian))
 
     def matvec(self, v):
         return band_matvec(symmetric_band(self.hessian), v)
 
-    def shifted(self, shift):
-        H = self.hessian.copy()
-        H[0] += shift * self.pairing.weights
-        return replace(self, hessian=H)
-
-    def rows_fit(self, n):
-        return 0 < len(self.hessian) <= n
-
     def symmetry_residual(self):
         return 0.0
 
-    def _scaled(self):
+    def scaled_reduction(self):
         # the lower band of W^-1/2 (W J) W^-1/2, a new array
         sw = np.sqrt(self.pairing.weights)
         A = self.hessian / sw
         for k in range(len(A)):
             A[k, :len(sw) - k] /= sw[k:]
-        return A, sw
-
-    def scaled_reduction(self):
-        A, sw = self._scaled()
         return _Banded(A), sw
-
-    def kernel_vectors(self, reduced, lo, hi):
-        raise UnsupportedError(
-            "a banded Jacobi forms no kernel vectors: it has no Killing "
-            "span to compare them with")
 
     def bordered_reduction(self, B):
         if B.shape[1]:
@@ -220,32 +301,21 @@ class BandJacobiOperator(JacobiOperator):
 # ---------------------------------------------------------------------------
 # the problem protocol
 
+@dataclass(frozen=True, eq=False)
 class Density:
     """A density F(u, p) at the grid nodes and its partials, for m chart
     components u and their derivatives p = D1 u: Fu and Fp hold m entries,
     Fuu, Fup and Fpp m x m (Fup[i][j] in u_i and p_j). An entry is a node
     array, a number constant over the nodes, or None for zero (not in Fp).
 
-    An instance gives F as a function of no arguments and the second
-    partials as one such function returning (Fuu, Fup, Fpp). Each runs on
-    first use, so grad, which reads Fu and Fp only, evaluates neither.
+    F and second are functions of no arguments, returning F and (Fuu, Fup,
+    Fpp); value and hess call them, so grad, which reads Fu and Fp only,
+    evaluates neither.
     """
-
-    def __init__(self, F, Fu, Fp, second):
-        self._F, self._second = F, second
-        self.Fu, self.Fp = Fu, Fp
-
-    @cached_property
-    def F(self):
-        return self._F()
-
-    @cached_property
-    def _partials2(self):
-        return self._second()
-
-    Fuu = property(lambda self: self._partials2[0])
-    Fup = property(lambda self: self._partials2[1])
-    Fpp = property(lambda self: self._partials2[2])
+    F: object
+    Fu: list
+    Fp: list
+    second: object
 
 
 class Problem:
@@ -278,7 +348,7 @@ class Problem:
 
     def value(self, v, lam):
         """w . F"""
-        return float(self.grid.quad @ self._density_at(v, lam).F)
+        return float(self.grid.quad @ self._density_at(v, lam).F())
 
     def grad(self, v, lam):
         """(w Fu) + D1^T (w Fp) per component, on the free nodes."""
@@ -291,85 +361,10 @@ class Problem:
         return np.concatenate(parts)
 
     def hess(self, v, lam):
-        """A new array, the Hessian of value. On a dirichlet grid it is the
-        lower band that _band_hess assembles. On a periodic grid, where every
-        node is free, it is the dense matrix whose block (i, j) is D1^T
-        diag(w Fpp_ij) D1 + diag(w Fup_ij) D1 + (diag(w Fup_ji) D1)^T +
-        diag(w Fuu_ij); constant Fpp blocks scale one shared D1^T diag(w)
-        D1."""
-        d = self._density_at(v, lam)
-        if self.grid.band is not None:
-            return self._band_hess(d)
-        w = self.grid.quad
-        D1 = self.grid.diff1
-        n = self.grid.N
-        m = len(d.Fp)
-        # the result is allocated before its temporary S, which is freed on
-        # return from the top of the heap, ready for the next n x n array
-        H = np.empty((m * n, m * n))
-        blocks = [[H[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(m)]
-                  for i in range(m)]
-        pairs = [(i, j) for i in range(m) for j in range(m)]
-        S = np.empty(D1.shape)
-        K = None
-        for i, j in pairs:
-            a = d.Fpp[i][j]
-            if a is None:
-                blocks[i][j].fill(0.0)
-            elif np.ndim(a) == 0:
-                if K is None:
-                    np.multiply(w[:, None], D1, out=S)
-                    K = D1.T @ S
-                np.multiply(a, K, out=blocks[i][j])
-            else:
-                np.multiply((w * a)[:, None], D1, out=S)
-                np.matmul(D1.T, S, out=blocks[i][j])
-        diag = np.arange(n)
-        for i, j in pairs:
-            b, c = d.Fup[i][j], d.Fuu[i][j]
-            if b is not None:
-                np.multiply((w * b)[:, None], D1, out=S)
-                blocks[j][i] += S.T
-                blocks[i][j] += S
-            if c is not None:
-                blocks[i][j][diag, diag] += w * c
-        return H
-
-    def _band_hess(self, d):
-        """The Hessian of a one-component density on a dirichlet grid (the
-        profile's), in O(N b^2), as its lower band in BandJacobiOperator's band
-        storage; its half-bandwidth is D1's, b. Node i, with D1 row R_i,
-        adds w_i Fpp_i R_i^T R_i + w_i Fup_i (e_i R_i + R_i^T e_i^T) + w_i
-        Fuu_i e_i e_i^T. The band of the full grid is then cut to the free
-        nodes, a slice."""
-        band = self.grid.band
-        b = len(band) // 2
-        N = self.grid.N
-        w = self.grid.quad
-        L = np.zeros((b + 1, N))
-        a, c, e = d.Fpp[0][0], d.Fup[0][0], d.Fuu[0][0]
-        if a is not None:
-            wa = w * a
-            # node i adds wa_i D1[i, i + k] D1[i, i + m] at (i + k, i + m);
-            # a row's stencil spans b + 1 columns, so 0 <= k - m <= b
-            for k in range(-b, b + 1):
-                rk = wa * band[b + k]
-                for m in range(max(-b, k - b), k + 1):
-                    lo, hi = max(0, -m), min(N, N - k)
-                    L[k - m, lo + m:hi + m] += (rk * band[b + m])[lo:hi]
-        if c is not None:
-            wc = w * c
-            L[0] += 2.0 * wc * band[b]
-            for k in range(1, b + 1):
-                L[k, :-k] += (wc * band[b + k])[:-k]
-                L[k, :-k] += (wc * band[b - k])[k:]
-        if e is not None:
-            L[0] += w * e
-        n = len(range(N)[self.free])
-        out = np.ascontiguousarray(L[:min(b, n - 1) + 1, self.free])
-        for k in range(1, len(out)):
-            out[k, n - k:] = 0.0
-        return out
+        """The second variation of value at v: the JacobiForm of the
+        density's second partials, which a storage class assembles."""
+        Fuu, Fup, Fpp = self._density_at(v, lam).second()
+        return JacobiForm(self.grid, self.free, Fpp, Fup, Fuu)
 
     def check(self, v, lam):
         """Raise DomainError when v leaves the chart domain at lam."""
@@ -548,7 +543,7 @@ class CmcCircle(Problem):
         spans the same rays only up to the non-constant factor sn/F and is
         NOT in ker J for off-center graphs.
         """
-        p = self.grid.diff1 @ r
+        p = self.grid.d1(r)
         return [kr - p * kth for kr, kth in
                 self.ambient(lam).killing_fields((r, self.grid.nodes))]
 
@@ -708,7 +703,7 @@ class _Harmonic(Problem):
     def scalars(self, vals, lam):
         # the length sum_i w_i |phi'_i| / (2 pi), where |phi'| / (2 pi)
         # is sqrt(F / pi)
-        F = self._density_at(vals, lam).F
+        F = self._density_at(vals, lam).F()
         return {"length": float(self.grid.quad @ np.sqrt(F / np.pi))}
 
 
@@ -766,12 +761,12 @@ class HarmonicTorus(_Harmonic):
     def killing_fields(self, vals, t):
         """The two unit translations of the torus at t plus the
         domain-rotation pushforward."""
-        D1 = self.grid.diff1
         u, w = _split(vals)
         p, q = self.homotopy
         s = self.grid.nodes / TWO_PI
         fields = self.ambient(t).killing_fields((p * s + u, q * s + w))
-        push = np.concatenate([p / TWO_PI + D1 @ u, q / TWO_PI + D1 @ w])
+        push = np.concatenate([p / TWO_PI + self.grid.d1(u),
+                               q / TWO_PI + self.grid.d1(w)])
         return [f.ravel() for f in fields] + [push]
 
     def generators(self, t):
@@ -829,10 +824,9 @@ class HarmonicSphere(_Harmonic):
     def killing_fields(self, vals, lam):
         """The three rotation fields composed with the map plus the
         domain-rotation pushforward."""
-        D1 = self.grid.diff1
         a, b = _split(vals)
         fields = self.ambient(lam).killing_fields((a, self.grid.nodes + b))
-        push = np.concatenate([D1 @ a, 1.0 + D1 @ b])
+        push = np.concatenate([self.grid.d1(a), 1.0 + self.grid.d1(b)])
         return [f.ravel() for f in fields] + [push]
 
     def generators(self, lam):
@@ -909,15 +903,12 @@ def residual(problem, state, lambda_hat):
 
 def jacobi(problem, state, lambda_hat):
     """Jacobi operator J = W^-1 Hess of the discrete functional, carried as
-    the Hessian W J on the unknowns.
-
-    The Hessian is the instance's hess, returned as it was assembled: it is
-    symmetric by construction, up to roundoff, and no consumer forms J. On
-    a dirichlet grid the operator is a BandJacobiOperator.
-    """
+    the Hessian W J on the unknowns, which the storage class picked from the
+    grid assembles from the instance's JacobiForm (hess). W J is symmetric
+    by construction, up to roundoff, and no consumer forms J."""
     v = _check_state(problem, state, lambda_hat)
     cls = JacobiOperator if problem.grid.band is None else BandJacobiOperator
-    return cls(problem.hess(v, lambda_hat), pairing(problem),
+    return cls(cls.assemble(problem.hess(v, lambda_hat)), pairing(problem),
                float(lambda_hat))
 
 

@@ -513,6 +513,10 @@ def test_congruence_seed_outside_chart_exit_three(tmp_path, capsys):
 # ------------------------------------------------------------ config guard
 
 
+# a circle analyze config that exits 0 nondegenerate on its own
+CIRCLE_33 = "[problem]\ninstance = cmc_circle\nn = 33\nh = 2\nlambda_hat = 0.5\n"
+
+
 @pytest.mark.parametrize("text", [
     "[problem]\ninstance = mystery\n",
     "[problem]\ninstance = cmc_circle\nh = 2.0\nn = 4\n",
@@ -540,6 +544,10 @@ def test_congruence_seed_outside_chart_exit_three(tmp_path, capsys):
     # a misspelled hook, which would inject nothing
     "[problem]\ninstance = cmc_circle\nn = 32\nh = 2.0\n"
     "[test]\ninject_shfit = 0.5\n",
+    # a misspelled [problem] key beside the one it means, and a key only
+    # the profile reads: each would be dropped without a word
+    CIRCLE_33 + "lamda_hat = 0.9\n",
+    CIRCLE_33 + "radius = 3\n",
 ])
 def test_analyze_config_errors(tmp_path, capsys, text):
     code, _ = run_cli(tmp_path, "analyze", text)
@@ -548,6 +556,18 @@ def test_analyze_config_errors(tmp_path, capsys, text):
     assert "config error" in err
     if "inject_shfit" in text:
         assert "the hooks are inject_shift, inject_broken_basis" in err
+    for key in ("lamda_hat", "radius"):
+        if key in text:
+            assert (f"[problem] {key}: not read by cmc_circle, which reads "
+                    "instance, n, lambda_hat, h, order") in err
+
+
+def test_problem_keys_an_instance_reads_are_accepted(tmp_path):
+    # the profile reads radius, which a circle rejects
+    code, _ = run_cli(tmp_path, "analyze",
+                      "[problem]\ninstance = cmc_profile\nn = 16\nh = 2\n"
+                      "length = 1\nradius = 0.5\norder = 2\n")
+    assert code in (0, 2)
 
 
 @pytest.mark.parametrize("step", ["initial_step = 0.1", "min_step = 0.001",

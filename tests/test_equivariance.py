@@ -10,9 +10,9 @@ from equideform.errors import (IllConditioned, PreconditionError, ShapeError,
 from equideform.equivariance import (nondegeneracy_report, numerical_kernel,
                                      operator_diagnostics, rank_basis,
                                      transversality_margin)
-from equideform.mesh import Pairing, _Banded, _Tridiagonal, build_grid
-from equideform.variational import (BandJacobiOperator, CmcCircle,
-                                    JacobiOperator, ProblemState,
+from equideform.mesh import Pairing, _Tridiagonal, build_grid
+from equideform.variational import (BandJacobiOperator, JacobiOperator,
+                                    ProblemState,
                                     act, circle_seed, jacobi,
                                     killing_jacobi_basis, pairing,
                                     profile_cylinder_seed, residual_norm,
@@ -77,7 +77,7 @@ def test_reduction_eigenvalues_of_real_operators_match_eigh():
     for prob, st, lam in [(*_flat_circle(), 0.0),
                           (*sphere_equator_seed(build_grid("periodic", 65)),
                            1.0)]:
-        A, _ = jacobi(prob, st, lam)._scaled()
+        A, _ = _scaled(jacobi(prob, st, lam))
         mu = np.linalg.eigh(A)[0]
         got = _Tridiagonal(A).eigenvalues
         assert np.max(np.abs(got - mu)) <= 1e-13 * np.max(np.abs(mu))
@@ -111,9 +111,16 @@ def _shifted(J, shift):
                           pairing=J.pairing, lambda_hat=J.lambda_hat)
 
 
+def _scaled(J):
+    # W^-1/2 (W J) W^-1/2 with the square roots of W, divided as
+    # scaled_reduction divides
+    sw = np.sqrt(J.pairing.weights)
+    return J.dense() / sw[:, None] / sw[None, :], sw
+
+
 def _eigh_kernel(J, tol):
     # the kernel the full eigendecomposition gives, in the W geometry
-    A, sw = J._scaled()
+    A, sw = _scaled(J)
     mu, V = np.linalg.eigh(A)
     return V[:, np.abs(mu) < tol] / sw[:, None]
 
@@ -167,13 +174,13 @@ def _profile_band_case(N, order, length, bump):
 
 def _dense_hess(prob, v, lam):
     # D1^T diag(w Fpp) D1 + diag(w Fup) D1 + its transpose + diag(w Fuu) on
-    # the interior nodes, from the density coefficients hess assembles from
-    d = prob._density_at(v, lam)
+    # the interior nodes, from the coefficients of the form hess returns
+    f = prob.hess(v, lam)
     w = prob.grid.quad
     D1 = prob.grid.diff1[:, 1:-1]
-    B = (w * d.Fup[0][0])[1:-1, None] * D1[1:-1]
-    return (D1.T @ ((w * d.Fpp[0][0])[:, None] * D1) + B + B.T
-            + np.diag((w * d.Fuu[0][0])[1:-1]))
+    B = (w * f.Fup[0][0])[1:-1, None] * D1[1:-1]
+    return (D1.T @ ((w * f.Fpp[0][0])[:, None] * D1) + B + B.T
+            + np.diag((w * f.Fuu[0][0])[1:-1]))
 
 
 # eigenvalues of the band and the tridiagonal reduction agree to this
@@ -197,9 +204,8 @@ def test_band_reduction_matches_the_dense_reduction(N, order, length, bump):
     assert np.max(np.abs(J.dense() - H)) <= 1e-15 * np.max(np.abs(H))
     dense = JacobiOperator(J.dense(), J.pairing, J.lambda_hat)
     # every eigenvalue, against the tridiagonal reduction of the dense form
-    A = J._scaled()[0]
-    mu = _Banded(A).eigenvalues
-    want = _Tridiagonal(dense._scaled()[0]).eigenvalues
+    mu = J.scaled_reduction()[0].eigenvalues
+    want = dense.scaled_reduction()[0].eigenvalues
     top = np.max(np.abs(want))
     assert np.max(np.abs(mu - want)) <= EIG_TOL * top
     # kernel count, cut and gap; a ratio of two moduli each known to EIG_TOL
@@ -567,17 +573,21 @@ def test_diagnostics_flags_asymmetry():
     assert rep.flagged
 
 
-class _SkewedCircle(CmcCircle):
-    # a CmcCircle whose assembled Hessian is off by 1e-6 in one entry
-    def hess(self, r, lam):
-        H = super().hess(r, lam)
+def _skewed_assembly(monkeypatch):
+    # a dense assembly whose W J is off by 1e-6 in one entry
+    assemble = JacobiOperator.assemble
+
+    def skewed(form):
+        H = assemble(form)
         H[0, 1] += 1e-6
         return H
 
+    monkeypatch.setattr(JacobiOperator, "assemble", staticmethod(skewed))
 
-def test_diagnostics_flag_an_asymmetric_hessian():
+
+def test_diagnostics_flag_an_asymmetric_hessian(monkeypatch):
+    _skewed_assembly(monkeypatch)
     prob, st = _flat_circle(N=17)
-    prob = _SkewedCircle(H=prob.H, grid=prob.grid)
     rep = operator_diagnostics(jacobi(prob, st, 0.0), problem=prob, state=st,
                                lambda_hat=0.0)
     assert rep.symmetry_residual > 1e-8
@@ -602,17 +612,34 @@ def test_symmetry_residual_matches_the_full_matrix_formula():
 
 @pytest.mark.parametrize("case", ["non_square", "weights_mismatch"])
 def test_diagnostics_rejects_mismatched_shapes(case):
+    # the operator refuses a misfit storage when it is made, so no
+    # diagnostics, certificate or solve ever sees one
     prob, st = _flat_circle()
     J = jacobi(prob, st, 0.0)
-    if case == "non_square":
-        bad = JacobiOperator(hessian=J.hessian[:, :-1], pairing=J.pairing,
-                             lambda_hat=0.0)
-    else:
-        bad = JacobiOperator(hessian=J.hessian,
-                             pairing=Pairing(weights=J.pairing.weights[:-1]),
-                             lambda_hat=0.0)
     with pytest.raises(ShapeError):
-        operator_diagnostics(bad)
+        if case == "non_square":
+            JacobiOperator(hessian=J.hessian[:, :-1], pairing=J.pairing,
+                           lambda_hat=0.0)
+        else:
+            JacobiOperator(hessian=J.hessian,
+                           pairing=Pairing(weights=J.pairing.weights[:-1]),
+                           lambda_hat=0.0)
+
+
+@pytest.mark.parametrize("case", ["too_many_rows", "no_rows",
+                                  "columns_mismatch", "not_2d"])
+def test_band_operator_rejects_a_misfit_band(case):
+    prob, st = _profile_band_case(17, 4, 1.0, 0.0)
+    J = jacobi(prob, st, 0.0)
+    n = J.pairing.weights.size
+    bad = {"too_many_rows": np.zeros((n + 1, n)),
+           "no_rows": np.zeros((0, n)),
+           "columns_mismatch": J.hessian[:, :-1],
+           "not_2d": J.hessian[0]}[case]
+    with pytest.raises(ShapeError):
+        BandJacobiOperator(bad, J.pairing, 0.0)
+    # a band of at most n rows is every lower band storage of n columns
+    BandJacobiOperator(np.zeros((n, n)), J.pairing, 0.0)
 
 
 def test_diagnostics_payload_roundtrip():

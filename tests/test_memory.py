@@ -121,8 +121,8 @@ def test_later_newton_steps_do_not_keep_the_last_reduction():
 # unknowns would take 134 MB as one n x n matrix; the budget is 32 float64
 # values per unknown, 1.0 MB. The kernel cut grows like N^3 (the
 # N-dependent verdict), so this operator counts d = 48 kernel eigenvalues,
-# but a band operator forms no kernel vectors: the peak (23 n measured) is
-# the band assembly of W J from the density's node arrays, and the
+# but a band operator forms no kernel vectors: the peak (22.3 n measured) is
+# the band assembly of W J from the form's node arrays, and the
 # certificate, which holds the band, its scaled copy and the spectrum,
 # stays below it. Forming the 48 vectors would add 96 n.
 N_BAND = 4096

@@ -2,7 +2,9 @@
 
 Every name a module imports is used in that module, and every private
 module-level name (_x) is referenced somewhere in the package. The package
-__init__ is left out: its imports are the public exports.
+__init__ is left out: its imports are the public exports. The grid's
+storage of D1 (band, diff1) is read only where storage is chosen or
+assembled.
 """
 
 import ast
@@ -74,3 +76,29 @@ def test_every_private_module_name_is_referenced():
               for name in _private_definitions(_tree(path))
               if name not in everywhere]
     assert unused == []
+
+
+# the top-level definitions outside mesh that may read a grid's band or
+# diff1: the two Jacobi storage classes, which assemble from them, and
+# jacobi, which picks between the classes
+STORAGE_READERS = {("variational.py", "JacobiOperator"),
+                   ("variational.py", "BandJacobiOperator"),
+                   ("variational.py", "jacobi")}
+
+
+def _storage_reads(tree):
+    """(top-level definition, attribute) for each read of .band or .diff1."""
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Attribute)
+                    and node.attr in ("band", "diff1")
+                    and isinstance(node.ctx, ast.Load)):
+                yield getattr(top, "name", None), node.attr
+
+
+def test_only_the_storage_classes_read_the_grid_storage():
+    stray = [f"{path.name}: {where}.{attr}" for path in MODULES
+             if path.name != "mesh.py"
+             for where, attr in _storage_reads(_tree(path))
+             if (path.name, where) not in STORAGE_READERS]
+    assert stray == []

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ from equideform import variational
 from equideform.ambient import quadric_embed, quadric_to_chart, sn_lambda
 from equideform.equivariance import rank_basis
 from equideform.errors import DomainError, ShapeError, UnsupportedError
-from equideform.mesh import TWO_PI, build_grid
+from equideform.mesh import TWO_PI, Grid, build_grid
 from equideform.variational import (PROBLEMS, BandJacobiOperator, CmcCircle,
                                     CmcProfile,
-                                    HarmonicSphere, HarmonicTorus, Problem,
+                                    HarmonicSphere, HarmonicTorus,
+                                    JacobiOperator, Problem,
                                     ProblemState, act,
                                     circle_seed, cmc_circle_radius,
                                     derived_scalars, geodesic_curvature, jacobi,
@@ -202,16 +204,20 @@ def test_w_symmetry_of_jacobi_for_all_instances():
 
 
 def test_jacobi_carries_the_hessian_bits():
-    # jacobi hands on the Hessian as hess assembled it, unscaled and not
-    # symmetrized
-    for prob, st, lam in [(*circle_seed(0.5, 2.0, build_grid("periodic", 301)),
-                           0.5),
-                          (*profile_cylinder_seed(
-                              2.0, build_grid("dirichlet", 300, order=4)), 0.0),
-                          (*torus_line_seed((1, 1), build_grid("periodic", 151),
-                                            np.eye(2), np.eye(2)), 0.0)]:
-        want = prob.hess(st.values, lam)
-        assert jacobi(prob, st, lam).hessian.tobytes() == want.tobytes()
+    # jacobi hands on the Hessian as its storage class assembles it from
+    # hess's form, unscaled and not symmetrized
+    for cls, prob, st, lam in [
+            (JacobiOperator,
+             *circle_seed(0.5, 2.0, build_grid("periodic", 301)), 0.5),
+            (BandJacobiOperator, *profile_cylinder_seed(
+                2.0, build_grid("dirichlet", 300, order=4)), 0.0),
+            (JacobiOperator, *torus_line_seed(
+                (1, 1), build_grid("periodic", 151), np.eye(2), np.eye(2)),
+             0.0)]:
+        want = cls.assemble(prob.hess(st.values, lam))
+        J = jacobi(prob, st, lam)
+        assert type(J) is cls
+        assert J.hessian.tobytes() == want.tobytes()
 
 
 def _full_grid_profile(prob, rho, k):
@@ -753,11 +759,76 @@ def _jacobi_cases():
     yield "profile", prob, bumped, 0.0
 
 
-@pytest.mark.parametrize("case", list(_jacobi_cases()), ids=lambda c: c[0])
-def test_jacobi_storage_classes_keep_one_contract(case):
+@dataclass(frozen=True, eq=False)
+class _MatrixFreeJacobi(JacobiOperator):
+    """A matrix-free storage class, as a test double. hessian holds the
+    form's weighted coefficients w Fpp, w Fup and w Fuu, shape (3, m, m, N)
+    for m components on grid, and W J is applied from them through grid.d1
+    and d1t, with zero values at the nodes that are not free; dense applies
+    it to the identity's columns. shifted adds shift W after the form."""
+    grid: Grid = None
+    free: slice = None
+    shift: float = 0.0
+
+    def __post_init__(self):
+        m = self.hessian.shape[1]
+        n = m * len(range(self.grid.N)[self.free])
+        if self.hessian.shape != (3, m, m, self.grid.N) \
+                or self.pairing.weights.shape != (n,):
+            raise self._misfit()
+
+    @staticmethod
+    def assemble(form):
+        m, w = len(form.Fpp), form.grid.quad
+        coef = np.zeros((3, m, m, form.grid.N))
+        for k, F in enumerate((form.Fpp, form.Fup, form.Fuu)):
+            for i in range(m):
+                for j in range(m):
+                    if F[i][j] is not None:
+                        coef[k, i, j] = w * F[i][j]
+        return coef
+
+    def matvec(self, v):
+        wa, wb, wc = self.hessian
+        grid = self.grid
+        u = np.zeros((len(wa), grid.N))
+        u[:, self.free] = v.reshape(len(wa), -1)
+        p = [grid.d1(c) for c in u]
+        out = np.zeros_like(u)
+        for i in range(len(wa)):
+            for j in range(len(wa)):
+                out[i] += (grid.d1t(wa[i, j] * p[j] + wb[j, i] * u[j])
+                           + wb[i, j] * p[j] + wc[i, j] * u[j])
+        return out[:, self.free].ravel() + self.shift * self.pairing.weights * v
+
+    def dense(self):
+        return np.column_stack([self.matvec(e)
+                                for e in np.eye(self.pairing.weights.size)])
+
+    def shifted(self, shift):
+        return replace(self, shift=self.shift + shift)
+
+
+def _contract_cases():
+    # each case on the class jacobi picks, and on the matrix-free double
+    for case in _jacobi_cases():
+        yield pytest.param(case, False, id=case[0])
+        yield pytest.param(case, True, id=case[0] + "-matrix-free")
+
+
+@pytest.mark.parametrize("case, matrix_free", list(_contract_cases()))
+def test_jacobi_storage_classes_keep_one_contract(case, matrix_free):
     name, prob, st, lam = case
     J = jacobi(prob, st, lam)
     assert isinstance(J, BandJacobiOperator) == (name == "profile")
+    if matrix_free:
+        form = prob.hess(st.values, lam)
+        want = J.dense()
+        J = _MatrixFreeJacobi(_MatrixFreeJacobi.assemble(form), J.pairing,
+                              lam, form.grid, form.free)
+        # the double applies the same form that the grid's class assembles
+        assert (np.max(np.abs(J.dense() - want))
+                <= 1e-14 * np.max(np.abs(want)))
     w = J.pairing.weights
     D = J.dense()
     n = len(w)
