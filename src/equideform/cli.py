@@ -19,8 +19,7 @@ Configuration is a key = value INI file. Keys are case-insensitive.
                 periodic ones are spectral only); H (mean curvature);
                 lambda_hat (where analyze/congruence work); length and
                 radius (profile); homotopy = p,q and gram_start/gram_end =
-                Q11,Q12,Q22 (torus); a key the instance does not read is
-                a config error
+                Q11,Q12,Q22 (torus)
     [path]      start, end; records (count, uniform steps) or initial_step
                 with optional min_step/max_step; tol (below 1e-8),
                 max_newton, retries, basin_guard, diagnostics_cadence,
@@ -29,8 +28,10 @@ Configuration is a key = value INI file. Keys are case-insensitive.
     [bundle]    lambdas (list), n (list), samples, triples
     [congruence] t = t1,t2,... (group parameters, |t| < 0.25); tol
     [test]      fault injection hooks: inject_broken_basis (bool) for
-                verify-bundle only, inject_shift (float) for analyze only;
-                any other [test] key is a config error
+                verify-bundle only, inject_shift (float) for analyze only
+
+A key or section the command does not read is a config error: a misspelled
+key, a hook or [path] key meant for another command, steps beside records.
 
 Every command writes report.json into the output directory; continue also
 writes branch.jsonl (one record per line, with the resolved config and a
@@ -71,10 +72,6 @@ EXIT_CHECK = 2
 EXIT_SOLVER = 3
 EXIT_CONFIG = 64
 
-# each [test] hook and the one command that reads it
-_TEST_HOOKS = {"inject_shift": "analyze", "inject_broken_basis": "verify-bundle"}
-
-
 class _Parser(argparse.ArgumentParser):
     # usage problems are config problems for exit-code purposes
     def error(self, message):
@@ -107,24 +104,42 @@ def _load_config(path):
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
+                                   default_section="")  # [DEFAULT]: a plain section
     try:
         cp.read_string(raw.decode("utf-8"))
     except (UnicodeDecodeError, configparser.Error) as exc:
         raise ConfigError(f"cannot parse config file {path}: {exc}")
-    return cp, raw
+    return _Config(cp), raw
 
 
-def _get(cp, sec, key, conv, default=None, required=False):
-    if not cp.has_option(sec, key):
-        if required:
-            raise ConfigError(f"[{sec}] {key} is required")
-        return default
-    text = cp.get(sec, key)
-    try:
-        return conv(text)
-    except (ValueError, TypeError):
-        raise ConfigError(f"[{sec}] {key} = {text!r} is not valid")
+class _Config:
+    """A parsed config file that records each key asked for, present or not."""
+
+    def __init__(self, parser):
+        self._parser = parser
+        self._asked = {}  # section -> {key: None}, in the order asked
+
+    def get(self, sec, key, conv, default=None, required=False):
+        self._asked.setdefault(sec, {})[key] = None
+        if not self._parser.has_option(sec, key):
+            if required:
+                raise ConfigError(f"[{sec}] {key} is required")
+            return default
+        text = self._parser.get(sec, key)
+        try:
+            return conv(text)
+        except (ValueError, TypeError):
+            raise ConfigError(f"[{sec}] {key} = {text!r} is not valid")
+
+    def check_read(self, reader):
+        """Raise ConfigError for a section key that reader did not ask for."""
+        for sec in self._parser.sections():
+            asked = self._asked.get(sec, {})
+            keys = ", ".join(k for k in self._parser.options(sec) if k not in asked)
+            if keys:
+                raise ConfigError(f"[{sec}] {keys}: not read by {reader}, which "
+                                  f"reads {', '.join(asked) or f'no [{sec}] key'}")
 
 
 def _float(text):
@@ -173,30 +188,26 @@ _PROBLEM_KINDS = {"positive": _positive, "ints": _int_list, "gram": _gram,
                   "order": _order}
 
 
-def _build_problem(cp, lam=None):
+def _build_problem(cfg, lam=None):
     """Construct the configured problem and its built-in analytic seed.
 
     Returns (problem, seed state, resolved [problem] keys, lambda_hat);
-    lam=None reads [problem] lambda_hat, defaulting to the instance's own.
+    lam=None uses [problem] lambda_hat, defaulting to the instance's own.
     """
-    instance = _get(cp, "problem", "instance", str, required=True).strip().lower()
+    instance = cfg.get("problem", "instance", str, required=True).strip().lower()
     if instance not in PROBLEMS:
         raise ConfigError(f"[problem] instance = {instance!r} is not one of "
                           + ", ".join(PROBLEMS))
     cls = PROBLEMS[instance]
-    if lam is None:
-        lam = _get(cp, "problem", "lambda_hat", _float,
-                   default=cls.default_lambda)
-    N = _get(cp, "problem", "n", int, default=128)
+    N = cfg.get("problem", "n", int, default=128)
     if not 8 <= N <= 4096:
         raise ConfigError(f"[problem] N = {N} outside [8, 4096]")
-
-    read = ["instance", "n", "lambda_hat"]
+    # asked for on every command, so continue accepts it
+    given = cfg.get("problem", "lambda_hat", _float, default=cls.default_lambda)
+    lam = given if lam is None else lam
 
     def get(key, kind, default=None, required=False):
-        read.append(key)
-        return _get(cp, "problem", key, _PROBLEM_KINDS[kind], default,
-                    required)
+        return cfg.get("problem", key, _PROBLEM_KINDS[kind], default, required)
 
     try:
         problem, state, resolved = cls.from_config(get, N, lam)
@@ -204,15 +215,11 @@ def _build_problem(cp, lam=None):
         raise
     except (ValueError, EquideformError) as exc:
         raise ConfigError(f"cannot build [problem] seed: {exc}")
-    unread = sorted(set(cp.options("problem")).difference(read))
-    if unread:
-        raise ConfigError(f"[problem] {', '.join(unread)}: not read by "
-                          f"{instance}, which reads {', '.join(read)}")
     return (problem, state,
             dict(resolved, instance=instance, n=problem.grid.N), lam)
 
 
-def _path_config(cp, lam=None):
+def _path_config(cfg, lam=None):
     """ContinuationConfig from [path]; lam fixes start=end for polish-only use."""
     kwargs = {}
     for key, conv in (("tol", _positive),
@@ -221,27 +228,22 @@ def _path_config(cp, lam=None):
                       ("diagnostics_cadence", int),
                       ("angle_tol", _positive),
                       ("tol_rel", _positive)):
-        value = _get(cp, "path", key, conv)
+        value = cfg.get("path", key, conv)
         if value is not None:
             kwargs[key] = value
     try:
         if lam is not None:
             return ContinuationConfig.polish(lam, **kwargs)
-        start = _get(cp, "path", "start", _float, required=True)
-        end = _get(cp, "path", "end", _float, required=True)
-        records = _get(cp, "path", "records", int)
+        start = cfg.get("path", "start", _float, required=True)
+        end = cfg.get("path", "end", _float, required=True)
+        records = cfg.get("path", "records", int)
         if records is not None:
-            given = [key for key in ("initial_step", "min_step", "max_step")
-                     if cp.has_option("path", key)]
-            if given:
-                raise ConfigError(f"[path] give either records or "
-                                  f"{', '.join(given)}, not both")
             return ContinuationConfig.from_steps(start, end, records, **kwargs)
-        initial = _get(cp, "path", "initial_step", _positive, required=True)
+        initial = cfg.get("path", "initial_step", _positive, required=True)
         return ContinuationConfig(
             start=start, end=end, initial_step=initial,
-            min_step=_get(cp, "path", "min_step", _positive),
-            max_step=_get(cp, "path", "max_step", _positive), **kwargs)
+            min_step=cfg.get("path", "min_step", _positive),
+            max_step=cfg.get("path", "max_step", _positive), **kwargs)
     except ConfigError:
         raise
     except (ValueError, OverflowError, EquideformError) as exc:
@@ -254,13 +256,14 @@ def _record_summary(rec):
     return out
 
 
-def run_verify_bundle(cp, seed, chash, outdir):
-    lambdas = _get(cp, "bundle", "lambdas", _float_list,
-                   default=[-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
-    ns = _get(cp, "bundle", "n", _int_list, default=[2])
-    samples = _get(cp, "bundle", "samples", int, default=200)
-    triples = _get(cp, "bundle", "triples", int, default=100)
-    inject = _get(cp, "test", "inject_broken_basis", _bool, default=False)
+def run_verify_bundle(cfg, seed, chash, outdir):
+    lambdas = cfg.get("bundle", "lambdas", _float_list,
+                      default=[-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])
+    ns = cfg.get("bundle", "n", _int_list, default=[2])
+    samples = cfg.get("bundle", "samples", int, default=200)
+    triples = cfg.get("bundle", "triples", int, default=100)
+    inject = cfg.get("test", "inject_broken_basis", _bool, default=False)
+    cfg.check_read("verify-bundle")
     try:
         checks = verify_bundle(lambdas, ns, samples, triples, seed, inject)
     except PreconditionError as exc:
@@ -279,10 +282,11 @@ def run_verify_bundle(cp, seed, chash, outdir):
     return EXIT_OK if passed else EXIT_CHECK
 
 
-def run_analyze(cp, seed, chash, outdir):
-    problem, seed_state, resolved, lam = _build_problem(cp)
-    ccfg = _path_config(cp, lam=lam)
-    shift = _get(cp, "test", "inject_shift", _float)
+def run_analyze(cfg, seed, chash, outdir):
+    problem, seed_state, resolved, lam = _build_problem(cfg)
+    ccfg = _path_config(cfg, lam=lam)
+    shift = cfg.get("test", "inject_shift", _float)
+    cfg.check_read(f"analyze on {resolved['instance']}")
     resolved.update(lambda_hat=lam, seed=seed)
     base = {"command": "analyze", "config": resolved,
             "path": dataclasses.asdict(ccfg), "config_hash": chash}
@@ -312,9 +316,10 @@ def run_analyze(cp, seed, chash, outdir):
     return EXIT_OK if rep.verdict == "nondegenerate" else EXIT_CHECK
 
 
-def run_continue(cp, seed, chash, outdir):
-    ccfg = _path_config(cp)
-    problem, seed_state, resolved, _ = _build_problem(cp, ccfg.start)
+def run_continue(cfg, seed, chash, outdir):
+    ccfg = _path_config(cfg)
+    problem, seed_state, resolved, _ = _build_problem(cfg, ccfg.start)
+    cfg.check_read(f"continue on {resolved['instance']}")
     resolved["seed"] = seed
     config_block = {"problem": resolved, "path": dataclasses.asdict(ccfg)}
     error = stalled = None
@@ -350,11 +355,12 @@ def run_continue(cp, seed, chash, outdir):
     return EXIT_OK
 
 
-def run_congruence(cp, seed, chash, outdir):
-    problem, seed_state, resolved, lam = _build_problem(cp)
-    ccfg = _path_config(cp, lam=lam)
-    t = np.asarray(_get(cp, "congruence", "t", _float_list, required=True))
-    tol = _get(cp, "congruence", "tol", _positive, default=1e-8)
+def run_congruence(cfg, seed, chash, outdir):
+    problem, seed_state, resolved, lam = _build_problem(cfg)
+    ccfg = _path_config(cfg, lam=lam)
+    t = np.asarray(cfg.get("congruence", "t", _float_list, required=True))
+    tol = cfg.get("congruence", "tol", _positive, default=1e-8)
+    cfg.check_read(f"congruence on {resolved['instance']}")
     resolved.update(lambda_hat=lam, seed=seed)
     base = {"command": "congruence", "config": resolved,
             "applied_t": list(t), "tol": tol, "config_hash": chash}
@@ -392,29 +398,22 @@ def main(argv=None):
             args = parser.parse_args(argv)
         except SystemExit as exc:  # --help and friends
             return EXIT_OK if exc.code in (0, None) else EXIT_CONFIG
-        cp, raw = _load_config(args.config)
-        seed = args.seed
-        if seed is None:
-            seed = _get(cp, "run", "seed", _u64, default=0)
-        outdir = args.out or _get(cp, "run", "out", str, default=".")
+        cfg, raw = _load_config(args.config)
+        # read, and so checked, even when the flags override them
+        seed = cfg.get("run", "seed", _u64, default=0)
+        outdir = cfg.get("run", "out", str, default=".")
+        seed = seed if args.seed is None else args.seed
+        outdir = args.out or outdir
         try:
             os.makedirs(outdir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory: {exc}")
-        for key in cp.options("test") if cp.has_section("test") else ():
-            reader = _TEST_HOOKS.get(key)
-            if reader is None:
-                raise ConfigError(f"[test] {key} is not a hook; the hooks "
-                                  f"are {', '.join(_TEST_HOOKS)}")
-            if args.command != reader:
-                raise ConfigError(f"[test] {key} is read by {reader} only, "
-                                  f"not by {args.command}")
         chash = content_hash(raw + b"\nseed=%d\n" % seed)
         runner = {"verify-bundle": run_verify_bundle,
                   "analyze": run_analyze,
                   "continue": run_continue,
                   "congruence": run_congruence}[args.command]
-        return runner(cp, seed, chash, outdir)
+        return runner(cfg, seed, chash, outdir)
     except ConfigError as exc:
         print(f"equideform: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

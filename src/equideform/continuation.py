@@ -100,12 +100,12 @@ class ContinuationConfig:
         if self.min_step is None:
             object.__setattr__(self, "min_step",
                                self.initial_step / 2.0 ** (self.retries + 1))
-        if self.min_step <= 0.0 or self.initial_step <= 0.0 or self.max_step <= 0.0:
-            raise PreconditionError("continuation steps must be positive")
-        if self.min_step > self.initial_step or self.initial_step > self.max_step:
-            raise PreconditionError("need min_step <= initial_step <= max_step")
-        if self.tol <= 0.0 or self.basin_guard <= 0.0:
-            raise PreconditionError("tolerances must be positive")
+        if not (np.isfinite(self.start) and np.isfinite(self.end)):
+            raise PreconditionError("start and end must be finite")
+        if not 0.0 < self.min_step <= self.initial_step <= self.max_step < np.inf:
+            raise PreconditionError("need 0 < min_step <= initial_step <= max_step < inf")
+        if not (self.tol > 0.0 and 0.0 < self.basin_guard < np.inf):
+            raise PreconditionError("tolerances must be positive and finite")
         if self.tol >= CRITICAL_TOL:
             # a corrected state the certificate refuses as not critical
             # would only halve the step

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equideform.cli import _build_problem, main
+from equideform.cli import _build_problem, _Config, main
+from equideform.serialize import content_hash
 from equideform.variational import jacobi
 
 
@@ -262,7 +263,7 @@ def test_circle_seed_jacobi_has_index_one(n, lam):
     # the dilation; an even grid's sawtooth would add a second one
     cp = configparser.ConfigParser()
     cp.read_string(f"[problem]\ninstance = cmc_circle\nn = {n}\nh = 2.0\n")
-    problem, state, resolved, _ = _build_problem(cp, lam)
+    problem, state, resolved, _ = _build_problem(_Config(cp), lam)
     assert resolved["n"] % 2 == 1
     J = jacobi(problem, state, lam)
     s = 1.0 / np.sqrt(J.pairing.weights)
@@ -486,11 +487,14 @@ def test_congruence_inside_the_trust_radius_recovers(tmp_path, problem, t):
      "[congruence]\nt = 0.25, 0\n", "trust radius 0.25"),
     ("continue", CIRCLE_PROBLEM + "[path]\nstart = 1.0\nend = 0.5\n"
      "records = 3\n[test]\ninject_shift = 0.5\n",
-     "read by analyze only, not by continue"),
+     "[test] inject_shift: not read by continue on cmc_circle, which reads "
+     "no [test] key"),
     ("verify-bundle", BUNDLE_SMALL + "[test]\ninject_shift = 0.5\n",
-     "read by analyze only, not by verify-bundle"),
+     "[test] inject_shift: not read by verify-bundle, which reads "
+     "inject_broken_basis"),
     ("analyze", CIRCLE_PROBLEM + "[test]\ninject_broken_basis = true\n",
-     "read by verify-bundle only, not by analyze"),
+     "[test] inject_broken_basis: not read by analyze on cmc_circle, which "
+     "reads inject_shift"),
 ], ids=["circle_past_radius", "torus_at_radius", "continue_shift",
         "bundle_shift", "analyze_broken_basis"])
 def test_config_error_names_the_rule(tmp_path, capsys, command, text,
@@ -555,11 +559,12 @@ def test_analyze_config_errors(tmp_path, capsys, text):
     err = capsys.readouterr().err
     assert "config error" in err
     if "inject_shfit" in text:
-        assert "the hooks are inject_shift, inject_broken_basis" in err
+        assert ("[test] inject_shfit: not read by analyze on cmc_circle, "
+                "which reads inject_shift") in err
     for key in ("lamda_hat", "radius"):
         if key in text:
-            assert (f"[problem] {key}: not read by cmc_circle, which reads "
-                    "instance, n, lambda_hat, h, order") in err
+            assert (f"[problem] {key}: not read by analyze on cmc_circle, "
+                    "which reads instance, n, lambda_hat, h, order") in err
 
 
 def test_problem_keys_an_instance_reads_are_accepted(tmp_path):
@@ -582,7 +587,11 @@ records = 6
 {step}
 """)
     assert code == 64
-    assert "not both" in capsys.readouterr().err
+    # with records given the step keys are not read
+    assert (f"[path] {step.split()[0]}: not read by continue on cmc_circle, "
+            "which reads tol, max_newton, retries, basin_guard, "
+            "diagnostics_cadence, angle_tol, tol_rel, start, end, records"
+            ) in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("path", [
@@ -603,6 +612,54 @@ def test_continue_invalid_path_is_config_error(tmp_path, capsys, path):
     code, _ = run_cli(tmp_path, "continue", CIRCLE_PROBLEM + "[path]\n" + path)
     assert code == 64
     assert "config error" in capsys.readouterr().err
+
+
+# a circle branch that exits 0 nondegenerate on its own
+CIRCLE_17_PATH = ("[problem]\ninstance = cmc_circle\nn = 17\nh = 2\n"
+                  "[path]\nstart = 0.5\nend = 0.45\nrecords = 2\n")
+
+
+@pytest.mark.parametrize("command, text, unread", [
+    ("continue", CIRCLE_17_PATH + "toll = 1e-3\n", "[path] toll"),
+    ("continue", CIRCLE_17_PATH + "[congruenc]\nt = 0.01, 0\n",
+     "[congruenc] t"),
+    ("continue", CIRCLE_17_PATH + "[run]\nsead = 5\n", "[run] sead"),
+    ("analyze", CIRCLE_33 + "[path]\nstart = 3\n", "[path] start"),
+    ("analyze", CIRCLE_33 + BUNDLE_SMALL, "[bundle] lambdas, n, samples, "
+     "triples"),
+    ("congruence", CIRCLE_33 + "[congruence]\nt = 0.01, 0\ntols = 1e-9\n",
+     "[congruence] tols"),
+    ("verify-bundle", BUNDLE_SMALL + "sample = 1000\n", "[bundle] sample"),
+    ("verify-bundle", BUNDLE_SMALL + CIRCLE_33, "[problem] instance, n, h, "
+     "lambda_hat"),
+    # [DEFAULT] is an ordinary section, not keys copied into [bundle]
+    ("verify-bundle", "[DEFAULT]\nsamples = 1000\n" + BUNDLE_SMALL,
+     "[DEFAULT] samples"),
+], ids=["continue_path_toll", "continue_congruenc", "continue_run_sead",
+        "analyze_path_start", "analyze_bundle", "congruence_tols",
+        "bundle_sample", "bundle_problem", "bundle_default"])
+def test_unread_key_is_config_error(tmp_path, capsys, command, text, unread):
+    code, out = run_cli(tmp_path, command, text)
+    assert code == 64
+    assert f"{unread}: not read by {command}" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_run_seed_is_read_even_when_the_flag_overrides_it(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "analyze", "[run]\nseed = -1\n" + CIRCLE_33,
+                        "--seed", "7")
+    assert code == 64
+    assert "[run] seed = '-1' is not valid" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+    # a valid one is overridden, and the hash takes the effective seed
+    unused = tmp_path / "unused"
+    text = f"[run]\nseed = 5\nout = {unused}\n" + CIRCLE_33
+    code, out = run_cli(tmp_path, "analyze", text, "--seed", "7")
+    assert code == 0
+    pay = read_report(out)
+    assert pay["config"]["seed"] == 7
+    assert pay["config_hash"] == content_hash(text.encode() + b"\nseed=7\n")
+    assert not unused.exists()
 
 
 SPHERE_PROBLEM = "[problem]\ninstance = harmonic_sphere\nn = 17\n"

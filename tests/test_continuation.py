@@ -159,6 +159,19 @@ def test_config_validation():
                            min_step=0.01, max_step=0.2, max_newton=-1)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("start", np.nan), ("start", np.inf), ("end", np.nan), ("end", -np.inf),
+    ("initial_step", np.nan), ("initial_step", np.inf), ("min_step", np.nan),
+    ("max_step", np.nan), ("max_step", np.inf), ("tol", np.nan),
+    ("basin_guard", np.nan), ("basin_guard", np.inf)])
+def test_config_rejects_non_finite_numbers(field, value):
+    # a NaN tol stops the corrector before its first step, and a NaN
+    # basin_guard switches the guard off
+    with pytest.raises(PreconditionError):
+        ContinuationConfig(**{"start": 0.0, "end": 1.0, "initial_step": 0.1,
+                              field: value})
+
+
 def test_from_steps_uniform_grid():
     cfg = ContinuationConfig.from_steps(1.0, -3.0, 61, basin_guard=0.05)
     assert cfg.initial_step == cfg.max_step == pytest.approx(4.0 / 60)

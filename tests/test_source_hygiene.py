@@ -4,7 +4,8 @@ Every name a module imports is used in that module, and every private
 module-level name (_x) is referenced somewhere in the package. The package
 __init__ is left out: its imports are the public exports. The grid's
 storage of D1 (band, diff1) is read only where storage is chosen or
-assembled.
+assembled, and in the CLI only the config reader probes the parsed file, so
+that every key read is recorded.
 """
 
 import ast
@@ -101,4 +102,20 @@ def test_only_the_storage_classes_read_the_grid_storage():
              if path.name != "mesh.py"
              for where, attr in _storage_reads(_tree(path))
              if (path.name, where) not in STORAGE_READERS]
+    assert stray == []
+
+
+# the parser methods that test for or list keys; in cli.py only _Config,
+# which records each key asked for, may call them
+PARSER_PROBES = ("has_option", "options", "sections", "has_section", "items")
+
+
+def test_only_the_config_reader_probes_the_parser():
+    tree = _tree(PACKAGE / "cli.py")
+    stray = [f"{getattr(top, 'name', None)}: {node.func.attr}"
+             for top in tree.body if getattr(top, "name", None) != "_Config"
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Attribute)
+             and node.func.attr in PARSER_PROBES]
     assert stray == []
