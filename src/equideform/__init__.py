@@ -15,17 +15,17 @@ from .lie_bundle import (CheckReport, algebra_basis, algebra_element,
                          group_membership_residual,
                          invariance_residual, section, slice_element,
                          verify_bundle)
-from .mesh import Grid, Pairing, build_grid, fornberg_weights
+from .mesh import (Grid, JacobiOperator, build_grid, fornberg_weights,
+                   wnorm)
 from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, killing_residual,
                       quadric_embed, quadric_to_chart, radial_area, sn_lambda,
                       structure_match)
 from .variational import (PROBLEMS, CmcCircle, CmcProfile, HarmonicSphere,
-                          HarmonicTorus, JacobiOperator, Problem, ProblemState, act,
+                          HarmonicTorus, Problem, ProblemState, act,
                           circle_seed, cmc_circle_radius, derived_scalars,
                           geodesic_curvature, jacobi, killing_jacobi_basis,
-                          pairing, profile_cylinder_seed, residual,
-                          residual_norm, sphere_equator_seed, state_size,
-                          torus_line_seed, value)
+                          profile_cylinder_seed, residual, residual_norm,
+                          sphere_equator_seed, torus_line_seed, value)
 from .equivariance import (DiagnosticsReport, KernelBasis, NondegeneracyReport,
                            nondegeneracy_report, numerical_kernel,
                            operator_diagnostics, rank_basis,

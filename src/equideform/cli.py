@@ -23,8 +23,9 @@ Configuration is a key = value INI file. Keys are case-insensitive.
     [path]      start, end; records (count, uniform steps) or initial_step
                 with optional min_step/max_step; tol (below 1e-8),
                 max_newton, retries, basin_guard, diagnostics_cadence,
-                angle_tol, tol_rel; analyze and congruence read only the
-                corrector keys (start = end = lambda_hat)
+                angle_tol, tol_rel; congruence reads only tol, max_newton
+                and basin_guard, analyze also angle_tol and tol_rel
+                (start = end = lambda_hat)
     [bundle]    lambdas (list), n (list), samples, triples
     [congruence] t = t1,t2,... (group parameters, |t| < 0.25); tol
     [test]      fault injection hooks: inject_broken_basis (bool) for
@@ -104,8 +105,9 @@ def _load_config(path):
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
+    # values are literal: no % interpolation, and [DEFAULT] is a plain section
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"),
-                                   default_section="")  # [DEFAULT]: a plain section
+                                   default_section="", interpolation=None)
     try:
         cp.read_string(raw.decode("utf-8"))
     except (UnicodeDecodeError, configparser.Error) as exc:
@@ -219,16 +221,21 @@ def _build_problem(cfg, lam=None):
             dict(resolved, instance=instance, n=problem.grid.N), lam)
 
 
-def _path_config(cfg, lam=None):
-    """ContinuationConfig from [path]; lam fixes start=end for polish-only use."""
+# the [path] settings and their converters; continue reads them all
+_PATH_KEYS = {"tol": _positive, "max_newton": int, "retries": int,
+              "basin_guard": _positive, "diagnostics_cadence": int,
+              "angle_tol": _positive, "tol_rel": _positive}
+# the settings a corrector polish reads, and the certificate after it
+_CORRECTOR_KEYS = ("tol", "max_newton", "basin_guard")
+_CERTIFICATE_KEYS = _CORRECTOR_KEYS + ("angle_tol", "tol_rel")
+
+
+def _path_config(cfg, keys=tuple(_PATH_KEYS), lam=None):
+    """ContinuationConfig from the [path] settings keys; lam fixes start=end
+    for polish-only use."""
     kwargs = {}
-    for key, conv in (("tol", _positive),
-                      ("max_newton", int), ("retries", int),
-                      ("basin_guard", _positive),
-                      ("diagnostics_cadence", int),
-                      ("angle_tol", _positive),
-                      ("tol_rel", _positive)):
-        value = cfg.get("path", key, conv)
+    for key in keys:
+        value = cfg.get("path", key, _PATH_KEYS[key])
         if value is not None:
             kwargs[key] = value
     try:
@@ -284,7 +291,7 @@ def run_verify_bundle(cfg, seed, chash, outdir):
 
 def run_analyze(cfg, seed, chash, outdir):
     problem, seed_state, resolved, lam = _build_problem(cfg)
-    ccfg = _path_config(cfg, lam=lam)
+    ccfg = _path_config(cfg, _CERTIFICATE_KEYS, lam)
     shift = cfg.get("test", "inject_shift", _float)
     cfg.check_read(f"analyze on {resolved['instance']}")
     resolved.update(lambda_hat=lam, seed=seed)
@@ -357,7 +364,7 @@ def run_continue(cfg, seed, chash, outdir):
 
 def run_congruence(cfg, seed, chash, outdir):
     problem, seed_state, resolved, lam = _build_problem(cfg)
-    ccfg = _path_config(cfg, lam=lam)
+    ccfg = _path_config(cfg, _CORRECTOR_KEYS, lam)
     t = np.asarray(cfg.get("congruence", "t", _float_list, required=True))
     tol = cfg.get("congruence", "tol", _positive, default=1e-8)
     cfg.check_read(f"congruence on {resolved['instance']}")

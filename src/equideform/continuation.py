@@ -12,8 +12,9 @@ directions that foliate the solution set. Quadratic convergence holds near
 certified-nondegenerate solutions because the bordered matrix is exactly
 the restriction of the Hessian to a transversal slice plus the orbit
 bookkeeping. One reduction of the bordered matrix per step, which the
-Jacobi's class makes (JacobiOperator.bordered_reduction), gives both its
-exact 2-norm condition number, which must stay below 1e12, and the update.
+Jacobi's class makes (mesh.JacobiOperator.bordered_reduction), gives both
+its exact 2-norm condition number, which must stay below 1e12, and the
+update.
 A band Jacobi has no Killing columns to border (the profile's k = 0), so
 its bordered matrix is the band itself.
 
@@ -58,8 +59,9 @@ from .equivariance import (CRITICAL_TOL, nondegeneracy_report,
                            transversality_margin)
 from .errors import (SOLVER_ERRORS, IllConditioned, NoConvergence,
                      PreconditionError)
+from .mesh import wnorm
 from .variational import (ProblemState, act, act_jacobian, derived_scalars,
-                          jacobi, killing_jacobi_basis, pairing, residual,
+                          jacobi, killing_jacobi_basis, residual,
                           residual_norm)
 
 MARGIN_FLOOR = 0.1
@@ -177,7 +179,7 @@ def _bordered_update(J, B, res, lambda_hat):
     reduction of M = [[W J, W B], [B^T W, 0]], gone on return, gives both
     the exact 2-norm condition number max|mu| / min|mu| over M's eigenvalues
     and the solve. Raises IllConditioned when the condition exceeds 1e12."""
-    w = J.pairing.weights
+    w = J.weights
     n, k = B.shape
     reduced = J.bordered_reduction(B)
     mu = np.abs(reduced.eigenvalues)
@@ -200,11 +202,10 @@ def corrector_step(problem, state, lambda_hat, config):
     largest normalized Killing component of any update (the slice leak,
     held at roundoff by an explicit projection after each solve).
     """
-    pr = pairing(problem)
-    w = pr.weights
+    w = problem.weights()
     st = ProblemState(state.values.copy())
     res = residual(problem, st, lambda_hat)
-    rn = pr.norm(res)
+    rn = wnorm(w, res)
     if not np.isfinite(rn) or rn >= config.basin_guard:
         raise PreconditionError(
             f"initial residual {rn:.3e} outside the basin guard {config.basin_guard:.1e}")
@@ -225,13 +226,13 @@ def corrector_step(problem, state, lambda_hat, config):
         if k:
             # exact W-orthogonality to the orbit directions
             delta = delta - B @ (B.T @ (w * delta))
-            dn = pr.norm(delta)
+            dn = wnorm(w, delta)
             if dn > 0.0:
                 leak = np.max(np.abs(B.T @ (w * delta))) / dn
                 orbit_inner = max(orbit_inner, float(leak))
         st = ProblemState(st.values + delta)
         res = residual(problem, st, lambda_hat)
-        prev, rn = rn, pr.norm(res)
+        prev, rn = rn, wnorm(w, res)
         if not np.isfinite(rn):
             raise NoConvergence("corrector residual became non-finite")
         norms.append(float(rn))
@@ -258,7 +259,7 @@ def _certify(problem, state, lam, config, iters, reference,
                                angle_tol=config.angle_tol, operator=J)
     basis = rep.killing_basis
     margin = transversality_margin(
-        basis, basis if reference is None else reference, J.pairing.weights)
+        basis, basis if reference is None else reference, J.weights)
     diag = None
     if with_diagnostics:
         diag = operator_diagnostics(J, problem, state, lam).to_payload()
@@ -453,8 +454,7 @@ def orbit_project(problem, state, lambda_hat, reference):
     reference's representative onto the input state (minus the solve
     direction), the moved state, and the remaining W-distance to the slice.
     """
-    pr = pairing(problem)
-    w = pr.weights
+    w = problem.weights()
     B = rank_basis(killing_jacobi_basis(problem, reference, lambda_hat), w)
     k = len(problem.generators(lambda_hat))
     if k == 0 or B.shape[1] == 0:
@@ -492,8 +492,7 @@ def congruence_check(problem, state1, state2, lambda_hat, tol=1e-8,
     """
     if config is None:
         config = ContinuationConfig.polish(lambda_hat)
-    pr = pairing(problem)
     t, moved, _ = orbit_project(problem, state2, lambda_hat, state1)
     polished, _, _ = corrector_step(problem, moved, lambda_hat, config)
-    dist = pr.norm(polished.values - state1.values)
+    dist = wnorm(problem.weights(), polished.values - state1.values)
     return bool(dist < tol), t

@@ -4,12 +4,12 @@ The numerical Jacobi kernel is extracted from one reduction of one triangle
 of W^-1/2 (W J) W^-1/2: its whole spectrum gives the kernel dimension and
 the gap. The kernel's eigenvectors are formed only to be compared against
 the span of the Killing-induced Jacobi fields through principal angles, so
-only when that span is nonempty. The operator's class makes the reduction
-(JacobiOperator.scaled_reduction): a tridiagonal one of a dense W J, a band
-one of a band W J (dirichlet grids), which works in O(n b) memory and
-O(n^2 b) time and refuses eigenvectors, since the band's instance has no
-Killing fields; the cut, the gap and the verdict that follow are the same
-code for both. A state is certified nondegenerate exactly when the kernel
+only when that span is nonempty. The operator's class makes the
+reduction (mesh.JacobiOperator.scaled_reduction): a tridiagonal one of a
+dense W J, a band one of a band W J (dirichlet grids), which works in
+O(n b) memory and O(n^2 b) time and refuses eigenvectors, since the band's
+instance has no Killing fields; the cut, the gap and the verdict that
+follow are the same code for both. A state is certified nondegenerate exactly when the kernel
 dimension equals the Killing rank and every principal angle is below
 tolerance; a mandatory multiplicative spectral gap guards against silent
 misclassification near threshold.
@@ -35,7 +35,7 @@ from scipy.linalg import subspace_angles
 from . import errors
 from .errors import PreconditionError
 from .variational import (ProblemState, jacobi, killing_jacobi_basis,
-                          pairing, residual, residual_norm)
+                          residual, residual_norm)
 
 GAP_FLOOR = 1.0e3
 CRITICAL_TOL = 1e-8  # nondegeneracy_report needs |residual|_W below this
@@ -75,7 +75,7 @@ def numerical_kernel(J, tol_rel=None):
     a band reduction refuses them (UnsupportedError), as a band operator
     refuses Killing columns: its instance has no Killing span.
     """
-    n = J.pairing.weights.size
+    n = J.weights.size
     if tol_rel is None:
         tol_rel = 1e-8 * n
     if not 0.0 < tol_rel <= 1e-2:
@@ -161,7 +161,7 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
         raise PreconditionError(
             f"state is not critical: |residual|_W = {rn:.3e} >= {CRITICAL_TOL:g}")
     J = operator if operator is not None else jacobi(problem, state, lambda_hat)
-    w = pairing(problem).weights
+    w = problem.weights()
     B = rank_basis(killing_jacobi_basis(problem, state, lambda_hat), w)
     r = B.shape[1]
     kb = numerical_kernel(J, tol_rel=tol_rel)
@@ -236,7 +236,7 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
     gap between J v = W^-1 (W J) v and the central difference of the
     residual over random probe vectors.
     """
-    n = J.pairing.weights.size
+    n = J.weights.size
     sym = J.symmetry_residual()
     fd = np.nan
     if problem is not None and state is not None and lambda_hat is not None:
@@ -248,7 +248,7 @@ def operator_diagnostics(J, problem=None, state=None, lambda_hat=None,
             rp = residual(problem, ProblemState(base + step * v), lambda_hat)
             rm = residual(problem, ProblemState(base - step * v), lambda_hat)
             num = (rp - rm) / (2.0 * step)
-            Jv = J.matvec(v) / J.pairing.weights
+            Jv = J.matvec(v) / J.weights
             scale = max(np.linalg.norm(Jv), 1e-300)
             worst = max(worst, float(np.linalg.norm(num - Jv) / scale))
         fd = worst

@@ -1,4 +1,5 @@
-"""Grids, differentiation matrices, quadrature and the background pairing.
+"""Grids, differentiation matrices, quadrature, the background pairing and
+the storage of the Jacobi.
 
 Unknowns in this package are nodal samples of closed curves or maps, so all
 calculus reduces to matrix algebra against the operators built here.
@@ -32,15 +33,26 @@ alike: a matrix A of half-bandwidth b is the (2b + 1, n) array band[b + k,
 i] = A[i, i + k], zero where i + k leaves 0..n-1. For a symmetric A this is
 LAPACK's general band storage, and its rows b..2b alone are LAPACK's
 symmetric lower band storage, lower[k, j] = A[j + k, j]. band_dense,
-band_matvec, band_rmatvec and symmetric_band convert and apply bands for
-every module; only the code that fills or rescales a band (the stencils
-here, the band Jacobi's assembly and its W^-1/2 scaling) indexes one
-itself. Outside this module, only the Jacobi storage classes and jacobi's
-choice between them read band or diff1; all else applies D1 by d1 and d1t.
+band_matvec, band_rmatvec and symmetric_band convert and apply bands; only
+the code that fills or rescales a band (the stencils, the band Jacobi's
+assembly and its W^-1/2 scaling) indexes one itself. No other module reads
+band or diff1: it applies D1 by d1 and d1t.
 
-The Jacobi classes' reductions live here too: _Banded of a lower band, in
-O(n b) memory, which gives eigenvalues and solves but no eigenvectors, and
-_Tridiagonal of a dense matrix in the buffer that LAPACK dsytrd overwrites
+The background pairing is diag(w) for the weights w of the unknowns, and
+wnorm is its norm. The Jacobi J = W^-1 Hess is stored here too. A
+JacobiForm holds the second partials of a density at the grid nodes;
+JacobiForm.operator reads the grid once and assembles the Hessian W J in the
+storage it calls for: a dense JacobiOperator on a periodic grid, and on a
+dirichlet grid, whose D1 and so W J are banded, a BandJacobiOperator, which
+assembles the lower band in O(n b^2) and forms no n x n array unless its
+dense asks. Each class owns the arithmetic its storage changes, reductions
+included, so the certificate and the corrector run one code for all. The
+band class serves CmcProfile alone, which has no Killing fields: it refuses
+a Killing border, and its reduction refuses kernel vectors.
+
+The classes' reductions are _Banded of a lower band, in O(n b) memory,
+which gives eigenvalues and solves but no eigenvectors, and _Tridiagonal of
+a dense matrix in the buffer that LAPACK dsytrd overwrites
 with the reflectors dormqr reads in place, the one n x n matrix a routine
 holds beside diff1 and a dense Jacobi (a branch, which certifies on a
 worker thread, holds five). dsytrd is called through scipy's cython_lapack
@@ -50,16 +62,17 @@ are bitwise the wrapper's.
 """
 
 import ctypes
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 from scipy.linalg import (cython_lapack, eigh_tridiagonal, eigvals_banded,
                           lapack, solve_banded)
 
-from .errors import DomainError, UnsupportedError
+from .errors import DomainError, ShapeError, UnsupportedError
 
 TWO_PI = 2.0 * np.pi
+BLOCK = 128  # side of the blocks the symmetry residual pairs with mirrors
 
 
 def fornberg_weights(z, x, m):
@@ -421,15 +434,216 @@ def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
     raise DomainError(f"unknown grid kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class Pairing:
-    """Diagonal inner product <u, v> = sum_i weights_i u_i v_i."""
+def wnorm(weights, u):
+    """The pairing norm sqrt(sum_i weights_i u_i^2)."""
+    u = np.asarray(u)
+    return float(np.sqrt(np.dot(weights * u, u)))
 
+
+@dataclass(frozen=True, eq=False)
+class JacobiForm:
+    """The second variation at a state: the density's second partials at
+    the grid nodes, in variational.Density's entry convention, and the free
+    nodes. W J is the free part of D1^T diag(w Fpp) D1 + diag(w Fup) D1 +
+    its transpose + diag(w Fuu), one block per pair of components."""
+    grid: Grid
+    free: slice
+    Fpp: list
+    Fup: list
+    Fuu: list
+
+    def operator(self, weights):
+        """J for the pairing weights W of the unknowns, in the storage the
+        grid calls for: dense W J on a periodic grid, its lower band on a
+        dirichlet one, whose D1 and so W J are banded."""
+        cls = JacobiOperator if self.grid.band is None else BandJacobiOperator
+        return cls(cls.assemble(self), weights)
+
+
+@dataclass(frozen=True, eq=False)
+class JacobiOperator:
+    """The Jacobi J at a state, carried as the n x n Hessian W J on the
+    unknowns; W is diag(weights). The subclass BandJacobiOperator carries a
+    band W J. Each class assembles its storage from a JacobiForm and owns
+    what its storage changes; JacobiForm.operator picks the class."""
+    hessian: np.ndarray
     weights: np.ndarray
 
-    def inner(self, u, v):
-        return float(np.dot(self.weights * np.asarray(u), np.asarray(v)))
+    def __post_init__(self):
+        # a dense store is square and matches the weights
+        if self.hessian.shape != 2 * self.weights.shape:
+            raise self._misfit()
 
-    def norm(self, u):
-        u = np.asarray(u)
-        return float(np.sqrt(np.dot(self.weights * u, u)))
+    def _misfit(self):
+        return ShapeError(f"operator of shape {self.hessian.shape} does not "
+                          f"act on the weights {self.weights.shape}")
+
+    @staticmethod
+    def assemble(form):
+        """W J as a new dense array, for a form whose every node is free (a
+        periodic grid's); constant Fpp blocks scale one shared D1^T diag(w)
+        D1."""
+        w = form.grid.quad
+        D1 = form.grid.diff1
+        n = form.grid.N
+        m = len(form.Fpp)
+        # the result is allocated before its temporary S, which is freed on
+        # return from the top of the heap, ready for the next n x n array
+        H = np.empty((m * n, m * n))
+        blocks = [[H[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(m)]
+                  for i in range(m)]
+        pairs = [(i, j) for i in range(m) for j in range(m)]
+        S = np.empty(D1.shape)
+        K = None
+        for i, j in pairs:
+            a = form.Fpp[i][j]
+            if a is None:
+                blocks[i][j].fill(0.0)
+            elif np.ndim(a) == 0:
+                if K is None:
+                    np.multiply(w[:, None], D1, out=S)
+                    K = D1.T @ S
+                np.multiply(a, K, out=blocks[i][j])
+            else:
+                np.multiply((w * a)[:, None], D1, out=S)
+                np.matmul(D1.T, S, out=blocks[i][j])
+        diag = np.arange(n)
+        for i, j in pairs:
+            b, c = form.Fup[i][j], form.Fuu[i][j]
+            if b is not None:
+                np.multiply((w * b)[:, None], D1, out=S)
+                blocks[j][i] += S.T
+                blocks[i][j] += S
+            if c is not None:
+                blocks[i][j][diag, diag] += w * c
+        return H
+
+    # the view of the storage H that holds W J's diagonal
+    _diagonal = staticmethod(lambda H: np.einsum("ii->i", H))
+
+    def dense(self):
+        """W J as an n x n matrix."""
+        return self.hessian
+
+    def matvec(self, v):
+        """(W J) v."""
+        return self.hessian @ v
+
+    def shifted(self, shift):
+        """J + shift I, carried as W J + shift W: a copy of the storage
+        with shift W added on its diagonal."""
+        H = self.hessian.copy()
+        self._diagonal(H)[...] += shift * self.weights
+        return replace(self, hessian=H)
+
+    def symmetry_residual(self):
+        """|W J - (W J)^T|_F / |W J|_F, 0 when W J vanishes, summed over
+        the block pairs on and above the diagonal (an off-diagonal pair
+        counts for both mirrors), so no n x n copy is made."""
+        H = self.hessian
+        denom = np.linalg.norm(H)
+        if not denom > 0.0:
+            return 0.0
+        sq = 0.0
+        for i in range(0, len(H), BLOCK):
+            for j in range(i, len(H), BLOCK):
+                X = H[i:i + BLOCK, j:j + BLOCK] - H[j:j + BLOCK, i:i + BLOCK].T
+                sq += (1.0 if i == j else 2.0) * np.vdot(X, X)
+        return float(np.sqrt(sq) / denom)
+
+    def scaled_reduction(self):
+        """(the reduction of W^-1/2 (W J) W^-1/2, the square roots of W).
+        The scaled matrix is one new array, the Fortran-ordered reduction
+        buffer, whose lower triangle is reduced."""
+        D = self.dense()
+        sw = np.sqrt(self.weights)
+        A = np.empty_like(D, order="F")
+        np.divide(D, sw[:, None], out=A)
+        A /= sw[None, :]
+        return _Tridiagonal(A), sw
+
+    def bordered_reduction(self, B):
+        """The reduction of [[W J, W B], [B^T W, 0]] for the columns B,
+        written straight into the Fortran buffer it overwrites and keeps."""
+        n, k = B.shape
+        WB = self.weights[:, None] * B
+        M = np.empty((n + k, n + k), order="F")
+        M[:n, :n] = self.dense()
+        M[:n, n:] = WB
+        M[n:, :n] = WB.T
+        M[n:, n:] = 0.0
+        return _Tridiagonal(M)
+
+
+@dataclass(frozen=True, eq=False)
+class BandJacobiOperator(JacobiOperator):
+    """J on a dirichlet grid: hessian is the lower band of W J, shape (b +
+    1, n), in mesh's symmetric lower band storage; only dense forms an n x n
+    array. With one triangle stored, W J is symmetric by construction."""
+
+    def __post_init__(self):
+        # a band store has at most n rows and n columns
+        H, w = self.hessian, self.weights
+        if H.shape[1:] != w.shape or not 0 < len(H) <= w.size:
+            raise self._misfit()
+
+    @staticmethod
+    def assemble(form):
+        """The lower band of W J for a one-component form (the profile's),
+        in O(N b^2); its half-bandwidth is D1's, b. Node i, with D1 row R_i,
+        adds w_i Fpp_i R_i^T R_i + w_i Fup_i (e_i R_i + R_i^T e_i^T) + w_i
+        Fuu_i e_i e_i^T. The band of the full grid is then cut to the free
+        nodes, a slice."""
+        band = form.grid.band
+        b = len(band) // 2
+        N = form.grid.N
+        w = form.grid.quad
+        L = np.zeros((b + 1, N))
+        a, c, e = form.Fpp[0][0], form.Fup[0][0], form.Fuu[0][0]
+        if a is not None:
+            wa = w * a
+            # node i adds wa_i D1[i, i + k] D1[i, i + m] at (i + k, i + m);
+            # a row's stencil spans b + 1 columns, so 0 <= k - m <= b
+            for k in range(-b, b + 1):
+                rk = wa * band[b + k]
+                for m in range(max(-b, k - b), k + 1):
+                    lo, hi = max(0, -m), min(N, N - k)
+                    L[k - m, lo + m:hi + m] += (rk * band[b + m])[lo:hi]
+        if c is not None:
+            wc = w * c
+            L[0] += 2.0 * wc * band[b]
+            for k in range(1, b + 1):
+                L[k, :-k] += (wc * band[b + k])[:-k]
+                L[k, :-k] += (wc * band[b - k])[k:]
+        if e is not None:
+            L[0] += w * e
+        n = len(range(N)[form.free])
+        out = np.ascontiguousarray(L[:min(b, n - 1) + 1, form.free])
+        for k in range(1, len(out)):
+            out[k, n - k:] = 0.0
+        return out
+
+    _diagonal = staticmethod(lambda H: H[0])
+
+    def dense(self):
+        return band_dense(symmetric_band(self.hessian))
+
+    def matvec(self, v):
+        return band_matvec(symmetric_band(self.hessian), v)
+
+    def symmetry_residual(self):
+        return 0.0
+
+    def scaled_reduction(self):
+        # the lower band of W^-1/2 (W J) W^-1/2, a new array
+        sw = np.sqrt(self.weights)
+        A = self.hessian / sw
+        for k in range(len(A)):
+            A[k, :len(sw) - k] /= sw[k:]
+        return _Banded(A), sw
+
+    def bordered_reduction(self, B):
+        if B.shape[1]:
+            raise UnsupportedError(
+                "a banded Jacobi cannot be bordered by Killing columns")
+        return _Banded(self.hessian)

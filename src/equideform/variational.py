@@ -20,24 +20,19 @@ one real parameter lambda_hat:
 Each instance is one class implementing the Problem protocol, and PROBLEMS
 maps registry names to the classes. The module-level functions (value,
 residual, jacobi, killing_jacobi_basis, act, ...) check the state, call the
-instance's method, and do the shared pairing work.
+instance's method, and do the shared pairing work against the weights W of
+Problem.weights.
 
 Every functional is sum_i w_i F(u_i, (D1 u)_i) for the chart components u
-at the nodes, w the grid's quadrature and D1 its diff1. An instance gives
-only the pointwise density F and its partials. Problem.value and grad
-derive the value and its exact gradient against the fixed background
-pairing W; Problem.hess returns the second variation as a JacobiForm, the
-second partials at the nodes, and knows nothing of storage. The Jacobi J is
-carried as its Hessian W J, symmetric by construction, and the discrete
-model is smooth in the literal finite-dimensional sense. Each storage class
-assembles W J from the form and owns the arithmetic its storage changes,
-reductions included, so the certificate and the corrector run one code for
-all. jacobi reads the grid once: a periodic grid gets a dense
-JacobiOperator, and a dirichlet grid, whose D1 and so W J are banded, a
-BandJacobiOperator, which assembles the lower band in O(n b^2) and forms no
-n x n array unless its dense asks. The band class serves CmcProfile alone,
-which has no Killing fields: it refuses a Killing border, and its reduction
-refuses kernel vectors.
+at the nodes, w the grid's quadrature and D1 applied by the grid's d1. An
+instance gives only the pointwise density F and its partials. Problem.value
+and grad derive the value and its exact gradient against the fixed
+background pairing W; Problem.hess returns the second variation as a
+mesh.JacobiForm, the second partials at the nodes, and knows nothing of
+storage. The Jacobi J is carried as its Hessian W J, symmetric by
+construction, and the discrete model is smooth in the literal
+finite-dimensional sense. jacobi is the form's operator for W: mesh picks
+the storage from the grid and owns its arithmetic, reductions included.
 
 States of the harmonic instances store periodic chart data with the winding
 handled analytically: the torus state is the periodic remainder on top of
@@ -51,7 +46,7 @@ there. That would fake a negative mode for CmcCircle and a kernel dimension
 per component for the harmonic instances.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -60,8 +55,7 @@ from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_embed,
                       quadric_to_chart, radial_area, sn_lambda)
 from .errors import ConfigError, DomainError, ShapeError, UnsupportedError
 from .lie_bundle import dexp
-from .mesh import (TWO_PI, Grid, Pairing, _Banded, _Tridiagonal, band_dense,
-                   band_matvec, build_grid, symmetric_band)
+from .mesh import TWO_PI, Grid, JacobiForm, build_grid, wnorm
 
 RMIN = 0.05  # radial graphs stay away from the chart origin
 SIN_MIN = 0.05  # sphere charts stay away from the poles
@@ -69,7 +63,6 @@ SIN_MIN = 0.05  # sphere charts stay away from the poles
 # of K x INTERP_ROWS complex powers z^k, K = (N - 1) // 2, so its memory
 # stays at about 16 * INTERP_ROWS * K bytes
 INTERP_ROWS = 256
-BLOCK = 128  # side of the blocks the symmetry residual pairs with mirrors
 
 
 def radial_cap(lam):
@@ -93,209 +86,6 @@ class ProblemState:
     def __post_init__(self):
         v = np.array(self.values, dtype=float).ravel()
         object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True, eq=False)
-class JacobiForm:
-    """The second variation at a state: the density's second partials at
-    the grid nodes, in Density's entry convention, and the free nodes. W J
-    is the free part of D1^T diag(w Fpp) D1 + diag(w Fup) D1 + its
-    transpose + diag(w Fuu), one block per pair of components."""
-    grid: Grid
-    free: slice
-    Fpp: list
-    Fup: list
-    Fuu: list
-
-
-@dataclass(frozen=True, eq=False)
-class JacobiOperator:
-    """The Jacobi J at a state, carried as the n x n Hessian W J on the
-    unknowns; W is diag(pairing.weights). The subclass BandJacobiOperator
-    carries a band W J. Each class assembles its storage from a JacobiForm
-    and owns what its storage changes; jacobi picks the class."""
-    hessian: np.ndarray
-    pairing: Pairing
-    lambda_hat: float
-
-    def __post_init__(self):
-        # a dense store is square and matches the weights
-        if self.hessian.shape != 2 * self.pairing.weights.shape:
-            raise self._misfit()
-
-    def _misfit(self):
-        return ShapeError(f"operator of shape {self.hessian.shape} does not "
-                          f"act on the weights {self.pairing.weights.shape}")
-
-    @staticmethod
-    def assemble(form):
-        """W J as a new dense array, for a form whose every node is free (a
-        periodic grid's); constant Fpp blocks scale one shared D1^T diag(w)
-        D1."""
-        w = form.grid.quad
-        D1 = form.grid.diff1
-        n = form.grid.N
-        m = len(form.Fpp)
-        # the result is allocated before its temporary S, which is freed on
-        # return from the top of the heap, ready for the next n x n array
-        H = np.empty((m * n, m * n))
-        blocks = [[H[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(m)]
-                  for i in range(m)]
-        pairs = [(i, j) for i in range(m) for j in range(m)]
-        S = np.empty(D1.shape)
-        K = None
-        for i, j in pairs:
-            a = form.Fpp[i][j]
-            if a is None:
-                blocks[i][j].fill(0.0)
-            elif np.ndim(a) == 0:
-                if K is None:
-                    np.multiply(w[:, None], D1, out=S)
-                    K = D1.T @ S
-                np.multiply(a, K, out=blocks[i][j])
-            else:
-                np.multiply((w * a)[:, None], D1, out=S)
-                np.matmul(D1.T, S, out=blocks[i][j])
-        diag = np.arange(n)
-        for i, j in pairs:
-            b, c = form.Fup[i][j], form.Fuu[i][j]
-            if b is not None:
-                np.multiply((w * b)[:, None], D1, out=S)
-                blocks[j][i] += S.T
-                blocks[i][j] += S
-            if c is not None:
-                blocks[i][j][diag, diag] += w * c
-        return H
-
-    # the view of the storage H that holds W J's diagonal
-    _diagonal = staticmethod(lambda H: np.einsum("ii->i", H))
-
-    def dense(self):
-        """W J as an n x n matrix."""
-        return self.hessian
-
-    def matvec(self, v):
-        """(W J) v."""
-        return self.hessian @ v
-
-    def shifted(self, shift):
-        """J + shift I, carried as W J + shift W: a copy of the storage
-        with shift W added on its diagonal."""
-        H = self.hessian.copy()
-        self._diagonal(H)[...] += shift * self.pairing.weights
-        return replace(self, hessian=H)
-
-    def symmetry_residual(self):
-        """|W J - (W J)^T|_F / |W J|_F, 0 when W J vanishes, summed over
-        the block pairs on and above the diagonal (an off-diagonal pair
-        counts for both mirrors), so no n x n copy is made."""
-        H = self.hessian
-        denom = np.linalg.norm(H)
-        if not denom > 0.0:
-            return 0.0
-        sq = 0.0
-        for i in range(0, len(H), BLOCK):
-            for j in range(i, len(H), BLOCK):
-                X = H[i:i + BLOCK, j:j + BLOCK] - H[j:j + BLOCK, i:i + BLOCK].T
-                sq += (1.0 if i == j else 2.0) * np.vdot(X, X)
-        return float(np.sqrt(sq) / denom)
-
-    def scaled_reduction(self):
-        """(the reduction of W^-1/2 (W J) W^-1/2, the square roots of W).
-        The scaled matrix is one new array, the Fortran-ordered reduction
-        buffer, whose lower triangle is reduced."""
-        D = self.dense()
-        sw = np.sqrt(self.pairing.weights)
-        A = np.empty_like(D, order="F")
-        np.divide(D, sw[:, None], out=A)
-        A /= sw[None, :]
-        return _Tridiagonal(A), sw
-
-    def bordered_reduction(self, B):
-        """The reduction of [[W J, W B], [B^T W, 0]] for the columns B,
-        written straight into the Fortran buffer it overwrites and keeps."""
-        n, k = B.shape
-        WB = self.pairing.weights[:, None] * B
-        M = np.empty((n + k, n + k), order="F")
-        M[:n, :n] = self.dense()
-        M[:n, n:] = WB
-        M[n:, :n] = WB.T
-        M[n:, n:] = 0.0
-        return _Tridiagonal(M)
-
-
-@dataclass(frozen=True, eq=False)
-class BandJacobiOperator(JacobiOperator):
-    """J on a dirichlet grid: hessian is the lower band of W J, shape (b +
-    1, n), in mesh's symmetric lower band storage; only dense forms an n x n
-    array. With one triangle stored, W J is symmetric by construction."""
-
-    def __post_init__(self):
-        # a band store has at most n rows and n columns
-        H, w = self.hessian, self.pairing.weights
-        if H.shape[1:] != w.shape or not 0 < len(H) <= w.size:
-            raise self._misfit()
-
-    @staticmethod
-    def assemble(form):
-        """The lower band of W J for a one-component form (the profile's),
-        in O(N b^2); its half-bandwidth is D1's, b. Node i, with D1 row R_i,
-        adds w_i Fpp_i R_i^T R_i + w_i Fup_i (e_i R_i + R_i^T e_i^T) + w_i
-        Fuu_i e_i e_i^T. The band of the full grid is then cut to the free
-        nodes, a slice."""
-        band = form.grid.band
-        b = len(band) // 2
-        N = form.grid.N
-        w = form.grid.quad
-        L = np.zeros((b + 1, N))
-        a, c, e = form.Fpp[0][0], form.Fup[0][0], form.Fuu[0][0]
-        if a is not None:
-            wa = w * a
-            # node i adds wa_i D1[i, i + k] D1[i, i + m] at (i + k, i + m);
-            # a row's stencil spans b + 1 columns, so 0 <= k - m <= b
-            for k in range(-b, b + 1):
-                rk = wa * band[b + k]
-                for m in range(max(-b, k - b), k + 1):
-                    lo, hi = max(0, -m), min(N, N - k)
-                    L[k - m, lo + m:hi + m] += (rk * band[b + m])[lo:hi]
-        if c is not None:
-            wc = w * c
-            L[0] += 2.0 * wc * band[b]
-            for k in range(1, b + 1):
-                L[k, :-k] += (wc * band[b + k])[:-k]
-                L[k, :-k] += (wc * band[b - k])[k:]
-        if e is not None:
-            L[0] += w * e
-        n = len(range(N)[form.free])
-        out = np.ascontiguousarray(L[:min(b, n - 1) + 1, form.free])
-        for k in range(1, len(out)):
-            out[k, n - k:] = 0.0
-        return out
-
-    _diagonal = staticmethod(lambda H: H[0])
-
-    def dense(self):
-        return band_dense(symmetric_band(self.hessian))
-
-    def matvec(self, v):
-        return band_matvec(symmetric_band(self.hessian), v)
-
-    def symmetry_residual(self):
-        return 0.0
-
-    def scaled_reduction(self):
-        # the lower band of W^-1/2 (W J) W^-1/2, a new array
-        sw = np.sqrt(self.pairing.weights)
-        A = self.hessian / sw
-        for k in range(len(A)):
-            A[k, :len(sw) - k] /= sw[k:]
-        return _Banded(A), sw
-
-    def bordered_reduction(self, B):
-        if B.shape[1]:
-            raise UnsupportedError(
-                "a banded Jacobi cannot be bordered by Killing columns")
-        return _Banded(self.hessian)
 
 
 # ---------------------------------------------------------------------------
@@ -864,20 +654,11 @@ PROBLEMS = {cls.name: cls for cls in (CmcCircle, CmcProfile, HarmonicTorus,
 # ---------------------------------------------------------------------------
 # public functional interface
 
-def state_size(problem):
-    """Number of unknowns: one per pairing weight."""
-    return problem.weights().size
-
-
-def pairing(problem):
-    """Background pairing weights for the problem's node space."""
-    return Pairing(problem.weights())
-
-
 def _check_state(problem, state, lambda_hat):
     v = state.values
-    if v.size != state_size(problem):
-        raise ShapeError(f"state has {v.size} values, expected {state_size(problem)}")
+    n = problem.weights().size  # one unknown per pairing weight
+    if v.size != n:
+        raise ShapeError(f"state has {v.size} values, expected {n}")
     if not np.all(np.isfinite(v)):
         raise DomainError("state contains non-finite values")
     problem.check(v, lambda_hat)
@@ -898,22 +679,20 @@ def residual(problem, state, lambda_hat):
     the interior nodes only.
     """
     v = _check_state(problem, state, lambda_hat)
-    return problem.grad(v, lambda_hat) / pairing(problem).weights
+    return problem.grad(v, lambda_hat) / problem.weights()
 
 
 def jacobi(problem, state, lambda_hat):
     """Jacobi operator J = W^-1 Hess of the discrete functional, carried as
-    the Hessian W J on the unknowns, which the storage class picked from the
-    grid assembles from the instance's JacobiForm (hess). W J is symmetric
+    the Hessian W J on the unknowns, which the instance's JacobiForm (hess)
+    assembles in its grid's storage (JacobiForm.operator). W J is symmetric
     by construction, up to roundoff, and no consumer forms J."""
     v = _check_state(problem, state, lambda_hat)
-    cls = JacobiOperator if problem.grid.band is None else BandJacobiOperator
-    return cls(cls.assemble(problem.hess(v, lambda_hat)), pairing(problem),
-               float(lambda_hat))
+    return problem.hess(v, lambda_hat).operator(problem.weights())
 
 
 def residual_norm(problem, state, lambda_hat):
-    return pairing(problem).norm(residual(problem, state, lambda_hat))
+    return wnorm(problem.weights(), residual(problem, state, lambda_hat))
 
 
 def killing_jacobi_basis(problem, state, lambda_hat):

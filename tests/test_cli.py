@@ -71,14 +71,18 @@ def test_verify_bundle_passes(tmp_path, capsys):
     "lambdas = 0.5\ntriples = 0\n",
     # a hook that only analyze reads
     "lambdas = 0.5\n[test]\ninject_shift = 0.5\n",
+    # values are literal, so a % is a bad number, not an interpolation
+    "lambdas = 0.5 %\n",
 ], ids=["non_finite_lambda", "no_lambdas", "no_n", "no_samples", "no_triples",
-        "inject_shift"])
+        "inject_shift", "percent"])
 def test_verify_bundle_config_errors(tmp_path, capsys, bundle):
     code, _ = run_cli(tmp_path, "verify-bundle", "[bundle]\n" + bundle)
     assert code == 64
     err = capsys.readouterr().err
     assert "config error" in err
     assert "Traceback" not in err
+    if "%" in bundle:
+        assert "[bundle] lambdas = '0.5 %' is not valid" in err
 
 
 @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
@@ -266,7 +270,7 @@ def test_circle_seed_jacobi_has_index_one(n, lam):
     problem, state, resolved, _ = _build_problem(_Config(cp), lam)
     assert resolved["n"] % 2 == 1
     J = jacobi(problem, state, lam)
-    s = 1.0 / np.sqrt(J.pairing.weights)
+    s = 1.0 / np.sqrt(J.weights)
     mu = np.linalg.eigvalsh(s[:, None] * J.hessian * s[None, :])
     assert np.count_nonzero(mu < -1e-8 * np.max(np.abs(mu))) == 1
 
@@ -625,10 +629,17 @@ CIRCLE_17_PATH = ("[problem]\ninstance = cmc_circle\nn = 17\nh = 2\n"
      "[congruenc] t"),
     ("continue", CIRCLE_17_PATH + "[run]\nsead = 5\n", "[run] sead"),
     ("analyze", CIRCLE_33 + "[path]\nstart = 3\n", "[path] start"),
+    # settings of the march, which a single corrector polish never reads
+    ("analyze", CIRCLE_33 + "[path]\nretries = 3\ndiagnostics_cadence = 5\n",
+     "[path] retries, diagnostics_cadence"),
     ("analyze", CIRCLE_33 + BUNDLE_SMALL, "[bundle] lambdas, n, samples, "
      "triples"),
     ("congruence", CIRCLE_33 + "[congruence]\nt = 0.01, 0\ntols = 1e-9\n",
      "[congruence] tols"),
+    # the certificate's settings too: congruence certifies nothing
+    ("congruence", CIRCLE_33 + "[congruence]\nt = 0.01, 0\n[path]\n"
+     "angle_tol = 1e-3\ntol_rel = 1e-3\nretries = 2\n",
+     "[path] angle_tol, tol_rel, retries"),
     ("verify-bundle", BUNDLE_SMALL + "sample = 1000\n", "[bundle] sample"),
     ("verify-bundle", BUNDLE_SMALL + CIRCLE_33, "[problem] instance, n, h, "
      "lambda_hat"),
@@ -636,7 +647,8 @@ CIRCLE_17_PATH = ("[problem]\ninstance = cmc_circle\nn = 17\nh = 2\n"
     ("verify-bundle", "[DEFAULT]\nsamples = 1000\n" + BUNDLE_SMALL,
      "[DEFAULT] samples"),
 ], ids=["continue_path_toll", "continue_congruenc", "continue_run_sead",
-        "analyze_path_start", "analyze_bundle", "congruence_tols",
+        "analyze_path_start", "analyze_path_march", "analyze_bundle",
+        "congruence_tols", "congruence_path_certificate",
         "bundle_sample", "bundle_problem", "bundle_default"])
 def test_unread_key_is_config_error(tmp_path, capsys, command, text, unread):
     code, out = run_cli(tmp_path, command, text)

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
 
-from equideform import continuation, variational
+from equideform import continuation, mesh
 from equideform.continuation import (BranchRecord, ContinuationConfig,
                                      congruence_check, continue_branch,
                                      corrector_step, orbit_project)
 from equideform.equivariance import rank_basis
 from equideform.errors import IllConditioned, NoConvergence, PreconditionError
-from equideform.mesh import build_grid
-from equideform.variational import (JacobiOperator, ProblemState, act,
-                                    act_jacobian, circle_seed,
-                                    cmc_circle_radius, jacobi,
-                                    killing_jacobi_basis, pairing,
-                                    residual_norm, sphere_equator_seed,
-                                    torus_line_seed)
+from equideform.mesh import JacobiOperator, build_grid
+from equideform.variational import (ProblemState, act, act_jacobian,
+                                    circle_seed, cmc_circle_radius, jacobi,
+                                    killing_jacobi_basis, residual_norm,
+                                    sphere_equator_seed, torus_line_seed)
 
 
 def _polish(lam, **kw):
@@ -81,14 +79,14 @@ def test_corrector_cond_is_the_exact_condition_number(monkeypatch):
     # along a short round-chart branch, the cond the corrector gates on must
     # be the 2-norm condition number of the bordered matrices it reduced
     bordered = []
-    reduce = variational._Tridiagonal
+    reduce = mesh._Tridiagonal
 
     def recording_reduction(M):
         # a copy: the reduction overwrites the corrector's buffer M
         bordered.append(np.array(M))
         return reduce(M)
 
-    monkeypatch.setattr(variational, "_Tridiagonal", recording_reduction)
+    monkeypatch.setattr(mesh, "_Tridiagonal", recording_reduction)
     g = build_grid("periodic", 65)
     for lam in (0.9, 0.8, 0.7):
         prob, guess = circle_seed(lam + 0.1, 2.0, g)
@@ -108,7 +106,7 @@ def test_corrector_gate_trips_on_a_kernel_outside_the_killing_span(
     # matrix is then singular and the step must be refused, not solved
     g, prob, st = _flat_setup()
     bumped = ProblemState(st.values + 1e-3 * np.cos(3 * g.nodes))
-    w = pairing(prob).weights
+    w = prob.weights()
     B = rank_basis(killing_jacobi_basis(prob, bumped, 0.0), w)
     v = np.cos(2 * g.nodes)
     v = v - B @ (B.T @ (w * v))
@@ -118,7 +116,7 @@ def test_corrector_gate_trips_on_a_kernel_outside_the_killing_span(
     def jacobi_without_mode(problem, state, lambda_hat):
         J = jacobi(problem, state, lambda_hat)
         # W P J P = P^T (W J) P
-        return JacobiOperator(P.T @ J.hessian @ P, J.pairing, J.lambda_hat)
+        return JacobiOperator(P.T @ J.hessian @ P, J.weights)
 
     monkeypatch.setattr(continuation, "jacobi", jacobi_without_mode)
     with pytest.raises(IllConditioned, match="condition"):

@@ -10,11 +10,10 @@ from equideform.errors import (IllConditioned, PreconditionError, ShapeError,
 from equideform.equivariance import (nondegeneracy_report, numerical_kernel,
                                      operator_diagnostics, rank_basis,
                                      transversality_margin)
-from equideform.mesh import Pairing, _Tridiagonal, build_grid
-from equideform.variational import (BandJacobiOperator, JacobiOperator,
-                                    ProblemState,
-                                    act, circle_seed, jacobi,
-                                    killing_jacobi_basis, pairing,
+from equideform.mesh import (BandJacobiOperator, JacobiOperator,
+                             _Tridiagonal, build_grid)
+from equideform.variational import (ProblemState, act, circle_seed, jacobi,
+                                    killing_jacobi_basis,
                                     profile_cylinder_seed, residual_norm,
                                     sphere_equator_seed, torus_line_seed)
 
@@ -42,7 +41,7 @@ def _random_symmetric(n, seed):
 
 def _bordered(prob, st, lam):
     # the symmetric matrix corrector_step reduces: [[W J, W B], [B^T W, 0]]
-    w = pairing(prob).weights
+    w = prob.weights()
     B = rank_basis(killing_jacobi_basis(prob, st, lam), w)
     k = B.shape[1]
     WB = w[:, None] * B
@@ -107,14 +106,14 @@ def test_reduction_eigenvectors_rebuild_the_matrix():
 
 def _shifted(J, shift):
     # J + shift I, carried as W J + shift W
-    return JacobiOperator(hessian=J.hessian + shift * np.diag(J.pairing.weights),
-                          pairing=J.pairing, lambda_hat=J.lambda_hat)
+    return JacobiOperator(hessian=J.hessian + shift * np.diag(J.weights),
+                          weights=J.weights)
 
 
 def _scaled(J):
     # W^-1/2 (W J) W^-1/2 with the square roots of W, divided as
     # scaled_reduction divides
-    sw = np.sqrt(J.pairing.weights)
+    sw = np.sqrt(J.weights)
     return J.dense() / sw[:, None] / sw[None, :], sw
 
 
@@ -140,7 +139,7 @@ def test_kernel_vectors_match_eigh_kernel(case, dim):
     want = _eigh_kernel(J, kb.tolerance)
     assert kb.dim == want.shape[1] == dim
     if dim:
-        sw = np.sqrt(J.pairing.weights)[:, None]
+        sw = np.sqrt(J.weights)[:, None]
         angles = subspace_angles(sw * kb.vectors, sw * want)
         assert np.max(angles) <= 1e-12
 
@@ -202,7 +201,7 @@ def test_band_reduction_matches_the_dense_reduction(N, order, length, bump):
     # the band Hessian against the dense assembly from the same density
     H = _dense_hess(prob, st.values, 0.0)
     assert np.max(np.abs(J.dense() - H)) <= 1e-15 * np.max(np.abs(H))
-    dense = JacobiOperator(J.dense(), J.pairing, J.lambda_hat)
+    dense = JacobiOperator(J.dense(), J.weights)
     # every eigenvalue, against the tridiagonal reduction of the dense form
     mu = J.scaled_reduction()[0].eigenvalues
     want = dense.scaled_reduction()[0].eigenvalues
@@ -219,7 +218,7 @@ def test_band_reduction_matches_the_dense_reduction(N, order, length, bump):
         assert kb.gap == pytest.approx(kd.gap, rel=rel)
     assert kb.indeterminate == kd.indeterminate
     # the corrector's solve and exact condition number
-    w = J.pairing.weights
+    w = J.weights
     rhs = np.random.default_rng(N).standard_normal(n)
     delta, cond = _bordered_update(J, np.zeros((n, 0)), rhs, 0.0)
     want = np.linalg.solve(H, -(w * rhs))
@@ -257,7 +256,7 @@ def test_banded_operator_refuses_kernel_vectors():
     L = ab * sw
     for k in range(len(L)):
         L[k, :2 * m - k] *= sw[k:]
-    kb = numerical_kernel(BandJacobiOperator(L, Pairing(w), 0.0))
+    kb = numerical_kernel(BandJacobiOperator(L, w))
     assert kb.dim == 2 and not kb.indeterminate
     with pytest.raises(UnsupportedError, match="kernel vectors"):
         kb.vectors
@@ -281,7 +280,7 @@ def test_kernel_flat_circle_dim_two():
     assert kb.dim == 2
     assert kb.gap > 1e6
     assert not kb.indeterminate
-    w = pairing(prob).weights
+    w = prob.weights()
     assert _w_orthonormality_defect(kb.vectors, w) < 1e-12
 
 
@@ -363,7 +362,7 @@ def test_profile_kernel_cut_is_relative_to_the_interior_spectrum():
     g = build_grid("dirichlet", 64, order=4)
     prob, st = profile_cylinder_seed(2.0, g)
     J = jacobi(prob, st, 0.0)
-    w = J.pairing.weights
+    w = J.weights
     assert w.size == 62
     H = J.dense()
     mu = eigh(0.5 * (H + H.T), np.diag(w), eigvals_only=True)
@@ -405,7 +404,7 @@ def test_nondegeneracy_resolves_small_principal_angles(theta):
     # an operator whose kernel leans theta off the Killing span; the cosine
     # of 1e-10 rounds to 1, so an arccos-based angle would read 0
     prob, st = _flat_circle()
-    w = pairing(prob).weights
+    w = prob.weights()
     sw = np.sqrt(w)
     K = sw[:, None] * _killing_basis(prob, st, 0.0)
     n = K.shape[0]
@@ -416,8 +415,7 @@ def test_nondegeneracy_resolves_small_principal_angles(theta):
     Q, _ = np.linalg.qr(np.column_stack([kernel, Q[:, 2:]]))
     spectrum = np.concatenate([np.zeros(2), np.linspace(1.0, 2.0, n - 2)])
     A = (Q * spectrum) @ Q.T
-    op = JacobiOperator(hessian=sw[:, None] * A * sw[None, :],
-                        pairing=Pairing(w), lambda_hat=0.0)
+    op = JacobiOperator(hessian=sw[:, None] * A * sw[None, :], weights=w)
     rep = nondegeneracy_report(prob, st, 0.0, operator=op, angle_tol=1.0)
     assert rep.kernel_dim == rep.killing_rank == 2
     assert rep.max_principal_angle == pytest.approx(theta, rel=1e-2)
@@ -428,7 +426,7 @@ def test_nondegeneracy_resolves_small_principal_angles(theta):
 
 
 def _killing_basis(prob, st, lam):
-    return rank_basis(killing_jacobi_basis(prob, st, lam), pairing(prob).weights)
+    return rank_basis(killing_jacobi_basis(prob, st, lam), prob.weights())
 
 
 def _full_svd_margin(basis, reference, w):
@@ -457,7 +455,7 @@ def test_slice_excludes_torus_constant_fields():
     g = build_grid("periodic", 65)
     prob, st = torus_line_seed((1, 1), g, np.eye(2), np.eye(2))
     B = _killing_basis(prob, st, 0.0)
-    w = pairing(prob).weights
+    w = prob.weights()
     N = 65
     for comp in range(2):
         c = np.zeros(2 * N)
@@ -470,7 +468,7 @@ def test_margin_is_one_on_own_slice():
     g = build_grid("periodic", 65)
     prob, st = circle_seed(1.0, 2.0, g)
     B = _killing_basis(prob, st, 1.0)
-    m = transversality_margin(B, B, pairing(prob).weights)
+    m = transversality_margin(B, B, prob.weights())
     assert abs(m - 1.0) < 1e-10
 
 
@@ -480,7 +478,7 @@ def test_margin_survives_parameter_step():
     prob2, st2 = circle_seed(0.9, 2.0, g)
     m = transversality_margin(_killing_basis(prob2, st2, 0.9),
                               _killing_basis(prob, st, 1.0),
-                              pairing(prob).weights)
+                              prob.weights())
     assert m > 0.5
 
 
@@ -490,7 +488,7 @@ def test_margin_matches_full_svd_on_circle_branch():
     cfg = ContinuationConfig.from_steps(1.0, -1.0, 21, basin_guard=0.05)
     records = continue_branch(prob, st, cfg)
     assert len(records) == 21
-    w = pairing(prob).weights
+    w = prob.weights()
     bases = [_killing_basis(prob, r.state, r.lambda_hat) for r in records]
     for i, rec in enumerate(records):
         # each record is measured against the previous accepted record
@@ -512,7 +510,7 @@ def test_margin_matches_full_svd_on_moved_pair(instance):
         lam, lam2, t = 1.0, 1.0, [0.2, -0.1, 0.3]
     st2 = act(prob, st, lam2, t)
     B, B2 = _killing_basis(prob, st, lam), _killing_basis(prob, st2, lam2)
-    w = pairing(prob).weights
+    w = prob.weights()
     for basis, ref in ((B2, B), (B, B2)):
         m = transversality_margin(basis, ref, w)
         assert abs(m - _full_svd_margin(basis, ref, w)) < 1e-12
@@ -567,8 +565,7 @@ def test_diagnostics_flags_asymmetry():
     J = jacobi(prob, st, 0.0)
     M = J.hessian.copy()
     M[0, 1] += 1.0
-    rep = operator_diagnostics(JacobiOperator(hessian=M, pairing=J.pairing,
-                                              lambda_hat=0.0))
+    rep = operator_diagnostics(JacobiOperator(hessian=M, weights=J.weights))
     assert rep.symmetry_residual > 1e-8
     assert rep.flagged
 
@@ -605,8 +602,7 @@ def test_symmetry_residual_matches_the_full_matrix_formula():
         M = M + M.T + 1e-9 * rng.standard_normal((n, n))
         W = w[:, None] * M
         want = float(np.linalg.norm(W - W.T) / np.linalg.norm(W))
-        rep = operator_diagnostics(JacobiOperator(hessian=W, pairing=Pairing(w),
-                                                  lambda_hat=0.0))
+        rep = operator_diagnostics(JacobiOperator(hessian=W, weights=w))
         assert rep.symmetry_residual == pytest.approx(want, rel=1e-13, abs=0.0)
 
 
@@ -618,12 +614,9 @@ def test_diagnostics_rejects_mismatched_shapes(case):
     J = jacobi(prob, st, 0.0)
     with pytest.raises(ShapeError):
         if case == "non_square":
-            JacobiOperator(hessian=J.hessian[:, :-1], pairing=J.pairing,
-                           lambda_hat=0.0)
+            JacobiOperator(hessian=J.hessian[:, :-1], weights=J.weights)
         else:
-            JacobiOperator(hessian=J.hessian,
-                           pairing=Pairing(weights=J.pairing.weights[:-1]),
-                           lambda_hat=0.0)
+            JacobiOperator(hessian=J.hessian, weights=J.weights[:-1])
 
 
 @pytest.mark.parametrize("case", ["too_many_rows", "no_rows",
@@ -631,15 +624,15 @@ def test_diagnostics_rejects_mismatched_shapes(case):
 def test_band_operator_rejects_a_misfit_band(case):
     prob, st = _profile_band_case(17, 4, 1.0, 0.0)
     J = jacobi(prob, st, 0.0)
-    n = J.pairing.weights.size
+    n = J.weights.size
     bad = {"too_many_rows": np.zeros((n + 1, n)),
            "no_rows": np.zeros((0, n)),
            "columns_mismatch": J.hessian[:, :-1],
            "not_2d": J.hessian[0]}[case]
     with pytest.raises(ShapeError):
-        BandJacobiOperator(bad, J.pairing, 0.0)
+        BandJacobiOperator(bad, J.weights)
     # a band of at most n rows is every lower band storage of n columns
-    BandJacobiOperator(np.zeros((n, n)), J.pairing, 0.0)
+    BandJacobiOperator(np.zeros((n, n)), J.weights)
 
 
 def test_diagnostics_payload_roundtrip():

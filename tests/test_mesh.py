@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from equideform.errors import DomainError, UnsupportedError
-from equideform.mesh import (TWO_PI, Grid, Pairing, build_grid,
-                             fornberg_weights)
+from equideform.mesh import TWO_PI, Grid, build_grid, fornberg_weights, wnorm
 
 
 # --------------------------------------------- reference constructions
@@ -177,12 +176,12 @@ def test_periodic_quadrature_is_uniform_and_exact_for_trig():
     assert abs(g.quad @ np.cos(3 * g.nodes)) < 1e-13
 
 
-def test_pairing_inner_and_norm():
+def test_pairing_norm():
     g = build_grid("periodic", 17)
-    pr = Pairing(g.quad)
     u = np.cos(g.nodes)
-    assert pr.inner(u, u) == pytest.approx(pr.norm(u) ** 2)
-    assert pr.norm(u) > 0.0
+    assert np.dot(g.quad * u, u) == pytest.approx(wnorm(g.quad, u) ** 2)
+    assert wnorm(g.quad, u) == pytest.approx(np.sqrt(np.pi))
+    assert wnorm(g.quad, u) > 0.0
 
 
 def test_grid_construction_guards():

@@ -1,10 +1,11 @@
 """Static checks over the package source, so deletions leave nothing behind.
 
-Every name a module imports is used in that module, and every private
-module-level name (_x) is referenced somewhere in the package. The package
-__init__ is left out: its imports are the public exports. The grid's
-storage of D1 (band, diff1) is read only where storage is chosen or
-assembled, and in the CLI only the config reader probes the parsed file, so
+Every name a module imports is used in that module, every private
+module-level name (_x) is referenced somewhere in the package, and no
+module imports a private name from another. The package __init__ is left
+out: its imports are the public exports. The grid's storage of D1 (band,
+diff1) is read in mesh alone, which chooses and assembles the Jacobi's
+storage, and in the CLI only the config reader probes the parsed file, so
 that every key read is recorded.
 """
 
@@ -79,12 +80,14 @@ def test_every_private_module_name_is_referenced():
     assert unused == []
 
 
-# the top-level definitions outside mesh that may read a grid's band or
-# diff1: the two Jacobi storage classes, which assemble from them, and
-# jacobi, which picks between the classes
-STORAGE_READERS = {("variational.py", "JacobiOperator"),
-                   ("variational.py", "BandJacobiOperator"),
-                   ("variational.py", "jacobi")}
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_another_module(path):
+    private = [f"{node.module}.{alias.name}"
+               for node in ast.walk(_tree(path))
+               if isinstance(node, ast.ImportFrom) and node.level
+               for alias in node.names
+               if alias.name.startswith("_")]
+    assert private == []
 
 
 def _storage_reads(tree):
@@ -100,8 +103,7 @@ def _storage_reads(tree):
 def test_only_the_storage_classes_read_the_grid_storage():
     stray = [f"{path.name}: {where}.{attr}" for path in MODULES
              if path.name != "mesh.py"
-             for where, attr in _storage_reads(_tree(path))
-             if (path.name, where) not in STORAGE_READERS]
+             for where, attr in _storage_reads(_tree(path))]
     assert stray == []
 
 

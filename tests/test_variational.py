@@ -10,15 +10,14 @@ from equideform import variational
 from equideform.ambient import quadric_embed, quadric_to_chart, sn_lambda
 from equideform.equivariance import rank_basis
 from equideform.errors import DomainError, ShapeError, UnsupportedError
-from equideform.mesh import TWO_PI, Grid, build_grid
-from equideform.variational import (PROBLEMS, BandJacobiOperator, CmcCircle,
-                                    CmcProfile,
-                                    HarmonicSphere, HarmonicTorus,
-                                    JacobiOperator, Problem,
+from equideform.mesh import (TWO_PI, BandJacobiOperator, Grid,
+                             JacobiOperator, build_grid)
+from equideform.variational import (PROBLEMS, CmcCircle, CmcProfile,
+                                    HarmonicSphere, HarmonicTorus, Problem,
                                     ProblemState, act,
                                     circle_seed, cmc_circle_radius,
                                     derived_scalars, geodesic_curvature, jacobi,
-                                    killing_jacobi_basis, pairing,
+                                    killing_jacobi_basis,
                                     profile_cylinder_seed, residual,
                                     residual_norm, sphere_equator_seed,
                                     torus_line_seed, value)
@@ -26,7 +25,7 @@ from equideform.variational import (PROBLEMS, BandJacobiOperator, CmcCircle,
 
 def _jacobi_matrix(J):
     # J = W^-1 (W J), the Jacobi itself, from the Hessian the operator carries
-    return J.dense() / J.pairing.weights[:, None]
+    return J.dense() / J.weights[:, None]
 
 
 def off_center_circle(grid, rho, c):
@@ -144,7 +143,7 @@ def test_circle_seed_on_a_built_grid_has_index_one(n, lam):
     # sawtooth would add a second one
     prob, st = circle_seed(lam, 2.0, build_grid("periodic", n))
     J = jacobi(prob, st, lam)
-    s = 1.0 / np.sqrt(J.pairing.weights)
+    s = 1.0 / np.sqrt(J.weights)
     mu = np.linalg.eigvalsh(s[:, None] * J.hessian * s[None, :])
     assert np.count_nonzero(mu < -1e-8 * np.max(np.abs(mu))) == 1
 
@@ -183,7 +182,7 @@ def test_profile_interior_eigenvalues_follow_dirichlet_modes():
     g = build_grid("dirichlet", 160, order=4, a=0.0, b=L)
     prob, st = profile_cylinder_seed(H, g)
     J = jacobi(prob, st, 0.0)
-    w = pairing(prob).weights
+    w = prob.weights()
     WJ = J.dense()
     mu = np.sort(eigh(0.5 * (WJ + WJ.T), np.diag(w), eigvals_only=True))
     rho0 = 1.0 / H
@@ -391,7 +390,7 @@ def test_gradient_matches_value_differences():
     rng = np.random.default_rng(14)
     h = 1e-5
     for prob, st, lam in _all_instances(rng, perturb=3e-2):
-        w = pairing(prob).weights
+        w = prob.weights()
         for _ in range(4):
             v = np.zeros(st.values.size)
             n = v.size // 2 if v.size % 2 == 0 else v.size
@@ -625,7 +624,7 @@ def test_killing_jacobi_annihilation_at_critical_states():
     rng = np.random.default_rng(19)
     for prob, st, lam in _all_instances(rng):
         J = jacobi(prob, st, lam)
-        w = pairing(prob).weights
+        w = prob.weights()
         for hk in killing_jacobi_basis(prob, st, lam):
             hn = np.sqrt(np.dot(w * hk, hk))
             if hn < 1e-12:
@@ -774,7 +773,7 @@ class _MatrixFreeJacobi(JacobiOperator):
         m = self.hessian.shape[1]
         n = m * len(range(self.grid.N)[self.free])
         if self.hessian.shape != (3, m, m, self.grid.N) \
-                or self.pairing.weights.shape != (n,):
+                or self.weights.shape != (n,):
             raise self._misfit()
 
     @staticmethod
@@ -799,11 +798,11 @@ class _MatrixFreeJacobi(JacobiOperator):
             for j in range(len(wa)):
                 out[i] += (grid.d1t(wa[i, j] * p[j] + wb[j, i] * u[j])
                            + wb[i, j] * p[j] + wc[i, j] * u[j])
-        return out[:, self.free].ravel() + self.shift * self.pairing.weights * v
+        return out[:, self.free].ravel() + self.shift * self.weights * v
 
     def dense(self):
         return np.column_stack([self.matvec(e)
-                                for e in np.eye(self.pairing.weights.size)])
+                                for e in np.eye(self.weights.size)])
 
     def shifted(self, shift):
         return replace(self, shift=self.shift + shift)
@@ -824,12 +823,12 @@ def test_jacobi_storage_classes_keep_one_contract(case, matrix_free):
     if matrix_free:
         form = prob.hess(st.values, lam)
         want = J.dense()
-        J = _MatrixFreeJacobi(_MatrixFreeJacobi.assemble(form), J.pairing,
-                              lam, form.grid, form.free)
+        J = _MatrixFreeJacobi(_MatrixFreeJacobi.assemble(form), J.weights,
+                              form.grid, form.free)
         # the double applies the same form that the grid's class assembles
         assert (np.max(np.abs(J.dense() - want))
                 <= 1e-14 * np.max(np.abs(want)))
-    w = J.pairing.weights
+    w = J.weights
     D = J.dense()
     n = len(w)
     before = J.hessian.copy()
