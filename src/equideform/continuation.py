@@ -33,10 +33,9 @@ state, its certificate and the next record's correction are independent
 (Allgower & Georg, Numerical Continuation Methods, 1990), so the
 certificate runs on one worker thread while this thread corrects the
 attempt that follows if the record is accepted. The two overlap because the
-symmetric reduction releases the interpreter lock. That correction is used
-only once the record is accepted, so records, errors and payloads stay
-bitwise those of a one-at-a-time march; the march holds five n x n matrices
-at once, diff1 and two for each thread, where one path alone holds three.
+symmetric reduction releases the interpreter lock. The march holds five
+n x n matrices at once, diff1 and two for each thread, where one path alone
+holds three.
 
 orbit_project recovers the group motion between nearby solutions by
 Gauss-Newton on the Killing components of the difference. It acts once per
@@ -48,7 +47,7 @@ ch. 8). congruence_check composes it with one corrector polish to decide
 whether two states are the same solution modulo the group.
 """
 
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -199,14 +198,17 @@ def corrector_step(problem, state, lambda_hat, config):
 
     Returns (state, iterations, diagnostics) with diagnostics carrying the
     residual-norm history, the worst bordered condition number, and the
-    largest normalized Killing component of any update (the slice leak,
-    held at roundoff by an explicit projection after each solve).
+    slice leak: the largest normalized Killing component of any bordered
+    solve's update, which an explicit projection then removes.
     """
     w = problem.weights()
     st = ProblemState(state.values.copy())
     res = residual(problem, st, lambda_hat)
     rn = wnorm(w, res)
-    if not np.isfinite(rn) or rn >= config.basin_guard:
+    if not np.isfinite(rn):
+        raise PreconditionError(f"initial residual {rn} is not finite "
+                                f"(lambda_hat={lambda_hat})")
+    if rn >= config.basin_guard:
         raise PreconditionError(
             f"initial residual {rn:.3e} outside the basin guard {config.basin_guard:.1e}")
     norms = [float(rn)]
@@ -224,12 +226,13 @@ def corrector_step(problem, state, lambda_hat, config):
                                        res, lambda_hat)
         worst_cond = max(worst_cond, cond)
         if k:
-            # exact W-orthogonality to the orbit directions
-            delta = delta - B @ (B.T @ (w * delta))
+            # the solve's leak off the slice, then exact W-orthogonality to
+            # the orbit directions
+            leak = B.T @ (w * delta)
             dn = wnorm(w, delta)
             if dn > 0.0:
-                leak = np.max(np.abs(B.T @ (w * delta))) / dn
-                orbit_inner = max(orbit_inner, float(leak))
+                orbit_inner = max(orbit_inner, float(np.max(np.abs(leak)) / dn))
+            delta = delta - B @ leak
         st = ProblemState(st.values + delta)
         res = residual(problem, st, lambda_hat)
         prev, rn = rn, wnorm(w, res)
@@ -312,20 +315,16 @@ class _Path:
 
 
 def _correct(problem, path, config):
-    """The corrector at path's next attempt: (target, outcome), the outcome
-    being corrector_step's (state, iters, diagnostics) or whatever it raised.
-    """
+    """The corrector at path's next attempt: (target, a finished Future
+    holding corrector_step's (state, iters, diagnostics) or what it raised)."""
     target, guess = path.attempt(config)
+    done = Future()
     try:
-        return target, corrector_step(problem, ProblemState(guess), target,
-                                      config)
-    except Exception as exc:  # kept, and raised again only if it is used
-        return target, exc
-
-
-def _attempt_log(rejected, used, discarded):
-    return {"rejected": rejected,
-            "speculative": {"used": used, "discarded": discarded}}
+        done.set_result(corrector_step(problem, ProblemState(guess), target,
+                                       config))
+    except Exception as exc:  # raised again only by .result(), if it is read
+        done.set_exception(exc)
+    return target, done
 
 
 def continue_branch(problem, seed_state, config):
@@ -341,10 +340,11 @@ def continue_branch(problem, seed_state, config):
 
     Each converged record is certified on one worker thread while this
     thread runs the corrector for the attempt that follows if the record is
-    accepted; that correction is used only then, and dropped, with whatever
-    it raised, when the record is rejected or halts the branch. Every
-    computation sees the inputs of a one-at-a-time march, so the records and
-    errors are bitwise those of one. The worker is gone on return.
+    accepted. That correction is carried as a finished Future, holding its
+    result or what it raised, and read by .result(), as the certificate is,
+    only once the record is accepted; it is dropped unread when the record
+    is rejected or halts the branch. So the records and errors are bitwise
+    those of a one-at-a-time march. The worker is gone on return.
 
     Each record's log (outside its payload) holds the corrector's residual
     history, worst bordered condition and slice leak, the causes of the
@@ -352,92 +352,84 @@ def continue_branch(problem, seed_state, config):
     dropped since the previous record; a stall's NoConvergence carries the
     same for the attempts after the last record.
     """
-    with ThreadPoolExecutor(max_workers=1,
-                            thread_name_prefix="certify") as pool:
-        return _march(problem, seed_state, config, pool)
-
-
-def _march(problem, seed_state, config, pool):
     cadence = int(config.diagnostics_cadence)
     records = []
+    rejected, used, discarded = [], 0, 0
+    with ThreadPoolExecutor(max_workers=1,
+                            thread_name_prefix="certify") as pool:
 
-    def certify(target, state, iters, ref, after):
-        # the record's certificate on the worker, overlapped with the
-        # correction that follows it if accepted, when one would run
-        with_diag = cadence > 0 and len(records) % cadence == 0
-        future = pool.submit(_certify, problem, state, target, config,
-                             iters, ref, with_diag)
-        ahead = None
-        if (after.lam != config.end and after.step >= config.min_step
-                and len(records) + 1 < RECORD_CAP):
-            ahead = (after, _correct(problem, after, config))
-        return future, ahead
-
-    lam = float(config.start)
-    st, iters, diag = corrector_step(problem, seed_state, lam, config)
-    path = _Path(lam, st, float(config.initial_step))
-    future, ahead = certify(lam, st, iters, None, path)
-    rec, ref = future.result()
-    halts = rec.verdict != "nondegenerate"
-    records.append(replace(rec, log=dict(
-        diag, **_attempt_log([], 0, int(halts and ahead is not None)))))
-    if halts:
-        return records
-    while path.lam != config.end:
-        rejected = []
-        used = discarded = 0
-        advanced = False
-        for _ in range(config.retries + 1):
-            if path.step < config.min_step:
-                break
-            if ahead is not None and ahead[0] is path:
-                target, outcome = ahead[1]
-                used += 1
-            else:
-                target, outcome = _correct(problem, path, config)
+        def certify(target, state, iters, ref, after):
+            # the record's certificate on the worker, overlapped with the
+            # correction that follows it if accepted, when one would run
+            with_diag = cadence > 0 and len(records) % cadence == 0
+            future = pool.submit(_certify, problem, state, target, config,
+                                 iters, ref, with_diag)
             ahead = None
-            if isinstance(outcome, Exception):
-                if not isinstance(outcome, SOLVER_ERRORS):
-                    raise outcome
-                cause = f"{type(outcome).__name__}: {outcome}"
-            else:
-                st_new, iters, diag = outcome
-                after = path.accepted(target, st_new, iters, config)
-                future, ahead = certify(target, st_new, iters, ref, after)
+            if (after.lam != config.end and after.step >= config.min_step
+                    and len(records) + 1 < RECORD_CAP):
+                ahead = _correct(problem, after, config)
+            return future, ahead
+
+        def append(rec, diag, ahead):
+            # the record with its log; True when its verdict halts the branch
+            halts = rec.verdict != "nondegenerate"
+            speculative = {"used": used, "discarded":
+                           discarded + (halts and ahead is not None)}
+            records.append(replace(rec, log=dict(
+                diag, rejected=rejected, speculative=speculative)))
+            return halts
+
+        def stalled(path, cause):
+            # the first attempt always runs (step >= min_step), so cause is set
+            return NoConvergence(
+                f"continuation stalled at lambda_hat={path.lam:.12g} "
+                f"(step underflow below {config.min_step:.3e}); "
+                f"last failure: {cause}", partial_branch=records,
+                log={"rejected": rejected,
+                     "speculative": {"used": used, "discarded": discarded}})
+
+        lam = float(config.start)
+        st, iters, diag = corrector_step(problem, seed_state, lam, config)
+        path = _Path(lam, st, float(config.initial_step))
+        future, ahead = certify(lam, st, iters, None, path)
+        rec, ref = future.result()
+        if append(rec, diag, ahead):
+            return records
+        while path.lam != config.end:
+            rejected, used, discarded = [], 0, 0
+            for _ in range(config.retries + 1):
+                if path.step < config.min_step:
+                    raise stalled(path, cause)
+                if ahead is not None:
+                    used += 1
+                target, correction = ahead or _correct(problem, path, config)
+                ahead = None
                 try:
+                    st_new, iters, diag = correction.result()
+                    after = path.accepted(target, st_new, iters, config)
+                    future, ahead = certify(target, st_new, iters, ref, after)
                     rec, basis = future.result()
                 except SOLVER_ERRORS as exc:
                     cause = f"{type(exc).__name__}: {exc}"
                 else:
                     if rec.transversality_margin > MARGIN_FLOOR:
-                        advanced = True
                         break
-                    # stale slice: shrink toward the reference instead of
-                    # accepting
+                    # a stale slice: shrink toward the reference
                     cause = (f"transversality margin "
                              f"{rec.transversality_margin:.3g} <= "
                              f"{MARGIN_FLOOR}")
                 discarded += ahead is not None
                 ahead = None
-            rejected.append(cause)
-            path = path.halved()
-        if not advanced:
-            # the first attempt always runs (step >= min_step), so cause is set
-            raise NoConvergence(
-                f"continuation stalled at lambda_hat={path.lam:.12g} "
-                f"(step underflow below {config.min_step:.3e}); "
-                f"last failure: {cause}",
-                partial_branch=records,
-                log=_attempt_log(rejected, used, discarded))
-        halts = rec.verdict != "nondegenerate"
-        discarded += halts and ahead is not None
-        records.append(replace(rec, log=dict(
-            diag, **_attempt_log(rejected, used, discarded))))
-        if halts:
-            return records
-        path, ref = after, basis
-        if len(records) >= RECORD_CAP:
-            raise NoConvergence("record cap reached", partial_branch=records)
+                rejected.append(cause)
+                path = path.halved()
+            else:
+                raise stalled(path, cause)
+            if append(rec, diag, ahead):
+                return records
+            path, ref = after, basis
+            if len(records) >= RECORD_CAP:
+                raise NoConvergence("record cap reached",
+                                    partial_branch=records)
     return records
 
 

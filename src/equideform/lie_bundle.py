@@ -238,13 +238,14 @@ def slice_element(a, v, B):
 
 def _sample_slice_element(rng, n):
     # log-normal corner and exponentiated symmetric block keep the sample on
-    # the slice manifold; resample until it is clearly off the identity
+    # the slice manifold, so it needs none of slice_element's checks;
+    # resample until it is clearly off the identity
     for _ in range(100):
-        a = float(np.exp(0.4 * rng.standard_normal()))
-        v = 0.5 * rng.standard_normal(n)
+        g = np.zeros((n + 1, n + 1))
+        g[0, 0] = np.exp(0.4 * rng.standard_normal())
+        g[0, 1:] = 0.5 * rng.standard_normal(n)
         S = 0.4 * rng.standard_normal((n, n))
-        B = expm(0.5 * (S + S.T))
-        g = slice_element(a, v, B)
+        g[1:, 1:] = expm(0.5 * (S + S.T))
         if np.linalg.norm(g - np.eye(n + 1)) >= 0.05:
             return g
     raise RuntimeError("slice sampling failed to leave the identity")

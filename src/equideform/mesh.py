@@ -18,9 +18,9 @@ sawtooth mode lies in the kernel of the spectral diff1; either way those
 modes fake low Jacobi modes. build_grid rounds an even periodic N up by one,
 and Grid rejects an even periodic N, so every periodic instance gets the
 same odd grid. On it D1 applied twice is the spectral second derivative.
-A periodic matrix is a circulant, fixed by one generator row: it is
-antisymmetrized as a generator and copied once out of a strided view of
-that row. Dirichlet rows get their Fornberg weights in one batched call.
+A periodic matrix is a circulant, fixed by its first column: it is
+antisymmetrized as a generator and expanded by scipy.linalg.circulant.
+Dirichlet rows get their Fornberg weights in one batched call.
 
 A dirichlet grid keeps diff1 as its band, the diagonals at offsets -b..b,
 b = min(order, N - 1), that its Fornberg stencils fill. d1 and d1t apply D1
@@ -66,8 +66,8 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import (cython_lapack, eigh_tridiagonal, eigvals_banded,
-                          lapack, solve_banded)
+from scipy.linalg import (circulant, cython_lapack, eigh_tridiagonal,
+                          eigvals_banded, lapack, solve_banded)
 
 from .errors import DomainError, ShapeError, UnsupportedError
 
@@ -112,22 +112,14 @@ def fornberg_weights(z, x, m):
     return c
 
 
-def _circulant(gen):
-    # D[i, j] = gen[(j - i) mod N], so row i applies the stencil around node
-    # i; row i is the window starting at N - i of gen repeated twice, read
-    # through a strided view and copied once
-    N = len(gen)
-    windows = np.lib.stride_tricks.sliding_window_view(np.tile(gen, 2)[1:], N)
-    return windows[::-1].copy()
-
-
 def _reversed(gen):
-    # circ(gen)^T = circ(gen[(-m) mod N])
+    # circulant(gen)^T = circulant(gen[(-m) mod N])
     return np.roll(gen[::-1], 1)
 
 
 def _spectral_generator(N):
-    """Stencil generator of the spectral first derivative on an odd grid.
+    """Generator of the spectral first derivative on an odd grid: the first
+    column g of D[i, j] = g[(i - j) mod N], scipy's circulant(g).
 
     Built from the Fourier symbol ik applied to a delta column; an odd N
     has no sawtooth (Nyquist) mode. The generator is antisymmetrized, so
@@ -136,9 +128,7 @@ def _spectral_generator(N):
     k = np.fft.fftfreq(N, d=1.0 / N)
     delta = np.zeros(N)
     delta[0] = 1.0
-    # ifft gives the kernel D[i, j] = g[(i - j) mod N], the reverse of the
-    # stencil reading gen[(j - i) mod N]
-    g = _reversed(np.real(np.fft.ifft(1j * k * np.fft.fft(delta))))
+    g = np.real(np.fft.ifft(1j * k * np.fft.fft(delta)))
     return 0.5 * (g - _reversed(g))
 
 
@@ -386,7 +376,7 @@ class Grid:
     @cached_property
     def diff1(self):
         if self.band is None:
-            return _circulant(_spectral_generator(self.N))
+            return circulant(_spectral_generator(self.N))
         return band_dense(self.band)
 
     def d1(self, u):

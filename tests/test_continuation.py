@@ -10,7 +10,8 @@ from equideform.errors import IllConditioned, NoConvergence, PreconditionError
 from equideform.mesh import JacobiOperator, build_grid
 from equideform.variational import (ProblemState, act, act_jacobian,
                                     circle_seed, cmc_circle_radius, jacobi,
-                                    killing_jacobi_basis, residual_norm,
+                                    killing_jacobi_basis,
+                                    profile_cylinder_seed, residual_norm,
                                     sphere_equator_seed, torus_line_seed)
 
 
@@ -128,6 +129,43 @@ def test_corrector_basin_guard_rejects_far_state():
     far = ProblemState(st.values + 0.3 * np.cos(2 * g.nodes))
     with pytest.raises(PreconditionError):
         corrector_step(prob, far, 0.0, _polish(0.0))
+
+
+@pytest.mark.parametrize("case", ["sphere_tiny_lambda", "profile_huge_length"])
+def test_corrector_names_a_non_finite_initial_residual(case):
+    # an overflowing residual is not a basin miss: the guard is not the cause
+    with np.errstate(all="ignore"), pytest.raises(PreconditionError) as exc:
+        if case == "sphere_tiny_lambda":
+            lam = 1e-300
+            prob, st = sphere_equator_seed(build_grid("periodic", 33))
+        else:
+            lam = 0.0
+            prob, st = profile_cylinder_seed(
+                2.0, build_grid("dirichlet", 33, 4, a=0.0, b=1e300))
+        corrector_step(prob, st, lam, _polish(lam))
+    assert "is not finite" in str(exc.value)
+    assert "basin guard" not in str(exc.value)
+
+
+def test_corrector_logs_the_slice_leak_before_the_projection(monkeypatch):
+    # orbit_inner is the largest Killing component of a bordered solve's
+    # update, measured before the projection removes it
+    leaks = []
+    update = continuation._bordered_update
+
+    def spy(J, B, res, lambda_hat):
+        delta, cond = update(J, B, res, lambda_hat)
+        w = J.weights
+        leaks.append(np.max(np.abs(B.T @ (w * delta))) / mesh.wnorm(w, delta))
+        return delta, cond
+
+    monkeypatch.setattr(continuation, "_bordered_update", spy)
+    prob, guess = circle_seed(0.9, 2.0, build_grid("periodic", 65))
+    _, iters, diag = corrector_step(prob, guess, 0.8,
+                                    _polish(0.8, basin_guard=0.05))
+    assert iters >= 2 and len(leaks) == iters
+    assert diag["orbit_inner"] == max(leaks)
+    assert diag["orbit_inner"] < 1e-10
 
 
 # ----------------------------------------------------------- step control

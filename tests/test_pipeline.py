@@ -17,7 +17,7 @@ from scipy.linalg import lapack
 from equideform import continuation
 from equideform.continuation import ContinuationConfig, continue_branch
 from equideform.errors import (DomainError, IllConditioned, NoConvergence,
-                               PreconditionError)
+                               PreconditionError, ShapeError)
 from equideform.mesh import _dsytrd, _Tridiagonal, build_grid
 from equideform.serialize import dumps_stable
 from equideform.variational import ProblemState, circle_seed
@@ -183,6 +183,63 @@ def test_degenerate_halt_equals_sequential_march(monkeypatch):
     got, want = _both(prob, st, cfg)
     assert want[1] is None and '"verdict":"degenerate"' in want[0][-1]
     assert got == want
+    records = continue_branch(prob, st, cfg)
+    assert records[-1].log["speculative"] == {"used": 1, "discarded": 1}
+
+
+def _failing_corrector(monkeypatch, below):
+    """corrector_step raising ShapeError, a failure no attempt absorbs, at
+    every target below the given one; returns the targets it raised at."""
+    correct = continuation.corrector_step
+    raised = []
+
+    def failing(problem, state, lam, config):
+        if lam < below:
+            raised.append(lam)
+            raise ShapeError(f"injected at lambda_hat={lam}")
+        return correct(problem, state, lam, config)
+
+    monkeypatch.setattr(continuation, "corrector_step", failing)
+    return raised
+
+
+def test_non_solver_error_propagates_from_both_marches(monkeypatch):
+    # the error of a correction the march uses propagates with its type
+    # (the pipelined march reads it from the correction run ahead)
+    prob, st = _flat_setup()
+    raised = _failing_corrector(monkeypatch, -0.25)
+    cfg = ContinuationConfig.from_steps(0.0, -0.5, 6, basin_guard=0.05)
+    errors = []
+    for march in (sequential_branch, continue_branch):
+        raised.clear()
+        with pytest.raises(ShapeError) as exc:
+            march(prob, st, cfg)
+        errors.append((type(exc.value), str(exc.value), list(raised)))
+    assert errors[0] == errors[1]
+    assert errors[0][0] is ShapeError and len(errors[0][2]) == 1
+    assert errors[0][1] == f"injected at lambda_hat={errors[0][2][0]}"
+
+
+def test_error_of_a_dropped_correction_is_never_raised(monkeypatch):
+    # the branch halts at its first target below -0.25; the correction run
+    # ahead of that record fails with a non-solver error, which the
+    # pipelined march must drop unread as it drops the correction
+    prob, st = _flat_setup()
+    report = continuation.nondegeneracy_report
+
+    def shifted(problem, state, lam, operator=None, **kwargs):
+        if lam < -0.25:
+            operator = operator.shifted(0.5)
+        return report(problem, state, lam, operator=operator, **kwargs)
+
+    monkeypatch.setattr(continuation, "nondegeneracy_report", shifted)
+    raised = _failing_corrector(monkeypatch, -0.35)
+    cfg = ContinuationConfig.from_steps(0.0, -0.5, 6, basin_guard=0.05)
+    got, want = _both(prob, st, cfg, reset=raised.clear)
+    assert want[1] is None and '"verdict":"degenerate"' in want[0][-1]
+    assert got == want
+    assert len(raised) == 1   # the pipelined march ran it, and dropped it
+    raised.clear()
     records = continue_branch(prob, st, cfg)
     assert records[-1].log["speculative"] == {"used": 1, "discarded": 1}
 

@@ -6,7 +6,8 @@ module imports a private name from another. The package __init__ is left
 out: its imports are the public exports. The grid's storage of D1 (band,
 diff1) is read in mesh alone, which chooses and assembles the Jacobi's
 storage, and in the CLI only the config reader probes the parsed file, so
-that every key read is recorded.
+that every key read is recorded. Outside serialize, the one type test is
+geodesic_curvature's argument check.
 """
 
 import ast
@@ -104,6 +105,20 @@ def test_only_the_storage_classes_read_the_grid_storage():
     stray = [f"{path.name}: {where}.{attr}" for path in MODULES
              if path.name != "mesh.py"
              for where, attr in _storage_reads(_tree(path))]
+    assert stray == []
+
+
+def test_only_serialize_and_geodesic_curvature_test_types():
+    # instances and ambient models are classes, and the branch march reads
+    # failures by except, so a type test elsewhere is a dispatch site
+    stray = [f"{path.name}: {getattr(top, 'name', None)}"
+             for path in MODULES if path.name != "serialize.py"
+             for top in _tree(path).body
+             if getattr(top, "name", None) != "geodesic_curvature"
+             for node in ast.walk(top)
+             if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name)
+             and node.func.id == "isinstance"]
     assert stray == []
 
 
