@@ -40,9 +40,11 @@ git-style content hash of the config bytes + effective seed) and branch.csv.
 Report payloads are byte-stable across re-runs with the same config and
 seed; timestamps live in a separate meta object, and so does continue's
 account of each record: its Newton residual history, worst bordered
-condition and slice leak, the causes of the attempts rejected before it, and
-the corrections run ahead of it and used or dropped ("records"), with the
-same for the attempts after the last record of a stalled branch ("stalled").
+condition and slice leak, the causes of the attempts rejected before it, the
+corrections run ahead of it and used or dropped, and the seconds its
+correction and its certificate took ("records"), with the causes and
+corrections for the attempts after the last record of a stalled branch
+("stalled").
 Every periodic instance runs on an odd spectral grid, so an even configured
 N is rounded up by one and the effective value is what the report's config
 block shows.
@@ -64,7 +66,8 @@ from .errors import (SOLVER_ERRORS, ConfigError, DomainError, EquideformError,
 from .lie_bundle import verify_bundle
 from .serialize import (content_hash, write_branch_csv, write_branch_jsonl,
                         write_report)
-from .variational import PROBLEMS, act, derived_scalars, jacobi, residual
+from .variational import (PROBLEMS, act, derived_scalars, jacobi, residual,
+                          residual_norm)
 
 __doc__ = __doc__.format(instances=", ".join(PROBLEMS))
 
@@ -133,6 +136,11 @@ class _Config:
             return conv(text)
         except (ValueError, TypeError):
             raise ConfigError(f"[{sec}] {key} = {text!r} is not valid")
+
+    def given(self, sec):
+        """The keys of sec asked for so far that the file sets."""
+        return [key for key in self._asked.get(sec, {})
+                if self._parser.has_option(sec, key)]
 
     def check_read(self, reader):
         """Raise ConfigError for a section key that reader did not ask for."""
@@ -211,12 +219,25 @@ def _build_problem(cfg, lam=None):
     def get(key, kind, default=None, required=False):
         return cfg.get("problem", key, _PROBLEM_KINDS[kind], default, required)
 
-    try:
-        problem, state, resolved = cls.from_config(get, N, lam)
-    except ConfigError:
-        raise
-    except (ValueError, EquideformError) as exc:
-        raise ConfigError(f"cannot build [problem] seed: {exc}")
+    # magnitudes the numerics cannot hold overflow here: they are reported
+    # as the config error below, not as warnings
+    with np.errstate(all="ignore"):
+        try:
+            problem, state, resolved = cls.from_config(get, N, lam)
+        except ConfigError:
+            raise
+        except (ValueError, EquideformError) as exc:
+            raise ConfigError(f"cannot build [problem] seed: {exc}")
+        try:
+            rn = residual_norm(problem, state, lam)
+        except DomainError:
+            rn = 0.0    # a seed outside the chart is the solve's failure
+    if not np.isfinite(rn):
+        # the grid, the weights or the seed overflows, before any solve
+        raise ConfigError(
+            f"[problem] {', '.join(cfg.given('problem'))}: the seed's "
+            f"residual norm is {rn} at lambda_hat={lam}; a magnitude is "
+            "beyond what the grid, weights and seed can hold")
     return (problem, state,
             dict(resolved, instance=instance, n=problem.grid.N), lam)
 

@@ -32,10 +32,10 @@ branch and naming the cause of the last failed attempt. Given a record's
 state, its certificate and the next record's correction are independent
 (Allgower & Georg, Numerical Continuation Methods, 1990), so the
 certificate runs on one worker thread while this thread corrects the
-attempt that follows if the record is accepted. The two overlap because the
-symmetric reduction releases the interpreter lock. The march holds five
-n x n matrices at once, diff1 and two for each thread, where one path alone
-holds three.
+attempt that follows if the record is accepted. The two overlap because
+every LAPACK routine of the dense reduction (mesh._Tridiagonal) releases the
+interpreter lock. The march holds five n x n matrices at once, diff1 and two
+for each thread, where one path alone holds three.
 
 orbit_project recovers the group motion between nearby solutions by
 Gauss-Newton on the Killing components of the difference. It acts once per
@@ -49,6 +49,7 @@ whether two states are the same solution modulo the group.
 
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from time import perf_counter
 
 import numpy as np
 
@@ -314,14 +315,22 @@ class _Path:
         return replace(self, step=self.step * 0.5, fast=0)
 
 
+def _timed(func, *args):
+    """(func(*args), the seconds it took on the calling thread)."""
+    start = perf_counter()
+    out = func(*args)
+    return out, perf_counter() - start
+
+
 def _correct(problem, path, config):
     """The corrector at path's next attempt: (target, a finished Future
-    holding corrector_step's (state, iters, diagnostics) or what it raised)."""
+    holding corrector_step's (state, iters, diagnostics) and its seconds, or
+    what it raised)."""
     target, guess = path.attempt(config)
     done = Future()
     try:
-        done.set_result(corrector_step(problem, ProblemState(guess), target,
-                                       config))
+        done.set_result(_timed(corrector_step, problem, ProblemState(guess),
+                               target, config))
     except Exception as exc:  # raised again only by .result(), if it is read
         done.set_exception(exc)
     return target, done
@@ -348,9 +357,11 @@ def continue_branch(problem, seed_state, config):
 
     Each record's log (outside its payload) holds the corrector's residual
     history, worst bordered condition and slice leak, the causes of the
-    attempts rejected before it, and the speculative corrections used and
-    dropped since the previous record; a stall's NoConvergence carries the
-    same for the attempts after the last record.
+    attempts rejected before it, the speculative corrections used and
+    dropped since the previous record, and the seconds its correction and
+    its certificate took, each timed on the thread that ran it; a stall's
+    NoConvergence carries the causes and corrections for the attempts after
+    the last record.
     """
     cadence = int(config.diagnostics_cadence)
     records = []
@@ -362,21 +373,23 @@ def continue_branch(problem, seed_state, config):
             # the record's certificate on the worker, overlapped with the
             # correction that follows it if accepted, when one would run
             with_diag = cadence > 0 and len(records) % cadence == 0
-            future = pool.submit(_certify, problem, state, target, config,
-                                 iters, ref, with_diag)
+            future = pool.submit(_timed, _certify, problem, state, target,
+                                 config, iters, ref, with_diag)
             ahead = None
             if (after.lam != config.end and after.step >= config.min_step
                     and len(records) + 1 < RECORD_CAP):
                 ahead = _correct(problem, after, config)
             return future, ahead
 
-        def append(rec, diag, ahead):
+        def append(rec, diag, ahead, correct_s, certify_s):
             # the record with its log; True when its verdict halts the branch
             halts = rec.verdict != "nondegenerate"
             speculative = {"used": used, "discarded":
                            discarded + (halts and ahead is not None)}
+            seconds = {"correct": correct_s, "certify": certify_s}
             records.append(replace(rec, log=dict(
-                diag, rejected=rejected, speculative=speculative)))
+                diag, rejected=rejected, speculative=speculative,
+                seconds=seconds)))
             return halts
 
         def stalled(path, cause):
@@ -389,11 +402,12 @@ def continue_branch(problem, seed_state, config):
                      "speculative": {"used": used, "discarded": discarded}})
 
         lam = float(config.start)
-        st, iters, diag = corrector_step(problem, seed_state, lam, config)
+        (st, iters, diag), correct_s = _timed(corrector_step, problem,
+                                              seed_state, lam, config)
         path = _Path(lam, st, float(config.initial_step))
         future, ahead = certify(lam, st, iters, None, path)
-        rec, ref = future.result()
-        if append(rec, diag, ahead):
+        (rec, ref), certify_s = future.result()
+        if append(rec, diag, ahead, correct_s, certify_s):
             return records
         while path.lam != config.end:
             rejected, used, discarded = [], 0, 0
@@ -405,10 +419,10 @@ def continue_branch(problem, seed_state, config):
                 target, correction = ahead or _correct(problem, path, config)
                 ahead = None
                 try:
-                    st_new, iters, diag = correction.result()
+                    (st_new, iters, diag), correct_s = correction.result()
                     after = path.accepted(target, st_new, iters, config)
                     future, ahead = certify(target, st_new, iters, ref, after)
-                    rec, basis = future.result()
+                    (rec, basis), certify_s = future.result()
                 except SOLVER_ERRORS as exc:
                     cause = f"{type(exc).__name__}: {exc}"
                 else:
@@ -424,7 +438,7 @@ def continue_branch(problem, seed_state, config):
                 path = path.halved()
             else:
                 raise stalled(path, cause)
-            if append(rec, diag, ahead):
+            if append(rec, diag, ahead, correct_s, certify_s):
                 return records
             path, ref = after, basis
             if len(records) >= RECORD_CAP:

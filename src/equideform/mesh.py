@@ -55,19 +55,22 @@ which gives eigenvalues and solves but no eigenvectors, and _Tridiagonal of
 a dense matrix in the buffer that LAPACK dsytrd overwrites
 with the reflectors dormqr reads in place, the one n x n matrix a routine
 holds beside diff1 and a dense Jacobi (a branch, which certifies on a
-worker thread, holds five). dsytrd is called through scipy's cython_lapack
-export by ctypes, which releases the interpreter lock that scipy.linalg's
-f2py wrapper holds, so the certificate overlaps the corrector; the results
-are bitwise the wrapper's.
+worker thread, holds five). Every LAPACK routine of _Tridiagonal (dsytrd,
+dsterf, dormqr, dgtsv, and dstebz + dstein for eigenvectors) is called
+through scipy's cython_lapack export by ctypes, from one table of bindings,
+_LAPACK. A ctypes call releases the interpreter lock that scipy.linalg's
+f2py wrappers hold, so the certificate overlaps the corrector; the results
+are bitwise the wrappers'.
 """
 
 import ctypes
+from ctypes import c_double, c_int
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import (circulant, cython_lapack, eigh_tridiagonal,
-                          eigvals_banded, lapack, solve_banded)
+from scipy.linalg import (circulant, cython_lapack, eigvals_banded,
+                          solve_banded)
 
 from .errors import DomainError, ShapeError, UnsupportedError
 
@@ -197,11 +200,6 @@ def symmetric_band(lower):
     return band
 
 
-def _lapack_check(info, routine):
-    if info:
-        raise np.linalg.LinAlgError(f"{routine} failed with info = {info}")
-
-
 def _capsule_address(capsule):
     # the function address in one of scipy.linalg.cython_lapack's capsules
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
@@ -212,15 +210,51 @@ def _capsule_address(capsule):
     return get_pointer(capsule, get_name(capsule))
 
 
-_INT = ctypes.POINTER(ctypes.c_int)
-_PTR = ctypes.c_void_p
-# dsytrd(uplo, n, a, lda, d, e, tau, work, lwork, info), the routine
-# scipy.linalg.lapack wraps, from the same library: the one entry point of
-# every dense symmetric reduction here. A CFUNCTYPE call releases the
-# interpreter lock, which the f2py wrapper holds.
-_DSYTRD = ctypes.CFUNCTYPE(None, ctypes.c_char_p, _INT, _PTR, _INT, _PTR,
-                           _PTR, _PTR, _PTR, _INT, _INT)(
-    _capsule_address(cython_lapack.__pyx_capi__["dsytrd"]))
+_CHAR = ctypes.c_char_p
+_INT = ctypes.POINTER(c_int)
+_REAL = ctypes.POINTER(c_double)
+# arrays, checked for their dtype and Fortran order on every call
+_F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
+_I32 = np.ctypeslib.ndpointer(np.intc, flags="F_CONTIGUOUS")
+# The LAPACK routines of the dense reduction, from the library that
+# scipy.linalg.lapack wraps, by their argument types before the trailing
+# info. Each is a CFUNCTYPE, whose call releases the interpreter lock that
+# the f2py wrappers hold, so the certificate overlaps the corrector.
+_LAPACK = {
+    name: ctypes.CFUNCTYPE(None, *argtypes, _INT)(
+        _capsule_address(cython_lapack.__pyx_capi__[name]))
+    for name, argtypes in {
+        "dsytrd": (_CHAR, _INT, _F64, _INT, _F64, _F64, _F64, _F64, _INT),
+        "dsterf": (_INT, _F64, _F64),
+        "dormqr": (_CHAR, _CHAR, _INT, _INT, _INT, _F64, _INT, _F64, _F64,
+                   _INT, _F64, _INT),
+        "dgtsv": (_INT, _INT, _F64, _F64, _F64, _F64, _INT),
+        "dstebz": (_CHAR, _CHAR, _INT, _REAL, _REAL, _INT, _INT, _REAL, _F64,
+                   _F64, _INT, _INT, _F64, _I32, _I32, _F64, _I32),
+        "dstein": (_INT, _F64, _F64, _INT, _F64, _I32, _I32, _F64, _INT, _F64,
+                   _I32, _I32),
+    }.items()}
+
+
+def _lapack(name, *args):
+    """Call the LAPACK routine name with args and an info, which raises
+    LinAlgError when nonzero. Integers and reals go as c_int and c_double,
+    which the routine may write."""
+    info = c_int(0)
+    _LAPACK[name](*args, info)
+    if info.value:
+        raise np.linalg.LinAlgError(
+            f"{name} failed with info = {info.value}")
+
+
+def _workspace_call(name, *args):
+    """Call name with args, then a workspace of the size its query (lwork
+    = -1) asks for and that lwork, as scipy.linalg.lapack sizes it, so the
+    results are bitwise the wrapper's."""
+    query = np.empty(1)
+    _lapack(name, *args, query, c_int(-1))
+    lwork = int(query[0])
+    _lapack(name, *args, np.empty(max(lwork, 1)), c_int(lwork))
 
 
 def _dsytrd(a):
@@ -228,9 +262,7 @@ def _dsytrd(a):
 
     a must be a writeable Fortran-contiguous float64 square array; it is
     overwritten with the reflectors. e and tau hold n - 1 values, padded to
-    max(n - 1, 1). The workspace is the size LAPACK's query asks for, as
-    scipy.linalg.lapack.dsytrd_lwork reports it, so the results are bitwise
-    those of scipy.linalg.lapack.dsytrd.
+    max(n - 1, 1). The results are bitwise those of scipy.linalg.lapack.dsytrd.
     """
     if (a.ndim != 2 or a.shape[0] != a.shape[1] or a.dtype != np.float64
             or not (a.flags.f_contiguous and a.flags.writeable)):
@@ -240,17 +272,7 @@ def _dsytrd(a):
     d = np.empty(n)
     e = np.zeros(max(n - 1, 1))
     tau = np.zeros(max(n - 1, 1))
-    args = (b"L", ctypes.c_int(n), a.ctypes.data, ctypes.c_int(max(n, 1)),
-            d.ctypes.data, e.ctypes.data, tau.ctypes.data)
-    query = np.empty(1)
-    lwork = ctypes.c_int(-1)
-    info = ctypes.c_int(0)
-    _DSYTRD(*args, query.ctypes.data, lwork, info)
-    _lapack_check(info.value, "dsytrd")
-    lwork.value = int(query[0])
-    work = np.empty(lwork.value)
-    _DSYTRD(*args, work.ctypes.data, lwork, info)
-    _lapack_check(info.value, "dsytrd")
+    _workspace_call("dsytrd", b"L", c_int(n), a, c_int(max(n, 1)), d, e, tau)
     return d, e, tau
 
 
@@ -261,6 +283,10 @@ class _Tridiagonal:
     product of the n - 1 reflectors stored below the subdiagonal, applied by
     dormqr and never formed. The eigenvalues of A are T's, ascending, from
     dsterf in O(n^2). Any nonzero LAPACK info raises LinAlgError.
+
+    Every routine is called through mesh's ctypes bindings, which release
+    the interpreter lock, and gives bitwise the results of scipy's f2py
+    wrappers (eigenvectors those of eigh_tridiagonal(select="i")).
 
     A Fortran-contiguous float64 A is the caller's reduction buffer: it is
     reduced in place and afterwards holds the reflectors, so the reduction
@@ -277,36 +303,58 @@ class _Tridiagonal:
         # non-contiguous slice would be copied on every call
         self._reflectors = np.ravel(c, order="F")[1:1 + n * (n - 1)].reshape(
             n, n - 1, order="F")
-        # T's off-diagonal comes padded to the length max(n - 1, 1) that the
-        # f2py wrappers of dsterf and dgtsv expect
-        self.eigenvalues, info = lapack.dsterf(self._d, self._e)
-        _lapack_check(info, "dsterf")
+        # dsterf overwrites d with the eigenvalues and e with scratch
+        self.eigenvalues = self._d.copy()
+        _lapack("dsterf", c_int(n), self.eigenvalues, self._e.copy())
 
     def apply_q(self, x, trans="N"):
         """Q x, or Q^T x with trans="T", for a vector or a block of columns."""
         y = np.array(x, dtype=float).reshape(len(x), -1)
         if len(y) > 1:
             # Q = diag(1, Q'), Q' a QR-style product of the stored reflectors
-            a, tau = self._reflectors, self._tau
-            _, work, info = lapack.dormqr("L", trans, a, tau, y[1:], -1)
-            _lapack_check(info, "dormqr")
-            y[1:], _, info = lapack.dormqr("L", trans, a, tau, y[1:],
-                                           int(work[0]))
-            _lapack_check(info, "dormqr")
+            # applied in place to a Fortran copy of the trailing rows
+            a = self._reflectors
+            c = np.asfortranarray(y[1:])
+            m, cols = c.shape
+            _workspace_call("dormqr", b"L", trans.encode(), c_int(m),
+                            c_int(cols), c_int(a.shape[1]), a, c_int(len(a)),
+                            self._tau, c, c_int(m))
+            y[1:] = c
         return y.reshape(np.shape(x))
 
     def solve(self, b):
-        """A^-1 b = Q T^-1 Q^T b; T by dgtsv, LU with partial pivoting."""
-        y = self.apply_q(b, "T").reshape(len(b), -1)
-        *_, z, info = lapack.dgtsv(self._e, self._d, self._e, y)
-        _lapack_check(info, "dgtsv")
+        """A^-1 b = Q T^-1 Q^T b; T by dgtsv, LU with partial pivoting, which
+        overwrites T's copies and the Fortran copy of the right-hand side."""
+        n = len(b)
+        z = np.array(self.apply_q(b, "T").reshape(n, -1), order="F")
+        _lapack("dgtsv", c_int(n), c_int(z.shape[1]), self._e.copy(),
+                self._d.copy(), self._e.copy(), z, c_int(n))
         return self.apply_q(z).reshape(np.shape(b))
 
     def eigenvectors(self, lo, hi):
-        """Orthonormal eigenvectors of A for ascending indices lo..hi."""
-        _, z = eigh_tridiagonal(self._d, self._e[:len(self._d) - 1],
-                                select="i", select_range=(lo, hi))
-        return self.apply_q(z)
+        """Orthonormal eigenvectors of A for ascending indices lo..hi.
+
+        dstebz bisects T for the eigenvalues lo..hi (absolute tolerance 0,
+        grouped by T's diagonal blocks) and dstein forms their vectors by
+        inverse iteration, which are then sorted by eigenvalue: the steps of
+        scipy's eigh_tridiagonal(select="i").
+        """
+        d, e = self._d, self._e
+        n = len(d)
+        m, nsplit = c_int(0), c_int(0)
+        w = np.empty(n)
+        iblock = np.empty(n, dtype=np.intc)
+        isplit = np.empty(n, dtype=np.intc)
+        _lapack("dstebz", b"I", b"B", c_int(n), c_double(0.0), c_double(1.0),
+                c_int(lo + 1), c_int(hi + 1), c_double(0.0), d, e, m, nsplit,
+                w, iblock, isplit, np.empty(4 * n),
+                np.empty(3 * n, dtype=np.intc))
+        w = w[:m.value]
+        z = np.empty((n, m.value), order="F")
+        _lapack("dstein", c_int(n), d, e, m, w, iblock, isplit, z, c_int(n),
+                np.empty(5 * n), np.empty(n, dtype=np.intc),
+                np.empty(m.value, dtype=np.intc))
+        return self.apply_q(z[:, np.argsort(w)])
 
 
 class _Banded:

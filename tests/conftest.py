@@ -45,7 +45,8 @@ def failing_linalg(monkeypatch):
     a budget of calls.
 
     The reduction behind the corrector and the kernel is LAPACK dsytrd,
-    called through mesh's one entry point, so that is where it is armed.
+    called through its binding in mesh._LAPACK, so that is where it is
+    armed.
     continue_branch certifies on a worker thread while the main
     thread corrects, so calls are counted per thread, "main" and "worker",
     each against its own budget: within one thread the order of the calls
@@ -74,7 +75,7 @@ def failing_linalg(monkeypatch):
         return patched
 
     monkeypatch.setattr(np.linalg, "svd", wrap(np.linalg.svd))
-    monkeypatch.setattr(mesh, "_DSYTRD", wrap(mesh._DSYTRD))
+    monkeypatch.setitem(mesh._LAPACK, "dsytrd", wrap(mesh._LAPACK["dsytrd"]))
 
     def arm(budget):
         counts.update(calls={"main": 0, "worker": 0}, failed=0, budget=budget)

@@ -347,9 +347,11 @@ def test_continue_meta_logs_each_record_and_payload_bytes_repeat(tmp_path):
     assert len(logs) == 6
     for log in logs:
         assert set(log) == {"residual_norms", "cond", "orbit_inner",
-                            "rejected", "speculative"}
+                            "rejected", "speculative", "seconds"}
         assert log["residual_norms"][-1] <= 1e-10
         assert log["rejected"] == []
+        assert set(log["seconds"]) == {"correct", "certify"}
+        assert all(0.0 < t < 60.0 for t in log["seconds"].values())
     # every record after the seed was corrected while its predecessor was
     # being certified
     assert [log["speculative"]["used"] for log in logs] == [0] + [1] * 5
@@ -569,6 +571,30 @@ def test_analyze_config_errors(tmp_path, capsys, text):
         if key in text:
             assert (f"[problem] {key}: not read by analyze on cmc_circle, "
                     "which reads instance, n, lambda_hat, h, order") in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "continue"])
+@pytest.mark.parametrize("text, keys", [
+    # Fornberg weights on an interval this long overflow, so the grid's D1
+    # is not finite
+    ("[problem]\ninstance = cmc_profile\nn = 64\nh = 1.0\nlength = 1e300\n",
+     "instance, n, h, length"),
+    # the metric over lambda_hat makes the seed's residual overflow its norm
+    ("[problem]\ninstance = harmonic_sphere\nn = 64\nlambda_hat = 1e-300\n",
+     "instance, n, lambda_hat"),
+], ids=["profile-length", "sphere-lambda"])
+def test_problem_magnitudes_that_overflow_are_config_errors(
+        tmp_path, capsys, command, text, keys):
+    # exit 64 before any solve, naming the [problem] keys given, with no
+    # numpy warning on the way
+    if command == "continue":
+        lam = "1e-300" if "sphere" in text else "0.0"
+        text += f"[path]\nstart = {lam}\nend = 1.0\nrecords = 3\n"
+    code, _ = run_cli(tmp_path, command, text)
+    assert code == 64
+    err = capsys.readouterr().err
+    assert f"[problem] {keys}: the seed's residual norm is" in err
+    assert "Warning" not in err
 
 
 def test_problem_keys_an_instance_reads_are_accepted(tmp_path):

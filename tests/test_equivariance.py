@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from scipy.linalg import lapack, subspace_angles
+from scipy.linalg import subspace_angles
 
+from equideform import mesh
 from equideform.continuation import (ContinuationConfig, _bordered_update,
                                      continue_branch)
 from equideform.errors import (IllConditioned, PreconditionError, ShapeError,
@@ -144,16 +145,35 @@ def test_kernel_vectors_match_eigh_kernel(case, dim):
         assert np.max(angles) <= 1e-12
 
 
-def test_kernel_reduction_failure_is_ill_conditioned(monkeypatch):
-    def failing_dsterf(d, e, *args, **kwargs):
-        vals, _ = sterf(d, e, *args, **kwargs)
-        return vals, 1
+def _failing_lapack(monkeypatch, name):
+    """Make mesh's binding of the LAPACK routine name run, then report info
+    = 1 (for dstein, one eigenvector that did not converge)."""
+    routine = mesh._LAPACK[name]
 
-    sterf = lapack.dsterf
-    monkeypatch.setattr(lapack, "dsterf", failing_dsterf)
+    def failing(*args):
+        routine(*args)
+        args[-1].value = 1
+
+    monkeypatch.setitem(mesh._LAPACK, name, failing)
+
+
+def test_kernel_reduction_failure_is_ill_conditioned(monkeypatch):
+    _failing_lapack(monkeypatch, "dsterf")
     prob, st = _flat_circle()
     with pytest.raises(IllConditioned, match="dsterf failed with info = 1"):
         numerical_kernel(jacobi(prob, st, 0.0))
+
+
+@pytest.mark.parametrize("name", ["dstein", "dormqr"])
+def test_kernel_vector_failure_is_ill_conditioned(monkeypatch, name):
+    # the flat circle's kernel is its two translations, whose vectors are
+    # formed by dstebz + dstein and mapped back by dormqr on first read
+    prob, st = _flat_circle()
+    kb = numerical_kernel(jacobi(prob, st, 0.0))
+    assert kb.dim == 2
+    _failing_lapack(monkeypatch, name)
+    with pytest.raises(IllConditioned, match=f"{name} failed with info = 1"):
+        kb.vectors
 
 
 # ------------------------------------------------------ band reduction

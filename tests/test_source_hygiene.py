@@ -108,6 +108,24 @@ def test_only_the_storage_classes_read_the_grid_storage():
     assert stray == []
 
 
+def test_the_dense_reduction_calls_no_f2py_wrapper():
+    # scipy's f2py wrappers hold the interpreter lock for the whole call;
+    # _Tridiagonal calls LAPACK through mesh's ctypes bindings alone, so
+    # none of its methods reads a name mesh imports from scipy, nor scipy's
+    # lapack module or eigh_tridiagonal by any path
+    tree = _tree(PACKAGE / "mesh.py")
+    from_scipy = {alias.asname or alias.name for node in tree.body
+                  if isinstance(node, ast.ImportFrom)
+                  and node.module.split(".")[0] == "scipy"
+                  for alias in node.names}
+    reduction = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef)
+                     and node.name == "_Tridiagonal")
+    stray = _references(reduction) & (
+        from_scipy | {"scipy", "lapack", "eigh_tridiagonal"})
+    assert sorted(stray) == []
+
+
 def test_only_serialize_and_geodesic_curvature_test_types():
     # instances and ambient models are classes, and the branch march reads
     # failures by except, so a type test elsewhere is a dispatch site
