@@ -17,9 +17,8 @@ from .lie_bundle import (CheckReport, algebra_basis, algebra_element,
                          verify_bundle)
 from .mesh import (Grid, JacobiOperator, build_grid, fornberg_weights,
                    wnorm)
-from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, killing_residual,
-                      quadric_embed, quadric_to_chart, radial_area, sn_lambda,
-                      structure_match)
+from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_embed,
+                      quadric_to_chart, radial_area, sn_lambda)
 from .variational import (PROBLEMS, CmcCircle, CmcProfile, HarmonicSphere,
                           HarmonicTorus, Problem, ProblemState, act,
                           circle_seed, cmc_circle_radius, derived_scalars,

@@ -1,25 +1,24 @@
-"""Concrete ambient geometries; each model owns its metric and Killing fields.
+"""Concrete ambient geometries, each a chart of a space that matrices act on.
 
 Three models, each given in one fixed chart:
 
 * SpaceForm2(lam): the curvature-lam plane in geodesic polar coordinates
-  (r, theta), metric dr^2 + sn_lam(r)^2 dtheta^2. One chart covers every
-  lam, including the sign change at 0, which is exactly what branch
+  (r, theta), metric dr^2 + sn_lam(r)^2 dtheta^2, on the quadric of
+  quadric_embed under algebra_basis(lam, 2). One chart covers every lam,
+  including the sign change at 0, which is exactly what branch
   continuation across geometry families needs.
-* FlatTorus(Q): R^2 / Z^2 with constant Gram matrix Q.
+* FlatTorus(Q): R^2 / Z^2 with constant Gram matrix Q, on the lam = 0
+  affine plane (1, x, y) under the translations of algebra_basis(0, 2).
 * ScaledSphere(lam): the round 2-sphere of curvature lam > 0 in colatitude
   and longitude (vartheta, varphi), metric (1/lam) (dvartheta^2 +
-  sin(vartheta)^2 dvarphi^2).
+  sin(vartheta)^2 dvarphi^2), on the unit sphere in R^3 under so(3).
 
-Each model's metric(p) is the chart metric matrix at a point and its
-killing_fields(p) the closed-form Killing fields, one array per field, of
-the shape of p: the chart coordinates run along the first axis, and a
-trailing node axis evaluates a block of points at once. The problem
-instances in variational take their Killing-induced Jacobi fields from
-these methods, so killing_residual, the finite difference oracle, certifies
-the fields the solver runs, and structure_match verifies that the bracket
-table of the SpaceForm2 fields agrees with the matrix model of the same
-algebra in lie_bundle.
+Each model gives metric(p), the chart metric matrix at a point; algebra(),
+its matrices; and embed(p), the point E(p) the matrices act on and the
+chart Jacobian DE(p), with the chart coordinates of p along its first axis
+and a trailing node axis for a block of points. Its Killing fields are the
+pushforward of its matrices (AmbientModel.killing_fields), so embed alone
+decides which chart field belongs to which matrix.
 """
 
 from dataclasses import dataclass, field
@@ -105,8 +104,48 @@ def radial_area(lam, r):
 # ---------------------------------------------------------------------------
 # models
 
+def _dot(u, v):
+    # sum_l u[l] v[l] over the leading axis as elementwise products over the
+    # nodes, never a matmul along the node axis, so a block of points and
+    # each of its points agree bit for bit
+    out = u[0] * v[0]
+    for ul, vl in zip(u[1:], v[1:]):
+        out = out + ul * vl
+    return out
+
+
+def pushforward(matrices, E, DE):
+    """The chart field K_X = (DE^T DE)^-1 DE^T X E of each matrix X, of the
+    shape of the chart points, for the points E of a 2-d chart and its
+    Jacobian DE = (d_1 E, d_2 E). It solves DE K_X = X E, exactly when X E
+    is tangent to the embedded model, as for the model's own algebra.
+    """
+    X = np.array(matrices).transpose(2, 1, 0)
+    XE = _dot(X.reshape(X.shape + (1,) * (E.ndim - 1)), E)
+    # G[i] = d_i E . (d_1 E, d_2 E, X E for each X), in one product
+    D = DE.swapaxes(0, 1)
+    G = _dot(D[:, :, None], np.concatenate([D, XE], axis=1)[:, None])
+    (a, b), c, (fr, ft) = G[0, :2], G[1, 1], G[:, 2:]
+    det = a * c - b * b
+    return list(np.stack([(c * fr - b * ft) / det, (a * ft - b * fr) / det],
+                         axis=1))
+
+
+class AmbientModel:
+    """A chart of an ambient geometry and the matrix algebra acting on it.
+
+    A subclass gives metric(p), algebra() and embed(p) = (E, DE): the points
+    E(p) in the linear space the matrices act on and the chart Jacobian
+    DE = (d_1 E, d_2 E).
+    """
+
+    def killing_fields(self, p):
+        """The pushforward of algebra() at p, in its order."""
+        return pushforward(self.algebra(), *self.embed(p))
+
+
 @dataclass(frozen=True)
-class SpaceForm2:
+class SpaceForm2(AmbientModel):
     """The curvature-lam plane in the geodesic polar chart (r, theta)."""
     lam: float
 
@@ -117,19 +156,19 @@ class SpaceForm2:
         sn, _ = sn_lambda(self.lam, r)
         return np.diag([1.0, sn * sn])
 
-    def killing_fields(self, p):
-        """The rotation and the two translations through the chart origin."""
-        r, theta = np.asarray(p, dtype=float)
+    def embed(self, p):
+        """The quadric point (sn', sn cos theta, sn sin theta) and its
+        derivatives (-lam sn, sn' cos theta, sn' sin theta) in r and
+        (0, -sn sin theta, sn cos theta) in theta."""
+        r, theta = p
         sn, snp = sn_lambda(self.lam, r)
-        ratio = snp / sn
-        return [np.stack([np.zeros_like(r), np.ones_like(r)]),
-                np.stack([np.cos(theta), -ratio * np.sin(theta)]),
-                np.stack([np.sin(theta), ratio * np.cos(theta)])]
+        co, si = np.cos(theta), np.sin(theta)
+        return (np.stack([snp, sn * co, sn * si]),
+                np.array([[-self.lam * sn, snp * co, snp * si],
+                          [np.zeros_like(sn), -sn * si, sn * co]]))
 
     def algebra(self):
-        """The matrices of g_lam whose fields killing_fields returns, in its
-        order: algebra_basis(lam, 2), the rotation and the translations
-        L_lam(0, e_1), L_lam(0, e_2) acting on quadric_embed's points."""
+        """The rotation, then the translations L_lam(0, e_1), L_lam(0, e_2)."""
         return algebra_basis(self.lam, 2)
 
 
@@ -143,7 +182,7 @@ def _check_spd(Q):
 
 
 @dataclass(frozen=True)
-class FlatTorus:
+class FlatTorus(AmbientModel):
     """R^2 / Z^2 in the chart (x, y) with constant Gram matrix Q."""
     Q: np.ndarray = field(repr=False)
 
@@ -153,15 +192,20 @@ class FlatTorus:
     def metric(self, p):
         return self.Q.copy()
 
-    def killing_fields(self, p):
-        """The two unit translations."""
-        x, _ = np.asarray(p, dtype=float)
+    def embed(self, p):
+        """The affine point (1, x, y) and its constant derivatives."""
+        x, y = p
         one, zero = np.ones_like(x), np.zeros_like(x)
-        return [np.stack([one, zero]), np.stack([zero, one])]
+        return (np.stack([one, x, y]),
+                np.array([[zero, one, zero], [zero, zero, one]]))
+
+    def algebra(self):
+        """The two unit translations L_0(0, e_1), L_0(0, e_2)."""
+        return algebra_basis(0.0, 2)[1:]
 
 
 @dataclass(frozen=True)
-class ScaledSphere:
+class ScaledSphere(AmbientModel):
     """The round sphere of curvature lam > 0 in the chart (vartheta, varphi)
     of colatitude and longitude."""
     lam: float
@@ -176,95 +220,21 @@ class ScaledSphere:
             raise DomainError(f"sphere chart needs 0 < vartheta < pi, got {th}")
         return (1.0 / self.lam) * np.diag([1.0, np.sin(th) ** 2])
 
-    def killing_fields(self, p):
-        """Rotations about the x, y and z axes."""
-        th, ph = np.asarray(p, dtype=float)
-        s, co = np.sin(ph), np.cos(ph)
-        cot = np.cos(th) / np.sin(th)
-        return [np.stack([-s, -cot * co]),
-                np.stack([co, -cot * s]),
-                np.stack([np.zeros_like(th), np.ones_like(th)])]
+    def embed(self, p):
+        """The unit vector (sin vartheta cos varphi, sin vartheta sin varphi,
+        cos vartheta) and its derivatives in vartheta and varphi."""
+        th, ph = p
+        s, co = np.sin(th), np.cos(th)
+        sp, cp = np.sin(ph), np.cos(ph)
+        return (np.stack([s * cp, s * sp, co]),
+                np.array([[co * cp, co * sp, -s],
+                          [-s * sp, s * cp, np.zeros_like(s)]]))
 
     def algebra(self):
-        """The matrices of so(3) whose fields killing_fields returns, in its
-        order: the rotations about the x, y and z axes of the unit sphere
-        (sin vartheta cos varphi, sin vartheta sin varphi, cos vartheta)."""
+        """The rotations of so(3) about the x, y and z axes."""
         return [np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
                 np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
                 np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])]
-
-
-# ---------------------------------------------------------------------------
-# finite difference oracles
-
-def _fields_and_jacobians(model, p, h):
-    # K[f, a] = K_f^a(p) and, by central differences of step h,
-    # dK[f, a, i] = d K_f^a / d x^i, from one evaluation at the 2d stencil points
-    d = len(p)
-    shifts = h * np.hstack([np.eye(d), -np.eye(d)])
-    K = np.array(model.killing_fields(p))
-    ev = np.array(model.killing_fields(p[:, None] + shifts))
-    return K, (ev[..., :d] - ev[..., d:]) / (2 * h)
-
-
-def killing_residual(model, p, h=1e-4):
-    """Worst norm over the model's Killing fields of the Lie derivative of the
-    metric along the field at p.
-
-    Central differences of step h for both the metric and the field
-    components; an exact Killing field comes out O(h^2).
-    """
-    p = np.asarray(p, dtype=float)
-    steps = h * np.eye(len(p))
-    g = model.metric(p)
-    dg = [(model.metric(p + e) - model.metric(p - e)) / (2 * h) for e in steps]
-    K, dK = _fields_and_jacobians(model, p, h)
-    worst = 0.0
-    for Kf, J in zip(K, dK):
-        L = sum(k * dgk for k, dgk in zip(Kf, dg)) + g @ J + J.T @ g
-        worst = max(worst, float(np.linalg.norm(L)))
-    return worst
-
-
-def structure_match(lam, p, h=1e-4):
-    """Deviation between chart and matrix structure constants of g_lam.
-
-    Brackets [K_i, K_j]^a = K_i^c d_c K_j^a - K_j^c d_c K_i^a of the three
-    SpaceForm2 Killing fields are computed by finite differences and
-    expressed back in the field basis by least squares over a cluster of
-    probe points; they are compared with the exact constants of
-    algebra_basis(lam, 2) under the correspondence rotation <-> rotation and
-    translation swap (the chart fields push forward from the other side of
-    the group, which flips the bracket sign; composing with the swap of the
-    two translations restores an isomorphism). Returns the max deviation.
-    """
-    p = np.asarray(p, dtype=float)
-    model = SpaceForm2(lam)
-    probes = [p, p + np.array([0.041, 0.067]), p + np.array([-0.053, 0.029])]
-
-    # C[i, j] holds the basis coordinates of the bracket of fields i and j,
-    # with all nine brackets as right-hand sides of one lstsq
-    A, b = [], []
-    for q in probes:
-        K, dK = _fields_and_jacobians(model, q, h)
-        A.append(K.T)
-        b.append(np.column_stack([dK[j] @ K[i] - dK[i] @ K[j]
-                                  for i in range(3) for j in range(3)]))
-    C_chart = np.linalg.lstsq(np.vstack(A), np.vstack(b),
-                              rcond=None)[0].T.reshape(3, 3, 3)
-
-    mats = algebra_basis(lam, 2)
-    M = np.column_stack([m.ravel() for m in mats])
-    b = np.column_stack([(x @ y - y @ x).ravel() for x in mats for y in mats])
-    C_mat = np.linalg.lstsq(M, b, rcond=None)[0].T.reshape(3, 3, 3)
-
-    perm = (0, 2, 1)  # chart (rot, K2, K3) -> matrix (rot, T2, T1)
-    dev = 0.0
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                dev = max(dev, abs(C_chart[i, j, k] - C_mat[perm[i], perm[j], perm[k]]))
-    return float(dev)
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +243,12 @@ def structure_match(lam, p, h=1e-4):
 def quadric_embed(lam, r, theta):
     """Map polar chart points to the unified quadric x0^2 + lam |y|^2 = 1.
 
-    Columns are (sn'(r), sn(r) cos theta, sn(r) sin theta); the matrix group
-    G_lam acts linearly on these coordinates. Works for every lam, with
-    lam = 0 giving the affine x0 = 1 plane of Euclidean motions.
+    Columns are SpaceForm2(lam).embed's points (sn'(r), sn(r) cos theta,
+    sn(r) sin theta), on which G_lam acts linearly. Works for every lam,
+    with lam = 0 giving the affine x0 = 1 plane of Euclidean motions.
     """
-    sn, snp = sn_lambda(lam, np.asarray(r, dtype=float))
-    th = np.asarray(theta, dtype=float)
-    return np.stack([snp, sn * np.cos(th), sn * np.sin(th)])
+    E, _ = SpaceForm2(lam).embed((r, theta))
+    return E
 
 
 def quadric_to_chart(lam, X):

@@ -113,17 +113,12 @@ def algebra_basis(lam, n):
     translations L(0, e_k)."""
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
-    els = []
-    for a, b in _antisym_pairs(n):
-        E = np.zeros((n, n))
-        E[a, b] = -1.0
-        E[b, a] = 1.0
-        els.append(algebra_element(lam, E, np.zeros(n)))
-    for k in range(n):
-        e = np.zeros(n)
-        e[k] = 1.0
-        els.append(algebra_element(lam, np.zeros((n, n)), e))
-    return els
+    pairs = _antisym_pairs(n)
+    D = np.zeros((len(pairs) + n, n, n))
+    for i, (a, b) in enumerate(pairs):
+        D[i, a, b], D[i, b, a] = -1.0, 1.0
+    u = np.vstack([np.zeros((len(pairs), n)), np.eye(n)])
+    return list(algebra_element(lam, D, u))
 
 
 # ---------------------------------------------------------------------------

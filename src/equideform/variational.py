@@ -51,8 +51,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_embed,
-                      quadric_to_chart, radial_area, sn_lambda)
+from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_to_chart,
+                      radial_area, sn_lambda)
 from .errors import ConfigError, DomainError, ShapeError, UnsupportedError
 from .lie_bundle import dexp
 from .mesh import TWO_PI, Grid, JacobiForm, build_grid, wnorm
@@ -119,10 +119,10 @@ class Problem:
     which value, grad and hess below derive; and killing_fields and scalars
     of (v, lam) for the unknowns v of a checked state, one per pairing
     weight. It overrides check, generators, weights and full (with free)
-    where the defaults below do not fit; with generators, it implements
-    act(state, lam, t) for t not all zero and ambient(lam), the model whose
-    algebra() the default act_jacobian reads. from_config raises
-    DomainError when the ambient does not exist at lam.
+    where the defaults below do not fit; with generators, matrices of
+    ambient(lam).algebra(), it implements act(state, lam, t) for t not all
+    zero and ambient(lam), the model whose algebra() act_jacobian reads.
+    from_config raises DomainError when the ambient does not exist at lam.
     """
     default_lambda = 0.0
     free = slice(None)  # the grid nodes whose values are unknowns
@@ -352,15 +352,15 @@ class CmcCircle(Problem):
         the moved curve and the slope of its chart angle once per step at
         every node. A node that has not converged raises DomainError.
         """
+        model = self.ambient(lam)
         gens = self.generators(lam)
         g = expm(t[0] * gens[0] + t[1] * gens[1])
         interp = _trig_interp(state.values)
         nodes = self.grid.nodes
 
         def moved(theta):
-            r = interp(theta)
-            Y = g @ quadric_embed(lam, r, theta)
-            return quadric_to_chart(lam, Y)
+            E, _ = model.embed((interp(theta), theta))
+            return quadric_to_chart(lam, g @ E)
 
         # the moved curve must stay a radial graph: its chart angle is checked
         # monotone on a dense sample before node-wise re-extraction
@@ -378,14 +378,11 @@ class CmcCircle(Problem):
         def angle_defect(th):
             # the moved chart angle minus the node angle, and its slope
             # (Y1 Y2' - Y2 Y1') / (Y1^2 + Y2^2) with Y' = g dE/dth for the
-            # quadric point E(r(th), th) of quadric_embed
+            # model's point E(r(th), th)
             r, dr = interp(th, slope=True)
-            sn, snp = sn_lambda(lam, r)
-            co, si = np.cos(th), np.sin(th)
-            Y1, Y2 = g[1:] @ np.stack([snp, sn * co, sn * si])
-            dY1, dY2 = g[1:] @ np.stack([-lam * sn * dr,
-                                         snp * dr * co - sn * si,
-                                         snp * dr * si + sn * co])
+            E, (Er, Eth) = model.embed((r, th))
+            Y1, Y2 = g[1:] @ E
+            dY1, dY2 = g[1:] @ (Er * dr + Eth)
             return (_wrap_pi(np.arctan2(Y2, Y1) - nodes),
                     (Y1 * dY2 - Y2 * dY1) / (Y1 * Y1 + Y2 * Y2))
 
@@ -560,13 +557,8 @@ class HarmonicTorus(_Harmonic):
         return [f.ravel() for f in fields] + [push]
 
     def generators(self, t):
-        """The two unit translations."""
-        return [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
-
-    def act_jacobian(self, v, lam, t):
-        """The two unit translation fields: the group is abelian, so
-        psi(ad_X) = 1 and moving t_a moves the state along the a-th one."""
-        return np.column_stack(self.killing_fields(v, lam)[:2])
+        """The two unit translations of the torus's algebra()."""
+        return self.ambient(t).algebra()
 
     def act(self, state, lam, t):
         u, v = _split(state.values)
@@ -629,9 +621,8 @@ class HarmonicSphere(_Harmonic):
         R = expm(t[0] * gens[0] + t[1] * gens[1] + t[2] * gens[2])
         a, b = _split(state.values)
         theta = self.grid.nodes
-        phi = theta + b
-        P = np.stack([np.sin(a) * np.cos(phi), np.sin(a) * np.sin(phi), np.cos(a)])
-        Y = R @ P
+        E, _ = self.ambient(lam).embed((a, theta + b))
+        Y = R @ E
         a_new = np.arccos(np.clip(Y[2], -1.0, 1.0))
         if np.min(np.abs(np.sin(a_new))) < SIN_MIN:
             raise DomainError("rotated state too close to a chart pole")

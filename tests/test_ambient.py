@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from equideform.ambient import (FlatTorus, ScaledSphere, SpaceForm2,
-                                killing_residual, quadric_embed,
-                                quadric_to_chart, radial_area, sn_lambda,
-                                structure_match)
+                                pushforward, quadric_embed, quadric_to_chart,
+                                radial_area, sn_lambda)
 from equideform.errors import DomainError
+from equideform.lie_bundle import algebra_basis
 
 
 def test_sn_closed_forms():
@@ -96,6 +98,84 @@ def test_metric_shapes_and_domain_guards():
         ScaledSphere(-1.0)
 
 
+# ---------------------------------------------------------------------------
+# finite difference oracles: each model's metric(p) is their reference,
+# independent of the embedding the fields are pushed forward from
+
+def _fields_and_jacobians(fields, p, h):
+    # K[f, a] = K_f^a(p) and, by central differences of step h,
+    # dK[f, a, i] = d K_f^a / d x^i, from one evaluation at the 2d stencil points
+    d = len(p)
+    shifts = h * np.hstack([np.eye(d), -np.eye(d)])
+    K = np.array(fields(p))
+    ev = np.array(fields(p[:, None] + shifts))
+    return K, (ev[..., :d] - ev[..., d:]) / (2 * h)
+
+
+def killing_residual(model, p, h=1e-4):
+    """Worst norm over the model's Killing fields of the Lie derivative of the
+    metric along the field at p.
+
+    Central differences of step h for both the metric and the field
+    components; an exact Killing field comes out O(h^2).
+    """
+    p = np.asarray(p, dtype=float)
+    steps = h * np.eye(len(p))
+    g = model.metric(p)
+    dg = [(model.metric(p + e) - model.metric(p - e)) / (2 * h) for e in steps]
+    K, dK = _fields_and_jacobians(model.killing_fields, p, h)
+    worst = 0.0
+    for Kf, J in zip(K, dK):
+        L = sum(k * dgk for k, dgk in zip(Kf, dg)) + g @ J + J.T @ g
+        worst = max(worst, float(np.linalg.norm(L)))
+    return worst
+
+
+# ---------------------------------------------------------------------------
+# the hand-written Killing fields that the pushforward replaced, kept as
+# references
+
+def _space_form_fields(model, p):
+    """The rotation and the two translations through the chart origin."""
+    r, theta = np.asarray(p, dtype=float)
+    sn, snp = sn_lambda(model.lam, r)
+    ratio = snp / sn
+    return [np.stack([np.zeros_like(r), np.ones_like(r)]),
+            np.stack([np.cos(theta), -ratio * np.sin(theta)]),
+            np.stack([np.sin(theta), ratio * np.cos(theta)])]
+
+
+def _torus_fields(model, p):
+    """The two unit translations."""
+    x, _ = np.asarray(p, dtype=float)
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    return [np.stack([one, zero]), np.stack([zero, one])]
+
+
+def _sphere_fields(model, p):
+    """Rotations about the x, y and z axes."""
+    th, ph = np.asarray(p, dtype=float)
+    s, co = np.sin(ph), np.cos(ph)
+    cot = np.cos(th) / np.sin(th)
+    return [np.stack([-s, -cot * co]),
+            np.stack([co, -cot * s]),
+            np.stack([np.zeros_like(th), np.ones_like(th)])]
+
+
+CLOSED_FORMS = {SpaceForm2: _space_form_fields, FlatTorus: _torus_fields,
+                ScaledSphere: _sphere_fields}
+
+# each model with a box of chart points
+BOXES = [
+    (SpaceForm2(1.0), [(0.05, 2.5), (0.0, 2 * np.pi)]),
+    (SpaceForm2(0.0), [(0.05, 2.5), (0.0, 2 * np.pi)]),
+    # radii on both sides of sn_lambda's series cut at |lam| r^2 = 1e-4
+    (SpaceForm2(-1.0), [(1e-3, 0.02), (0.0, 2 * np.pi)]),
+    (FlatTorus(np.array([[4.0, 1.0], [1.0, 1.0]])), [(-1.0, 1.0), (-1.0, 1.0)]),
+    (ScaledSphere(1.5), [(0.1, 3.0), (0.0, 2 * np.pi)]),
+]
+
+
 def test_killing_field_counts():
     assert len(SpaceForm2(1.0).killing_fields([0.7, 0.3])) == 3
     assert len(FlatTorus(np.eye(2)).killing_fields([0.2, 0.8])) == 2
@@ -105,15 +185,7 @@ def test_killing_field_counts():
 def test_block_fields_equal_pointwise_fields_bitwise():
     # the node axis must not change a single bit of any field component
     rng = np.random.default_rng(14)
-    boxes = [
-        (SpaceForm2(1.0), [(0.05, 2.5), (0.0, 2 * np.pi)]),
-        (SpaceForm2(0.0), [(0.05, 2.5), (0.0, 2 * np.pi)]),
-        # radii on both sides of sn_lambda's series cut at |lam| r^2 = 1e-4
-        (SpaceForm2(-1.0), [(1e-3, 0.02), (0.0, 2 * np.pi)]),
-        (FlatTorus(np.array([[4.0, 1.0], [1.0, 1.0]])), [(-1.0, 1.0), (-1.0, 1.0)]),
-        (ScaledSphere(1.5), [(0.1, 3.0), (0.0, 2 * np.pi)]),
-    ]
-    for model, box in boxes:
+    for model, box in BOXES:
         P = np.array([rng.uniform(lo, hi, 5) for lo, hi in box])
         block = model.killing_fields(P)
         assert all(f.shape == P.shape for f in block)
@@ -125,8 +197,36 @@ def test_block_fields_equal_pointwise_fields_bitwise():
                 assert np.ascontiguousarray(fb[:, j]).tobytes() == fp.tobytes()
 
 
+def test_pushforward_equals_the_closed_forms():
+    rng = np.random.default_rng(15)
+    for model, box in BOXES:
+        P = np.array([rng.uniform(lo, hi, 64) for lo, hi in box])
+        want = CLOSED_FORMS[type(model)](model, P)
+        got = model.killing_fields(P)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.max(np.abs(g - w) / np.maximum(1.0, np.abs(w))) < 1e-14
+
+
+def test_pushforward_solves_a_sheared_chart():
+    # every model's chart is orthogonal (DE^T DE diagonal); the sheared chart
+    # (x, y) -> (1, x + s y, y) of the plane is not, and its fields are known:
+    # the rotation (-y' - s x', x') for x' = x + s y, y' = y, and the
+    # translations (1, 0) and (-s, 1)
+    rng = np.random.default_rng(16)
+    s = 0.7
+    x, y = rng.uniform(-2.0, 2.0, (2, 9))
+    one, zero = np.ones_like(x), np.zeros_like(x)
+    E = np.stack([one, x + s * y, y])
+    DE = np.array([[zero, one, zero], [zero, s * one, one]])
+    rot, t1, t2 = pushforward(algebra_basis(0.0, 2), E, DE)
+    for got, want in ((rot, [-y - s * (x + s * y), x + s * y]),
+                      (t1, [one, zero]), (t2, [-s * one, one])):
+        assert np.max(np.abs(got - np.array(want))) < 1e-14
+
+
 def test_killing_residuals_vanish_to_fd_accuracy():
-    """Lie derivative of the metric along each closed-form field is ~0."""
+    """Lie derivative of the metric along each pushforward field is ~0."""
     probes = [
         (SpaceForm2(1.0), [(0.6, 0.3), (1.1, 2.0)]),
         (SpaceForm2(-1.0), [(0.6, 0.3), (1.4, 5.0)]),
@@ -147,9 +247,64 @@ def test_rotated_probe_sees_same_residual_scale():
         np.allclose(v, [0.0, 1.0]) for v in vals)
 
 
-def test_structure_constants_match_the_algebra():
-    for lam in (-1.0, 0.0, 1.0):
-        assert structure_match(lam, np.array([0.7, 0.4])) < 1e-6
+# ---------------------------------------------------------------------------
+# the pushforward as a property of every model: tangent, linear in the
+# matrix, Killing, and reversing the bracket
+#
+# Chart points stay where the central differences of the oracles reach
+# their tolerances: r >= 0.4 keeps the 1/r growth of a translation's theta
+# component small, and 0.3 <= vartheta <= pi - 0.3 the cot of a rotation's.
+
+def _space_form(lam, u, v):
+    return SpaceForm2(lam), np.array([0.4 + 0.8 * u, 2 * np.pi * v])
+
+
+def _torus(lam, u, v):
+    # positive definite at every lam: the determinant is 1 + 3 lam^2 / 4
+    Q = np.array([[1.0 + lam * lam, 0.5 * lam], [0.5 * lam, 1.0]])
+    return FlatTorus(Q), np.array([4.0 * u - 2.0, 4.0 * v - 2.0])
+
+
+def _sphere(lam, u, v):
+    # the sphere exists at positive curvature alone, and the oracle's
+    # truncation error grows as 1/curvature with the metric
+    return (ScaledSphere(1.0 + lam * lam),
+            np.array([0.3 + (np.pi - 0.6) * u, 2 * np.pi * v]))
+
+
+UNIT = st.floats(0.0, 1.0)
+COEFFICIENTS = st.lists(st.floats(-1.0, 1.0), min_size=3, max_size=3)
+
+
+@pytest.mark.parametrize("make", [_space_form, _torus, _sphere],
+                         ids=["space_form", "torus", "sphere"])
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(lam=st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), u=UNIT, v=UNIT,
+       x=COEFFICIENTS, y=COEFFICIENTS)
+def test_pushforward_is_the_killing_algebra(make, lam, u, v, x, y):
+    model, p = make(lam, u, v)
+    basis = model.algebra()
+    x, y = x[:len(basis)], y[:len(basis)]
+    X = np.tensordot(x, basis, axes=1)
+    Y = np.tensordot(y, basis, axes=1)
+    E, DE = model.embed(p)
+    KX, KXY = pushforward([X, X @ Y - Y @ X], E, DE)
+
+    # tangent: DE K_X = X E
+    assert np.max(np.abs(KX[0] * DE[0] + KX[1] * DE[1] - X @ E)) < 1e-13
+
+    # linear in X
+    combined = sum(c * f for c, f in zip(x, model.killing_fields(p)))
+    assert np.max(np.abs(KX - combined)) < 1e-13 * max(1.0, np.max(np.abs(KX)))
+
+    # Killing for the chart metric
+    assert killing_residual(model, p) < 5e-7
+
+    # K_[X,Y] = -[K_X, K_Y]: the field X E of a left action reverses the
+    # bracket, [X E, Y E] = (Y X - X Y) E, and so does its pushforward
+    K, dK = _fields_and_jacobians(
+        lambda q: pushforward([X, Y], *model.embed(q)), p, 1e-5)
+    assert np.max(np.abs(KXY + dK[1] @ K[0] - dK[0] @ K[1])) < 1e-6
 
 
 def test_quadric_roundtrip():

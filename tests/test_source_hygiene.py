@@ -7,7 +7,8 @@ out: its imports are the public exports. The grid's storage of D1 (band,
 diff1) is read in mesh alone, which chooses and assembles the Jacobi's
 storage, and in the CLI only the config reader probes the parsed file, so
 that every key read is recorded. Outside serialize, the one type test is
-geodesic_curvature's argument check.
+geodesic_curvature's argument check. The ambient models write no Killing
+field by hand: one base class pushes their matrices forward.
 """
 
 import ast
@@ -154,3 +155,22 @@ def test_only_the_config_reader_probes_the_parser():
              and isinstance(node.func, ast.Attribute)
              and node.func.attr in PARSER_PROBES]
     assert stray == []
+
+
+def test_killing_fields_are_the_pushforward_of_the_matrices():
+    # an ambient model gives embed and algebra(); the shared base alone turns
+    # them into Killing fields, and the finite difference oracles that
+    # checked hand-written fields against the matrices live in the tests
+    ambient = _tree(PACKAGE / "ambient.py")
+    owners = [top.name for top in ambient.body
+              if isinstance(top, ast.ClassDef)
+              for node in top.body
+              if isinstance(node, ast.FunctionDef)
+              and node.name == "killing_fields"]
+    assert owners == ["AmbientModel"]
+    oracles = [f"{path.name}: {node.name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for node in ast.walk(_tree(path))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               and node.name in ("structure_match", "killing_residual")]
+    assert oracles == []
