@@ -9,16 +9,15 @@ in the family parameter.
 from .errors import (ConfigError, DomainError, EquideformError,
                      IllConditioned, NoConvergence, PreconditionError,
                      ShapeError, UnsupportedError)
-from .lie_bundle import (CheckReport, algebra_basis, algebra_element,
-                         bracket_closure_residual, complement_and_slice_check,
-                         complement_basis, deformed_bracket, eta_form,
-                         group_membership_residual,
-                         invariance_residual, section, slice_element,
-                         verify_bundle)
+from .lie_bundle import (algebra_basis, algebra_element,
+                         bracket_closure_residual, complement_basis,
+                         deformed_bracket, eta_form,
+                         group_membership_residual, invariance_residual,
+                         section, verify_bundle)
 from .mesh import (Grid, JacobiOperator, build_grid, fornberg_weights,
                    wnorm)
-from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_embed,
-                      quadric_to_chart, radial_area, sn_lambda)
+from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_to_chart,
+                      radial_area, sn_lambda)
 from .variational import (PROBLEMS, CmcCircle, CmcProfile, HarmonicSphere,
                           HarmonicTorus, Problem, ProblemState, act,
                           circle_seed, cmc_circle_radius, derived_scalars,

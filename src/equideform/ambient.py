@@ -3,22 +3,25 @@
 Three models, each given in one fixed chart:
 
 * SpaceForm2(lam): the curvature-lam plane in geodesic polar coordinates
-  (r, theta), metric dr^2 + sn_lam(r)^2 dtheta^2, on the quadric of
-  quadric_embed under algebra_basis(lam, 2). One chart covers every lam,
-  including the sign change at 0, which is exactly what branch
+  (r, theta), metric dr^2 + sn_lam(r)^2 dtheta^2, on the quadric
+  x0^2 + lam |y|^2 = 1 under algebra_basis(lam, 2). One chart covers every
+  lam, including the sign change at 0, which is exactly what branch
   continuation across geometry families needs.
 * FlatTorus(Q): R^2 / Z^2 with constant Gram matrix Q, on the lam = 0
   affine plane (1, x, y) under the translations of algebra_basis(0, 2).
 * ScaledSphere(lam): the round 2-sphere of curvature lam > 0 in colatitude
   and longitude (vartheta, varphi), metric (1/lam) (dvartheta^2 +
-  sin(vartheta)^2 dvarphi^2), on the unit sphere in R^3 under so(3).
+  sin(vartheta)^2 dvarphi^2), on the unit sphere in R^3, the lam = 1
+  quadric, under so(3) = algebra_basis(1, 2).
 
 Each model gives metric(p), the chart metric matrix at a point; algebra(),
-its matrices; and embed(p), the point E(p) the matrices act on and the
-chart Jacobian DE(p), with the chart coordinates of p along its first axis
-and a trailing node axis for a block of points. Its Killing fields are the
-pushforward of its matrices (AmbientModel.killing_fields), so embed alone
-decides which chart field belongs to which matrix.
+its matrices, each one of algebra_basis(., 2) up to sign at the model's
+fibre, so that verify-bundle scores every matrix a model acts by; and
+embed(p), the point E(p) the matrices act on and the chart Jacobian DE(p),
+with the chart coordinates of p along its first axis and a trailing node
+axis for a block of points. Its Killing fields are the pushforward of its
+matrices (AmbientModel.killing_fields), so embed alone decides which chart
+field belongs to which matrix.
 """
 
 from dataclasses import dataclass, field
@@ -207,7 +210,9 @@ class FlatTorus(AmbientModel):
 @dataclass(frozen=True)
 class ScaledSphere(AmbientModel):
     """The round sphere of curvature lam > 0 in the chart (vartheta, varphi)
-    of colatitude and longitude."""
+    of colatitude and longitude. At every lam its points lie on the lam = 1
+    fibre x0^2 + |y|^2 = 1 of the quadric family: lam scales the metric
+    alone, and the rotations are those of G_1."""
     lam: float
 
     def __post_init__(self):
@@ -231,28 +236,18 @@ class ScaledSphere(AmbientModel):
                           [-s * sp, s * cp, np.zeros_like(s)]]))
 
     def algebra(self):
-        """The rotations of so(3) about the x, y and z axes."""
-        return [np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
-                np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
-                np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]])]
+        """The rotations of so(3) about the x, y and z axes: L_1(E_12, 0),
+        -L_1(0, e_2) and L_1(0, e_1) on the unit sphere."""
+        rot, e1, e2 = algebra_basis(1.0, 2)
+        return [rot, -e2, e1]
 
 
 # ---------------------------------------------------------------------------
 # quadric picture of the space forms, used by the chart action on curves
 
-def quadric_embed(lam, r, theta):
-    """Map polar chart points to the unified quadric x0^2 + lam |y|^2 = 1.
-
-    Columns are SpaceForm2(lam).embed's points (sn'(r), sn(r) cos theta,
-    sn(r) sin theta), on which G_lam acts linearly. Works for every lam,
-    with lam = 0 giving the affine x0 = 1 plane of Euclidean motions.
-    """
-    E, _ = SpaceForm2(lam).embed((r, theta))
-    return E
-
-
 def quadric_to_chart(lam, X):
-    """Inverse of quadric_embed; returns (r, theta)."""
+    """Inverse of SpaceForm2(lam).embed's points on the quadric
+    x0^2 + lam |y|^2 = 1; returns (r, theta)."""
     X = np.asarray(X, dtype=float)
     x0 = X[0]
     ynorm = np.hypot(X[1], X[2])

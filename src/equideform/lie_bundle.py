@@ -20,12 +20,14 @@ equations on g = [[a, v^T], [w, B]]:
 
 A complementary slice A of upper block-triangular matrices with positive
 corner and positive definite lower block meets G_lam only at the identity;
-complement_and_slice_check certifies the tangent splitting and probes the
-off-identity margin on seeded samples.
+verify_bundle certifies the tangent splitting and probes the off-identity
+margin on seeded slice samples.
 
 Every constructor here returns plain matrices: algebra_element the
-(n+1) x (n+1) matrix L_lam(D, u), algebra_basis a list of them, eta_form
-the diagonal form and slice_element the slice matrix.
+(n+1) x (n+1) matrix L_lam(D, u), algebra_basis a list of them and
+eta_form the diagonal form. algebra_basis(lam, 2) also builds every matrix
+the ambient models act by, so verify_bundle scores the matrices the solver
+moves states with.
 
 deformed_bracket is the bracket of g_lam in closed form on (D, u)
 coordinates; at lam = 1 it is checked against the commutator of the
@@ -37,30 +39,10 @@ of one lam in a few array calls. dexp is the derivative of the exponential
 map that the orbit projection's Jacobian is built from.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.linalg import expm
 
 from .errors import DomainError, PreconditionError
-
-
-@dataclass(frozen=True)
-class CheckReport:
-    lam: float
-    n: int
-    n_samples: int
-    seed: int
-    rank: int
-    expected_rank: int
-    full_rank: bool
-    stacked_min_singular_value: float
-    identity_residual: float
-    min_off_identity_residual: float
-
-    @property
-    def passed(self):
-        return self.full_rank and self.identity_residual < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -211,30 +193,10 @@ def complement_basis(n):
     return out
 
 
-def slice_element(a, v, B):
-    """The slice matrix [[a, v^T], [0, B]]; a > 0 and B symmetric positive
-    definite."""
-    a = float(a)
-    v = np.asarray(v, dtype=float)
-    B = np.asarray(B, dtype=float)
-    n = len(v)
-    if a <= 0.0:
-        raise DomainError("slice corner a must be positive")
-    if np.max(np.abs(B - B.T)) > 1e-12 * max(1.0, np.max(np.abs(B))):
-        raise DomainError("slice block B must be symmetric")
-    if np.min(np.linalg.eigvalsh(B)) <= 0.0:
-        raise DomainError("slice block B must be positive definite")
-    mat = np.zeros((n + 1, n + 1))
-    mat[0, 0] = a
-    mat[0, 1:] = v
-    mat[1:, 1:] = B
-    return mat
-
-
 def _sample_slice_element(rng, n):
-    # log-normal corner and exponentiated symmetric block keep the sample on
-    # the slice manifold, so it needs none of slice_element's checks;
-    # resample until it is clearly off the identity
+    # a slice matrix [[a, v^T], [0, B]]: the log-normal corner keeps a > 0
+    # and the exponentiated symmetric block keeps B positive definite, so the
+    # sample needs no checks; resample until it is clearly off the identity
     for _ in range(100):
         g = np.zeros((n + 1, n + 1))
         g[0, 0] = np.exp(0.4 * rng.standard_normal())
@@ -253,35 +215,21 @@ def _slice_samples(n, n_samples, seed):
                      for _ in range(int(n_samples))])
 
 
-def complement_and_slice_check(lam, n, n_samples=200, seed=0):
-    """Certify T_1 A + g_lam = gl(n+1) and that the slice meets G_lam only at 1.
+def _scored_slice_check(lam, n, samples):
+    """Certify T_1 A + g_lam = gl(n+1) and probe the slice against G_lam.
 
     The rank check stacks algebra_basis(lam, n) with complement_basis(n) and
-    requires full rank (n+1)^2. The intersection probe samples slice
-    elements away from the identity and reports the smallest membership
-    residual as the margin; the identity itself must have residual zero.
+    requires full rank (n+1)^2. The probe scores the slice matrices samples,
+    drawn away from the identity, by their membership residuals. Returns
+    (full_rank, margin, identity_residual): the smallest sample residual is
+    the off-identity margin, and the identity itself must score zero.
     """
-    return _scored_slice_check(lam, n, seed, _slice_samples(n, n_samples, seed))
-
-
-def _scored_slice_check(lam, n, seed, samples):
-    # complement_and_slice_check on slice samples already drawn, so that one
-    # draw per (n, seed) serves every lam
     M = np.column_stack([m.ravel() for m in
                          algebra_basis(lam, n) + complement_basis(n)])
     sv = np.linalg.svd(M, compute_uv=False)
-    expected = (n + 1) ** 2
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-
-    margin = np.min(group_membership_residual(samples, lam))
-    ident = group_membership_residual(np.eye(n + 1), lam)
-    return CheckReport(
-        lam=float(lam), n=int(n), n_samples=len(samples), seed=int(seed),
-        rank=rank, expected_rank=expected, full_rank=(rank == expected),
-        stacked_min_singular_value=float(sv[-1]),
-        identity_residual=float(ident),
-        min_off_identity_residual=float(margin),
-    )
+    full_rank = int(np.sum(sv > 1e-10 * sv[0])) == (n + 1) ** 2
+    margin = float(np.min(group_membership_residual(samples, lam)))
+    return full_rank, margin, group_membership_residual(np.eye(n + 1), lam)
 
 
 # ---------------------------------------------------------------------------
@@ -372,11 +320,11 @@ def verify_bundle(lambdas, ns, samples, triples, seed,
     """Named structure checks of the group bundle, as verify-bundle runs them.
 
     Bracket closure, frame invariance, complement rank and the slice margin
-    sweep every (n, lam) of the grid, each lam scored as
-    complement_and_slice_check(lam, n, samples, seed) scores it; the slice
-    samples are drawn once per n and shared by all lam. The section sweep
-    and the deformed-bracket identities run at the first n only, drawing from
-    default_rng(seed): the two section letters first, then the triples.
+    sweep every (n, lam) of the grid, each lam scored by _scored_slice_check
+    on slice samples drawn once per n and shared by all lam. The section
+    sweep and the deformed-bracket identities run at the first n only,
+    drawing from default_rng(seed): the two section letters first, then the
+    triples.
     Returns one dict per check (name, worst, threshold, passed and any
     extras) in that order. inject_broken_basis corrupts the first basis
     matrix, so bracket_closure must fail. Raises PreconditionError on an
@@ -409,10 +357,11 @@ def verify_bundle(lambdas, ns, samples, triples, seed,
             if inject_broken_basis:
                 basis[0] = basis[0] + np.diag([1.0, -1.0] + [0.0] * (n - 1))
             worst_cl = max(worst_cl, bracket_closure_residual(basis))
-            rep = _scored_slice_check(lam, n, seed, slice_samples)
-            rank_ok = rank_ok and rep.full_rank
-            min_margin = min(min_margin, rep.min_off_identity_residual)
-            worst_ident = max(worst_ident, rep.identity_residual)
+            full_rank, margin, ident = _scored_slice_check(lam, n,
+                                                           slice_samples)
+            rank_ok = rank_ok and full_rank
+            min_margin = min(min_margin, margin)
+            worst_ident = max(worst_ident, ident)
     add("bracket_closure", worst_cl, 1e-12)
     add("frame_invariance", worst_inv, 1e-12)
     add("complement_rank", 0.0, 1.0, passed=rank_ok)

@@ -18,12 +18,9 @@ from equideform.cli import main
 from equideform.continuation import (ContinuationConfig, congruence_check,
                                      continue_branch)
 from equideform.equivariance import nondegeneracy_report, operator_diagnostics
-from equideform.lie_bundle import (algebra_basis, algebra_element,
-                                   bracket_closure_residual,
-                                   complement_and_slice_check,
-                                   deformed_bracket,
-                                   group_membership_residual,
-                                   invariance_residual, section)
+from equideform.lie_bundle import (algebra_element, deformed_bracket,
+                                   group_membership_residual, section,
+                                   verify_bundle)
 from equideform.mesh import build_grid
 from equideform.variational import (CmcCircle, ProblemState, act, circle_seed,
                                     jacobi, sphere_equator_seed,
@@ -80,20 +77,14 @@ def _length_minus_h_area(rho, lam, H):
 def test_criterion_01_bundle_verification(acceptance):
     lambdas = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
     t0 = time.perf_counter()
-    worst_cl = worst_inv = worst_ident = 0.0
-    min_margin = np.inf
-    rank_ok = True
-    for n in (2, 3):
-        for lam in lambdas:
-            mats = algebra_basis(lam, n)
-            worst_cl = max(worst_cl, bracket_closure_residual(mats))
-            worst_inv = max(worst_inv,
-                            max(invariance_residual(m, lam) for m in mats))
-            rep = complement_and_slice_check(lam, n, n_samples=200, seed=11)
-            rank_ok = rank_ok and rep.full_rank
-            min_margin = min(min_margin, rep.min_off_identity_residual)
-            worst_ident = max(worst_ident, rep.identity_residual)
+    checks = {c["name"]: c for c in
+              verify_bundle(list(lambdas), [2, 3], 200, 1, seed=11)}
     elapsed = time.perf_counter() - t0
+    worst_cl = checks["bracket_closure"]["worst"]
+    worst_inv = checks["frame_invariance"]["worst"]
+    rank_ok = checks["complement_rank"]["passed"]
+    min_margin = checks["slice_margin"]["worst"]
+    worst_ident = checks["slice_margin"]["identity_residual"]
     assert worst_cl < 1e-12
     assert worst_inv < 1e-12
     assert rank_ok

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equideform.ambient import (FlatTorus, ScaledSphere, SpaceForm2,
-                                pushforward, quadric_embed, quadric_to_chart,
-                                radial_area, sn_lambda)
+                                pushforward, quadric_to_chart, radial_area,
+                                sn_lambda)
 from equideform.errors import DomainError
 from equideform.lie_bundle import algebra_basis
 
@@ -176,6 +176,25 @@ BOXES = [
 ]
 
 
+# the sphere's rotations about the x, y and z axes as they were written out
+# by hand: the order and signs that its Killing fields, and the t of a
+# [congruence] run, are read in
+SPHERE_ROTATIONS = [
+    np.array([[0.0, 0.0, 0.0], [0.0, 0.0, -1.0], [0.0, 1.0, 0.0]]),
+    np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [-1.0, 0.0, 0.0]]),
+    np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]),
+]
+
+
+@pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+def test_sphere_algebra_is_the_hand_written_so3(lam):
+    # entry for entry; algebra_basis writes some zeros as -0.0
+    got = ScaledSphere(lam).algebra()
+    assert len(got) == 3
+    for X, ref in zip(got, SPHERE_ROTATIONS):
+        assert np.array_equal(X, ref)
+
+
 def test_killing_field_counts():
     assert len(SpaceForm2(1.0).killing_fields([0.7, 0.3])) == 3
     assert len(FlatTorus(np.eye(2)).killing_fields([0.2, 0.8])) == 2
@@ -313,7 +332,7 @@ def test_quadric_roundtrip():
         for _ in range(40):
             r = rng.uniform(0.05, 1.4)
             th = rng.uniform(0.0, 2 * np.pi)
-            X = quadric_embed(lam, r, th)
+            X, _ = SpaceForm2(lam).embed((r, th))
             r2, th2 = quadric_to_chart(lam, X)
             assert abs(r2 - r) < 1e-12
             assert abs((th2 - th + np.pi) % (2 * np.pi) - np.pi) < 1e-12
@@ -321,14 +340,14 @@ def test_quadric_roundtrip():
 
 def test_quadric_embed_lands_on_the_quadric():
     for lam in (1.0, -2.0, 0.25):
-        X = quadric_embed(lam, 0.9, 1.1)
+        X, _ = SpaceForm2(lam).embed((0.9, 1.1))
         # x0^2 + lam*|y|^2 = 1 on the model quadric
         val = X[0] ** 2 + lam * (X[1] ** 2 + X[2] ** 2)
         assert abs(val - 1.0) < 1e-14
 
 
 def test_quadric_flat_fiber_is_the_plane():
-    X = quadric_embed(0.0, 0.8, 0.3)
+    X, _ = SpaceForm2(0.0).embed((0.8, 0.3))
     assert X[0] == 1.0
     assert np.hypot(X[1], X[2]) == pytest.approx(0.8, rel=1e-15)
 

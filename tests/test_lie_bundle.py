@@ -4,13 +4,12 @@ from scipy.linalg import expm
 
 from equideform import lie_bundle
 from equideform.errors import DomainError, PreconditionError
-from equideform.lie_bundle import (_match_threshold, _slice_samples,
-                                   algebra_basis, algebra_element,
-                                   bracket_closure_residual,
-                                   complement_and_slice_check, complement_basis,
-                                   deformed_bracket, dexp, eta_form,
-                                   group_membership_residual,
-                                   invariance_residual, section, slice_element,
+from equideform.lie_bundle import (_match_threshold, _scored_slice_check,
+                                   _slice_samples, algebra_basis,
+                                   algebra_element, bracket_closure_residual,
+                                   complement_basis, deformed_bracket, dexp,
+                                   eta_form, group_membership_residual,
+                                   invariance_residual, section,
                                    verify_bundle)
 
 LAMBDAS = (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0)
@@ -124,20 +123,11 @@ def test_complement_spans_the_missing_directions():
 
 def test_complement_and_slice_report():
     for lam in (-1.0, 0.0, 1.0):
-        rep = complement_and_slice_check(lam, 2, n_samples=80, seed=3)
-        assert rep.full_rank
-        assert rep.identity_residual < 1e-12
-        assert rep.min_off_identity_residual > 1e-3
-        assert rep.passed
-
-
-def test_slice_element_needs_spd_block():
-    with pytest.raises(DomainError):
-        slice_element(1.0, np.zeros(2), -np.eye(2))
-    with pytest.raises(DomainError):
-        slice_element(-1.0, np.zeros(2), np.eye(2))  # a must stay positive
-    s = slice_element(1.0, np.array([0.1, 0.0]), np.eye(2) * 2.0)
-    assert s[0, 0] == 1.0
+        full_rank, margin, ident = _scored_slice_check(
+            lam, 2, _slice_samples(2, 80, 3))
+        assert full_rank
+        assert ident < 1e-12
+        assert margin > 1e-3
 
 
 def test_section_reproduces_base_point_and_stays_in_group():
@@ -269,20 +259,21 @@ def test_verify_bundle_draws_slice_samples_once_per_n(monkeypatch):
         draws.append(n)
         return sample(rng, n)
 
-    def recorded(*args):
-        reports.append(scored(*args))
-        return reports[-1]
+    def recorded(lam, n, s):
+        reports.append(((lam, n, s), scored(lam, n, s)))
+        return reports[-1][1]
 
     monkeypatch.setattr(lie_bundle, "_sample_slice_element", counted)
     monkeypatch.setattr(lie_bundle, "_scored_slice_check", recorded)
     verify_bundle(lambdas, ns, samples, 3, seed)
     monkeypatch.undo()
     assert draws == [n for n in ns for _ in range(samples)]
-    # each lam's report is the one the standalone check gives, bit for bit
+    # each lam's result is the one a fresh draw of its samples gives, bit
+    # for bit
     assert len(reports) == len(ns) * len(lambdas)
-    for rep in reports:
-        assert rep == complement_and_slice_check(rep.lam, rep.n,
-                                                 n_samples=samples, seed=seed)
+    for (lam, n, _), rep in reports:
+        assert rep == _scored_slice_check(lam, n,
+                                          _slice_samples(n, samples, seed))
 
 
 @pytest.mark.parametrize("args", [
@@ -442,9 +433,9 @@ def test_stacked_verify_bundle_matches_the_scalar_oracle(monkeypatch, ns,
     seen = []
     scored, bracket = lie_bundle._scored_slice_check, lie_bundle.deformed_bracket
 
-    def record_samples(lam, n, s, slice_samples):
+    def record_samples(lam, n, slice_samples):
         seen.append(np.asarray(slice_samples))
-        return scored(lam, n, s, slice_samples)
+        return scored(lam, n, slice_samples)
 
     def record_triples(lam, x, y):
         seen.append((x, y))

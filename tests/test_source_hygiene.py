@@ -1,14 +1,16 @@
 """Static checks over the package source, so deletions leave nothing behind.
 
 Every name a module imports is used in that module, every private
-module-level name (_x) is referenced somewhere in the package, and no
-module imports a private name from another. The package __init__ is left
-out: its imports are the public exports. The grid's storage of D1 (band,
-diff1) is read in mesh alone, which chooses and assembles the Jacobi's
-storage, and in the CLI only the config reader probes the parsed file, so
-that every key read is recorded. Outside serialize, the one type test is
+module-level name (_x) is referenced somewhere in the package, every public
+function, class and method is referenced by name outside the package
+__init__ (two test oracles aside), and no module imports a private name
+from another. The package __init__ is left out: its imports are the public
+exports. The grid's storage of D1 (band, diff1) is read in mesh alone,
+which chooses and assembles the Jacobi's storage, and in the CLI only the
+config reader probes the parsed file, so that every key read is recorded. Outside serialize, the one type test is
 geodesic_curvature's argument check. The ambient models write no Killing
-field by hand: one base class pushes their matrices forward.
+field and no matrix by hand: one base class pushes their matrices forward,
+and algebra_basis builds each of them.
 """
 
 import ast
@@ -79,6 +81,25 @@ def test_every_private_module_name_is_referenced():
     unused = [f"{path.name}: {name}" for path in MODULES
               for name in _private_definitions(_tree(path))
               if name not in everywhere]
+    assert unused == []
+
+
+# public names that only the tests read, as oracles of what the package
+# computes another way
+TEST_ORACLES = ("metric", "geodesic_curvature")
+
+
+def test_every_public_definition_is_referenced():
+    # the package __init__ only re-exports, so a name that it alone reads
+    # has no caller in the package
+    everywhere = set(TEST_ORACLES)
+    for path in MODULES:
+        everywhere |= _references(_tree(path))
+    unused = [f"{path.name}: {node.name}" for path in MODULES
+              for node in ast.walk(_tree(path))
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_")
+              and node.name not in everywhere]
     assert unused == []
 
 
@@ -174,3 +195,18 @@ def test_killing_fields_are_the_pushforward_of_the_matrices():
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))
                and node.name in ("structure_match", "killing_residual")]
     assert oracles == []
+
+
+def test_every_ambient_algebra_is_built_by_algebra_basis():
+    # the matrices a model acts by are those verify-bundle scores: each
+    # algebra() takes them from algebra_basis and writes no entry itself
+    ambient = _tree(PACKAGE / "ambient.py")
+    methods = {top.name: node for top in ambient.body
+               if isinstance(top, ast.ClassDef)
+               for node in top.body
+               if isinstance(node, ast.FunctionDef) and node.name == "algebra"}
+    assert sorted(methods) == ["FlatTorus", "ScaledSphere", "SpaceForm2"]
+    stray = [name for name, method in methods.items()
+             if "algebra_basis" not in _references(method)
+             or "np" in _references(method)]
+    assert stray == []

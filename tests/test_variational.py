@@ -7,9 +7,10 @@ from scipy.linalg import expm
 from scipy.optimize import brentq
 
 from equideform import variational
-from equideform.ambient import quadric_embed, quadric_to_chart, sn_lambda
+from equideform.ambient import SpaceForm2, quadric_to_chart, sn_lambda
 from equideform.equivariance import rank_basis
 from equideform.errors import DomainError, ShapeError, UnsupportedError
+from equideform.lie_bundle import algebra_basis
 from equideform.mesh import (TWO_PI, BandJacobiOperator, Grid,
                              JacobiOperator, build_grid)
 from equideform.variational import (PROBLEMS, CmcCircle, CmcProfile,
@@ -480,7 +481,7 @@ def _act_by_brentq(prob, state, lam, t):
     def moved(theta):
         th = np.atleast_1d(theta)
         r = (np.exp(1j * np.outer(th, wave)) @ coef).real
-        return quadric_to_chart(lam, g @ quadric_embed(lam, r, th))
+        return quadric_to_chart(lam, g @ SpaceForm2(lam).embed((r, th))[0])
 
     dense = np.linspace(0.0, TWO_PI, 4 * n, endpoint=False)
     shift = np.max(np.abs(variational._wrap_pi(moved(dense)[1] - dense)))
@@ -658,6 +659,27 @@ def test_orbit_generator_counts():
     assert len(probs.generators(1.0)) == 3
     probp, _ = profile_cylinder_seed(2.0, gd)
     assert len(probp.generators(0.0)) == 0
+
+
+@pytest.mark.parametrize("make, lams, fibre", [
+    (lambda g: circle_seed(0.0, 2.0, g)[0], (-1.5, 0.0, 0.5), None),
+    (lambda g: torus_line_seed((1, 0), g, np.eye(2),
+                               np.array([[2.0, 0.5], [0.5, 1.0]]))[0],
+     (0.0, 0.5, 1.0), 0.0),
+    (lambda g: sphere_equator_seed(g)[0], (0.5, 1.0, 2.0), 1.0),
+], ids=["cmc_circle", "harmonic_torus", "harmonic_sphere"])
+def test_generators_are_matrices_of_algebra_basis(make, lams, fibre):
+    # the matrices the solver moves states by are, up to sign, those that
+    # verify-bundle scores: the circle's at its own lam, the torus's at the
+    # flat fibre and the sphere's at the unit one
+    prob = make(build_grid("periodic", 33))
+    for lam in lams:
+        basis = algebra_basis(lam if fibre is None else fibre, 2)
+        gens = prob.generators(lam)
+        assert len(gens) > 0
+        for X in gens:
+            assert any(np.array_equal(X, s * B) for B in basis
+                       for s in (1.0, -1.0))
 
 
 # ------------------------------------------------------------ curvature
