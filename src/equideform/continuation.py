@@ -23,6 +23,16 @@ step that does not halve it shows the roundoff floor of the residual, and
 the corrector stops there with NoConvergence naming the floor rather than
 iterating on to max_newton.
 
+Along a branch the corrector is a chord (simplified Newton) iteration
+(Deuflhard, Newton Methods for Nonlinear Problems, 2004, ch. 2; Allgower &
+Georg, Numerical Continuation Methods, 1990). Each correction hands the
+last reduction it solved with, and that reduction's Killing border, to the
+correction of the next record, which steps against them, with no Jacobi
+assembled and none reduced, while each step shrinks the residual by
+CHORD_CONTRACTION. From the first step that does not, the rest of the call
+is the Newton iteration above. Every record still reduces its own Jacobi
+for its certificate, so no verdict rests on a reused reduction.
+
 continue_branch marches the parameter with a secant predictor and adaptive
 steps, certifying every accepted record (kernel = Killing span, spectral
 gap, transversality margin against the previous record's Killing basis).
@@ -30,12 +40,14 @@ A degenerate verdict halts the branch with the offending record flagged at
 the end; convergence failure raises NoConvergence carrying the partial
 branch and naming the cause of the last failed attempt. Given a record's
 state, its certificate and the next record's correction are independent
-(Allgower & Georg, Numerical Continuation Methods, 1990), so the
-certificate runs on one worker thread while this thread corrects the
-attempt that follows if the record is accepted. The two overlap because
-every LAPACK routine of the dense reduction (mesh._Tridiagonal) releases the
-interpreter lock. The march holds five n x n matrices at once, diff1 and two
-for each thread, where one path alone holds three.
+(Allgower & Georg), so the certificate runs on one worker thread while this
+thread corrects the attempt that follows if the record is accepted. The two
+overlap because every LAPACK routine of the dense reduction
+(mesh._Tridiagonal) releases the interpreter lock. The march holds five n x
+n matrices at once, diff1 and two for each thread, where one path alone
+holds three: a correction takes the reduction it is handed out of its
+holder, so no path keeps it while a Newton step assembles and reduces
+another.
 
 orbit_project recovers the group motion between nearby solutions by
 Gauss-Newton on the Killing components of the difference. It acts once per
@@ -72,6 +84,13 @@ RECORD_CAP = 100000
 ORBIT_TOL = 1e-11
 ORBIT_MAX_ITER = 30
 ORBIT_TRUST_RADIUS = 0.25
+
+# a chord step must shrink the residual by this factor, or the rest of its
+# correction is Newton's
+CHORD_CONTRACTION = 0.03
+# a record whose correction made at most this many reductions counts as
+# fast for the step rule
+FAST_REDUCTIONS = 1
 
 
 @dataclass(frozen=True)
@@ -151,7 +170,7 @@ class BranchRecord:
     max_principal_angle: float
     spectral_gap: float
     transversality_margin: float
-    newton_iters: int
+    newton_iters: int  # corrector iterations, chord and Newton steps alike
     derived_scalars: dict
     verdict: str
     diagnostics: dict
@@ -174,11 +193,48 @@ class BranchRecord:
         }
 
 
+class _Bordered:
+    """One reduction of the bordered matrix [[W J, W B], [B^T W, 0]], kept
+    with its border B and the weights W, without J's n x n storage.
+
+    To _bordered_update it stands for the Jacobi it was made from: its
+    bordered_reduction returns the kept reduction, so a Newton step and the
+    chord steps after it solve against one reduction.
+    """
+
+    def __init__(self, J, B):
+        self.weights = J.weights
+        self.border = B
+        self._reduced = J.bordered_reduction(B)
+
+    def bordered_reduction(self, B):
+        return self._reduced
+
+
+class _Chord:
+    """What a branch correction hands on to the next: the last _Bordered it
+    solved with (or None) and how many reductions it made.
+
+    The correction handed a holder takes the reduction out of it, so a path
+    or a future that still refers to the holder keeps no n x n buffer alive
+    while that correction assembles and reduces a new one.
+    """
+
+    def __init__(self, bordered=None):
+        self.bordered = bordered
+        self.made = 0
+
+    def take(self):
+        bordered, self.bordered = self.bordered, None
+        return bordered
+
+
 def _bordered_update(J, B, res, lambda_hat):
     """Newton update and condition number of the bordered system: J's one
-    reduction of M = [[W J, W B], [B^T W, 0]], gone on return, gives both
-    the exact 2-norm condition number max|mu| / min|mu| over M's eigenvalues
-    and the solve. Raises IllConditioned when the condition exceeds 1e12."""
+    reduction of M = [[W J, W B], [B^T W, 0]] (the kept one, for a
+    _Bordered) gives both the exact 2-norm condition number max|mu| /
+    min|mu| over M's eigenvalues and the solve. Raises IllConditioned when
+    the condition exceeds 1e12."""
     w = J.weights
     n, k = B.shape
     reduced = J.bordered_reduction(B)
@@ -194,15 +250,27 @@ def _bordered_update(J, B, res, lambda_hat):
 
 
 @errors.linalg_guard
-def corrector_step(problem, state, lambda_hat, config):
+def corrector_step(problem, state, lambda_hat, config, chord=None):
     """Bordered Newton correction at fixed parameter.
 
     Returns (state, iterations, diagnostics) with diagnostics carrying the
-    residual-norm history, the worst bordered condition number, and the
-    slice leak: the largest normalized Killing component of any bordered
-    solve's update, which an explicit projection then removes.
+    residual-norm history, the worst bordered condition number, the slice
+    leak: the largest normalized Killing component of any bordered solve's
+    update, which an explicit projection then removes, and the number of
+    bordered reductions made.
+
+    chord is the _Chord a branch correction hands on; every standalone call
+    leaves it out, and then every step is Newton's. The call takes the
+    reduction it holds and steps against it, projecting with its border,
+    while each step shrinks the residual by CHORD_CONTRACTION; a step that
+    does not is kept only if it shrank the residual at all, and the rest of
+    the call is Newton's. The call counts its reductions in chord as it
+    makes them, and leaves there the last one it solved with.
     """
     w = problem.weights()
+    chord = _Chord() if chord is None else chord
+    bordered = chord.take()
+    chording = bordered is not None
     st = ProblemState(state.values.copy())
     res = residual(problem, st, lambda_hat)
     rn = wnorm(w, res)
@@ -221,12 +289,17 @@ def corrector_step(problem, state, lambda_hat, config):
             raise NoConvergence(
                 f"corrector stalled at |residual|_W = {rn:.3e} "
                 f"after {iters} iterations (lambda_hat={lambda_hat})")
-        B = rank_basis(killing_jacobi_basis(problem, st, lambda_hat), w)
-        k = B.shape[1]
-        delta, cond = _bordered_update(jacobi(problem, st, lambda_hat), B,
-                                       res, lambda_hat)
+        newton = not chording
+        if newton:
+            # the last step's reduction goes before the next is assembled
+            bordered = None
+            B = rank_basis(killing_jacobi_basis(problem, st, lambda_hat), w)
+            bordered = _Bordered(jacobi(problem, st, lambda_hat), B)
+            chord.made += 1
+        B = bordered.border
+        delta, cond = _bordered_update(bordered, B, res, lambda_hat)
         worst_cond = max(worst_cond, cond)
-        if k:
+        if B.shape[1]:
             # the solve's leak off the slice, then exact W-orthogonality to
             # the orbit directions
             leak = B.T @ (w * delta)
@@ -234,21 +307,29 @@ def corrector_step(problem, state, lambda_hat, config):
             if dn > 0.0:
                 orbit_inner = max(orbit_inner, float(np.max(np.abs(leak)) / dn))
             delta = delta - B @ leak
-        st = ProblemState(st.values + delta)
-        res = residual(problem, st, lambda_hat)
-        prev, rn = rn, wnorm(w, res)
-        if not np.isfinite(rn):
-            raise NoConvergence("corrector residual became non-finite")
+        trial = ProblemState(st.values + delta)
+        trial_res = residual(problem, trial, lambda_hat)
+        trial_rn = wnorm(w, trial_res)
+        if newton:
+            if not np.isfinite(trial_rn):
+                raise NoConvergence("corrector residual became non-finite")
+        elif not trial_rn <= CHORD_CONTRACTION * rn:
+            chording = False
+            if not trial_rn < rn:
+                continue
+        st, res, prev, rn = trial, trial_res, rn, trial_rn
         norms.append(float(rn))
         iters += 1
-        if prev < CRITICAL_TOL and rn > config.tol and not rn <= 0.5 * prev:
+        if (newton and prev < CRITICAL_TOL and rn > config.tol
+                and not rn <= 0.5 * prev):
             raise NoConvergence(
                 f"corrector stalled at its roundoff floor |residual|_W = "
                 f"{rn:.3e}: a full Newton step from {prev:.3e} did not halve "
                 f"it after {iters} iterations (lambda_hat={lambda_hat}); "
                 f"[path] tol = {config.tol:g} must lie above this floor")
+    chord.bordered = bordered
     diagnostics = {"residual_norms": norms, "cond": worst_cond,
-                   "orbit_inner": orbit_inner}
+                   "orbit_inner": orbit_inner, "reductions": chord.made}
     return st, iters, diagnostics
 
 
@@ -283,6 +364,7 @@ class _Path:
     lam: float
     state: ProblemState
     step: float
+    chord: _Chord    # what the correction of state handed on
     fast: int = 0
     prev_lam: float = None
     prev_vals: np.ndarray = None
@@ -302,16 +384,21 @@ class _Path:
             return target, vals + scale * (vals - self.prev_vals)
         return target, vals
 
-    def accepted(self, target, state, iters, config):
-        """The path once the record (target, state) corrected in iters
-        Newton steps is accepted: two fast records in a row grow the step."""
-        fast = self.fast + 1 if iters <= 3 else 0
+    def accepted(self, target, state, chord, config):
+        """The path once the record (target, state), whose correction left
+        chord, is accepted: two records in a row corrected with at most
+        FAST_REDUCTIONS reductions each grow the step."""
+        fast = self.fast + 1 if chord.made <= FAST_REDUCTIONS else 0
         step = self.step
         if fast >= 2:
             step = min(step * 1.3, config.max_step)
-        return _Path(target, state, step, fast, self.lam, self.state.values)
+        return _Path(target, state, step, chord, fast, self.lam,
+                     self.state.values)
 
     def halved(self):
+        """The path for a retry at half the step. It keeps its chord, which
+        the failed attempt's correction has emptied, so a retry starts with
+        a Newton step."""
         return replace(self, step=self.step * 0.5, fast=0)
 
 
@@ -323,17 +410,19 @@ def _timed(func, *args):
 
 
 def _correct(problem, path, config):
-    """The corrector at path's next attempt: (target, a finished Future
-    holding corrector_step's (state, iters, diagnostics) and its seconds, or
-    what it raised)."""
+    """The corrector at path's next attempt, handed the reduction path's
+    chord holds: (target, the attempt's _Chord, a finished Future holding
+    corrector_step's (state, iters, diagnostics) and its seconds, or what
+    it raised)."""
     target, guess = path.attempt(config)
+    chord = _Chord(path.chord.take())
     done = Future()
     try:
         done.set_result(_timed(corrector_step, problem, ProblemState(guess),
-                               target, config))
+                               target, config, chord))
     except Exception as exc:  # raised again only by .result(), if it is read
         done.set_exception(exc)
-    return target, done
+    return target, chord, done
 
 
 def continue_branch(problem, seed_state, config):
@@ -347,6 +436,13 @@ def continue_branch(problem, seed_state, config):
     the last attempt's cause. A record whose nondegeneracy verdict is not
     clean is appended flagged and the branch halts there.
 
+    The first attempt after a record is a chord correction against the
+    last reduction that record's correction solved with; a retry after a
+    rejected attempt starts with Newton, since the rejected correction took
+    that reduction. config.max_newton bounds the corrector iterations of
+    either kind, and two records in a row whose corrections made at most
+    FAST_REDUCTIONS reductions each grow the step by 1.3, up to max_step.
+
     Each converged record is certified on one worker thread while this
     thread runs the corrector for the attempt that follows if the record is
     accepted. That correction is carried as a finished Future, holding its
@@ -356,16 +452,16 @@ def continue_branch(problem, seed_state, config):
     those of a one-at-a-time march. The worker is gone on return.
 
     Each record's log (outside its payload) holds the corrector's residual
-    history, worst bordered condition and slice leak, the causes of the
-    attempts rejected before it, the speculative corrections used and
-    dropped since the previous record, and the seconds its correction and
-    its certificate took, each timed on the thread that ran it; a stall's
-    NoConvergence carries the causes and corrections for the attempts after
-    the last record.
+    history, worst bordered condition, slice leak and reductions made, the
+    causes of the attempts rejected before it, the speculative corrections
+    used and dropped since the previous record, and the seconds its
+    correction and its certificate took, each timed on the thread that ran
+    it; a stall's NoConvergence carries the causes, the corrections and the
+    reductions made for the attempts after the last record.
     """
     cadence = int(config.diagnostics_cadence)
     records = []
-    rejected, used, discarded = [], 0, 0
+    rejected, used, discarded, made = [], 0, 0, 0
     with ThreadPoolExecutor(max_workers=1,
                             thread_name_prefix="certify") as pool:
 
@@ -399,28 +495,31 @@ def continue_branch(problem, seed_state, config):
                 f"(step underflow below {config.min_step:.3e}); "
                 f"last failure: {cause}", partial_branch=records,
                 log={"rejected": rejected,
-                     "speculative": {"used": used, "discarded": discarded}})
+                     "speculative": {"used": used, "discarded": discarded},
+                     "reductions": made})
 
         lam = float(config.start)
+        chord = _Chord()
         (st, iters, diag), correct_s = _timed(corrector_step, problem,
-                                              seed_state, lam, config)
-        path = _Path(lam, st, float(config.initial_step))
+                                              seed_state, lam, config, chord)
+        path = _Path(lam, st, float(config.initial_step), chord)
         future, ahead = certify(lam, st, iters, None, path)
         (rec, ref), certify_s = future.result()
         if append(rec, diag, ahead, correct_s, certify_s):
             return records
         while path.lam != config.end:
-            rejected, used, discarded = [], 0, 0
+            rejected, used, discarded, made = [], 0, 0, 0
             for _ in range(config.retries + 1):
                 if path.step < config.min_step:
                     raise stalled(path, cause)
                 if ahead is not None:
                     used += 1
-                target, correction = ahead or _correct(problem, path, config)
+                target, chord, correction = ahead or _correct(
+                    problem, path, config)
                 ahead = None
                 try:
                     (st_new, iters, diag), correct_s = correction.result()
-                    after = path.accepted(target, st_new, iters, config)
+                    after = path.accepted(target, st_new, chord, config)
                     future, ahead = certify(target, st_new, iters, ref, after)
                     (rec, basis), certify_s = future.result()
                 except SOLVER_ERRORS as exc:
@@ -435,6 +534,7 @@ def continue_branch(problem, seed_state, config):
                 discarded += ahead is not None
                 ahead = None
                 rejected.append(cause)
+                made += chord.made
                 path = path.halved()
             else:
                 raise stalled(path, cause)

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import subspace_angles
 
 from . import errors
 from .errors import PreconditionError
@@ -186,13 +185,22 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
 
 @errors.linalg_guard
 def _principal_angles(A, B, weights):
-    # ascending principal angles between the W-spans of A and B, from the
-    # sine-based algorithm of Knyazev and Argentati (SIAM J. Sci. Comput. 23,
-    # 2002), so small angles keep full precision
+    # ascending principal angles between the spans of the W-orthonormal A
+    # and B, split as Knyazev and Argentati split them (SIAM J. Sci. Comput.
+    # 23, 2002): the cosines are the singular values of A^T W B, the sines
+    # those of the part of the narrower basis off the wider one's span, and
+    # an angle below pi/4 is read from its sine, so small angles keep full
+    # precision. Both bases are orthonormal in sqrt(W) coordinates already,
+    # so neither is orthonormalized again.
     if not (A.shape[1] and B.shape[1]):
         return np.zeros(0)
     sw = np.sqrt(weights)[:, None]
-    return np.sort(subspace_angles(sw * A, sw * B))
+    wide, narrow = sorted((sw * A, sw * B), key=lambda Q: -Q.shape[1])
+    C = wide.T @ narrow
+    cos = np.linalg.svd(C, compute_uv=False)          # descending
+    sin = np.linalg.svd(narrow - wide @ C, compute_uv=False)[::-1]
+    return np.where(cos ** 2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
+                    np.arccos(np.clip(cos, -1.0, 1.0)))
 
 
 def transversality_margin(basis, reference, weights):

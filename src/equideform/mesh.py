@@ -55,12 +55,15 @@ which gives eigenvalues and solves but no eigenvectors, and _Tridiagonal of
 a dense matrix in the buffer that LAPACK dsytrd overwrites
 with the reflectors dormqr reads in place, the one n x n matrix a routine
 holds beside diff1 and a dense Jacobi (a branch, which certifies on a
-worker thread, holds five). Every LAPACK routine of _Tridiagonal (dsytrd,
-dsterf, dormqr, dgtsv, and dstebz + dstein for eigenvectors) is called
-through scipy's cython_lapack export by ctypes, from one table of bindings,
-_LAPACK. A ctypes call releases the interpreter lock that scipy.linalg's
-f2py wrappers hold, so the certificate overlaps the corrector; the results
-are bitwise the wrappers'.
+worker thread, holds five). _Tridiagonal factors T for solves once, on the
+first solve, so a reduction the corrector reuses across steps costs one
+O(n) LU and then only the triangular solves and the two applications of Q.
+Every LAPACK routine of _Tridiagonal (dsytrd, dsterf, dormqr, dgttrf +
+dgttrs, and dstebz + dstein for eigenvectors) is called through scipy's
+cython_lapack export by ctypes, from one table of bindings, _LAPACK. A
+ctypes call releases the interpreter lock that scipy.linalg's f2py wrappers
+hold, so the certificate overlaps the corrector; the results are bitwise
+the wrappers'.
 """
 
 import ctypes
@@ -228,7 +231,9 @@ _LAPACK = {
         "dsterf": (_INT, _F64, _F64),
         "dormqr": (_CHAR, _CHAR, _INT, _INT, _INT, _F64, _INT, _F64, _F64,
                    _INT, _F64, _INT),
-        "dgtsv": (_INT, _INT, _F64, _F64, _F64, _F64, _INT),
+        "dgttrf": (_INT, _F64, _F64, _F64, _F64, _I32),
+        "dgttrs": (_CHAR, _INT, _INT, _F64, _F64, _F64, _F64, _I32, _F64,
+                   _INT),
         "dstebz": (_CHAR, _CHAR, _INT, _REAL, _REAL, _INT, _INT, _REAL, _F64,
                    _F64, _INT, _INT, _F64, _I32, _I32, _F64, _I32),
         "dstein": (_INT, _F64, _F64, _INT, _F64, _I32, _I32, _F64, _INT, _F64,
@@ -247,14 +252,14 @@ def _lapack(name, *args):
             f"{name} failed with info = {info.value}")
 
 
-def _workspace_call(name, *args):
-    """Call name with args, then a workspace of the size its query (lwork
-    = -1) asks for and that lwork, as scipy.linalg.lapack sizes it, so the
-    results are bitwise the wrapper's."""
+def _workspace(name, *args):
+    """(the workspace, its lwork) of the size that name's query with args
+    (lwork = -1) asks for, as scipy.linalg.lapack sizes it, so the results
+    are bitwise the wrapper's."""
     query = np.empty(1)
     _lapack(name, *args, query, c_int(-1))
     lwork = int(query[0])
-    _lapack(name, *args, np.empty(max(lwork, 1)), c_int(lwork))
+    return np.empty(max(lwork, 1)), c_int(lwork)
 
 
 def _dsytrd(a):
@@ -272,7 +277,8 @@ def _dsytrd(a):
     d = np.empty(n)
     e = np.zeros(max(n - 1, 1))
     tau = np.zeros(max(n - 1, 1))
-    _workspace_call("dsytrd", b"L", c_int(n), a, c_int(max(n, 1)), d, e, tau)
+    args = (b"L", c_int(n), a, c_int(max(n, 1)), d, e, tau)
+    _lapack("dsytrd", *args, *_workspace("dsytrd", *args))
     return d, e, tau
 
 
@@ -291,6 +297,10 @@ class _Tridiagonal:
     A Fortran-contiguous float64 A is the caller's reduction buffer: it is
     reduced in place and afterwards holds the reflectors, so the reduction
     makes no n x n copy. Any other A is copied first and left as it was.
+
+    Solves factor T once, by dgttrf on the first, and size dormqr's
+    workspace once per column count, so many solves against one reduction
+    cost O(n^2) each, the two applications of Q.
     """
 
     def __init__(self, A):
@@ -306,6 +316,8 @@ class _Tridiagonal:
         # dsterf overwrites d with the eigenvalues and e with scratch
         self.eigenvalues = self._d.copy()
         _lapack("dsterf", c_int(n), self.eigenvalues, self._e.copy())
+        self._work = {}    # dormqr's workspace by (trans, columns)
+        self._lu = None    # T's dgttrf factors, from the first solve
 
     def apply_q(self, x, trans="N"):
         """Q x, or Q^T x with trans="T", for a vector or a block of columns."""
@@ -316,19 +328,30 @@ class _Tridiagonal:
             a = self._reflectors
             c = np.asfortranarray(y[1:])
             m, cols = c.shape
-            _workspace_call("dormqr", b"L", trans.encode(), c_int(m),
-                            c_int(cols), c_int(a.shape[1]), a, c_int(len(a)),
-                            self._tau, c, c_int(m))
+            args = (b"L", trans.encode(), c_int(m), c_int(cols),
+                    c_int(a.shape[1]), a, c_int(len(a)), self._tau, c,
+                    c_int(m))
+            key = (trans, cols)
+            if key not in self._work:
+                self._work[key] = _workspace("dormqr", *args)
+            _lapack("dormqr", *args, *self._work[key])
             y[1:] = c
         return y.reshape(np.shape(x))
 
     def solve(self, b):
-        """A^-1 b = Q T^-1 Q^T b; T by dgtsv, LU with partial pivoting, which
-        overwrites T's copies and the Fortran copy of the right-hand side."""
+        """A^-1 b = Q T^-1 Q^T b; T by its LU with partial pivoting, which
+        dgttrf makes on the first solve (the steps of dgtsv, so the result
+        is bitwise its) and dgttrs applies to the Fortran copy of the
+        right-hand side."""
         n = len(b)
+        if self._lu is None:
+            lu = (self._e.copy(), self._d.copy(), self._e.copy(),
+                  np.empty(max(n - 2, 1)), np.empty(n, dtype=np.intc))
+            _lapack("dgttrf", c_int(n), *lu)
+            self._lu = lu
         z = np.array(self.apply_q(b, "T").reshape(n, -1), order="F")
-        _lapack("dgtsv", c_int(n), c_int(z.shape[1]), self._e.copy(),
-                self._d.copy(), self._e.copy(), z, c_int(n))
+        _lapack("dgttrs", b"N", c_int(n), c_int(z.shape[1]), *self._lu, z,
+                c_int(n))
         return self.apply_q(z).reshape(np.shape(b))
 
     def eigenvectors(self, lo, hi):

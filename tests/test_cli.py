@@ -347,7 +347,8 @@ def test_continue_meta_logs_each_record_and_payload_bytes_repeat(tmp_path):
     assert len(logs) == 6
     for log in logs:
         assert set(log) == {"residual_norms", "cond", "orbit_inner",
-                            "rejected", "speculative", "seconds"}
+                            "reductions", "rejected", "speculative",
+                            "seconds"}
         assert log["residual_norms"][-1] <= 1e-10
         assert log["rejected"] == []
         assert set(log["seconds"]) == {"correct", "certify"}
@@ -386,6 +387,7 @@ basin_guard = 0.05
     # them the payload's cause
     stalled = json.loads((out / "report.json").read_text())["meta"]["stalled"]
     assert stalled["rejected"]
+    assert stalled["reductions"] > 0     # the retries start with Newton
     assert pay["error"].endswith("last failure: " + stalled["rejected"][-1])
 
 

@@ -168,6 +168,52 @@ def test_corrector_logs_the_slice_leak_before_the_projection(monkeypatch):
     assert diag["orbit_inner"] < 1e-10
 
 
+def _handed(prob, state, lam, cfg):
+    """A _Chord holding the last reduction of a Newton polish of state."""
+    chord = continuation._Chord()
+    corrector_step(prob, state, lam, cfg, chord)
+    assert chord.made >= 1 and chord.bordered is not None
+    return continuation._Chord(chord.take())
+
+
+def test_chord_steps_reuse_the_handed_reduction():
+    # near the state its reduction was made at, the chord contracts: every
+    # step solves against the handed reduction and none is made
+    g, prob, st = _flat_setup()
+    cfg = _polish(0.0, basin_guard=0.05)
+    bumped = ProblemState(st.values + 1e-3 * np.cos(3 * g.nodes))
+    handed = _handed(prob, bumped, 0.0, cfg)
+    reduction = handed.bordered
+    guess = ProblemState(st.values + 1e-4 * np.cos(2 * g.nodes))
+    out, iters, diag = corrector_step(prob, guess, 0.0, cfg, handed)
+    assert diag["reductions"] == handed.made == 0 < iters
+    assert handed.bordered is reduction      # handed on again
+    assert residual_norm(prob, out, 0.0) <= cfg.tol
+    norms = diag["residual_norms"]
+    assert all(b <= continuation.CHORD_CONTRACTION * a
+               for a, b in zip(norms, norms[1:]))
+
+
+def test_chord_falls_back_to_newton_from_a_far_predictor():
+    # a reduction made at lambda = 1 stops contracting at lambda = 0.5: the
+    # rest of the call is Newton's, which converges to the standalone
+    # polish and hands its own last reduction on
+    g = build_grid("periodic", 65)
+    prob, seed = circle_seed(1.0, 2.0, g)
+    bumped = ProblemState(seed.values + 1e-3 * np.cos(3 * g.nodes))
+    handed = _handed(prob, bumped, 1.0, _polish(1.0, basin_guard=0.05))
+    carried = handed.bordered
+    _, guess = circle_seed(0.6, 2.0, g)
+    cfg = _polish(0.5, basin_guard=0.05)
+    want, newton_iters, _ = corrector_step(prob, guess, 0.5, cfg)
+    got, iters, diag = corrector_step(prob, guess, 0.5, cfg, handed)
+    assert 1 <= diag["reductions"] == handed.made <= newton_iters
+    assert handed.bordered is not None and handed.bordered is not carried
+    assert diag["residual_norms"][-1] <= cfg.tol
+    assert len(diag["residual_norms"]) == iters + 1
+    assert mesh.wnorm(prob.weights(), got.values - want.values) < 10 * cfg.tol
+
+
 # ----------------------------------------------------------- step control
 
 
@@ -279,24 +325,33 @@ def test_branch_stall_raises_with_partial_branch():
     assert last.residual_norm < cfg.tol
 
 
-def test_branch_factorization_failure_halves_step(failing_linalg):
+def test_branch_factorization_failure_halves_step(failing_linalg,
+                                                  monkeypatch):
     # a LinAlgError is a failed attempt like IllConditioned: the step halves
-    # retries times, then the certified records come back with the stall
+    # retries times, then the certified records come back with the stall.
+    # A chord correction may make no factorization, so each thread is armed
+    # in its own case: the certificate's on the worker, and the corrector's
+    # on the main thread with no chord step contracting enough, so every
+    # correction ends in Newton steps
     g, prob, st = _flat_setup()
-    counts = failing_linalg(None)
-    head = continue_branch(prob, st,
-                           ContinuationConfig.from_steps(0.0, -0.2, 3,
-                                                         basin_guard=0.05))
-    failing_linalg(counts["calls"])
-    cfg = ContinuationConfig.from_steps(0.0, -0.5, 6, basin_guard=0.05)
-    with pytest.raises(NoConvergence, match="step underflow") as exc:
-        continue_branch(prob, st, cfg)
-    partial = exc.value.partial_branch
-    assert [r.lambda_hat for r in partial] == [r.lambda_hat for r in head]
-    assert counts["failed"] == cfg.retries + 1
-    # the stall names the last attempt's cause
-    assert "last failure: IllConditioned" in str(exc.value)
-    assert "injected factorization failure" in str(exc.value)
+    for thread in ("worker", "main"):
+        if thread == "main":
+            monkeypatch.setattr(continuation, "CHORD_CONTRACTION", 0.0)
+        counts = failing_linalg(None)
+        head = continue_branch(prob, st,
+                               ContinuationConfig.from_steps(0.0, -0.2, 3,
+                                                             basin_guard=0.05))
+        other = "main" if thread == "worker" else "worker"
+        failing_linalg(dict(counts["calls"], **{other: None}))
+        cfg = ContinuationConfig.from_steps(0.0, -0.5, 6, basin_guard=0.05)
+        with pytest.raises(NoConvergence, match="step underflow") as exc:
+            continue_branch(prob, st, cfg)
+        partial = exc.value.partial_branch
+        assert [r.lambda_hat for r in partial] == [r.lambda_hat for r in head]
+        assert counts["failed"] == cfg.retries + 1
+        # the stall names the last attempt's cause
+        assert "last failure: IllConditioned" in str(exc.value)
+        assert "injected factorization failure" in str(exc.value)
 
 
 def test_branch_margin_rejection_names_the_margin(monkeypatch):

@@ -8,9 +8,9 @@ from equideform.continuation import (ContinuationConfig, _bordered_update,
                                      continue_branch)
 from equideform.errors import (IllConditioned, PreconditionError, ShapeError,
                                UnsupportedError)
-from equideform.equivariance import (nondegeneracy_report, numerical_kernel,
-                                     operator_diagnostics, rank_basis,
-                                     transversality_margin)
+from equideform.equivariance import (_principal_angles, nondegeneracy_report,
+                                     numerical_kernel, operator_diagnostics,
+                                     rank_basis, transversality_margin)
 from equideform.mesh import (BandJacobiOperator, JacobiOperator,
                              _Tridiagonal, build_grid)
 from equideform.variational import (ProblemState, act, circle_seed, jacobi,
@@ -440,6 +440,67 @@ def test_nondegeneracy_resolves_small_principal_angles(theta):
     assert rep.kernel_dim == rep.killing_rank == 2
     assert rep.max_principal_angle == pytest.approx(theta, rel=1e-2)
     assert list(rep.principal_angles) == sorted(rep.principal_angles)
+
+
+def _bases_at_angles(n, ra, rb, theta, w, rng):
+    """W-orthonormal bases of ranks ra and rb whose min(ra, rb) principal
+    angles are theta, each mixed within its span by a random rotation."""
+    m = min(ra, rb)
+    Q, _ = np.linalg.qr(rng.standard_normal((n, ra + rb)))
+    A = Q[:, :ra]
+    B = np.column_stack([Q[:, :m] * np.cos(theta)
+                         + Q[:, ra:ra + m] * np.sin(theta),
+                         Q[:, ra + m:ra + rb]])
+    sw = np.sqrt(w)[:, None]
+    mix = [np.linalg.qr(rng.standard_normal((r, r)))[0] for r in (ra, rb)]
+    return A @ mix[0] / sw, B @ mix[1] / sw
+
+
+@pytest.mark.parametrize("n", [8, 257])
+def test_principal_angles_of_w_orthonormal_bases(n):
+    # the angles come straight from the W-orthonormal bases, each from its
+    # sine below pi/4 and its cosine above; scipy's subspace_angles agrees
+    # where it too reads every angle from its sine (all below pi/4), while
+    # at mixed sets it pairs the split with the wrong angles and reads a
+    # 1e-9 angle beside a large one as 0
+    rng = np.random.default_rng(n)
+    w = rng.uniform(0.5, 2.0, n)
+    sw = np.sqrt(w)[:, None]
+    for ra in range(4):
+        for rb in range(4):
+            m = min(ra, rb)
+            for top in (np.pi / 4, np.pi / 2):
+                theta = np.sort(rng.uniform(0.0, top, m))
+                if m and top > 1.0:
+                    theta[0] = 1e-9
+                A, B = _bases_at_angles(n, ra, rb, theta, w, rng)
+                got = _principal_angles(A, B, w)
+                assert got.shape == (m,)
+                assert np.max(np.abs(got - theta), initial=0.0) < 1e-15
+                if m and top < 1.0:
+                    want = np.sort(subspace_angles(sw * A, sw * B))
+                    assert np.max(np.abs(got - want)) < 1e-15
+
+
+def test_principal_angles_on_branch_records_match_scipy():
+    prob, st = circle_seed(1.0, 2.0, build_grid("periodic", 65))
+    cfg = ContinuationConfig.from_steps(1.0, 0.0, 4, basin_guard=0.05)
+    w = prob.weights()
+    sw = np.sqrt(w)[:, None]
+    bases = []
+    for rec in continue_branch(prob, st, cfg):
+        J = jacobi(prob, rec.state, rec.lambda_hat)
+        K = rank_basis(killing_jacobi_basis(prob, rec.state, rec.lambda_hat),
+                       w)
+        bases.append(K)
+        pairs = [(numerical_kernel(J).vectors, K)]
+        if len(bases) > 1:
+            pairs.append((K, bases[-2]))
+        for A, B in pairs:
+            want = np.sort(subspace_angles(sw * A, sw * B))
+            got = _principal_angles(A, B, w)
+            assert got.shape == want.shape == (2,)
+            assert np.max(np.abs(got - want)) < 1e-15
 
 
 # ------------------------------------------------------- transversality

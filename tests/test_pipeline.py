@@ -3,9 +3,12 @@
 continue_branch certifies each record on a worker thread while the main
 thread corrects the next one. The one-record-at-a-time march it replaced is
 kept here as the oracle: both must give the same records, bit for bit, and
-the same errors. The overlap pays only because every LAPACK routine of the
-dense reduction releases the interpreter lock, which the last tests check;
-its results are bitwise those of scipy's f2py wrappers, which hold it.
+the same errors. The same oracle with newton=True is the Newton march the
+chord corrector replaced, whose records the chord's must match to within
+the corrector's tolerance. The overlap pays only because every LAPACK
+routine of the dense reduction releases the interpreter lock, which the
+last tests check; its results are bitwise those of scipy's f2py wrappers,
+which hold it.
 """
 
 import ctypes
@@ -21,18 +24,27 @@ from equideform import continuation, mesh
 from equideform.continuation import ContinuationConfig, continue_branch
 from equideform.errors import (DomainError, IllConditioned, NoConvergence,
                                PreconditionError, ShapeError)
-from equideform.mesh import _dsytrd, _lapack, _Tridiagonal, build_grid
+from equideform.mesh import _dsytrd, _lapack, _Tridiagonal, build_grid, wnorm
 from equideform.serialize import dumps_stable
 from equideform.variational import ProblemState, circle_seed
 
 
-def sequential_branch(problem, seed_state, config):
+def sequential_branch(problem, seed_state, config, newton=False):
     """continue_branch as it was before the pipeline: each record corrected,
     then certified, then the next attempted. Module attributes are looked up
-    at call time, so a test's monkeypatch reaches both marches."""
+    at call time, so a test's monkeypatch reaches both marches.
+
+    The first attempt after a record is handed the reduction the record's
+    correction left, and a retry the holder the failed attempt emptied;
+    two records corrected with at most FAST_REDUCTIONS reductions each grow
+    the step. With newton=True this is the march before the chord: no
+    correction is handed a reduction, and a record corrected in at most
+    three Newton steps counts as fast."""
     c = continuation
     lam = float(config.start)
-    st, iters, _ = c.corrector_step(problem, seed_state, lam, config)
+    held = c._Chord()
+    st, iters, _ = c.corrector_step(problem, seed_state, lam, config,
+                                    None if newton else held)
     cadence = int(config.diagnostics_cadence)
     rec, ref = c._certify(problem, st, lam, config, iters, None,
                           with_diagnostics=cadence > 0)
@@ -61,9 +73,11 @@ def sequential_branch(problem, seed_state, config):
                 guess = st.values + scale * (st.values - prev_vals)
             else:
                 guess = st.values
+            attempt = c._Chord(held.take())
             try:
                 st_new, iters, _ = c.corrector_step(
-                    problem, ProblemState(guess), target, config)
+                    problem, ProblemState(guess), target, config,
+                    None if newton else attempt)
                 with_diag = cadence > 0 and len(records) % cadence == 0
                 rec, basis = c._certify(problem, st_new, target, config,
                                         iters, ref, with_diagnostics=with_diag)
@@ -92,8 +106,8 @@ def sequential_branch(problem, seed_state, config):
         if rec.verdict != "nondegenerate":
             return records
         prev_lam, prev_vals = lam, st.values
-        lam, st, ref = target, st_new, basis
-        if iters <= 3:
+        lam, st, ref, held = target, st_new, basis, attempt
+        if (iters <= 3 if newton else attempt.made <= c.FAST_REDUCTIONS):
             fast += 1
         else:
             fast = 0
@@ -132,6 +146,27 @@ def test_circle_branch_equals_sequential_march_bitwise():
     got, want = _both(prob, st, cfg)
     assert want[1] is None and len(want[0]) == 61
     assert got == want
+
+
+def test_chord_records_match_the_newton_march():
+    # the chord's records are the Newton march's to within the corrector's
+    # tolerance, with the same decisions, at a fraction of the reductions
+    prob, st = circle_seed(1.0, 2.0, build_grid("periodic", 65))
+    cfg = ContinuationConfig.from_steps(1.0, -3.0, 61, basin_guard=0.05)
+    newton = sequential_branch(prob, st, cfg, newton=True)
+    chord = continue_branch(prob, st, cfg)
+    assert len(chord) == len(newton) == 61
+    w = prob.weights()
+    for a, b in zip(chord, newton):
+        assert a.lambda_hat == b.lambda_hat
+        assert (a.verdict, a.kernel_dim, a.killing_rank) == (
+            b.verdict, b.kernel_dim, b.killing_rank) == ("nondegenerate", 2, 2)
+        assert wnorm(w, a.state.values - b.state.values) < 10 * cfg.tol
+    reductions = sum(r.log["reductions"] for r in chord)
+    assert reductions < sum(r.newton_iters for r in newton) / 2
+    # a record corrected by chord steps alone reports their count and no
+    # reduction
+    assert any(r.log["reductions"] == 0 < r.newton_iters for r in chord)
 
 
 def test_certificate_failure_drops_the_correction_run_ahead(monkeypatch):
@@ -196,11 +231,11 @@ def _failing_corrector(monkeypatch, below):
     correct = continuation.corrector_step
     raised = []
 
-    def failing(problem, state, lam, config):
+    def failing(problem, state, lam, config, chord=None):
         if lam < below:
             raised.append(lam)
             raise ShapeError(f"injected at lambda_hat={lam}")
-        return correct(problem, state, lam, config)
+        return correct(problem, state, lam, config, chord)
 
     monkeypatch.setattr(continuation, "corrector_step", failing)
     return raised
@@ -307,9 +342,10 @@ def _f2py_apply_q(red, x, trans="N"):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 65, 259])
 def test_tridiagonal_routines_equal_f2py_bitwise(n):
-    # apply_q (dormqr), solve (dgtsv) and eigenvectors (dstebz + dstein)
-    # against scipy's wrappers; the eigenvalues (dsterf) are checked with
-    # the reduction above
+    # apply_q (dormqr), solve (dgttrf once, then dgttrs, against dgtsv on
+    # every call) and eigenvectors (dstebz + dstein) against scipy's
+    # wrappers; the eigenvalues (dsterf) are checked with the reduction
+    # above
     rng = np.random.default_rng(n)
     B = rng.standard_normal((n, n))
     red = _Tridiagonal(B + B.T)
@@ -335,8 +371,8 @@ def test_tridiagonal_routines_equal_f2py_bitwise(n):
 def test_every_lapack_binding_releases_the_interpreter_lock():
     # a CFUNCTYPE call releases the lock; a PYFUNCTYPE one, like the f2py
     # wrappers, would hold it
-    assert set(mesh._LAPACK) == {"dsytrd", "dsterf", "dormqr", "dgtsv",
-                                 "dstebz", "dstein"}
+    assert set(mesh._LAPACK) == {"dsytrd", "dsterf", "dormqr", "dgttrf",
+                                 "dgttrs", "dstebz", "dstein"}
     for routine in mesh._LAPACK.values():
         assert routine._flags_ & ctypes._FUNCFLAG_CDECL
         assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
