@@ -321,12 +321,13 @@ def run_analyze(cfg, seed, chash, outdir):
     try:
         state, iters, _ = corrector_step(problem, seed_state, lam, ccfg)
         J = jacobi(problem, state, lam)
-        operator = J
-        if shift is not None:
-            operator = J.shifted(shift)
-        rep = nondegeneracy_report(problem, state, lam, tol_rel=ccfg.tol_rel,
-                                   angle_tol=ccfg.angle_tol, operator=operator)
+        # the diagnostics read the assembled W J before the certificate's
+        # reduction takes its storage
         diag = operator_diagnostics(J, problem, state, lam, seed=seed)
+        if shift is not None:
+            J = J.shifted(shift)
+        rep = nondegeneracy_report(problem, state, lam, tol_rel=ccfg.tol_rel,
+                                   angle_tol=ccfg.angle_tol, operator=J)
     except SOLVER_ERRORS as exc:
         print(f"equideform: analyze failed: {exc}", file=sys.stderr)
         base["error"] = str(exc)

@@ -43,11 +43,13 @@ state, its certificate and the next record's correction are independent
 (Allgower & Georg), so the certificate runs on one worker thread while this
 thread corrects the attempt that follows if the record is accepted. The two
 overlap because every LAPACK routine of the dense reduction
-(mesh._Tridiagonal) releases the interpreter lock. The march holds five n x
-n matrices at once, diff1 and two for each thread, where one path alone
-holds three: a correction takes the reduction it is handed out of its
-holder, so no path keeps it while a Newton step assembles and reduces
-another.
+(mesh._Tridiagonal) releases the interpreter lock. The march holds three n
+x n matrices at once, diff1 and one buffer for each thread, where one path
+alone holds two: a Newton step assembles W J into the top-left block of the
+bordered buffer it reduces (bordered_jacobi), the certificate reduces its
+Jacobi's own storage, and a correction takes the reduction it is handed
+out of its holder, so no path keeps it while a Newton step assembles and
+reduces another.
 
 orbit_project recovers the group motion between nearby solutions by
 Gauss-Newton on the Killing components of the difference. It acts once per
@@ -72,9 +74,9 @@ from .equivariance import (CRITICAL_TOL, nondegeneracy_report,
 from .errors import (SOLVER_ERRORS, IllConditioned, NoConvergence,
                      PreconditionError)
 from .mesh import wnorm
-from .variational import (ProblemState, act, act_jacobian, derived_scalars,
-                          jacobi, killing_jacobi_basis, residual,
-                          residual_norm)
+from .variational import (ProblemState, act, act_jacobian, bordered_jacobi,
+                          derived_scalars, jacobi, killing_jacobi_basis,
+                          residual, residual_norm)
 
 MARGIN_FLOOR = 0.1
 RECORD_CAP = 100000
@@ -294,7 +296,8 @@ def corrector_step(problem, state, lambda_hat, config, chord=None):
             # the last step's reduction goes before the next is assembled
             bordered = None
             B = rank_basis(killing_jacobi_basis(problem, st, lambda_hat), w)
-            bordered = _Bordered(jacobi(problem, st, lambda_hat), B)
+            bordered = _Bordered(
+                bordered_jacobi(problem, st, lambda_hat, B.shape[1]), B)
             chord.made += 1
         B = bordered.border
         delta, cond = _bordered_update(bordered, B, res, lambda_hat)
@@ -340,14 +343,15 @@ def _certify(problem, state, lam, config, iters, reference,
     The margin is taken against reference, or the state's own basis if None.
     """
     J = jacobi(problem, state, lam)
+    diag = None
+    if with_diagnostics:
+        # read W J before the certificate's reduction takes its storage
+        diag = operator_diagnostics(J, problem, state, lam).to_payload()
     rep = nondegeneracy_report(problem, state, lam, tol_rel=config.tol_rel,
                                angle_tol=config.angle_tol, operator=J)
     basis = rep.killing_basis
     margin = transversality_margin(
         basis, basis if reference is None else reference, J.weights)
-    diag = None
-    if with_diagnostics:
-        diag = operator_diagnostics(J, problem, state, lam).to_payload()
     return BranchRecord(
         lambda_hat=float(lam), state=state, residual_norm=rep.residual_norm,
         kernel_dim=rep.kernel_dim, killing_rank=rep.killing_rank,

@@ -6,13 +6,15 @@ the gap. The kernel's eigenvectors are formed only to be compared against
 the span of the Killing-induced Jacobi fields through principal angles, so
 only when that span is nonempty. The operator's class makes the
 reduction (mesh.JacobiOperator.scaled_reduction): a tridiagonal one of a
-dense W J, a band one of a band W J (dirichlet grids), which works in
-O(n b) memory and O(n^2 b) time and refuses eigenvectors, since the band's
-instance has no Killing fields; the cut, the gap and the verdict that
-follow are the same code for both. A state is certified nondegenerate exactly when the kernel
-dimension equals the Killing rank and every principal angle is below
-tolerance; a mandatory multiplicative spectral gap guards against silent
-misclassification near threshold.
+dense W J, made in W J's own storage, so the certificate holds one n x n
+matrix beside diff1 and the operator refuses any use after it (run
+operator_diagnostics first); a band one of a band W J (dirichlet grids),
+which works in O(n b) memory and O(n^2 b) time and refuses eigenvectors,
+since the band's instance has no Killing fields; the cut, the gap and the
+verdict that follow are the same code for both. A state is certified
+nondegenerate exactly when the kernel dimension equals the Killing rank and
+every principal angle is below tolerance; a mandatory multiplicative
+spectral gap guards against silent misclassification near threshold.
 
 The slice through a certified state is the W-complement of its Killing
 span. It stays transversal to a nearby orbit while the two k-dimensional
@@ -72,7 +74,8 @@ def numerical_kernel(J, tol_rel=None):
     formed from the kept reduction only when the basis's vectors are first
     read, and mapped back by W^-1/2, which makes them exactly W-orthonormal;
     a band reduction refuses them (UnsupportedError), as a band operator
-    refuses Killing columns: its instance has no Killing span.
+    refuses Killing columns: its instance has no Killing span. A dense J's
+    reduction is made in its storage, which J gives up.
     """
     n = J.weights.size
     if tol_rel is None:
@@ -151,8 +154,9 @@ def nondegeneracy_report(problem, state, lambda_hat, tol_rel=None,
 
     Requires the state to be critical to CRITICAL_TOL in the W residual
     norm. The operator argument passes a JacobiOperator the caller already
-    assembled (or a perturbed one, on fault-injection paths); by default the
-    exact discrete Hessian is built here. The report keeps the W-orthonormal
+    assembled (or a perturbed one, on fault-injection paths), whose
+    reduction takes a dense operator's storage; by default the exact
+    discrete Hessian is built here. The report keeps the W-orthonormal
     Killing rank basis it compared against.
     """
     rn = residual_norm(problem, state, lambda_hat)

@@ -21,6 +21,10 @@ class UnsupportedError(EquideformError):
     """The operation is not defined for this instance or grid kind."""
 
 
+class SpentOperator(EquideformError):
+    """A Jacobi operator was used after a reduction took its storage."""
+
+
 class PreconditionError(EquideformError):
     """A documented precondition was violated by the caller."""
 

@@ -53,11 +53,15 @@ a Killing border, and its reduction refuses kernel vectors.
 The classes' reductions are _Banded of a lower band, in O(n b) memory,
 which gives eigenvalues and solves but no eigenvectors, and _Tridiagonal of
 a dense matrix in the buffer that LAPACK dsytrd overwrites
-with the reflectors dormqr reads in place, the one n x n matrix a routine
-holds beside diff1 and a dense Jacobi (a branch, which certifies on a
-worker thread, holds five). _Tridiagonal factors T for solves once, on the
-first solve, so a reduction the corrector reuses across steps costs one
-O(n) LU and then only the triangular solves and the two applications of Q.
+with the reflectors dormqr reads in place. The dense Jacobi is assembled
+into that buffer, BLOCK columns at a time, and its reductions take it in
+place (scaled by W^-1/2, or as the top-left block of the bordered matrix),
+so a routine holds one n x n matrix beside diff1 (a branch, which
+certifies on a worker thread, holds three), and an operator whose storage
+a reduction took refuses any later use. _Tridiagonal factors T for solves
+once, on the first solve, so a reduction the corrector reuses across steps
+costs one O(n) LU and then only the triangular solves and the two
+applications of Q.
 Every LAPACK routine of _Tridiagonal (dsytrd, dsterf, dormqr, dgttrf +
 dgttrs, and dstebz + dstein for eigenvectors) is called through scipy's
 cython_lapack export by ctypes, from one table of bindings, _LAPACK. A
@@ -75,10 +79,12 @@ import numpy as np
 from scipy.linalg import (circulant, cython_lapack, eigvals_banded,
                           solve_banded)
 
-from .errors import DomainError, ShapeError, UnsupportedError
+from .errors import DomainError, ShapeError, SpentOperator, UnsupportedError
 
 TWO_PI = 2.0 * np.pi
-BLOCK = 128  # side of the blocks the symmetry residual pairs with mirrors
+# side of the blocks the symmetry residual pairs with mirrors, and width of
+# the column blocks the dense Jacobi is assembled in
+BLOCK = 128
 
 
 def fornberg_weights(z, x, m):
@@ -513,12 +519,20 @@ class JacobiForm:
     Fup: list
     Fuu: list
 
-    def operator(self, weights):
+    def operator(self, weights, border=0):
         """J for the pairing weights W of the unknowns, in the storage the
         grid calls for: dense W J on a periodic grid, its lower band on a
-        dirichlet one, whose D1 and so W J are banded."""
-        cls = JacobiOperator if self.grid.band is None else BandJacobiOperator
-        return cls(cls.assemble(self), weights)
+        dirichlet one, whose D1 and so W J are banded. A dense W J is
+        assembled into the top-left block of a Fortran-ordered buffer with
+        room for border more rows and columns, which bordered_reduction with
+        that many Killing columns fills and reduces in place."""
+        if self.grid.band is not None:
+            return BandJacobiOperator(BandJacobiOperator.assemble(self),
+                                      weights)
+        n = len(weights)
+        buffer = np.empty((n + border, n + border), order="F")
+        return JacobiOperator(JacobiOperator.assemble(self, buffer[:n, :n]),
+                              weights, buffer=buffer)
 
 
 @dataclass(frozen=True, eq=False)
@@ -526,9 +540,16 @@ class JacobiOperator:
     """The Jacobi J at a state, carried as the n x n Hessian W J on the
     unknowns; W is diag(weights). The subclass BandJacobiOperator carries a
     band W J. Each class assembles its storage from a JacobiForm and owns
-    what its storage changes; JacobiForm.operator picks the class."""
+    what its storage changes; JacobiForm.operator picks the class.
+
+    A reduction of the dense class overwrites W J's storage in place, so
+    the operator gives the storage up to it: from then on every method
+    raises SpentOperator. buffer is the Fortran-ordered array whose
+    top-left block hessian is, with room for a border, when JacobiForm made
+    the operator; None when the operator was made from a matrix."""
     hessian: np.ndarray
     weights: np.ndarray
+    buffer: np.ndarray = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self):
         # a dense store is square and matches the weights
@@ -540,68 +561,109 @@ class JacobiOperator:
                           f"act on the weights {self.weights.shape}")
 
     @staticmethod
-    def assemble(form):
-        """W J as a new dense array, for a form whose every node is free (a
-        periodic grid's); constant Fpp blocks scale one shared D1^T diag(w)
-        D1."""
+    def assemble(form, out=None):
+        """W J for a form whose every node is free (a periodic grid's), in
+        out (a Fortran-ordered array or a block of one) or else a new
+        Fortran-ordered array, which it returns. The columns go about BLOCK
+        at a time: a block of D1^T diag(w Fpp) D1 is one gemm of D1^T and an
+        n x BLOCK work array, written in place, and constant Fpp blocks
+        scale one shared block of D1^T diag(w) D1, so no n x n temporary is
+        made. Each entry takes its terms in the order of the whole-matrix
+        sum."""
         w = form.grid.quad
         D1 = form.grid.diff1
         n = form.grid.N
         m = len(form.Fpp)
-        # the result is allocated before its temporary S, which is freed on
-        # return from the top of the heap, ready for the next n x n array
-        H = np.empty((m * n, m * n))
-        blocks = [[H[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(m)]
-                  for i in range(m)]
+        H = np.empty((m * n, m * n), order="F") if out is None else out
         pairs = [(i, j) for i in range(m) for j in range(m)]
-        S = np.empty(D1.shape)
-        K = None
-        for i, j in pairs:
-            a = form.Fpp[i][j]
-            if a is None:
-                blocks[i][j].fill(0.0)
-            elif np.ndim(a) == 0:
-                if K is None:
-                    np.multiply(w[:, None], D1, out=S)
-                    K = D1.T @ S
-                np.multiply(a, K, out=blocks[i][j])
-            else:
-                np.multiply((w * a)[:, None], D1, out=S)
-                np.matmul(D1.T, S, out=blocks[i][j])
+        # round(n / BLOCK) blocks of even width, so an n = 2^k + 1 grid
+        # makes no gemm of one column
+        count = max(1, round(n / BLOCK))
+        edges = [n * b // count for b in range(count + 1)]
+        width = -(-n // count)
+        # one work block, the gemm's row-major operand and the Fortran
+        # columns added into H in turn
+        work = np.empty(n * width)
+        shared = None    # columns of D1^T diag(w) D1, for constant Fpp
+        for c0, c1 in zip(edges, edges[1:]):
+            c = slice(c0, c1)
+            flat = work[:n * (c1 - c0)]
+            rows = flat.reshape(n, -1)
+            fcols = flat.reshape(rows.shape, order="F")
+            # the columns c of each block of H
+            cols = [[H[i * n:(i + 1) * n, j * n + c0:j * n + c1]
+                     for j in range(m)] for i in range(m)]
+            K = None
+            for i, j in pairs:
+                a = form.Fpp[i][j]
+                if a is None:
+                    cols[i][j].fill(0.0)
+                elif np.ndim(a) == 0:
+                    if K is None:
+                        if shared is None:
+                            shared = np.empty((n, width), order="F")
+                        np.multiply(w[:, None], D1[:, c], out=rows)
+                        K = np.matmul(D1.T, rows, out=shared[:, :c1 - c0])
+                    np.multiply(a, K, out=cols[i][j])
+                else:
+                    np.multiply((w * a)[:, None], D1[:, c], out=rows)
+                    np.matmul(D1.T, rows, out=cols[i][j])
+            for i, j in pairs:
+                b = form.Fup[i][j]
+                if b is not None:
+                    # diag(w b) D1 into block (i, j), its transpose into
+                    # (j, i); a copy, then an in-place scaling, lays D1's
+                    # columns out as Fortran columns fastest
+                    wb = w * b
+                    np.multiply(wb[c, None], D1[c], out=fcols.T)
+                    cols[j][i] += fcols
+                    np.copyto(fcols, D1[:, c])
+                    fcols *= wb[:, None]
+                    cols[i][j] += fcols
         diag = np.arange(n)
         for i, j in pairs:
-            b, c = form.Fup[i][j], form.Fuu[i][j]
-            if b is not None:
-                np.multiply((w * b)[:, None], D1, out=S)
-                blocks[j][i] += S.T
-                blocks[i][j] += S
-            if c is not None:
-                blocks[i][j][diag, diag] += w * c
+            e = form.Fuu[i][j]
+            if e is not None:
+                H[i * n + diag, j * n + diag] += w * e
         return H
 
     # the view of the storage H that holds W J's diagonal
     _diagonal = staticmethod(lambda H: np.einsum("ii->i", H))
 
-    def dense(self):
-        """W J as an n x n matrix."""
+    def _storage(self):
+        if self.hessian is None:
+            raise SpentOperator("a reduction took this Jacobi's storage and "
+                                "overwrote it; assemble the Jacobi again")
         return self.hessian
+
+    def _spend(self):
+        """W J as dense gives it, for a reduction to overwrite: for this
+        class the storage itself, which the operator gives up."""
+        D = self.dense()
+        object.__setattr__(self, "hessian", None)
+        object.__setattr__(self, "buffer", None)
+        return D
+
+    def dense(self):
+        """W J as an n x n matrix: the storage itself, not a copy."""
+        return self._storage()
 
     def matvec(self, v):
         """(W J) v."""
-        return self.hessian @ v
+        return self._storage() @ v
 
     def shifted(self, shift):
         """J + shift I, carried as W J + shift W: a copy of the storage
         with shift W added on its diagonal."""
-        H = self.hessian.copy()
+        H = self._storage().copy(order="A")
         self._diagonal(H)[...] += shift * self.weights
-        return replace(self, hessian=H)
+        return replace(self, hessian=H, buffer=None)
 
     def symmetry_residual(self):
         """|W J - (W J)^T|_F / |W J|_F, 0 when W J vanishes, summed over
         the block pairs on and above the diagonal (an off-diagonal pair
         counts for both mirrors), so no n x n copy is made."""
-        H = self.hessian
+        H = self._storage()
         denom = np.linalg.norm(H)
         if not denom > 0.0:
             return 0.0
@@ -614,22 +676,27 @@ class JacobiOperator:
 
     def scaled_reduction(self):
         """(the reduction of W^-1/2 (W J) W^-1/2, the square roots of W).
-        The scaled matrix is one new array, the Fortran-ordered reduction
-        buffer, whose lower triangle is reduced."""
-        D = self.dense()
+        The storage is divided by sqrt(W) on both sides in place and reduced
+        as the Fortran buffer it is (storage of another layout is copied
+        first); the operator gives it up."""
         sw = np.sqrt(self.weights)
-        A = np.empty_like(D, order="F")
-        np.divide(D, sw[:, None], out=A)
+        A = np.require(self._spend(), requirements=("F", "W"))
+        A /= sw[:, None]
         A /= sw[None, :]
         return _Tridiagonal(A), sw
 
     def bordered_reduction(self, B):
-        """The reduction of [[W J, W B], [B^T W, 0]] for the columns B,
-        written straight into the Fortran buffer it overwrites and keeps."""
+        """The reduction of [[W J, W B], [B^T W, 0]] for the k columns B, in
+        the Fortran buffer it overwrites and keeps: the operator's own when
+        JacobiForm.operator left room for k columns, else a new one that W
+        J is copied into. Either way the operator gives its storage up."""
         n, k = B.shape
+        M = self.buffer
+        D = self._spend()
+        if M is None or M.shape != (n + k, n + k):
+            M = np.empty((n + k, n + k), order="F")
+            M[:n, :n] = D
         WB = self.weights[:, None] * B
-        M = np.empty((n + k, n + k), order="F")
-        M[:n, :n] = self.dense()
         M[:n, n:] = WB
         M[n:, :n] = WB.T
         M[n:, n:] = 0.0

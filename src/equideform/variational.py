@@ -678,8 +678,15 @@ def jacobi(problem, state, lambda_hat):
     the Hessian W J on the unknowns, which the instance's JacobiForm (hess)
     assembles in its grid's storage (JacobiForm.operator). W J is symmetric
     by construction, up to roundoff, and no consumer forms J."""
+    return bordered_jacobi(problem, state, lambda_hat, 0)
+
+
+def bordered_jacobi(problem, state, lambda_hat, border):
+    """jacobi, with room in a dense storage for a border of that many
+    Killing columns, which bordered_reduction with as many columns fills
+    and reduces in place."""
     v = _check_state(problem, state, lambda_hat)
-    return problem.hess(v, lambda_hat).operator(problem.weights())
+    return problem.hess(v, lambda_hat).operator(problem.weights(), border)
 
 
 def residual_norm(problem, state, lambda_hat):

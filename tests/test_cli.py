@@ -145,6 +145,12 @@ def test_analyze_injected_shift_degenerate(tmp_path):
     assert pay["nondegeneracy"]["verdict"] == "degenerate"
     assert pay["nondegeneracy"]["kernel_dim"] == 0
     assert pay["inject_shift"] == 0.5
+    # the shifted verdict sits beside the diagnostics of the unshifted
+    # operator, which are read before the certificate's reduction takes it
+    (tmp_path / "plain").mkdir()
+    code, out = run_cli(tmp_path / "plain", "analyze", CIRCLE_PROBLEM)
+    assert code == 0
+    assert pay["diagnostics"] == read_report(out)["diagnostics"]
 
 
 def test_analyze_solver_failure_exit_three(tmp_path, capsys):

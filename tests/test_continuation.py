@@ -114,12 +114,12 @@ def test_corrector_gate_trips_on_a_kernel_outside_the_killing_span(
     v = v / np.sqrt(v @ (w * v))
     P = np.eye(v.size) - np.outer(v, w * v)
 
-    def jacobi_without_mode(problem, state, lambda_hat):
+    def jacobi_without_mode(problem, state, lambda_hat, border):
         J = jacobi(problem, state, lambda_hat)
         # W P J P = P^T (W J) P
         return JacobiOperator(P.T @ J.hessian @ P, J.weights)
 
-    monkeypatch.setattr(continuation, "jacobi", jacobi_without_mode)
+    monkeypatch.setattr(continuation, "bordered_jacobi", jacobi_without_mode)
     with pytest.raises(IllConditioned, match="condition"):
         corrector_step(prob, bumped, 0.0, _polish(0.0, basin_guard=0.05))
 

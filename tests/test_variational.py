@@ -6,16 +6,17 @@ import pytest
 from scipy.linalg import expm
 from scipy.optimize import brentq
 
-from equideform import variational
+from equideform import mesh, variational
 from equideform.ambient import SpaceForm2, quadric_to_chart, sn_lambda
 from equideform.equivariance import rank_basis
-from equideform.errors import DomainError, ShapeError, UnsupportedError
+from equideform.errors import (DomainError, ShapeError, SpentOperator,
+                               UnsupportedError)
 from equideform.lie_bundle import algebra_basis
 from equideform.mesh import (TWO_PI, BandJacobiOperator, Grid,
                              JacobiOperator, build_grid)
 from equideform.variational import (PROBLEMS, CmcCircle, CmcProfile,
                                     HarmonicSphere, HarmonicTorus, Problem,
-                                    ProblemState, act,
+                                    ProblemState, act, bordered_jacobi,
                                     circle_seed, cmc_circle_radius,
                                     derived_scalars, geodesic_curvature, jacobi,
                                     killing_jacobi_basis,
@@ -348,6 +349,57 @@ def test_jacobi_and_residual_match_the_hand_written_oracles(name, N):
         assert np.max(np.abs(got - hess)) <= HESS_TOL[name] * np.max(np.abs(hess))
         got = residual(prob, st, lam)
         assert np.max(np.abs(got - res)) <= res_tol * np.max(np.abs(res))
+
+
+def _full_gemm_assembly(form):
+    # the dense W J as it was assembled before the column-blocked assembly:
+    # one n x n temporary S = diag(w Fpp) D1 and one full gemm D1^T S per
+    # block, a shared D1^T diag(w) D1 for constant Fpp, and diag(w Fup) D1
+    # with its transpose added as whole matrices
+    w, D1, n = form.grid.quad, form.grid.diff1, form.grid.N
+    m = len(form.Fpp)
+    H = np.zeros((m * n, m * n))
+    blocks = [[H[i * n:(i + 1) * n, j * n:(j + 1) * n] for j in range(m)]
+              for i in range(m)]
+    pairs = [(i, j) for i in range(m) for j in range(m)]
+    K = D1.T @ (w[:, None] * D1)
+    for i, j in pairs:
+        a = form.Fpp[i][j]
+        if a is not None:
+            blocks[i][j][...] = (a * K if np.ndim(a) == 0
+                                 else D1.T @ ((w * a)[:, None] * D1))
+    for i, j in pairs:
+        b, c = form.Fup[i][j], form.Fuu[i][j]
+        if b is not None:
+            S = (w * b)[:, None] * D1
+            blocks[j][i] += S.T
+            blocks[i][j] += S
+        if c is not None:
+            blocks[i][j][np.arange(n), np.arange(n)] += w * c
+    return H
+
+
+@pytest.mark.parametrize("block", [mesh.BLOCK, 20])
+@pytest.mark.parametrize("N", [65, 257, 513])
+@pytest.mark.parametrize("name", ["cmc_circle", "harmonic_torus",
+                                  "harmonic_sphere"])
+def test_blocked_assembly_matches_the_full_gemm_assembly(monkeypatch, name, N,
+                                                         block):
+    # odd n: no count of column blocks divides it, so the blocks differ in
+    # width (N = 65 is one block at the default BLOCK, and 3 at 20)
+    monkeypatch.setattr(mesh, "BLOCK", block)
+    prob, v, lams, _ = _oracle_case(name, N)
+    for lam in lams:
+        form = prob.hess(v, lam)
+        want = _full_gemm_assembly(form)
+        got = JacobiOperator.assemble(form)
+        assert got.flags.f_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+        # into the top-left block of a bordered buffer, the same bits
+        room = np.full((len(want) + 2,) * 2, np.nan, order="F")
+        JacobiOperator.assemble(form, room[:-2, :-2])
+        assert np.array_equal(room[:-2, :-2], got)
+        assert np.isnan(room[-2:]).all() and np.isnan(room[:, -2:]).all()
 
 
 def test_no_instance_defines_its_own_value_grad_or_hess():
@@ -830,6 +882,32 @@ class _MatrixFreeJacobi(JacobiOperator):
         return replace(self, shift=self.shift + shift)
 
 
+@pytest.mark.parametrize("reduction", ["scaled", "bordered"])
+def test_a_dense_operator_refuses_use_after_a_reduction_took_it(reduction):
+    # a reduction overwrites the dense storage in place, so every method
+    # of the operator it took raises the named error, not a wrong answer
+    prob, st = circle_seed(0.5, 2.0, build_grid("periodic", 33))
+    w = prob.weights()
+    B = rank_basis(killing_jacobi_basis(prob, st, 0.5), w)
+    scaled = reduction == "scaled"
+    J = bordered_jacobi(prob, st, 0.5, 0 if scaled else B.shape[1])
+    storage = J.buffer
+    before = storage.copy()
+    if scaled:
+        J.scaled_reduction()
+    else:
+        J.bordered_reduction(B)
+    # the reduction overwrote the operator's own buffer: no copy was made
+    assert not np.array_equal(storage, before, equal_nan=True)
+    assert J.hessian is None and J.buffer is None
+    for use in (J.dense, lambda: J.matvec(np.ones(w.size)),
+                J.symmetry_residual, J.scaled_reduction,
+                lambda: J.bordered_reduction(B), lambda: J.shifted(0.5)):
+        with pytest.raises(SpentOperator, match="reduction took"):
+            use()
+    assert np.array_equal(J.weights, w)
+
+
 def _contract_cases():
     # each case on the class jacobi picks, and on the matrix-free double
     for case in _jacobi_cases():
@@ -840,18 +918,27 @@ def _contract_cases():
 @pytest.mark.parametrize("case, matrix_free", list(_contract_cases()))
 def test_jacobi_storage_classes_keep_one_contract(case, matrix_free):
     name, prob, st, lam = case
-    J = jacobi(prob, st, lam)
-    assert isinstance(J, BandJacobiOperator) == (name == "profile")
-    if matrix_free:
-        form = prob.hess(st.values, lam)
-        want = J.dense()
-        J = _MatrixFreeJacobi(_MatrixFreeJacobi.assemble(form), J.weights,
-                              form.grid, form.free)
-        # the double applies the same form that the grid's class assembles
-        assert (np.max(np.abs(J.dense() - want))
-                <= 1e-14 * np.max(np.abs(want)))
+
+    def make(border=0):
+        # the operator under test, with room for a border of that many
+        # columns when its class takes one
+        J = bordered_jacobi(prob, st, lam, border)
+        assert isinstance(J, BandJacobiOperator) == (name == "profile")
+        if matrix_free:
+            form = prob.hess(st.values, lam)
+            want = J.dense()
+            J = _MatrixFreeJacobi(_MatrixFreeJacobi.assemble(form),
+                                  J.weights, form.grid, form.free)
+            # the double applies the same form that the grid's class
+            # assembles
+            assert (np.max(np.abs(J.dense() - want))
+                    <= 1e-14 * np.max(np.abs(want)))
+        return J
+
+    J = make()
     w = J.weights
-    D = J.dense()
+    # a copy: a reduction overwrites the dense class's storage
+    D = J.dense().copy()
     n = len(w)
     before = J.hessian.copy()
     shifted = J.shifted(0.37)
@@ -868,7 +955,8 @@ def test_jacobi_storage_classes_keep_one_contract(case, matrix_free):
     assert (np.max(np.abs(reduced.eigenvalues - want))
             <= 1e-13 * np.max(np.abs(want)))
     # the band has no Killing columns to border; the dense cases border
-    # with their W-orthonormal Killing rank basis
+    # with their W-orthonormal Killing rank basis, into the room the
+    # operator was made with
     B = rank_basis(killing_jacobi_basis(prob, st, lam), w)
     assert B.shape[1] == {"circle": 2, "torus": 2, "profile": 0}[name]
     k = B.shape[1]
@@ -876,6 +964,6 @@ def test_jacobi_storage_classes_keep_one_contract(case, matrix_free):
     M = np.block([[D, WB], [WB.T, np.zeros((k, k))]])
     rhs = rng.standard_normal(n + k)
     want = np.linalg.solve(M, rhs)
-    got = J.bordered_reduction(B).solve(rhs)
+    got = make(border=k).bordered_reduction(B).solve(rhs)
     assert (np.linalg.norm(got - want)
             <= 1e-14 * np.linalg.cond(M) * np.linalg.norm(want))
