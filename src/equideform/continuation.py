@@ -195,51 +195,34 @@ class BranchRecord:
         }
 
 
-class _Bordered:
-    """One reduction of the bordered matrix [[W J, W B], [B^T W, 0]], kept
-    with its border B and the weights W, without J's n x n storage.
-
-    To _bordered_update it stands for the Jacobi it was made from: its
-    bordered_reduction returns the kept reduction, so a Newton step and the
-    chord steps after it solve against one reduction.
-    """
-
-    def __init__(self, J, B):
-        self.weights = J.weights
-        self.border = B
-        self._reduced = J.bordered_reduction(B)
-
-    def bordered_reduction(self, B):
-        return self._reduced
-
-
 class _Chord:
-    """What a branch correction hands on to the next: the last _Bordered it
-    solved with (or None) and how many reductions it made.
+    """What a branch correction hands on to the next: the last bordered
+    reduction it solved with and that reduction's Killing border (both
+    None when it made none), and how many reductions it made.
 
     The correction handed a holder takes the reduction out of it, so a path
     or a future that still refers to the holder keeps no n x n buffer alive
     while that correction assembles and reduces a new one.
     """
 
-    def __init__(self, bordered=None):
-        self.bordered = bordered
+    def __init__(self, handed=(None, None)):
+        self.reduced, self.border = handed
         self.made = 0
 
     def take(self):
-        bordered, self.bordered = self.bordered, None
-        return bordered
+        """(the reduction, its border), which the holder no longer holds."""
+        handed = self.reduced, self.border
+        self.reduced = self.border = None
+        return handed
 
 
-def _bordered_update(J, B, res, lambda_hat):
-    """Newton update and condition number of the bordered system: J's one
-    reduction of M = [[W J, W B], [B^T W, 0]] (the kept one, for a
-    _Bordered) gives both the exact 2-norm condition number max|mu| /
-    min|mu| over M's eigenvalues and the solve. Raises IllConditioned when
-    the condition exceeds 1e12."""
-    w = J.weights
+def _bordered_update(reduced, w, B, res, lambda_hat):
+    """Newton update and condition number of the bordered system from
+    reduced, one reduction of M = [[W J, W B], [B^T W, 0]] for the weights
+    w: the exact 2-norm condition number max|mu| / min|mu| over M's
+    eigenvalues and the solve. Raises IllConditioned when the condition
+    exceeds 1e12."""
     n, k = B.shape
-    reduced = J.bordered_reduction(B)
     mu = np.abs(reduced.eigenvalues)
     lo = np.min(mu)
     cond = np.max(mu) / lo if lo > 0.0 else np.inf
@@ -263,16 +246,17 @@ def corrector_step(problem, state, lambda_hat, config, chord=None):
 
     chord is the _Chord a branch correction hands on; every standalone call
     leaves it out, and then every step is Newton's. The call takes the
-    reduction it holds and steps against it, projecting with its border,
-    while each step shrinks the residual by CHORD_CONTRACTION; a step that
-    does not is kept only if it shrank the residual at all, and the rest of
-    the call is Newton's. The call counts its reductions in chord as it
-    makes them, and leaves there the last one it solved with.
+    reduction and border it holds and steps against them while each step
+    shrinks the residual by CHORD_CONTRACTION; a step that does not is kept
+    only if it shrank the residual at all, and the rest of the call is
+    Newton's. A Newton step drops the reduction it steps from before it
+    assembles the next. The call counts its reductions in chord as it makes
+    them, and leaves there the last one it solved with and its border.
     """
     w = problem.weights()
     chord = _Chord() if chord is None else chord
-    bordered = chord.take()
-    chording = bordered is not None
+    reduced, B = chord.take()
+    chording = reduced is not None
     st = ProblemState(state.values.copy())
     res = residual(problem, st, lambda_hat)
     rn = wnorm(w, res)
@@ -294,13 +278,12 @@ def corrector_step(problem, state, lambda_hat, config, chord=None):
         newton = not chording
         if newton:
             # the last step's reduction goes before the next is assembled
-            bordered = None
+            reduced = None
             B = rank_basis(killing_jacobi_basis(problem, st, lambda_hat), w)
-            bordered = _Bordered(
-                bordered_jacobi(problem, st, lambda_hat, B.shape[1]), B)
+            reduced = bordered_jacobi(problem, st, lambda_hat,
+                                      B.shape[1]).bordered_reduction(B)
             chord.made += 1
-        B = bordered.border
-        delta, cond = _bordered_update(bordered, B, res, lambda_hat)
+        delta, cond = _bordered_update(reduced, w, B, res, lambda_hat)
         worst_cond = max(worst_cond, cond)
         if B.shape[1]:
             # the solve's leak off the slice, then exact W-orthogonality to
@@ -330,7 +313,7 @@ def corrector_step(problem, state, lambda_hat, config, chord=None):
                 f"{rn:.3e}: a full Newton step from {prev:.3e} did not halve "
                 f"it after {iters} iterations (lambda_hat={lambda_hat}); "
                 f"[path] tol = {config.tol:g} must lie above this floor")
-    chord.bordered = bordered
+    chord.reduced, chord.border = reduced, B
     diagnostics = {"residual_norms": norms, "cond": worst_cond,
                    "orbit_inner": orbit_inner, "reductions": chord.made}
     return st, iters, diagnostics

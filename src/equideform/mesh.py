@@ -58,12 +58,11 @@ into that buffer, BLOCK columns at a time, and its reductions take it in
 place (scaled by W^-1/2, or as the top-left block of the bordered matrix),
 so a routine holds one n x n matrix beside diff1 (a branch, which
 certifies on a worker thread, holds three), and an operator whose storage
-a reduction took refuses any later use. _Tridiagonal factors T for solves
-once, on the first solve, so a reduction the corrector reuses across steps
-costs one O(n) LU and then only the triangular solves and the two
-applications of Q.
-Every LAPACK routine of _Tridiagonal (dsytrd, dsterf, dormqr, dgttrf +
-dgttrs, and dstebz + dstein for eigenvectors) is called through scipy's
+a reduction took refuses any later use. A solve against _Tridiagonal
+costs O(n^2), the two applications of Q; T itself is solved by dgtsv in
+O(n) on every solve.
+Every LAPACK routine of _Tridiagonal (dsytrd, dsterf, dormqr, dgtsv, and
+dstebz + dstein for eigenvectors) is called through scipy's
 cython_lapack export by ctypes, from one table of bindings, _LAPACK. A
 ctypes call releases the interpreter lock that scipy.linalg's f2py wrappers
 hold, so the certificate overlaps the corrector; the results are bitwise
@@ -237,9 +236,7 @@ _LAPACK = {
         "dsterf": (_INT, _F64, _F64),
         "dormqr": (_CHAR, _CHAR, _INT, _INT, _INT, _F64, _INT, _F64, _F64,
                    _INT, _F64, _INT),
-        "dgttrf": (_INT, _F64, _F64, _F64, _F64, _I32),
-        "dgttrs": (_CHAR, _INT, _INT, _F64, _F64, _F64, _F64, _I32, _F64,
-                   _INT),
+        "dgtsv": (_INT, _INT, _F64, _F64, _F64, _F64, _INT),
         "dstebz": (_CHAR, _CHAR, _INT, _REAL, _REAL, _INT, _INT, _REAL, _F64,
                    _F64, _INT, _INT, _F64, _I32, _I32, _F64, _I32),
         "dstein": (_INT, _F64, _F64, _INT, _F64, _I32, _I32, _F64, _INT, _F64,
@@ -304,9 +301,8 @@ class _Tridiagonal:
     reduced in place and afterwards holds the reflectors, so the reduction
     makes no n x n copy. Any other A is copied first and left as it was.
 
-    Solves factor T once, by dgttrf on the first, and size dormqr's
-    workspace once per column count, so many solves against one reduction
-    cost O(n^2) each, the two applications of Q.
+    dormqr's workspace is sized once per column count, so many solves
+    against one reduction cost O(n^2) each, the two applications of Q.
     """
 
     def __init__(self, A):
@@ -323,7 +319,6 @@ class _Tridiagonal:
         self.eigenvalues = self._d.copy()
         _lapack("dsterf", c_int(n), self.eigenvalues, self._e.copy())
         self._work = {}    # dormqr's workspace by (trans, columns)
-        self._lu = None    # T's dgttrf factors, from the first solve
 
     def apply_q(self, x, trans="N"):
         """Q x, or Q^T x with trans="T", for a vector or a block of columns."""
@@ -345,19 +340,13 @@ class _Tridiagonal:
         return y.reshape(np.shape(x))
 
     def solve(self, b):
-        """A^-1 b = Q T^-1 Q^T b; T by its LU with partial pivoting, which
-        dgttrf makes on the first solve (the steps of dgtsv, so the result
-        is bitwise its) and dgttrs applies to the Fortran copy of the
-        right-hand side."""
+        """A^-1 b = Q T^-1 Q^T b; T by dgtsv, LU with partial pivoting of
+        copies of T's diagonals, which it overwrites, applied in place to
+        the Fortran copy of the right-hand side."""
         n = len(b)
-        if self._lu is None:
-            lu = (self._e.copy(), self._d.copy(), self._e.copy(),
-                  np.empty(max(n - 2, 1)), np.empty(n, dtype=np.intc))
-            _lapack("dgttrf", c_int(n), *lu)
-            self._lu = lu
         z = np.array(self.apply_q(b, "T").reshape(n, -1), order="F")
-        _lapack("dgttrs", b"N", c_int(n), c_int(z.shape[1]), *self._lu, z,
-                c_int(n))
+        _lapack("dgtsv", c_int(n), c_int(z.shape[1]), self._e.copy(),
+                self._d.copy(), self._e.copy(), z, c_int(n))
         return self.apply_q(z).reshape(np.shape(b))
 
     def eigenvectors(self, lo, hi):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from equideform import mesh
 from equideform.cli import _build_problem, _Config, main
 from equideform.serialize import content_hash
 from equideform.variational import jacobi
@@ -186,6 +187,20 @@ def test_corrector_fails_fast_at_the_residual_floor(tmp_path, capsys):
                         PROFILE_FLOOR + "[path]\ntol = 1e-9\n")
     assert code in (0, 2)
     assert "verdict" in read_report(out)["nondegeneracy"]
+
+
+def test_analyze_band_solve_failure_exit_three(tmp_path, capsys,
+                                               monkeypatch):
+    # the profile's first Newton step solves its band by solve_banded; a
+    # LinAlgError there is a solver failure, reported, not a traceback
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(mesh, "solve_banded", singular)
+    code, out = run_cli(tmp_path, "analyze", PROFILE_FLOOR)
+    assert code == 3
+    assert read_report(out)["error"] == "corrector_step: singular matrix"
+    assert "singular matrix" in capsys.readouterr().err
 
 
 def test_congruence_polishes_at_the_path_tol(tmp_path, capsys):

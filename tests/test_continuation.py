@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -153,9 +155,8 @@ def test_corrector_logs_the_slice_leak_before_the_projection(monkeypatch):
     leaks = []
     update = continuation._bordered_update
 
-    def spy(J, B, res, lambda_hat):
-        delta, cond = update(J, B, res, lambda_hat)
-        w = J.weights
+    def spy(reduced, w, B, res, lambda_hat):
+        delta, cond = update(reduced, w, B, res, lambda_hat)
         leaks.append(np.max(np.abs(B.T @ (w * delta))) / mesh.wnorm(w, delta))
         return delta, cond
 
@@ -172,7 +173,7 @@ def _handed(prob, state, lam, cfg):
     """A _Chord holding the last reduction of a Newton polish of state."""
     chord = continuation._Chord()
     corrector_step(prob, state, lam, cfg, chord)
-    assert chord.made >= 1 and chord.bordered is not None
+    assert chord.made >= 1 and chord.reduced is not None
     return continuation._Chord(chord.take())
 
 
@@ -183,11 +184,11 @@ def test_chord_steps_reuse_the_handed_reduction():
     cfg = _polish(0.0, basin_guard=0.05)
     bumped = ProblemState(st.values + 1e-3 * np.cos(3 * g.nodes))
     handed = _handed(prob, bumped, 0.0, cfg)
-    reduction = handed.bordered
+    reduction = handed.reduced
     guess = ProblemState(st.values + 1e-4 * np.cos(2 * g.nodes))
     out, iters, diag = corrector_step(prob, guess, 0.0, cfg, handed)
     assert diag["reductions"] == handed.made == 0 < iters
-    assert handed.bordered is reduction      # handed on again
+    assert handed.reduced is reduction      # handed on again
     assert residual_norm(prob, out, 0.0) <= cfg.tol
     norms = diag["residual_norms"]
     assert all(b <= continuation.CHORD_CONTRACTION * a
@@ -202,16 +203,66 @@ def test_chord_falls_back_to_newton_from_a_far_predictor():
     prob, seed = circle_seed(1.0, 2.0, g)
     bumped = ProblemState(seed.values + 1e-3 * np.cos(3 * g.nodes))
     handed = _handed(prob, bumped, 1.0, _polish(1.0, basin_guard=0.05))
-    carried = handed.bordered
+    carried = handed.reduced
     _, guess = circle_seed(0.6, 2.0, g)
     cfg = _polish(0.5, basin_guard=0.05)
     want, newton_iters, _ = corrector_step(prob, guess, 0.5, cfg)
     got, iters, diag = corrector_step(prob, guess, 0.5, cfg, handed)
     assert 1 <= diag["reductions"] == handed.made <= newton_iters
-    assert handed.bordered is not None and handed.bordered is not carried
+    assert handed.reduced is not None and handed.reduced is not carried
     assert diag["residual_norms"][-1] <= cfg.tol
     assert len(diag["residual_norms"]) == iters + 1
     assert mesh.wnorm(prob.weights(), got.values - want.values) < 10 * cfg.tol
+
+
+def _dead_at_assembly(monkeypatch, refs):
+    """For each call of continuation.bordered_jacobi, a list saying which
+    weakrefs in refs (as they stand at the call) are dead."""
+    assemble = continuation.bordered_jacobi
+    dead = []
+
+    def checked(*args):
+        dead.append([ref() is None for ref in refs])
+        return assemble(*args)
+
+    monkeypatch.setattr(continuation, "bordered_jacobi", checked)
+    return dead
+
+
+def test_a_chord_that_fails_to_contract_drops_the_handed_reduction(
+        monkeypatch):
+    # the far predictor of the test above: the Newton step after the failed
+    # chord step assembles only once the handed reduction is gone
+    g = build_grid("periodic", 65)
+    prob, seed = circle_seed(1.0, 2.0, g)
+    bumped = ProblemState(seed.values + 1e-3 * np.cos(3 * g.nodes))
+    handed = _handed(prob, bumped, 1.0, _polish(1.0, basin_guard=0.05))
+    dead = _dead_at_assembly(monkeypatch, [weakref.ref(handed.reduced)])
+    _, guess = circle_seed(0.6, 2.0, g)
+    _, _, diag = corrector_step(prob, guess, 0.5,
+                                _polish(0.5, basin_guard=0.05), handed)
+    assert diag["reductions"] >= 1
+    assert dead == [[True]] * diag["reductions"]
+
+
+def test_a_newton_step_drops_the_last_reduction_before_it_assembles(
+        monkeypatch):
+    # each Newton step of a standalone polish assembles only once every
+    # reduction an earlier step solved with is gone
+    refs = []
+    update = continuation._bordered_update
+
+    def spy(reduced, *args):
+        refs.append(weakref.ref(reduced))
+        return update(reduced, *args)
+
+    monkeypatch.setattr(continuation, "_bordered_update", spy)
+    dead = _dead_at_assembly(monkeypatch, refs)
+    prob, guess = circle_seed(0.9, 2.0, build_grid("periodic", 65))
+    _, iters, diag = corrector_step(prob, guess, 0.8,
+                                    _polish(0.8, basin_guard=0.05))
+    assert diag["reductions"] == iters >= 2
+    assert dead == [[True] * i for i in range(iters)]
 
 
 # ----------------------------------------------------------- step control

@@ -5,7 +5,7 @@ from scipy.linalg import subspace_angles
 
 from equideform import mesh
 from equideform.continuation import (ContinuationConfig, _bordered_update,
-                                     continue_branch)
+                                     continue_branch, corrector_step)
 from equideform.errors import (IllConditioned, PreconditionError, ShapeError,
                                UnsupportedError)
 from equideform.equivariance import (_principal_angles, nondegeneracy_report,
@@ -166,7 +166,7 @@ def test_kernel_reduction_failure_is_ill_conditioned(monkeypatch):
         numerical_kernel(jacobi(prob, st, 0.0))
 
 
-@pytest.mark.parametrize("name", ["dstein", "dormqr"])
+@pytest.mark.parametrize("name", ["dstebz", "dstein", "dormqr"])
 def test_kernel_vector_failure_is_ill_conditioned(monkeypatch, name):
     # the flat circle's kernel is its two translations, whose vectors are
     # formed by dstebz + dstein and mapped back by dormqr on first read
@@ -176,6 +176,16 @@ def test_kernel_vector_failure_is_ill_conditioned(monkeypatch, name):
     _failing_lapack(monkeypatch, name)
     with pytest.raises(IllConditioned, match=f"{name} failed with info = 1"):
         kb.vectors
+
+
+def test_corrector_solve_failure_is_ill_conditioned(monkeypatch):
+    # a Newton step solves T by dgtsv between the two applications of Q
+    prob, st = _flat_circle()
+    bumped = ProblemState(st.values + 1e-3 * np.cos(3 * prob.grid.nodes))
+    _failing_lapack(monkeypatch, "dgtsv")
+    with pytest.raises(IllConditioned, match="dgtsv failed with info = 1"):
+        corrector_step(prob, bumped, 0.0,
+                       ContinuationConfig.polish(0.0, basin_guard=0.05))
 
 
 # ------------------------------------------------------ band reduction
@@ -246,7 +256,8 @@ def test_band_reduction_matches_the_dense_reduction(N, order, length, bump):
     # the corrector's solve and exact condition number
     w = J.weights
     rhs = np.random.default_rng(N).standard_normal(n)
-    delta, cond = _bordered_update(J, np.zeros((n, 0)), rhs, 0.0)
+    B = np.zeros((n, 0))
+    delta, cond = _bordered_update(J.bordered_reduction(B), w, B, rhs, 0.0)
     want = np.linalg.solve(H, -(w * rhs))
     kappa = np.linalg.cond(H)
     assert cond == pytest.approx(kappa, rel=EIG_TOL * (1.0 + kappa))
@@ -288,13 +299,26 @@ def test_banded_operator_refuses_kernel_vectors():
         kb.vectors
 
 
+def test_band_solve_failure_is_ill_conditioned(monkeypatch):
+    # a band Newton step solves by solve_banded, whose LinAlgError the
+    # corrector reports as IllConditioned
+    def singular(*args, **kwargs):
+        raise np.linalg.LinAlgError("singular matrix")
+
+    monkeypatch.setattr(mesh, "solve_banded", singular)
+    prob, st = _profile_band_case(33, 4, 1.0, 0.02)
+    with pytest.raises(IllConditioned, match="singular matrix"):
+        corrector_step(prob, st, 0.0,
+                       ContinuationConfig.polish(0.0, basin_guard=1.0))
+
+
 def test_banded_operator_refuses_killing_columns():
     prob, st = _profile_band_case(17, 4, 1.0, 0.0)
     J = jacobi(prob, st, 0.0)
     B = np.zeros((15, 1))
     B[0, 0] = 1.0
     with pytest.raises(UnsupportedError, match="Killing"):
-        _bordered_update(J, B, np.zeros(15), 0.0)
+        J.bordered_reduction(B)
 
 
 # ---------------------------------------------------------------- kernel

@@ -342,10 +342,9 @@ def _f2py_apply_q(red, x, trans="N"):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 65, 259])
 def test_tridiagonal_routines_equal_f2py_bitwise(n):
-    # apply_q (dormqr), solve (dgttrf once, then dgttrs, against dgtsv on
-    # every call) and eigenvectors (dstebz + dstein) against scipy's
-    # wrappers; the eigenvalues (dsterf) are checked with the reduction
-    # above
+    # apply_q (dormqr), solve (dgtsv between two applications of Q) and
+    # eigenvectors (dstebz + dstein) against scipy's wrappers; the
+    # eigenvalues (dsterf) are checked with the reduction above
     rng = np.random.default_rng(n)
     B = rng.standard_normal((n, n))
     red = _Tridiagonal(B + B.T)
@@ -371,8 +370,8 @@ def test_tridiagonal_routines_equal_f2py_bitwise(n):
 def test_every_lapack_binding_releases_the_interpreter_lock():
     # a CFUNCTYPE call releases the lock; a PYFUNCTYPE one, like the f2py
     # wrappers, would hold it
-    assert set(mesh._LAPACK) == {"dsytrd", "dsterf", "dormqr", "dgttrf",
-                                 "dgttrs", "dstebz", "dstein"}
+    assert set(mesh._LAPACK) == {"dsytrd", "dsterf", "dormqr", "dgtsv",
+                                 "dstebz", "dstein"}
     for routine in mesh._LAPACK.values():
         assert routine._flags_ & ctypes._FUNCFLAG_CDECL
         assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI

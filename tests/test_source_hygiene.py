@@ -10,7 +10,8 @@ which chooses and assembles the Jacobi's storage, and in the CLI only the
 config reader probes the parsed file, so that every key read is recorded. Outside serialize, the one type test is
 geodesic_curvature's argument check. The ambient models write no Killing
 field and no matrix by hand: one base class pushes their matrices forward,
-and algebra_basis builds each of them.
+and algebra_basis builds each of them. Every LAPACK binding in mesh is
+called, and only mesh's storage classes define the reductions.
 """
 
 import ast
@@ -19,6 +20,7 @@ from pathlib import Path
 import pytest
 
 import equideform
+from equideform import mesh
 
 PACKAGE = Path(equideform.__file__).parent
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -146,6 +148,30 @@ def test_the_dense_reduction_calls_no_f2py_wrapper():
     stray = _references(reduction) & (
         from_scipy | {"scipy", "lapack", "eigh_tridiagonal"})
     assert sorted(stray) == []
+
+
+def test_every_lapack_binding_is_called_by_name():
+    # each routine mesh binds is named by a call of _lapack or _workspace in
+    # mesh, so a binding nothing calls fails here
+    called = {node.args[0].value
+              for node in ast.walk(_tree(PACKAGE / "mesh.py"))
+              if isinstance(node, ast.Call)
+              and isinstance(node.func, ast.Name)
+              and node.func.id in ("_lapack", "_workspace") and node.args
+              and isinstance(node.args[0], ast.Constant)}
+    assert sorted(set(mesh._LAPACK) - called) == []
+
+
+def test_only_the_storage_classes_make_reductions():
+    # the corrector and the certificate hold the reductions mesh makes;
+    # a class elsewhere that answers for one is a stand-in
+    stray = [f"{path.name}: {node.name}.{method.name}" for path in MODULES
+             if path.name != "mesh.py"
+             for node in ast.walk(_tree(path)) if isinstance(node, ast.ClassDef)
+             for method in node.body
+             if isinstance(method, ast.FunctionDef)
+             and method.name in ("bordered_reduction", "scaled_reduction")]
+    assert stray == []
 
 
 def test_only_serialize_and_geodesic_curvature_test_types():
