@@ -220,12 +220,13 @@ def _bordered_update(reduced, w, B, res, lambda_hat):
     """Newton update and condition number of the bordered system from
     reduced, one reduction of M = [[W J, W B], [B^T W, 0]] for the weights
     w: the exact 2-norm condition number max|mu| / min|mu| over M's
-    eigenvalues and the solve. Raises IllConditioned when the condition
-    exceeds 1e12."""
+    eigenvalues, min|mu| from the two on either side of 0, and the solve.
+    Raises IllConditioned when the condition exceeds 1e12."""
     n, k = B.shape
-    mu = np.abs(reduced.eigenvalues)
-    lo = np.min(mu)
-    cond = np.max(mu) / lo if lo > 0.0 else np.inf
+    c = reduced.negcount(0.0)
+    near = reduced.eigenvalues(max(c - 1, 0), min(c, n + k - 1))
+    lo = np.min(np.abs(near))
+    cond = reduced.norm() / lo if lo > 0.0 else np.inf
     if not np.isfinite(cond) or cond > 1e12:
         raise IllConditioned(
             f"bordered matrix condition {cond:.3e} at lambda_hat={lambda_hat} "

@@ -1,13 +1,16 @@
 """Certification of equivariant nondegeneracy and slice transversality.
 
 The numerical Jacobi kernel is extracted from one reduction of one triangle
-of W^-1/2 (W J) W^-1/2: its whole spectrum gives the kernel dimension and
-the gap. The kernel's eigenvectors are formed only to be compared against
-the span of the Killing-induced Jacobi fields through principal angles, so
-only when that span is nonempty. The operator's class makes the
-reduction (mesh.JacobiOperator.scaled_reduction): a tridiagonal one of a
-dense W J, made in W J's own storage, so the certificate holds one n x n
-matrix beside diff1 and the operator refuses any use after it (run
+of W^-1/2 (W J) W^-1/2, which answers what the certificate reads of its
+spectrum and no more: the largest modulus, the counts of eigenvalues below
+the two cuts, whose difference is the kernel dimension, and the kernel
+eigenvalues with their two neighbours, which give the gap. The kernel's
+eigenvectors are formed only to be compared against the span of the
+Killing-induced Jacobi fields through principal angles, so only when that
+span is nonempty. The operator's class makes the reduction
+(mesh.JacobiOperator.scaled_reduction): a tridiagonal one of a dense W J,
+made in W J's own storage, so the certificate holds one n x n matrix
+beside diff1 and the operator refuses any use after it (run
 operator_diagnostics first); a band one of a band W J (dirichlet grids),
 which works in O(n b) memory and O(n^2 b) time and refuses eigenvectors,
 since the band's instance has no Killing fields; the cut, the gap and the
@@ -65,17 +68,20 @@ def numerical_kernel(J, tol_rel=None):
     of W^-1/2 (W J) W^-1/2 = sqrt(W) J sqrt(W)^-1.
 
     That operator is symmetric, so its singular values are the moduli of its
-    eigenvalues, all of which come from the reduction. Retains the dim
-    eigenvalues with sigma < tol_rel * sigma_max (tol_rel defaults to 1e-8 *
-    n for n unknowns; the basis records the value used). The gap field
-    holds the ratio between the smallest rejected and the largest retained
-    singular value; anything below 10^3 flags the result indeterminate (no
-    certified separation). The eigenvectors of the retained indices are
-    formed from the kept reduction only when the basis's vectors are first
-    read, and mapped back by W^-1/2, which makes them exactly W-orthonormal;
-    a band reduction refuses them (UnsupportedError), as a band operator
-    refuses Killing columns: its instance has no Killing span. A dense J's
-    reduction is made in its storage, which J gives up.
+    eigenvalues, which the reduction reads by Sturm counts and bisection:
+    sigma_max, the counts below -tol and tol, which bound the dim retained
+    eigenvalues with sigma < tol = tol_rel * sigma_max (tol_rel defaults to
+    1e-8 * n for n unknowns; the basis records the value used), and only
+    those eigenvalues and their two neighbours. The gap field holds the
+    ratio between the smallest rejected singular value, a neighbour's, and
+    the largest retained one; anything below 10^3 flags the result
+    indeterminate (no certified separation). The eigenvectors of the
+    retained indices are formed from the kept reduction only when the
+    basis's vectors are first read, and mapped back by W^-1/2, which makes
+    them exactly W-orthonormal; a band reduction refuses them
+    (UnsupportedError), as a band operator refuses Killing columns: its
+    instance has no Killing span. A dense J's reduction is made in its
+    storage, which J gives up.
     """
     n = J.weights.size
     if tol_rel is None:
@@ -83,26 +89,32 @@ def numerical_kernel(J, tol_rel=None):
     if not 0.0 < tol_rel <= 1e-2:
         raise PreconditionError(f"tol_rel must lie in (0, 1e-2], got {tol_rel}")
     reduced, sw = J.scaled_reduction()
-    mu = reduced.eigenvalues    # ascending
-    order = np.argsort(np.abs(mu))[::-1]
-    s = np.abs(mu)[order]       # the singular values of A, descending
-    tol = tol_rel * (s[0] if s.size else 0.0)
-    d = int(np.sum(s < tol))    # s is descending, so the kept s are a tail
-    kept = order[n - d:]
+    tol = tol_rel * reduced.norm()
+    # |mu| < tol is the run a..b-1 of the ascending spectrum
+    a, b = reduced.negcount(-tol), reduced.negcount(tol)
+    d = b - a
+    kept = np.zeros(0, dtype=int)    # kernel indices by descending |mu|
+    s = np.zeros(0)                  # their singular values
+    gap = np.inf
+    if d:
+        # the run and its neighbours, the smallest rejected moduli
+        lo = max(a - 1, 0)
+        mu = np.abs(reduced.eigenvalues(lo, min(b, n - 1)))
+        kept = np.argsort(mu[a - lo:b - lo])[::-1]
+        s = mu[a - lo:b - lo][kept]
+        if s[0] > 0.0:
+            gap = float(np.min(np.delete(mu, range(a - lo, b - lo))) / s[0])
 
     @errors.linalg_guard
     def kernel_vectors():
         if not d:
             return np.zeros((n, 0))
-        # |mu| < tol is one contiguous run of the ascending spectrum
-        lo = int(np.min(kept))
-        V = reduced.eigenvectors(lo, lo + d - 1)
+        V = reduced.eigenvectors(a, b - 1)
         V /= sw[:, None]
-        return V[:, kept - lo]
+        return V[:, kept]
 
-    gap = float(s[n - d - 1] / s[n - d]) if d and s[n - d] > 0.0 else np.inf
     indeterminate = bool(d > 0 and gap < GAP_FLOOR)
-    return KernelBasis(dim=d, singular_values=s[n - d:].copy(),
+    return KernelBasis(dim=d, singular_values=s,
                        tol_rel=float(tol_rel), tolerance=float(tol),
                        gap=float(gap), indeterminate=indeterminate,
                        _form=kernel_vectors)

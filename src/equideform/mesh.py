@@ -50,23 +50,27 @@ included, so the certificate and the corrector run one code for all. The
 band class serves CmcProfile alone, which has no Killing fields: it refuses
 a Killing border, and its reduction refuses kernel vectors.
 
-The classes' reductions are _Banded of a lower band, in O(n b) memory,
-which gives eigenvalues and solves but no eigenvectors, and _Tridiagonal of
-a dense matrix in the buffer that LAPACK dsytrd overwrites
-with the reflectors dormqr reads in place. The dense Jacobi is assembled
-into that buffer, BLOCK columns at a time, and its reductions take it in
-place (scaled by W^-1/2, or as the top-left block of the bordered matrix),
-so a routine holds one n x n matrix beside diff1 (a branch, which
-certifies on a worker thread, holds three), and an operator whose storage
-a reduction took refuses any later use. A solve against _Tridiagonal
-costs O(n^2), the two applications of Q; T itself is solved by dgtsv in
-O(n) on every solve.
-Every LAPACK routine of _Tridiagonal (dsytrd, dsterf, dormqr, dgtsv, and
-dstebz + dstein for eigenvectors) is called through scipy's
-cython_lapack export by ctypes, from one table of bindings, _LAPACK. A
-ctypes call releases the interpreter lock that scipy.linalg's f2py wrappers
-hold, so the certificate overlaps the corrector; the results are bitwise
-the wrappers'.
+The classes' reductions are _Banded of a lower band, reduced by LAPACK
+dsbtrd in O(n b) memory, which gives eigenvalues and solves but no
+eigenvectors, and _Tridiagonal of a dense matrix in the buffer that LAPACK
+dsytrd overwrites with the reflectors dormqr reads in place. Both end in a
+symmetric tridiagonal T, and their base _Spectrum reads from T only what
+the certificate and the corrector ask: Sturm counts of the eigenvalues
+below a point (dlarrc) and the eigenvalues of an index range, bisected by
+dstebz, each in O(n) per eigenvalue, never the whole spectrum. The dense
+Jacobi is assembled into that buffer, BLOCK columns at a time, and its
+reductions take it in place (scaled by W^-1/2, or as the top-left block of
+the bordered matrix), so a routine holds one n x n matrix beside diff1 (a
+branch, which certifies on a worker thread, holds three), and an operator
+whose storage a reduction took refuses any later use. A solve against
+_Tridiagonal costs O(n^2), the two applications of Q; T itself is solved
+by dgtsv in O(n) on every solve.
+Every LAPACK routine of the reductions (dsytrd, dsbtrd, dlarrc, dstebz,
+dormqr, dgtsv, and dstein for eigenvectors; all but the band's solve) is
+called through scipy's cython_lapack export by ctypes, from one table of
+bindings, _LAPACK. A ctypes call releases the interpreter lock that
+scipy.linalg's f2py wrappers hold, so the certificate overlaps the
+corrector; the results are bitwise the wrappers'.
 """
 
 import ctypes
@@ -75,8 +79,7 @@ from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import (circulant, cython_lapack, eigvals_banded,
-                          solve_banded)
+from scipy.linalg import circulant, cython_lapack, solve_banded
 
 from .errors import DomainError, ShapeError, SpentOperator, UnsupportedError
 
@@ -224,7 +227,7 @@ _REAL = ctypes.POINTER(c_double)
 # arrays, checked for their dtype and Fortran order on every call
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
 _I32 = np.ctypeslib.ndpointer(np.intc, flags="F_CONTIGUOUS")
-# The LAPACK routines of the dense reduction, from the library that
+# The LAPACK routines of the reductions, from the library that
 # scipy.linalg.lapack wraps, by their argument types before the trailing
 # info. Each is a CFUNCTYPE, whose call releases the interpreter lock that
 # the f2py wrappers hold, so the certificate overlaps the corrector.
@@ -233,7 +236,10 @@ _LAPACK = {
         _capsule_address(cython_lapack.__pyx_capi__[name]))
     for name, argtypes in {
         "dsytrd": (_CHAR, _INT, _F64, _INT, _F64, _F64, _F64, _F64, _INT),
-        "dsterf": (_INT, _F64, _F64),
+        "dsbtrd": (_CHAR, _CHAR, _INT, _INT, _F64, _INT, _F64, _F64, _F64,
+                   _INT, _F64),
+        "dlarrc": (_CHAR, _INT, _REAL, _REAL, _F64, _F64, _REAL, _INT, _INT,
+                   _INT),
         "dormqr": (_CHAR, _CHAR, _INT, _INT, _INT, _F64, _INT, _F64, _F64,
                    _INT, _F64, _INT),
         "dgtsv": (_INT, _INT, _F64, _F64, _F64, _F64, _INT),
@@ -244,15 +250,16 @@ _LAPACK = {
     }.items()}
 
 
-def _lapack(name, *args):
+def _lapack(name, *args, allowed=()):
     """Call the LAPACK routine name with args and an info, which raises
-    LinAlgError when nonzero. Integers and reals go as c_int and c_double,
-    which the routine may write."""
+    LinAlgError when nonzero and not allowed, and is returned. Integers and
+    reals go as c_int and c_double, which the routine may write."""
     info = c_int(0)
     _LAPACK[name](*args, info)
-    if info.value:
+    if info.value and info.value not in allowed:
         raise np.linalg.LinAlgError(
             f"{name} failed with info = {info.value}")
+    return info.value
 
 
 def _workspace(name, *args):
@@ -285,13 +292,105 @@ def _dsytrd(a):
     return d, e, tau
 
 
-class _Tridiagonal:
+def _bisect(d, e, lo, hi, order):
+    """LAPACK dstebz's eigenvalues of ascending indices lo..hi of the
+    tridiagonal (d, e) (range "I", absolute tolerance 0), in the order asked
+    for: "E" ascending, "B" by T's diagonal blocks, whose indices it also
+    returns for dstein.
+
+    dstebz finds fewer than asked (info 2 or 3) when it cannot split index
+    lo or hi off a neighbour, such as an eigenvalue tied to it across T's
+    blocks. In ascending order that is cured as LAPACK prescribes: every
+    eigenvalue is bisected (range "A") and lo..hi picked.
+    """
+    n = len(d)
+    m, nsplit = c_int(0), c_int(0)
+    w = np.empty(n)
+    iblock = np.empty(n, dtype=np.intc)
+    isplit = np.empty(n, dtype=np.intc)
+    args = (order, c_int(n), c_double(0.0), c_double(1.0), c_int(lo + 1),
+            c_int(hi + 1), c_double(0.0), d, e, m, nsplit, w, iblock, isplit,
+            np.empty(4 * n), np.empty(3 * n, dtype=np.intc))
+    if _lapack("dstebz", b"I", *args,
+               allowed=(2, 3) if order == b"E" else ()):
+        _lapack("dstebz", b"A", *args)
+        return w[lo:hi + 1], iblock[lo:hi + 1], isplit
+    return w[:m.value], iblock, isplit
+
+
+# the range of the largest entry of T in which Sturm counts, which square
+# T's off-diagonal, neither underflow nor overflow: LAPACK dstevx's
+_RMIN = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
+_RMAX = min(np.sqrt(np.finfo(float).max),
+            1.0 / np.sqrt(np.sqrt(np.finfo(float).tiny)))
+
+
+class _Spectrum:
+    """What the certificate and the corrector read of the spectrum of a
+    reduced symmetric matrix A = Q T Q^T: counts and a few eigenvalues of
+    the symmetric tridiagonal T, diagonal d and subdiagonal e, by bisection
+    on Sturm counts at O(n) per count (Barth, Martin & Wilkinson, Numer.
+    Math. 9, 1967), never the whole spectrum.
+
+    The bisection returns finite values for a T that holds a NaN, so a T
+    that is not finite raises LinAlgError here. A T whose largest entry
+    lies outside [_RMIN, _RMAX] is counted and bisected scaled into it by a
+    power of two, as dstevx scales it, so no count loses T's coupling to
+    underflow.
+    """
+
+    def __init__(self, d, e):
+        if not (np.isfinite(d).all() and np.isfinite(e).all()):
+            raise np.linalg.LinAlgError(
+                "the reduced tridiagonal holds a non-finite entry")
+        self._d, self._e = d, e
+        size = max(np.max(np.abs(d)), np.max(np.abs(e)))
+        self._scale = 1.0
+        if size and not _RMIN <= size <= _RMAX:
+            self._scale = np.ldexp(1.0, -np.frexp(size)[1])
+        self._counted = d * self._scale, e * self._scale
+        # n eps |T|, within the backward error of a Sturm count
+        self._nudge = max(len(d) * np.finfo(float).eps * size * self._scale,
+                          np.finfo(float).tiny)
+
+    def negcount(self, x):
+        """How many eigenvalues lie below x: the Sturm count of T - x I,
+        from LAPACK dlarrc. dlarrc counts a pivot of exactly 0 as negative
+        and, when it is +0 (x an eigenvalue of a leading block of T), the
+        infinite pivot after it too, so it counts one eigenvalue twice. The
+        one call counts at x and at x - n eps |T|, a distance within the
+        counts' own backward error, and the smaller count is kept, which
+        such a tie at either point leaves exact."""
+        x = x * self._scale
+        counts = [c_int(0) for _ in range(3)]
+        _lapack("dlarrc", b"T", c_int(len(self._d)),
+                c_double(x - self._nudge), c_double(x), *self._counted,
+                c_double(np.finfo(float).tiny), *counts)
+        return min(counts[1].value, counts[2].value)
+
+    def eigenvalues(self, lo, hi):
+        """The eigenvalues of ascending indices lo..hi, ascending, bisected
+        by dstebz."""
+        return _bisect(*self._counted, lo, hi, b"E")[0] / self._scale
+
+    def norm(self):
+        """The 2-norm of A, max |mu|: the top eigenvalue, and the bottom one
+        only when an eigenvalue lies below minus the top."""
+        n = len(self._d)
+        top = float(self.eigenvalues(n - 1, n - 1)[0])
+        if not self.negcount(-top):
+            return abs(top)
+        return max(abs(top), -float(self.eigenvalues(0, 0)[0]))
+
+
+class _Tridiagonal(_Spectrum):
     """One Householder reduction A = Q T Q^T of a symmetric matrix A.
 
     LAPACK dsytrd reduces the lower triangle to the tridiagonal T; Q is the
     product of the n - 1 reflectors stored below the subdiagonal, applied by
-    dormqr and never formed. The eigenvalues of A are T's, ascending, from
-    dsterf in O(n^2). Any nonzero LAPACK info raises LinAlgError.
+    dormqr and never formed. The spectrum is read from T by _Spectrum's
+    counts and bisections. A nonzero LAPACK info raises LinAlgError, but
+    where _bisect cures it.
 
     Every routine is called through mesh's ctypes bindings, which release
     the interpreter lock, and gives bitwise the results of scipy's f2py
@@ -308,16 +407,14 @@ class _Tridiagonal:
     def __init__(self, A):
         n = A.shape[0]
         c = np.require(A, dtype=np.float64, requirements=("F", "W"))
-        self._d, self._e, self._tau = _dsytrd(c)
+        d, e, self._tau = _dsytrd(c)
+        super().__init__(d, e)
         # the reflectors fill c[1:, :-1]; the Fortran-ordered (n, n - 1) view
         # of c's storage from c[1, 0] on holds them in its columns with
         # leading dimension n, which dormqr reads in place, where the
         # non-contiguous slice would be copied on every call
         self._reflectors = np.ravel(c, order="F")[1:1 + n * (n - 1)].reshape(
             n, n - 1, order="F")
-        # dsterf overwrites d with the eigenvalues and e with scratch
-        self.eigenvalues = self._d.copy()
-        _lapack("dsterf", c_int(n), self.eigenvalues, self._e.copy())
         self._work = {}    # dormqr's workspace by (trans, columns)
 
     def apply_q(self, x, trans="N"):
@@ -357,39 +454,38 @@ class _Tridiagonal:
         inverse iteration, which are then sorted by eigenvalue: the steps of
         scipy's eigh_tridiagonal(select="i").
         """
-        d, e = self._d, self._e
-        n = len(d)
-        m, nsplit = c_int(0), c_int(0)
-        w = np.empty(n)
-        iblock = np.empty(n, dtype=np.intc)
-        isplit = np.empty(n, dtype=np.intc)
-        _lapack("dstebz", b"I", b"B", c_int(n), c_double(0.0), c_double(1.0),
-                c_int(lo + 1), c_int(hi + 1), c_double(0.0), d, e, m, nsplit,
-                w, iblock, isplit, np.empty(4 * n),
-                np.empty(3 * n, dtype=np.intc))
-        w = w[:m.value]
-        z = np.empty((n, m.value), order="F")
-        _lapack("dstein", c_int(n), d, e, m, w, iblock, isplit, z, c_int(n),
-                np.empty(5 * n), np.empty(n, dtype=np.intc),
-                np.empty(m.value, dtype=np.intc))
+        n = len(self._d)
+        w, iblock, isplit = _bisect(self._d, self._e, lo, hi, b"B")
+        m = len(w)
+        z = np.empty((n, m), order="F")
+        _lapack("dstein", c_int(n), self._d, self._e, c_int(m), w, iblock,
+                isplit, z, c_int(n), np.empty(5 * n),
+                np.empty(n, dtype=np.intc), np.empty(m, dtype=np.intc))
         return self.apply_q(z[:, np.argsort(w)])
 
 
-class _Banded:
+class _Banded(_Spectrum):
     """A symmetric band matrix A, held as its lower band ab (the symmetric
     lower band storage above) and never formed densely.
 
-    Every eigenvalue, ascending, comes from scipy's eigvals_banded (LAPACK
-    dsbevd), the solve from solve_banded (dgbsv, LU with partial pivoting),
-    both in O(n b) memory. Asked for eigenvectors, it raises
-    UnsupportedError: the band Jacobi has no Killing span to compare kernel
-    vectors with, so the certificate reads only the eigenvalues.
+    LAPACK dsbtrd reduces a copy of the band to the tridiagonal T in O(n b)
+    memory, without Q, for _Spectrum's counts and bisections; the solve is
+    solve_banded's (dgbsv, LU with partial pivoting). Asked for
+    eigenvectors, it raises UnsupportedError: the band Jacobi has no
+    Killing span to compare kernel vectors with, so the certificate reads
+    only the eigenvalues.
     """
 
     def __init__(self, ab):
         self._ab = ab
-        # no finiteness scan, as _Tridiagonal's raw LAPACK calls make none
-        self.eigenvalues = eigvals_banded(ab, lower=True, check_finite=False)
+        n = ab.shape[1]
+        d = np.empty(n)
+        e = np.zeros(max(n - 1, 1))
+        # dsbtrd overwrites the band it reduces, so it reduces a copy
+        _lapack("dsbtrd", b"N", b"L", c_int(n), c_int(len(ab) - 1),
+                np.array(ab, order="F"), c_int(len(ab)), d, e, np.empty(1),
+                c_int(1), np.empty(n))
+        super().__init__(d, e)
 
     def eigenvectors(self, lo, hi):
         raise UnsupportedError("a banded Jacobi forms no kernel vectors: it "

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from equideform import mesh
+from equideform import cli, mesh
 from equideform.cli import _build_problem, _Config, main
 from equideform.serialize import content_hash
 from equideform.variational import jacobi
@@ -201,6 +201,32 @@ def test_analyze_band_solve_failure_exit_three(tmp_path, capsys,
     assert code == 3
     assert read_report(out)["error"] == "corrector_step: singular matrix"
     assert "singular matrix" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("problem", [
+    CIRCLE_PROBLEM,
+    "[problem]\ninstance = cmc_profile\nn = 64\nh = 2.0\nlength = 1.0\n",
+], ids=["dense", "band"])
+def test_analyze_non_finite_operator_exit_three(tmp_path, capsys,
+                                                monkeypatch, problem, value):
+    # a W J holding a non-finite entry fails the certificate's reduction:
+    # exit 3, with the failing routine's cause in the report
+    report = cli.nondegeneracy_report
+
+    def poisoned(*args, operator, **kwargs):
+        if isinstance(operator, mesh.BandJacobiOperator):
+            operator.hessian[0, 3] = value
+        else:
+            operator.hessian[3, 3] = value
+        return report(*args, operator=operator, **kwargs)
+
+    monkeypatch.setattr(cli, "nondegeneracy_report", poisoned)
+    code, out = run_cli(tmp_path, "analyze", problem)
+    assert code == 3
+    error = read_report(out)["error"]
+    assert error.startswith("numerical_kernel: ")
+    assert error in capsys.readouterr().err
 
 
 def test_congruence_polishes_at_the_path_tol(tmp_path, capsys):

@@ -1,14 +1,18 @@
+import configparser
+
 import numpy as np
 import pytest
 
 from scipy.linalg import subspace_angles
 
-from equideform import mesh
+from equideform import continuation, mesh
+from equideform.cli import _build_problem, _Config
 from equideform.continuation import (ContinuationConfig, _bordered_update,
                                      continue_branch, corrector_step)
 from equideform.errors import (IllConditioned, PreconditionError, ShapeError,
                                UnsupportedError)
-from equideform.equivariance import (_principal_angles, nondegeneracy_report,
+from equideform.equivariance import (GAP_FLOOR, _principal_angles,
+                                     nondegeneracy_report,
                                      numerical_kernel, operator_diagnostics,
                                      rank_basis, transversality_margin)
 from equideform.mesh import (BandJacobiOperator, JacobiOperator,
@@ -69,7 +73,7 @@ def _oracle_matrices():
 def test_reduction_eigenvalues_match_eigh():
     for name, A in _oracle_matrices():
         mu = np.linalg.eigh(A)[0]
-        got = _Tridiagonal(A).eigenvalues
+        got = _Tridiagonal(A).eigenvalues(0, len(A) - 1)
         assert np.max(np.abs(got - mu)) <= 1e-13 * np.max(np.abs(mu)), name
 
 
@@ -79,7 +83,7 @@ def test_reduction_eigenvalues_of_real_operators_match_eigh():
                            1.0)]:
         A, _ = _scaled(jacobi(prob, st, lam))
         mu = np.linalg.eigh(A)[0]
-        got = _Tridiagonal(A).eigenvalues
+        got = _Tridiagonal(A).eigenvalues(0, len(A) - 1)
         assert np.max(np.abs(got - mu)) <= 1e-13 * np.max(np.abs(mu))
 
 
@@ -101,7 +105,7 @@ def test_reduction_eigenvectors_rebuild_the_matrix():
         n = A.shape[0]
         V = red.eigenvectors(0, n - 1)
         assert np.max(np.abs(V.T @ V - np.eye(n))) < 1e-13, name
-        rebuilt = (V * red.eigenvalues) @ V.T
+        rebuilt = (V * red.eigenvalues(0, n - 1)) @ V.T
         assert np.max(np.abs(rebuilt - A)) < 1e-13 * np.max(np.abs(A)), name
 
 
@@ -160,10 +164,17 @@ def _failing_lapack(monkeypatch, name):
 
 
 def test_kernel_reduction_failure_is_ill_conditioned(monkeypatch):
-    _failing_lapack(monkeypatch, "dsterf")
-    prob, st = _flat_circle()
-    with pytest.raises(IllConditioned, match="dsterf failed with info = 1"):
-        numerical_kernel(jacobi(prob, st, 0.0))
+    # each storage's reduction to T, then the counts and bisections the
+    # kernel reads from T
+    for storage, names in (("dense", ("dsytrd", "dlarrc", "dstebz")),
+                           ("band", ("dsbtrd", "dlarrc", "dstebz"))):
+        prob, st, lam = _off_critical(storage)
+        for name in names:
+            with monkeypatch.context() as patch:
+                _failing_lapack(patch, name)
+                with pytest.raises(IllConditioned,
+                                   match=f"{name} failed with info = 1"):
+                    numerical_kernel(jacobi(prob, st, lam))
 
 
 @pytest.mark.parametrize("name", ["dstebz", "dstein", "dormqr"])
@@ -179,13 +190,124 @@ def test_kernel_vector_failure_is_ill_conditioned(monkeypatch, name):
 
 
 def test_corrector_solve_failure_is_ill_conditioned(monkeypatch):
-    # a Newton step solves T by dgtsv between the two applications of Q
-    prob, st = _flat_circle()
-    bumped = ProblemState(st.values + 1e-3 * np.cos(3 * prob.grid.nodes))
-    _failing_lapack(monkeypatch, "dgtsv")
-    with pytest.raises(IllConditioned, match="dgtsv failed with info = 1"):
-        corrector_step(prob, bumped, 0.0,
-                       ContinuationConfig.polish(0.0, basin_guard=0.05))
+    # a Newton step reduces its bordered matrix, counts T's eigenvalues
+    # below 0 for its condition number and, on the dense storage, solves T
+    # by dgtsv between the two applications of Q
+    for storage, names in (("dense", ("dlarrc", "dgtsv")),
+                           ("band", ("dsbtrd", "dlarrc"))):
+        prob, st, lam = _off_critical(storage)
+        for name in names:
+            with monkeypatch.context() as patch:
+                _failing_lapack(patch, name)
+                with pytest.raises(IllConditioned,
+                                   match=f"{name} failed with info = 1"):
+                    corrector_step(prob, st, lam, ContinuationConfig.polish(
+                        lam, basin_guard=0.05))
+
+
+# ----------------------------------- the full-spectrum kernel, an oracle
+
+
+def _full_spectrum_kernel(mu, tol_rel):
+    # (dim, tolerance, gap, indeterminate) as numerical_kernel read them
+    # from every eigenvalue mu, before it counted and bisected
+    n = len(mu)
+    order = np.argsort(np.abs(mu))[::-1]
+    s = np.abs(mu)[order]
+    tol = tol_rel * (s[0] if s.size else 0.0)
+    d = int(np.sum(s < tol))
+    gap = float(s[n - d - 1] / s[n - d]) if d and s[n - d] > 0.0 else np.inf
+    return d, tol, gap, bool(d > 0 and gap < GAP_FLOOR)
+
+
+# the four instances analyze certifies in the benchmark, as [problem] keys
+ORACLE_INSTANCES = {
+    "cmc_circle": "h = 2.0\nlambda_hat = 0.5\n",
+    "cmc_profile": "h = 2.0\nlength = 1.0\n",
+    "harmonic_torus": "",
+    "harmonic_sphere": "",
+}
+
+
+@pytest.mark.parametrize("N", [33, 257, 1024])
+@pytest.mark.parametrize("instance", sorted(ORACLE_INSTANCES))
+def test_kernel_counts_agree_with_the_full_spectrum(instance, N):
+    # at the analytic seed, the counted kernel and its verdict against the
+    # kernel the whole spectrum of the same operator gives
+    cp = configparser.ConfigParser()
+    cp.read_string(f"[problem]\ninstance = {instance}\nn = {N}\n"
+                   + ORACLE_INSTANCES[instance])
+    prob, st, _, lam = _build_problem(_Config(cp))
+    J = jacobi(prob, st, lam)
+    A, _ = _scaled(J)
+    d, tol, gap, indeterminate = _full_spectrum_kernel(
+        np.linalg.eigvalsh(A), 1e-8 * len(A))
+    rep = nondegeneracy_report(prob, st, lam, operator=J)
+    assert rep.kernel_dim == d
+    assert rep.tolerances["kernel_tolerance"] == pytest.approx(tol, rel=1e-14)
+    assert rep.indeterminate == indeterminate
+    if indeterminate:
+        # a gap below the floor is a ratio of two resolved moduli; a
+        # certified one divides by a kernel modulus at roundoff, which two
+        # computations need not share, so only the former is compared
+        assert rep.gap == pytest.approx(gap, rel=1e-9)
+        verdict = "indeterminate"
+    elif d == rep.killing_rank and rep.max_principal_angle < 1e-6:
+        verdict = "nondegenerate"
+    else:
+        verdict = "degenerate"
+    assert rep.verdict == verdict
+
+
+# ------------------------------------------------ non-finite operators
+
+
+def _poisoned(J, value):
+    # J with one diagonal entry of its stored W J set to value, in place
+    if isinstance(J, BandJacobiOperator):
+        J.hessian[0, 3] = value
+    else:
+        J.hessian[3, 3] = value
+    return J
+
+
+def _off_critical(storage):
+    # (problem, a state one Newton step away from critical, lambda_hat) on
+    # the dense storage (the flat circle) or the band (the profile)
+    if storage == "dense":
+        prob, st = _flat_circle()
+        bumped = st.values + 1e-3 * np.cos(3 * prob.grid.nodes)
+        return prob, ProblemState(bumped), 0.0
+    prob, st = _profile_band_case(33, 4, 1.0, 0.0)
+    x = prob.grid.nodes[1:-1]
+    return prob, ProblemState(st.values + 1e-3 * np.sin(np.pi * x)), 0.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("storage", ["dense", "band"])
+def test_non_finite_operator_kernel_is_ill_conditioned(storage, value):
+    prob, st, lam = _off_critical(storage)
+    J = _poisoned(jacobi(prob, st, lam), value)
+    with pytest.raises(IllConditioned, match="^numerical_kernel: "):
+        numerical_kernel(J)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("storage", ["dense", "band"])
+def test_non_finite_bordered_step_is_ill_conditioned(monkeypatch, storage,
+                                                     value):
+    # the Newton step's bordered reduction of a W J holding a non-finite
+    # entry must fail, not step with eigenvalues bisected from NaN
+    assemble = continuation.bordered_jacobi
+
+    def poisoned(*args):
+        return _poisoned(assemble(*args), value)
+
+    monkeypatch.setattr(continuation, "bordered_jacobi", poisoned)
+    prob, st, lam = _off_critical(storage)
+    with pytest.raises(IllConditioned, match="^corrector_step: "):
+        corrector_step(prob, st, lam,
+                       ContinuationConfig.polish(lam, basin_guard=0.05))
 
 
 # ------------------------------------------------------ band reduction
@@ -239,8 +361,8 @@ def test_band_reduction_matches_the_dense_reduction(N, order, length, bump):
         return JacobiOperator(J.dense(), J.weights)
 
     # every eigenvalue, against the tridiagonal reduction of the dense form
-    mu = J.scaled_reduction()[0].eigenvalues
-    want = dense().scaled_reduction()[0].eigenvalues
+    mu = J.scaled_reduction()[0].eigenvalues(0, n - 1)
+    want = dense().scaled_reduction()[0].eigenvalues(0, n - 1)
     top = np.max(np.abs(want))
     assert np.max(np.abs(mu - want)) <= EIG_TOL * top
     # kernel count, cut and gap; a ratio of two moduli each known to EIG_TOL

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from equideform import mesh
 from equideform.errors import DomainError, UnsupportedError
 from equideform.mesh import TWO_PI, Grid, build_grid, fornberg_weights, wnorm
 
@@ -211,3 +214,97 @@ def test_periodic_grids_are_odd():
              np.full(64, TWO_PI / 64))
     with pytest.raises(DomainError, match="N >= 8"):
         build_grid("periodic", 7)
+
+
+# ------------------------------------------------ the spectrum of a reduction
+
+# entries of a random symmetric tridiagonal: exact zeros, moduli near 1e-12,
+# which split off pairs +-eps from zero diagonals, and order one
+ENTRY = st.one_of(st.just(0.0), st.sampled_from([1e-12, -1e-12, 2e-12]),
+                  st.floats(-1.0, 1.0, allow_subnormal=False))
+
+
+@st.composite
+def tridiagonals(draw):
+    """(d, e) of a symmetric tridiagonal, e padded to max(n - 1, 1) as the
+    reductions pad it; n in {1, 2, 3} or larger, and the all-zero T."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 3]), st.integers(4, 40)))
+    if draw(st.integers(0, 9)) == 0:
+        return np.zeros(n), np.zeros(max(n - 1, 1))
+    d = np.array(draw(st.lists(ENTRY, min_size=n, max_size=n)))
+    e = np.zeros(max(n - 1, 1))
+    e[:n - 1] = draw(st.lists(ENTRY, min_size=n - 1, max_size=n - 1))
+    return d, e
+
+
+def _dense(d, e):
+    n = len(d)
+    return np.diag(d) + np.diag(e[:n - 1], 1) + np.diag(e[:n - 1], -1)
+
+
+SPECTRUM_EXAMPLES = settings(max_examples=300, deadline=None,
+                             derandomize=True)
+
+
+@SPECTRUM_EXAMPLES
+@given(T=tridiagonals())
+def test_negcount_counts_the_eigenvalues_below_a_point(T):
+    # at every point away from the eigenvalues: below and above the
+    # spectrum and midway between neighbours that differ
+    d, e = T
+    mu = np.linalg.eigvalsh(_dense(d, e))
+    top = np.max(np.abs(mu))
+    away = 1e-13 * max(top, 1.0)
+    ends = [mu[0] - 1.0, mu[-1] + 1.0]
+    mids = [0.5 * (a + b) for a, b in zip(mu, mu[1:]) if b - a > 2.0 * away]
+    spectrum = mesh._Spectrum(d, e)
+    for x in ends + mids:
+        assert spectrum.negcount(x) == np.count_nonzero(mu < x), x
+
+
+@SPECTRUM_EXAMPLES
+@given(T=tridiagonals(), data=st.data())
+def test_bisected_eigenvalues_and_norm_match_eigvalsh(T, data):
+    d, e = T
+    n = len(d)
+    mu = np.linalg.eigvalsh(_dense(d, e))
+    top = np.max(np.abs(mu))
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo, n - 1))
+    spectrum = mesh._Spectrum(d, e)
+    got = spectrum.eigenvalues(lo, hi)
+    assert got.shape == (hi - lo + 1,)
+    assert np.max(np.abs(got - mu[lo:hi + 1])) <= 1e-13 * top
+    assert abs(spectrum.norm() - top) <= 1e-13 * top
+
+
+def test_negcount_at_a_zero_pivot():
+    # T = [[0, 1], [1, 0]] at 0: the first pivot is +0, on which dlarrc
+    # alone counts two eigenvalues below 0
+    spectrum = mesh._Spectrum(np.zeros(2), np.ones(1))
+    assert spectrum.negcount(0.0) == 1
+    assert spectrum.norm() == pytest.approx(1.0, rel=1e-15)
+
+
+def test_bisection_cures_an_index_dstebz_cannot_split():
+    # T = diag(2) + [[1, 0.5], [0.5, 0.5]]: dstebz asked for index 2 alone
+    # finds none (info 2), and every eigenvalue is bisected instead
+    d, e = np.array([2.0, 1.0, 0.5]), np.array([0.0, 0.5])
+    with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
+        mesh._bisect(d, e, 2, 2, b"B")
+    spectrum = mesh._Spectrum(d, e)
+    mu = np.linalg.eigvalsh(_dense(d, e))
+    assert np.max(np.abs(spectrum.eigenvalues(1, 2) - mu[1:])) <= 1e-15
+    assert spectrum.eigenvalues(2, 2)[0] == 2.0
+    assert spectrum.norm() == 2.0
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["d", "e"])
+def test_a_non_finite_tridiagonal_is_refused(where, value):
+    # dstebz bisects a T holding a NaN to finite eigenvalues, so the
+    # spectrum refuses it before any count
+    d, e = np.linspace(0.1, 5.0, 50), np.full(49, 0.5)
+    {"d": d, "e": e}[where][7] = value
+    with pytest.raises(np.linalg.LinAlgError, match="non-finite"):
+        mesh._Spectrum(d, e)

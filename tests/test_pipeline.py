@@ -24,7 +24,7 @@ from equideform import continuation, mesh
 from equideform.continuation import ContinuationConfig, continue_branch
 from equideform.errors import (DomainError, IllConditioned, NoConvergence,
                                PreconditionError, ShapeError)
-from equideform.mesh import _dsytrd, _lapack, _Tridiagonal, build_grid, wnorm
+from equideform.mesh import _dsytrd, _Tridiagonal, build_grid, wnorm
 from equideform.serialize import dumps_stable
 from equideform.variational import ProblemState, circle_seed
 
@@ -316,8 +316,6 @@ def test_reduction_equals_f2py_dsytrd_bitwise(n, order):
         assert np.tril(A, -1).tobytes() == np.tril(c, -1).tobytes()
     else:
         assert A.tobytes() == kept.tobytes()
-    eig = lapack.dsterf(d, e if n > 1 else np.zeros(1))[0]
-    assert red.eigenvalues.tobytes() == eig.tobytes()
 
 
 def test_reduction_rejects_a_buffer_it_cannot_write_in_place():
@@ -342,9 +340,9 @@ def _f2py_apply_q(red, x, trans="N"):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 65, 259])
 def test_tridiagonal_routines_equal_f2py_bitwise(n):
-    # apply_q (dormqr), solve (dgtsv between two applications of Q) and
-    # eigenvectors (dstebz + dstein) against scipy's wrappers; the
-    # eigenvalues (dsterf) are checked with the reduction above
+    # apply_q (dormqr), solve (dgtsv between two applications of Q),
+    # eigenvalues (dstebz, order "E") and eigenvectors (dstebz + dstein)
+    # against scipy's wrappers
     rng = np.random.default_rng(n)
     B = rng.standard_normal((n, n))
     red = _Tridiagonal(B + B.T)
@@ -359,6 +357,9 @@ def test_tridiagonal_routines_equal_f2py_bitwise(n):
         want = _f2py_apply_q(red, z).reshape(np.shape(x))
         assert red.solve(x).tobytes() == want.tobytes()
     for lo, hi in {(0, 0), (0, n - 1), (n // 2, n - 1), (n // 3, n // 2)}:
+        w = eigh_tridiagonal(red._d, red._e[:n - 1], eigvals_only=True,
+                             select="i", select_range=(lo, hi))
+        assert red.eigenvalues(lo, hi).tobytes() == w.tobytes()
         _, v = eigh_tridiagonal(red._d, red._e[:n - 1], select="i",
                                 select_range=(lo, hi))
         want = _f2py_apply_q(red, v)
@@ -367,38 +368,64 @@ def test_tridiagonal_routines_equal_f2py_bitwise(n):
         assert got.tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 65, 259])
+@pytest.mark.parametrize("b", [1, 4])
+def test_band_eigenvalues_equal_f2py_dsbevx_bitwise(n, b):
+    # dsbevx without vectors and for a part of the spectrum reduces the band
+    # by dsbtrd and bisects T by dstebz (order "E"), the steps of _Banded's
+    # reduction and eigenvalues
+    rng = np.random.default_rng(n + b)
+    ab = rng.standard_normal((min(b, n - 1) + 1, n))
+    red = mesh._Banded(ab)
+    for lo, hi in {(0, 0), (n - 1, n - 1), (n // 3, n // 2)}:
+        if (lo, hi) == (0, n - 1) and n > 1:
+            continue    # the whole spectrum, which dsbevx takes by dsterf
+        w, _, m, _, info = lapack.dsbevx(ab, 0.0, 0.0, lo + 1, hi + 1,
+                                         compute_v=0, range=2, lower=1)
+        assert info == 0
+        assert red.eigenvalues(lo, hi).tobytes() == w[:m].tobytes()
+
+
 def test_every_lapack_binding_releases_the_interpreter_lock():
     # a CFUNCTYPE call releases the lock; a PYFUNCTYPE one, like the f2py
     # wrappers, would hold it
-    assert set(mesh._LAPACK) == {"dsytrd", "dsterf", "dormqr", "dgtsv",
-                                 "dstebz", "dstein"}
+    assert set(mesh._LAPACK) == {"dsytrd", "dormqr", "dgtsv", "dstebz",
+                                 "dstein", "dlarrc", "dsbtrd"}
     for routine in mesh._LAPACK.values():
         assert routine._flags_ & ctypes._FUNCFLAG_CDECL
         assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI
 
 
 def test_reduction_releases_the_interpreter_lock():
-    # while a worker reduces a large matrix, takes its eigenvalues, solves
-    # with it and forms eigenvectors, the main thread keeps running Python;
-    # a routine that held the lock would stall it for the whole call, and
-    # the shortest of those steps takes tens of milliseconds
+    # while a worker reduces a large matrix, bisects it for eigenvalues,
+    # solves with it and forms eigenvectors, reduces a long band and counts
+    # the eigenvalues of a long tridiagonal below a point, the main thread
+    # keeps running Python; a routine that held the lock would stall it for
+    # the whole call, and the shortest of those steps takes tens of
+    # milliseconds
     n = 2000
     rng = np.random.default_rng(3)
     B = rng.standard_normal((n, n))
     A = np.asfortranarray(B + B.T)
     b = rng.standard_normal((n, 128))
+    band = rng.standard_normal((5, 3000))
+    chain = mesh._Spectrum(rng.standard_normal(3_000_000),
+                           rng.standard_normal(3_000_000))
 
     def steps(buffer):
-        # (seconds of each step); eigenvalues again, as the reduction took
-        # them, to time dsterf alone
+        # (seconds of each step)
         t = [time.perf_counter()]
         red = _Tridiagonal(buffer)
         t.append(time.perf_counter())
-        _lapack("dsterf", ctypes.c_int(n), red._d.copy(), red._e.copy())
+        red.eigenvalues(0, 63)
         t.append(time.perf_counter())
         red.solve(b)
         t.append(time.perf_counter())
         red.eigenvectors(0, 63)
+        t.append(time.perf_counter())
+        mesh._Banded(band)
+        t.append(time.perf_counter())
+        chain.negcount(0.0)
         t.append(time.perf_counter())
         return np.diff(t)
 

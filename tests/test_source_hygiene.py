@@ -134,20 +134,25 @@ def test_only_the_storage_classes_read_the_grid_storage():
 
 def test_the_dense_reduction_calls_no_f2py_wrapper():
     # scipy's f2py wrappers hold the interpreter lock for the whole call;
-    # _Tridiagonal calls LAPACK through mesh's ctypes bindings alone, so
-    # none of its methods reads a name mesh imports from scipy, nor scipy's
-    # lapack module or eigh_tridiagonal by any path
+    # _Tridiagonal, _Banded's reduction and their spectrum base call LAPACK
+    # through mesh's ctypes bindings alone, so none of their methods reads a
+    # name mesh imports from scipy, nor scipy's lapack module or
+    # eigh_tridiagonal by any path; only _Banded's solve reads solve_banded
     tree = _tree(PACKAGE / "mesh.py")
     from_scipy = {alias.asname or alias.name for node in tree.body
                   if isinstance(node, ast.ImportFrom)
                   and node.module.split(".")[0] == "scipy"
                   for alias in node.names}
-    reduction = next(node for node in tree.body
-                     if isinstance(node, ast.ClassDef)
-                     and node.name == "_Tridiagonal")
-    stray = _references(reduction) & (
-        from_scipy | {"scipy", "lapack", "eigh_tridiagonal"})
-    assert sorted(stray) == []
+    allowed = {"_Spectrum": set(), "_Tridiagonal": set(),
+               "_Banded": {"solve_banded"}}
+    reductions = [node for node in tree.body
+                  if isinstance(node, ast.ClassDef) and node.name in allowed]
+    assert sorted(node.name for node in reductions) == sorted(allowed)
+    stray = [f"{node.name}: {name}" for node in reductions
+             for name in sorted(_references(node) & (
+                 from_scipy | {"scipy", "lapack", "eigh_tridiagonal"}))
+             if name not in allowed[node.name]]
+    assert stray == []
 
 
 def test_every_lapack_binding_is_called_by_name():
