@@ -54,17 +54,20 @@ The classes' reductions are _Banded of a lower band, reduced by LAPACK
 dsbtrd in O(n b) memory, which gives eigenvalues and solves but no
 eigenvectors, and _Tridiagonal of a dense matrix in the buffer that LAPACK
 dsytrd overwrites with the reflectors dormqr reads in place. Both end in a
-symmetric tridiagonal T, and their base _Spectrum reads from T only what
-the certificate and the corrector ask: Sturm counts of the eigenvalues
-below a point (dlarrc) and the eigenvalues of an index range, bisected by
-dstebz, each in O(n) per eigenvalue, never the whole spectrum. The dense
-Jacobi is assembled into that buffer, BLOCK columns at a time, and its
-reductions take it in place (scaled by W^-1/2, or as the top-left block of
-the bordered matrix), so a routine holds one n x n matrix beside diff1 (a
-branch, which certifies on a worker thread, holds three), and an operator
-whose storage a reduction took refuses any later use. A solve against
-_Tridiagonal costs O(n^2), the two applications of Q; T itself is solved
-by dgtsv in O(n) on every solve.
+symmetric tridiagonal T, which their base _Spectrum keeps once, scaled
+exactly by a power of two to a largest entry in [1/2, 1) and split where
+a coupling lies within the reduction's backward error, and reads only
+what the certificate and the corrector ask: Sturm counts of the
+eigenvalues below a point (dlarrc) and the eigenvalues of an index range,
+bisected by dstebz, each in O(n) per eigenvalue, never the whole spectrum.
+The kernel vectors (dstein on those eigenvalues) and the dense solves
+(dgtsv) read the same T. The dense Jacobi is assembled into that buffer,
+BLOCK columns at a time, and its reductions take it in place (scaled by
+W^-1/2, or as the top-left block of the bordered matrix), so a routine
+holds one n x n matrix beside diff1 (a branch, which certifies on a worker
+thread, holds three), and an operator whose storage a reduction took
+refuses any later use. A solve against _Tridiagonal costs O(n^2), the two
+applications of Q; T itself is solved by dgtsv in O(n) on every solve.
 Every LAPACK routine of the reductions (dsytrd, dsbtrd, dlarrc, dstebz,
 dormqr, dgtsv, and dstein for eigenvectors; all but the band's solve) is
 called through scipy's cython_lapack export by ctypes, from one table of
@@ -292,37 +295,29 @@ def _dsytrd(a):
     return d, e, tau
 
 
-def _bisect(d, e, lo, hi, order):
+def _bisect(d, e, lo, hi):
     """LAPACK dstebz's eigenvalues of ascending indices lo..hi of the
-    tridiagonal (d, e) (range "I", absolute tolerance 0), in the order asked
-    for: "E" ascending, "B" by T's diagonal blocks, whose indices it also
-    returns for dstein.
+    tridiagonal (d, e) (range "I", order "E", absolute tolerance 0),
+    ascending, with the diagonal block of T each belongs to and the ends of
+    T's blocks, which dstein reads.
 
     dstebz finds fewer than asked (info 2 or 3) when it cannot split index
     lo or hi off a neighbour, such as an eigenvalue tied to it across T's
-    blocks. In ascending order that is cured as LAPACK prescribes: every
-    eigenvalue is bisected (range "A") and lo..hi picked.
+    blocks. That is cured as LAPACK prescribes: every eigenvalue is
+    bisected (range "A") and lo..hi picked.
     """
     n = len(d)
     m, nsplit = c_int(0), c_int(0)
     w = np.empty(n)
     iblock = np.empty(n, dtype=np.intc)
     isplit = np.empty(n, dtype=np.intc)
-    args = (order, c_int(n), c_double(0.0), c_double(1.0), c_int(lo + 1),
+    args = (b"E", c_int(n), c_double(0.0), c_double(1.0), c_int(lo + 1),
             c_int(hi + 1), c_double(0.0), d, e, m, nsplit, w, iblock, isplit,
             np.empty(4 * n), np.empty(3 * n, dtype=np.intc))
-    if _lapack("dstebz", b"I", *args,
-               allowed=(2, 3) if order == b"E" else ()):
+    if _lapack("dstebz", b"I", *args, allowed=(2, 3)):
         _lapack("dstebz", b"A", *args)
         return w[lo:hi + 1], iblock[lo:hi + 1], isplit
-    return w[:m.value], iblock, isplit
-
-
-# the range of the largest entry of T in which Sturm counts, which square
-# T's off-diagonal, neither underflow nor overflow: LAPACK dstevx's
-_RMIN = np.sqrt(np.finfo(float).tiny / np.finfo(float).eps)
-_RMAX = min(np.sqrt(np.finfo(float).max),
-            1.0 / np.sqrt(np.sqrt(np.finfo(float).tiny)))
+    return w[:m.value], iblock[:m.value], isplit
 
 
 class _Spectrum:
@@ -332,26 +327,31 @@ class _Spectrum:
     on Sturm counts at O(n) per count (Barth, Martin & Wilkinson, Numer.
     Math. 9, 1967), never the whole spectrum.
 
-    The bisection returns finite values for a T that holds a NaN, so a T
-    that is not finite raises LinAlgError here. A T whose largest entry
-    lies outside [_RMIN, _RMAX] is counted and bisected scaled into it by a
-    power of two, as dstevx scales it, so no count loses T's coupling to
-    underflow.
+    One T is kept: 2^-k T, for the binary exponent k of T's largest entry,
+    which then lies in [1/2, 1). ldexp scales T exactly and never forms
+    2^-k, which overflows when T is subnormal. Sturm counts, which square
+    T's off-diagonal, then neither underflow nor overflow (LAPACK dstevx
+    scales T for the same reason). A coupling of at most n eps |T| is set
+    to 0, which splits T. Every count, eigenvalue, eigenvector and solve
+    reads this T and unscales its result. The bisection returns finite
+    values for a T that holds a NaN, so a T that is not finite raises
+    LinAlgError here.
     """
 
     def __init__(self, d, e):
         if not (np.isfinite(d).all() and np.isfinite(e).all()):
             raise np.linalg.LinAlgError(
                 "the reduced tridiagonal holds a non-finite entry")
-        self._d, self._e = d, e
-        size = max(np.max(np.abs(d)), np.max(np.abs(e)))
-        self._scale = 1.0
-        if size and not _RMIN <= size <= _RMAX:
-            self._scale = np.ldexp(1.0, -np.frexp(size)[1])
-        self._counted = d * self._scale, e * self._scale
-        # n eps |T|, within the backward error of a Sturm count
-        self._nudge = max(len(d) * np.finfo(float).eps * size * self._scale,
+        size, self._k = np.frexp(max(np.max(np.abs(d)), np.max(np.abs(e))))
+        self._d, self._e = np.ldexp(d, -self._k), np.ldexp(e, -self._k)
+        # n eps |T|, within the backward error of the reduction and of a
+        # Sturm count
+        self._nudge = max(len(d) * np.finfo(float).eps * size,
                           np.finfo(float).tiny)
+        # a coupling no larger splits T: dstebz splits only relative to the
+        # diagonal, so never beside a zero, and in a block it leaves unsplit
+        # dstein can return one vector twice for two tied eigenvalues
+        self._e[np.abs(self._e) <= self._nudge] = 0.0
 
     def negcount(self, x):
         """How many eigenvalues lie below x: the Sturm count of T - x I,
@@ -361,17 +361,17 @@ class _Spectrum:
         one call counts at x and at x - n eps |T|, a distance within the
         counts' own backward error, and the smaller count is kept, which
         such a tie at either point leaves exact."""
-        x = x * self._scale
+        x = np.ldexp(x, -self._k)
         counts = [c_int(0) for _ in range(3)]
         _lapack("dlarrc", b"T", c_int(len(self._d)),
-                c_double(x - self._nudge), c_double(x), *self._counted,
+                c_double(x - self._nudge), c_double(x), self._d, self._e,
                 c_double(np.finfo(float).tiny), *counts)
         return min(counts[1].value, counts[2].value)
 
     def eigenvalues(self, lo, hi):
         """The eigenvalues of ascending indices lo..hi, ascending, bisected
         by dstebz."""
-        return _bisect(*self._counted, lo, hi, b"E")[0] / self._scale
+        return np.ldexp(_bisect(self._d, self._e, lo, hi)[0], self._k)
 
     def norm(self):
         """The 2-norm of A, max |mu|: the top eigenvalue, and the bottom one
@@ -388,13 +388,14 @@ class _Tridiagonal(_Spectrum):
 
     LAPACK dsytrd reduces the lower triangle to the tridiagonal T; Q is the
     product of the n - 1 reflectors stored below the subdiagonal, applied by
-    dormqr and never formed. The spectrum is read from T by _Spectrum's
-    counts and bisections. A nonzero LAPACK info raises LinAlgError, but
-    where _bisect cures it.
+    dormqr and never formed. The spectrum, the eigenvectors and the solves
+    all read _Spectrum's one scaled T. A nonzero LAPACK info raises
+    LinAlgError, but where _bisect cures it.
 
     Every routine is called through mesh's ctypes bindings, which release
     the interpreter lock, and gives bitwise the results of scipy's f2py
-    wrappers (eigenvectors those of eigh_tridiagonal(select="i")).
+    wrappers for the kept T (eigenvectors those of
+    eigh_tridiagonal(select="i")).
 
     A Fortran-contiguous float64 A is the caller's reduction buffer: it is
     reduced in place and afterwards holds the reflectors, so the reduction
@@ -437,31 +438,33 @@ class _Tridiagonal(_Spectrum):
         return y.reshape(np.shape(x))
 
     def solve(self, b):
-        """A^-1 b = Q T^-1 Q^T b; T by dgtsv, LU with partial pivoting of
-        copies of T's diagonals, which it overwrites, applied in place to
-        the Fortran copy of the right-hand side."""
+        """A^-1 b = Q T^-1 Q^T b; the kept 2^-k T by dgtsv, LU with partial
+        pivoting of copies of its diagonals, which it overwrites, applied in
+        place to the Fortran copy of the right-hand side, and unscaled."""
         n = len(b)
         z = np.array(self.apply_q(b, "T").reshape(n, -1), order="F")
         _lapack("dgtsv", c_int(n), c_int(z.shape[1]), self._e.copy(),
                 self._d.copy(), self._e.copy(), z, c_int(n))
-        return self.apply_q(z).reshape(np.shape(b))
+        return self.apply_q(np.ldexp(z, -self._k)).reshape(np.shape(b))
 
     def eigenvectors(self, lo, hi):
-        """Orthonormal eigenvectors of A for ascending indices lo..hi.
+        """Orthonormal eigenvectors of A for ascending indices lo..hi, in
+        that order.
 
-        dstebz bisects T for the eigenvalues lo..hi (absolute tolerance 0,
-        grouped by T's diagonal blocks) and dstein forms their vectors by
-        inverse iteration, which are then sorted by eigenvalue: the steps of
-        scipy's eigh_tridiagonal(select="i").
+        dstein forms the vectors of T's eigenvalues lo..hi, as eigenvalues
+        bisects them, by inverse iteration; it takes them grouped by T's
+        diagonal blocks, ascending within each, and the vectors go back to
+        ascending order before Q maps them to A's.
         """
         n = len(self._d)
-        w, iblock, isplit = _bisect(self._d, self._e, lo, hi, b"B")
+        w, iblock, isplit = _bisect(self._d, self._e, lo, hi)
         m = len(w)
+        blocked = np.lexsort((w, iblock))
         z = np.empty((n, m), order="F")
-        _lapack("dstein", c_int(n), self._d, self._e, c_int(m), w, iblock,
-                isplit, z, c_int(n), np.empty(5 * n),
+        _lapack("dstein", c_int(n), self._d, self._e, c_int(m), w[blocked],
+                iblock[blocked], isplit, z, c_int(n), np.empty(5 * n),
                 np.empty(n, dtype=np.intc), np.empty(m, dtype=np.intc))
-        return self.apply_q(z[:, np.argsort(w)])
+        return self.apply_q(z[:, np.argsort(blocked)])
 
 
 class _Banded(_Spectrum):

@@ -151,6 +151,23 @@ def test_kernel_vectors_match_eigh_kernel(case, dim):
         assert np.max(angles) <= 1e-12
 
 
+@pytest.mark.parametrize("k", [-1000, 600])
+def test_kernel_of_a_power_of_two_scaled_operator(k):
+    # 2^k W J has J's kernel and vectors: the reduction keeps its T scaled
+    # to a largest entry near 1, which every count and vector reads
+    prob, st = circle_seed(0.5, 2.0, build_grid("periodic", 65))
+    J = jacobi(prob, st, 0.5)
+    w = J.weights
+    B = rank_basis(killing_jacobi_basis(prob, st, 0.5), w)
+    scaled = JacobiOperator(np.ldexp(J.dense(), k), w)
+    kb, ks = numerical_kernel(J), numerical_kernel(scaled)
+    assert ks.dim == kb.dim == 2
+    angles = _principal_angles(kb.vectors, B, w)
+    assert np.max(angles) <= 1e-12
+    assert np.allclose(_principal_angles(ks.vectors, B, w), angles,
+                       rtol=0.0, atol=1e-13)
+
+
 def _failing_lapack(monkeypatch, name):
     """Make mesh's binding of the LAPACK routine name run, then report info
     = 1 (for dstein, one eigenvector that did not converge)."""

@@ -288,15 +288,73 @@ def test_negcount_at_a_zero_pivot():
 
 def test_bisection_cures_an_index_dstebz_cannot_split():
     # T = diag(2) + [[1, 0.5], [0.5, 0.5]]: dstebz asked for index 2 alone
-    # finds none (info 2), and every eigenvalue is bisected instead
+    # finds none (info 2), and every eigenvalue is bisected instead, for
+    # the eigenvalues and the eigenvectors alike (the reduction of a
+    # tridiagonal A keeps A as its T)
     d, e = np.array([2.0, 1.0, 0.5]), np.array([0.0, 0.5])
-    with pytest.raises(np.linalg.LinAlgError, match="info = 2"):
-        mesh._bisect(d, e, 2, 2, b"B")
     spectrum = mesh._Spectrum(d, e)
-    mu = np.linalg.eigvalsh(_dense(d, e))
+    mu, U = np.linalg.eigh(_dense(d, e))
     assert np.max(np.abs(spectrum.eigenvalues(1, 2) - mu[1:])) <= 1e-15
     assert spectrum.eigenvalues(2, 2)[0] == 2.0
     assert spectrum.norm() == 2.0
+    reduced = mesh._Tridiagonal(_dense(d, e))
+    for lo, hi in ((2, 2), (1, 2)):
+        V = reduced.eigenvectors(lo, hi)
+        assert np.allclose(np.abs(V.T @ U[:, lo:hi + 1]), np.eye(hi - lo + 1),
+                           rtol=0.0, atol=1e-15)
+
+
+def test_a_negligible_coupling_splits_the_tridiagonal():
+    # T = [[1, 1, 0], [1, 1, 1e-70], [0, 1e-70, 0]] has two eigenvalues
+    # within 1e-70 of 0; beside the zero diagonal dstebz does not split
+    # off the coupling, and dstein, handed the two tied eigenvalues in one
+    # block, returned one vector twice
+    d, e = np.array([1.0, 1.0, 0.0]), np.array([1.0, 1e-70])
+    A = _dense(d, e)
+    reduced = mesh._Tridiagonal(A)
+    assert reduced._e.tolist() == [0.5, 0.0]
+    V = reduced.eigenvectors(0, 1)
+    assert np.max(np.abs(V.T @ V - np.eye(2))) <= 1e-15
+    assert np.max(np.abs(A @ V)) <= 1e-15
+
+
+def _normal_scale(d, e):
+    """The most negative k for which 2^k keeps every nonzero entry of T
+    normal, so that 2^k T is exact."""
+    nonzero = np.abs(np.concatenate([d, e]))
+    nonzero = nonzero[nonzero > 0.0]
+    if not nonzero.size:
+        return -1000
+    return -1021 - int(np.frexp(np.min(nonzero))[1])
+
+
+@SPECTRUM_EXAMPLES
+@given(T=tridiagonals(), data=st.data())
+def test_eigenvectors_are_orthonormal_and_solve_at_every_scale(T, data):
+    # the kernel vectors read the kept T, 2^-k T, which no scaling of the
+    # reduced matrix by a power of two changes
+    d, e = T
+    n = len(d)
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo, n - 1))
+    for k in (0, 500, _normal_scale(d, e)):
+        A = _dense(np.ldexp(d, k), np.ldexp(e, k))
+        V = mesh._Tridiagonal(A).eigenvectors(lo, hi)
+        assert V.shape == (n, hi - lo + 1)
+        mu = np.linalg.eigvalsh(A)[lo:hi + 1]
+        size = np.max(np.abs(A))
+        assert np.max(np.abs(A @ V - V * mu), initial=0.0) <= 1e-12 * size
+        assert np.max(np.abs(V.T @ V - np.eye(hi - lo + 1))) <= 1e-12
+
+
+def test_a_subnormal_tridiagonal_is_counted_and_bisected():
+    # a T of subnormal entries is scaled by 2^k for k > 1000, a factor that
+    # no float holds, so ldexp scales it
+    spectrum = mesh._Spectrum(np.array([1e-320, 1e-320]), np.zeros(1))
+    assert spectrum.eigenvalues(0, 1).tolist() == [1e-320, 1e-320]
+    assert spectrum.negcount(2e-320) == 2
+    assert spectrum.negcount(1e-320) == 0
+    assert spectrum.norm() == 1e-320
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])

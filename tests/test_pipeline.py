@@ -308,8 +308,9 @@ def test_reduction_equals_f2py_dsytrd_bitwise(n, order):
     assert info == 0
     kept = A.copy(order="K")
     red = _Tridiagonal(A)
-    assert red._d.tobytes() == d.tobytes()
-    assert red._e[:n - 1].tobytes() == e.tobytes()
+    # the kept T is 2^-k T, which ldexp unscales exactly
+    assert np.ldexp(red._d, red._k).tobytes() == d.tobytes()
+    assert np.ldexp(red._e[:n - 1], red._k).tobytes() == e.tobytes()
     assert red._tau[:n - 1].tobytes() == tau.tobytes()
     if order == "F":
         # the caller's Fortran buffer holds the reflectors
@@ -342,23 +343,25 @@ def _f2py_apply_q(red, x, trans="N"):
 def test_tridiagonal_routines_equal_f2py_bitwise(n):
     # apply_q (dormqr), solve (dgtsv between two applications of Q),
     # eigenvalues (dstebz, order "E") and eigenvectors (dstebz + dstein)
-    # against scipy's wrappers
+    # against scipy's wrappers: the solve and the eigenvalues on the
+    # unscaled T, the eigenvectors on the T the reduction keeps
     rng = np.random.default_rng(n)
     B = rng.standard_normal((n, n))
     red = _Tridiagonal(B + B.T)
+    d, e = np.ldexp(red._d, red._k), np.ldexp(red._e, red._k)
     for x in (rng.standard_normal(n), rng.standard_normal((n, 1)),
               rng.standard_normal((n, 2))):
         for trans in ("N", "T"):
             assert (red.apply_q(x, trans).tobytes()
                     == _f2py_apply_q(red, x, trans).tobytes())
         y = _f2py_apply_q(red, x, "T").reshape(n, -1)
-        *_, z, info = lapack.dgtsv(red._e, red._d, red._e, y)
+        *_, z, info = lapack.dgtsv(e, d, e, y)
         assert info == 0
         want = _f2py_apply_q(red, z).reshape(np.shape(x))
         assert red.solve(x).tobytes() == want.tobytes()
     for lo, hi in {(0, 0), (0, n - 1), (n // 2, n - 1), (n // 3, n // 2)}:
-        w = eigh_tridiagonal(red._d, red._e[:n - 1], eigvals_only=True,
-                             select="i", select_range=(lo, hi))
+        w = eigh_tridiagonal(d, e[:n - 1], eigvals_only=True, select="i",
+                             select_range=(lo, hi))
         assert red.eigenvalues(lo, hi).tobytes() == w.tobytes()
         _, v = eigh_tridiagonal(red._d, red._e[:n - 1], select="i",
                                 select_range=(lo, hi))
