@@ -35,12 +35,13 @@ algebra_element matrices, which realize so(n+1). verify_bundle runs every
 named check of the verify-bundle command. algebra_element,
 deformed_bracket and group_membership_residual also take stacks along
 leading axes, so verify_bundle scores all triples, and all slice samples,
-of one lam in a few array calls. dexp is the derivative of the exponential
-map that the orbit projection's Jacobian is built from.
+of one lam in a few array calls. expm is the exponential that sections,
+slice samples and the group actions of the problem instances take, and
+dexp is its derivative, from which the orbit projection's Jacobian is
+built.
 """
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError, PreconditionError
 
@@ -253,7 +254,72 @@ def section(letters, lam):
 
 
 # ---------------------------------------------------------------------------
-# the derivative of the exponential
+# the exponential and its derivative
+
+# degree m: (theta_m, the largest 1-norm for which the degree m diagonal Pade
+# approximant of exp is accurate to unit roundoff in backward error, and
+# its coefficients b_0..b_m), from Higham, SIAM J. Matrix Anal. Appl. 26
+# (2005), Table 2.3 and eq. (2.7)
+_PADE = {
+    3: (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    5: (2.539398330063230e-1,
+        (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    7: (9.504178996162932e-1,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0,
+         1.0)),
+    9: (2.097847961257068e0,
+        (17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+         2162160.0, 110880.0, 3960.0, 90.0, 1.0)),
+    13: (5.371920351148152e0,
+         (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+          1187353796428800.0, 129060195264000.0, 10559470521600.0,
+          670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+          16380.0, 182.0, 1.0)),
+}
+
+
+def _pade(A, m):
+    """The degree m diagonal Pade approximant of exp(A), (V - U)^-1 (V + U),
+    with U = A (b_m A^(m-1) + ... + b_1 I) and V = b_(m-1) A^(m-1) + ... +
+    b_0 I; degree 13 takes A^8..A^12 as A^6 times a sum, not as powers."""
+    b = _PADE[m][1]
+    top = 3 if m == 13 else m // 2
+    powers = [np.eye(len(A)), A @ A]    # A^0, A^2, ..., A^(2 top)
+    for _ in range(top - 1):
+        powers.append(powers[-1] @ powers[1])
+    odd = even = 0.0
+    if m == 13:
+        A2, A4, A6 = powers[1:]
+        odd = A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2)
+        even = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
+    for k in range(top, -1, -1):
+        odd = odd + b[2 * k + 1] * powers[k]
+        even = even + b[2 * k] * powers[k]
+    U = A @ odd
+    return np.linalg.solve(even - U, even + U)
+
+
+def expm(A):
+    """exp(A) of a square matrix A, by scaling and squaring (Higham, SIAM
+    J. Matrix Anal. Appl. 26, 2005): the diagonal Pade approximant of the
+    lowest degree 3, 5, 7 or 9 whose theta_m bounds the 1-norm of A, else
+    that of degree 13 at A / 2^s, for the least s that brings the 1-norm to
+    theta_13, squared s times. A matrix holding a non-finite entry has a
+    NaN exponential."""
+    A = np.asarray(A, dtype=float)
+    norm = np.linalg.norm(A, 1)
+    if not np.isfinite(norm):
+        return np.full(A.shape, np.nan)
+    for m in (3, 5, 7, 9):
+        if norm <= _PADE[m][0]:
+            return _pade(A, m)
+    s = max(0, int(np.ceil(np.log2(norm / _PADE[13][0]))))
+    X = _pade(np.ldexp(A, -s), 13)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(s):
+            X = X @ X
+    return X
+
 
 def dexp(X, xi):
     """psi(ad_X) xi = sum_k ad_X^k xi / (k + 1)!, with psi(z) = (e^z - 1) / z.

@@ -19,7 +19,8 @@ modes fake low Jacobi modes. build_grid rounds an even periodic N up by one,
 and Grid rejects an even periodic N, so every periodic instance gets the
 same odd grid. On it D1 applied twice is the spectral second derivative.
 A periodic matrix is a circulant, fixed by its first column: it is
-antisymmetrized as a generator and expanded by scipy.linalg.circulant.
+antisymmetrized as a generator and expanded by copying the rows of a
+strided view of the doubled generator.
 Dirichlet rows get their Fornberg weights in one batched call.
 
 A dirichlet grid keeps diff1 as its band, the diagonals at offsets -b..b,
@@ -69,20 +70,25 @@ thread, holds three), and an operator whose storage a reduction took
 refuses any later use. A solve against _Tridiagonal costs O(n^2), the two
 applications of Q; T itself is solved by dgtsv in O(n) on every solve.
 Every LAPACK routine of the reductions (dsytrd, dsbtrd, dlarrc, dstebz,
-dormqr, dgtsv, and dstein for eigenvectors; all but the band's solve) is
+dormqr, dgtsv, dgbsv for the band's solve, and dstein for eigenvectors) is
 called through scipy's cython_lapack export by ctypes, from one table of
 bindings, _LAPACK. A ctypes call releases the interpreter lock that
-scipy.linalg's f2py wrappers hold, so the certificate overlaps the
-corrector; the results are bitwise the wrappers'.
+scipy's f2py wrappers hold, so the certificate overlaps the corrector; the
+results are bitwise the wrappers'. That one extension module is loaded
+from its file, not through the scipy.linalg package, whose import costs
+tens of megabytes and a good part of a second; no path of the package
+imports scipy.linalg.
 """
 
 import ctypes
+import importlib.machinery
 from ctypes import c_double, c_int
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
-from scipy.linalg import circulant, cython_lapack, solve_banded
+import scipy
 
 from .errors import DomainError, ShapeError, SpentOperator, UnsupportedError
 
@@ -134,9 +140,19 @@ def _reversed(gen):
     return np.roll(gen[::-1], 1)
 
 
+def _circulant(gen):
+    """The circulant C[i, j] = gen[(i - j) mod N], a new C-ordered array.
+    Row i is gen reversed and rotated, a window of the 2N - 1 values gen
+    reversed followed by gen[N-1:0:-1]; the rows are copied out of one
+    strided view of those values, so no index array is made."""
+    N = len(gen)
+    doubled = np.concatenate((gen[::-1], gen[:0:-1]))
+    return np.lib.stride_tricks.sliding_window_view(doubled, N)[::-1].copy()
+
+
 def _spectral_generator(N):
     """Generator of the spectral first derivative on an odd grid: the first
-    column g of D[i, j] = g[(i - j) mod N], scipy's circulant(g).
+    column g of D[i, j] = g[(i - j) mod N], _circulant(g).
 
     Built from the Fourier symbol ik applied to a delta column; an odd N
     has no sawtooth (Nyquist) mode. The generator is antisymmetrized, so
@@ -214,8 +230,23 @@ def symmetric_band(lower):
     return band
 
 
+def _lapack_capsules():
+    """The capsules of scipy.linalg.cython_lapack by routine name, that
+    extension module loaded from its file in scipy's linalg directory.
+    Importing it by name would run the scipy.linalg package first, and with
+    it scipy's array API layer."""
+    finder = importlib.machinery.FileFinder(
+        str(Path(scipy.__file__).parent / "linalg"),
+        (importlib.machinery.ExtensionFileLoader,
+         importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec("scipy.linalg.cython_lapack")
+    module = spec.loader.create_module(spec)
+    spec.loader.exec_module(module)
+    return module.__pyx_capi__
+
+
 def _capsule_address(capsule):
-    # the function address in one of scipy.linalg.cython_lapack's capsules
+    # the function address in one of cython_lapack's capsules
     get_name = ctypes.PYFUNCTYPE(ctypes.c_char_p, ctypes.py_object)(
         ("PyCapsule_GetName", ctypes.pythonapi))
     get_pointer = ctypes.PYFUNCTYPE(ctypes.c_void_p, ctypes.py_object,
@@ -230,13 +261,14 @@ _REAL = ctypes.POINTER(c_double)
 # arrays, checked for their dtype and Fortran order on every call
 _F64 = np.ctypeslib.ndpointer(np.float64, flags="F_CONTIGUOUS")
 _I32 = np.ctypeslib.ndpointer(np.intc, flags="F_CONTIGUOUS")
+_CAPSULES = _lapack_capsules()
 # The LAPACK routines of the reductions, from the library that
 # scipy.linalg.lapack wraps, by their argument types before the trailing
 # info. Each is a CFUNCTYPE, whose call releases the interpreter lock that
 # the f2py wrappers hold, so the certificate overlaps the corrector.
 _LAPACK = {
     name: ctypes.CFUNCTYPE(None, *argtypes, _INT)(
-        _capsule_address(cython_lapack.__pyx_capi__[name]))
+        _capsule_address(_CAPSULES[name]))
     for name, argtypes in {
         "dsytrd": (_CHAR, _INT, _F64, _INT, _F64, _F64, _F64, _F64, _INT),
         "dsbtrd": (_CHAR, _CHAR, _INT, _INT, _F64, _INT, _F64, _F64, _F64,
@@ -246,6 +278,7 @@ _LAPACK = {
         "dormqr": (_CHAR, _CHAR, _INT, _INT, _INT, _F64, _INT, _F64, _F64,
                    _INT, _F64, _INT),
         "dgtsv": (_INT, _INT, _F64, _F64, _F64, _F64, _INT),
+        "dgbsv": (_INT, _INT, _INT, _INT, _F64, _INT, _I32, _F64, _INT),
         "dstebz": (_CHAR, _CHAR, _INT, _REAL, _REAL, _INT, _INT, _REAL, _F64,
                    _F64, _INT, _INT, _F64, _I32, _I32, _F64, _I32),
         "dstein": (_INT, _F64, _F64, _INT, _F64, _I32, _I32, _F64, _INT, _F64,
@@ -473,7 +506,7 @@ class _Banded(_Spectrum):
 
     LAPACK dsbtrd reduces a copy of the band to the tridiagonal T in O(n b)
     memory, without Q, for _Spectrum's counts and bisections; the solve is
-    solve_banded's (dgbsv, LU with partial pivoting). Asked for
+    dgbsv's, LU with partial pivoting of the general band. Asked for
     eigenvectors, it raises UnsupportedError: the band Jacobi has no
     Killing span to compare kernel vectors with, so the certificate reads
     only the eigenvalues.
@@ -495,10 +528,18 @@ class _Banded(_Spectrum):
                                "has no Killing span to compare them with")
 
     def solve(self, rhs):
-        """A^-1 rhs."""
+        """A^-1 rhs, by dgbsv on A's general band below b zero rows, the
+        room its LU's fill-in takes, applied in place to a Fortran copy of
+        rhs; bitwise scipy.linalg.solve_banded's for b >= 2."""
         b = len(self._ab) - 1
-        return solve_banded((b, b), symmetric_band(self._ab), rhs,
-                            check_finite=False)
+        n = self._ab.shape[1]
+        lu = np.zeros((3 * b + 1, n), order="F")
+        lu[b:] = symmetric_band(self._ab)
+        x = np.array(rhs, dtype=float, order="F")
+        z = x.reshape(n, -1, order="F")
+        _lapack("dgbsv", c_int(n), c_int(b), c_int(b), c_int(z.shape[1]), lu,
+                c_int(3 * b + 1), np.empty(n, dtype=np.intc), z, c_int(n))
+        return x
 
 
 def _gregory_weights(N, h):
@@ -541,7 +582,7 @@ class Grid:
     @cached_property
     def diff1(self):
         if self.band is None:
-            return circulant(_spectral_generator(self.N))
+            return _circulant(_spectral_generator(self.N))
         return band_dense(self.band)
 
     def d1(self, u):
@@ -590,9 +631,12 @@ def build_grid(kind, N, order="spectral", a=0.0, b=1.0):
 
 
 def wnorm(weights, u):
-    """The pairing norm sqrt(sum_i weights_i u_i^2)."""
+    """The pairing norm sqrt(sum_i weights_i u_i^2), inf without a warning
+    when that sum overflows: the corrector and the CLI's seed check read an
+    infinite norm as a state beyond what the grid and weights can hold."""
     u = np.asarray(u)
-    return float(np.sqrt(np.dot(weights * u, u)))
+    with np.errstate(over="ignore"):
+        return float(np.sqrt(np.dot(weights * u, u)))
 
 
 @dataclass(frozen=True, eq=False)

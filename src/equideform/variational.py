@@ -49,12 +49,11 @@ per component for the harmonic instances.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .ambient import (FlatTorus, ScaledSphere, SpaceForm2, quadric_to_chart,
                       radial_area, sn_lambda)
 from .errors import ConfigError, DomainError, ShapeError, UnsupportedError
-from .lie_bundle import dexp
+from .lie_bundle import dexp, expm
 from .mesh import TWO_PI, Grid, JacobiForm, build_grid, wnorm
 
 RMIN = 0.05  # radial graphs stay away from the chart origin

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,16 +192,21 @@ def test_corrector_fails_fast_at_the_residual_floor(tmp_path, capsys):
 
 def test_analyze_band_solve_failure_exit_three(tmp_path, capsys,
                                                monkeypatch):
-    # the profile's first Newton step solves its band by solve_banded; a
-    # LinAlgError there is a solver failure, reported, not a traceback
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
+    # the profile's first Newton step solves its band by LAPACK dgbsv; a
+    # nonzero info there (1: a zero pivot) is a solver failure, reported,
+    # not a traceback
+    dgbsv = mesh._LAPACK["dgbsv"]
 
-    monkeypatch.setattr(mesh, "solve_banded", singular)
+    def singular(*args):
+        dgbsv(*args)
+        args[-1].value = 1
+
+    monkeypatch.setitem(mesh._LAPACK, "dgbsv", singular)
     code, out = run_cli(tmp_path, "analyze", PROFILE_FLOOR)
     assert code == 3
-    assert read_report(out)["error"] == "corrector_step: singular matrix"
-    assert "singular matrix" in capsys.readouterr().err
+    error = "corrector_step: dgbsv failed with info = 1"
+    assert read_report(out)["error"] == error
+    assert error in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -644,6 +650,33 @@ def test_problem_magnitudes_that_overflow_are_config_errors(
     err = capsys.readouterr().err
     assert f"[problem] {keys}: the seed's residual norm is" in err
     assert "Warning" not in err
+
+
+def test_continue_overflowing_step_exit_three_without_warning(tmp_path,
+                                                              capsys):
+    # a step from 0.05 to 1e-300 takes the sphere's metric far out: the
+    # predicted state's residual has a squared norm that overflows, so its
+    # norm is infinite, which fails the attempt; the branch stalls with exit
+    # 3 and a report, and no numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_cli(tmp_path, "continue", """
+[problem]
+instance = harmonic_sphere
+n = 9
+[path]
+start = 0.05
+end = 1e-300
+initial_step = 1e6
+max_newton = 3
+""")
+    assert code == 3
+    pay = read_report(out)
+    assert pay["records"] == 1
+    assert "step underflow" in pay["error"]
+    assert pay["error"].endswith("initial residual inf is not finite "
+                                 "(lambda_hat=1e-300)")
+    assert "Warning" not in capsys.readouterr().err
 
 
 def test_problem_keys_an_instance_reads_are_accepted(tmp_path):

@@ -10,7 +10,7 @@ from equideform.cli import _build_problem, _Config
 from equideform.continuation import (ContinuationConfig, _bordered_update,
                                      continue_branch, corrector_step)
 from equideform.errors import (IllConditioned, PreconditionError, ShapeError,
-                               UnsupportedError)
+                               UnsupportedError, linalg_guard)
 from equideform.equivariance import (GAP_FLOOR, _principal_angles,
                                      nondegeneracy_report,
                                      numerical_kernel, operator_diagnostics,
@@ -439,16 +439,28 @@ def test_banded_operator_refuses_kernel_vectors():
 
 
 def test_band_solve_failure_is_ill_conditioned(monkeypatch):
-    # a band Newton step solves by solve_banded, whose LinAlgError the
-    # corrector reports as IllConditioned
-    def singular(*args, **kwargs):
-        raise np.linalg.LinAlgError("singular matrix")
-
-    monkeypatch.setattr(mesh, "solve_banded", singular)
+    # a band Newton step solves by dgbsv, whose nonzero info the corrector
+    # reports as IllConditioned
+    _failing_lapack(monkeypatch, "dgbsv")
     prob, st = _profile_band_case(33, 4, 1.0, 0.02)
-    with pytest.raises(IllConditioned, match="singular matrix"):
+    with pytest.raises(IllConditioned, match="dgbsv failed with info = 1"):
         corrector_step(prob, st, 0.0,
                        ContinuationConfig.polish(0.0, basin_guard=1.0))
+
+
+@pytest.mark.parametrize("b", [2, 4])
+def test_singular_band_solve_is_ill_conditioned(b):
+    # a symmetric band whose last row and column vanish: dgbsv's last pivot
+    # is exactly 0 (info = n), which a guarded solve reports as
+    # IllConditioned
+    n = 12
+    ab = np.random.default_rng(b).standard_normal((b + 1, n))
+    for k in range(b + 1):
+        ab[k, n - 1 - k:] = 0.0
+    solve = linalg_guard(mesh._Banded(ab).solve)
+    with pytest.raises(IllConditioned,
+                       match=f"solve: dgbsv failed with info = {n}"):
+        solve(np.ones(n))
 
 
 def test_banded_operator_refuses_killing_columns():

@@ -8,7 +8,7 @@ from equideform.lie_bundle import (_match_threshold, _scored_slice_check,
                                    _slice_samples, algebra_basis,
                                    algebra_element, bracket_closure_residual,
                                    complement_basis, deformed_bracket, dexp,
-                                   eta_form, group_membership_residual,
+                                   eta_form, expm as pade_expm, group_membership_residual,
                                    invariance_residual, section,
                                    verify_bundle)
 
@@ -469,3 +469,76 @@ def test_stacked_verify_bundle_matches_the_scalar_oracle(monkeypatch, ns,
     assert anti["worst"] == 0.0
     failed = [c["name"] for c in checks if not c["passed"]]
     assert failed == (["bracket_closure"] if inject else [])
+
+
+# ----------------------------------------------- the exponential, by mpmath
+
+THETA_13 = 5.371920351148152    # the largest 1-norm expm takes unscaled
+
+
+def _expm_error(A):
+    """|expm(A) - exp(A)|_max / |exp(A)|_max, exp(A) by mpmath at 40
+    digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(40):
+        want = np.array(mpmath.expm(mpmath.matrix(A.tolist())).tolist(),
+                        dtype=float)
+    return np.max(np.abs(pade_expm(A) - want)) / np.max(np.abs(want))
+
+
+def _expm_bound(A):
+    # unit roundoff in backward error, and the squarings past theta_13
+    return 1e-14 if np.linalg.norm(A, 1) <= THETA_13 else 1e-13
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("lam", [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0])
+def test_expm_of_algebra_elements_matches_mpmath(lam, n):
+    # the matrices the group actions and sections exponentiate, up to
+    # 1-norms past theta_13
+    rng = np.random.default_rng(71)
+    for norm in (0.01, 0.2, 0.9, 2.0, 5.0, 8.0, 20.0):
+        S = rng.standard_normal((n, n))
+        X = algebra_element(lam, S - S.T, rng.standard_normal(n))
+        X *= norm / np.linalg.norm(X, 1)
+        assert _expm_error(X) <= _expm_bound(X), (norm, _expm_error(X))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_expm_of_slice_blocks_matches_mpmath(n):
+    # the symmetric blocks _sample_slice_element exponentiates
+    rng = np.random.default_rng(73)
+    for _ in range(20):
+        S = 0.4 * rng.standard_normal((n, n))
+        X = 0.5 * (S + S.T)
+        assert _expm_error(X) <= _expm_bound(X)
+
+
+@pytest.mark.parametrize("norm", [1e-3, 0.2, 0.9, 2.0, 5.0, 7.0, 20.0, 60.0])
+def test_expm_matches_mpmath_at_every_pade_degree(norm):
+    # 1-norms inside each theta_m (degrees 3, 5, 7, 9, 13), and past
+    # theta_13, where A is scaled and the approximant squared
+    rng = np.random.default_rng(int(norm * 1000))
+    for n in (3, 4):
+        for _ in range(10):
+            A = rng.standard_normal((n, n))
+            A *= norm / np.linalg.norm(A, 1)
+            assert _expm_error(A) <= _expm_bound(A), _expm_error(A)
+
+
+def test_expm_inverse_is_expm_of_minus():
+    # exp(X) exp(-X) = I for |X|_1 <= 1
+    rng = np.random.default_rng(79)
+    for n in (2, 3, 4):
+        for _ in range(20):
+            X = rng.standard_normal((n, n))
+            X *= rng.uniform(0.0, 1.0) / np.linalg.norm(X, 1)
+            assert np.max(np.abs(pade_expm(X) @ pade_expm(-X)
+                                 - np.eye(n))) <= 1e-14
+    assert np.array_equal(pade_expm(np.zeros((3, 3))), np.eye(3))
+
+
+def test_expm_of_a_non_finite_matrix_is_nan():
+    # as scipy.linalg.expm gives it, never an error from the choice of s
+    for v in (np.nan, np.inf, -np.inf):
+        assert np.isnan(pade_expm(np.array([[0.0, v], [-1.0, 0.0]]))).all()

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh_tridiagonal, lapack
+from scipy.linalg import eigh_tridiagonal, lapack, solve_banded
 
 from equideform import continuation, mesh
 from equideform.continuation import ContinuationConfig, continue_branch
@@ -389,11 +389,29 @@ def test_band_eigenvalues_equal_f2py_dsbevx_bitwise(n, b):
         assert red.eigenvalues(lo, hi).tobytes() == w[:m].tobytes()
 
 
+@pytest.mark.parametrize("n", [5, 33, 1022])
+@pytest.mark.parametrize("b", [2, 4])
+def test_band_solve_equals_solve_banded_bitwise(n, b):
+    # for b >= 2, the half-bandwidth of every band Jacobi, solve_banded
+    # solves by dgbsv too, on the same general band below b zero rows
+    rng = np.random.default_rng(n + b)
+    ab = rng.standard_normal((b + 1, n))
+    for k in range(1, b + 1):
+        ab[k, n - k:] = 0.0
+    red = mesh._Banded(ab)
+    for rhs in (rng.standard_normal(n), rng.standard_normal((n, 1)),
+                rng.standard_normal((n, 3))):
+        want = solve_banded((b, b), mesh.symmetric_band(ab), rhs)
+        got = red.solve(rhs)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 def test_every_lapack_binding_releases_the_interpreter_lock():
     # a CFUNCTYPE call releases the lock; a PYFUNCTYPE one, like the f2py
     # wrappers, would hold it
     assert set(mesh._LAPACK) == {"dsytrd", "dormqr", "dgtsv", "dstebz",
-                                 "dstein", "dlarrc", "dsbtrd"}
+                                 "dstein", "dlarrc", "dsbtrd", "dgbsv"}
     for routine in mesh._LAPACK.values():
         assert routine._flags_ & ctypes._FUNCFLAG_CDECL
         assert not routine._flags_ & ctypes._FUNCFLAG_PYTHONAPI

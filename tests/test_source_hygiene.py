@@ -11,10 +11,14 @@ config reader probes the parsed file, so that every key read is recorded. Outsid
 geodesic_curvature's argument check. The ambient models write no Killing
 field and no matrix by hand: one base class pushes their matrices forward,
 and algebra_basis builds each of them. Every LAPACK binding in mesh is
-called, and only mesh's storage classes define the reductions.
+called, and only mesh's storage classes define the reductions. No module
+imports scipy.linalg, and no command loads it.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -134,24 +138,23 @@ def test_only_the_storage_classes_read_the_grid_storage():
 
 def test_the_dense_reduction_calls_no_f2py_wrapper():
     # scipy's f2py wrappers hold the interpreter lock for the whole call;
-    # _Tridiagonal, _Banded's reduction and their spectrum base call LAPACK
-    # through mesh's ctypes bindings alone, so none of their methods reads a
-    # name mesh imports from scipy, nor scipy's lapack module or
-    # eigh_tridiagonal by any path; only _Banded's solve reads solve_banded
+    # _Tridiagonal, _Banded and their spectrum base call LAPACK through
+    # mesh's ctypes bindings alone, so none of their methods reads a name
+    # mesh imports from scipy, nor scipy, its lapack module,
+    # eigh_tridiagonal or solve_banded by any path
     tree = _tree(PACKAGE / "mesh.py")
     from_scipy = {alias.asname or alias.name for node in tree.body
                   if isinstance(node, ast.ImportFrom)
                   and node.module.split(".")[0] == "scipy"
                   for alias in node.names}
-    allowed = {"_Spectrum": set(), "_Tridiagonal": set(),
-               "_Banded": {"solve_banded"}}
+    names = ("_Spectrum", "_Tridiagonal", "_Banded")
     reductions = [node for node in tree.body
-                  if isinstance(node, ast.ClassDef) and node.name in allowed]
-    assert sorted(node.name for node in reductions) == sorted(allowed)
+                  if isinstance(node, ast.ClassDef) and node.name in names]
+    assert sorted(node.name for node in reductions) == sorted(names)
     stray = [f"{node.name}: {name}" for node in reductions
              for name in sorted(_references(node) & (
-                 from_scipy | {"scipy", "lapack", "eigh_tridiagonal"}))
-             if name not in allowed[node.name]]
+                 from_scipy | {"scipy", "lapack", "eigh_tridiagonal",
+                               "solve_banded"}))]
     assert stray == []
 
 
@@ -240,4 +243,58 @@ def test_every_ambient_algebra_is_built_by_algebra_basis():
     stray = [name for name, method in methods.items()
              if "algebra_basis" not in _references(method)
              or "np" in _references(method)]
+    assert stray == []
+
+
+# the modules of scipy.linalg's import that no command needs: the package
+# itself and the array API layer it brings in
+HEAVY_MODULES = ("scipy.linalg", "scipy._lib._array_api")
+
+_COMMANDS = """
+import sys, tempfile
+from pathlib import Path
+heavy = sys.argv[1:]
+from equideform.cli import main
+loaded = [[m for m in heavy if m in sys.modules]]
+circle = "[problem]\\ninstance = cmc_circle\\nn = 16\\nh = 2.0\\n"
+runs = [
+    ("verify-bundle", "[bundle]\\nlambdas = -1 0.5\\nn = 2\\n"
+     "samples = 4\\ntriples = 4\\n"),
+    ("analyze", "[problem]\\ninstance = cmc_profile\\nn = 16\\nh = 2.0\\n"
+     "length = 1.0\\n"),
+    ("continue", circle + "[path]\\nstart = 1.0\\nend = 0.9\\nrecords = 2\\n"),
+    ("congruence", circle + "[congruence]\\nt = 0.02, -0.01\\n"),
+]
+with tempfile.TemporaryDirectory() as work:
+    for i, (command, text) in enumerate(runs):
+        cfg = Path(work, f"{i}.ini")
+        cfg.write_text(text)
+        code = main([command, "--config", str(cfg), "--out", f"{work}/{i}"])
+        assert code in (0, 2), (command, code)
+        loaded.append([m for m in heavy if m in sys.modules])
+print(loaded)
+"""
+
+
+def test_no_command_imports_scipy_linalg():
+    # a fresh interpreter imports the CLI and runs each command; neither
+    # scipy.linalg nor its array API layer is loaded at any point
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [
+                   str(PACKAGE.parent), os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", _COMMANDS, *HEAVY_MODULES],
+                          env=env, capture_output=True, text=True, check=True)
+    # the commands print their results; the script's own line is the last
+    assert done.stdout.splitlines()[-1] == str([[]] * 5)
+
+
+@pytest.mark.parametrize("path", MODULES + [PACKAGE / "__init__.py"],
+                         ids=lambda p: p.name)
+def test_no_module_imports_scipy_linalg(path):
+    stray = [ast.unparse(node) for node in ast.walk(_tree(path))
+             if isinstance(node, ast.Import)
+             and any(alias.name.startswith("scipy.linalg")
+                     for alias in node.names)
+             or isinstance(node, ast.ImportFrom)
+             and (node.module or "").startswith("scipy.linalg")]
     assert stray == []
